@@ -31,7 +31,6 @@ __all__ = [
     "DifferentialMatrix",
     "delta_instance",
     "delta_component_value",
-    "DeltaCochain",
     "apply_delta",
     "apply_delta_component",
     "delta_via_bracket",
@@ -171,7 +170,9 @@ class Cochain:
                         for pq, tbl in self._blocks.items()})
 
     def add(self, other: "Cochain") -> "Cochain":
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise ValueError(f"cannot add cochains of degrees {self.degree} "
+                             f"and {other.degree}")
         blocks: dict = {pq: dict(tbl) for pq, tbl in self._blocks.items()}
         for pq, tbl in other._blocks.items():
             mine = blocks.setdefault(pq, {})
@@ -374,41 +375,6 @@ def delta_instance(ctx, coch, P, Q, xs, ys, components=COMPONENTS):
     return total
 
 
-class DeltaCochain:
-    """The coboundary of a cochain as a lazily evaluated cochain: usable with
-    windowed contexts where materialising every entry is impossible."""
-
-    def __init__(self, ctx, base, components=COMPONENTS):
-        self.ctx = ctx
-        self.base = base
-        self.components = components
-        self.degree = base.degree + 1
-        shapes = set()
-        for (p, q) in base.shapes():
-            for (dp, dq) in components:
-                if p + dp >= 0:
-                    shapes.add((p + dp, q + dq))
-        self._shapes = sorted(shapes, key=lambda pq: (-pq[0], pq[1]))
-
-    def shapes(self):
-        return self._shapes
-
-    def value(self, p, q, xs, ys):
-        cys, sign = _canonical_ys(self.ctx.alg_space, tuple(ys))
-        if cys is None:
-            return self.ctx.zero()
-        v = delta_instance(self.ctx, self.base, p, q, tuple(xs), cys,
-                          self.components)
-        if v is None:
-            return None
-        return v if sign == 1 else v.scale(sign)
-
-    def eval(self, p, q, xs, ys):
-        return _expand_args(self.ctx.alg_space, xs, ys,
-                            lambda bxs, bys: self.value(p, q, bxs, bys),
-                            self.ctx.zero())
-
-
 def _target_shapes(degree: int, dim1: int):
     return [(p, degree - p) for p in range(degree, -1, -1)
             if degree - p <= dim1]
@@ -564,7 +530,9 @@ class CochainBasis:
 
 
 class DifferentialMatrix:
-    """delta^k : C^k -> C^{k+1} with its three component matrices."""
+    """delta^k : C^k -> C^{k+1} with its three component matrices, which
+    `_delta_matrix` reads off delta of the generic k-cochain; `full` is
+    their sum, formed from the nonzero entries only."""
 
     def __init__(self, k, source: CochainBasis, target: CochainBasis,
                  comp: dict):
@@ -572,12 +540,12 @@ class DifferentialMatrix:
         self.source = source
         self.target = target
         self.comp = comp
-        n, m = target.dim, source.dim
-        full = linalg.mat_zero(n, m)
+        full = linalg.mat_zero(target.dim, source.dim)
         for mat in comp.values():
-            for i in range(n):
-                for j in range(m):
-                    full[i][j] += mat[i][j]
+            for row, out in zip(mat, full):
+                for j, c in enumerate(row):
+                    if c:
+                        out[j] += c
         self.full = full
 
     def __repr__(self):
@@ -585,17 +553,45 @@ class DifferentialMatrix:
                 f"{self.target.dim}x{self.source.dim})")
 
 
+class _ColumnTagged:
+    """The coefficient module tensored with k^n: labels (j, l) for a column
+    j < n and a module label l, graded by l.  The algebra acts through the
+    module and carries j along, so a cochain valued here is n cochains at
+    once, one per column."""
+
+    def __init__(self, mod: ModuleStructure, n: int):
+        self.mod = mod
+        self.space = GradedSpace(
+            [(j, l) for j in range(n) for l in mod.space.even],
+            [(j, l) for j in range(n) for l in mod.space.odd])
+
+    def act(self, a, label) -> Vector:
+        j, l = label
+        return Vector(self.space, {(j, out): c for out, c
+                                   in self.mod.act(a, l).items()})
+
+
 def _delta_matrix(alg, mod, k) -> DifferentialMatrix:
+    """delta^k as delta of the generic k-cochain: the one whose entry at
+    (xs, ys) is the sum over outputs l of the tag (j, l), j the column of
+    the source key (p, q, xs, ys, l).  Column j of a component matrix is
+    the component applied to the j-th unit cochain, so it is read off the
+    tag-j part of one coboundary per component."""
     source = CochainBasis(alg, mod, k)
     target = CochainBasis(alg, mod, k + 1)
+    tagged = _ColumnTagged(mod, source.dim)
+    blocks: dict = {}
+    for j, (p, q, xs, ys, out) in enumerate(source.keys):
+        blocks.setdefault((p, q), {}).setdefault((xs, ys), {})[(j, out)] = 1
+    generic = Cochain(alg, tagged, k, blocks)
     comp = {}
     for component in COMPONENTS:
+        image = apply_delta_component(generic, component)
         mat = linalg.mat_zero(target.dim, source.dim)
-        for j, key in enumerate(source.keys):
-            image = apply_delta_component(source.unit(key), component)
-            for c, i in zip(target.coeff_vector(image), range(target.dim)):
-                if c:
-                    mat[i][j] = c
+        for (P, Q) in image.shapes():
+            for (xs, ys), val in image.block(P, Q).items():
+                for (j, out), c in val.items():
+                    mat[target.index((P, Q, xs, ys, out))][j] = c
         comp[component] = mat
     return DifferentialMatrix(k, source, target, comp)
 
@@ -619,7 +615,8 @@ def verify_complex(mats, trivial=False) -> None:
         mul = linalg.mat_mul
 
         def add(a, b):
-            return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+            return [[x + y if y else x for x, y in zip(ra, rb)]
+                    for ra, rb in zip(a, b)]
 
         checks = [
             ("d10.d10", mul(d10b, d10a)),

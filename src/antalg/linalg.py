@@ -2,7 +2,9 @@
 
 Matrices are lists of rows of Fractions.  Elimination keeps everything in
 exact rationals; pivots are chosen to keep numerators and denominators small
-(the entry minimising |num|*|den| in the current column).  `rank` re-runs the
+(the entry minimising |num|*|den| in the current column).  A row update
+touches only the pivot row's nonzero columns, so the sparse coboundary
+matrices cost far less than their full width.  `rank` re-runs the
 elimination with the column order reversed and insists both passes agree.
 """
 
@@ -30,21 +32,16 @@ def mat_zero(rows: int, cols: int) -> list:
 def mat_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    n, k = len(a), len(a[0])
-    assert len(b) == k, "inner dimensions differ"
-    m = len(b[0]) if b else 0
-    out = mat_zero(n, m)
-    for i in range(n):
-        row = a[i]
-        for t in range(k):
-            c = row[t]
-            if not c:
-                continue
-            bt = b[t]
-            oi = out[i]
-            for j in range(m):
-                if bt[j]:
-                    oi[j] += c * bt[j]
+    if len(b) != len(a[0]):
+        raise ValueError(f"inner dimensions differ: {len(a)}x{len(a[0])} "
+                         f"times {len(b)}x{len(b[0])}")
+    b_nonzero = [[(j, c) for j, c in enumerate(row) if c] for row in b]
+    out = mat_zero(len(a), len(b[0]))
+    for row, oi in zip(a, out):
+        for c, bt in zip(row, b_nonzero):
+            if c:
+                for j, d in bt:
+                    oi[j] += c * d
     return out
 
 def mat_vec(a: list, v: list) -> list:
@@ -88,12 +85,16 @@ def _eliminate(mat: list, col_order) -> tuple:
             continue
         r = best[1]
         work[pivot_row], work[r] = work[r], work[pivot_row]
-        pc = work[pivot_row][col]
+        prow = work[pivot_row]
+        pc = prow[col]
+        support = [(j, b) for j, b in enumerate(prow) if b]
         for r2 in range(nrows):
-            if r2 == pivot_row or not work[r2][col]:
+            row = work[r2]
+            if r2 == pivot_row or not row[col]:
                 continue
-            factor = work[r2][col] / pc
-            work[r2] = [a - factor * b for a, b in zip(work[r2], work[pivot_row])]
+            factor = row[col] / pc
+            for j, b in support:
+                row[j] -= factor * b
         pivots.append((pivot_row, col))
         pivot_row += 1
         if pivot_row == nrows:

@@ -31,7 +31,6 @@ from .brackets import _perm_sign, ce_delta_eval, eval_multilinear
 from .cohomology import delta_instance
 
 __all__ = [
-    "materialize",
     "WindowedAlgebra",
     "conf_mul",
     "dual_act",
@@ -53,7 +52,6 @@ __all__ = [
     "DictVec",
     "WindowCochain",
     "ak1_adjoint_ctx",
-    "m1_dual_ctx",
     "ConfDualDeltaCtx",
 ]
 
@@ -223,10 +221,6 @@ class WindowedAlgebra:
             raise ValueError("arguments must lie in the window")
         br = k1_bracket(u, v) if self.kind == "k1" else w1_bracket(u, v)
         return self._window_filter(br)
-
-
-def materialize(kind: str, N: int) -> WindowedAlgebra:
-    return WindowedAlgebra(kind, N)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +437,6 @@ class ConfDualDeltaCtx:
         if v is None:
             return None
         return self._act_weighted(y, v, Fraction(1), Fraction(-1))
-
-
-def m1_dual_ctx() -> ConfDualDeltaCtx:
-    return ConfDualDeltaCtx("m1")
 
 
 class _WindowAdjointCtx:
@@ -896,7 +886,8 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
                                 [(2, 0), (1, 1), (0, 2)], margin,
                                 f"witness({lam},{mu})", target=c)
         rep.merge(sub)
-        rep.extras[f"witness({lam},{mu})"] = "verified"
+        rep.extras[f"witness({lam},{mu})"] = (
+            "failed" if sub.violations else "verified")
     for (lam, mu) in ((1, 0), (0, 1), (1, 1)):
         c = eta_family(lam, mu)
         zeta = eta_coboundary_solve(N, c)

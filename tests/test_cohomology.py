@@ -59,6 +59,13 @@ def test_cochain_validation():
         Cochain(K3, ADJ, 2, {(1, 1): {(("eps",), ("a",)): {("ad", "eps"): F(1)}}})
 
 
+def test_cochain_add_rejects_a_degree_mismatch():
+    a = random_cochain(K3, ADJ, 1, random.Random(3))
+    b = random_cochain(K3, ADJ, 2, random.Random(3))
+    with pytest.raises(ValueError, match="degrees 1 and 2"):
+        a.add(b)
+
+
 def test_random_cochain_reproducibility():
     a = random_cochain(K3, ADJ, 2, random.Random(17))
     b = random_cochain(K3, ADJ, 2, random.Random(17))
@@ -119,6 +126,22 @@ def test_full_delta_matrix_is_the_sum_of_component_matrices():
             for j in range(m):
                 summed[i][j] += block[i][j]
     assert summed == mat.full
+
+
+def test_component_matrices_match_the_unit_cochain_columns():
+    """Each column of an assembled component matrix is that component
+    applied to one unit cochain.  On K3 |x ad(K3) the even part acts on the
+    odd part by non-scalars, which K3 alone does not exercise."""
+    sd = semidirect(adjoint_module(K3))
+    for mod in (trivial_module(sd), adjoint_module(sd)):
+        for degree in (1, 2):
+            mat = _delta_matrix(sd, mod, degree)
+            for j, key in enumerate(mat.source.keys):
+                unit = mat.source.unit(key)
+                for comp in COMPONENTS:
+                    column = [row[j] for row in mat.comp[comp]]
+                    assert column == mat.target.coeff_vector(
+                        apply_delta_component(unit, comp)), (mod, key, comp)
 
 
 # ---------------------------------------------------------------------------

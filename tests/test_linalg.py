@@ -39,6 +39,29 @@ class RankAndRref(unittest.TestCase):
             self.assertEqual(r, r2)
 
 
+class SparseInput(unittest.TestCase):
+    """Matrices at about 10% density, where a row update touches only the
+    pivot row's few nonzero columns."""
+
+    def test_rank_rref_nullspace_and_solve(self):
+        rng = random.Random(41)
+        for _ in range(12):
+            n, m = rng.randint(1, 40), rng.randint(1, 40)
+            a = [[F(rng.randint(-6, 6) or 1, rng.choice([1, 1, 2, 3]))
+                  if rng.random() < 0.1 else F(0)
+                  for _ in range(m)] for _ in range(n)]
+            self.assertEqual(linalg.rank(a), linalg.rank(linalg.transpose(a)))
+            r, _ = linalg.rref(a)
+            self.assertEqual(linalg.rref(r)[0], r)
+            ns = linalg.nullspace(a, m)
+            self.assertEqual(linalg.rank(a) + len(ns), m)
+            for v in ns:
+                self.assertTrue(linalg.mat_is_zero([linalg.mat_vec(a, v)]))
+            x0 = [F(rng.randint(-4, 4)) for _ in range(m)]
+            rhs = linalg.mat_vec(a, x0)
+            self.assertEqual(linalg.mat_vec(a, linalg.solve(a, rhs)), rhs)
+
+
 class SolveAndNullspace(unittest.TestCase):
     def test_solve_frozen(self):
         a = [[F(1), F(1)], [F(1), F(-1)]]
@@ -87,6 +110,11 @@ class MatrixHelpers(unittest.TestCase):
         self.assertEqual(linalg.mat_mul(a, b), [[F(7), F(2)], [F(3), F(1)]])
         self.assertEqual(linalg.transpose(a), [[F(1), F(0)], [F(2), F(1)]])
         self.assertTrue(linalg.mat_is_zero(linalg.mat_zero(2, 3)))
+
+    def test_mat_mul_rejects_an_inner_dimension_mismatch(self):
+        a = [[F(1), F(2)], [F(0), F(1)]]
+        with self.assertRaisesRegex(ValueError, "inner dimensions differ"):
+            linalg.mat_mul(a, [[F(1), F(0), F(2)]])
 
 
 if __name__ == "__main__":

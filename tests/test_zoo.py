@@ -206,6 +206,27 @@ def test_eta_report_pins_the_failing_leg():
     }
 
 
+def test_eta_report_flags_a_failing_witness(monkeypatch):
+    """A witness whose coboundary misses its target is reported as failed,
+    and its instances are carried as violations."""
+    solve = zoo.eta_coboundary_solve
+
+    def perturbed(N, target):
+        zeta = solve(N, target)
+        if zeta is None:
+            return None
+        blocks = {pq: dict(zeta.block(*pq)) for pq in zeta.shapes()}
+        key, vec = next(iter(blocks[(1, 0)].items()))
+        blocks[(1, 0)][key] = vec.scale(2)
+        return WindowCochain(1, blocks)
+
+    monkeypatch.setattr(zoo, "eta_coboundary_solve", perturbed)
+    rep = zoo.verify_cocycle_eta(4)
+    for tag in ("witness(1,2)", "witness(3/2,3)"):
+        assert rep.extras[tag] == "failed"
+        assert any(v.kind.startswith(tag + "[") for v in rep.violations)
+
+
 def test_eta_coboundary_solver_on_and_off_the_line():
     on = zoo.eta_coboundary_solve(4, zoo.eta_family(F(1), F(2)))
     assert isinstance(on, WindowCochain) and on.degree == 1
