@@ -10,6 +10,7 @@ odd element under the alternated bracket.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from typing import Mapping
 
@@ -136,13 +137,6 @@ class AntialgebraStructure:
         """Product of two basis labels."""
         return Vector(self.space, self.products.get((a, b), {}))
 
-    def mul_vec(self, u: Vector, v: Vector) -> Vector:
-        out = Vector.zero(self.space)
-        for la, ca in u.items():
-            for lb, cb in v.items():
-                out = out.add(self.mul(la, lb).scale(ca * cb))
-        return out
-
     def product_map(self) -> dict:
         """The full product as raw {(a, b): {label: coeff}} (ordered pairs)."""
         return {k: dict(v) for k, v in self.products.items()}
@@ -228,12 +222,41 @@ class ModuleStructure:
 # the identity checkers
 # ---------------------------------------------------------------------------
 
+def _mul_into(acc: dict, table: Mapping, u: Mapping, v: Mapping, c) -> None:
+    """acc += c * (u.v) for raw {label: coeff} vectors u, v, reading the
+    product of basis labels off the ordered table {(a, b): {label: coeff}}."""
+    for la, ca in u.items():
+        for lb, cb in v.items():
+            row = table.get((la, lb))
+            if row:
+                k = c * ca * cb
+                for l, w in row.items():
+                    acc[l] = acc.get(l, 0) + k * w
+
+
 def _sym_residual(space, table, a, b):
     """Graded-commutativity residual a.b - (-1)^{|a||b|} b.a on a raw table."""
     sign = -1 if (space.parity(a) == 1 and space.parity(b) == 1) else 1
     ab = Vector(space, table.get((a, b), {}))
     ba = Vector(space, table.get((b, a), {}))
     return ab.sub(ba.scale(sign))
+
+
+def _check_table(rep: CheckReport, space: GradedSpace, table: Mapping) -> dict:
+    """Record graded commutativity and grading closure of every ordered
+    pair; return the table with exact coefficients, an absent product
+    reading as {}."""
+    table = defaultdict(dict, {k: {l: scalar(c) for l, c in v.items()}
+                               for k, v in table.items()})
+    labels = space.labels()
+    for a in labels:
+        for b in labels:
+            rep.record("commutativity", (a, b), _sym_residual(space, table, a, b))
+            want = (space.parity(a) + space.parity(b)) % 2
+            bad = {l: c for l, c in table.get((a, b), {}).items()
+                   if space.parity(l) != want and c}
+            rep.record("grading", (a, b), Vector(space, bad))
+    return table
 
 
 def check_axioms(space: GradedSpace, table: Mapping,
@@ -250,55 +273,40 @@ def check_axioms(space: GradedSpace, table: Mapping,
       cyclic     y1.(y2.y3) + y2.(y3.y1) + y3.(y1.y2) = 0   odd triples
     """
     rep = CheckReport(title)
-    table = {k: {l: scalar(c) for l, c in v.items()} for k, v in table.items()}
-
-    def mul(a, b) -> Vector:
-        return Vector(space, table.get((a, b), {}))
-
-    def mul_v(u: Vector, v_label) -> Vector:
-        out = Vector.zero(space)
-        for l, c in u.items():
-            out = out.add(mul(l, v_label).scale(c))
-        return out
-
-    def v_mul(u_label, v: Vector) -> Vector:
-        out = Vector.zero(space)
-        for l, c in v.items():
-            out = out.add(mul(u_label, l).scale(c))
-        return out
-
-    labels = space.labels()
-    for a in labels:
-        for b in labels:
-            rep.record("commutativity", (a, b), _sym_residual(space, table, a, b))
-            want = (space.parity(a) + space.parity(b)) % 2
-            bad = {l: c for l, c in table.get((a, b), {}).items()
-                   if space.parity(l) != want and c}
-            rep.record("grading", (a, b), Vector(space, bad))
+    table = _check_table(rep, space, table)
+    e = {l: {l: 1} for l in space.labels()}
     ev, od = space.even, space.odd
+
     for x1 in ev:
         for x2 in ev:
             for x3 in ev:
-                res = v_mul(x1, mul(x2, x3)).sub(mul_v(mul(x1, x2), x3))
-                rep.record("assoc", (x1, x2, x3), res)
+                acc: dict = {}
+                _mul_into(acc, table, e[x1], table[x2, x3], 1)
+                _mul_into(acc, table, table[x1, x2], e[x3], -1)
+                rep.record("assoc", (x1, x2, x3), Vector(space, acc))
     for x1 in ev:
         for x2 in ev:
             for y in od:
-                res = v_mul(x1, mul(x2, y)).sub(
-                    mul_v(mul(x1, x2), y).scale(Fraction(1, 2)))
-                rep.record("half_unit", (x1, x2, y), res)
+                acc = {}
+                _mul_into(acc, table, e[x1], table[x2, y], 1)
+                _mul_into(acc, table, table[x1, x2], e[y], Fraction(-1, 2))
+                rep.record("half_unit", (x1, x2, y), Vector(space, acc))
     for x in ev:
         for y1 in od:
             for y2 in od:
-                res = v_mul(x, mul(y1, y2)).sub(
-                    mul_v(mul(x, y1), y2)).sub(v_mul(y1, mul(x, y2)))
-                rep.record("leibniz", (x, y1, y2), res)
+                acc = {}
+                _mul_into(acc, table, e[x], table[y1, y2], 1)
+                _mul_into(acc, table, table[x, y1], e[y2], -1)
+                _mul_into(acc, table, e[y1], table[x, y2], -1)
+                rep.record("leibniz", (x, y1, y2), Vector(space, acc))
     for y1 in od:
         for y2 in od:
             for y3 in od:
-                res = v_mul(y1, mul(y2, y3)).add(
-                    v_mul(y2, mul(y3, y1))).add(v_mul(y3, mul(y1, y2)))
-                rep.record("cyclic", (y1, y2, y3), res)
+                acc = {}
+                _mul_into(acc, table, e[y1], table[y2, y3], 1)
+                _mul_into(acc, table, e[y2], table[y3, y1], 1)
+                _mul_into(acc, table, e[y3], table[y1, y2], 1)
+                rep.record("cyclic", (y1, y2, y3), Vector(space, acc))
     return rep
 
 
@@ -314,50 +322,34 @@ def check_axioms_v2(space: GradedSpace, table: Mapping,
     Graded commutativity and grading closure are checked as before.
     """
     rep = CheckReport(title)
-    table = {k: {l: scalar(c) for l, c in v.items()} for k, v in table.items()}
-
-    def mul(a, b) -> Vector:
-        return Vector(space, table.get((a, b), {}))
-
-    def vec_mul_vec(u: Vector, v: Vector) -> Vector:
-        out = Vector.zero(space)
-        for la, ca in u.items():
-            for lb, cb in v.items():
-                out = out.add(mul(la, lb).scale(ca * cb))
-        return out
-
-    def bv(label) -> Vector:
-        return Vector.basis(space, label)
-
+    table = _check_table(rep, space, table)
     labels = space.labels()
-    for a in labels:
-        for b in labels:
-            rep.record("commutativity", (a, b), _sym_residual(space, table, a, b))
-            want = (space.parity(a) + space.parity(b)) % 2
-            bad = {l: c for l, c in table.get((a, b), {}).items()
-                   if space.parity(l) != want and c}
-            rep.record("grading", (a, b), Vector(space, bad))
+    e = {l: {l: 1} for l in labels}
     ev, od = space.even, space.odd
+
     for x1 in ev:
         for x2 in ev:
             for x3 in ev:
-                res = vec_mul_vec(bv(x1), mul(x2, x3)).sub(
-                    vec_mul_vec(mul(x1, x2), bv(x3)))
-                rep.record("assoc", (x1, x2, x3), res)
+                acc: dict = {}
+                _mul_into(acc, table, e[x1], table[x2, x3], 1)
+                _mul_into(acc, table, table[x1, x2], e[x3], -1)
+                rep.record("assoc", (x1, x2, x3), Vector(space, acc))
     for x1 in ev:
         for x2 in ev:
             for a in labels:
-                res = vec_mul_vec(bv(x1), mul(x2, a)).sub(
-                    vec_mul_vec(bv(x2), mul(x1, a)))
-                rep.record("even_comm", (x1, x2, a), res)
+                acc = {}
+                _mul_into(acc, table, e[x1], table[x2, a], 1)
+                _mul_into(acc, table, e[x2], table[x1, a], -1)
+                rep.record("even_comm", (x1, x2, a), Vector(space, acc))
     for a in labels:
+        sign = -1 if space.parity(a) else 1
         for b in labels:
             for y in od:
-                sign = Fraction(-1) ** space.parity(a)
-                res = vec_mul_vec(mul(a, b), bv(y)).sub(
-                    vec_mul_vec(mul(a, y), bv(b))).sub(
-                    vec_mul_vec(bv(a), mul(b, y)).scale(sign))
-                rep.record("odd_deriv", (a, b, y), res)
+                acc = {}
+                _mul_into(acc, table, table[a, b], e[y], 1)
+                _mul_into(acc, table, table[a, y], e[b], -1)
+                _mul_into(acc, table, e[a], table[b, y], -sign)
+                rep.record("odd_deriv", (a, b, y), Vector(space, acc))
     return rep
 
 
@@ -365,15 +357,14 @@ def check_axioms_v2(space: GradedSpace, table: Mapping,
 # the square-zero test
 # ---------------------------------------------------------------------------
 
-def zero_square_check(structure: AntialgebraStructure,
-                      cross_check: bool = True):
+def zero_square_check(structure: AntialgebraStructure):
     """Compute [m, m] under the alternated bracket for the structure's odd
     element m and report every nonzero entry.
 
-    Returns (report, block_map).  With ``cross_check`` the four blocks are
-    additionally compared against directly expanded identity combinations;
-    a mismatch there means a transcription bug in the bracket engine itself
-    and raises AssertionError.
+    Returns (report, block_map).  The four blocks are also compared against
+    directly expanded identity combinations; a mismatch there means a
+    transcription bug in the bracket engine itself and raises AssertionError
+    naming the block.
     """
     m = structure.m_blocks()
     square = brackets.al_bracket_blocks(m, m)
@@ -385,14 +376,11 @@ def zero_square_check(structure: AntialgebraStructure,
         for xs in itertools.product(sp.even, repeat=p):
             for ys in itertools.combinations(sp.odd, q):
                 rep.record(f"square[{p},{q}]", (xs, ys), mm.value(xs, ys))
-    if cross_check:
-        expected = _expanded_identity_blocks(structure)
-        for (p, q) in shapes:
-            got = square.block(p, q)
-            want = expected.block(p, q)
-            assert got == want, (
-                f"bracket engine disagrees with direct expansion on block "
-                f"({p},{q})")
+    expected = _expanded_identity_blocks(structure)
+    for (p, q) in shapes:
+        if square.block(p, q) != expected.block(p, q):
+            raise AssertionError("bracket engine disagrees with direct "
+                                 f"expansion on block ({p},{q})")
     return rep, square
 
 
@@ -407,57 +395,50 @@ def _expanded_identity_blocks(structure: AntialgebraStructure) -> brackets.Block
     where m carries the 1/2 on even-even pairs.
     """
     sp = structure.space
-    half = Fraction(1, 2)
-
-    def m(u: Vector, v: Vector) -> Vector:
-        out = Vector.zero(sp)
-        for la, ca in u.items():
-            for lb, cb in v.items():
-                w = structure.mul(la, lb).scale(ca * cb)
-                if sp.parity(la) == 0 and sp.parity(lb) == 0:
-                    w = w.scale(half)
-                out = out.add(w)
-        return out
-
-    def bv(l) -> Vector:
-        return Vector.basis(sp, l)
-
+    ev, od = sp.even, sp.odd
+    mt = defaultdict(dict, {
+        (a, b): ({l: c / 2 for l, c in row.items()}
+                 if sp.parity(a) == 0 and sp.parity(b) == 0 else row)
+        for (a, b), row in structure.products.items()})
+    e = {l: {l: 1} for l in sp.labels()}
     e30: dict = {}
-    for xs in itertools.product(sp.even, repeat=3):
-        v = m(m(bv(xs[0]), bv(xs[1])), bv(xs[2])).sub(
-            m(bv(xs[0]), m(bv(xs[1]), bv(xs[2])))).scale(2)
-        for l, c in v.items():
-            e30[(xs, (), l)] = c
+    for xs in itertools.product(ev, repeat=3):
+        x1, x2, x3 = xs
+        acc: dict = {}
+        _mul_into(acc, mt, mt[x1, x2], e[x3], 2)
+        _mul_into(acc, mt, e[x1], mt[x2, x3], -2)
+        e30.update(((xs, (), l), c) for l, c in acc.items())
     e21: dict = {}
-    for xs in itertools.product(sp.even, repeat=2):
-        for y in sp.odd:
-            v = m(m(bv(xs[0]), bv(xs[1])), bv(y)).sub(
-                m(bv(xs[0]), m(bv(xs[1]), bv(y)))).scale(2)
-            for l, c in v.items():
-                e21[(xs, (y,), l)] = c
+    for xs in itertools.product(ev, repeat=2):
+        x1, x2 = xs
+        for y in od:
+            acc = {}
+            _mul_into(acc, mt, mt[x1, x2], e[y], 2)
+            _mul_into(acc, mt, e[x1], mt[x2, y], -2)
+            e21.update(((xs, (y,), l), c) for l, c in acc.items())
     e12: dict = {}
-    for x in sp.even:
-        for y1 in sp.odd:
-            for y2 in sp.odd:
-                v = m(m(bv(x), bv(y1)), bv(y2)).sub(
-                    m(m(bv(x), bv(y2)), bv(y1))).sub(
-                    m(bv(x), m(bv(y1), bv(y2))).scale(2))
-                for l, c in v.items():
-                    e12[((x,), (y1, y2), l)] = c
+    for x in ev:
+        for y1 in od:
+            for y2 in od:
+                acc = {}
+                _mul_into(acc, mt, mt[x, y1], e[y2], 1)
+                _mul_into(acc, mt, mt[x, y2], e[y1], -1)
+                _mul_into(acc, mt, e[x], mt[y1, y2], -2)
+                e12.update((((x,), (y1, y2), l), c) for l, c in acc.items())
     e03: dict = {}
-    for ys in itertools.product(sp.odd, repeat=3):
-        v = m(m(bv(ys[0]), bv(ys[1])), bv(ys[2])).add(
-            m(m(bv(ys[1]), bv(ys[2])), bv(ys[0]))).add(
-            m(m(bv(ys[2]), bv(ys[0])), bv(ys[1]))).scale(Fraction(2, 3))
-        for l, c in v.items():
-            e03[(ys, (), l)] = c
+    third2 = Fraction(2, 3)
+    for ys in itertools.product(od, repeat=3):
+        y1, y2, y3 = ys
+        acc = {}
+        _mul_into(acc, mt, mt[y1, y2], e[y3], third2)
+        _mul_into(acc, mt, mt[y2, y3], e[y1], third2)
+        _mul_into(acc, mt, mt[y3, y1], e[y2], third2)
+        e03.update((((), ys, l), c) for l, c in acc.items())
     blocks = {
         (3, 0): MultiMap(sp, 3, 0, e30),
         (2, 1): MultiMap(sp, 2, 1, e21),
         (1, 2): MultiMap(sp, 1, 2, e12),
-        (0, 3): brackets.alt(MultiMap(sp, 0, 3,
-                                      {((), k[0], k[2]): c
-                                       for k, c in e03.items()})),
+        (0, 3): brackets.alt(MultiMap(sp, 0, 3, e03)),
     }
     return brackets.BlockMap(sp, 3, blocks)
 

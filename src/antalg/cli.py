@@ -113,8 +113,11 @@ def load_structure(name_or_path: str) -> AntialgebraStructure:
             doc = parse_algebra_file(p)
     else:
         doc = parse_algebra_file(name_or_path)
-    structure = AntialgebraStructure(doc.space, doc.products,
-                                     name=doc.name or name_or_path)
+    try:
+        structure = AntialgebraStructure(doc.space, doc.products,
+                                         name=doc.name or name_or_path)
+    except ValueError as ex:
+        raise InputError(str(ex)) from None
     structure.source_doc = doc
     return structure
 
@@ -129,8 +132,11 @@ def load_coefficients(alg: AntialgebraStructure, selector: str) -> ModuleStructu
     doc = parse_algebra_file(selector)
     if doc.module_space is None:
         raise InputError(f"{selector} has no module section")
-    mod = ModuleStructure(alg, doc.module_space, doc.action or {},
-                          name=doc.name or selector)
+    try:
+        mod = ModuleStructure(alg, doc.module_space, doc.action or {},
+                              name=doc.name or selector)
+    except ValueError as ex:
+        raise InputError(str(ex)) from None
     rep = check_axioms(*_semidirect_table(mod), title="module")
     if not rep.ok:
         raise InputError(

@@ -400,6 +400,8 @@ def _parse_expr(text: str, space: GradedSpace, lineno: int) -> dict:
     # split into signed terms
     terms = re.findall(r"[+-]?[^+-]+", text.replace(" ", " "))
     stripped = text.strip()
+    if not stripped:
+        raise ParseError(lineno, "empty right-hand side")
     if stripped == "0":
         return out
     for raw in terms:
@@ -450,15 +452,21 @@ def complete_product_table(space: GradedSpace, given: Mapping) -> dict:
     """
     table: dict = {}
     for (a, b), coeffs in given.items():
-        coeffs = {l: scalar(c) for l, c in coeffs.items() if scalar(c)}
-        sign = -1 if (space.parity(a) == 1 and space.parity(b) == 1) else 1
-        mirror = {l: sign * c for l, c in coeffs.items()}
-        for key, val in (((a, b), coeffs), ((b, a), mirror)):
-            if key in table and table[key] != val:
-                raise ValueError(
-                    f"conflicting product values for {key[0]!r} * {key[1]!r}")
-            table[key] = val
+        _put_product(table, space, a, b, coeffs)
     return {k: v for k, v in table.items() if v}
+
+
+def _put_product(table: dict, space: GradedSpace, a, b, coeffs: Mapping) -> None:
+    """Enter a.b and its mirror b.a into ``table``; raise ValueError when
+    either clashes with a value already there."""
+    coeffs = {l: scalar(c) for l, c in coeffs.items() if scalar(c)}
+    sign = -1 if (space.parity(a) == 1 and space.parity(b) == 1) else 1
+    mirror = {l: sign * c for l, c in coeffs.items()}
+    for key, val in (((a, b), coeffs), ((b, a), mirror)):
+        if key in table and table[key] != val:
+            raise ValueError(
+                f"conflicting product values for {key[0]!r} * {key[1]!r}")
+        table[key] = val
 
 
 def parse_algebra_text(text: str) -> AlgebraFile:
@@ -479,6 +487,8 @@ def parse_algebra_text(text: str) -> AlgebraFile:
         if head == "algebra":
             if len(toks) != 2:
                 raise ParseError(lineno, "expected: algebra <name>")
+            if name is not None:
+                raise ParseError(lineno, "duplicate 'algebra' header")
             name = toks[1]
         elif head == "module":
             in_module = True
@@ -506,19 +516,20 @@ def parse_algebra_text(text: str) -> AlgebraFile:
         space = GradedSpace(even, odd)
     except ValueError as exc:
         raise ParseError(1, str(exc))
-    raw_products: dict = {}
+    given: set = set()
+    table: dict = {}
     for lineno, a, b, rhs in product_lines:
         if a not in space or b not in space:
             raise ParseError(lineno, f"unknown label in product {a!r} * {b!r}")
-        key = (a, b)
         coeffs = _parse_expr(rhs, space, lineno)
-        if key in raw_products:
+        if (a, b) in given:
             raise ParseError(lineno, f"duplicate product line for {a!r} * {b!r}")
-        raw_products[key] = coeffs
-    try:
-        products = complete_product_table(space, raw_products)
-    except ValueError as exc:
-        raise ParseError(1, str(exc))
+        given.add((a, b))
+        try:
+            _put_product(table, space, a, b, coeffs)
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc))
+    products = {k: v for k, v in table.items() if v}
     module_space = None
     action = None
     if in_module:

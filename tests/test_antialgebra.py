@@ -1,6 +1,8 @@
 """Axiom checkers, the zero-square criterion, and module constructions."""
 
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,10 +50,7 @@ def test_k3_passes_both_axiom_formulations():
 
 
 def test_half_unit_perturbation_is_caught():
-    prods = K3.product_map()
-    prods[("eps", "a")] = {"a": F(1)}
-    prods[("a", "eps")] = {"a": F(1)}
-    bad = AntialgebraStructure(K3.space, prods, name="bad")
+    bad = _half_unit_perturbed()
     rep = check_axioms(bad.space, bad.products)
     assert not rep.ok
     assert len(rep.violations) == 3
@@ -100,9 +99,47 @@ def test_square_of_k3_vanishes_only_after_alternation():
         ((), ("b", "a", "b"), "b"): F(-1, 2),
     }
     assert brackets.alt(b03).is_zero()
-    rep, square = zero_square_check(K3)  # cross_check on by default
+    rep, square = zero_square_check(K3)
     assert rep.ok and rep.checked == 4
     assert square.is_zero()
+
+
+def _half_unit_perturbed():
+    prods = K3.product_map()
+    prods[("eps", "a")] = {"a": F(1)}
+    prods[("a", "eps")] = {"a": F(1)}
+    return AntialgebraStructure(K3.space, prods, name="bad")
+
+
+_DOUBLED_ENGINE = """\
+import sys
+sys.path.insert(0, {tests!r})
+from antalg import brackets
+from test_antialgebra import _half_unit_perturbed
+from antalg.antialgebra import zero_square_check
+engine = brackets.al_bracket_blocks
+brackets.al_bracket_blocks = lambda a, b: engine(a, b).scale(2)
+try:
+    zero_square_check(_half_unit_perturbed())
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_cross_check_catches_a_wrong_bracket_engine(monkeypatch):
+    """A bracket engine that doubles [m,m] disagrees with the hand
+    expansion; the check raises even under ``python -O``."""
+    engine = brackets.al_bracket_blocks
+    monkeypatch.setattr(brackets, "al_bracket_blocks",
+                        lambda a, b: engine(a, b).scale(2))
+    with pytest.raises(AssertionError, match=r"on block \(2,1\)"):
+        zero_square_check(_half_unit_perturbed())
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         _DOUBLED_ENGINE.format(tests=str(Path(__file__).parent))],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "disagrees with direct expansion on block (2,1)" in proc.stdout
 
 
 def test_structure_as_an_odd_element():

@@ -169,6 +169,26 @@ def test_parse_errors_carry_the_line_number(tmp_path, capsys):
     assert err.startswith("parse error: line 3")
 
 
+@pytest.mark.parametrize("argv,text,message", [
+    (["check", "--input"], "algebra X\neven e\nodd y\ne * e = 1*y\n",
+     "input error: product 'e' * 'e' is not parity-preserving"),
+    (["cohomology", "--input", "k3", "--coefficients"],
+     "algebra X\neven eps\nmodule\neven t\nodd s\neps . t = s\n",
+     "input error: action 'eps' . 't' is not parity-preserving"),
+])
+def test_parity_violating_tables_are_input_errors(tmp_path, argv, text,
+                                                  message):
+    path = tmp_path / "parity.alg"
+    path.write_text(text)
+    script = "from antalg.cli import main; raise SystemExit(main({!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script.format(argv + [str(path)])],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = _run(capsys, ["check", "--input", "/no/such/file.alg"])
     assert code == 2
@@ -191,3 +211,87 @@ def test_process_level_exit_codes():
         [sys.executable, "-c", script.format(["verify", "eta"])],
         capture_output=True, text=True)
     assert bad.returncode == 1
+
+
+# ---------------------------------------------------------------------------
+# every identity family, in order, with its residual
+# ---------------------------------------------------------------------------
+
+# K3 (x) k[t]/(t^2) with eps1.a0 doubled (1/2*a1 -> a1)
+K3T2_PERTURBED_TEXT = """\
+algebra K3T2
+even eps0 eps1
+odd a0 a1 b0 b1
+
+eps0 * eps0 = eps0
+eps0 * eps1 = eps1
+eps0 * a0 = 1/2*a0
+eps0 * a1 = 1/2*a1
+eps1 * a0 = a1
+eps0 * b0 = 1/2*b0
+eps0 * b1 = 1/2*b1
+eps1 * b0 = 1/2*b1
+a0 * b0 = 1/2*eps0
+a0 * b1 = 1/2*eps1
+a1 * b0 = 1/2*eps1
+"""
+
+K3T2_PERTURBED_VIOLATIONS = [
+    ("leibniz", "(eps1,a0,b0)", "-1/4*eps1"),
+    ("leibniz", "(eps1,b0,a0)", "1/4*eps1"),
+    ("cyclic", "(a0,a1,b0)", "1/4*a1"),
+    ("cyclic", "(a0,b0,a1)", "-1/4*a1"),
+    ("cyclic", "(a1,a0,b0)", "-1/4*a1"),
+    ("cyclic", "(a1,b0,a0)", "1/4*a1"),
+    ("cyclic", "(b0,a0,a1)", "1/4*a1"),
+    ("cyclic", "(b0,a1,a0)", "-1/4*a1"),
+    ("odd_deriv", "(eps1,a0,b0)", "1/4*eps1"),
+    ("odd_deriv", "(eps1,b0,a0)", "-1/4*eps1"),
+    ("odd_deriv", "(a0,eps1,b0)", "1/4*eps1"),
+    ("odd_deriv", "(a0,a1,b0)", "1/4*a1"),
+    ("odd_deriv", "(a0,b0,a1)", "-1/4*a1"),
+    ("odd_deriv", "(a1,a0,b0)", "-1/4*a1"),
+    ("odd_deriv", "(a1,b0,a0)", "1/4*a1"),
+    ("odd_deriv", "(b0,eps1,a0)", "-1/4*eps1"),
+    ("odd_deriv", "(b0,a0,a1)", "1/4*a1"),
+    ("odd_deriv", "(b0,a1,a0)", "-1/4*a1"),
+    ("square[1,2]", "((eps1),(a0,b0))", "1/4*eps1"),
+    ("square[0,3]", "((),(a0,a1,b0))", "1/6*a1"),
+]
+
+K3T2_PERTURBED_ENTRIES = [
+    ("(1,2)", "((eps1),(a0,b0))", "1/4*eps1"),
+    ("(1,2)", "((eps1),(b0,a0))", "-1/4*eps1"),
+    ("(0,3)", "((),(a0,a1,b0))", "1/6*a1"),
+    ("(0,3)", "((),(a0,b0,a1))", "-1/6*a1"),
+    ("(0,3)", "((),(a1,a0,b0))", "-1/6*a1"),
+    ("(0,3)", "((),(a1,b0,a0))", "1/6*a1"),
+    ("(0,3)", "((),(b0,a0,a1))", "1/6*a1"),
+    ("(0,3)", "((),(b0,a1,a0))", "-1/6*a1"),
+]
+
+
+def _numbered(out, prefix, fields):
+    """The `prefix.i.field=value` lines of structured output as tuples."""
+    values = dict(line.split("=", 1) for line in out.splitlines()
+                  if line.startswith(prefix + "."))
+    count = len(values) // len(fields)
+    return [tuple(values[f"{prefix}.{i}.{f}"] for f in fields)
+            for i in range(1, count + 1)]
+
+
+def test_violations_and_bracket_entries_are_pinned(tmp_path, capsys):
+    path = tmp_path / "k3t2p.alg"
+    path.write_text(K3T2_PERTURBED_TEXT)
+    code, out, _ = _run(capsys, ["check", "--input", str(path),
+                                 "--format", "structured"])
+    assert code == 1
+    assert "checked=480" in out and "violations=20" in out
+    assert _numbered(out, "violation", ("kind", "instance", "residual")) \
+        == K3T2_PERTURBED_VIOLATIONS
+    code, out, _ = _run(capsys, ["bracket", "--input", str(path),
+                                 "--format", "structured"])
+    assert code == 1
+    assert "entries=8" in out
+    assert _numbered(out, "entry", ("shape", "args", "value")) \
+        == K3T2_PERTURBED_ENTRIES

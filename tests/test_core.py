@@ -150,6 +150,10 @@ a . t = 2*t
     ("even u\nu * u = u\n", 1, "missing"),
     ("algebra X\neven u\nu * u = u\nu * u = 2*u\n", 4, "duplicate"),
     ("algebra X\neven u\nmodule\neven t\nu . s = t\n", 5, "unknown module"),
+    ("algebra X\neven u\nalgebra Y\n", 3, "duplicate 'algebra'"),
+    ("algebra X\neven e\ne * e =\n", 3, "empty right-hand side"),
+    ("algebra X\neven e\nodd y z\ny * z = 1*e\nz * y = 1*e\n", 5,
+     "conflicting"),
 ])
 def test_parse_errors_carry_line_numbers(text, lineno, fragment):
     with pytest.raises(ParseError) as exc:
