@@ -135,8 +135,8 @@ def load_coefficients(alg: AntialgebraStructure, selector: str) -> ModuleStructu
     try:
         mod = ModuleStructure(alg, doc.module_space, doc.action or {},
                               name=doc.name or selector)
-    except ValueError as ex:
-        raise InputError(str(ex)) from None
+    except (KeyError, ValueError) as ex:  # an unknown label, a parity clash
+        raise InputError(ex.args[0]) from None
     rep = check_axioms(*_semidirect_table(mod), title="module")
     if not rep.ok:
         raise InputError(

@@ -15,12 +15,13 @@ results, so callers can skip exactly the undecidable instances.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from fractions import Fraction
 from math import comb
 
 from . import brackets, linalg
-from .antialgebra import (AntialgebraStructure, CheckReport, ModuleStructure,
+from .antialgebra import (AntialgebraStructure, ModuleStructure,
                           check_axioms, semidirect)
 from .core import GradedSpace, MultiMap, Vector
 
@@ -44,17 +45,22 @@ __all__ = [
 ]
 
 COMPONENTS = ((1, 0), (0, 1), (-1, 2))
+HALF = Fraction(1, 2)
+ONE = Fraction(1)
 
 
 class DeltaContext:
     """Multiplication data entering the coboundary formulas.
 
-    The three methods may return None to flag an unknown (out-of-window)
-    value; for finite structures they are total.
+    ``alg`` and ``mod`` are bases of the algebra and the module: they answer
+    ``parity(label)``, ``index(label)`` (the canonical order of odd labels)
+    and ``vector(coeffs)``.  ``mul(a, b)`` and ``act(a, l)`` return
+    {label: coeff} mappings, or None for a value that a truncated window
+    cannot decide; None propagates through the three methods:
 
       m_alg(a, b)      the distinguished odd element on algebra arguments:
                        half the product on even-even pairs, the product
-                       otherwise; a Vector over the algebra space.
+                       otherwise; a vector of the algebra basis.
       m_x_val(x, v)    product of an even algebra element with a module
                        value: half the action on the even module component,
                        the action on the odd one.
@@ -63,46 +69,50 @@ class DeltaContext:
                        action on the odd one.
     """
 
-    def __init__(self, alg: AntialgebraStructure, mod: ModuleStructure):
+    def __init__(self, alg, mod, mul, act):
         self.alg = alg
         self.mod = mod
-        self.alg_space = alg.space
-        self.mod_space = mod.space
+        self.mul = mul
+        self.act = act
 
-    def zero(self) -> Vector:
-        return Vector.zero(self.mod_space)
+    def zero(self):
+        return self.mod.vector({})
 
     def m_alg(self, a, b):
-        v = self.alg.mul(a, b)
-        if self.alg_space.parity(a) == 0 and self.alg_space.parity(b) == 0:
-            v = v.scale(Fraction(1, 2))
-        return v
+        v = self.mul(a, b)
+        if v is None:
+            return None
+        if self.alg.parity(a) == 0 and self.alg.parity(b) == 0:
+            v = {l: c * HALF for l, c in v.items()}
+        return self.alg.vector(v)
 
-    def _act_weighted(self, a, v: Vector, w0, w1):
-        out = self.zero()
+    def _act_weighted(self, a, v, w0, w1):
+        if v is None:
+            return None
+        parity = self.mod.parity
+        out: dict = {}
         for l, c in v.items():
-            w = w0 if self.mod_space.parity(l) == 0 else w1
-            if w:
-                out = out.add(self.mod.act(a, l).scale(w * c))
-        return out
+            acted = self.act(a, l)
+            if acted is None:
+                return None
+            wc = (w0 if parity(l) == 0 else w1) * c
+            for k, d in acted.items():
+                out[k] = out.get(k, 0) + wc * d
+        return self.mod.vector(out)
 
     def m_x_val(self, x, v):
-        if v is None:
-            return None
-        return self._act_weighted(x, v, Fraction(1, 2), Fraction(1))
+        return self._act_weighted(x, v, HALF, ONE)
 
     def m_val_y(self, v, y):
-        if v is None:
-            return None
-        return self._act_weighted(y, v, Fraction(1), Fraction(-1))
+        return self._act_weighted(y, v, ONE, -ONE)
 
 
 # ---------------------------------------------------------------------------
 # cochains
 # ---------------------------------------------------------------------------
 
-def _canonical_ys(space: GradedSpace, ys):
-    """Sort odd labels into basis order; returns (sorted tuple, sign) or
+def _canonical_ys(space, ys):
+    """Sort odd labels into the basis order; returns (sorted tuple, sign) or
     (None, 0) when a label repeats."""
     idx = [space.index(y) for y in ys]
     if len(set(idx)) != len(idx):
@@ -114,14 +124,26 @@ def _canonical_ys(space: GradedSpace, ys):
 
 class Cochain:
     """A degree-k cochain: blocks keyed (p,q), entries keyed by canonical
-    argument tuples (even labels; strictly increasing odd labels)."""
+    argument tuples (even labels; strictly increasing odd labels).
+
+    ``alg_space`` and ``mod_space`` are the bases of `DeltaContext`; for a
+    finite structure they are the graded spaces of ``alg`` and ``mod``.
+    Block values are vectors of the module basis, or {label: coeff} dicts.
+    """
 
     def __init__(self, alg: AntialgebraStructure, mod: ModuleStructure,
                  degree: int, blocks=None):
-        if degree < 1:
-            raise ValueError("cochains have degree >= 1; there is no C^0")
         self.alg = alg
         self.mod = mod
+        self._fill(alg.space, mod.space, degree, blocks)
+
+    def _fill(self, alg_space, mod_space, degree, blocks) -> None:
+        if degree < 1:
+            raise ValueError("cochains have degree >= 1; there is no C^0")
+        self.alg_space = alg_space
+        self.mod_space = mod_space
+        # an argument of this type is a vector to expand, anything else a label
+        self._vector_type = type(alg_space.vector({}))
         self.degree = degree
         self._blocks: dict = {}
         for (p, q), table in (blocks or {}).items():
@@ -133,17 +155,17 @@ class Cochain:
                 xs = tuple(xs)
                 ys = tuple(ys)
                 for x in xs:
-                    if alg.space.parity(x) != 0:
+                    if alg_space.parity(x) != 0:
                         raise ValueError(f"x-argument {x!r} is not even")
-                cys, sign = _canonical_ys(alg.space, ys)
+                cys, sign = _canonical_ys(alg_space, ys)
                 if cys != ys or sign != 1:
                     raise ValueError(
                         "block entries must use strictly increasing odd "
                         "arguments")
-                if not isinstance(vec, Vector):
-                    vec = Vector(mod.space, vec)
+                if isinstance(vec, dict):
+                    vec = mod_space.vector(vec)
                 bad = {l for l, _ in vec.items()
-                       if mod.space.parity(l) != want_parity}
+                       if mod_space.parity(l) != want_parity}
                 if bad:
                     raise ValueError(
                         f"({p},{q})-block values must lie in the module "
@@ -152,6 +174,11 @@ class Cochain:
                     clean[(xs, ys)] = vec
             if clean:
                 self._blocks[(p, q)] = clean
+
+    def _like(self, blocks) -> "Cochain":
+        new = copy.copy(self)
+        new._fill(self.alg_space, self.mod_space, self.degree, blocks)
+        return new
 
     # structure ------------------------------------------------------------
 
@@ -165,9 +192,8 @@ class Cochain:
         return not self._blocks
 
     def scale(self, c) -> "Cochain":
-        return Cochain(self.alg, self.mod, self.degree,
-                       {pq: {k: v.scale(c) for k, v in tbl.items()}
-                        for pq, tbl in self._blocks.items()})
+        return self._like({pq: {k: v.scale(c) for k, v in tbl.items()}
+                           for pq, tbl in self._blocks.items()})
 
     def add(self, other: "Cochain") -> "Cochain":
         if self.degree != other.degree:
@@ -178,7 +204,7 @@ class Cochain:
             mine = blocks.setdefault(pq, {})
             for k, v in tbl.items():
                 mine[k] = mine[k].add(v) if k in mine else v
-        return Cochain(self.alg, self.mod, self.degree, blocks)
+        return self._like(blocks)
 
     def sub(self, other: "Cochain") -> "Cochain":
         return self.add(other.scale(-1))
@@ -192,7 +218,7 @@ class Cochain:
 
     def __repr__(self):
         sizes = {pq: len(tbl) for pq, tbl in self._blocks.items()}
-        return f"Cochain(degree={self.degree}, blocks={sizes})"
+        return f"{type(self).__name__}(degree={self.degree}, blocks={sizes})"
 
     # evaluation -----------------------------------------------------------
 
@@ -201,56 +227,43 @@ class Cochain:
         argument sign; repeated odd labels give zero."""
         table = self._blocks.get((p, q))
         if table is None:
-            return Vector.zero(self.mod.space)
-        cys, sign = _canonical_ys(self.alg.space, tuple(ys))
+            return self.mod_space.vector({})
+        cys, sign = _canonical_ys(self.alg_space, tuple(ys))
         if cys is None:
-            return Vector.zero(self.mod.space)
+            return self.mod_space.vector({})
         vec = table.get((tuple(xs), cys))
         if vec is None:
-            return Vector.zero(self.mod.space)
+            return self.mod_space.vector({})
         return vec if sign == 1 else vec.scale(sign)
 
     def eval(self, p, q, xs, ys):
         """Multilinear evaluation of the (p,q)-block; arguments may be
-        Vectors over the algebra space (supported in the right grading)."""
-        return _expand_args(self.alg.space, xs, ys,
-                            lambda bxs, bys: self.value(p, q, bxs, bys),
-                            Vector.zero(self.mod.space))
+        vectors of the algebra basis (supported in the right grading)."""
+        return _expand_args(self, p, q, tuple(xs), tuple(ys))
 
 
-def _expand_args(space: GradedSpace, xs, ys, basis_fn, zero):
-    """Expand Vector arguments multilinearly through basis_fn; None results
-    propagate.  ``zero`` is returned when a vector argument has empty
-    support."""
-    xs = tuple(xs)
-    ys = tuple(ys)
-    for i, a in enumerate(xs):
-        if isinstance(a, Vector):
-            if a.gradings() - {0}:
-                raise ValueError("even slot fed a vector with odd support")
-            total = None
+def _expand_args(coch: Cochain, p, q, xs, ys):
+    """Expand vector arguments multilinearly through ``coch.value``; None
+    results propagate, and a vector with empty support gives zero."""
+    args = xs + ys
+    n = len(xs)
+    for i, a in enumerate(args):
+        if isinstance(a, coch._vector_type):
+            grading = 0 if i < n else 1
+            parity = coch.alg_space.parity
+            out: dict = {}
             for label, c in a.items():
-                v = _expand_args(space, xs[:i] + (label,) + xs[i + 1:], ys,
-                                 basis_fn, zero)
+                if parity(label) != grading:
+                    raise ValueError(f"{('even', 'odd')[grading]} slot fed "
+                                     f"a vector with {label!r} in its support")
+                rest = args[:i] + (label,) + args[i + 1:]
+                v = _expand_args(coch, p, q, rest[:n], rest[n:])
                 if v is None:
                     return None
-                v = v.scale(c)
-                total = v if total is None else total.add(v)
-            return total if total is not None else zero
-    for j, a in enumerate(ys):
-        if isinstance(a, Vector):
-            if a.gradings() - {1}:
-                raise ValueError("odd slot fed a vector with even support")
-            total = None
-            for label, c in a.items():
-                v = _expand_args(space, xs, ys[:j] + (label,) + ys[j + 1:],
-                                 basis_fn, zero)
-                if v is None:
-                    return None
-                v = v.scale(c)
-                total = v if total is None else total.add(v)
-            return total if total is not None else zero
-    return basis_fn(xs, ys)
+                for l, d in v.items():
+                    out[l] = out.get(l, 0) + c * d
+            return coch.mod_space.vector(out)
+    return coch.value(p, q, xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +395,20 @@ def _target_shapes(degree: int, dim1: int):
 
 def apply_delta(coch: Cochain) -> Cochain:
     """The full coboundary of a finite-structure cochain."""
-    ctx = DeltaContext(coch.alg, coch.mod)
-    return _materialise_delta(ctx, coch, COMPONENTS)
+    return _materialise_delta(coch, COMPONENTS)
 
 
 def apply_delta_component(coch: Cochain, comp) -> Cochain:
-    ctx = DeltaContext(coch.alg, coch.mod)
-    return _materialise_delta(ctx, coch, (comp,))
+    return _materialise_delta(coch, (comp,))
 
 
-def _materialise_delta(ctx, coch, components) -> Cochain:
-    sp = ctx.alg_space
+def _materialise_delta(coch, components) -> Cochain:
+    """The chosen components of the coboundary of a finite-structure
+    cochain; its module may be the column-tagged one of `_delta_matrix`."""
+    sp = coch.alg.space
+    products = coch.alg.products
+    ctx = DeltaContext(sp, coch.mod.space,
+                       lambda a, b: products.get((a, b), {}), coch.mod.act)
     degree = coch.degree + 1
     blocks: dict = {}
     for (P, Q) in _target_shapes(degree, sp.dim1):
@@ -400,7 +416,7 @@ def _materialise_delta(ctx, coch, components) -> Cochain:
         for xs in itertools.product(sp.even, repeat=P):
             for ys in itertools.combinations(sp.odd, Q):
                 v = delta_instance(ctx, coch, P, Q, xs, ys, components)
-                assert v is not None, "finite structures cannot be unknown"
+                _require(v is not None, "finite structures cannot be unknown")
                 if not v.is_zero():
                     table[(xs, ys)] = v
         if table:
@@ -447,7 +463,8 @@ def delta_via_bracket(coch: Cochain) -> Cochain:
         for (xs, ys, out), c in mm.entries():
             if not all(l in alg_labels for l in xs + ys):
                 continue
-            assert out in mod_labels, "algebra-argument entries must be module-valued"
+            _require(out in mod_labels,
+                     "algebra-argument entries must be module-valued")
             cys, sign = _canonical_ys(coch.alg.space, ys)
             if cys != ys:
                 continue  # keep one representative per orbit
@@ -565,10 +582,9 @@ class _ColumnTagged:
             [(j, l) for j in range(n) for l in mod.space.even],
             [(j, l) for j in range(n) for l in mod.space.odd])
 
-    def act(self, a, label) -> Vector:
+    def act(self, a, label) -> dict:
         j, l = label
-        return Vector(self.space, {(j, out): c for out, c
-                                   in self.mod.act(a, l).items()})
+        return {(j, out): c for out, c in self.mod.act(a, l).items()}
 
 
 def _delta_matrix(alg, mod, k) -> DifferentialMatrix:
@@ -606,10 +622,16 @@ def assemble_complex(alg, mod, kmax, verify=True) -> list:
     return mats
 
 
+def _require(ok, message) -> None:
+    """A mathematical check that survives ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def verify_complex(mats, trivial=False) -> None:
     for cur, nxt in zip(mats, mats[1:]):
-        assert linalg.mat_is_zero(linalg.mat_mul(nxt.full, cur.full)), (
-            f"delta^{nxt.k} after delta^{cur.k} is nonzero")
+        _require(linalg.mat_is_zero(linalg.mat_mul(nxt.full, cur.full)),
+                 f"delta^{nxt.k} after delta^{cur.k} is nonzero")
         d10a, d01a, dm12a = (cur.comp[c] for c in COMPONENTS)
         d10b, d01b, dm12b = (nxt.comp[c] for c in COMPONENTS)
         mul = linalg.mat_mul
@@ -627,16 +649,17 @@ def verify_complex(mats, trivial=False) -> None:
             ("d-12.d-12", mul(dm12b, dm12a)),
         ]
         for name, mat in checks:
-            assert linalg.mat_is_zero(mat), (
-                f"component identity {name} fails at k={cur.k}")
+            _require(linalg.mat_is_zero(mat),
+                     f"component identity {name} fails at k={cur.k}")
         if trivial:
-            assert linalg.mat_is_zero(cur.comp[(0, 1)]), (
-                "trivial coefficients must kill the (0,1)-component")
-            assert linalg.mat_is_zero(
-                add(mul(d10b, dm12a), mul(dm12b, d10a))), (
+            _require(linalg.mat_is_zero(cur.comp[(0, 1)]),
+                     "trivial coefficients must kill the (0,1)-component")
+            _require(linalg.mat_is_zero(
+                add(mul(d10b, dm12a), mul(dm12b, d10a))),
                 "bicomplex anticommutator fails with trivial coefficients")
     if trivial and mats:
-        assert linalg.mat_is_zero(mats[-1].comp[(0, 1)])
+        _require(linalg.mat_is_zero(mats[-1].comp[(0, 1)]),
+                 "trivial coefficients must kill the (0,1)-component")
 
 
 def cohomology_dims(alg, mod, kmax) -> list:

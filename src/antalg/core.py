@@ -101,6 +101,10 @@ class GradedSpace:
     def labels(self):
         return self.even + self.odd
 
+    def vector(self, coeffs: Mapping) -> "Vector":
+        """The Vector over this space with the given coefficients."""
+        return Vector(self, coeffs)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GradedSpace)
@@ -327,11 +331,6 @@ class MultiMap:
         return total
 
 
-def multimap_eval(phi: MultiMap, xs, ys) -> Vector:
-    """Functional form of MultiMap.eval."""
-    return phi.eval(xs, ys)
-
-
 def parity_of(phi: MultiMap):
     """Parity of a map: p + i + 1 (mod 2) for a map valued in V_i.
 
@@ -492,12 +491,13 @@ def parse_algebra_text(text: str) -> AlgebraFile:
             name = toks[1]
         elif head == "module":
             in_module = True
-        elif head == "even":
-            target = mod_even if in_module else even
-            target.extend(_check_label(t, lineno) for t in toks[1:])
-        elif head == "odd":
-            target = mod_odd if in_module else odd
-            target.extend(_check_label(t, lineno) for t in toks[1:])
+        elif head in ("even", "odd"):
+            section = (mod_even, mod_odd) if in_module else (even, odd)
+            for t in toks[1:]:
+                if t in section[0] or t in section[1]:
+                    raise ParseError(lineno, "basis labels must be unique "
+                                     f"across both gradings: {t!r} repeats")
+                section[head == "odd"].append(_check_label(t, lineno))
         elif "=" in line:
             lhs, _, rhs = line.partition("=")
             if "*" in lhs and not in_module:
@@ -512,10 +512,7 @@ def parse_algebra_text(text: str) -> AlgebraFile:
             raise ParseError(lineno, f"cannot parse statement {line!r}")
     if name is None:
         raise ParseError(1, "missing 'algebra <name>' header")
-    try:
-        space = GradedSpace(even, odd)
-    except ValueError as exc:
-        raise ParseError(1, str(exc))
+    space = GradedSpace(even, odd)
     given: set = set()
     table: dict = {}
     for lineno, a, b, rhs in product_lines:
@@ -533,10 +530,7 @@ def parse_algebra_text(text: str) -> AlgebraFile:
     module_space = None
     action = None
     if in_module:
-        try:
-            module_space = GradedSpace(mod_even, mod_odd)
-        except ValueError as exc:
-            raise ParseError(1, str(exc))
+        module_space = GradedSpace(mod_even, mod_odd)
         action = {}
         for lineno, a, b, rhs in action_lines:
             if a not in space:

@@ -128,7 +128,8 @@ def rank(mat: list, self_check: bool = True) -> int:
     r = len(pivots)
     if self_check:
         _, pivots2 = _eliminate(mat, range(len(mat[0]) - 1, -1, -1))
-        assert len(pivots2) == r, "rank self-check failed (elimination order)"
+        if len(pivots2) != r:
+            raise AssertionError("rank self-check failed (elimination order)")
     return r
 
 

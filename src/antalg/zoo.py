@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import linalg
 from .antialgebra import CheckReport
 from .brackets import _perm_sign, ce_delta_eval, eval_multilinear
-from .cohomology import delta_instance
+from .cohomology import Cochain, DeltaContext, _canonical_ys, delta_instance
 
 __all__ = [
     "WindowedAlgebra",
@@ -330,159 +331,40 @@ class DictVec:
         return f"DictVec({self.c!r})"
 
 
+# The conformal labels and their duals as a cochain basis (see
+# `cohomology.DeltaContext`): parity by family, odd labels ordered by index.
+_CONF_BASIS = SimpleNamespace(parity=conf_parity, index=lambda label: label[1],
+                             vector=DictVec)
+
+
 def _sort_ys(ys):
     """Canonical increasing order (by index) with sign; repeats give None."""
-    idx = [l[1] for l in ys]
-    if len(set(idx)) != len(idx):
-        return None, 0
-    order = tuple(sorted(range(len(ys)), key=lambda t: idx[t]))
-    return tuple(ys[t] for t in order), _perm_sign(order)
+    return _canonical_ys(_CONF_BASIS, ys)
 
 
-class WindowCochain:
-    """A finitely supported cochain over the index families, blockwise like
-    the finite-structure cochains: {(p,q): {(xs, ys): DictVec}} with
-    canonical increasing odd arguments."""
+class WindowCochain(Cochain):
+    """A finitely supported cochain over the conformal families, valued in
+    the family or its dual: {(p,q): {(xs, ys): DictVec or dict}} with
+    canonical increasing odd arguments.  There is no finite structure behind
+    it, so ``alg`` and ``mod`` are None."""
 
     def __init__(self, degree: int, blocks=None):
-        self.degree = degree
-        self._blocks = {}
-        for (p, q), table in (blocks or {}).items():
-            if p < 0 or q < 0 or p + q != degree:
-                raise ValueError(f"block ({p},{q}) does not fit degree {degree}")
-            clean = {}
-            for (xs, ys), vec in table.items():
-                if not isinstance(vec, DictVec):
-                    vec = DictVec(vec)
-                cys, sign = _sort_ys(tuple(ys))
-                assert cys == tuple(ys) and sign == 1, \
-                    "entries must use increasing odd arguments"
-                if not vec.is_zero():
-                    clean[(tuple(xs), cys)] = vec
-            if clean:
-                self._blocks[(p, q)] = clean
-
-    def shapes(self):
-        return sorted(self._blocks, key=lambda pq: (-pq[0], pq[1]))
-
-    def block(self, p, q) -> dict:
-        return self._blocks.get((p, q), {})
-
-    def value(self, p, q, xs, ys) -> DictVec:
-        table = self._blocks.get((p, q))
-        if table is None:
-            return DictVec()
-        cys, sign = _sort_ys(tuple(ys))
-        if cys is None:
-            return DictVec()
-        vec = table.get((tuple(xs), cys))
-        if vec is None:
-            return DictVec()
-        return vec if sign == 1 else vec.scale(sign)
-
-    def eval(self, p, q, xs, ys):
-        xs = tuple(xs)
-        ys = tuple(ys)
-        for i, a in enumerate(xs):
-            if isinstance(a, DictVec):
-                total = DictVec()
-                for label, c in a.items():
-                    v = self.eval(p, q, xs[:i] + (label,) + xs[i + 1:], ys)
-                    if v is None:
-                        return None
-                    total = total.add(v.scale(c))
-                return total
-        for j, a in enumerate(ys):
-            if isinstance(a, DictVec):
-                total = DictVec()
-                for label, c in a.items():
-                    v = self.eval(p, q, xs, ys[:j] + (label,) + ys[j + 1:])
-                    if v is None:
-                        return None
-                    total = total.add(v.scale(c))
-                return total
-        return self.value(p, q, xs, ys)
+        self.alg = self.mod = None
+        self._fill(_CONF_BASIS, _CONF_BASIS, degree, blocks)
 
 
-class ConfDualDeltaCtx:
+def ConfDualDeltaCtx(kind: str) -> DeltaContext:
     """Coboundary context for a conformal family acting on its dual module,
     with the global index formulas (total: never unknown)."""
-
-    def __init__(self, kind: str):
-        self.kind = kind
-
-    def zero(self) -> DictVec:
-        return DictVec()
-
-    def m_alg(self, a, b):
-        v = conf_mul(a, b)
-        if conf_parity(a) == 0 and conf_parity(b) == 0:
-            v = {k: c * HALF for k, c in v.items()}
-        return DictVec(v)
-
-    def _act_weighted(self, a, v: DictVec, w0, w1):
-        out = DictVec()
-        for l, c in v.items():
-            w = w0 if conf_parity(l) == 0 else w1
-            if w:
-                out = out.add(DictVec(dual_act(self.kind, a, l)).scale(w * c))
-        return out
-
-    def m_x_val(self, x, v):
-        if v is None:
-            return None
-        return self._act_weighted(x, v, HALF, Fraction(1))
-
-    def m_val_y(self, v, y):
-        if v is None:
-            return None
-        return self._act_weighted(y, v, Fraction(1), Fraction(-1))
-
-
-class _WindowAdjointCtx:
-    """Coboundary context for a windowed conformal family acting on itself;
-    out-of-window products are unknown (None)."""
-
-    def __init__(self, window: WindowedAlgebra):
-        self.window = window
-
-    def zero(self) -> DictVec:
-        return DictVec()
-
-    def m_alg(self, a, b):
-        v = self.window.mul(a, b)
-        if v is None:
-            return None
-        if conf_parity(a) == 0 and conf_parity(b) == 0:
-            v = {k: c * HALF for k, c in v.items()}
-        return DictVec(v)
-
-    def _act_weighted(self, a, v: DictVec, w0, w1):
-        out = DictVec()
-        for l, c in v.items():
-            w = w0 if conf_parity(l) == 0 else w1
-            if not w:
-                continue
-            acted = self.window.mul(a, l)
-            if acted is None:
-                return None
-            out = out.add(DictVec(acted).scale(w * c))
-        return out
-
-    def m_x_val(self, x, v):
-        if v is None:
-            return None
-        return self._act_weighted(x, v, HALF, Fraction(1))
-
-    def m_val_y(self, v, y):
-        if v is None:
-            return None
-        return self._act_weighted(y, v, Fraction(1), Fraction(-1))
+    return DeltaContext(_CONF_BASIS, _CONF_BASIS, conf_mul,
+                        lambda a, l: dual_act(kind, a, l))
 
 
 def ak1_adjoint_ctx(N: int):
+    """Coboundary context for the ak1 window acting on itself, and the
+    window; out-of-window products are unknown (None)."""
     w = WindowedAlgebra("ak1", N)
-    return _WindowAdjointCtx(w), w
+    return DeltaContext(_CONF_BASIS, _CONF_BASIS, w.mul, w.mul), w
 
 
 # ---------------------------------------------------------------------------

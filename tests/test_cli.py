@@ -189,6 +189,20 @@ def test_parity_violating_tables_are_input_errors(tmp_path, argv, text,
     assert message in proc.stderr
 
 
+def test_module_action_on_an_unknown_algebra_label_is_an_input_error(
+        tmp_path):
+    path = tmp_path / "other.alg"
+    path.write_text("algebra other\neven e\nmodule\neven t\ne . t = t\n")
+    argv = ["cohomology", "--input", "k3", "--coefficients", str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"from antalg.cli import main; raise SystemExit(main({argv!r}))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "input error: unknown basis label: 'e'" in proc.stderr
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = _run(capsys, ["check", "--input", "/no/such/file.alg"])
     assert code == 2

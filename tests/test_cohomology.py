@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -181,6 +183,34 @@ def test_assemble_complex_verifies_square_zero():
             assert linalg.mat_is_zero(linalg.mat_mul(nxt.full, cur.full))
 
 
+_DELTA2_ON_K3AD = """\
+from antalg.antialgebra import (AntialgebraStructure, adjoint_module,
+                                semidirect, trivial_module)
+from antalg.cohomology import cohomology_dims
+from antalg.core import parse_algebra_file
+sd = semidirect(adjoint_module(AntialgebraStructure.from_file_doc(
+    parse_algebra_file({path!r}))))
+try:
+    cohomology_dims(sd, trivial_module(sd), 3)
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_delta_squared_check_survives_python_O():
+    """delta^2 != 0 on K3 |x ad(K3) (ROADMAP item 1) is caught by
+    `verify_complex`, also under ``python -O``, which strips asserts."""
+    sd = semidirect(adjoint_module(K3))
+    with pytest.raises(AssertionError, match=r"delta\^3 after delta\^2"):
+        cohomology_dims(sd, trivial_module(sd), 3)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         _DELTA2_ON_K3AD.format(path=str(DATA / "k3.alg"))],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "delta^3 after delta^2 is nonzero" in proc.stdout
+
+
 def test_cohomology_dimension_tables():
     assert cohomology_dims(K3, TRIV, 4) == [
         (1, 1, 1, 0), (2, 2, 1, 0), (3, 2, 1, 0), (4, 2, 1, 0)]
@@ -331,14 +361,14 @@ def test_solve_coboundary_edge_cases():
 # the operator on a truncated infinite family
 # ---------------------------------------------------------------------------
 
-class LazyDelta:
+class LazyDelta(WindowCochain):
     """Coboundary of a windowed cochain, evaluated instance by instance;
     None marks values that the truncation cannot decide."""
 
     def __init__(self, ctx, base):
+        super().__init__(base.degree + 1)
         self.ctx = ctx
         self.base = base
-        self.degree = base.degree + 1
 
     def value(self, p, q, xs, ys):
         cys, sign = zoo._sort_ys(tuple(ys))
@@ -348,28 +378,6 @@ class LazyDelta:
         if v is None:
             return None
         return v if sign == 1 else v.scale(sign)
-
-    def eval(self, p, q, xs, ys):
-        xs, ys = tuple(xs), tuple(ys)
-        for i, a in enumerate(xs):
-            if isinstance(a, DictVec):
-                total = DictVec()
-                for label, c in a.items():
-                    v = self.eval(p, q, xs[:i] + (label,) + xs[i + 1:], ys)
-                    if v is None:
-                        return None
-                    total = total.add(v.scale(c))
-                return total
-        for j, a in enumerate(ys):
-            if isinstance(a, DictVec):
-                total = DictVec()
-                for label, c in a.items():
-                    v = self.eval(p, q, xs, ys[:j] + (label,) + ys[j + 1:])
-                    if v is None:
-                        return None
-                    total = total.add(v.scale(c))
-                return total
-        return self.value(p, q, xs, ys)
 
 
 def test_windowed_adjoint_delta_squares_to_zero_where_decidable():

@@ -154,6 +154,8 @@ a . t = 2*t
     ("algebra X\neven e\ne * e =\n", 3, "empty right-hand side"),
     ("algebra X\neven e\nodd y z\ny * z = 1*e\nz * y = 1*e\n", 5,
      "conflicting"),
+    ("algebra dup\neven e\nodd a b\nodd a\n", 4,
+     "basis labels must be unique"),
 ])
 def test_parse_errors_carry_line_numbers(text, lineno, fragment):
     with pytest.raises(ParseError) as exc:

@@ -6,6 +6,8 @@ leave the window).  Every verifier below separates "checked" from
 "skipped" along that line.
 """
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -225,6 +227,50 @@ def test_eta_report_flags_a_failing_witness(monkeypatch):
     for tag in ("witness(1,2)", "witness(3/2,3)"):
         assert rep.extras[tag] == "failed"
         assert any(v.kind.startswith(tag + "[") for v in rep.violations)
+
+
+_UNORDERED_ODD = """\
+from fractions import Fraction as F
+from antalg.zoo import WindowCochain
+try:
+    WindowCochain(2, {(0, 2): {((), (("a", F(1, 2)), ("a", F(-1, 2)))):
+                               {("eps*", F(0)): F(1)}}})
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_window_cochain_rejects_unordered_odd_arguments():
+    """The canonical-order check is a ValueError, kept under python -O."""
+    ys = (A(F(1, 2)), A(F(-1, 2)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        WindowCochain(2, {(0, 2): {((), ys): {("eps*", F(0)): F(1)}}})
+    proc = subprocess.run([sys.executable, "-O", "-c", _UNORDERED_ODD],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "strictly increasing odd arguments" in proc.stdout
+
+
+def test_window_cochain_checks_argument_and_value_parities():
+    with pytest.raises(ValueError, match="parity 0"):
+        WindowCochain(1, {(1, 0): {((EPS(0),), ()): {("a*", F(1, 2)): F(1)}}})
+    with pytest.raises(ValueError, match="parity 1"):
+        WindowCochain(2, {(1, 1): {((EPS(0),), (A(F(1, 2)),)):
+                                   DictVec({("eps*", F(0)): F(1)})}})
+    with pytest.raises(ValueError, match="not even"):
+        WindowCochain(1, {(1, 0): {((A(F(1, 2)),), ()): {EPS(0): F(1)}}})
+
+
+def test_window_adjoint_context_marks_escaping_values_unknown():
+    ctx, _ = zoo.ak1_adjoint_ctx(2)
+    v = DictVec({EPS(1): F(1), A(F(1, 2)): F(2)})
+    # half the action on the even component, the action on the odd one
+    assert ctx.m_x_val(EPS(1), v) == DictVec({EPS(2): F(1, 2),
+                                              A(F(3, 2)): F(1)})
+    assert ctx.m_x_val(EPS(2), v) is None       # eps_2 . eps_1 escapes
+    assert ctx.m_val_y(v, A(F(3, 2))) is None   # a_{3/2} . eps_1 escapes
+    assert ctx.m_alg(EPS(2), EPS(1)) is None
+    assert ctx.m_alg(EPS(1), EPS(1)) == DictVec({EPS(2): F(1, 2)})
 
 
 def test_eta_coboundary_solver_on_and_off_the_line():
