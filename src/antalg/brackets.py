@@ -78,7 +78,9 @@ class BlockMap:
         return [(pq, self._blocks[pq]) for pq in self.shapes()]
 
     def add(self, other: "BlockMap") -> "BlockMap":
-        assert self.space == other.space and self.degree == other.degree
+        if self.space != other.space or self.degree != other.degree:
+            raise ValueError("cannot add block maps of different spaces or "
+                             "degrees")
         out = BlockMap(self.space, self.degree, dict(self._blocks))
         for (p, q), mm in other._blocks.items():
             out._add_block(p, q, mm)
@@ -251,13 +253,13 @@ def alt(phi: MultiMap) -> MultiMap:
     norm = Fraction(1)
     for k in range(2, q + 1):
         norm /= k
+    signed = [(perm, _perm_sign(perm) * norm)
+              for perm in itertools.permutations(range(q))]
     out: dict = {}
     for (xs, ys, label), c in phi.entries():
-        for perm in itertools.permutations(range(q)):
-            sign = _perm_sign(perm)
-            pys = tuple(ys[i] for i in perm)
-            key = (xs, pys, label)
-            out[key] = out.get(key, Fraction(0)) + sign * norm * c
+        for perm, w in signed:
+            key = (xs, tuple(ys[i] for i in perm), label)
+            out[key] = out.get(key, Fraction(0)) + w * c
     return MultiMap(phi.space, phi.p, phi.q, out)
 
 

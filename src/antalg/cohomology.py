@@ -16,9 +16,9 @@ results, so callers can skip exactly the undecidable instances.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 from fractions import Fraction
-from math import comb
 
 from . import brackets, linalg
 from .antialgebra import (AntialgebraStructure, ModuleStructure,
@@ -509,11 +509,6 @@ class CochainBasis:
     def dim(self) -> int:
         return len(self.keys)
 
-    def block_dim(self, p, q) -> int:
-        sp = self.alg.space
-        outs = self.mod.space.even if q % 2 == 0 else self.mod.space.odd
-        return sp.dim0 ** p * comb(sp.dim1, q) * len(outs)
-
     def index(self, key) -> int:
         return self._index[key]
 
@@ -524,6 +519,8 @@ class CochainBasis:
                        {(p, q): {(xs, ys): vec}})
 
     def coeff_vector(self, coch: Cochain) -> list:
+        """The coordinates of ``coch``, one per basis key: the right-hand
+        side that `solve_coboundary` hands to `linalg.solve`."""
         vec = [Fraction(0)] * self.dim
         for (p, q) in coch.shapes():
             for (xs, ys), val in coch.block(p, q).items():
@@ -531,25 +528,21 @@ class CochainBasis:
                     vec[self._index[(p, q, xs, ys, out)]] = c
         return vec
 
-    def from_coeff_vector(self, vec) -> Cochain:
+    def from_coeff_vector(self, row: dict) -> Cochain:
+        """The cochain with coordinates ``row``, a `linalg` row {index:
+        coefficient} such as a kernel vector or a solution."""
         blocks: dict = {}
-        for c, key in zip(vec, self.keys):
-            if not c:
-                continue
-            p, q, xs, ys, out = key
-            tbl = blocks.setdefault((p, q), {})
-            entry = tbl.setdefault((xs, ys), {})
-            entry[out] = c
-        return Cochain(self.alg, self.mod, self.degree,
-                       {pq: {k: Vector(self.mod.space, v)
-                             for k, v in tbl.items()}
-                        for pq, tbl in blocks.items()})
+        for i, c in sorted(row.items()):
+            p, q, xs, ys, out = self.keys[i]
+            blocks.setdefault((p, q), {}).setdefault((xs, ys), {})[out] = c
+        return Cochain(self.alg, self.mod, self.degree, blocks)
 
 
 class DifferentialMatrix:
     """delta^k : C^k -> C^{k+1} with its three component matrices, which
-    `_delta_matrix` reads off delta of the generic k-cochain; `full` is
-    their sum, formed from the nonzero entries only."""
+    `_delta_matrix` reads off delta of the generic k-cochain.  Every matrix
+    is a list of `linalg` rows, one dict {column: nonzero coefficient} per
+    basis key of C^{k+1}; `full` is the sum of the components."""
 
     def __init__(self, k, source: CochainBasis, target: CochainBasis,
                  comp: dict):
@@ -557,13 +550,7 @@ class DifferentialMatrix:
         self.source = source
         self.target = target
         self.comp = comp
-        full = linalg.mat_zero(target.dim, source.dim)
-        for mat in comp.values():
-            for row, out in zip(mat, full):
-                for j, c in enumerate(row):
-                    if c:
-                        out[j] += c
-        self.full = full
+        self.full = functools.reduce(linalg.mat_add, comp.values())
 
     def __repr__(self):
         return (f"DifferentialMatrix(k={self.k}, "
@@ -603,12 +590,12 @@ def _delta_matrix(alg, mod, k) -> DifferentialMatrix:
     comp = {}
     for component in COMPONENTS:
         image = apply_delta_component(generic, component)
-        mat = linalg.mat_zero(target.dim, source.dim)
+        rows = [{} for _ in range(target.dim)]
         for (P, Q) in image.shapes():
             for (xs, ys), val in image.block(P, Q).items():
                 for (j, out), c in val.items():
-                    mat[target.index((P, Q, xs, ys, out))][j] = c
-        comp[component] = mat
+                    rows[target.index((P, Q, xs, ys, out))][j] = c
+        comp[component] = rows
     return DifferentialMatrix(k, source, target, comp)
 
 
@@ -634,11 +621,7 @@ def verify_complex(mats, trivial=False) -> None:
                  f"delta^{nxt.k} after delta^{cur.k} is nonzero")
         d10a, d01a, dm12a = (cur.comp[c] for c in COMPONENTS)
         d10b, d01b, dm12b = (nxt.comp[c] for c in COMPONENTS)
-        mul = linalg.mat_mul
-
-        def add(a, b):
-            return [[x + y if y else x for x, y in zip(ra, rb)]
-                    for ra, rb in zip(a, b)]
+        mul, add = linalg.mat_mul, linalg.mat_add
 
         checks = [
             ("d10.d10", mul(d10b, d10a)),
@@ -697,13 +680,11 @@ def derivation_space(alg: AntialgebraStructure, mod: ModuleStructure) -> dict:
         for v in sp.labels():
             pu, pv = sp.parity(u), sp.parity(v)
             sign = Fraction(-1) ** (pu * pv)
+            residuals = [_derivation_residual(alg, mod, basis.unit(key), u, v,
+                                              sign) for key in basis.keys]
             for out in mod.space.labels():
-                row = [Fraction(0)] * basis.dim
-                for j, key in enumerate(basis.keys):
-                    c = basis.unit(key)
-                    val = _derivation_residual(alg, mod, c, u, v, sign)
-                    row[j] = val.coeff(out)
-                rows.append(row)
+                rows.append({j: c for j, res in enumerate(residuals)
+                             if (c := res.coeff(out))})
     kernel = linalg.nullspace(rows, basis.dim)
     rref_mat, _ = linalg.rref(kernel) if kernel else ([], [])
     return {
@@ -808,7 +789,7 @@ def solve_coboundary(coch: Cochain):
         return None  # C^0 is empty: only the zero 1-cochain is a coboundary
     mat = _delta_matrix(coch.alg, coch.mod, coch.degree - 1)
     rhs = mat.target.coeff_vector(coch)
-    sol = linalg.solve(mat.full, rhs)
+    sol = linalg.solve(mat.full, rhs, mat.source.dim)
     if sol is None:
         return None
     return mat.source.from_coeff_vector(sol)
@@ -817,12 +798,11 @@ def solve_coboundary(coch: Cochain):
 def random_cochain(alg, mod, degree, rng, density=0.5, bound=9) -> Cochain:
     """A random cochain with exact small-rational coefficients."""
     basis = CochainBasis(alg, mod, degree)
-    vec = []
-    for _ in range(basis.dim):
+    row = {}
+    for i in range(basis.dim):
         if rng.random() < density:
             num = rng.randint(-bound, bound)
             den = rng.randint(1, 4)
-            vec.append(Fraction(num, den))
-        else:
-            vec.append(Fraction(0))
-    return basis.from_coeff_vector(vec)
+            if num:
+                row[i] = Fraction(num, den)
+    return basis.from_coeff_vector(row)

@@ -136,6 +136,14 @@ class Vector:
         self._coeffs = store
 
     @classmethod
+    def _trusted(cls, space: GradedSpace, store: dict) -> "Vector":
+        """Wrap ``store``, whose labels lie in ``space`` and whose
+        coefficients are nonzero Fractions, without checking it again."""
+        v = cls.__new__(cls)
+        v.space, v._coeffs = space, store
+        return v
+
+    @classmethod
     def basis(cls, space: GradedSpace, label) -> "Vector":
         return cls(space, {label: Fraction(1)})
 
@@ -160,18 +168,24 @@ class Vector:
         return not self._coeffs
 
     def add(self, other: "Vector") -> "Vector":
-        assert self.space == other.space
+        if self.space is not other.space and self.space != other.space:
+            raise ValueError("cannot add vectors of different spaces")
         out = dict(self._coeffs)
         for l, c in other._coeffs.items():
-            out[l] = out.get(l, Fraction(0)) + c
-        return Vector(self.space, out)
+            c += out.get(l, 0)
+            if c:
+                out[l] = c
+            else:
+                del out[l]
+        return Vector._trusted(self.space, out)
 
     def sub(self, other: "Vector") -> "Vector":
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "Vector":
         c = scalar(c)
-        return Vector(self.space, {l: c * v for l, v in self._coeffs.items()})
+        return Vector._trusted(self.space, {
+            l: c * v for l, v in self._coeffs.items()} if c else {})
 
     def __eq__(self, other) -> bool:
         return (
@@ -242,7 +256,8 @@ class MultiMap:
         return self._entries.get((tuple(xs), tuple(ys), out), Fraction(0))
 
     def add(self, other: "MultiMap") -> "MultiMap":
-        assert (self.space, self.p, self.q) == (other.space, other.p, other.q)
+        if (self.space, self.p, self.q) != (other.space, other.p, other.q):
+            raise ValueError("cannot add maps of different spaces or shapes")
         out = dict(self._entries)
         for k, c in other._entries.items():
             out[k] = out.get(k, Fraction(0)) + c

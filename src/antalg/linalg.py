@@ -1,11 +1,18 @@
-"""Exact linear algebra over Q for the cohomology machinery.
+"""Exact sparse linear algebra over Q for the cohomology machinery.
 
-Matrices are lists of rows of Fractions.  Elimination keeps everything in
-exact rationals; pivots are chosen to keep numerators and denominators small
-(the entry minimising |num|*|den| in the current column).  A row update
-touches only the pivot row's nonzero columns, so the sparse coboundary
-matrices cost far less than their full width.  `rank` re-runs the
-elimination with the column order reversed and insists both passes agree.
+A matrix is a list of rows, and a row is a dict from column index to a
+nonzero Fraction.  No zero is ever stored, so an empty dict is a zero row.
+A matrix does not carry its column count; the two functions that need it
+(`nullspace`, `solve`) take it as an argument.  Kernel vectors and
+solutions come back as rows of the same form.
+
+Elimination keeps everything in exact rationals.  It visits the columns in
+order and keeps, for each column, the set of unreduced rows that are
+nonzero there, so only those rows are looked at.  The pivot is the entry
+minimising |num|*den in its column, which keeps numerators and
+denominators small, and a row update touches only the pivot row's nonzero
+columns.  `rank` re-runs the elimination with the column order reversed
+and insists both passes agree.
 """
 
 from __future__ import annotations
@@ -13,11 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
-    "mat_zero",
+    "mat_add",
     "mat_mul",
-    "mat_vec",
     "mat_is_zero",
-    "transpose",
     "rref",
     "rank",
     "nullspace",
@@ -25,143 +30,138 @@ __all__ = [
 ]
 
 
-def mat_zero(rows: int, cols: int) -> list:
-    return [[Fraction(0)] * cols for _ in range(rows)]
+def mat_add(a: list, b: list) -> list:
+    out = []
+    for ra, rb in zip(a, b, strict=True):
+        row = dict(ra)
+        for j, c in rb.items():
+            c += row.pop(j, 0)
+            if c:
+                row[j] = c
+        out.append(row)
+    return out
 
 
 def mat_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    if len(b) != len(a[0]):
-        raise ValueError(f"inner dimensions differ: {len(a)}x{len(a[0])} "
-                         f"times {len(b)}x{len(b[0])}")
-    b_nonzero = [[(j, c) for j, c in enumerate(row) if c] for row in b]
-    out = mat_zero(len(a), len(b[0]))
-    for row, oi in zip(a, out):
-        for c, bt in zip(row, b_nonzero):
-            if c:
-                for j, d in bt:
-                    oi[j] += c * d
+    nb = len(b)
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, c in row.items():
+            if k >= nb:
+                raise ValueError(f"inner dimensions differ: the left factor "
+                                 f"has column {k}, the right one {nb} rows")
+            for j, d in b[k].items():
+                acc[j] = acc.get(j, 0) + c * d
+        out.append({j: v for j, v in acc.items() if v})
     return out
-
-def mat_vec(a: list, v: list) -> list:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0))
-            for row in a]
 
 
 def mat_is_zero(a: list) -> bool:
-    return all(not c for row in a for c in row)
-
-
-def transpose(a: list) -> list:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
+    return not any(a)
 
 
 def _pivot_weight(c: Fraction):
     return abs(c.numerator) * c.denominator
 
 
-def _eliminate(mat: list, col_order) -> tuple:
-    """Forward elimination following the given column order.
+def _eliminate(mat: list, descending: bool = False) -> list:
+    """Forward elimination in increasing (or decreasing) column order.
 
-    Returns (working matrix, pivot list as (row, col) pairs).  The working
-    matrix is row-reduced but not normalised.
+    Returns the pivot rows as (column, row) pairs in elimination order.  A
+    pivot row is zero in every column visited before its own.  The input
+    rows are not modified.
     """
-    work = [list(row) for row in mat]
-    nrows = len(work)
+    work = {i: dict(row) for i, row in enumerate(mat) if row}
+    where: dict = {}  # column -> ids of the unreduced rows nonzero there
+    for i, row in work.items():
+        for j in row:
+            where.setdefault(j, set()).add(i)
     pivots = []
-    pivot_row = 0
-    for col in col_order:
-        best = None
-        for r in range(pivot_row, nrows):
-            c = work[r][col]
-            if c:
-                w = _pivot_weight(c)
-                if best is None or w < best[0]:
-                    best = (w, r)
-        if best is None:
+    for col in sorted(where, reverse=descending):
+        ids = where.pop(col)
+        if not ids:
             continue
-        r = best[1]
-        work[pivot_row], work[r] = work[r], work[pivot_row]
-        prow = work[pivot_row]
+        r = min(ids, key=lambda i: (_pivot_weight(work[i][col]), i))
+        ids.discard(r)
+        prow = work.pop(r)
         pc = prow[col]
-        support = [(j, b) for j, b in enumerate(prow) if b]
-        for r2 in range(nrows):
-            row = work[r2]
-            if r2 == pivot_row or not row[col]:
-                continue
-            factor = row[col] / pc
-            for j, b in support:
-                row[j] -= factor * b
-        pivots.append((pivot_row, col))
-        pivot_row += 1
-        if pivot_row == nrows:
+        rest = [(j, b) for j, b in prow.items() if j != col]
+        for j, _ in rest:
+            where[j].discard(r)
+        for i in ids:
+            row = work[i]
+            factor = row.pop(col) / pc
+            for j, b in rest:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -factor * b
+                    where[j].add(i)
+                else:
+                    x -= factor * b
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+            if not row:
+                del work[i]
+        pivots.append((col, prow))
+        if not work:
             break
-    return work, pivots
+    return pivots
 
 
 def rref(mat: list) -> tuple:
     """Reduced row echelon form; returns (rref matrix, pivot column list).
 
     The result is canonical: two matrices have equal row spaces iff their
-    rrefs coincide (after dropping zero rows, which this function does).
+    rrefs coincide (zero rows are dropped).
     """
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    work, pivots = _eliminate(mat, range(ncols))
-    out = []
-    pivot_cols = []
-    for r, c in sorted(pivots, key=lambda rc: rc[1]):
-        row = work[r]
-        out.append([a / row[c] for a in row])
-        pivot_cols.append(c)
-    return out, pivot_cols
+    reduced: dict = {}  # pivot column -> its row, scaled to a leading 1
+    for col, row in reversed(_eliminate(mat)):
+        # the rows in `reduced` are zero in each other's pivot columns, so
+        # clearing their pivot columns here fills in none of them
+        for pc in [j for j in row if j in reduced]:
+            f = row.pop(pc)
+            for j, b in reduced[pc].items():
+                if j != pc:
+                    x = row.get(j, 0) - f * b
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+        inv = 1 / row[col]
+        reduced[col] = {j: c * inv for j, c in row.items()}
+    pivot_cols = sorted(reduced)
+    return [reduced[c] for c in pivot_cols], pivot_cols
 
 
 def rank(mat: list, self_check: bool = True) -> int:
-    if not mat or not mat[0]:
-        return 0
-    _, pivots = _eliminate(mat, range(len(mat[0])))
-    r = len(pivots)
-    if self_check:
-        _, pivots2 = _eliminate(mat, range(len(mat[0]) - 1, -1, -1))
-        if len(pivots2) != r:
-            raise AssertionError("rank self-check failed (elimination order)")
+    r = len(_eliminate(mat))
+    if self_check and len(_eliminate(mat, descending=True)) != r:
+        raise AssertionError("rank self-check failed (elimination order)")
     return r
 
 
-def nullspace(mat: list, ncols: int | None = None) -> list:
+def nullspace(mat: list, ncols: int) -> list:
     """A basis of the right kernel, from the canonical rref parametrisation."""
-    if not mat:
-        return [] if not ncols else [
-            [Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
-    ncols = len(mat[0]) if ncols is None else ncols
     red, pivot_cols = rref(mat)
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, pc in zip(red, pivot_cols):
-            vec[pc] = -row[f]
-        basis.append(vec)
-    return basis
+    pivots = set(pivot_cols)
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivots}
+    for row, pc in zip(red, pivot_cols):
+        for j, c in row.items():
+            if j != pc:
+                basis[j][pc] = -c
+    return list(basis.values())
 
 
-def solve(mat: list, rhs: list):
-    """One exact solution of mat * x = rhs, or None if inconsistent."""
-    if not mat:
-        return [] if all(not c for c in rhs) else None
-    ncols = len(mat[0])
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+def solve(mat: list, rhs: list, ncols: int):
+    """One exact solution of mat * x = rhs, as a row, or None if the system
+    is inconsistent.  ``rhs`` has one scalar per row of ``mat``."""
+    aug = [{**row, ncols: b} if b else row
+           for row, b in zip(mat, rhs, strict=True)]
     red, pivot_cols = rref(aug)
-    for row, pc in zip(red, pivot_cols):
-        if pc == ncols:
-            return None  # a pivot in the constant column: inconsistent
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(red, pivot_cols):
-        x[pc] = row[ncols]
-    return x
+    if pivot_cols and pivot_cols[-1] == ncols:
+        return None  # a pivot in the constant column: inconsistent
+    return {pc: row[ncols] for row, pc in zip(red, pivot_cols) if ncols in row}

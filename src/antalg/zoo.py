@@ -141,7 +141,8 @@ def k1_parity(label) -> int:
 
 def w1_bracket(u, v) -> dict:
     (fu, iu), (fv, iv) = u, v
-    assert fu == "l" and fv == "l"
+    if fu != "l" or fv != "l":
+        raise ValueError(f"not Witt labels: {u}, {v}")
     c = iv - iu
     return {("l", iu + iv): c} if c else {}
 
@@ -467,10 +468,11 @@ def _gamma_nontrivial(N, gfn):
         comps = set(target.c) | {
             l for b in variables for l in dual_act("ak1", x, b)}
         for comp in sorted(comps, key=lambda l: (str(l[0]), l[1])):
-            row = [Fraction(0)] * len(variables)
+            row = {}
             for b in variables:
                 c = DictVec(dual_act("ak1", x, b)).coeff(comp)
-                row[var_index[b]] = -HALF * c + HALF * c
+                if v := -HALF * c + HALF * c:
+                    row[var_index[b]] = v
             rows.append(row)
             rhs.append(target.coeff(comp))
     for y in w.odd:
@@ -480,11 +482,10 @@ def _gamma_nontrivial(N, gfn):
         for comp in sorted(comps, key=lambda l: (str(l[0]), l[1])):
             if abs(comp[1] + y[1]) > N:
                 continue  # preimage outside the variable window: not sound
-            row = [DictVec(dual_act("ak1", y, b)).coeff(comp)
-                   for b in variables]
-            rows.append(row)
+            rows.append({k: c for k, b in enumerate(variables)
+                         if (c := DictVec(dual_act("ak1", y, b)).coeff(comp))})
             rhs.append(target.coeff(comp))
-    sol = linalg.solve(rows, rhs)
+    sol = linalg.solve(rows, rhs, len(variables))
     if sol is None:
         return True, "no dual element bounds gamma (window system inconsistent)"
     return False, "a window dual element bounds gamma"
@@ -622,15 +623,14 @@ def _eta_linear_system(N: int, target: WindowCochain, mode: str):
         for comp in sorted(comps, key=lambda l: (str(l[0]), l[1])):
             if comp_bound is not None and comp[1] > comp_bound:
                 continue
-            row = [Fraction(0)] * len(variables)
-            for var, co in builder.rows.get(comp, {}).items():
-                row[vindex[var]] += co
+            row = {vindex[var]: co
+                   for var, co in builder.rows.get(comp, {}).items() if co}
             b = tvec.coeff(comp)
-            key = (tuple(row), b)
+            key = (tuple(sorted(row.items())), b)
             if key in seen:
                 continue
             seen.add(key)
-            if any(row) or b:
+            if row or b:
                 rows.append(row)
                 rhs.append(b)
 
@@ -684,16 +684,16 @@ def eta_coboundary_solve(N: int, target: WindowCochain):
     window); non-existence by inconsistency of the sound-mode subsystem.
     """
     rows, rhs, variables = _eta_linear_system(N, target, "sound")
-    if linalg.solve(rows, rhs) is None:
+    if linalg.solve(rows, rhs, len(variables)) is None:
         return None
     rows, rhs, variables = _eta_linear_system(N, target, "table")
-    sol = linalg.solve(rows, rhs)
+    sol = linalg.solve(rows, rhs, len(variables))
     if sol is None:
         return None
     table: dict = {}
-    for c, (u, w) in zip(sol, variables):
-        if c:
-            table.setdefault(u, {})[w] = c
+    for k, c in sorted(sol.items()):
+        u, w = variables[k]
+        table.setdefault(u, {})[w] = c
     b10 = {((u,), ()): DictVec(v) for u, v in table.items()
            if conf_parity(u) == 0}
     b01 = {((), (u,)): DictVec(v) for u, v in table.items()
@@ -942,14 +942,16 @@ def verify_gv(N: int = 5) -> CheckReport:
             pairs.append((rng_indices[t1], rng_indices[t2]))
     rows, rhs = [], []
     for (a, b, c) in itertools.combinations([l[1] for l in labels], 3):
-        row = [Fraction(0)] * len(pairs)
+        row = {}
 
         def beta_coeff(s, r, scale):
             if s == r:
                 return
             key = (s, r) if s < r else (r, s)
             sgn = Fraction(1) if s < r else Fraction(-1)
-            row[pair_idx[key]] += sgn * scale
+            j = pair_idx[key]
+            if v := row.pop(j, 0) + sgn * scale:
+                row[j] = v
 
         # -beta([la,lb], lc) + beta([la,lc], lb) - beta([lb,lc], la)
         beta_coeff(a + b, c, -(b - a))
@@ -957,7 +959,7 @@ def verify_gv(N: int = 5) -> CheckReport:
         beta_coeff(b + c, a, -(c - b))
         rows.append(row)
         rhs.append(c_gv(("l", a), ("l", b), ("l", c)))
-    sol = linalg.solve(rows, rhs)
+    sol = linalg.solve(rows, rhs, len(pairs))
     if sol is None:
         rep.extras["nontrivial"] = True
     else:

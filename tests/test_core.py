@@ -1,6 +1,10 @@
 """Graded spaces, sparse vectors/maps, and the structure-constant parser."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,58 @@ def test_vector_arithmetic_drops_zeros():
     assert a.scale(2).coeff("u") == 1
     with pytest.raises(ValueError):
         Vector(sp, {"w": 1})
+
+
+def test_vector_add_and_scale_keep_exact_nonzero_coefficients():
+    sp = GradedSpace(("u", "v"), ())
+    a = Vector(sp, {"u": F(1, 2), "v": 3})
+    assert a.scale(0).is_zero() and a.scale(0) == Vector.zero(sp)
+    assert a.scale("2/3") == Vector(sp, {"u": F(1, 3), "v": 2})
+    total = a.add(a.scale(-2)).add(Vector(sp, {"u": F(1, 2)}))
+    assert total == Vector(sp, {"v": -3})
+    assert all(type(c) is Fraction and c for _, c in total.items())
+    assert list(dict(a.add(Vector(sp, {"u": 1})).items())) == ["u", "v"]
+
+
+# Operand mismatches caught by checks that must survive ``python -O``.
+_MISMATCHES = """\
+from fractions import Fraction
+from antalg.brackets import BlockMap
+from antalg.core import GradedSpace, MultiMap, Vector
+from antalg.zoo import w1_bracket
+sp, other = GradedSpace(("u",), ("x",)), GradedSpace(("w",), ())
+cases = {
+    "vector": lambda: Vector.basis(sp, "u").add(Vector.basis(other, "w")),
+    "multimap": lambda: MultiMap(sp, 1, 0).add(MultiMap(sp, 0, 1)),
+    "blockmap": lambda: BlockMap(sp, 1).add(BlockMap(sp, 2)),
+    "w1": lambda: w1_bracket(("l", Fraction(0)), ("xi", Fraction(1, 2))),
+}
+"""
+
+_REPORT = """
+for name, op in cases.items():
+    try:
+        op()
+    except ValueError:
+        print(name, "ValueError")
+"""
+
+
+def test_operand_mismatches_raise_value_error_also_under_python_O():
+    ns: dict = {}
+    exec(_MISMATCHES, ns)
+    for op in ns["cases"].values():
+        with pytest.raises(ValueError):
+            op()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", _MISMATCHES + _REPORT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{name} ValueError" for name in ns["cases"]]
 
 
 def test_multimap_canonical_form():

@@ -1,4 +1,8 @@
-"""Exact linear algebra over the rationals."""
+"""Exact sparse linear algebra over the rationals.
+
+`linalg` works on rows {column: nonzero Fraction}.  The dense elimination
+below, on full lists of Fractions, is an independent reference for it.
+"""
 
 import random
 import unittest
@@ -9,31 +13,246 @@ from antalg import linalg
 F = Fraction
 
 
+# ---------------------------------------------------------------------------
+# dense helpers and the dense reference elimination
+# ---------------------------------------------------------------------------
+
+def sparse(dense):
+    """Dense rows -> `linalg` rows."""
+    return [{j: c for j, c in enumerate(row) if c} for row in dense]
+
+
+def densify(rows, ncols):
+    """`linalg` rows (or one row, as a dict) -> dense rows (or one row)."""
+    if isinstance(rows, dict):
+        return [rows.get(j, F(0)) for j in range(ncols)]
+    return [densify(row, ncols) for row in rows]
+
+
+def mat_zero(rows, cols):
+    return [[F(0)] * cols for _ in range(rows)]
+
+
+def mat_vec(a, v):
+    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), F(0))
+            for row in a]
+
+
+def transpose(a):
+    if not a:
+        return []
+    return [list(col) for col in zip(*a)]
+
+
+def _dense_eliminate(mat, col_order):
+    """Gauss-Jordan elimination in the given column order, pivot of least
+    |num|*den; returns (working matrix, [(row, col) pivots])."""
+    work = [list(row) for row in mat]
+    nrows = len(work)
+    pivots = []
+    pivot_row = 0
+    for col in col_order:
+        best = None
+        for r in range(pivot_row, nrows):
+            c = work[r][col]
+            if c:
+                w = abs(c.numerator) * c.denominator
+                if best is None or w < best[0]:
+                    best = (w, r)
+        if best is None:
+            continue
+        r = best[1]
+        work[pivot_row], work[r] = work[r], work[pivot_row]
+        prow = work[pivot_row]
+        pc = prow[col]
+        for r2 in range(nrows):
+            row = work[r2]
+            if r2 == pivot_row or not row[col]:
+                continue
+            factor = row[col] / pc
+            for j in range(len(row)):
+                row[j] -= factor * prow[j]
+        pivots.append((pivot_row, col))
+        pivot_row += 1
+        if pivot_row == nrows:
+            break
+    return work, pivots
+
+
+def dense_rref(mat, ncols):
+    work, pivots = _dense_eliminate(mat, range(ncols))
+    out, pivot_cols = [], []
+    for r, c in sorted(pivots, key=lambda rc: rc[1]):
+        out.append([a / work[r][c] for a in work[r]])
+        pivot_cols.append(c)
+    return out, pivot_cols
+
+
+def dense_rank(mat, ncols):
+    return len(_dense_eliminate(mat, range(ncols))[1])
+
+
+def dense_nullspace(mat, ncols):
+    red, pivot_cols = dense_rref(mat, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = [F(0)] * ncols
+        vec[f] = F(1)
+        for row, pc in zip(red, pivot_cols):
+            vec[pc] = -row[f]
+        basis.append(vec)
+    return basis
+
+
+def dense_solve(mat, rhs, ncols):
+    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    red, pivot_cols = dense_rref(aug, ncols + 1)
+    if ncols in pivot_cols:
+        return None
+    x = [F(0)] * ncols
+    for row, pc in zip(red, pivot_cols):
+        x[pc] = row[ncols]
+    return x
+
+
 def _rand_matrix(rng, rows, cols, bound=6):
     return [[F(rng.randint(-bound, bound), rng.choice([1, 1, 2, 3]))
              for _ in range(cols)] for _ in range(rows)]
 
 
+def _rand_sparse_dense(rng, rows, cols, density):
+    """A dense matrix whose cells are nonzero with the given probability;
+    one row in four is forced to zero."""
+    out = []
+    for _ in range(rows):
+        zero_row = rng.random() < 0.25
+        out.append([F(rng.randint(-6, 6) or 1, rng.choice([1, 1, 2, 3]))
+                    if not zero_row and rng.random() < density else F(0)
+                    for _ in range(cols)])
+    return out
+
+
+def _stores_no_zero(rows):
+    return all(c for row in rows for c in row.values())
+
+
+# ---------------------------------------------------------------------------
+# the sparse engine against the dense reference
+# ---------------------------------------------------------------------------
+
+class AgainstDenseReference(unittest.TestCase):
+    """Seeded random matrices at densities 0.05, 0.3 and 1.0, with empty
+    rows, all-zero matrices and matrices without rows."""
+
+    def _cases(self, density, seed):
+        rng = random.Random(seed)
+        cases = [([], 3), (mat_zero(3, 4), 4), (mat_zero(1, 1), 1)]
+        for _ in range(25):
+            n, m = rng.randint(1, 14), rng.randint(1, 14)
+            cases.append((_rand_sparse_dense(rng, n, m, density), m))
+        return rng, cases
+
+    def _check(self, density, seed):
+        rng, cases = self._cases(density, seed)
+        for dense, m in cases:
+            rows = sparse(dense)
+            before = [dict(row) for row in rows]
+            self.assertEqual(linalg.rank(rows), dense_rank(dense, m))
+            red, pivots = linalg.rref(rows)
+            want_red, want_pivots = dense_rref(dense, m)
+            self.assertEqual(densify(red, m), want_red)
+            self.assertEqual(pivots, want_pivots)
+            self.assertTrue(_stores_no_zero(red))
+            ns = linalg.nullspace(rows, m)
+            self.assertEqual(densify(ns, m), dense_nullspace(dense, m))
+            self.assertTrue(_stores_no_zero(ns))
+            # a consistent right-hand side, then an arbitrary one
+            x0 = [F(rng.randint(-4, 4)) for _ in range(m)]
+            for rhs in (mat_vec(dense, x0),
+                        [F(rng.randint(-3, 3)) for _ in dense]):
+                got = linalg.solve(rows, rhs, m)
+                want = dense_solve(dense, rhs, m)
+                if want is None:
+                    self.assertIsNone(got)
+                else:
+                    self.assertEqual(densify(got, m), want)
+                    self.assertTrue(all(got.values()))
+            self.assertEqual(rows, before)  # inputs are left untouched
+
+    def test_density_0_05(self):
+        self._check(0.05, 101)
+
+    def test_density_0_3(self):
+        self._check(0.3, 102)
+
+    def test_density_1_0(self):
+        self._check(1.0, 103)
+
+    def test_mat_mul_and_mat_add_match_the_dense_results(self):
+        rng = random.Random(104)
+        for density in (0.05, 0.3, 1.0):
+            for _ in range(10):
+                n, k, m = (rng.randint(1, 9) for _ in range(3))
+                a = _rand_sparse_dense(rng, n, k, density)
+                b = _rand_sparse_dense(rng, k, m, density)
+                dense = [mat_vec(transpose(b), row) for row in a]
+                prod = linalg.mat_mul(sparse(a), sparse(b))
+                self.assertEqual(densify(prod, m), dense)
+                self.assertTrue(_stores_no_zero(prod))
+                self.assertEqual(linalg.mat_is_zero(prod),
+                                 all(not c for row in dense for c in row))
+                # a + c, and a - a, which cancels to the zero matrix
+                c = _rand_sparse_dense(rng, n, k, density)
+                total = linalg.mat_add(sparse(a), sparse(c))
+                self.assertEqual(densify(total, k),
+                                 [[x + y for x, y in zip(ra, rc)]
+                                  for ra, rc in zip(a, c)])
+                self.assertTrue(_stores_no_zero(total))
+                neg = [{j: -v for j, v in row.items()} for row in sparse(a)]
+                self.assertEqual(linalg.mat_add(sparse(a), neg), [{}] * n)
+
+    def test_rank_runs_its_reversed_order_self_check(self):
+        rows = sparse([[F(1), F(2)], [F(2), F(4)]])
+        original = linalg._eliminate
+
+        def disagreeing(mat, descending=False):
+            pivots = original(mat, descending)
+            return pivots + pivots if descending else pivots
+        linalg._eliminate = disagreeing
+        try:
+            with self.assertRaisesRegex(AssertionError, "self-check"):
+                linalg.rank(rows)
+            self.assertEqual(linalg.rank(rows, self_check=False), 1)
+        finally:
+            linalg._eliminate = original
+
+
+# ---------------------------------------------------------------------------
+# frozen examples
+# ---------------------------------------------------------------------------
+
 class RankAndRref(unittest.TestCase):
     def test_rank_frozen(self):
         a = [[F(1), F(2)], [F(2), F(4)]]
-        self.assertEqual(linalg.rank(a), 1)
+        self.assertEqual(linalg.rank(sparse(a)), 1)
         b = [[F(1), F(0), F(1)],
              [F(0), F(1), F(1)],
              [F(1), F(1), F(2)]]
-        self.assertEqual(linalg.rank(b), 2)
+        self.assertEqual(linalg.rank(sparse(b)), 2)
         self.assertEqual(linalg.rank([]), 0)
 
     def test_rref_is_canonical(self):
         a = [[F(2), F(4), F(2)], [F(1), F(3), F(2)]]
-        r, pivots = linalg.rref(a)
-        self.assertEqual(r, [[F(1), F(0), F(-1)], [F(0), F(1), F(1)]])
+        r, pivots = linalg.rref(sparse(a))
+        self.assertEqual(densify(r, 3), [[F(1), F(0), F(-1)], [F(0), F(1), F(1)]])
         self.assertEqual(list(pivots), [0, 1])
 
     def test_rref_fixed_point(self):
         rng = random.Random(5)
         for _ in range(20):
-            a = _rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            a = sparse(_rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)))
             r, _ = linalg.rref(a)
             r2, _ = linalg.rref(r)
             self.assertEqual(r, r2)
@@ -50,25 +269,28 @@ class SparseInput(unittest.TestCase):
             a = [[F(rng.randint(-6, 6) or 1, rng.choice([1, 1, 2, 3]))
                   if rng.random() < 0.1 else F(0)
                   for _ in range(m)] for _ in range(n)]
-            self.assertEqual(linalg.rank(a), linalg.rank(linalg.transpose(a)))
-            r, _ = linalg.rref(a)
+            rows = sparse(a)
+            self.assertEqual(linalg.rank(rows), linalg.rank(sparse(transpose(a))))
+            r, _ = linalg.rref(rows)
             self.assertEqual(linalg.rref(r)[0], r)
-            ns = linalg.nullspace(a, m)
-            self.assertEqual(linalg.rank(a) + len(ns), m)
+            ns = linalg.nullspace(rows, m)
+            self.assertEqual(linalg.rank(rows) + len(ns), m)
             for v in ns:
-                self.assertTrue(linalg.mat_is_zero([linalg.mat_vec(a, v)]))
+                self.assertTrue(linalg.mat_is_zero(
+                    sparse([mat_vec(a, densify(v, m))])))
             x0 = [F(rng.randint(-4, 4)) for _ in range(m)]
-            rhs = linalg.mat_vec(a, x0)
-            self.assertEqual(linalg.mat_vec(a, linalg.solve(a, rhs)), rhs)
+            rhs = mat_vec(a, x0)
+            self.assertEqual(mat_vec(a, densify(linalg.solve(rows, rhs, m), m)),
+                             rhs)
 
 
 class SolveAndNullspace(unittest.TestCase):
     def test_solve_frozen(self):
         a = [[F(1), F(1)], [F(1), F(-1)]]
-        x = linalg.solve(a, [F(3), F(1)])
-        self.assertEqual(x, [F(2), F(1)])
-        self.assertIsNone(linalg.solve([[F(1), F(1)], [F(2), F(2)]],
-                                       [F(0), F(1)]))
+        x = linalg.solve(sparse(a), [F(3), F(1)], 2)
+        self.assertEqual(densify(x, 2), [F(2), F(1)])
+        self.assertIsNone(linalg.solve(sparse([[F(1), F(1)], [F(2), F(2)]]),
+                                       [F(0), F(1)], 2))
 
     def test_solve_verifies(self):
         rng = random.Random(17)
@@ -76,27 +298,27 @@ class SolveAndNullspace(unittest.TestCase):
             n, m = rng.randint(1, 5), rng.randint(1, 5)
             a = _rand_matrix(rng, n, m)
             xs = [F(rng.randint(-4, 4)) for _ in range(m)]
-            rhs = linalg.mat_vec(a, xs)
-            sol = linalg.solve(a, rhs)
+            rhs = mat_vec(a, xs)
+            sol = linalg.solve(sparse(a), rhs, m)
             self.assertIsNotNone(sol)
-            self.assertEqual(linalg.mat_vec(a, sol), rhs)
+            self.assertEqual(mat_vec(a, densify(sol, m)), rhs)
 
     def test_nullspace_frozen(self):
         a = [[F(1), F(2), F(3)]]
-        ns = linalg.nullspace(a, 3)
+        ns = linalg.nullspace(sparse(a), 3)
         self.assertEqual(len(ns), 2)
         for v in ns:
-            self.assertEqual(linalg.mat_vec(a, v), [F(0)])
+            self.assertEqual(mat_vec(a, densify(v, 3)), [F(0)])
 
     def test_rank_nullity(self):
         rng = random.Random(23)
         for _ in range(25):
             n, m = rng.randint(1, 5), rng.randint(1, 6)
             a = _rand_matrix(rng, n, m)
-            ns = linalg.nullspace(a, m)
-            self.assertEqual(linalg.rank(a) + len(ns), m)
+            ns = linalg.nullspace(sparse(a), m)
+            self.assertEqual(linalg.rank(sparse(a)) + len(ns), m)
             for v in ns:
-                self.assertTrue(all(c == 0 for c in linalg.mat_vec(a, v)))
+                self.assertTrue(all(c == 0 for c in mat_vec(a, densify(v, m))))
 
     def test_nullspace_of_zero_map(self):
         ns = linalg.nullspace([], 3)
@@ -107,14 +329,16 @@ class MatrixHelpers(unittest.TestCase):
     def test_mat_mul_and_transpose(self):
         a = [[F(1), F(2)], [F(0), F(1)]]
         b = [[F(1), F(0)], [F(3), F(1)]]
-        self.assertEqual(linalg.mat_mul(a, b), [[F(7), F(2)], [F(3), F(1)]])
-        self.assertEqual(linalg.transpose(a), [[F(1), F(0)], [F(2), F(1)]])
-        self.assertTrue(linalg.mat_is_zero(linalg.mat_zero(2, 3)))
+        self.assertEqual(linalg.mat_mul(sparse(a), sparse(b)),
+                         sparse([[F(7), F(2)], [F(3), F(1)]]))
+        self.assertEqual(transpose(a), [[F(1), F(0)], [F(2), F(1)]])
+        self.assertEqual(sparse(mat_zero(2, 3)), [{}, {}])
+        self.assertTrue(linalg.mat_is_zero(sparse(mat_zero(2, 3))))
 
     def test_mat_mul_rejects_an_inner_dimension_mismatch(self):
         a = [[F(1), F(2)], [F(0), F(1)]]
         with self.assertRaisesRegex(ValueError, "inner dimensions differ"):
-            linalg.mat_mul(a, [[F(1), F(0), F(2)]])
+            linalg.mat_mul(sparse(a), sparse([[F(1), F(0), F(2)]]))
 
 
 if __name__ == "__main__":
