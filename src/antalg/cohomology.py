@@ -519,8 +519,8 @@ class CochainBasis:
                        {(p, q): {(xs, ys): vec}})
 
     def coeff_vector(self, coch: Cochain) -> list:
-        """The coordinates of ``coch``, one per basis key: the right-hand
-        side that `solve_coboundary` hands to `linalg.solve`."""
+        """Dense coordinates of ``coch``, one per basis key (the benchmark's
+        reference reads them by index): `solve_coboundary`'s right-hand side."""
         vec = [Fraction(0)] * self.dim
         for (p, q) in coch.shapes():
             for (xs, ys), val in coch.block(p, q).items():
@@ -528,9 +528,8 @@ class CochainBasis:
                     vec[self._index[(p, q, xs, ys, out)]] = c
         return vec
 
-    def from_coeff_vector(self, row: dict) -> Cochain:
-        """The cochain with coordinates ``row``, a `linalg` row {index:
-        coefficient} such as a kernel vector or a solution."""
+    def from_row(self, row: dict) -> Cochain:
+        """The cochain whose coordinates are the `linalg` row ``row``."""
         blocks: dict = {}
         for i, c in sorted(row.items()):
             p, q, xs, ys, out = self.keys[i]
@@ -686,9 +685,9 @@ def derivation_space(alg: AntialgebraStructure, mod: ModuleStructure) -> dict:
                 rows.append({j: c for j, res in enumerate(residuals)
                              if (c := res.coeff(out))})
     kernel = linalg.nullspace(rows, basis.dim)
-    rref_mat, _ = linalg.rref(kernel) if kernel else ([], [])
+    rref_mat, _ = linalg.rref(kernel)
     return {
-        "basis": [basis.from_coeff_vector(v) for v in kernel],
+        "basis": [basis.from_row(v) for v in kernel],
         "coeff_basis": kernel,
         "rref": rref_mat,
         "cochain_basis": basis,
@@ -717,9 +716,9 @@ def kernel_of_delta1(alg, mod) -> dict:
     """ker delta^1 in the same canonical form as `derivation_space`."""
     mat = _delta_matrix(alg, mod, 1)
     kernel = linalg.nullspace(mat.full, mat.source.dim)
-    rref_mat, _ = linalg.rref(kernel) if kernel else ([], [])
+    rref_mat, _ = linalg.rref(kernel)
     return {
-        "basis": [mat.source.from_coeff_vector(v) for v in kernel],
+        "basis": [mat.source.from_row(v) for v in kernel],
         "coeff_basis": kernel,
         "rref": rref_mat,
         "cochain_basis": mat.source,
@@ -792,7 +791,7 @@ def solve_coboundary(coch: Cochain):
     sol = linalg.solve(mat.full, rhs, mat.source.dim)
     if sol is None:
         return None
-    return mat.source.from_coeff_vector(sol)
+    return mat.source.from_row(sol)
 
 
 def random_cochain(alg, mod, degree, rng, density=0.5, bound=9) -> Cochain:
@@ -805,4 +804,4 @@ def random_cochain(alg, mod, degree, rng, density=0.5, bound=9) -> Cochain:
             den = rng.randint(1, 4)
             if num:
                 row[i] = Fraction(num, den)
-    return basis.from_coeff_vector(row)
+    return basis.from_row(row)

@@ -43,6 +43,8 @@ def mat_add(a: list, b: list) -> list:
 
 
 def mat_mul(a: list, b: list) -> list:
+    """a * b.  With no column count stored, only a nonzero of ``a`` in a
+    column >= len(b) raises ValueError; empty trailing columns go unseen."""
     nb = len(b)
     out = []
     for row in a:

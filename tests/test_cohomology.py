@@ -315,7 +315,7 @@ def _extension_residual_matrix(basis):
     """The extension axiom residuals as a linear map of the cochain."""
     cols, keys = [], set()
     for i in range(basis.dim):
-        _, rep = extension_from_cocycle(basis.from_coeff_vector({i: F(1)}))
+        _, rep = extension_from_cocycle(basis.from_row({i: F(1)}))
         col = {}
         for v in rep.violations:
             for l, val in v.residual.items():
@@ -348,13 +348,13 @@ def test_valid_extensions_are_not_exactly_the_cocycles():
     assert linalg.rank(ker_delta + ker_ext) == 3  # they share only one line
 
     # a cocycle whose extension violates the axioms
-    closed = basis.from_coeff_vector(r_delta[0])
+    closed = basis.from_row(r_delta[0])
     assert apply_delta(closed).is_zero()
     _, rep = extension_from_cocycle(closed)
     assert not rep.ok and len(rep.violations) == 4
 
     # a non-cocycle whose extension passes every axiom
-    loose = basis.from_coeff_vector(r_ext[0])
+    loose = basis.from_row(r_ext[0])
     assert not apply_delta(loose).is_zero()
     _, rep = extension_from_cocycle(loose)
     assert rep.ok

@@ -339,6 +339,8 @@ class MatrixHelpers(unittest.TestCase):
         a = [[F(1), F(2)], [F(0), F(1)]]
         with self.assertRaisesRegex(ValueError, "inner dimensions differ"):
             linalg.mat_mul(sparse(a), sparse([[F(1), F(0), F(2)]]))
+        # only stored entries are checked: an empty column 1 goes unseen
+        self.assertEqual(linalg.mat_mul([{0: F(2)}], [{0: F(3)}]), [{0: F(6)}])
 
 
 if __name__ == "__main__":
