@@ -51,6 +51,10 @@ _VERIFY = {
     "m1-axioms": (zoo.verify_m1_axioms, 4),
 }
 
+# the least window radius each suite accepts
+_MIN_WINDOW = {"gamma": 2, "eta": 2, "gf": 3, "dual-gf": 3, "gv": 3,
+               "ak1-axioms": 1, "m1-axioms": 1}
+
 
 class InputError(Exception):
     pass
@@ -155,13 +159,22 @@ def _semidirect_table(mod: ModuleStructure):
 # commands
 # ---------------------------------------------------------------------------
 
+def _suite_window(suite: str, window) -> tuple:
+    """The suite's function and the window radius to run it at."""
+    fn, default_n = _VERIFY[suite]
+    n = default_n if window is None else window
+    if n < _MIN_WINDOW[suite]:
+        raise InputError(f"--window must be >= {_MIN_WINDOW[suite]} "
+                         f"for {suite}, got {n}")
+    return fn, n
+
+
 def cmd_check(args, out) -> int:
     if args.input in _WINDOWED:
-        fn = _VERIFY[f"{args.input}-axioms"][0]
-        rep = fn(args.window or 4)
+        fn, n = _suite_window(f"{args.input}-axioms", args.window)
+        rep = fn(n)
         emit_report(rep, args.format, out,
-                    {"command": "check", "input": args.input,
-                     "window": args.window or 4})
+                    {"command": "check", "input": args.input, "window": n})
         return EXIT_OK if rep.ok else EXIT_MATH
     alg = load_structure(args.input)
     rep = check_axioms(alg.space, alg.product_map(), title=f"axioms[{alg.name}]")
@@ -210,8 +223,7 @@ def cmd_verify(args, out) -> int:
     if args.name not in _VERIFY:
         raise InputError(f"unknown verification {args.name!r}; "
                          f"known: {', '.join(sorted(_VERIFY))}")
-    fn, default_n = _VERIFY[args.name]
-    n = args.window or default_n
+    fn, n = _suite_window(args.name, args.window)
     rep = fn(n)
     emit_report(rep, args.format, out,
                 {"command": "verify", "name": args.name, "window": n})
@@ -303,8 +315,6 @@ def main(argv=None) -> int:
                 raise InputError("kmax must be >= 1")
             return cmd_cohomology(args, out)
         if args.command == "verify":
-            if args.window is not None and args.window < 2:
-                raise InputError("window must be >= 2")
             return cmd_verify(args, out)
         if args.command == "bracket":
             return cmd_bracket(args, out)

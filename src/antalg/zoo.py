@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
+ZERO = Fraction(0)
+_SIGN = (Fraction(1), Fraction(-1))  # (-1)^p for a parity p
 
 
 def _fr(x) -> Fraction:
@@ -232,13 +234,16 @@ class WindowedAlgebra:
 def _conf_axiom_report(kind: str, N: int) -> CheckReport:
     w = WindowedAlgebra(kind, N)
     rep = CheckReport(f"{kind}-axioms[N={N}]")
-    mul = w.mul
+    # Every product below is of two window labels: a product that leaves
+    # the window is None, which stops the expansion.  The table's dicts are
+    # shared, and nothing below mutates its arguments.
+    table = {(u, v): w.mul(u, v) for u in w.labels() for v in w.labels()}
 
     def prod(u, v):
         # u, v: labels or dicts; None propagates
         if u is None or v is None:
             return None
-        return eval_multilinear(lambda a, b: mul(a, b), (u, v))
+        return eval_multilinear(lambda a, b: table[a, b], (u, v))
 
     ev, od = w.even, w.odd
     for x1, x2, x3 in itertools.product(ev, repeat=3):
@@ -459,22 +464,16 @@ def _gamma_nontrivial(N, gfn):
     not.  Returns (nontrivial?, detail).
     """
     variables = [("eps*", Fraction(m)) for m in range(-N, N + 1)]
-    var_index = {v: k for k, v in enumerate(variables)}
     rows, rhs = [], []
     w = WindowedAlgebra("ak1", N)
     for x in w.even:
-        # even part of delta b at x: (-1/2 + 1/2) rho_x b, identically zero
+        # even part of delta b at x: (-1/2 + 1/2) rho_x b, identically zero,
+        # so each component of gamma(x) is an empty row; the components
+        # gamma(x) lacks would be rows 0 = 0
         target = gfn(x)
-        comps = set(target.c) | {
-            l for b in variables for l in dual_act("ak1", x, b)}
-        for comp in sorted(comps, key=lambda l: (str(l[0]), l[1])):
-            row = {}
-            for b in variables:
-                c = DictVec(dual_act("ak1", x, b)).coeff(comp)
-                if v := -HALF * c + HALF * c:
-                    row[var_index[b]] = v
-            rows.append(row)
-            rhs.append(target.coeff(comp))
+        for comp in sorted(target.c, key=lambda l: (str(l[0]), l[1])):
+            rows.append({})
+            rhs.append(target.c[comp])
     for y in w.odd:
         target = gfn(y)
         comps = set(target.c) | {
@@ -821,29 +820,42 @@ def verify_super_cocycle_gf(N: int = 4, c_fn=None) -> CheckReport:
 
     on every ordered window triple (global brackets: no skips), plus graded
     antisymmetry and vanishing on the span of the small subalgebra
-    l_{-1}, l_0, l_1, xi_{-1/2}, xi_{1/2}."""
+    l_{-1}, l_0, l_1, xi_{-1/2}, xi_{1/2}.
+
+    Each of the three terms is S(A,B,C) = (-1)^{|A||C|} c([A,B],C) at a
+    cyclic rotation of (X,Y,Z).  The call tabulates c on every window pair
+    and the nonzero values of S once (``c_fn`` meets each bracket term and
+    third argument once), then reads every instance off the tables."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     c_fn = c_fn or c_gf
     rep = CheckReport(f"gf-2-cocycle[N={N}]")
-    w = WindowedAlgebra("k1", N)
+    labels = WindowedAlgebra("k1", N).labels()
+    odd = [k1_parity(X) for X in labels]
+    pairs = list(itertools.product(range(len(labels)), repeat=2))
 
-    def c_lin(first: dict, z) -> Fraction:
-        return sum((co * c_fn(t, z) for t, co in first.items()), Fraction(0))
+    cw = {(x, y): c_fn(labels[x], labels[y]) for x, y in pairs}
+    for x, y in pairs:
+        rep.record("skew", (labels[x], labels[y]),
+                   cw[x, y] + _SIGN[odd[x] & odd[y]] * cw[y, x])
 
-    labels = w.labels()
-    for X in labels:
-        for Y in labels:
-            sgn = Fraction(-1) ** (k1_parity(X) * k1_parity(Y))
-            rep.record("skew", (X, Y), c_fn(X, Y) + sgn * c_fn(Y, X))
-    for X in labels:
-        for Y in labels:
-            for Z in labels:
-                px, py, pz = (k1_parity(t) for t in (X, Y, Z))
-                res = (Fraction(-1) ** (px * pz) * c_lin(k1_bracket(X, Y), Z)
-                       + Fraction(-1) ** (py * px) * c_lin(k1_bracket(Y, Z), X)
-                       + Fraction(-1) ** (pz * py) * c_lin(k1_bracket(Z, X), Y))
-                rep.record("cyclic", (X, Y, Z), res)
+    c_third: dict = {}  # bracket term t -> {z: c_fn(t, Z)}, nonzero values
+    cyclic: dict = {}   # (x, y, z) -> the sum of its nonzero S terms
+    for a, b in pairs:
+        for t, co in k1_bracket(labels[a], labels[b]).items():
+            if t not in c_third:
+                c_third[t] = {z: v for z, Z in enumerate(labels)
+                              if (v := c_fn(t, Z))}
+            for c, v in c_third[t].items():
+                s = -co * v if odd[a] & odd[c] else co * v
+                # S(a,b,c) is a term of the instances (a,b,c), (c,a,b)
+                # and (b,c,a)
+                for inst in ((a, b, c), (c, a, b), (b, c, a)):
+                    cyclic[inst] = cyclic.get(inst, ZERO) + s
+    for x, y in pairs:
+        for z, Z in enumerate(labels):
+            rep.record("cyclic", (labels[x], labels[y], Z),
+                       cyclic.get((x, y, z), ZERO))
     for u in OSP_SPAN:
         for v in OSP_SPAN:
             rep.record("osp-vanishing", (u, v), c_fn(u, v))
@@ -857,35 +869,58 @@ def verify_dual_gf(N: int = 4, C_fn=None) -> CheckReport:
                           - <C([X,Y]), Z> = 0,
 
     for window pairs (X,Y) and probes Z of index up to 2N (all pairings are
-    global: no skips)."""
+    global: no skips).  The call applies ``C_fn`` once to each window label
+    and bracket term, tabulates the pairings <C(Y), [X,Z]> over all probes
+    once per window pair, and reads every instance off the tables."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     C_fn = C_fn or C_gf_value
     rep = CheckReport(f"gf-dual-1-cocycle[N={N}]")
-    w = WindowedAlgebra("k1", N)
+    labels = WindowedAlgebra("k1", N).labels()
     probes = WindowedAlgebra("k1", 2 * N).labels()
+    probe_index = {Z: z for z, Z in enumerate(probes)}
+    odd = [k1_parity(X) for X in labels]
+    values: dict = {}
 
-    def pair(dvec: dict, label) -> Fraction:
-        return dvec.get((label[0] + "*", label[1]), Fraction(0))
+    def C(label) -> dict:
+        if label not in values:
+            values[label] = C_fn(label)
+        return values[label]
 
-    def pair_br(dvec: dict, u, v) -> Fraction:
-        return sum((co * pair(dvec, t) for t, co in k1_bracket(u, v).items()),
-                   Fraction(0))
+    # by_dual[u]: the dual label of each bracket term of [labels[u], Z],
+    # with every (probe index, coefficient) it occurs at
+    by_dual = []
+    for X in labels:
+        occ: dict = {}
+        for z, Z in enumerate(probes):
+            for t, co in k1_bracket(X, Z).items():
+                occ.setdefault((t[0] + "*", t[1]), []).append((z, co))
+        by_dual.append(occ)
 
-    for X in w.labels():
-        for Y in w.labels():
-            sgn = Fraction(-1) ** (k1_parity(X) * k1_parity(Y))
-            CX, CY = C_fn(X), C_fn(Y)
-            Cbr: dict = {}
-            for t, co in k1_bracket(X, Y).items():
-                for l, c in C_fn(t).items():
-                    Cbr[l] = Cbr.get(l, Fraction(0)) + co * c
-            for Z in probes:
-                res = (-sgn * pair_br(CY, X, Z) + pair_br(CX, Y, Z)
-                       - sum((co * (Fraction(1) if (l[0].rstrip("*"), l[1]) == Z
-                                    else Fraction(0))
-                              for l, co in Cbr.items()), Fraction(0)))
-                rep.record("dual-cocycle", (X, Y, Z), res)
+    def paired(dvec: dict, u: int) -> dict:
+        """{z: <dvec, [labels[u], probes[z]]>} where some term pairs."""
+        out: dict = {}
+        for l, c in dvec.items():
+            for z, co in by_dual[u].get(l, ()):
+                out[z] = out.get(z, ZERO) + co * c
+        return out
+
+    pairing = [[paired(C(Y), u) for u in range(len(labels))] for Y in labels]
+    for x, X in enumerate(labels):
+        for y, Y in enumerate(labels):
+            res: dict = {}
+            # -(-1)^{|X||Y|} <C(Y), [X,Z]>
+            for z, v in pairing[y][x].items():
+                res[z] = res.get(z, ZERO) + (v if odd[x] & odd[y] else -v)
+            for z, v in pairing[x][y].items():  # + <C(X), [Y,Z]>
+                res[z] = res.get(z, ZERO) + v
+            for t, co in k1_bracket(X, Y).items():  # - <C([X,Y]), Z>
+                for l, c in C(t).items():
+                    z = probe_index.get((l[0].rstrip("*"), l[1]))
+                    if z is not None:
+                        res[z] = res.get(z, ZERO) - co * c
+            for z, Z in enumerate(probes):
+                rep.record("dual-cocycle", (X, Y, Z), res.get(z, ZERO))
     return rep
 
 

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +127,47 @@ def test_verify_exit_codes(capsys):
     assert _run(capsys, ["verify", "eta"])[0] == 1
     assert _run(capsys, ["verify", "no-such-suite"])[0] == 2
     assert _run(capsys, ["verify", "gamma", "--window", "1"])[0] == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "gf", "--window", "2"], "--window must be >= 3 for gf, got 2"),
+    (["verify", "dual-gf", "--window", "2"],
+     "--window must be >= 3 for dual-gf, got 2"),
+    (["verify", "gv", "--window", "2"], "--window must be >= 3 for gv, got 2"),
+    (["check", "--input", "ak1", "--window", "0"],
+     "--window must be >= 1 for ak1-axioms, got 0"),
+    (["check", "--input", "ak1", "--window", "-3"],
+     "--window must be >= 1 for ak1-axioms, got -3"),
+    (["check", "--input", "m1", "--window", "0"],
+     "--window must be >= 1 for m1-axioms, got 0"),
+])
+def test_window_below_the_suites_minimum_is_an_input_error(argv, message):
+    script = "from antalg.cli import main; raise SystemExit(main({!r}))"
+    proc = subprocess.run([sys.executable, "-c", script.format(argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"input error: {message}" in proc.stderr
+    assert proc.stdout == ""
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "gamma"], ["verify", "eta"], ["verify", "gf"],
+    ["verify", "dual-gf"], ["verify", "gv"], ["verify", "ak1-axioms"],
+    ["verify", "m1-axioms"], ["check", "--input", "ak1"],
+    ["check", "--input", "m1"],
+], ids=lambda argv: "-".join(a for a in argv if a != "--input"))
+def test_window_suites_match_their_golden_structured_output(capsys, argv):
+    """tests/golden/ holds the structured output of every window suite at
+    its default window; a faster implementation must print the same bytes."""
+    code, out, err = _run(capsys, argv + ["--format", "structured"])
+    name = "-".join(a for a in argv if a != "--input")
+    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+    assert err == ""
+    assert code == (1 if argv == ["verify", "eta"] else 0)
 
 
 def test_verify_eta_structured_details(capsys):

@@ -6,6 +6,7 @@ leave the window).  Every verifier below separates "checked" from
 "skipped" along that line.
 """
 
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,8 @@ from fractions import Fraction
 import pytest
 
 from antalg import zoo
+from antalg.antialgebra import CheckReport
+from antalg.brackets import eval_multilinear
 from antalg.zoo import DictVec, WindowCochain, WindowedAlgebra
 
 F = Fraction
@@ -164,6 +167,17 @@ def test_gamma_single_entry_perturbations_are_caught():
         6, s_fn=lambda i: i * i - F(1, 4) + (1 if i == F(1, 2) else 0))
     assert not rs.ok and len(rs.violations) == 90
     assert rs.violations[0].kind == "cocycle[mixed]"
+
+
+@pytest.mark.parametrize("t_fn", [None, lambda n: 0], ids=["default", "t=0"])
+def test_gamma_nontriviality_verdict(t_fn):
+    """The window system is inconsistent with the default gamma, and still
+    with t = 0, where gamma has no even part and the odd rows decide."""
+    def gfn(label):
+        return zoo.gamma_value(label, t_fn)
+
+    assert zoo._gamma_nontrivial(6, gfn) == (
+        True, "no dual element bounds gamma (window system inconsistent)")
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +348,204 @@ def test_threefold_pairing_on_the_witt_window():
     assert zoo.c_gv(L(2), L(1), L(-3)) == F(0)
     rep = zoo.verify_gv(5)
     assert rep.ok and (rep.checked, rep.skipped) == (41, 0)
+
+
+# ---------------------------------------------------------------------------
+# reference loops for the tabulated suites
+# ---------------------------------------------------------------------------
+#
+# The suites tabulate their structure constants once per call.  These are
+# the direct loops they replaced: every instance recomputes its brackets,
+# products and signs through the global formulas.  Reports must agree
+# exactly, down to each violation's residual and its repr.
+
+def _ref_super_cocycle_gf(N, c_fn=None):
+    c_fn = c_fn or zoo.c_gf
+    rep = CheckReport(f"gf-2-cocycle[N={N}]")
+    w = WindowedAlgebra("k1", N)
+
+    def c_lin(first, z):
+        return sum((co * c_fn(t, z) for t, co in first.items()), F(0))
+
+    labels = w.labels()
+    par = zoo.k1_parity
+    for X in labels:
+        for Y in labels:
+            sgn = F(-1) ** (par(X) * par(Y))
+            rep.record("skew", (X, Y), c_fn(X, Y) + sgn * c_fn(Y, X))
+    for X in labels:
+        for Y in labels:
+            for Z in labels:
+                px, py, pz = (par(t) for t in (X, Y, Z))
+                res = (F(-1) ** (px * pz) * c_lin(zoo.k1_bracket(X, Y), Z)
+                       + F(-1) ** (py * px) * c_lin(zoo.k1_bracket(Y, Z), X)
+                       + F(-1) ** (pz * py) * c_lin(zoo.k1_bracket(Z, X), Y))
+                rep.record("cyclic", (X, Y, Z), res)
+    for u in zoo.OSP_SPAN:
+        for v in zoo.OSP_SPAN:
+            rep.record("osp-vanishing", (u, v), c_fn(u, v))
+    return rep
+
+
+def _ref_dual_gf(N, C_fn=None):
+    C_fn = C_fn or zoo.C_gf_value
+    rep = CheckReport(f"gf-dual-1-cocycle[N={N}]")
+    w = WindowedAlgebra("k1", N)
+    probes = WindowedAlgebra("k1", 2 * N).labels()
+
+    def pair(dvec, label):
+        return dvec.get((label[0] + "*", label[1]), F(0))
+
+    def pair_br(dvec, u, v):
+        return sum((co * pair(dvec, t)
+                    for t, co in zoo.k1_bracket(u, v).items()), F(0))
+
+    for X in w.labels():
+        for Y in w.labels():
+            sgn = F(-1) ** (zoo.k1_parity(X) * zoo.k1_parity(Y))
+            CX, CY = C_fn(X), C_fn(Y)
+            Cbr = {}
+            for t, co in zoo.k1_bracket(X, Y).items():
+                for l, c in C_fn(t).items():
+                    Cbr[l] = Cbr.get(l, F(0)) + co * c
+            for Z in probes:
+                res = (-sgn * pair_br(CY, X, Z) + pair_br(CX, Y, Z)
+                       - sum((co * (F(1) if (l[0].rstrip("*"), l[1]) == Z
+                                    else F(0))
+                              for l, co in Cbr.items()), F(0)))
+                rep.record("dual-cocycle", (X, Y, Z), res)
+    return rep
+
+
+def _ref_conf_axioms(kind, N):
+    w = WindowedAlgebra(kind, N)
+    rep = CheckReport(f"{kind}-axioms[N={N}]")
+
+    def prod(u, v):
+        if u is None or v is None:
+            return None
+        return eval_multilinear(w.mul, (u, v))
+
+    ev, od = w.even, w.odd
+    for x1, x2, x3 in itertools.product(ev, repeat=3):
+        rep.record("assoc", (x1, x2, x3),
+                   zoo._dsub(prod(x1, prod(x2, x3)), prod(prod(x1, x2), x3)))
+    for x1, x2 in itertools.product(ev, repeat=2):
+        for y in od:
+            rhs = zoo._dscale(prod(prod(x1, x2), y), zoo.HALF)
+            rep.record("half_unit", (x1, x2, y),
+                       zoo._dsub(prod(x1, prod(x2, y)), rhs))
+    for x in ev:
+        for y1, y2 in itertools.product(od, repeat=2):
+            rhs = zoo._dadd(prod(prod(x, y1), y2), prod(y1, prod(x, y2)))
+            rep.record("leibniz", (x, y1, y2),
+                       zoo._dsub(prod(x, prod(y1, y2)), rhs))
+    for y1, y2, y3 in itertools.combinations(od, 3):
+        total = zoo._dadd(zoo._dadd(prod(y1, prod(y2, y3)),
+                                    prod(y2, prod(y3, y1))),
+                          prod(y3, prod(y1, y2)))
+        rep.record("cyclic", (y1, y2, y3), total)
+    return rep
+
+
+def _same_report(got, want):
+    assert got.lines() == want.lines()
+    assert [(v.kind, v.instance, type(v.residual), repr(v.residual))
+            for v in got.violations] == [
+        (v.kind, v.instance, type(v.residual), repr(v.residual))
+        for v in want.violations]
+
+
+def _bump_c(at, by=1):
+    """c_gf with ``by`` added at the ordered pair ``at``."""
+    def c_fn(u, v):
+        return zoo.c_gf(u, v) + (by if (u, v) == at else 0)
+    return c_fn
+
+
+def _bump_C(label, comp, by=1):
+    """C_gf_value with ``by`` added to component ``comp`` of C(label)."""
+    def C_fn(l):
+        out = dict(zoo.C_gf_value(l))
+        if l == label:
+            out[comp] = out.get(comp, F(0)) + by
+        return out
+    return C_fn
+
+
+_GF_PERTURBATIONS = {
+    "default": None,
+    "pair": _bump_c((L(2), L(-2))),
+    "odd-pair": _bump_c((XI(F(1, 2)), XI(F(3, 2))), F(1, 3)),
+    # l_5 = [l_2, l_3] and xi_{7/2} = [l_1, xi_{5/2}] are bracket results
+    # outside the N = 3 and N = 4 windows
+    "bracket-outside": _bump_c((L(5), L(-2)), F(-2, 5)),
+    "odd-bracket-outside": _bump_c((XI(F(7, 2)), L(-3))),
+    # c([xi_1/2, xi_1/2], xi_1/2) = 2 c(l_1, xi_1/2) enters the instance
+    # (xi_1/2, xi_1/2, xi_1/2) once per cyclic term, three times in all
+    "diagonal": _bump_c((L(1), XI(F(1, 2)))),
+}
+
+_DUAL_GF_PERTURBATIONS = {
+    "default": None,
+    "label": _bump_C(L(-2), ("l*", F(2))),
+    "odd-label": _bump_C(XI(F(1, 2)), ("xi*", F(5, 2)), F(2, 3)),
+    # C_fn meets l_6 and l_7 only as brackets such as [l_3, l_3], and
+    # their values pair only with probes of index beyond N
+    "probe-outside": _bump_C(L(7), ("l*", F(-7)), F(-1, 4)),
+    "probe-outside-2": _bump_C(L(6), ("l*", F(-5))),
+    # an unstarred component, met only by the <C([X,Y]), Z> term
+    "unstarred": _bump_C(L(1), ("l", F(3))),
+}
+
+# every perturbation at the default window; the default and the
+# out-of-window ones also at N = 3, and the default and one of them at
+# N = 5 (each reference call at N = 5 takes about a second)
+_GF_CASES = ([(4, k) for k in _GF_PERTURBATIONS]
+             + [(3, k) for k in ("default", "bracket-outside",
+                                 "odd-bracket-outside")]
+             + [(5, "default"), (5, "odd-bracket-outside")])
+_DUAL_GF_CASES = ([(4, k) for k in _DUAL_GF_PERTURBATIONS]
+                  + [(3, k) for k in ("default", "probe-outside", "unstarred")]
+                  + [(5, "default"), (5, "probe-outside")])
+
+
+@pytest.mark.parametrize("N,which", _GF_CASES)
+def test_gf_suite_matches_the_reference_loops(N, which):
+    c_fn = _GF_PERTURBATIONS[which]
+    _same_report(zoo.verify_super_cocycle_gf(N, c_fn=c_fn),
+                 _ref_super_cocycle_gf(N, c_fn))
+
+
+@pytest.mark.parametrize("N,which", _DUAL_GF_CASES)
+def test_dual_gf_suite_matches_the_reference_loops(N, which):
+    C_fn = _DUAL_GF_PERTURBATIONS[which]
+    _same_report(zoo.verify_dual_gf(N, C_fn=C_fn), _ref_dual_gf(N, C_fn))
+
+
+def test_perturbations_reach_the_suites():
+    """Each perturbation above is caught, so the comparisons cover reports
+    with violations, not only clean ones."""
+    for name, c_fn in _GF_PERTURBATIONS.items():
+        assert zoo.verify_super_cocycle_gf(4, c_fn=c_fn).ok == (name == "default")
+    for name, C_fn in _DUAL_GF_PERTURBATIONS.items():
+        assert zoo.verify_dual_gf(4, C_fn=C_fn).ok == (name == "default")
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["ak1", "m1"])
+def test_axiom_suites_match_the_reference_loops(kind, N):
+    fn = zoo.verify_ak1_axioms if kind == "ak1" else zoo.verify_m1_axioms
+    _same_report(fn(N), _ref_conf_axioms(kind, N))
+
+
+def test_no_state_survives_a_suite_call():
+    clean_gf = zoo.verify_super_cocycle_gf(3)
+    clean_dual = zoo.verify_dual_gf(3)
+    assert clean_gf.ok and clean_dual.ok
+    pert_gf = _GF_PERTURBATIONS["bracket-outside"]
+    pert_dual = _DUAL_GF_PERTURBATIONS["label"]
+    assert not zoo.verify_super_cocycle_gf(3, c_fn=pert_gf).ok
+    assert not zoo.verify_dual_gf(3, C_fn=pert_dual).ok
+    _same_report(zoo.verify_super_cocycle_gf(3), clean_gf)
+    _same_report(zoo.verify_dual_gf(3), clean_dual)
