@@ -14,7 +14,9 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Mapping
 
-from .core import GradedSpace, MultiMap, Vector, complete_product_table, scalar
+from .core import (GradedSpace, MultiMap, Vector, as_integers,
+                   common_denominator, complete_product_table, divided,
+                   scalar)
 from . import brackets
 
 __all__ = [
@@ -234,29 +236,31 @@ def _mul_into(acc: dict, table: Mapping, u: Mapping, v: Mapping, c) -> None:
                     acc[l] = acc.get(l, 0) + k * w
 
 
-def _sym_residual(space, table, a, b):
-    """Graded-commutativity residual a.b - (-1)^{|a||b|} b.a on a raw table."""
-    sign = -1 if (space.parity(a) == 1 and space.parity(b) == 1) else 1
-    ab = Vector(space, table.get((a, b), {}))
-    ba = Vector(space, table.get((b, a), {}))
-    return ab.sub(ba.scale(sign))
+def _record(rep: CheckReport, space, kind, instance, acc: dict, d: int):
+    """Record the residual acc / d; only a nonzero one becomes a Vector."""
+    res = divided(acc, d)
+    rep.record(kind, instance, Vector(space, res) if res else {})
 
 
-def _check_table(rep: CheckReport, space: GradedSpace, table: Mapping) -> dict:
+def _check_table(rep: CheckReport, space: GradedSpace, table: Mapping):
     """Record graded commutativity and grading closure of every ordered
-    pair; return the table with exact coefficients, an absent product
-    reading as {}."""
-    table = defaultdict(dict, {k: {l: scalar(c) for l, c in v.items()}
-                               for k, v in table.items()})
-    labels = space.labels()
-    for a in labels:
-        for b in labels:
-            rep.record("commutativity", (a, b), _sym_residual(space, table, a, b))
+    pair; return (T, D^2): the table as integers T = D * table over the
+    least common denominator D of its coefficients, an absent product
+    reading as {}, and the D^2 that a product of two entries of T carries."""
+    exact = {k: {l: scalar(c) for l, c in v.items()} for k, v in table.items()}
+    d = common_denominator(c for v in exact.values() for c in v.values())
+    t = defaultdict(dict, {k: as_integers(v.items(), d)
+                           for k, v in exact.items()})
+    for a in space.labels():
+        for b in space.labels():
+            ab, ba = t.get((a, b), {}), t.get((b, a), {})
+            sign = -1 if (space.parity(a) == 1 and space.parity(b) == 1) else 1
+            res = {l: ab.get(l, 0) - sign * ba.get(l, 0) for l in {*ab, *ba}}
+            _record(rep, space, "commutativity", (a, b), res, d)
             want = (space.parity(a) + space.parity(b)) % 2
-            bad = {l: c for l, c in table.get((a, b), {}).items()
-                   if space.parity(l) != want and c}
-            rep.record("grading", (a, b), Vector(space, bad))
-    return table
+            bad = {l: c for l, c in ab.items() if space.parity(l) != want}
+            _record(rep, space, "grading", (a, b), bad, d)
+    return t, d * d
 
 
 def check_axioms(space: GradedSpace, table: Mapping,
@@ -273,7 +277,7 @@ def check_axioms(space: GradedSpace, table: Mapping,
       cyclic     y1.(y2.y3) + y2.(y3.y1) + y3.(y1.y2) = 0   odd triples
     """
     rep = CheckReport(title)
-    table = _check_table(rep, space, table)
+    table, dd = _check_table(rep, space, table)
     e = {l: {l: 1} for l in space.labels()}
     ev, od = space.even, space.odd
 
@@ -283,14 +287,15 @@ def check_axioms(space: GradedSpace, table: Mapping,
                 acc: dict = {}
                 _mul_into(acc, table, e[x1], table[x2, x3], 1)
                 _mul_into(acc, table, table[x1, x2], e[x3], -1)
-                rep.record("assoc", (x1, x2, x3), Vector(space, acc))
+                _record(rep, space, "assoc", (x1, x2, x3), acc, dd)
     for x1 in ev:
         for x2 in ev:
             for y in od:
                 acc = {}
-                _mul_into(acc, table, e[x1], table[x2, y], 1)
-                _mul_into(acc, table, table[x1, x2], e[y], Fraction(-1, 2))
-                rep.record("half_unit", (x1, x2, y), Vector(space, acc))
+                # the weights 1, -1/2 times 2
+                _mul_into(acc, table, e[x1], table[x2, y], 2)
+                _mul_into(acc, table, table[x1, x2], e[y], -1)
+                _record(rep, space, "half_unit", (x1, x2, y), acc, 2 * dd)
     for x in ev:
         for y1 in od:
             for y2 in od:
@@ -298,7 +303,7 @@ def check_axioms(space: GradedSpace, table: Mapping,
                 _mul_into(acc, table, e[x], table[y1, y2], 1)
                 _mul_into(acc, table, table[x, y1], e[y2], -1)
                 _mul_into(acc, table, e[y1], table[x, y2], -1)
-                rep.record("leibniz", (x, y1, y2), Vector(space, acc))
+                _record(rep, space, "leibniz", (x, y1, y2), acc, dd)
     for y1 in od:
         for y2 in od:
             for y3 in od:
@@ -306,7 +311,7 @@ def check_axioms(space: GradedSpace, table: Mapping,
                 _mul_into(acc, table, e[y1], table[y2, y3], 1)
                 _mul_into(acc, table, e[y2], table[y3, y1], 1)
                 _mul_into(acc, table, e[y3], table[y1, y2], 1)
-                rep.record("cyclic", (y1, y2, y3), Vector(space, acc))
+                _record(rep, space, "cyclic", (y1, y2, y3), acc, dd)
     return rep
 
 
@@ -322,7 +327,7 @@ def check_axioms_v2(space: GradedSpace, table: Mapping,
     Graded commutativity and grading closure are checked as before.
     """
     rep = CheckReport(title)
-    table = _check_table(rep, space, table)
+    table, dd = _check_table(rep, space, table)
     labels = space.labels()
     e = {l: {l: 1} for l in labels}
     ev, od = space.even, space.odd
@@ -333,14 +338,14 @@ def check_axioms_v2(space: GradedSpace, table: Mapping,
                 acc: dict = {}
                 _mul_into(acc, table, e[x1], table[x2, x3], 1)
                 _mul_into(acc, table, table[x1, x2], e[x3], -1)
-                rep.record("assoc", (x1, x2, x3), Vector(space, acc))
+                _record(rep, space, "assoc", (x1, x2, x3), acc, dd)
     for x1 in ev:
         for x2 in ev:
             for a in labels:
                 acc = {}
                 _mul_into(acc, table, e[x1], table[x2, a], 1)
                 _mul_into(acc, table, e[x2], table[x1, a], -1)
-                rep.record("even_comm", (x1, x2, a), Vector(space, acc))
+                _record(rep, space, "even_comm", (x1, x2, a), acc, dd)
     for a in labels:
         sign = -1 if space.parity(a) else 1
         for b in labels:
@@ -349,7 +354,7 @@ def check_axioms_v2(space: GradedSpace, table: Mapping,
                 _mul_into(acc, table, table[a, b], e[y], 1)
                 _mul_into(acc, table, table[a, y], e[b], -1)
                 _mul_into(acc, table, e[a], table[b, y], -sign)
-                rep.record("odd_deriv", (a, b, y), Vector(space, acc))
+                _record(rep, space, "odd_deriv", (a, b, y), acc, dd)
     return rep
 
 
@@ -372,10 +377,13 @@ def zero_square_check(structure: AntialgebraStructure):
     sp = structure.space
     shapes = [(3, 0), (2, 1), (1, 2), (0, 3)]
     for (p, q) in shapes:
-        mm = square.block(p, q)
+        by_args = defaultdict(dict)
+        for (xs, ys, l), c in square.block(p, q).entries():
+            by_args[xs, ys][l] = c
         for xs in itertools.product(sp.even, repeat=p):
             for ys in itertools.combinations(sp.odd, q):
-                rep.record(f"square[{p},{q}]", (xs, ys), mm.value(xs, ys))
+                rep.record(f"square[{p},{q}]", (xs, ys),
+                           Vector._trusted(sp, by_args.get((xs, ys), {})))
     expected = _expanded_identity_blocks(structure)
     for (p, q) in shapes:
         if square.block(p, q) != expected.block(p, q):
@@ -392,14 +400,19 @@ def _expanded_identity_blocks(structure: AntialgebraStructure) -> brackets.Block
       (1,2):  m(m(x,y1),y2) - m(m(x,y2),y1) - 2 m(x,m(y1,y2))
       (0,3):  (2/3) [ m(m(y1,y2),y3) + m(m(y2,y3),y1) + m(m(y3,y1),y2) ]
 
-    where m carries the 1/2 on even-even pairs.
+    where m carries the 1/2 on even-even pairs.  They are computed on the
+    integer table M = 2D * m, so each identity's sum carries 4D^2 (and the
+    (0,3) weights are scaled by 3).
     """
     sp = structure.space
     ev, od = sp.even, sp.odd
+    d = common_denominator(c for row in structure.products.values()
+                           for c in row.values())
     mt = defaultdict(dict, {
-        (a, b): ({l: c / 2 for l, c in row.items()}
-                 if sp.parity(a) == 0 and sp.parity(b) == 0 else row)
+        (a, b): as_integers(row.items(), d if sp.parity(a) + sp.parity(b) == 0
+                            else 2 * d)
         for (a, b), row in structure.products.items()})
+    div = 4 * d * d
     e = {l: {l: 1} for l in sp.labels()}
     e30: dict = {}
     for xs in itertools.product(ev, repeat=3):
@@ -426,19 +439,19 @@ def _expanded_identity_blocks(structure: AntialgebraStructure) -> brackets.Block
                 _mul_into(acc, mt, e[x], mt[y1, y2], -2)
                 e12.update((((x,), (y1, y2), l), c) for l, c in acc.items())
     e03: dict = {}
-    third2 = Fraction(2, 3)
     for ys in itertools.product(od, repeat=3):
         y1, y2, y3 = ys
         acc = {}
-        _mul_into(acc, mt, mt[y1, y2], e[y3], third2)
-        _mul_into(acc, mt, mt[y2, y3], e[y1], third2)
-        _mul_into(acc, mt, mt[y3, y1], e[y2], third2)
+        _mul_into(acc, mt, mt[y1, y2], e[y3], 2)
+        _mul_into(acc, mt, mt[y2, y3], e[y1], 2)
+        _mul_into(acc, mt, mt[y3, y1], e[y2], 2)
         e03.update((((), ys, l), c) for l, c in acc.items())
     blocks = {
-        (3, 0): MultiMap(sp, 3, 0, e30),
-        (2, 1): MultiMap(sp, 2, 1, e21),
-        (1, 2): MultiMap(sp, 1, 2, e12),
-        (0, 3): brackets.alt(MultiMap(sp, 0, 3, e03)),
+        (3, 0): MultiMap._trusted(sp, 3, 0, divided(e30, div)),
+        (2, 1): MultiMap._trusted(sp, 2, 1, divided(e21, div)),
+        (1, 2): MultiMap._trusted(sp, 1, 2, divided(e12, div)),
+        (0, 3): brackets.alt(MultiMap._trusted(sp, 0, 3,
+                                               divided(e03, 3 * div))),
     }
     return brackets.BlockMap(sp, 3, blocks)
 

@@ -9,9 +9,11 @@ count; these sums are held in `BlockMap` objects keyed by (p,q).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .core import GradedSpace, MultiMap, Vector, is_parity_preserving
+from .core import (GradedSpace, MultiMap, Vector, as_integers,
+                   common_denominator, divided, is_parity_preserving)
 
 __all__ = [
     "BlockMap",
@@ -117,6 +119,31 @@ def _parity_or_raise(phi: MultiMap) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the integer kernels: operands are cleared to integers over one common
+# denominator D on entry, and divided once on exit
+# ---------------------------------------------------------------------------
+
+class _Raw:
+    """A (p,q)-map's entries as integers, also indexed by output label."""
+
+    __slots__ = ("p", "q", "parity", "entries", "by_out")
+
+    def __init__(self, mm: MultiMap, d: int):
+        self.p, self.q = mm.p, mm.q
+        self.parity = _parity_or_raise(mm)
+        self.entries = as_integers(mm.entries(), d).items()
+        self.by_out: dict = {}
+        for (xs, ys, out), c in self.entries:
+            self.by_out.setdefault(out, []).append((xs, ys, c))
+
+
+def _cleared(maps) -> tuple:
+    """(D, [_Raw]) for maps sharing the common denominator D."""
+    d = common_denominator(c for mm in maps for _, c in mm.entries())
+    return d, [_Raw(mm, d) for mm in maps]
+
+
+# ---------------------------------------------------------------------------
 # the four insertion cases
 # ---------------------------------------------------------------------------
 #
@@ -132,99 +159,70 @@ def _parity_or_raise(phi: MultiMap) -> int:
 #       coming first, with sign (-1)^{p'p};
 #   (d) odd-valued, p = 0: sum over every y-slot of psi, no sign.
 
+def _insert(accs: dict, phi: _Raw, psi: _Raw, c: int) -> None:
+    """accs[shape] += c * (phi inserted into psi) on integer entries; no
+    shape is added when the resulting arity would be negative (the insertion
+    is structurally impossible, not merely zero).
+
+    Cases (a) and (b) share one form over x-slots, (c) and (d) one over
+    y-slots: phi's missing arguments make the extra slices empty."""
+    p, q, p2, q2 = phi.p, phi.q, psi.p, psi.q
+    shape = (p + p2 - 1 + q % 2, q + q2 - q % 2)
+    if min(shape) < 0:
+        return
+    acc = accs.setdefault(shape, {})
+    find = phi.by_out.get
+    if q % 2 == 0:
+        slots = range(p2) if q == 0 else range(max(p2 - 1, 0), p2)
+        for (pxs, pys, pout), pc in psi.entries:
+            for i in slots:
+                k = c * pc * (-1) ** (i * (p + 1))
+                for fxs, fys, fc in find(pxs[i], ()):
+                    key = (pxs[:i] + fxs + pxs[i + 1:], fys + pys, pout)
+                    acc[key] = acc.get(key, 0) + k * fc
+    else:
+        slots = range(q2) if p == 0 else range(min(q2, 1))
+        sign = c * (-1) ** (p2 * p)
+        for (pxs, pys, pout), pc in psi.entries:
+            for i in slots:
+                for fxs, fys, fc in find(pys[i], ()):
+                    key = (pxs + fxs, pys[:i] + fys + pys[i + 1:], pout)
+                    acc[key] = acc.get(key, 0) + sign * pc * fc
+
+
 def gerstenhaber_product(phi: MultiMap, psi: MultiMap):
-    # returns None when the resulting arity would be negative (the
-    # insertion is structurally impossible, not merely zero)
-    _parity_or_raise(phi)
-    _parity_or_raise(psi)
+    # returns None when the resulting arity would be negative
+    d, (f, g) = _cleared((phi, psi))
     if phi.space != psi.space:
         raise ValueError("operands live on different spaces")
-    space = phi.space
-    p, q = phi.p, phi.q
-    p2, q2 = psi.p, psi.q
-    even_valued = (q % 2 == 0)
-    out: dict = {}
+    accs: dict = {}
+    _insert(accs, f, g, 1)
+    for shape, acc in accs.items():  # one shape, or none at all
+        return MultiMap._trusted(phi.space, *shape, divided(acc, d * d))
+    return None
 
-    def put(xs, ys, label, c):
-        key = (tuple(xs), tuple(ys), label)
-        out[key] = out.get(key, Fraction(0)) + c
 
-    if even_valued and q == 0:
-        # case (a): result shape (p + p2 - 1, q2)
-        rp, rq = p + p2 - 1, q2
-        if rp < 0:
-            return None
-        for (pxs, pys, pout), pc in psi.entries():
-            for i in range(p2):
-                sign = Fraction(-1) ** (i * (p + 1))
-                for (fxs, fys, fout), fc in phi.entries():
-                    if fout != pxs[i]:
-                        continue
-                    xs = pxs[:i] + fxs + pxs[i + 1:]
-                    put(xs, pys, pout, sign * pc * fc)
-        return MultiMap(space, rp, rq, out)
-
-    if even_valued:
-        # case (b): result shape (p + p2 - 1, q + q2); zero unless p2 >= 1
-        rp, rq = p + p2 - 1, q + q2
-        if rp < 0:
-            return None
-        if p2 >= 1:
-            sign = Fraction(-1) ** ((p2 - 1) * (p + 1))
-            for (pxs, pys, pout), pc in psi.entries():
-                for (fxs, fys, fout), fc in phi.entries():
-                    if fout != pxs[p2 - 1]:
-                        continue
-                    xs = pxs[: p2 - 1] + fxs
-                    ys = fys + pys
-                    put(xs, ys, pout, sign * pc * fc)
-        return MultiMap(space, rp, rq, out)
-
-    if p >= 1:
-        # case (c): result shape (p + p2, q + q2 - 1); zero unless q2 >= 1
-        rp, rq = p + p2, q + q2 - 1
-        if rq < 0:
-            return None
-        if q2 >= 1:
-            sign = Fraction(-1) ** (p2 * p)
-            for (pxs, pys, pout), pc in psi.entries():
-                for (fxs, fys, fout), fc in phi.entries():
-                    if fout != pys[0]:
-                        continue
-                    xs = pxs + fxs
-                    ys = fys + pys[1:]
-                    put(xs, ys, pout, sign * pc * fc)
-        return MultiMap(space, rp, rq, out)
-
-    # case (d): result shape (p2, q + q2 - 1); zero unless q2 >= 1
-    rp, rq = p2, q + q2 - 1
-    if rq < 0:
-        return None
-    if q2 >= 1:
-        for (pxs, pys, pout), pc in psi.entries():
-            for i in range(q2):
-                for (fxs, fys, fout), fc in phi.entries():
-                    if fout != pys[i]:
-                        continue
-                    ys = pys[:i] + fys + pys[i + 1:]
-                    put(pxs, ys, pout, pc * fc)
-    return MultiMap(space, rp, rq, out)
+def _bracket(a: BlockMap, b: BlockMap) -> tuple:
+    """({shape: integer entries}, D): the bracket of two block sums as
+    integers over the common denominator D."""
+    if a.space != b.space:
+        raise ValueError("operands live on different spaces")
+    da, fs = _cleared([mm for _, mm in a.items()])
+    db, gs = _cleared([mm for _, mm in b.items()])
+    accs: dict = {}
+    for f in fs:
+        for g in gs:
+            # [phi, psi] = j_phi psi - (-1)^{|phi||psi|} j_psi phi
+            _insert(accs, f, g, 1)
+            _insert(accs, g, f, -(-1) ** (f.parity * g.parity))
+    return accs, da * db
 
 
 def gerstenhaber_bracket(phi: MultiMap, psi: MultiMap) -> BlockMap:
     """[phi, psi] = j_phi psi - (-1)^{|phi||psi|} j_psi phi as a block sum."""
-    pphi = _parity_or_raise(phi)
-    ppsi = _parity_or_raise(psi)
-    left = gerstenhaber_product(phi, psi)
-    right = gerstenhaber_product(psi, phi)
-    degree = phi.p + phi.q + psi.p + psi.q - 1
-    bm = BlockMap(phi.space, degree)
-    if left is not None:
-        bm = bm.add(BlockMap.from_map(left))
-    if right is not None:
-        sign = -Fraction(-1) ** (pphi * ppsi)
-        bm = bm.add(BlockMap.from_map(right.scale(sign)))
-    return bm
+    _parity_or_raise(phi)
+    _parity_or_raise(psi)
+    return bracket_blocks(BlockMap.from_map(phi), BlockMap.from_map(psi))
 
 
 def bracket_blocks(a: BlockMap, b: BlockMap) -> BlockMap:
@@ -233,34 +231,36 @@ def bracket_blocks(a: BlockMap, b: BlockMap) -> BlockMap:
     Both operands must be parity-homogeneous: all blocks of a block sum of
     degree d share the parity d (mod 2).
     """
-    degree = a.degree + b.degree - 1
-    out = BlockMap(a.space, degree)
-    for _, phi in a.items():
-        for _, psi in b.items():
-            out = out.add(gerstenhaber_bracket(phi, psi))
-    return out
+    accs, d = _bracket(a, b)
+    return BlockMap(a.space, a.degree + b.degree - 1, {
+        (p, q): MultiMap._trusted(a.space, p, q, divided(acc, d))
+        for (p, q), acc in accs.items()})
 
 
 # ---------------------------------------------------------------------------
 # alternation
 # ---------------------------------------------------------------------------
 
-def alt(phi: MultiMap) -> MultiMap:
-    """Antisymmetrise over the odd arguments: (1/q!) sum of signed y-permutations."""
-    q = phi.q
-    if q <= 1:
-        return phi
-    norm = Fraction(1)
-    for k in range(2, q + 1):
-        norm /= k
-    signed = [(perm, _perm_sign(perm) * norm)
+def _alt_sum(entries, q: int) -> dict:
+    """q! Alt of integer entries: the sum of their signed y-permutations."""
+    signed = [(perm, _perm_sign(perm))
               for perm in itertools.permutations(range(q))]
     out: dict = {}
-    for (xs, ys, label), c in phi.entries():
-        for perm, w in signed:
+    for (xs, ys, label), c in entries:
+        for perm, sign in signed:
             key = (xs, tuple(ys[i] for i in perm), label)
-            out[key] = out.get(key, Fraction(0)) + w * c
-    return MultiMap(phi.space, phi.p, phi.q, out)
+            out[key] = out.get(key, 0) + sign * c
+    return out
+
+
+def alt(phi: MultiMap) -> MultiMap:
+    """Antisymmetrise over the odd arguments: (1/q!) sum of signed y-permutations."""
+    if phi.q <= 1:
+        return phi
+    d = common_denominator(c for _, c in phi.entries())
+    acc = _alt_sum(as_integers(phi.entries(), d).items(), phi.q)
+    return MultiMap._trusted(phi.space, phi.p, phi.q,
+                             divided(acc, d * math.factorial(phi.q)))
 
 
 def _perm_sign(perm) -> int:
@@ -311,7 +311,12 @@ def al_bracket(a, b) -> BlockMap:
 
 
 def al_bracket_blocks(a: BlockMap, b: BlockMap) -> BlockMap:
-    return alt_blocks(bracket_blocks(a, b))
+    """Alt of the bracket, dividing each block once by D * q!."""
+    accs, d = _bracket(a, b)
+    return BlockMap(a.space, a.degree + b.degree - 1, {
+        (p, q): MultiMap._trusted(a.space, p, q, divided(
+            _alt_sum(acc.items(), q), d * math.factorial(q)))
+        for (p, q), acc in accs.items()})
 
 
 # ---------------------------------------------------------------------------

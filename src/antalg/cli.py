@@ -176,6 +176,9 @@ def cmd_check(args, out) -> int:
         emit_report(rep, args.format, out,
                     {"command": "check", "input": args.input, "window": n})
         return EXIT_OK if rep.ok else EXIT_MATH
+    if args.window is not None:
+        raise InputError(f"--window applies only to the windowed families "
+                         f"{' and '.join(_WINDOWED)}, not to {args.input}")
     alg = load_structure(args.input)
     rep = check_axioms(alg.space, alg.product_map(), title=f"axioms[{alg.name}]")
     rep2 = check_axioms_v2(alg.space, alg.product_map())

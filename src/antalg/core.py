@@ -1,12 +1,15 @@
 """Exact scalars, graded spaces, sparse multilinear maps, parity bookkeeping,
 and the structure-constant file format.
 
-Everything is over Q: scalars are `fractions.Fraction` throughout, so all
-arithmetic in the package is bit-exact.
+Everything is over Q and bit-exact.  Every public value is a
+`fractions.Fraction`.  The identity checkers and the bracket engine compute on
+`int`s over one common denominator (`common_denominator`, `as_integers`) and
+divide once, into `Fraction`s, on exit (`divided`).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -48,6 +51,21 @@ def scalar(value) -> Fraction:
 
 def format_scalar(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def common_denominator(values: Iterable) -> int:
+    """The least common multiple of the denominators of exact scalars."""
+    return math.lcm(1, *{c.denominator for c in values})
+
+
+def as_integers(items: Iterable, d: int) -> dict:
+    """{key: d*c} for pairs (key, c) of scalars whose denominators divide d."""
+    return {k: c.numerator * (d // c.denominator) for k, c in items}
+
+
+def divided(acc: Mapping, d: int) -> dict:
+    """{key: c/d} as Fractions for the nonzero integers c of ``acc``."""
+    return {k: Fraction(c, d) for k, c in acc.items() if c}
 
 
 class GradedSpace:
@@ -240,6 +258,14 @@ class MultiMap:
                 store[(xs, ys, out)] = c
         self._entries = store
 
+    @classmethod
+    def _trusted(cls, space: GradedSpace, p: int, q: int,
+                 store: dict) -> "MultiMap":
+        """Wrap ``store`` (valid (p,q)-entries, nonzero Fractions) unchecked."""
+        mm = cls.__new__(cls)
+        mm.space, mm.p, mm.q, mm._entries = space, p, q, store
+        return mm
+
     # -- basic structure ---------------------------------------------------
 
     @classmethod
@@ -270,12 +296,6 @@ class MultiMap:
         c = scalar(c)
         return MultiMap(self.space, self.p, self.q,
                         {k: c * v for k, v in self._entries.items()})
-
-    def part(self, i: int) -> "MultiMap":
-        """The homogeneous part with values in V_i (i = 0 or 1)."""
-        return MultiMap(self.space, self.p, self.q,
-                        {k: c for k, c in self._entries.items()
-                         if self.space.parity(k[2]) == i})
 
     def output_gradings(self) -> set:
         return {self.space.parity(out) for (_, _, out) in self._entries}
@@ -364,9 +384,7 @@ def parity_of(phi: MultiMap):
 
 def is_parity_preserving(phi: MultiMap) -> bool:
     """True iff the V0-part vanishes for odd q and the V1-part for even q."""
-    if phi.q % 2 == 0:
-        return phi.part(1).is_zero()
-    return phi.part(0).is_zero()
+    return phi.output_gradings() <= {phi.q % 2}
 
 
 # ---------------------------------------------------------------------------

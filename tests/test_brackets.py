@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +33,13 @@ from antalg.brackets import (
     is_y_skew,
     _perm_sign,
 )
-from antalg.core import GradedSpace, MultiMap, Vector
+from antalg.antialgebra import (
+    AntialgebraStructure,
+    check_axioms,
+    check_axioms_v2,
+    zero_square_check,
+)
+from antalg.core import GradedSpace, MultiMap, Vector, parse_algebra_text
 
 F = Fraction
 
@@ -553,3 +560,267 @@ def test_lie_coboundary_squares_to_zero_on_sl2():
 
 def test_lie_coboundary_of_the_bracket_restates_jacobi():
     assert chevalley_eilenberg_differential(SL2_BR, SL2_BR).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the integer engine against the Fraction loops it replaced
+# ---------------------------------------------------------------------------
+#
+# _ref_gerstenhaber_product and _ref_alt are the engine's earlier form:
+# Fraction arithmetic throughout, with a full scan of phi's entries for each
+# slot of each entry of psi.  The engine now clears denominators on entry,
+# works on integers and divides once on exit; it must give the same exact
+# Fraction maps.
+
+def _ref_gerstenhaber_product(phi, psi):
+    space = phi.space
+    p, q = phi.p, phi.q
+    p2, q2 = psi.p, psi.q
+    even_valued = (q % 2 == 0)
+    out = {}
+
+    def put(xs, ys, label, c):
+        key = (tuple(xs), tuple(ys), label)
+        out[key] = out.get(key, Fraction(0)) + c
+
+    if even_valued and q == 0:
+        # case (a)
+        rp, rq = p + p2 - 1, q2
+        if rp < 0:
+            return None
+        for (pxs, pys, pout), pc in psi.entries():
+            for i in range(p2):
+                sign = Fraction(-1) ** (i * (p + 1))
+                for (fxs, fys, fout), fc in phi.entries():
+                    if fout != pxs[i]:
+                        continue
+                    xs = pxs[:i] + fxs + pxs[i + 1:]
+                    put(xs, pys, pout, sign * pc * fc)
+        return MultiMap(space, rp, rq, out)
+
+    if even_valued:
+        # case (b)
+        rp, rq = p + p2 - 1, q + q2
+        if rp < 0:
+            return None
+        if p2 >= 1:
+            sign = Fraction(-1) ** ((p2 - 1) * (p + 1))
+            for (pxs, pys, pout), pc in psi.entries():
+                for (fxs, fys, fout), fc in phi.entries():
+                    if fout != pxs[p2 - 1]:
+                        continue
+                    put(pxs[: p2 - 1] + fxs, fys + pys, pout, sign * pc * fc)
+        return MultiMap(space, rp, rq, out)
+
+    if p >= 1:
+        # case (c)
+        rp, rq = p + p2, q + q2 - 1
+        if rq < 0:
+            return None
+        if q2 >= 1:
+            sign = Fraction(-1) ** (p2 * p)
+            for (pxs, pys, pout), pc in psi.entries():
+                for (fxs, fys, fout), fc in phi.entries():
+                    if fout != pys[0]:
+                        continue
+                    put(pxs + fxs, fys + pys[1:], pout, sign * pc * fc)
+        return MultiMap(space, rp, rq, out)
+
+    # case (d)
+    rp, rq = p2, q + q2 - 1
+    if rq < 0:
+        return None
+    if q2 >= 1:
+        for (pxs, pys, pout), pc in psi.entries():
+            for i in range(q2):
+                for (fxs, fys, fout), fc in phi.entries():
+                    if fout != pys[i]:
+                        continue
+                    put(pxs, pys[:i] + fys + pys[i + 1:], pout, pc * fc)
+    return MultiMap(space, rp, rq, out)
+
+
+def _ref_alt(phi):
+    q = phi.q
+    if q <= 1:
+        return phi
+    norm = Fraction(1)
+    for k in range(2, q + 1):
+        norm /= k
+    signed = [(perm, _perm_sign(perm) * norm)
+              for perm in itertools.permutations(range(q))]
+    out = {}
+    for (xs, ys, label), c in phi.entries():
+        for perm, w in signed:
+            key = (xs, tuple(ys[i] for i in perm), label)
+            out[key] = out.get(key, Fraction(0)) + w * c
+    return MultiMap(phi.space, phi.p, phi.q, out)
+
+
+def _ref_al_bracket_blocks(a, b):
+    """Alt of the bilinear bracket, summed pair by pair with BlockMap.add."""
+    out = BlockMap(a.space, a.degree + b.degree - 1)
+    for _, phi in a.items():
+        for _, psi in b.items():
+            sign = -F(-1) ** (((phi.p + phi.q + 1) % 2)
+                              * ((psi.p + psi.q + 1) % 2))
+            for prod, c in ((_ref_gerstenhaber_product(phi, psi), 1),
+                            (_ref_gerstenhaber_product(psi, phi), sign)):
+                if prod is not None:
+                    out = out.add(BlockMap.from_map(_ref_alt(prod.scale(c))))
+    return out
+
+
+DENOMINATORS = (1, 2, 3, 5, 7, 9, 101)
+
+
+def _rand_mixed_map(rng, sp, p, q, density=0.4):
+    """A random parity-preserving (p,q)-map with mixed denominators."""
+    outs = sp.even if q % 2 == 0 else sp.odd
+    ent = {}
+    for xs in itertools.product(sp.even, repeat=p):
+        for ys in itertools.product(sp.odd, repeat=q):
+            for out in outs:
+                if rng.random() < density:
+                    ent[(xs, ys, out)] = F(rng.randint(-4, 4),
+                                           rng.choice(DENOMINATORS))
+    return MultiMap(sp, p, q, ent)
+
+
+def _all_fractions(x):
+    """Every coefficient of a MultiMap or BlockMap is a Fraction."""
+    maps = [mm for _, mm in x.items()] if isinstance(x, BlockMap) else [x]
+    return all(type(c) is Fraction for mm in maps for _, c in mm.entries())
+
+
+SMALL_SHAPES = [(p, q) for p in range(3) for q in range(4) if p + q >= 1]
+
+
+def test_engine_product_matches_the_fraction_loops_in_every_case():
+    """All four insertion cases (a)-(d), q <= 3 on both sides, including
+    the shapes with no admissible slot."""
+    rng = random.Random(811)
+    cases = set()
+    nones = 0
+    for p, q in SMALL_SHAPES:
+        for p2, q2 in SMALL_SHAPES:
+            phi = _rand_mixed_map(rng, SP22, p, q)
+            psi = _rand_mixed_map(rng, SP22, p2, q2)
+            got = gerstenhaber_product(phi, psi)
+            want = _ref_gerstenhaber_product(phi, psi)
+            if want is None:
+                assert got is None
+                nones += 1
+                continue
+            assert got == want and _all_fractions(got)
+            cases.add("a" if q == 0 else "b" if q % 2 == 0
+                      else "c" if p >= 1 else "d")
+    assert cases == {"a", "b", "c", "d"} and nones == 3
+
+
+def test_engine_product_cancels_to_the_zero_map():
+    # psi(phi(x1,x2),x3) - psi(x1,phi(x2,x3)) for an associative product
+    # with a fractional coefficient: every term cancels, and the result is
+    # the zero (3,0)-map, not None
+    m = MultiMap(SP22, 2, 0, {(("u0", "u0"), (), "u0"): F(1, 3)})
+    got = gerstenhaber_product(m, m)
+    assert got == _ref_gerstenhaber_product(m, m)
+    assert (got.p, got.q) == (3, 0) and got.is_zero()
+    # two entries of phi whose insertions land on one key with opposite signs
+    phi = MultiMap(SP22, 0, 1, {((), ("y0",), "y1"): F(2, 7),
+                                ((), ("y1",), "y0"): F(-2, 7)})
+    psi = MultiMap(SP22, 0, 2, {((), ("y0", "y0"), "u0"): F(5, 3),
+                                ((), ("y1", "y1"), "u0"): F(5, 3)})
+    got = gerstenhaber_product(phi, psi)
+    assert got == _ref_gerstenhaber_product(phi, psi)
+    assert _ref_gerstenhaber_product(phi, psi).is_zero() and got.is_zero()
+
+
+def test_engine_alt_matches_the_fraction_loops():
+    rng = random.Random(812)
+    for p, q in SMALL_SHAPES:
+        for _ in range(3):
+            mm = _rand_mixed_map(rng, SP22, p, q)
+            got = alt(mm)
+            assert got == _ref_alt(mm) and _all_fractions(got)
+    # a symmetric pair with a fractional coefficient alternates to zero
+    sym = MultiMap(SP22, 1, 2, {(("u0",), ("y0", "y1"), "u1"): F(3, 101),
+                                (("u0",), ("y1", "y0"), "u1"): F(3, 101)})
+    assert alt(sym).is_zero() and _ref_alt(sym).is_zero()
+
+
+def _rand_block_map(rng, sp, degree):
+    blocks = {}
+    for q in range(degree + 1):
+        if rng.random() < 0.7:
+            blocks[(degree - q, q)] = _rand_mixed_map(rng, sp, degree - q, q,
+                                                      density=0.3)
+    return BlockMap(sp, degree, blocks)
+
+
+def test_al_bracket_blocks_matches_the_fraction_loops():
+    rng = random.Random(813)
+    for _ in range(12):
+        a = _rand_block_map(rng, SP22, rng.choice((1, 2, 3)))
+        b = _rand_block_map(rng, SP22, rng.choice((1, 2)))
+        got = al_bracket_blocks(a, b)
+        assert got == _ref_al_bracket_blocks(a, b) and _all_fractions(got)
+        assert _all_fractions(bracket_blocks(a, b))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["k3t4p", "k3t2rp"])
+def test_al_bracket_of_a_perturbed_structure_matches_the_fraction_loops(name):
+    doc = parse_algebra_text((GOLDEN / f"{name}.alg").read_text())
+    m = AntialgebraStructure.from_file_doc(doc).m_blocks()
+    got = al_bracket_blocks(m, m)
+    assert not got.is_zero()
+    assert got == _ref_al_bracket_blocks(m, m) and _all_fractions(got)
+
+
+def test_no_integer_reaches_a_caller():
+    """On a table with non-integral residuals (eps.a doubled in K3, so the
+    half-unit law fails) every residual, every [m,m] block and every alt or
+    product result is made of Fractions with the exact values of the
+    Fraction loops."""
+    space = GradedSpace(("eps",), ("a", "b"))
+    st = AntialgebraStructure(space, {
+        ("eps", "eps"): {"eps": 1}, ("eps", "a"): {"a": 1},
+        ("eps", "b"): {"b": F(1, 2)}, ("a", "b"): {"eps": F(1, 2)}})
+
+    def residuals(rep):
+        out = []
+        for v in rep.violations:
+            assert all(type(c) is Fraction for _, c in v.residual.items())
+            out.append((v.kind, v.instance, dict(v.residual.items())))
+        return out
+
+    assert residuals(check_axioms(space, st.product_map())) == [
+        ("half_unit", ("eps", "eps", "a"), {"a": F(1, 2)}),
+        ("leibniz", ("eps", "a", "b"), {"eps": F(-1, 4)}),
+        ("leibniz", ("eps", "b", "a"), {"eps": F(1, 4)})]
+    assert residuals(check_axioms_v2(space, st.product_map())) == [
+        ("odd_deriv", ("eps", "eps", "a"), {"a": F(-1)}),
+        ("odd_deriv", ("eps", "a", "b"), {"eps": F(1, 4)}),
+        ("odd_deriv", ("eps", "b", "a"), {"eps": F(-1, 4)}),
+        ("odd_deriv", ("a", "eps", "b"), {"eps": F(1, 4)}),
+        ("odd_deriv", ("b", "eps", "a"), {"eps": F(-1, 4)})]
+    rep, square = zero_square_check(st)
+    assert residuals(rep) == [
+        ("square[2,1]", (("eps", "eps"), ("a",)), {"a": F(-1)}),
+        ("square[1,2]", (("eps",), ("a", "b")), {"eps": F(1, 4)})]
+    assert _all_fractions(square)
+    assert {pq: dict(mm.entries()) for pq, mm in square.items()} == {
+        (2, 1): {(("eps", "eps"), ("a",), "a"): F(-1)},
+        (1, 2): {(("eps",), ("a", "b"), "eps"): F(1, 4),
+                 (("eps",), ("b", "a"), "eps"): F(-1, 4)}}
+    m = st.m_blocks()
+    for _, phi in m.items():
+        assert alt(phi) == _ref_alt(phi) and _all_fractions(alt(phi))
+        for _, psi in m.items():
+            got = gerstenhaber_product(phi, psi)
+            want = _ref_gerstenhaber_product(phi, psi)
+            assert got == want
+            assert got is None or _all_fractions(got)

@@ -154,20 +154,45 @@ def test_window_below_the_suites_minimum_is_an_input_error(argv, message):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# the finite tables beside the goldens: K3 (x) k[t]/(t^4) (k3t4), the same
+# with eps1.a2 doubled (k3t4p), K3 (x) k[t]/(t^2) rescaled by 1/101, 1/103,
+# 7/9, ... (k3t2r) and that with eps1.a0 doubled (k3t2rp)
+FINITE_GOLDEN = ["k3", "k3t4.alg", "k3t4p.alg", "k3t2r.alg", "k3t2rp.alg"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "gamma"], ["verify", "eta"], ["verify", "gf"],
     ["verify", "dual-gf"], ["verify", "gv"], ["verify", "ak1-axioms"],
     ["verify", "m1-axioms"], ["check", "--input", "ak1"],
     ["check", "--input", "m1"],
-], ids=lambda argv: "-".join(a for a in argv if a != "--input"))
-def test_window_suites_match_their_golden_structured_output(capsys, argv):
+] + [[cmd, "--input", table] for cmd in ("check", "bracket")
+     for table in FINITE_GOLDEN],
+    ids=lambda argv: "-".join(a.removesuffix(".alg") for a in argv
+                              if a != "--input"))
+def test_window_suites_match_their_golden_structured_output(
+        capsys, monkeypatch, argv):
     """tests/golden/ holds the structured output of every window suite at
-    its default window; a faster implementation must print the same bytes."""
+    its default window, and of `check` and `bracket` on the finite tables
+    stored there; a faster implementation must print the same bytes."""
+    monkeypatch.chdir(GOLDEN)  # the finite tables are named relative to it
     code, out, err = _run(capsys, argv + ["--format", "structured"])
-    name = "-".join(a for a in argv if a != "--input")
+    name = "-".join(a.removesuffix(".alg") for a in argv if a != "--input")
     assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
     assert err == ""
-    assert code == (1 if argv == ["verify", "eta"] else 0)
+    failing = argv == ["verify", "eta"] or argv[-1].endswith("p.alg")
+    assert code == (1 if failing else 0)
+
+
+def test_window_on_a_finite_check_is_an_input_error():
+    script = "from antalg.cli import main; raise SystemExit(main({!r}))"
+    argv = ["check", "--input", "k3", "--window", "-5"]
+    proc = subprocess.run([sys.executable, "-c", script.format(argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("input error: --window applies only to the "
+                           "windowed families ak1 and m1, not to k3\n")
+    assert proc.stdout == ""
 
 
 def test_verify_eta_structured_details(capsys):
