@@ -22,6 +22,7 @@ they have no truncation error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from types import SimpleNamespace
@@ -29,7 +30,8 @@ from types import SimpleNamespace
 from . import linalg
 from .antialgebra import CheckReport
 from .brackets import _perm_sign, ce_delta_eval, eval_multilinear
-from .cohomology import Cochain, DeltaContext, _canonical_ys, delta_instance
+from .cohomology import (COMPONENTS, Cochain, DeltaContext, _canonical_ys,
+                         delta_instance)
 
 __all__ = [
     "WindowedAlgebra",
@@ -63,6 +65,11 @@ _SIGN = (Fraction(1), Fraction(-1))  # (-1)^p for a parity p
 
 def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _comp_key(label):
+    """Sort key of a (family, index) label."""
+    return (str(label[0]), label[1])
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +397,6 @@ def gamma_value(label, t_fn=None, s_fn=None) -> DictVec:
     raise ValueError(f"not a conformal label: {label}")
 
 
-def _gamma_residual(gfn, u, v) -> DictVec:
-    """The derivation residual gamma(u.v) - rho_u gamma(v)
-    - (-1)^{|u||v|} rho_v gamma(u), via the global formulas."""
-    sign = Fraction(-1) ** (conf_parity(u) * conf_parity(v))
-    total = DictVec()
-    for l, c in conf_mul(u, v).items():
-        total = total.add(gfn(l).scale(c))
-    for l, c in gfn(v).items():
-        total = total.sub(DictVec(dual_act("ak1", u, l)).scale(c))
-    for l, c in gfn(u).items():
-        total = total.sub(DictVec(dual_act("ak1", v, l)).scale(sign * c))
-    return total
-
-
 def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
     """Three checks on the full conformal family:
 
@@ -420,16 +413,38 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
         raise ValueError("the window must have radius >= 2")
     rep = CheckReport(f"gamma-cocycle[N={N}]")
     w = WindowedAlgebra("ak1", N)
+    values: dict = {}  # label -> gamma(label)
+    acts: dict = {}    # (actor, dual label) -> its dual action
 
     def gfn(label):
-        return gamma_value(label, t_fn, s_fn)
+        if label not in values:
+            values[label] = gamma_value(label, t_fn, s_fn)
+        return values[label]
 
-    kinds = {(0, 0): "even-even", (0, 1): "mixed", (1, 1): "odd-odd"}
-    for u in w.labels():
-        for v in w.labels():
-            kind = kinds[tuple(sorted((conf_parity(u), conf_parity(v))))]
-            rep.record(f"cocycle[{kind}]", (u, v),
-                       _gamma_residual(gfn, u, v).c)
+    def act(a, l):
+        if (a, l) not in acts:
+            acts[a, l] = dual_act("ak1", a, l)
+        return acts[a, l]
+
+    kinds = ("even-even", "mixed", "odd-odd")
+    labels = w.labels()
+    for u in labels:
+        pu = conf_parity(u)
+        for v in labels:
+            pv = conf_parity(v)
+            # gamma(u.v) - rho_u gamma(v) - (-1)^{|u||v|} rho_v gamma(u)
+            res: dict = {}
+            for l, c in conf_mul(u, v).items():
+                for k, d in gfn(l).items():
+                    res[k] = res.get(k, ZERO) + c * d
+            for l, c in gfn(v).items():
+                for k, d in act(u, l).items():
+                    res[k] = res.get(k, ZERO) - c * d
+            for l, c in gfn(u).items():
+                for k, d in act(v, l).items():
+                    res[k] = res.get(k, ZERO) + (c * d if pu & pv else -c * d)
+            rep.record(f"cocycle[{kinds[pu + pv]}]", (u, v),
+                       {k: c for k, c in res.items() if c})
     t_fn0 = t_fn or (lambda n: -n)
     s_fn0 = s_fn or (lambda i: i * i - Fraction(1, 4))
     for n in range(-N, N + 1):
@@ -471,18 +486,19 @@ def _gamma_nontrivial(N, gfn):
         # so each component of gamma(x) is an empty row; the components
         # gamma(x) lacks would be rows 0 = 0
         target = gfn(x)
-        for comp in sorted(target.c, key=lambda l: (str(l[0]), l[1])):
+        for comp in sorted(target.c, key=_comp_key):
             rows.append({})
             rhs.append(target.c[comp])
     for y in w.odd:
         target = gfn(y)
-        comps = set(target.c) | {
-            l for b in variables for l in dual_act("ak1", y, b)}
-        for comp in sorted(comps, key=lambda l: (str(l[0]), l[1])):
+        by_comp: dict = {}  # component of rho_y b -> {variable: coeff}
+        for k, b in enumerate(variables):
+            for comp, c in dual_act("ak1", y, b).items():
+                by_comp.setdefault(comp, {})[k] = c
+        for comp in sorted(by_comp.keys() | target.c.keys(), key=_comp_key):
             if abs(comp[1] + y[1]) > N:
                 continue  # preimage outside the variable window: not sound
-            rows.append({k: c for k, b in enumerate(variables)
-                         if (c := DictVec(dual_act("ak1", y, b)).coeff(comp))})
+            rows.append(by_comp.get(comp, {}))
             rhs.append(target.coeff(comp))
     sol = linalg.solve(rows, rhs, len(variables))
     if sol is None:
@@ -554,8 +570,8 @@ def _eta_variables(N: int, D: int):
 
 
 class _EtaRows:
-    """Accumulates one vector equation delta zeta (instance) = target as
-    scalar rows indexed by dual components."""
+    """Accumulates the left side of one vector equation delta zeta
+    (instance) = target as scalar rows indexed by dual components."""
 
     def __init__(self, dual_even, dual_odd, arg_window):
         self.dual_even = dual_even
@@ -586,21 +602,16 @@ class _EtaRows:
                 tbl[(arg, w)] = tbl.get((arg, w), Fraction(0)) + scale * c
 
 
-def _eta_linear_system(N: int, target: WindowCochain, mode: str):
-    """Rows of "delta zeta = target" over table variables.
+@functools.lru_cache(maxsize=None)
+def _eta_coefficients(N: int, mode: str):
+    """The target-free part of `_eta_linear_system`: the rows of "delta zeta
+    = target" do not depend on the target, only the right-hand sides do.
 
-    mode "table": equations over the margin window M = D + 2, components
-    unrestricted; a solution is a finite table whose coboundary equals the
-    target *globally* (beyond the margin both sides vanish: the table is
-    supported at argument index <= N and dual index <= D, and the dual floor
-    kills every action term once an instance index exceeds D + 2).
-
-    mode "sound": equations only where every zeta-argument stays inside the
-    argument window, asserted only on dual components of index <=
-    D - N - 1.  Any global zeta, with arbitrary support, satisfies exactly
-    these rows with the out-of-window variables not contributing (the action
-    shifts the dual index by at most N).  Inconsistency here rules out
-    every global preimage, not just windowed ones.
+    Returns (instances, row_table, variables, comp_bound).  Each instance
+    is ((P, Q, xs, ys), comps): comps maps every dual component of the
+    instance's row builder that passes the bound, in sorted order, to the
+    id of its row in row_table.  Equal rows share one id and one dict, so
+    no caller may mutate a row; id 0 is the empty row.
     """
     D = N + 2
     walg, dual_even, dual_odd, variables = _eta_variables(N, D)
@@ -615,23 +626,21 @@ def _eta_linear_system(N: int, target: WindowCochain, mode: str):
     else:
         raise ValueError(mode)
 
-    rows, rhs, seen = [], [], set()
+    row_table, row_id, instances = [{}], {(): 0}, []
 
-    def harvest(builder: _EtaRows, tvec: DictVec, known_support_complete):
-        comps = set(builder.rows) | set(tvec.c)
-        for comp in sorted(comps, key=lambda l: (str(l[0]), l[1])):
+    def intern(key, builder: _EtaRows):
+        comps = {}
+        for comp in sorted(builder.rows, key=_comp_key):
             if comp_bound is not None and comp[1] > comp_bound:
                 continue
             row = {vindex[var]: co
-                   for var, co in builder.rows.get(comp, {}).items() if co}
-            b = tvec.coeff(comp)
-            key = (tuple(sorted(row.items())), b)
-            if key in seen:
-                continue
-            seen.add(key)
-            if row or b:
-                rows.append(row)
-                rhs.append(b)
+                   for var, co in builder.rows[comp].items() if co}
+            sig = tuple(sorted(row.items()))
+            if sig not in row_id:
+                row_id[sig] = len(row_table)
+                row_table.append(row)
+            comps[comp] = row_id[sig]
+        instances.append((key, comps))
 
     def skip_product(prod: dict) -> bool:
         return mode == "sound" and any(l not in arg_window for l in prod)
@@ -648,7 +657,7 @@ def _eta_linear_system(N: int, target: WindowCochain, mode: str):
                 rb.zeta(l, HALF * c)
             rb.act(x0, x1, -HALF)
             rb.act(x1, x0, -HALF)
-            harvest(rb, target.value(2, 0, (x0, x1), ()), True)
+            intern((2, 0, (x0, x1), ()), rb)
     for x in ev:
         for y in od:
             prod = conf_mul(x, y)
@@ -659,7 +668,7 @@ def _eta_linear_system(N: int, target: WindowCochain, mode: str):
                 rb.zeta(l, c)
             rb.act(x, y, Fraction(-1))
             rb.act(y, x, Fraction(-1))
-            harvest(rb, target.value(1, 1, (x,), (y,)), True)
+            intern((1, 1, (x,), (y,)), rb)
     for t1 in range(len(od)):
         for t2 in range(t1 + 1, len(od)):
             y0, y1 = od[t1], od[t2]
@@ -671,8 +680,49 @@ def _eta_linear_system(N: int, target: WindowCochain, mode: str):
                 rb.zeta(l, c)
             rb.act(y0, y1, Fraction(-1))
             rb.act(y1, y0, Fraction(1))
-            harvest(rb, target.value(0, 2, (), (y0, y1)), True)
-    return rows, rhs, variables
+            intern((0, 2, (), (y0, y1)), rb)
+    return tuple(instances), tuple(row_table), tuple(variables), comp_bound
+
+
+def _eta_linear_system(N: int, target: WindowCochain, mode: str):
+    """Rows of "delta zeta = target" over table variables.
+
+    mode "table": equations over the margin window M = D + 2, components
+    unrestricted; a solution is a finite table whose coboundary equals the
+    target *globally* (beyond the margin both sides vanish: the table is
+    supported at argument index <= N and dual index <= D, and the dual floor
+    kills every action term once an instance index exceeds D + 2).
+
+    mode "sound": equations only where every zeta-argument stays inside the
+    argument window, asserted only on dual components of index <=
+    D - N - 1.  Any global zeta, with arbitrary support, satisfies exactly
+    these rows with the out-of-window variables not contributing (the action
+    shifts the dual index by at most N).  Inconsistency here rules out
+    every global preimage, not just windowed ones.
+
+    The rows come from `_eta_coefficients`, built once per (N, mode); this
+    pass reads the target's value at each instance for the right-hand
+    sides and drops repeated (row, right-hand side) equations.
+    """
+    instances, row_table, variables, comp_bound = _eta_coefficients(N, mode)
+    rows, rhs, seen = [], [], set()
+    for (P, Q, xs, ys), comps in instances:
+        tvec = target.value(P, Q, xs, ys)
+        order = comps
+        if tvec.c:
+            order = sorted(comps.keys() | {
+                comp for comp in tvec.c
+                if comp_bound is None or comp[1] <= comp_bound}, key=_comp_key)
+        for comp in order:
+            rid = comps.get(comp, 0)
+            b = tvec.coeff(comp)
+            if (rid, b) in seen:
+                continue
+            seen.add((rid, b))
+            if rid or b:  # id 0 is the empty row
+                rows.append(row_table[rid])
+                rhs.append(b)
+    return rows, rhs, list(variables)
 
 
 def eta_coboundary_solve(N: int, target: WindowCochain):
@@ -711,10 +761,17 @@ def _delta2_shapes():
 
 def _record_delta_instances(rep, ctx, coch, shapes, window, kind_prefix,
                             target=None):
+    """Record delta coch (minus ``target``) on every window instance of the
+    given shapes.  ``ctx`` is a `ConfDualDeltaCtx`, which is total (never
+    None), so a component whose source block of ``coch`` is empty
+    contributes exactly zero and is not evaluated."""
+    present = set(coch.shapes())
     for (P, Q) in shapes:
+        comps = tuple(comp for comp in COMPONENTS
+                      if (P - comp[0], Q - comp[1]) in present)
         for xs in itertools.product(window.even, repeat=P):
             for ys in itertools.combinations(window.odd, Q):
-                v = delta_instance(ctx, coch, P, Q, xs, ys)
+                v = delta_instance(ctx, coch, P, Q, xs, ys, comps)
                 if v is not None and target is not None:
                     v = v.sub(target.value(P, Q, xs, ys))
                 rep.record(f"{kind_prefix}[{P},{Q}]", (xs, ys),
@@ -739,6 +796,10 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
        over the enlarged margin window);
     3. off the line the sound restricted system is inconsistent, so no
        global 1-cochain of any support bounds the member.
+
+    The solver's coefficient rows are built once per (N, mode) and shared
+    by all five targets (see `_eta_coefficients`); only the right-hand
+    sides vary.
     """
     if N < 2:
         raise ValueError("the window must have radius >= 2")

@@ -4,6 +4,7 @@
 below, on full lists of Fractions, is an independent reference for it.
 """
 
+import copy
 import random
 import unittest
 from fractions import Fraction
@@ -256,6 +257,34 @@ class RankAndRref(unittest.TestCase):
             r, _ = linalg.rref(a)
             r2, _ = linalg.rref(r)
             self.assertEqual(r, r2)
+
+
+class InputsUnchanged(unittest.TestCase):
+    """Callers may share row dicts between systems, and one dict may occur
+    twice in one system, so no routine may change its input."""
+
+    def test_solve_rref_nullspace_and_rank_leave_their_input_alone(self):
+        rng = random.Random(59)
+        for _ in range(30):
+            n, m = rng.randint(1, 12), rng.randint(1, 12)
+            rows = sparse(_rand_sparse_dense(rng, n, m, rng.choice([0.2, 0.6])))
+            # alias some rows: the same dict object at two positions
+            for _ in range(rng.randint(0, 3)):
+                rows.insert(rng.randint(0, len(rows)), rng.choice(rows))
+            x0 = [F(rng.randint(-4, 4)) for _ in range(m)]
+            consistent = mat_vec(densify(rows, m), x0)
+            arbitrary = [F(rng.randint(-3, 3)) for _ in rows]
+            ids = [id(row) for row in rows]
+            before = copy.deepcopy(rows)
+            for rhs in (consistent, arbitrary):
+                rhs_before = list(rhs)
+                linalg.solve(rows, rhs, m)
+                self.assertEqual(rhs, rhs_before)
+            linalg.rref(rows)
+            linalg.nullspace(rows, m)
+            linalg.rank(rows)
+            self.assertEqual([id(row) for row in rows], ids)
+            self.assertEqual(rows, before)
 
 
 class SparseInput(unittest.TestCase):

@@ -6,14 +6,16 @@ leave the window).  Every verifier below separates "checked" from
 "skipped" along that line.
 """
 
+import copy
 import itertools
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from antalg import zoo
+from antalg import linalg, zoo
 from antalg.antialgebra import CheckReport
 from antalg.brackets import eval_multilinear
 from antalg.zoo import DictVec, WindowCochain, WindowedAlgebra
@@ -448,6 +450,156 @@ def _ref_conf_axioms(kind, N):
     return rep
 
 
+def _ref_gamma_residual(gfn, u, v):
+    """gamma(u.v) - rho_u gamma(v) - (-1)^{|u||v|} rho_v gamma(u), as a
+    chain of `DictVec` sums."""
+    sign = F(-1) ** (zoo.conf_parity(u) * zoo.conf_parity(v))
+    total = DictVec()
+    for l, c in zoo.conf_mul(u, v).items():
+        total = total.add(gfn(l).scale(c))
+    for l, c in gfn(v).items():
+        total = total.sub(DictVec(zoo.dual_act("ak1", u, l)).scale(c))
+    for l, c in gfn(u).items():
+        total = total.sub(DictVec(zoo.dual_act("ak1", v, l)).scale(sign * c))
+    return total
+
+
+def _ref_gamma_system(N, gfn):
+    """The rows, right-hand sides and column count of the nontriviality
+    system, one `dual_act` call per (component, variable)."""
+    variables = [("eps*", F(m)) for m in range(-N, N + 1)]
+    rows, rhs = [], []
+    w = WindowedAlgebra("ak1", N)
+    for x in w.even:
+        target = gfn(x)
+        for comp in sorted(target.c, key=lambda l: (str(l[0]), l[1])):
+            rows.append({})
+            rhs.append(target.c[comp])
+    for y in w.odd:
+        target = gfn(y)
+        comps = set(target.c) | {
+            l for b in variables for l in zoo.dual_act("ak1", y, b)}
+        for comp in sorted(comps, key=lambda l: (str(l[0]), l[1])):
+            if abs(comp[1] + y[1]) > N:
+                continue
+            rows.append({k: c for k, b in enumerate(variables)
+                         if (c := DictVec(zoo.dual_act("ak1", y, b)).coeff(comp))})
+            rhs.append(target.coeff(comp))
+    return rows, rhs, len(variables)
+
+
+def _ref_cocycle_gamma(N, t_fn=None, s_fn=None):
+    rep = CheckReport(f"gamma-cocycle[N={N}]")
+    w = WindowedAlgebra("ak1", N)
+
+    def gfn(label):
+        return zoo.gamma_value(label, t_fn, s_fn)
+
+    kinds = {(0, 0): "even-even", (0, 1): "mixed", (1, 1): "odd-odd"}
+    for u in w.labels():
+        for v in w.labels():
+            kind = kinds[tuple(sorted((zoo.conf_parity(u), zoo.conf_parity(v))))]
+            rep.record(f"cocycle[{kind}]", (u, v),
+                       _ref_gamma_residual(gfn, u, v).c)
+    t_fn0 = t_fn or (lambda n: -n)
+    s_fn0 = s_fn or (lambda i: i * i - F(1, 4))
+    for n in range(-N, N + 1):
+        for m in range(-N, N + 1):
+            rep.record("t-additive", (n, m),
+                       F(t_fn0(n + m)) - F(t_fn0(n)) - F(t_fn0(m)))
+    half_idx = [i for _, i in w.odd]
+    for i in half_idx:
+        for j in half_idx:
+            rep.record("s-relation", (i, j),
+                       F(s_fn0(i)) - F(s_fn0(j)) - (j - i) * F(t_fn0(i + j)))
+    if linalg.solve(*_ref_gamma_system(N, gfn)) is None:
+        nontrivial, detail = (
+            True, "no dual element bounds gamma (window system inconsistent)")
+    else:
+        nontrivial, detail = False, "a window dual element bounds gamma"
+    rep.extras["nontrivial"] = nontrivial
+    rep.extras["nontrivial_detail"] = detail
+    if not nontrivial:
+        rep.record("nontriviality", ("solve",), F(1))
+    return rep
+
+
+def _ref_eta_linear_system(N, target, mode):
+    """The rows of "delta zeta = target", rebuilt from scratch for each
+    target, with the target's components merged in per instance."""
+    D = N + 2
+    walg, dual_even, dual_odd, variables = zoo._eta_variables(N, D)
+    vindex = {v: k for k, v in enumerate(variables)}
+    arg_window = set(walg.labels())
+    if mode == "table":
+        inst = WindowedAlgebra("m1", D + 2)
+        comp_bound = None
+    else:
+        inst = walg
+        comp_bound = F(D - N - 1)
+    rows, rhs, seen = [], [], set()
+
+    def harvest(builder, tvec):
+        comps = set(builder.rows) | set(tvec.c)
+        for comp in sorted(comps, key=lambda l: (str(l[0]), l[1])):
+            if comp_bound is not None and comp[1] > comp_bound:
+                continue
+            row = {vindex[var]: co
+                   for var, co in builder.rows.get(comp, {}).items() if co}
+            b = tvec.coeff(comp)
+            key = (tuple(sorted(row.items())), b)
+            if key in seen:
+                continue
+            seen.add(key)
+            if row or b:
+                rows.append(row)
+                rhs.append(b)
+
+    def skip_product(prod):
+        return mode == "sound" and any(l not in arg_window for l in prod)
+
+    def builder():
+        return zoo._EtaRows(dual_even, dual_odd, arg_window)
+
+    ev, od = inst.even, inst.odd
+    for t1 in range(len(ev)):
+        for t2 in range(t1, len(ev)):
+            x0, x1 = ev[t1], ev[t2]
+            prod = zoo.conf_mul(x0, x1)
+            if skip_product(prod):
+                continue
+            rb = builder()
+            for l, c in prod.items():
+                rb.zeta(l, zoo.HALF * c)
+            rb.act(x0, x1, -zoo.HALF)
+            rb.act(x1, x0, -zoo.HALF)
+            harvest(rb, target.value(2, 0, (x0, x1), ()))
+    for x in ev:
+        for y in od:
+            prod = zoo.conf_mul(x, y)
+            if skip_product(prod):
+                continue
+            rb = builder()
+            for l, c in prod.items():
+                rb.zeta(l, c)
+            rb.act(x, y, F(-1))
+            rb.act(y, x, F(-1))
+            harvest(rb, target.value(1, 1, (x,), (y,)))
+    for t1 in range(len(od)):
+        for t2 in range(t1 + 1, len(od)):
+            y0, y1 = od[t1], od[t2]
+            prod = zoo.conf_mul(y0, y1)
+            if skip_product(prod):
+                continue
+            rb = builder()
+            for l, c in prod.items():
+                rb.zeta(l, c)
+            rb.act(y0, y1, F(-1))
+            rb.act(y1, y0, F(1))
+            harvest(rb, target.value(0, 2, (), (y0, y1)))
+    return rows, rhs, variables
+
+
 def _same_report(got, want):
     assert got.lines() == want.lines()
     assert [(v.kind, v.instance, type(v.residual), repr(v.residual))
@@ -539,6 +691,122 @@ def test_axiom_suites_match_the_reference_loops(kind, N):
     _same_report(fn(N), _ref_conf_axioms(kind, N))
 
 
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """A copy of the (rows, rhs, ncols) of every `linalg.solve` call."""
+    calls = []
+    solve = linalg.solve
+
+    def recording(rows, rhs, ncols):
+        calls.append(copy.deepcopy((rows, rhs, ncols)))
+        return solve(rows, rhs, ncols)
+
+    monkeypatch.setattr(linalg, "solve", recording)
+    return calls
+
+
+_GAMMA_PERTURBATIONS = {
+    "default": (None, None),
+    "t+1": (lambda n: -n + 1, None),
+    "s-bump": (None, lambda i: i * i - F(1, 4) + (1 if i == F(1, 2) else 0)),
+    "s-linear": (None, lambda i: i * i - F(1, 4) + i),
+    # gamma = 0 is a coboundary: the verdict's other branch
+    "zero": (lambda n: 0, lambda i: 0),
+}
+
+
+@pytest.mark.parametrize("which", list(_GAMMA_PERTURBATIONS))
+@pytest.mark.parametrize("N", [2, 4, 6])
+def test_gamma_suite_matches_the_reference_loops(N, which):
+    t_fn, s_fn = _GAMMA_PERTURBATIONS[which]
+    got = zoo.verify_cocycle_gamma(N, t_fn=t_fn, s_fn=s_fn)
+    want = _ref_cocycle_gamma(N, t_fn, s_fn)
+    _same_report(got, want)
+    assert (got.checked, got.skipped, got.extras) == (
+        want.checked, want.skipped, want.extras)
+    assert [(v.kind, v.instance, v.residual) for v in got.violations] == [
+        (v.kind, v.instance, v.residual) for v in want.violations]
+    assert got.ok == (which == "default")
+
+
+@pytest.mark.parametrize("which", list(_GAMMA_PERTURBATIONS))
+@pytest.mark.parametrize("N", [2, 4, 6])
+def test_gamma_nontriviality_system_matches_the_reference_loops(
+        N, which, solver_calls):
+    t_fn, s_fn = _GAMMA_PERTURBATIONS[which]
+
+    def gfn(label):
+        return zoo.gamma_value(label, t_fn, s_fn)
+
+    zoo._gamma_nontrivial(N, gfn)
+    assert solver_calls == [_ref_gamma_system(N, gfn)]
+
+
+_STRAY_ARGS = ((), (A(F(-1, 2)), A(F(1, 2))))
+
+_ETA_TARGETS = {
+    "(1,0)": lambda: zoo.eta_family(1, 0),
+    "(0,1)": lambda: zoo.eta_family(0, 1),
+    "(1,1)": lambda: zoo.eta_family(1, 1),
+    "(1,2)": lambda: zoo.eta_family(1, 2),
+    "(3/2,3)": lambda: zoo.eta_family(F(3, 2), 3),
+    # off the line: with the (2,0)-coefficient +mu it is no coboundary
+    "(1,2) ee=mu": lambda: zoo.eta_family(1, 2, even_even_coeff=2),
+    # components that no coefficient row reaches: below the dual floor
+    # (inside the sound bound) and beyond every window
+    "stray": lambda: WindowCochain(2, {(0, 2): {_STRAY_ARGS: {
+        ("eps*", F(-3)): F(1), ("eps*", F(40)): F(2)}}}),
+}
+
+
+def _eta_target(name):
+    return _ETA_TARGETS[name]()
+
+
+def test_eta_systems_match_the_per_target_builder(solver_calls):
+    """The shared coefficient rows give each target exactly the system the
+    per-target builder gives it, whatever order the targets come in, and
+    the solver sees exactly those systems."""
+    cases = [(N, name) for N in (2, 3, 4) for name in _ETA_TARGETS]
+    want = {(N, name, mode): _ref_eta_linear_system(N, _eta_target(name), mode)
+            for N, name in cases for mode in ("sound", "table")}
+    for seed in (3, 4):
+        zoo._eta_coefficients.cache_clear()
+        order = list(cases)
+        random.Random(seed).shuffle(order)
+        for N, name in order:
+            target = _eta_target(name)
+            for mode in ("sound", "table"):
+                assert zoo._eta_linear_system(N, target, mode) == want[
+                    N, name, mode]
+            solver_calls.clear()
+            zoo.eta_coboundary_solve(N, target)
+            rows, rhs, variables = want[N, name, "sound"]
+            expected = [(rows, rhs, len(variables))]
+            if name in ("(1,2)", "(3/2,3)"):  # on the line: sound rows hold
+                rows, rhs, variables = want[N, name, "table"]
+                expected.append((rows, rhs, len(variables)))
+            assert solver_calls == expected
+
+
+def test_eta_suite_solves_the_same_seven_systems(solver_calls):
+    """verify eta makes seven solver calls: the sound and the table system
+    of the two line members, then the sound system of the three off-line
+    ones."""
+    zoo._eta_coefficients.cache_clear()
+    zoo.verify_cocycle_eta(4)
+    expected = []
+    for name, modes in (("(1,2)", ("sound", "table")),
+                        ("(3/2,3)", ("sound", "table")),
+                        ("(1,0)", ("sound",)), ("(0,1)", ("sound",)),
+                        ("(1,1)", ("sound",))):
+        for mode in modes:
+            rows, rhs, variables = _ref_eta_linear_system(
+                4, _eta_target(name), mode)
+            expected.append((rows, rhs, len(variables)))
+    assert solver_calls == expected
+
+
 def test_no_state_survives_a_suite_call():
     clean_gf = zoo.verify_super_cocycle_gf(3)
     clean_dual = zoo.verify_dual_gf(3)
@@ -549,3 +817,18 @@ def test_no_state_survives_a_suite_call():
     assert not zoo.verify_dual_gf(3, C_fn=pert_dual).ok
     _same_report(zoo.verify_super_cocycle_gf(3), clean_gf)
     _same_report(zoo.verify_dual_gf(3), clean_dual)
+
+    clean_gamma = zoo.verify_cocycle_gamma(4)
+    assert clean_gamma.ok
+    assert not zoo.verify_cocycle_gamma(4, t_fn=lambda n: -n + 1).ok
+    again = zoo.verify_cocycle_gamma(4)
+    _same_report(again, clean_gamma)
+    assert again.extras == clean_gamma.extras
+
+    # the eta coefficient rows are shared between calls; a solve on an
+    # off-line target in between leaves the suite's report as it was
+    clean_eta = zoo.verify_cocycle_eta(4)
+    assert zoo.eta_coboundary_solve(4, _eta_target("(1,2) ee=mu")) is None
+    again = zoo.verify_cocycle_eta(4)
+    _same_report(again, clean_eta)
+    assert again.extras == clean_eta.extras
