@@ -31,12 +31,9 @@ from .antialgebra import (
     zero_square_check,
 )
 from .brackets import (
-    AlElement,
     BlockMap,
-    al_bracket,
     alt,
     alt_blocks,
-    ce_delta_eval,
     chevalley_eilenberg_differential,
     gerstenhaber_bracket,
     hochschild_differential,
@@ -64,8 +61,7 @@ __all__ = [
     "AntialgebraStructure", "CheckReport", "ModuleStructure", "Violation",
     "adjoint_module", "check_axioms", "check_axioms_v2", "dual_module",
     "semidirect", "trivial_module", "zero_square_check",
-    "AlElement", "BlockMap", "al_bracket", "alt", "alt_blocks",
-    "ce_delta_eval", "chevalley_eilenberg_differential",
+    "BlockMap", "alt", "alt_blocks", "chevalley_eilenberg_differential",
     "gerstenhaber_bracket", "hochschild_differential",
     "Cochain", "CochainBasis", "apply_delta", "assemble_complex",
     "cohomology_dims", "delta_via_bracket", "derivation_space",

@@ -2,9 +2,13 @@
 defining identities, modules, semidirect sums, and dual modules.
 
 A structure is stored as a completed ordered product table over a
-`core.GradedSpace`.  Two independent validity checks are provided: the
-identity-by-identity checker and the square-zero test of the associated
-odd element under the alternated bracket.
+`core.GradedSpace`.  Its validity is checked identity by identity
+(`check_axioms`, and the reformulated system `check_axioms_v2`) and as the
+square-zero test of the associated odd element under the alternated
+bracket (`zero_square_check`).  The four identities are written out once,
+in `_identity_residuals`: `check_axioms` records their residuals, and
+`zero_square_check` compares each block of [m, m] from the bracket engine
+with a fixed multiple of them.
 """
 
 from __future__ import annotations
@@ -242,15 +246,19 @@ def _record(rep: CheckReport, space, kind, instance, acc: dict, d: int):
     rep.record(kind, instance, Vector(space, res) if res else {})
 
 
-def _check_table(rep: CheckReport, space: GradedSpace, table: Mapping):
-    """Record graded commutativity and grading closure of every ordered
-    pair; return (T, D^2): the table as integers T = D * table over the
-    least common denominator D of its coefficients, an absent product
-    reading as {}, and the D^2 that a product of two entries of T carries."""
+def _integer_table(table: Mapping):
+    """(T, D): the table as integers T = D * table over the least common
+    denominator D of its coefficients, an absent product reading as {}."""
     exact = {k: {l: scalar(c) for l, c in v.items()} for k, v in table.items()}
     d = common_denominator(c for v in exact.values() for c in v.values())
-    t = defaultdict(dict, {k: as_integers(v.items(), d)
-                           for k, v in exact.items()})
+    return defaultdict(dict, {k: as_integers(v.items(), d)
+                              for k, v in exact.items()}), d
+
+
+def _check_table(rep: CheckReport, space: GradedSpace, table: Mapping):
+    """Record graded commutativity and grading closure of every ordered
+    pair; return `_integer_table(table)`."""
+    t, d = _integer_table(table)
     for a in space.labels():
         for b in space.labels():
             ab, ba = t.get((a, b), {}), t.get((b, a), {})
@@ -260,7 +268,46 @@ def _check_table(rep: CheckReport, space: GradedSpace, table: Mapping):
             want = (space.parity(a) + space.parity(b)) % 2
             bad = {l: c for l, c in ab.items() if space.parity(l) != want}
             _record(rep, space, "grading", (a, b), bad, d)
-    return t, d * d
+    return t, d
+
+
+def _identity_residuals(space: GradedSpace, t: Mapping):
+    """Yield (kind, instance, residual, w) for the four identities of
+    `check_axioms` on every basis instance of the integer table T = D *
+    table: the residual {label: int} is w * D^2 times the identity's."""
+    e = {l: {l: 1} for l in space.labels()}
+    ev, od = space.even, space.odd
+    for x1 in ev:
+        for x2 in ev:
+            for x3 in ev:
+                acc: dict = {}
+                _mul_into(acc, t, e[x1], t[x2, x3], 1)
+                _mul_into(acc, t, t[x1, x2], e[x3], -1)
+                yield "assoc", (x1, x2, x3), acc, 1
+    for x1 in ev:
+        for x2 in ev:
+            for y in od:
+                acc = {}
+                # the weights 1, -1/2 times 2
+                _mul_into(acc, t, e[x1], t[x2, y], 2)
+                _mul_into(acc, t, t[x1, x2], e[y], -1)
+                yield "half_unit", (x1, x2, y), acc, 2
+    for x in ev:
+        for y1 in od:
+            for y2 in od:
+                acc = {}
+                _mul_into(acc, t, e[x], t[y1, y2], 1)
+                _mul_into(acc, t, t[x, y1], e[y2], -1)
+                _mul_into(acc, t, e[y1], t[x, y2], -1)
+                yield "leibniz", (x, y1, y2), acc, 1
+    for y1 in od:
+        for y2 in od:
+            for y3 in od:
+                acc = {}
+                _mul_into(acc, t, e[y1], t[y2, y3], 1)
+                _mul_into(acc, t, e[y2], t[y3, y1], 1)
+                _mul_into(acc, t, e[y3], t[y1, y2], 1)
+                yield "cyclic", (y1, y2, y3), acc, 1
 
 
 def check_axioms(space: GradedSpace, table: Mapping,
@@ -277,41 +324,9 @@ def check_axioms(space: GradedSpace, table: Mapping,
       cyclic     y1.(y2.y3) + y2.(y3.y1) + y3.(y1.y2) = 0   odd triples
     """
     rep = CheckReport(title)
-    table, dd = _check_table(rep, space, table)
-    e = {l: {l: 1} for l in space.labels()}
-    ev, od = space.even, space.odd
-
-    for x1 in ev:
-        for x2 in ev:
-            for x3 in ev:
-                acc: dict = {}
-                _mul_into(acc, table, e[x1], table[x2, x3], 1)
-                _mul_into(acc, table, table[x1, x2], e[x3], -1)
-                _record(rep, space, "assoc", (x1, x2, x3), acc, dd)
-    for x1 in ev:
-        for x2 in ev:
-            for y in od:
-                acc = {}
-                # the weights 1, -1/2 times 2
-                _mul_into(acc, table, e[x1], table[x2, y], 2)
-                _mul_into(acc, table, table[x1, x2], e[y], -1)
-                _record(rep, space, "half_unit", (x1, x2, y), acc, 2 * dd)
-    for x in ev:
-        for y1 in od:
-            for y2 in od:
-                acc = {}
-                _mul_into(acc, table, e[x], table[y1, y2], 1)
-                _mul_into(acc, table, table[x, y1], e[y2], -1)
-                _mul_into(acc, table, e[y1], table[x, y2], -1)
-                _record(rep, space, "leibniz", (x, y1, y2), acc, dd)
-    for y1 in od:
-        for y2 in od:
-            for y3 in od:
-                acc = {}
-                _mul_into(acc, table, e[y1], table[y2, y3], 1)
-                _mul_into(acc, table, e[y2], table[y3, y1], 1)
-                _mul_into(acc, table, e[y3], table[y1, y2], 1)
-                _record(rep, space, "cyclic", (y1, y2, y3), acc, dd)
+    t, d = _check_table(rep, space, table)
+    for kind, instance, acc, w in _identity_residuals(space, t):
+        _record(rep, space, kind, instance, acc, w * d * d)
     return rep
 
 
@@ -327,7 +342,8 @@ def check_axioms_v2(space: GradedSpace, table: Mapping,
     Graded commutativity and grading closure are checked as before.
     """
     rep = CheckReport(title)
-    table, dd = _check_table(rep, space, table)
+    table, d = _check_table(rep, space, table)
+    dd = d * d
     labels = space.labels()
     e = {l: {l: 1} for l in labels}
     ev, od = space.even, space.odd
@@ -362,98 +378,52 @@ def check_axioms_v2(space: GradedSpace, table: Mapping,
 # the square-zero test
 # ---------------------------------------------------------------------------
 
+# [m, m] block by block as a multiple of one identity's residuals:
+# kind -> ((p, q), numerator, denominator) of that multiple
+_SQUARE_OF = {
+    "assoc": ((3, 0), -1, 2),
+    "half_unit": ((2, 1), -2, 1),
+    "leibniz": ((1, 2), -1, 1),
+    "cyclic": ((0, 3), 2, 3),
+}
+
+
 def zero_square_check(structure: AntialgebraStructure):
     """Compute [m, m] under the alternated bracket for the structure's odd
     element m and report every nonzero entry.
 
-    Returns (report, block_map).  The four blocks are also compared against
-    directly expanded identity combinations; a mismatch there means a
-    transcription bug in the bracket engine itself and raises AssertionError
-    naming the block.
+    Returns (report, block_map).  Each block is also compared with a fixed
+    multiple of the residuals of `check_axioms`: [m, m] is -1/2 assoc on
+    (3,0), -2 half_unit on (2,1), -leibniz on (1,2) and 2/3 cyclic on (0,3)
+    (the last two are already alternating in the odd arguments).  A
+    mismatch there means a transcription bug in the bracket engine itself
+    and raises AssertionError naming the block.
     """
     m = structure.m_blocks()
     square = brackets.al_bracket_blocks(m, m)
-    rep = CheckReport(f"zero-square[{structure.name or '?'}]")
     sp = structure.space
-    shapes = [(3, 0), (2, 1), (1, 2), (0, 3)]
-    for (p, q) in shapes:
+    t, d = _integer_table(structure.products)
+    expected = {shape: {} for shape, _, _ in _SQUARE_OF.values()}
+    for kind, instance, acc, w in _identity_residuals(sp, t):
+        for l, c in acc.items():
+            if c:
+                (p, q), num, den = _SQUARE_OF[kind]
+                expected[p, q][instance[:p], instance[p:], l] = Fraction(
+                    num * c, den * w * d * d)
+    rep = CheckReport(f"zero-square[{structure.name or '?'}]")
+    for (p, q), want in expected.items():
+        block = dict(square.block(p, q).entries())
+        if block != want:
+            raise AssertionError("bracket engine disagrees with direct "
+                                 f"expansion on block ({p},{q})")
         by_args = defaultdict(dict)
-        for (xs, ys, l), c in square.block(p, q).entries():
+        for (xs, ys, l), c in block.items():
             by_args[xs, ys][l] = c
         for xs in itertools.product(sp.even, repeat=p):
             for ys in itertools.combinations(sp.odd, q):
                 rep.record(f"square[{p},{q}]", (xs, ys),
                            Vector._trusted(sp, by_args.get((xs, ys), {})))
-    expected = _expanded_identity_blocks(structure)
-    for (p, q) in shapes:
-        if square.block(p, q) != expected.block(p, q):
-            raise AssertionError("bracket engine disagrees with direct "
-                                 f"expansion on block ({p},{q})")
     return rep, square
-
-
-def _expanded_identity_blocks(structure: AntialgebraStructure) -> brackets.BlockMap:
-    """[m, m] written out by hand:
-
-      (3,0):  2 [ m(m(x1,x2),x3) - m(x1,m(x2,x3)) ]
-      (2,1):  2 [ m(m(x1,x2),y)  - m(x1,m(x2,y))  ]
-      (1,2):  m(m(x,y1),y2) - m(m(x,y2),y1) - 2 m(x,m(y1,y2))
-      (0,3):  (2/3) [ m(m(y1,y2),y3) + m(m(y2,y3),y1) + m(m(y3,y1),y2) ]
-
-    where m carries the 1/2 on even-even pairs.  They are computed on the
-    integer table M = 2D * m, so each identity's sum carries 4D^2 (and the
-    (0,3) weights are scaled by 3).
-    """
-    sp = structure.space
-    ev, od = sp.even, sp.odd
-    d = common_denominator(c for row in structure.products.values()
-                           for c in row.values())
-    mt = defaultdict(dict, {
-        (a, b): as_integers(row.items(), d if sp.parity(a) + sp.parity(b) == 0
-                            else 2 * d)
-        for (a, b), row in structure.products.items()})
-    div = 4 * d * d
-    e = {l: {l: 1} for l in sp.labels()}
-    e30: dict = {}
-    for xs in itertools.product(ev, repeat=3):
-        x1, x2, x3 = xs
-        acc: dict = {}
-        _mul_into(acc, mt, mt[x1, x2], e[x3], 2)
-        _mul_into(acc, mt, e[x1], mt[x2, x3], -2)
-        e30.update(((xs, (), l), c) for l, c in acc.items())
-    e21: dict = {}
-    for xs in itertools.product(ev, repeat=2):
-        x1, x2 = xs
-        for y in od:
-            acc = {}
-            _mul_into(acc, mt, mt[x1, x2], e[y], 2)
-            _mul_into(acc, mt, e[x1], mt[x2, y], -2)
-            e21.update(((xs, (y,), l), c) for l, c in acc.items())
-    e12: dict = {}
-    for x in ev:
-        for y1 in od:
-            for y2 in od:
-                acc = {}
-                _mul_into(acc, mt, mt[x, y1], e[y2], 1)
-                _mul_into(acc, mt, mt[x, y2], e[y1], -1)
-                _mul_into(acc, mt, e[x], mt[y1, y2], -2)
-                e12.update((((x,), (y1, y2), l), c) for l, c in acc.items())
-    e03: dict = {}
-    for ys in itertools.product(od, repeat=3):
-        y1, y2, y3 = ys
-        acc = {}
-        _mul_into(acc, mt, mt[y1, y2], e[y3], 2)
-        _mul_into(acc, mt, mt[y2, y3], e[y1], 2)
-        _mul_into(acc, mt, mt[y3, y1], e[y2], 2)
-        e03.update((((), ys, l), c) for l, c in acc.items())
-    blocks = {
-        (3, 0): MultiMap._trusted(sp, 3, 0, divided(e30, div)),
-        (2, 1): MultiMap._trusted(sp, 2, 1, divided(e21, div)),
-        (1, 2): MultiMap._trusted(sp, 1, 2, divided(e12, div)),
-        (0, 3): brackets.alt(MultiMap._trusted(sp, 0, 3,
-                                               divided(e03, 3 * div))),
-    }
-    return brackets.BlockMap(sp, 3, blocks)
 
 
 # ---------------------------------------------------------------------------

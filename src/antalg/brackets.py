@@ -22,12 +22,8 @@ __all__ = [
     "bracket_blocks",
     "alt",
     "alt_blocks",
-    "AlElement",
-    "al_bracket",
     "hochschild_differential",
     "chevalley_eilenberg_differential",
-    "ce_delta_eval",
-    "eval_multilinear",
 ]
 
 
@@ -277,39 +273,6 @@ def alt_blocks(bm: BlockMap) -> BlockMap:
                     {pq: alt(mm) for pq, mm in bm.items()})
 
 
-def is_y_skew(phi: MultiMap) -> bool:
-    return alt(phi) == phi
-
-
-class AlElement:
-    """A homogeneous element of the alternated algebra: a parity-preserving,
-    y-antisymmetric (p,q)-map with p + q >= 1."""
-
-    __slots__ = ("map",)
-
-    def __init__(self, mm: MultiMap):
-        _parity_or_raise(mm)
-        if not is_y_skew(mm):
-            raise ValueError("map is not antisymmetric in its odd arguments")
-        self.map = mm
-
-    @property
-    def parity(self) -> int:
-        return (self.map.p + self.map.q + 1) % 2
-
-    def __repr__(self):
-        return f"AlElement(p={self.map.p}, q={self.map.q})"
-
-
-def _as_map(x) -> MultiMap:
-    return x.map if isinstance(x, AlElement) else x
-
-
-def al_bracket(a, b) -> BlockMap:
-    """The alternated bracket: Alt applied to the graded bracket."""
-    return alt_blocks(gerstenhaber_bracket(_as_map(a), _as_map(b)))
-
-
 def al_bracket_blocks(a: BlockMap, b: BlockMap) -> BlockMap:
     """Alt of the bracket, dividing each block once by D * q!."""
     accs, d = _bracket(a, b)
@@ -357,103 +320,6 @@ def hochschild_differential(m: MultiMap, phi: MultiMap) -> MultiMap:
     return MultiMap(space, k + 1, 0, out)
 
 
-def eval_multilinear(fn, args):
-    """Expand formal-vector (dict) arguments linearly through
-    fn(labels...) -> dict | None.
-
-    Any None result (an out-of-window product in truncated settings) makes
-    the whole evaluation None.  The zero vector is the empty dict.
-    """
-    for i, a in enumerate(args):
-        if isinstance(a, dict):
-            total: dict = {}
-            for label, c in a.items():
-                v = eval_multilinear(fn, args[:i] + (label,) + args[i + 1:])
-                if v is None:
-                    return None
-                total = _generic_add(total, _generic_scale(v, c))
-            return total
-    return fn(*args)
-
-
-def ce_delta_eval(bracket_fn, act_fn, phi_fn, args):
-    """One instance of the Lie-algebra coboundary of a k-cochain.
-
-    ``args`` is a tuple of k+1 basis points.  ``bracket_fn(a, b)`` returns the
-    bracket as a formal vector (dict/Vector) or None when unknown;
-    ``act_fn(a, value)`` applies the coefficient action (None for trivial
-    coefficients); ``phi_fn(args)`` evaluates the cochain at basis points,
-    expanding formal-vector arguments linearly.  Returns the value, or None
-    if any needed ingredient is unknown.
-    """
-    k1 = len(args)
-    total = None
-
-    def accumulate(v):
-        nonlocal total
-        total = v if total is None else _generic_add(total, v)
-
-    if act_fn is not None:
-        for i in range(k1):
-            rest = args[:i] + args[i + 1:]
-            inner = phi_fn(rest)
-            if inner is None:
-                return None
-            acted = act_fn(args[i], inner)
-            if acted is None:
-                return None
-            accumulate(_generic_scale(acted, Fraction(-1) ** i))
-    for i in range(k1):
-        for j in range(i + 1, k1):
-            br = bracket_fn(args[i], args[j])
-            if br is None:
-                return None
-            rest = tuple(a for t, a in enumerate(args) if t not in (i, j))
-            val = _phi_linear_first(phi_fn, br, rest)
-            if val is None:
-                return None
-            accumulate(_generic_scale(val, Fraction(-1) ** (i + j)))
-    return total if total is not None else {}
-
-
-def _phi_linear_first(phi_fn, first, rest):
-    if isinstance(first, Vector):
-        items = list(first.items())
-    elif isinstance(first, dict):
-        items = list(first.items())
-    else:
-        return phi_fn((first,) + rest)
-    total = None
-    for label, c in items:
-        v = phi_fn((label,) + rest)
-        if v is None:
-            return None
-        v = _generic_scale(v, c)
-        total = v if total is None else _generic_add(total, v)
-    return total if total is not None else {}
-
-
-def _generic_add(a, b):
-    # Vectors and plain dicts may meet when one side degenerated to the
-    # empty (zero) dict; the zero cases keep the richer representative.
-    if isinstance(a, dict) and not a:
-        return b
-    if isinstance(b, dict) and not b:
-        return a
-    if isinstance(a, Vector):
-        return a.add(b)
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, Fraction(0)) + c
-    return {k: c for k, c in out.items() if c}
-
-
-def _generic_scale(a, c):
-    if isinstance(a, Vector):
-        return a.scale(c)
-    return {k: v * c for k, v in a.items() if v * c}
-
-
 def chevalley_eilenberg_differential(br: MultiMap, phi: MultiMap,
                                      coefficients: str = "adjoint") -> MultiMap:
     """Lie-algebra coboundary of an alternating k-cochain on a purely even
@@ -478,24 +344,21 @@ def chevalley_eilenberg_differential(br: MultiMap, phi: MultiMap,
     if coefficients not in ("adjoint", "trivial"):
         raise ValueError("coefficients must be 'adjoint' or 'trivial'")
 
-    def bracket_fn(a, b):
-        return br.eval((a, b), ())
-
-    act_fn = None
-    if coefficients == "adjoint":
-        def act_fn(a, v):
-            return br.eval((a, v), ())
-
-    def phi_fn(args):
-        return phi.eval(args, ())
-
     out: dict = {}
     for xs in itertools.product(space.even, repeat=k + 1):
-        v = ce_delta_eval(bracket_fn, act_fn, phi_fn, xs)
-        if v is None:
-            continue
-        for label, c in v.items():
-            out[(tuple(xs), (), label)] = c
+        total = Vector.zero(space)
+        if coefficients == "adjoint":
+            for i in range(k + 1):
+                inner = phi.eval(xs[:i] + xs[i + 1:], ())
+                total = total.add(br.eval((xs[i], inner), ())
+                                  .scale(Fraction(-1) ** i))
+        for i, j in itertools.combinations(range(k + 1), 2):
+            rest = tuple(a for t, a in enumerate(xs) if t not in (i, j))
+            inner = br.eval((xs[i], xs[j]), ())
+            total = total.add(phi.eval((inner,) + rest, ())
+                              .scale(Fraction(-1) ** (i + j)))
+        for label, c in total.items():
+            out[(xs, (), label)] = c
     return MultiMap(space, k + 1, 0, out)
 
 

@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     except InputError as ex:
         print(f"input error: {ex}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as ex:
+    except (OSError, UnicodeDecodeError) as ex:  # unreadable, or not UTF-8
         print(f"input error: {ex}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -139,9 +139,9 @@ def rref(mat: list) -> tuple:
     return [reduced[c] for c in pivot_cols], pivot_cols
 
 
-def rank(mat: list, self_check: bool = True) -> int:
+def rank(mat: list) -> int:
     r = len(_eliminate(mat))
-    if self_check and len(_eliminate(mat, descending=True)) != r:
+    if len(_eliminate(mat, descending=True)) != r:
         raise AssertionError("rank self-check failed (elimination order)")
     return r
 

@@ -142,6 +142,23 @@ def test_cross_check_catches_a_wrong_bracket_engine(monkeypatch):
     assert "disagrees with direct expansion on block (2,1)" in proc.stdout
 
 
+def test_cross_check_weighs_a_non_associative_even_part():
+    """A (2|1) table with e.e = f and e.f = e: its even part is not
+    associative, so [m,m] has a (3,0) block, -1/2 times the assoc residual
+    (which the cross-check compares with the bracket engine)."""
+    sp = GradedSpace(("e", "f"), ("y",))
+    st = AntialgebraStructure(sp, {("e", "e"): {"f": 1}, ("e", "f"): {"e": 1}})
+    rep, square = zero_square_check(st)
+    assert dict(square.block(3, 0).entries()) == {
+        (("e", "e", "f"), (), "f"): F(-1, 2),
+        (("e", "f", "f"), (), "e"): F(1, 2),
+        (("f", "e", "e"), (), "f"): F(1, 2),
+        (("f", "f", "e"), (), "e"): F(-1, 2),
+    }
+    assert square.shapes() == [(3, 0)]
+    assert (rep.checked, len(rep.violations)) == (12, 4)
+
+
 def test_structure_as_an_odd_element():
     m = K3.m_blocks()
     assert dict(m.block(2, 0).entries()) == {

@@ -276,6 +276,28 @@ def test_missing_file_is_an_input_error(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["check", "--input"],
+    ["cohomology", "--input", "k3", "--coefficients"],
+])
+@pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+def test_unreadable_inputs_are_input_errors(tmp_path, flags, unreadable):
+    """A directory, or a file that is not UTF-8, named by --input or
+    --coefficients exits 2 with a message and no traceback."""
+    path = tmp_path / "table.alg"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(K3_TEXT.replace("eps", "\xe9ps").encode("latin-1"))
+    script = "from antalg.cli import main; raise SystemExit(main({!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script.format(flags + [str(path)])],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stderr.startswith("input error: ")
+
+
 def test_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

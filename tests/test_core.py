@@ -1,5 +1,6 @@
 """Graded spaces, sparse vectors/maps, and the structure-constant parser."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -232,3 +233,12 @@ def test_completion_rejects_conflicting_mirrors():
         complete_product_table(
             GradedSpace(("e",), ("a", "b")),
             {("a", "b"): {"e": 1}, ("b", "a"): {"e": 1}})
+
+
+@pytest.mark.parametrize("module", [
+    "antalg", "antalg.antialgebra", "antalg.brackets", "antalg.cohomology",
+    "antalg.core", "antalg.linalg", "antalg.zoo"])
+def test_every_exported_name_is_bound(module):
+    """A name left in ``__all__`` after its definition is deleted."""
+    mod = importlib.import_module(module)
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []

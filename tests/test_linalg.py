@@ -225,7 +225,6 @@ class AgainstDenseReference(unittest.TestCase):
         try:
             with self.assertRaisesRegex(AssertionError, "self-check"):
                 linalg.rank(rows)
-            self.assertEqual(linalg.rank(rows, self_check=False), 1)
         finally:
             linalg._eliminate = original
 

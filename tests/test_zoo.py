@@ -17,7 +17,6 @@ import pytest
 
 from antalg import linalg, zoo
 from antalg.antialgebra import CheckReport
-from antalg.brackets import eval_multilinear
 from antalg.zoo import DictVec, WindowCochain, WindowedAlgebra
 
 F = Fraction
@@ -352,6 +351,24 @@ def test_threefold_pairing_on_the_witt_window():
     assert rep.ok and (rep.checked, rep.skipped) == (41, 0)
 
 
+def test_gv_cocycle_leg_sees_a_form_that_is_not_closed(monkeypatch):
+    """The alternating 3-form supported on {l_0, l_1, l_2} is not closed:
+    its only violation is -4 at (l_-1, l_0, l_1, l_3), which the sign
+    (-1)^{i+j} of each bracket term decides (+4 without it)."""
+    def c_012(u, v, w):
+        idx = (u[1], v[1], w[1])
+        if sorted(idx) != [F(0), F(1), F(2)]:
+            return F(0)
+        return F(zoo._perm_sign(tuple(sorted(range(3), key=idx.__getitem__))))
+
+    monkeypatch.setattr(zoo, "c_gv", c_012)
+    rep = zoo.verify_gv(5)
+    assert (rep.checked, rep.skipped) == (41, 0)
+    cocycle = [(v.instance, v.residual) for v in rep.violations
+               if v.kind == "cocycle"]
+    assert cocycle == [((L(-1), L(0), L(1), L(3)), {"gv": F(-4)})]
+
+
 # ---------------------------------------------------------------------------
 # reference loops for the tabulated suites
 # ---------------------------------------------------------------------------
@@ -419,6 +436,42 @@ def _ref_dual_gf(N, C_fn=None):
     return rep
 
 
+def _ref_eval(fn, args):
+    """Expand dict arguments linearly through fn(labels...) -> dict | None;
+    a None result anywhere makes the whole evaluation None."""
+    for i, a in enumerate(args):
+        if isinstance(a, dict):
+            total = {}
+            for label, c in a.items():
+                v = _ref_eval(fn, args[:i] + (label,) + args[i + 1:])
+                if v is None:
+                    return None
+                total = _ref_add(total, _ref_scale(v, c))
+            return total
+    return fn(*args)
+
+
+def _ref_add(a, b):
+    if a is None or b is None:
+        return None
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, F(0)) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _ref_sub(a, b):
+    if a is None or b is None:
+        return None
+    return _ref_add(a, {k: -c for k, c in b.items()})
+
+
+def _ref_scale(a, c):
+    if a is None:
+        return None
+    return {k: v * c for k, v in a.items() if v * c}
+
+
 def _ref_conf_axioms(kind, N):
     w = WindowedAlgebra(kind, N)
     rep = CheckReport(f"{kind}-axioms[N={N}]")
@@ -426,26 +479,26 @@ def _ref_conf_axioms(kind, N):
     def prod(u, v):
         if u is None or v is None:
             return None
-        return eval_multilinear(w.mul, (u, v))
+        return _ref_eval(w.mul, (u, v))
 
     ev, od = w.even, w.odd
     for x1, x2, x3 in itertools.product(ev, repeat=3):
         rep.record("assoc", (x1, x2, x3),
-                   zoo._dsub(prod(x1, prod(x2, x3)), prod(prod(x1, x2), x3)))
+                   _ref_sub(prod(x1, prod(x2, x3)), prod(prod(x1, x2), x3)))
     for x1, x2 in itertools.product(ev, repeat=2):
         for y in od:
-            rhs = zoo._dscale(prod(prod(x1, x2), y), zoo.HALF)
+            rhs = _ref_scale(prod(prod(x1, x2), y), zoo.HALF)
             rep.record("half_unit", (x1, x2, y),
-                       zoo._dsub(prod(x1, prod(x2, y)), rhs))
+                       _ref_sub(prod(x1, prod(x2, y)), rhs))
     for x in ev:
         for y1, y2 in itertools.product(od, repeat=2):
-            rhs = zoo._dadd(prod(prod(x, y1), y2), prod(y1, prod(x, y2)))
+            rhs = _ref_add(prod(prod(x, y1), y2), prod(y1, prod(x, y2)))
             rep.record("leibniz", (x, y1, y2),
-                       zoo._dsub(prod(x, prod(y1, y2)), rhs))
+                       _ref_sub(prod(x, prod(y1, y2)), rhs))
     for y1, y2, y3 in itertools.combinations(od, 3):
-        total = zoo._dadd(zoo._dadd(prod(y1, prod(y2, y3)),
-                                    prod(y2, prod(y3, y1))),
-                          prod(y3, prod(y1, y2)))
+        total = _ref_add(_ref_add(prod(y1, prod(y2, y3)),
+                                  prod(y2, prod(y3, y1))),
+                         prod(y3, prod(y1, y2)))
         rep.record("cyclic", (y1, y2, y3), total)
     return rep
 
