@@ -139,9 +139,10 @@ def load_coefficients(alg: AntialgebraStructure, selector: str) -> ModuleStructu
     try:
         mod = ModuleStructure(alg, doc.module_space, doc.action or {},
                               name=doc.name or selector)
-    except (KeyError, ValueError) as ex:  # an unknown label, a parity clash
+        table = _semidirect_table(mod)
+    except (KeyError, ValueError) as ex:  # unknown or shared labels, parity
         raise InputError(ex.args[0]) from None
-    rep = check_axioms(*_semidirect_table(mod), title="module")
+    rep = check_axioms(*table, title="module")
     if not rep.ok:
         raise InputError(
             f"coefficients in {selector} violate the module identities "

@@ -5,8 +5,9 @@ A k-cochain with coefficients in a module B is a sum of (p,q)-blocks,
 p + q = k, each a map V0^p x V1^q -> B that is antisymmetric in the odd
 arguments and valued in the module component of parity q (mod 2).  The
 coboundary has three components moving a block (p,q) to (p+1,q), (p,q+1)
-and (p-1,q+2); their instance formulas are implemented verbatim in
-`delta10_value`, `delta01_value`, `delta_12_value`.
+and (p-1,q+2).  Each instance formula is written once, verbatim, as a
+generator of signed terms (`delta10_terms`, `delta01_terms`,
+`delta_12_terms`); `delta_instance` is the one place that sums them.
 
 Products or action values that are unknown (None) -- which happens for
 truncated windows of infinite-dimensional algebras -- propagate to None
@@ -31,7 +32,6 @@ __all__ = [
     "CochainBasis",
     "DifferentialMatrix",
     "delta_instance",
-    "delta_component_value",
     "apply_delta",
     "apply_delta_component",
     "delta_via_bracket",
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 COMPONENTS = ((1, 0), (0, 1), (-1, 2))
+ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
@@ -74,9 +75,6 @@ class DeltaContext:
         self.mod = mod
         self.mul = mul
         self.act = act
-
-    def zero(self):
-        return self.mod.vector({})
 
     def m_alg(self, a, b):
         v = self.mul(a, b)
@@ -267,125 +265,80 @@ def _expand_args(coch: Cochain, p, q, xs, ys):
 
 
 # ---------------------------------------------------------------------------
-# the three coboundary components, instance by instance
+# the three coboundary components, each a stream of signed terms
 # ---------------------------------------------------------------------------
 
-def delta10_value(ctx: DeltaContext, coch, p, q, xs, ys):
-    """Contribution of the (p,q)-block to the (p+1,q)-block of the
-    coboundary, evaluated at xs (p+1 even labels) and ys (q odd labels):
+def delta10_terms(ctx: DeltaContext, coch, p, q, xs, ys):
+    """The signed terms (coefficient, module value or None) of the
+    contribution of the (p,q)-block to the (p+1,q)-block of the coboundary,
+    evaluated at xs (p+1 even labels) and ys (q odd labels):
 
       - m(x0, c(x1..xp; ys))
       + sum_i (-1)^i c(x0.., m(xi,x_{i+1}), ..xp; ys)
       + (-1)^p m(c(x0..x_{p-1}), xp)                        if q = 0
       + (1/q) sum_j (-1)^{p+j} c(x0..x_{p-1}; m(xp,yj), ys\\yj)   if q > 0
     """
-    inner = coch.eval(p, q, xs[1:], ys)
-    if inner is None:
-        return None
-    total = ctx.m_x_val(xs[0], inner)
-    if total is None:
-        return None
-    total = total.scale(-1)
+    yield -1, ctx.m_x_val(xs[0], coch.eval(p, q, xs[1:], ys))
     for i in range(p):
         prod = ctx.m_alg(xs[i], xs[i + 1])
-        if prod is None:
-            return None
-        v = coch.eval(p, q, xs[:i] + (prod,) + xs[i + 2:], ys)
-        if v is None:
-            return None
-        total = total.add(v.scale(Fraction(-1) ** i))
+        yield (-1) ** i, (None if prod is None else
+                          coch.eval(p, q, xs[:i] + (prod,) + xs[i + 2:], ys))
     if q == 0:
-        inner = coch.eval(p, q, xs[:p], ())
-        if inner is None:
-            return None
-        v = ctx.m_x_val(xs[p], inner)
-        if v is None:
-            return None
-        total = total.add(v.scale(Fraction(-1) ** p))
-    else:
-        for j in range(q):
-            prod = ctx.m_alg(xs[p], ys[j])
-            if prod is None:
-                return None
-            v = coch.eval(p, q, xs[:p], (prod,) + ys[:j] + ys[j + 1:])
-            if v is None:
-                return None
-            total = total.add(
-                v.scale(Fraction(-1) ** (p + j) * Fraction(1, q)))
-    return total
+        yield (-1) ** p, ctx.m_x_val(xs[p], coch.eval(p, q, xs[:p], ()))
+    for j in range(q):
+        prod = ctx.m_alg(xs[p], ys[j])
+        yield (-1) ** (p + j) * Fraction(1, q), (
+            None if prod is None else
+            coch.eval(p, q, xs[:p], (prod,) + ys[:j] + ys[j + 1:]))
 
 
-def delta01_value(ctx: DeltaContext, coch, p, q, xs, ys):
-    """Contribution of the (p,q)-block to the (p,q+1)-block, at xs (p even
-    labels) and ys (q+1 odd labels):
+def delta01_terms(ctx: DeltaContext, coch, p, q, xs, ys):
+    """The signed terms of the contribution of the (p,q)-block to the
+    (p,q+1)-block, at xs (p even labels) and ys (q+1 odd labels):
 
       (2/(q+1)) sum_j (-1)^j     m(c(ys\\yj), yj)        if p = 0, q odd
       (1/(q+1)) sum_j (-1)^{p+j} m(c(xs; ys\\yj), yj)    otherwise
     """
-    total = ctx.zero()
-    special = (p == 0 and q % 2 == 1)
-    norm = Fraction(2 if special else 1, q + 1)
+    norm = Fraction(2 if p == 0 and q % 2 == 1 else 1, q + 1)
     for j in range(q + 1):
-        inner = coch.eval(p, q, xs, ys[:j] + ys[j + 1:])
-        if inner is None:
-            return None
-        v = ctx.m_val_y(inner, ys[j])
-        if v is None:
-            return None
-        sign = Fraction(-1) ** (j if special else p + j)
-        total = total.add(v.scale(sign * norm))
-    return total
+        yield (-1) ** (p + j) * norm, ctx.m_val_y(
+            coch.eval(p, q, xs, ys[:j] + ys[j + 1:]), ys[j])
 
 
-def delta_12_value(ctx: DeltaContext, coch, p, q, xs, ys):
-    """Contribution of the (p,q)-block, p >= 1, to the (p-1,q+2)-block, at
-    xs (p-1 even labels) and ys (q+2 odd labels):
+def delta_12_terms(ctx: DeltaContext, coch, p, q, xs, ys):
+    """The signed terms of the contribution of the (p,q)-block, p >= 1, to
+    the (p-1,q+2)-block, at xs (p-1 even labels) and ys (q+2 odd labels):
 
       (2/((q+1)(q+2))) sum_{i<j} (-1)^{p+i+j}
                        c(xs, m(yi,yj); ys\\{yi,yj})
     """
-    if p < 1:
-        return ctx.zero()
-    total = ctx.zero()
     norm = Fraction(2, (q + 1) * (q + 2))
-    for i in range(q + 2):
-        for j in range(i + 1, q + 2):
-            prod = ctx.m_alg(ys[i], ys[j])
-            if prod is None:
-                return None
-            rest = tuple(y for t, y in enumerate(ys) if t not in (i, j))
-            v = coch.eval(p, q, xs + (prod,), rest)
-            if v is None:
-                return None
-            total = total.add(v.scale(Fraction(-1) ** (p + i + j) * norm))
-    return total
+    for i, j in itertools.combinations(range(q + 2), 2):
+        prod = ctx.m_alg(ys[i], ys[j])
+        yield (-1) ** (p + i + j) * norm, (
+            None if prod is None else
+            coch.eval(p, q, xs + (prod,), ys[:i] + ys[i + 1:j] + ys[j + 1:]))
 
 
-def delta_component_value(ctx, coch, comp, P, Q, xs, ys):
-    """The comp-component contribution to block (P,Q) of the coboundary."""
-    dp, dq = comp
-    p, q = P - dp, Q - dq
-    if p < 0 or q < 0:
-        return ctx.zero()
-    if comp == (1, 0):
-        return delta10_value(ctx, coch, p, q, xs, ys)
-    if comp == (0, 1):
-        return delta01_value(ctx, coch, p, q, xs, ys)
-    if comp == (-1, 2):
-        return delta_12_value(ctx, coch, p, q, xs, ys)
-    raise ValueError(f"unknown component {comp}")
+_TERMS = {(1, 0): delta10_terms, (0, 1): delta01_terms,
+          (-1, 2): delta_12_terms}
 
 
 def delta_instance(ctx, coch, P, Q, xs, ys, components=COMPONENTS):
     """Value of the chosen components of the coboundary at one basis
-    instance of the target block (P,Q); None if any ingredient is unknown."""
-    total = ctx.zero()
-    for comp in components:
-        v = delta_component_value(ctx, coch, comp, P, Q, xs, ys)
-        if v is None:
-            return None
-        total = total.add(v)
-    return total
+    instance of the target block (P,Q), the one sum of their terms; None at
+    the first unknown term, whose successors are not evaluated."""
+    out: dict = {}
+    for dp, dq in components:
+        p, q = P - dp, Q - dq
+        if p < 0 or q < 0:
+            continue
+        for c, v in _TERMS[(dp, dq)](ctx, coch, p, q, xs, ys):
+            if v is None:
+                return None
+            for l, d in v.items():
+                out[l] = out.get(l, ZERO) + c * d
+    return ctx.mod.vector(out)
 
 
 def _target_shapes(degree: int, dim1: int):

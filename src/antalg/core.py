@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 __all__ = [
-    "Scalar",
     "scalar",
     "format_scalar",
     "GradedSpace",
@@ -31,11 +30,6 @@ __all__ = [
     "serialize_algebra",
     "ParseError",
 ]
-
-# A scalar is an exact rational number.  The stdlib Fraction already keeps
-# lowest terms with a positive denominator and never rounds, which is the
-# whole contract; we only add parsing/printing helpers for the file format.
-Scalar = Fraction
 
 
 def scalar(value) -> Fraction:
@@ -430,7 +424,7 @@ def _parse_expr(text: str, space: GradedSpace, lineno: int) -> dict:
     """Parse c1*l1 + c2*l2 - ... into {label: Fraction}."""
     out: dict = {}
     # split into signed terms
-    terms = re.findall(r"[+-]?[^+-]+", text.replace(" ", " "))
+    terms = re.findall(r"[+-]?[^+-]+", text)
     stripped = text.strip()
     if not stripped:
         raise ParseError(lineno, "empty right-hand side")

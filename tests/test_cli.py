@@ -242,6 +242,9 @@ def test_parse_errors_carry_the_line_number(tmp_path, capsys):
     (["cohomology", "--input", "k3", "--coefficients"],
      "algebra X\neven eps\nmodule\neven t\nodd s\neps . t = s\n",
      "input error: action 'eps' . 't' is not parity-preserving"),
+    (["cohomology", "--input", "k3", "--coefficients"],
+     "algebra m\neven eps\nodd a b\nmodule\neven eps\n",
+     "input error: algebra and module labels overlap: ['eps']"),
 ])
 def test_parity_violating_tables_are_input_errors(tmp_path, argv, text,
                                                   message):

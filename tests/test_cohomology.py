@@ -13,9 +13,11 @@ from antalg import linalg, zoo
 from antalg.antialgebra import (
     AntialgebraStructure,
     adjoint_module,
+    check_axioms,
     dual_module,
     semidirect,
     trivial_module,
+    zero_square_check,
 )
 from antalg.cohomology import (
     COMPONENTS,
@@ -34,7 +36,7 @@ from antalg.cohomology import (
     solve_coboundary,
     _delta_matrix,
 )
-from antalg.core import Vector, parse_algebra_text
+from antalg.core import GradedSpace, Vector, parse_algebra_text
 from antalg.zoo import DictVec, WindowCochain
 
 F = Fraction
@@ -205,6 +207,29 @@ def test_assemble_complex_verifies_square_zero():
         mats = assemble_complex(K3, mod, 4, verify=True)
         for cur, nxt in zip(mats, mats[1:]):
             assert linalg.mat_is_zero(linalg.mat_mul(nxt.full, cur.full))
+
+
+# S12 (ROADMAP item 2): the smallest valid table known with delta^2 != 0.
+# eps acts on a by 1/2 and on b by 0, and no other product is nonzero.
+S12 = AntialgebraStructure(GradedSpace(("eps",), ("a", "b")), {
+    ("eps", "eps"): {"eps": F(1)}, ("eps", "a"): {"a": F(1, 2)}})
+
+
+def test_delta_squared_on_the_smallest_failing_table_is_pinned():
+    """On S12, delta^2 of the unit (0,2) cochain c(a,b) = 1 with trivial
+    coefficients has one nonzero value, 1/16 at ((eps,eps),(a,b)) in block
+    (2,2), and it is delta10 after delta10: this pins delta's exact values
+    on a table where delta^2 != 0."""
+    assert check_axioms(S12.space, S12.product_map()).ok
+    assert zero_square_check(S12)[0].ok
+    triv = trivial_module(S12)
+    c = CochainBasis(S12, triv, 2).unit((0, 2, (), ("a", "b"), "triv"))
+    twice = apply_delta(apply_delta(c))
+    assert twice.shapes() == [(2, 2)]
+    assert twice.block(2, 2) == {
+        (("eps", "eps"), ("a", "b")): Vector(triv.space, {"triv": F(1, 16)})}
+    d10 = apply_delta_component(apply_delta_component(c, (1, 0)), (1, 0))
+    assert d10 == twice
 
 
 _DELTA2_ON_K3AD = """\
