@@ -36,7 +36,6 @@ from .brackets import (
     alt_blocks,
     chevalley_eilenberg_differential,
     gerstenhaber_bracket,
-    hochschild_differential,
 )
 from .cohomology import (
     Cochain,
@@ -62,7 +61,7 @@ __all__ = [
     "adjoint_module", "check_axioms", "check_axioms_v2", "dual_module",
     "semidirect", "trivial_module", "zero_square_check",
     "BlockMap", "alt", "alt_blocks", "chevalley_eilenberg_differential",
-    "gerstenhaber_bracket", "hochschild_differential",
+    "gerstenhaber_bracket",
     "Cochain", "CochainBasis", "apply_delta", "assemble_complex",
     "cohomology_dims", "delta_via_bracket", "derivation_space",
     "extension_from_cocycle", "kernel_of_delta1", "random_cochain",

@@ -1,19 +1,19 @@
 """Insertion products on parity-preserving multilinear maps, the alternated
-graded bracket, and the classical Hochschild / Lie coboundary operators.
+graded bracket, and the classical Lie coboundary operator.
 
-A single (p,q)-map is a `core.MultiMap`.  Brackets of homogeneous maps are in
-general sums of maps of several (p,q)-shapes with the same total argument
-count; these sums are held in `BlockMap` objects keyed by (p,q).
+A single (p,q)-map is a `core.MultiMap`, read at basis labels.  Brackets of
+homogeneous maps are in general sums of maps of several (p,q)-shapes with
+the same total argument count; these sums are held in `BlockMap` objects
+keyed by (p,q).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
-from .core import (GradedSpace, MultiMap, Vector, as_integers,
-                   common_denominator, divided, is_parity_preserving)
+from .core import (GradedSpace, MultiMap, as_integers, common_denominator,
+                   divided, is_parity_preserving)
 
 __all__ = [
     "BlockMap",
@@ -22,7 +22,6 @@ __all__ = [
     "bracket_blocks",
     "alt",
     "alt_blocks",
-    "hochschild_differential",
     "chevalley_eilenberg_differential",
 ]
 
@@ -283,42 +282,8 @@ def al_bracket_blocks(a: BlockMap, b: BlockMap) -> BlockMap:
 
 
 # ---------------------------------------------------------------------------
-# classical operators on purely even spaces
+# the classical operator on purely even spaces
 # ---------------------------------------------------------------------------
-
-def hochschild_differential(m: MultiMap, phi: MultiMap) -> MultiMap:
-    """The associative-algebra coboundary of a k-ary cochain phi (k >= 1):
-
-    (d phi)(x0..xk) = x0.phi(x1..xk)
-                      - sum_i (-1)^i phi(.., x_{i} x_{i+1}, ..)
-                      + (-1)^{k+1} phi(x0..x_{k-1}).xk
-
-    This is the classical operator: d(identity) is the product itself and
-    d o d = 0 whenever the product is associative.  Under the sign
-    conventions of gerstenhaber_bracket it equals -[m, phi] exactly.
-    """
-    space = m.space
-    if space.odd:
-        raise ValueError("the associative coboundary needs a purely even space")
-    if (m.p, m.q) != (2, 0):
-        raise ValueError("the product must be a (2,0)-map")
-    k = phi.p
-    if k < 1 or phi.q != 0:
-        raise ValueError("cochains must be (k,0)-maps with k >= 1")
-    out: dict = {}
-    for xs in itertools.product(space.even, repeat=k + 1):
-        total = m.eval((xs[0], phi.eval(xs[1:], ())), ())
-        for i in range(k):
-            inner = m.eval((xs[i], xs[i + 1]), ())
-            args = xs[:i] + (inner,) + xs[i + 2:]
-            total = total.add(phi.eval(args, ()).scale(Fraction(-1) ** (i + 1)))
-        total = total.add(
-            m.eval((phi.eval(xs[:k], ()), xs[k]), ())
-            .scale(Fraction(-1) ** (k + 1)))
-        for label, c in total.items():
-            out[(xs, (), label)] = c
-    return MultiMap(space, k + 1, 0, out)
-
 
 def chevalley_eilenberg_differential(br: MultiMap, phi: MultiMap,
                                      coefficients: str = "adjoint") -> MultiMap:
@@ -346,19 +311,20 @@ def chevalley_eilenberg_differential(br: MultiMap, phi: MultiMap,
 
     out: dict = {}
     for xs in itertools.product(space.even, repeat=k + 1):
-        total = Vector.zero(space)
+        # each inner value is expanded over its labels l
+        terms = []  # (coefficient, outer value)
         if coefficients == "adjoint":
             for i in range(k + 1):
-                inner = phi.eval(xs[:i] + xs[i + 1:], ())
-                total = total.add(br.eval((xs[i], inner), ())
-                                  .scale(Fraction(-1) ** i))
+                for l, c in phi.value(xs[:i] + xs[i + 1:], ()).items():
+                    terms.append(((-1) ** i * c, br.value((xs[i], l), ())))
         for i, j in itertools.combinations(range(k + 1), 2):
             rest = tuple(a for t, a in enumerate(xs) if t not in (i, j))
-            inner = br.eval((xs[i], xs[j]), ())
-            total = total.add(phi.eval((inner,) + rest, ())
-                              .scale(Fraction(-1) ** (i + j)))
-        for label, c in total.items():
-            out[(xs, (), label)] = c
+            for l, c in br.value((xs[i], xs[j]), ()).items():
+                terms.append(((-1) ** (i + j) * c, phi.value((l,) + rest, ())))
+        for c, vec in terms:
+            for label, d in vec.items():
+                key = (xs, (), label)
+                out[key] = out.get(key, 0) + c * d
     return MultiMap(space, k + 1, 0, out)
 
 

@@ -122,7 +122,6 @@ def load_structure(name_or_path: str) -> AntialgebraStructure:
                                          name=doc.name or name_or_path)
     except ValueError as ex:
         raise InputError(str(ex)) from None
-    structure.source_doc = doc
     return structure
 
 

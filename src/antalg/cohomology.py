@@ -7,7 +7,9 @@ arguments and valued in the module component of parity q (mod 2).  The
 coboundary has three components moving a block (p,q) to (p+1,q), (p,q+1)
 and (p-1,q+2).  Each instance formula is written once, verbatim, as a
 generator of signed terms (`delta10_terms`, `delta01_terms`,
-`delta_12_terms`); `delta_instance` is the one place that sums them.
+`delta_12_terms`); `delta_instance` is the one place that sums them.  A
+cochain is only read at basis labels (`Cochain.value`): where a formula
+feeds it a product, the product's labels give one term each.
 
 Products or action values that are unknown (None) -- which happens for
 truncated windows of infinite-dimensional algebras -- propagate to None
@@ -54,19 +56,21 @@ class DeltaContext:
     """Multiplication data entering the coboundary formulas.
 
     ``alg`` and ``mod`` are bases of the algebra and the module: they answer
-    ``parity(label)``, ``index(label)`` (the canonical order of odd labels)
-    and ``vector(coeffs)``.  ``mul(a, b)`` and ``act(a, l)`` return
-    {label: coeff} mappings, or None for a value that a truncated window
-    cannot decide; None propagates through the three methods:
+    ``parity(label)`` and ``index(label)`` (the canonical order of odd
+    labels), and ``mod`` builds module values with ``vector(coeffs)``.
+    ``mul(a, b)`` and ``act(a, l)`` return {label: coeff} mappings, or
+    None for a value that a truncated window cannot decide; None
+    propagates through the three methods, which return {label: coeff}
+    mappings too (callers must not mutate them):
 
-      m_alg(a, b)      the distinguished odd element on algebra arguments:
+      m_alg(a, b)      the distinguished odd element on algebra labels:
                        half the product on even-even pairs, the product
-                       otherwise; a vector of the algebra basis.
-      m_x_val(x, v)    product of an even algebra element with a module
+                       otherwise.
+      m_x_val(x, v)    product of an even algebra label with a module
                        value: half the action on the even module component,
                        the action on the odd one.
       m_val_y(v, y)    product of a module value with an odd algebra
-                       element: the action on the even component, minus the
+                       label: the action on the even component, minus the
                        action on the odd one.
     """
 
@@ -78,11 +82,9 @@ class DeltaContext:
 
     def m_alg(self, a, b):
         v = self.mul(a, b)
-        if v is None:
-            return None
-        if self.alg.parity(a) == 0 and self.alg.parity(b) == 0:
-            v = {l: c * HALF for l, c in v.items()}
-        return self.alg.vector(v)
+        if v is not None and self.alg.parity(a) == 0 == self.alg.parity(b):
+            return {l: c * HALF for l, c in v.items()}
+        return v
 
     def _act_weighted(self, a, v, w0, w1):
         if v is None:
@@ -96,7 +98,7 @@ class DeltaContext:
             wc = (w0 if parity(l) == 0 else w1) * c
             for k, d in acted.items():
                 out[k] = out.get(k, 0) + wc * d
-        return self.mod.vector(out)
+        return out
 
     def m_x_val(self, x, v):
         return self._act_weighted(x, v, HALF, ONE)
@@ -126,7 +128,8 @@ class Cochain:
 
     ``alg_space`` and ``mod_space`` are the bases of `DeltaContext`; for a
     finite structure they are the graded spaces of ``alg`` and ``mod``.
-    Block values are vectors of the module basis, or {label: coeff} dicts.
+    Block values are given as vectors of the module basis or {label: coeff}
+    dicts, stored as vectors, and read back at basis labels by `value`.
     """
 
     def __init__(self, alg: AntialgebraStructure, mod: ModuleStructure,
@@ -140,8 +143,6 @@ class Cochain:
             raise ValueError("cochains have degree >= 1; there is no C^0")
         self.alg_space = alg_space
         self.mod_space = mod_space
-        # an argument of this type is a vector to expand, anything else a label
-        self._vector_type = type(alg_space.vector({}))
         self.degree = degree
         self._blocks: dict = {}
         for (p, q), table in (blocks or {}).items():
@@ -234,39 +235,20 @@ class Cochain:
             return self.mod_space.vector({})
         return vec if sign == 1 else vec.scale(sign)
 
-    def eval(self, p, q, xs, ys):
-        """Multilinear evaluation of the (p,q)-block; arguments may be
-        vectors of the algebra basis (supported in the right grading)."""
-        return _expand_args(self, p, q, tuple(xs), tuple(ys))
-
-
-def _expand_args(coch: Cochain, p, q, xs, ys):
-    """Expand vector arguments multilinearly through ``coch.value``; None
-    results propagate, and a vector with empty support gives zero."""
-    args = xs + ys
-    n = len(xs)
-    for i, a in enumerate(args):
-        if isinstance(a, coch._vector_type):
-            grading = 0 if i < n else 1
-            parity = coch.alg_space.parity
-            out: dict = {}
-            for label, c in a.items():
-                if parity(label) != grading:
-                    raise ValueError(f"{('even', 'odd')[grading]} slot fed "
-                                     f"a vector with {label!r} in its support")
-                rest = args[:i] + (label,) + args[i + 1:]
-                v = _expand_args(coch, p, q, rest[:n], rest[n:])
-                if v is None:
-                    return None
-                for l, d in v.items():
-                    out[l] = out.get(l, 0) + c * d
-            return coch.mod_space.vector(out)
-    return coch.value(p, q, xs, ys)
-
 
 # ---------------------------------------------------------------------------
 # the three coboundary components, each a stream of signed terms
 # ---------------------------------------------------------------------------
+
+def _through(coeff, prod, value_at):
+    """The terms of coeff * c(.., m, ..) for a product m = {l: d}: one term
+    (coeff * d, value_at(l)) per label, or one unknown term if m is None."""
+    if prod is None:
+        yield coeff, None
+        return
+    for l, d in prod.items():
+        yield coeff * d, value_at(l)
+
 
 def delta10_terms(ctx: DeltaContext, coch, p, q, xs, ys):
     """The signed terms (coefficient, module value or None) of the
@@ -278,18 +260,16 @@ def delta10_terms(ctx: DeltaContext, coch, p, q, xs, ys):
       + (-1)^p m(c(x0..x_{p-1}), xp)                        if q = 0
       + (1/q) sum_j (-1)^{p+j} c(x0..x_{p-1}; m(xp,yj), ys\\yj)   if q > 0
     """
-    yield -1, ctx.m_x_val(xs[0], coch.eval(p, q, xs[1:], ys))
+    yield -1, ctx.m_x_val(xs[0], coch.value(p, q, xs[1:], ys))
     for i in range(p):
-        prod = ctx.m_alg(xs[i], xs[i + 1])
-        yield (-1) ** i, (None if prod is None else
-                          coch.eval(p, q, xs[:i] + (prod,) + xs[i + 2:], ys))
+        yield from _through((-1) ** i, ctx.m_alg(xs[i], xs[i + 1]), lambda l:
+                            coch.value(p, q, xs[:i] + (l,) + xs[i + 2:], ys))
     if q == 0:
-        yield (-1) ** p, ctx.m_x_val(xs[p], coch.eval(p, q, xs[:p], ()))
+        yield (-1) ** p, ctx.m_x_val(xs[p], coch.value(p, q, xs[:p], ()))
     for j in range(q):
-        prod = ctx.m_alg(xs[p], ys[j])
-        yield (-1) ** (p + j) * Fraction(1, q), (
-            None if prod is None else
-            coch.eval(p, q, xs[:p], (prod,) + ys[:j] + ys[j + 1:]))
+        yield from _through(
+            (-1) ** (p + j) * Fraction(1, q), ctx.m_alg(xs[p], ys[j]),
+            lambda l: coch.value(p, q, xs[:p], (l,) + ys[:j] + ys[j + 1:]))
 
 
 def delta01_terms(ctx: DeltaContext, coch, p, q, xs, ys):
@@ -302,7 +282,7 @@ def delta01_terms(ctx: DeltaContext, coch, p, q, xs, ys):
     norm = Fraction(2 if p == 0 and q % 2 == 1 else 1, q + 1)
     for j in range(q + 1):
         yield (-1) ** (p + j) * norm, ctx.m_val_y(
-            coch.eval(p, q, xs, ys[:j] + ys[j + 1:]), ys[j])
+            coch.value(p, q, xs, ys[:j] + ys[j + 1:]), ys[j])
 
 
 def delta_12_terms(ctx: DeltaContext, coch, p, q, xs, ys):
@@ -314,10 +294,9 @@ def delta_12_terms(ctx: DeltaContext, coch, p, q, xs, ys):
     """
     norm = Fraction(2, (q + 1) * (q + 2))
     for i, j in itertools.combinations(range(q + 2), 2):
-        prod = ctx.m_alg(ys[i], ys[j])
-        yield (-1) ** (p + i + j) * norm, (
-            None if prod is None else
-            coch.eval(p, q, xs + (prod,), ys[:i] + ys[i + 1:j] + ys[j + 1:]))
+        rest = ys[:i] + ys[i + 1:j] + ys[j + 1:]
+        yield from _through((-1) ** (p + i + j) * norm, ctx.m_alg(ys[i], ys[j]),
+                            lambda l: coch.value(p, q, xs + (l,), rest))
 
 
 _TERMS = {(1, 0): delta10_terms, (0, 1): delta01_terms,
@@ -648,18 +627,14 @@ def derivation_space(alg: AntialgebraStructure, mod: ModuleStructure) -> dict:
 
 
 def _derivation_residual(alg, mod, c: Cochain, u, v, sign) -> Vector:
-    def c_of(label_or_vec):
-        # evaluate the 1-cochain on an algebra vector, block by parity
-        if isinstance(label_or_vec, Vector):
-            out = Vector.zero(mod.space)
-            for l, co in label_or_vec.items():
-                out = out.add(c_of(l).scale(co))
-            return out
-        l = label_or_vec
+    def c_of(l):
+        # the 1-cochain at a basis label, block by parity
         if alg.space.parity(l) == 0:
             return c.value(1, 0, (l,), ())
         return c.value(0, 1, (), (l,))
-    res = c_of(alg.mul(u, v))
+    res = Vector.zero(mod.space)
+    for l, co in alg.mul(u, v).items():
+        res = res.add(c_of(l).scale(co))
     res = res.sub(mod.act_vec(Vector.basis(alg.space, u), c_of(v)))
     res = res.sub(mod.act_vec(Vector.basis(alg.space, v), c_of(u)).scale(sign))
     return res

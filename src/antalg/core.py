@@ -172,10 +172,6 @@ class Vector:
     def support(self):
         return set(self._coeffs)
 
-    def gradings(self) -> set:
-        """The set of gradings (0/1) met by the support."""
-        return {self.space.parity(l) for l in self._coeffs}
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -222,7 +218,9 @@ class MultiMap:
 
     Entries are keyed by (x-multi-index, y-multi-index, output label) where
     x-multi-indices run over the even basis and y-multi-indices over the odd
-    basis.  Arguments are never mixed between the gradings.
+    basis.  Arguments are never mixed between the gradings.  A map is read
+    at basis labels (`value`); a formula that feeds it a vector expands that
+    vector over its labels itself.
     """
 
     __slots__ = ("space", "p", "q", "_entries")
@@ -317,47 +315,6 @@ class MultiMap:
             if exs == xs and eys == ys:
                 out[l] = out.get(l, Fraction(0)) + c
         return Vector(self.space, out)
-
-    def eval(self, xs, ys) -> Vector:
-        """Multilinear evaluation.  Arguments may be basis labels or Vectors.
-
-        Vector arguments must be supported in the correct grading component.
-        """
-        if len(xs) != self.p or len(ys) != self.q:
-            raise ValueError(
-                f"arity mismatch: expected ({self.p},{self.q}), "
-                f"got ({len(xs)},{len(ys)})")
-        factors = []  # per slot: list of (label, coefficient)
-        for slot, grading in ((xs, 0), (ys, 1)):
-            for a in slot:
-                if isinstance(a, Vector):
-                    bad = a.gradings() - {grading}
-                    if bad:
-                        raise ValueError(
-                            "vector argument supported in the wrong grading "
-                            "component")
-                    factors.append(list(a.items()))
-                else:
-                    if self.space.parity(a) != grading:
-                        raise ValueError(
-                            f"argument {a!r} lies in the wrong grading "
-                            "component")
-                    factors.append([(a, Fraction(1))])
-        total = Vector.zero(self.space)
-        # expand multilinearly over the supports of vector arguments
-        def rec(i, labels, coeff):
-            nonlocal total
-            if i == len(factors):
-                xs_l = tuple(labels[: self.p])
-                ys_l = tuple(labels[self.p:])
-                v = self.value(xs_l, ys_l)
-                if not v.is_zero():
-                    total = total.add(v.scale(coeff))
-                return
-            for label, c in factors[i]:
-                rec(i + 1, labels + [label], coeff * c)
-        rec(0, [], Fraction(1))
-        return total
 
 
 def parity_of(phi: MultiMap):

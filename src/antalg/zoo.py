@@ -376,11 +376,19 @@ def ak1_adjoint_ctx(N: int):
 # gamma: the dual-valued 1-cocycle on the full conformal family
 # ---------------------------------------------------------------------------
 
+def _gamma_t(n):
+    return -n
+
+
+def _gamma_s(i):
+    return i * i - Fraction(1, 4)
+
+
 def gamma_value(label, t_fn=None, s_fn=None) -> DictVec:
     """gamma(eps_n) = t(n) eps*_{-n}, gamma(a_i) = s(i) a*_{-i} with the
     standard choice t(n) = -n, s(i) = i^2 - 1/4."""
-    t_fn = t_fn or (lambda n: -n)
-    s_fn = s_fn or (lambda i: i * i - Fraction(1, 4))
+    t_fn = t_fn or _gamma_t
+    s_fn = s_fn or _gamma_s
     fam, idx = label
     if fam == "eps":
         return DictVec({("eps*", -idx): _fr(t_fn(idx))})
@@ -405,6 +413,8 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
         raise ValueError("the window must have radius >= 2")
     rep = CheckReport(f"gamma-cocycle[N={N}]")
     w = WindowedAlgebra("ak1", N)
+    t_fn = t_fn or _gamma_t
+    s_fn = s_fn or _gamma_s
     values: dict = {}  # label -> gamma(label)
     acts: dict = {}    # (actor, dual label) -> its dual action
 
@@ -437,18 +447,16 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
                     res[k] = res.get(k, ZERO) + (c * d if pu & pv else -c * d)
             rep.record(f"cocycle[{kinds[pu + pv]}]", (u, v),
                        {k: c for k, c in res.items() if c})
-    t_fn0 = t_fn or (lambda n: -n)
-    s_fn0 = s_fn or (lambda i: i * i - Fraction(1, 4))
     for n in range(-N, N + 1):
         for m in range(-N, N + 1):
             rep.record("t-additive", (n, m),
-                       _fr(t_fn0(n + m)) - _fr(t_fn0(n)) - _fr(t_fn0(m)))
+                       _fr(t_fn(n + m)) - _fr(t_fn(n)) - _fr(t_fn(m)))
     half_idx = [i for _, i in w.odd]
     for i in half_idx:
         for j in half_idx:
             rep.record("s-relation", (i, j),
-                       _fr(s_fn0(i)) - _fr(s_fn0(j)) - (j - i) * _fr(t_fn0(i + j)))
-    nontrivial, detail = _gamma_nontrivial(N, gfn)
+                       _fr(s_fn(i)) - _fr(s_fn(j)) - (j - i) * _fr(t_fn(i + j)))
+    nontrivial, detail = _gamma_nontrivial(w, gfn)
     rep.extras["nontrivial"] = nontrivial
     rep.extras["nontrivial_detail"] = detail
     if not nontrivial:
@@ -456,8 +464,9 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
     return rep
 
 
-def _gamma_nontrivial(N, gfn):
-    """Is gamma outside the span of coboundaries of dual elements?
+def _gamma_nontrivial(w, gfn):
+    """Is gamma outside the span of coboundaries of dual elements on the
+    ak1 window ``w``?
 
     The ansatz delta b = gamma for an even dual element b is a linear
     system.  Its even part is the zero map for *every* global b -- the two
@@ -470,9 +479,9 @@ def _gamma_nontrivial(N, gfn):
     Inconsistency of the asserted rows rules out every global b, windowed or
     not.  Returns (nontrivial?, detail).
     """
+    N = w.N
     variables = [("eps*", Fraction(m)) for m in range(-N, N + 1)]
     rows, rhs = [], []
-    w = WindowedAlgebra("ak1", N)
     for x in w.even:
         # even part of delta b at x: (-1/2 + 1/2) rho_x b, identically zero,
         # so each component of gamma(x) is an empty row; the components
@@ -747,8 +756,7 @@ def eta_coboundary_solve(N: int, target: WindowCochain):
     return WindowCochain(1, blocks)
 
 
-def _delta2_shapes():
-    return [(3, 0), (2, 1), (1, 2), (0, 3)]
+_DELTA2_SHAPES = ((3, 0), (2, 1), (1, 2), (0, 3))
 
 
 def _record_delta_instances(rep, ctx, coch, shapes, window, kind_prefix,
@@ -802,7 +810,7 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
     for (lam, mu) in ((1, 0), (0, 1)):
         c = eta_family(lam, mu)
         sub = CheckReport("inner")
-        _record_delta_instances(sub, ctx, c, _delta2_shapes(), w,
+        _record_delta_instances(sub, ctx, c, _DELTA2_SHAPES, w,
                                 f"cocycle({lam},{mu})")
         rep.merge(sub)
     for (lam, mu) in ((1, 2), (Fraction(3, 2), 3)):

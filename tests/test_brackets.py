@@ -27,7 +27,6 @@ from antalg.brackets import (
     chevalley_eilenberg_differential,
     gerstenhaber_bracket,
     gerstenhaber_product,
-    hochschild_differential,
     _perm_sign,
 )
 from antalg.antialgebra import (
@@ -464,6 +463,45 @@ ASSOC = GradedSpace(("e", "f"), ())
 ASSOC_M = MultiMap(ASSOC, 2, 0, {(("e", "e"), (), "e"): 1,
                                  (("e", "f"), (), "f"): 1,
                                  (("f", "e"), (), "f"): 1})
+
+
+def hochschild_differential(m: MultiMap, phi: MultiMap) -> MultiMap:
+    """The associative-algebra coboundary of a k-ary cochain phi (k >= 1):
+
+    (d phi)(x0..xk) = x0.phi(x1..xk)
+                      - sum_i (-1)^i phi(.., x_{i} x_{i+1}, ..)
+                      + (-1)^{k+1} phi(x0..x_{k-1}).xk
+
+    This is the classical operator: d(identity) is the product itself and
+    d o d = 0 whenever the product is associative.  Under the sign
+    conventions of gerstenhaber_bracket it equals -[m, phi] exactly.  It is
+    an oracle for the bracket engine; each inner value is expanded over its
+    labels.
+    """
+    space = m.space
+    if space.odd:
+        raise ValueError("the associative coboundary needs a purely even space")
+    if (m.p, m.q) != (2, 0):
+        raise ValueError("the product must be a (2,0)-map")
+    k = phi.p
+    if k < 1 or phi.q != 0:
+        raise ValueError("cochains must be (k,0)-maps with k >= 1")
+    out: dict = {}
+    for xs in itertools.product(space.even, repeat=k + 1):
+        terms = []  # (coefficient, outer value)
+        for l, c in phi.value(xs[1:], ()).items():
+            terms.append((c, m.value((xs[0], l), ())))
+        for i in range(k):
+            for l, c in m.value((xs[i], xs[i + 1]), ()).items():
+                terms.append(((-1) ** (i + 1) * c,
+                              phi.value(xs[:i] + (l,) + xs[i + 2:], ())))
+        for l, c in phi.value(xs[:k], ()).items():
+            terms.append(((-1) ** (k + 1) * c, m.value((l, xs[k]), ())))
+        for c, vec in terms:
+            for label, d in vec.items():
+                key = (xs, (), label)
+                out[key] = out.get(key, 0) + c * d
+    return MultiMap(space, k + 1, 0, out)
 
 
 def _rand_even_map(rng, k):

@@ -159,6 +159,20 @@ GOLDEN = Path(__file__).parent / "golden"
 # 7/9, ... (k3t2r) and that with eps1.a0 doubled (k3t2rp)
 FINITE_GOLDEN = ["k3", "k3t4.alg", "k3t4p.alg", "k3t2r.alg", "k3t2rp.alg"]
 
+# `cohomology` goldens: K3 with each coefficient choice, and K3 + N2 in the
+# basis e = eps + t1 (k3n2x), whose products have several labels
+COHOMOLOGY_GOLDEN = [
+    ["cohomology", "--input", table, "--coefficients", coeff, "--kmax", kmax]
+    for table, coeff, kmax in (
+        ("k3", "trivial", "4"), ("k3", "adjoint", "4"),
+        ("k3", "dual-adjoint", "4"), ("k3n2x.alg", "trivial", "4"),
+        ("k3n2x.alg", "adjoint", "3"))]
+
+
+def _golden_name(argv) -> str:
+    return "-".join(a.removesuffix(".alg") for a in argv
+                    if not a.startswith("--"))
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "gamma"], ["verify", "eta"], ["verify", "gf"],
@@ -166,18 +180,16 @@ FINITE_GOLDEN = ["k3", "k3t4.alg", "k3t4p.alg", "k3t2r.alg", "k3t2rp.alg"]
     ["verify", "m1-axioms"], ["check", "--input", "ak1"],
     ["check", "--input", "m1"],
 ] + [[cmd, "--input", table] for cmd in ("check", "bracket")
-     for table in FINITE_GOLDEN],
-    ids=lambda argv: "-".join(a.removesuffix(".alg") for a in argv
-                              if a != "--input"))
+     for table in FINITE_GOLDEN] + COHOMOLOGY_GOLDEN, ids=_golden_name)
 def test_window_suites_match_their_golden_structured_output(
         capsys, monkeypatch, argv):
     """tests/golden/ holds the structured output of every window suite at
-    its default window, and of `check` and `bracket` on the finite tables
-    stored there; a faster implementation must print the same bytes."""
+    its default window, of `check` and `bracket` on the finite tables
+    stored there, and of `cohomology` on K3 and k3n2x; a faster or simpler
+    implementation must print the same bytes."""
     monkeypatch.chdir(GOLDEN)  # the finite tables are named relative to it
     code, out, err = _run(capsys, argv + ["--format", "structured"])
-    name = "-".join(a.removesuffix(".alg") for a in argv if a != "--input")
-    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+    assert out.encode() == (GOLDEN / f"{_golden_name(argv)}.txt").read_bytes()
     assert err == ""
     failing = argv == ["verify", "eta"] or argv[-1].endswith("p.alg")
     assert code == (1 if failing else 0)

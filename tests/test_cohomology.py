@@ -291,6 +291,42 @@ def test_k3_plus_nilpotent_adjoint_table_through_degree_five():
     assert [d for _, d, _, _ in table] == [13, 42, 126, 378, 1134]
 
 
+# K3 + N2 in the basis e = eps + t1, the table of tests/golden/k3n2x.alg
+K3N2X_TEXT = """\
+algebra K3N2X
+even e t1 t2
+odd a b
+
+e * e = e - t1 + t2
+e * t1 = t2
+e * a = 1/2*a
+e * b = 1/2*b
+a * b = 1/2*e - 1/2*t1
+t1 * t1 = t2
+"""
+
+
+def test_delta_expands_products_with_several_labels():
+    """In the basis e = eps + t1 the products e.e and a.b have several
+    labels, so every product-fed slot of delta sums over them; the
+    cohomology is still K3 + N2's, and delta agrees with the bracket."""
+    alg = AntialgebraStructure.from_file_doc(parse_algebra_text(K3N2X_TEXT))
+    assert len(alg.products[("e", "e")]) == 3
+    assert len(alg.products[("a", "b")]) == 2
+    assert check_axioms(alg.space, alg.product_map()).ok
+    triv, adj = trivial_module(alg), adjoint_module(alg)
+    assert cohomology_dims(alg, triv, 3) == [
+        (1, 3, 2, 1), (2, 10, 7, 1), (3, 30, 22, 1)]
+    assert cohomology_dims(alg, adj, 3) == [
+        (1, 13, 8, 5), (2, 42, 32, 2), (3, 126, 92, 2)]
+    rng = random.Random(26)
+    for mod in (triv, adj):
+        for degree in (1, 2):
+            for _ in range(3):
+                c = random_cochain(alg, mod, degree, rng)
+                assert apply_delta(c) == delta_via_bracket(c)
+
+
 # ---------------------------------------------------------------------------
 # degree one: derivations
 # ---------------------------------------------------------------------------

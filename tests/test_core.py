@@ -131,28 +131,10 @@ def test_multimap_canonical_form():
     assert MultiMap(sp, 1, 1, {(("u",), ("x",), "x"): 0}).is_zero()
 
 
-def test_multimap_eval_expands_vector_arguments():
-    sp = GradedSpace(("u",), ("x", "y"))
-    phi = MultiMap(sp, 0, 2, {((), ("x", "y"), "u"): F(1),
-                              ((), ("y", "x"), "u"): F(-1)})
-    vx = Vector(sp, {"x": 2, "y": 5})
-    vy = Vector(sp, {"x": 1, "y": 3})
-    # phi(vx, vy) = 2*3*phi(x,y) + 5*1*phi(y,x) = (6 - 5) u
-    got = phi.eval((), (vx, vy))
-    assert got == Vector(sp, {"u": F(1)})
-
-
 def test_multimap_rejects_misplaced_arguments():
     sp = GradedSpace(("u",), ("x",))
     with pytest.raises(ValueError):
         MultiMap(sp, 1, 0, {(("x",), (), "u"): 1})
-    phi = MultiMap(sp, 1, 0, {(("u",), (), "u"): 1})
-    with pytest.raises(ValueError):
-        phi.eval(("x",), ())
-    with pytest.raises(ValueError):
-        phi.eval(("u", "u"), ())
-    with pytest.raises(ValueError):
-        phi.eval((Vector(sp, {"x": 1}),), ())
 
 
 def test_parity_bookkeeping():

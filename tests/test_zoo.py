@@ -177,7 +177,7 @@ def test_gamma_nontriviality_verdict(t_fn):
     def gfn(label):
         return zoo.gamma_value(label, t_fn)
 
-    assert zoo._gamma_nontrivial(6, gfn) == (
+    assert zoo._gamma_nontrivial(zoo.WindowedAlgebra("ak1", 6), gfn) == (
         True, "no dual element bounds gamma (window system inconsistent)")
 
 
@@ -280,12 +280,29 @@ def test_window_adjoint_context_marks_escaping_values_unknown():
     ctx, _ = zoo.ak1_adjoint_ctx(2)
     v = DictVec({EPS(1): F(1), A(F(1, 2)): F(2)})
     # half the action on the even component, the action on the odd one
-    assert ctx.m_x_val(EPS(1), v) == DictVec({EPS(2): F(1, 2),
-                                              A(F(3, 2)): F(1)})
+    assert ctx.m_x_val(EPS(1), v) == {EPS(2): F(1, 2), A(F(3, 2)): F(1)}
     assert ctx.m_x_val(EPS(2), v) is None       # eps_2 . eps_1 escapes
     assert ctx.m_val_y(v, A(F(3, 2))) is None   # a_{3/2} . eps_1 escapes
     assert ctx.m_alg(EPS(2), EPS(1)) is None
-    assert ctx.m_alg(EPS(1), EPS(1)) == DictVec({EPS(2): F(1, 2)})
+    assert ctx.m_alg(EPS(1), EPS(1)) == {EPS(2): F(1, 2)}
+
+
+def test_delta_instance_is_unknown_where_only_a_product_escapes():
+    """c vanishes on eps_1, eps_2 and a_{3/2}, so at these instances every
+    term of delta c is known and zero except the one fed an escaping
+    product; that one term makes the instance unknown."""
+    ctx, _ = zoo.ak1_adjoint_ctx(2)
+    c = WindowCochain(1, {(1, 0): {((EPS(0),), ()): {EPS(0): F(1)}},
+                          (0, 1): {((), (A(F(1, 2)),)): {A(F(1, 2)): F(1)}}})
+    assert ctx.m_alg(EPS(2), EPS(1)) is None
+    assert zoo.delta_instance(ctx, c, 2, 0, (EPS(2), EPS(1)), ()) is None
+    assert ctx.m_alg(EPS(2), A(F(3, 2))) is None
+    assert zoo.delta_instance(ctx, c, 1, 1, (EPS(2),), (A(F(3, 2)),)) is None
+    # products that stay in the window are decided
+    assert zoo.delta_instance(ctx, c, 2, 0, (EPS(0), EPS(0)), ()).c == {
+        EPS(0): F(-1, 2)}
+    assert zoo.delta_instance(ctx, c, 1, 1, (EPS(0),), (A(F(1, 2)),)).c == {
+        A(F(1, 2)): F(-1, 2)}
 
 
 def test_eta_coboundary_solver_on_and_off_the_line():
@@ -791,7 +808,7 @@ def test_gamma_nontriviality_system_matches_the_reference_loops(
     def gfn(label):
         return zoo.gamma_value(label, t_fn, s_fn)
 
-    zoo._gamma_nontrivial(N, gfn)
+    zoo._gamma_nontrivial(zoo.WindowedAlgebra("ak1", N), gfn)
     assert solver_calls == [_ref_gamma_system(N, gfn)]
 
 
