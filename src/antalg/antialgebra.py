@@ -6,9 +6,11 @@ A structure is stored as a completed ordered product table over a
 (`check_axioms`, and the reformulated system `check_axioms_v2`) and as the
 square-zero test of the associated odd element under the alternated
 bracket (`zero_square_check`).  The four identities are written out once,
-in `_identity_residuals`: `check_axioms` records their residuals, and
-`zero_square_check` compares each block of [m, m] from the bracket engine
-with a fixed multiple of them.
+in `_identity_residuals`.  A `check` builds the integer table and the
+residuals once (`_TablePass`) and all three read them: `check_axioms`
+records every residual, `check_axioms_v2` its table records and assoc
+residuals, and `zero_square_check` compares each block of [m, m] from the
+bracket engine with a fixed multiple of them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .core import (GradedSpace, MultiMap, Vector, as_integers,
@@ -153,27 +156,13 @@ class AntialgebraStructure:
         Three blocks: the even-even part carries the extra factor 1/2, the
         mixed part is taken in the (x, y) order, the odd-odd part verbatim.
         """
-        sp = self.space
-        b20: dict = {}
-        for a in sp.even:
-            for b in sp.even:
-                for l, c in self.mul(a, b).items():
-                    b20[((a, b), (), l)] = c / 2
-        b11: dict = {}
-        for a in sp.even:
-            for y in sp.odd:
-                for l, c in self.mul(a, y).items():
-                    b11[((a,), (y,), l)] = c
-        b02: dict = {}
-        for y1 in sp.odd:
-            for y2 in sp.odd:
-                for l, c in self.mul(y1, y2).items():
-                    b02[((), (y1, y2), l)] = c
-        blocks = {
-            (2, 0): MultiMap(sp, 2, 0, b20),
-            (1, 1): MultiMap(sp, 1, 1, b11),
-            (0, 2): MultiMap(sp, 0, 2, b02),
-        }
+        sp, blocks = self.space, {}
+        for p, q in ((2, 0), (1, 1), (0, 2)):
+            w = Fraction(1, 2) if p == 2 else 1
+            blocks[p, q] = MultiMap(sp, p, q, {
+                (args[:p], args[p:], l): c * w
+                for args in itertools.product(*(sp.even,) * p, *(sp.odd,) * q)
+                for l, c in self.mul(*args).items()})
         return brackets.BlockMap(sp, 2, blocks)
 
     def __repr__(self):
@@ -197,7 +186,6 @@ class ModuleStructure:
         self.name = name
         table: dict = {}
         for (a, b), coeffs in action.items():
-            base.space.parity(a)
             want = (base.space.parity(a) + space.parity(b)) % 2
             cleaned = {l: scalar(c) for l, c in coeffs.items() if scalar(c)}
             for l in cleaned:
@@ -228,90 +216,111 @@ class ModuleStructure:
 # the identity checkers
 # ---------------------------------------------------------------------------
 
-def _mul_into(acc: dict, table: Mapping, u: Mapping, v: Mapping, c) -> None:
-    """acc += c * (u.v) for raw {label: coeff} vectors u, v, reading the
-    product of basis labels off the ordered table {(a, b): {label: coeff}}."""
-    for la, ca in u.items():
-        for lb, cb in v.items():
-            row = table.get((la, lb))
-            if row:
-                k = c * ca * cb
-                for l, w in row.items():
-                    acc[l] = acc.get(l, 0) + k * w
+def _left(acc: dict, row: Mapping, v: Mapping, c: int) -> None:
+    """acc += c * (a.v) for a raw vector v and a's row ``row`` of T."""
+    for l, w in v.items():
+        prod = row.get(l)
+        if prod:
+            for out, z in prod.items():
+                acc[out] = acc.get(out, 0) + c * w * z
 
 
-def _record(rep: CheckReport, space, kind, instance, acc: dict, d: int):
-    """Record the residual acc / d; only a nonzero one becomes a Vector."""
-    res = divided(acc, d)
-    rep.record(kind, instance, Vector(space, res) if res else {})
+def _right(acc: dict, t: Mapping, v: Mapping, b, c: int) -> None:
+    """acc += c * (v.b) for a raw vector v, reading the rows of T."""
+    for l, w in v.items():
+        prod = t[l].get(b)
+        if prod:
+            for out, z in prod.items():
+                acc[out] = acc.get(out, 0) + c * w * z
 
 
 def _integer_table(table: Mapping):
-    """(T, D): the table as integers T = D * table over the least common
-    denominator D of its coefficients, an absent product reading as {}."""
+    """(T, D): the table as integers over the least common denominator D of
+    its coefficients, nested as rows T[a][b] = D * (a.b) as {label: int},
+    an absent product reading as {}."""
     exact = {k: {l: scalar(c) for l, c in v.items()} for k, v in table.items()}
     d = common_denominator(c for v in exact.values() for c in v.values())
-    return defaultdict(dict, {k: as_integers(v.items(), d)
-                              for k, v in exact.items()}), d
-
-
-def _check_table(rep: CheckReport, space: GradedSpace, table: Mapping):
-    """Record graded commutativity and grading closure of every ordered
-    pair; return `_integer_table(table)`."""
-    t, d = _integer_table(table)
-    for a in space.labels():
-        for b in space.labels():
-            ab, ba = t.get((a, b), {}), t.get((b, a), {})
-            sign = -1 if (space.parity(a) == 1 and space.parity(b) == 1) else 1
-            res = {l: ab.get(l, 0) - sign * ba.get(l, 0) for l in {*ab, *ba}}
-            _record(rep, space, "commutativity", (a, b), res, d)
-            want = (space.parity(a) + space.parity(b)) % 2
-            bad = {l: c for l, c in ab.items() if space.parity(l) != want}
-            _record(rep, space, "grading", (a, b), bad, d)
+    t = defaultdict(lambda: defaultdict(dict))
+    for (a, b), v in exact.items():
+        t[a][b] = as_integers(v.items(), d)
     return t, d
 
 
 def _identity_residuals(space: GradedSpace, t: Mapping):
     """Yield (kind, instance, residual, w) for the four identities of
     `check_axioms` on every basis instance of the integer table T = D *
-    table: the residual {label: int} is w * D^2 times the identity's."""
-    e = {l: {l: 1} for l in space.labels()}
+    table: the residual {label: int} is w * D^2 times the identity's.
+    Every term has one basis-label factor, so it is read off T's rows."""
     ev, od = space.even, space.odd
-    for x1 in ev:
-        for x2 in ev:
-            for x3 in ev:
-                acc: dict = {}
-                _mul_into(acc, t, e[x1], t[x2, x3], 1)
-                _mul_into(acc, t, t[x1, x2], e[x3], -1)
-                yield "assoc", (x1, x2, x3), acc, 1
-    for x1 in ev:
-        for x2 in ev:
-            for y in od:
-                acc = {}
-                # the weights 1, -1/2 times 2
-                _mul_into(acc, t, e[x1], t[x2, y], 2)
-                _mul_into(acc, t, t[x1, x2], e[y], -1)
-                yield "half_unit", (x1, x2, y), acc, 2
-    for x in ev:
-        for y1 in od:
-            for y2 in od:
-                acc = {}
-                _mul_into(acc, t, e[x], t[y1, y2], 1)
-                _mul_into(acc, t, t[x, y1], e[y2], -1)
-                _mul_into(acc, t, e[y1], t[x, y2], -1)
-                yield "leibniz", (x, y1, y2), acc, 1
-    for y1 in od:
-        for y2 in od:
-            for y3 in od:
-                acc = {}
-                _mul_into(acc, t, e[y1], t[y2, y3], 1)
-                _mul_into(acc, t, e[y2], t[y3, y1], 1)
-                _mul_into(acc, t, e[y3], t[y1, y2], 1)
-                yield "cyclic", (y1, y2, y3), acc, 1
+    for x1, x2, x3 in itertools.product(ev, ev, ev):
+        acc: dict = {}
+        _left(acc, t[x1], t[x2][x3], 1)
+        _right(acc, t, t[x1][x2], x3, -1)
+        yield "assoc", (x1, x2, x3), acc, 1
+    for x1, x2, y in itertools.product(ev, ev, od):
+        acc = {}
+        _left(acc, t[x1], t[x2][y], 2)  # the weights 1, -1/2 times 2
+        _right(acc, t, t[x1][x2], y, -1)
+        yield "half_unit", (x1, x2, y), acc, 2
+    for x, y1, y2 in itertools.product(ev, od, od):
+        acc = {}
+        _left(acc, t[x], t[y1][y2], 1)
+        _right(acc, t, t[x][y1], y2, -1)
+        _left(acc, t[y1], t[x][y2], -1)
+        yield "leibniz", (x, y1, y2), acc, 1
+    # the rotations of (y1, y2, y3) sum the same three terms: the residual
+    # is computed at the first rotation met and kept for the other two
+    rotations: dict = {}
+    for y1, y2, y3 in itertools.product(od, od, od):
+        acc = rotations.pop((y1, y2, y3), None)
+        if acc is None:
+            acc = {}
+            _left(acc, t[y1], t[y2][y3], 1)
+            _left(acc, t[y2], t[y3][y1], 1)
+            _left(acc, t[y3], t[y1][y2], 1)
+            rotations[y2, y3, y1] = rotations[y3, y1, y2] = acc
+        yield "cyclic", (y1, y2, y3), acc, 1
+
+
+class _TablePass:
+    """The integer table of one finite table and the reports of its
+    residuals, each built once, on first use, and merged into the report of
+    every checker of one `check`; a zero residual is only counted."""
+
+    def __init__(self, space: GradedSpace, table: Mapping):
+        self.space = space
+        self.t, self.d = _integer_table(table)
+
+    def residual(self, acc: Mapping, d: int):
+        """acc / d as an exact Vector, or {} when it is zero."""
+        return Vector(self.space, divided(acc, d)) if any(acc.values()) else {}
+
+    @cached_property
+    def table(self) -> CheckReport:
+        """Graded commutativity and grading closure of every ordered pair."""
+        rep, sp, t = CheckReport("table"), self.space, self.t
+        for a, b in itertools.product(sp.labels(), repeat=2):
+            ab, ba = t[a][b], t[b][a]
+            sign = (-1) ** (sp.parity(a) * sp.parity(b))
+            res = {l: ab.get(l, 0) - sign * ba.get(l, 0) for l in {*ab, *ba}}
+            rep.record("commutativity", (a, b), self.residual(res, self.d))
+            want = (sp.parity(a) + sp.parity(b)) % 2
+            bad = {l: c for l, c in ab.items() if sp.parity(l) != want}
+            rep.record("grading", (a, b), self.residual(bad, self.d))
+        return rep
+
+    @cached_property
+    def identities(self) -> dict:
+        """{kind: CheckReport} of the residuals of `_identity_residuals`,
+        one per identity in the order of `_SQUARE_OF`."""
+        parts, dd = {kind: CheckReport(kind) for kind in _SQUARE_OF}, self.d**2
+        for kind, instance, acc, w in _identity_residuals(self.space, self.t):
+            parts[kind].record(kind, instance, self.residual(acc, w * dd))
+        return parts
 
 
 def check_axioms(space: GradedSpace, table: Mapping,
-                 title: str = "axioms") -> CheckReport:
+                 title: str = "axioms", _pass=None) -> CheckReport:
     """Check the defining identities on every basis instance.
 
     ``table`` is a raw ordered product table {(a, b): {label: coeff}}; the
@@ -322,16 +331,18 @@ def check_axioms(space: GradedSpace, table: Mapping,
       half_unit  x1.(x2.y) = (1/2)(x1.x2).y          even, even, odd
       leibniz    x.(y1.y2) = (x.y1).y2 + y1.(x.y2)   even, odd, odd
       cyclic     y1.(y2.y3) + y2.(y3.y1) + y3.(y1.y2) = 0   odd triples
+
+    ``_pass``, a `_TablePass` of the same table, shares the residuals.
     """
     rep = CheckReport(title)
-    t, d = _check_table(rep, space, table)
-    for kind, instance, acc, w in _identity_residuals(space, t):
-        _record(rep, space, kind, instance, acc, w * d * d)
+    shared = _pass or _TablePass(space, table)
+    for part in (shared.table, *shared.identities.values()):
+        rep.merge(part)
     return rep
 
 
 def check_axioms_v2(space: GradedSpace, table: Mapping,
-                    title: str = "axioms-v2") -> CheckReport:
+                    title: str = "axioms-v2", _pass=None) -> CheckReport:
     """The equivalent reformulated system:
 
       assoc       the even part is associative
@@ -339,38 +350,25 @@ def check_axioms_v2(space: GradedSpace, table: Mapping,
       odd_deriv   right multiplication by an odd element is an odd derivation:
                   (a.b).y = (a.y).b + (-1)^{|a|} a.(b.y)
 
-    Graded commutativity and grading closure are checked as before.
+    Graded commutativity, grading closure and assoc are recorded from the
+    residuals of `check_axioms` (shared through ``_pass``, as there).
     """
     rep = CheckReport(title)
-    table, d = _check_table(rep, space, table)
-    dd = d * d
-    labels = space.labels()
-    e = {l: {l: 1} for l in labels}
-    ev, od = space.even, space.odd
-
-    for x1 in ev:
-        for x2 in ev:
-            for x3 in ev:
-                acc: dict = {}
-                _mul_into(acc, table, e[x1], table[x2, x3], 1)
-                _mul_into(acc, table, table[x1, x2], e[x3], -1)
-                _record(rep, space, "assoc", (x1, x2, x3), acc, dd)
-    for x1 in ev:
-        for x2 in ev:
-            for a in labels:
-                acc = {}
-                _mul_into(acc, table, e[x1], table[x2, a], 1)
-                _mul_into(acc, table, e[x2], table[x1, a], -1)
-                _record(rep, space, "even_comm", (x1, x2, a), acc, dd)
-    for a in labels:
-        sign = -1 if space.parity(a) else 1
-        for b in labels:
-            for y in od:
-                acc = {}
-                _mul_into(acc, table, table[a, b], e[y], 1)
-                _mul_into(acc, table, table[a, y], e[b], -1)
-                _mul_into(acc, table, e[a], table[b, y], -sign)
-                _record(rep, space, "odd_deriv", (a, b, y), acc, dd)
+    shared = _pass or _TablePass(space, table)
+    rep.merge(shared.table)
+    rep.merge(shared.identities["assoc"])
+    t, dd, labels = shared.t, shared.d**2, space.labels()
+    for x1, x2, a in itertools.product(space.even, space.even, labels):
+        acc: dict = {}
+        _left(acc, t[x1], t[x2][a], 1)
+        _left(acc, t[x2], t[x1][a], -1)
+        rep.record("even_comm", (x1, x2, a), shared.residual(acc, dd))
+    for a, b, y in itertools.product(labels, labels, space.odd):
+        acc = {}
+        _right(acc, t, t[a][b], y, 1)
+        _right(acc, t, t[a][y], b, -1)
+        _left(acc, t[a], t[b][y], -(-1) ** space.parity(a))
+        rep.record("odd_deriv", (a, b, y), shared.residual(acc, dd))
     return rep
 
 
@@ -378,38 +376,37 @@ def check_axioms_v2(space: GradedSpace, table: Mapping,
 # the square-zero test
 # ---------------------------------------------------------------------------
 
-# [m, m] block by block as a multiple of one identity's residuals:
-# kind -> ((p, q), numerator, denominator) of that multiple
+# kind -> ((p, q), w): block (p, q) of [m, m] is w times that kind's residuals
 _SQUARE_OF = {
-    "assoc": ((3, 0), -1, 2),
-    "half_unit": ((2, 1), -2, 1),
-    "leibniz": ((1, 2), -1, 1),
-    "cyclic": ((0, 3), 2, 3),
+    "assoc": ((3, 0), Fraction(-1, 2)),
+    "half_unit": ((2, 1), Fraction(-2)),
+    "leibniz": ((1, 2), Fraction(-1)),
+    "cyclic": ((0, 3), Fraction(2, 3)),
 }
 
 
-def zero_square_check(structure: AntialgebraStructure):
+def zero_square_check(structure: AntialgebraStructure, _pass=None):
     """Compute [m, m] under the alternated bracket for the structure's odd
     element m and report every nonzero entry.
 
     Returns (report, block_map).  Each block is also compared with a fixed
-    multiple of the residuals of `check_axioms`: [m, m] is -1/2 assoc on
-    (3,0), -2 half_unit on (2,1), -leibniz on (1,2) and 2/3 cyclic on (0,3)
-    (the last two are already alternating in the odd arguments).  A
-    mismatch there means a transcription bug in the bracket engine itself
-    and raises AssertionError naming the block.
+    multiple of the residuals of `check_axioms` (shared through ``_pass``,
+    as there): [m, m] is -1/2 assoc on (3,0), -2 half_unit on (2,1),
+    -leibniz on (1,2) and 2/3 cyclic on (0,3) (the last two are already
+    alternating in the odd arguments).  A mismatch there means a
+    transcription bug in the bracket engine itself and raises
+    AssertionError naming the block.
     """
     m = structure.m_blocks()
     square = brackets.al_bracket_blocks(m, m)
     sp = structure.space
-    t, d = _integer_table(structure.products)
-    expected = {shape: {} for shape, _, _ in _SQUARE_OF.values()}
-    for kind, instance, acc, w in _identity_residuals(sp, t):
-        for l, c in acc.items():
-            if c:
-                (p, q), num, den = _SQUARE_OF[kind]
-                expected[p, q][instance[:p], instance[p:], l] = Fraction(
-                    num * c, den * w * d * d)
+    shared = _pass or _TablePass(sp, structure.products)
+    expected = {shape: {} for shape, _ in _SQUARE_OF.values()}
+    for kind, part in shared.identities.items():
+        (p, q), weight = _SQUARE_OF[kind]
+        for v in part.violations:
+            for l, c in v.residual.items():
+                expected[p, q][v.instance[:p], v.instance[p:], l] = weight * c
     rep = CheckReport(f"zero-square[{structure.name or '?'}]")
     for (p, q), want in expected.items():
         block = dict(square.block(p, q).entries())

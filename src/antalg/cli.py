@@ -23,6 +23,7 @@ from .core import ParseError, format_scalar, parse_algebra_file
 from .antialgebra import (
     AntialgebraStructure,
     ModuleStructure,
+    _TablePass,
     adjoint_module,
     check_axioms,
     check_axioms_v2,
@@ -180,9 +181,11 @@ def cmd_check(args, out) -> int:
         raise InputError(f"--window applies only to the windowed families "
                          f"{' and '.join(_WINDOWED)}, not to {args.input}")
     alg = load_structure(args.input)
-    rep = check_axioms(alg.space, alg.product_map(), title=f"axioms[{alg.name}]")
-    rep2 = check_axioms_v2(alg.space, alg.product_map())
-    sq, _ = zero_square_check(alg)
+    sp, table = alg.space, alg.products
+    shared = _TablePass(sp, table)  # one residual pass for all three checks
+    rep = check_axioms(sp, table, title=f"axioms[{alg.name}]", _pass=shared)
+    rep2 = check_axioms_v2(sp, table, _pass=shared)
+    sq, _ = zero_square_check(alg, _pass=shared)
     rep.merge(rep2)
     rep.merge(sq)
     emit_report(rep, args.format, out, {"command": "check", "input": args.input})

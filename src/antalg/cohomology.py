@@ -144,6 +144,7 @@ class Cochain:
         self.alg_space = alg_space
         self.mod_space = mod_space
         self.degree = degree
+        self._zero = mod_space.vector({})  # every miss of `value`, read only
         self._blocks: dict = {}
         for (p, q), table in (blocks or {}).items():
             if p < 0 or q < 0 or p + q != degree:
@@ -226,13 +227,11 @@ class Cochain:
         argument sign; repeated odd labels give zero."""
         table = self._blocks.get((p, q))
         if table is None:
-            return self.mod_space.vector({})
+            return self._zero
         cys, sign = _canonical_ys(self.alg_space, tuple(ys))
-        if cys is None:
-            return self.mod_space.vector({})
-        vec = table.get((tuple(xs), cys))
+        vec = None if cys is None else table.get((tuple(xs), cys))
         if vec is None:
-            return self.mod_space.vector({})
+            return self._zero
         return vec if sign == 1 else vec.scale(sign)
 
 

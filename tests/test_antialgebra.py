@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from antalg import brackets
+from antalg import antialgebra, brackets
 from antalg.antialgebra import (
     AntialgebraStructure,
     CheckReport,
@@ -82,6 +82,144 @@ def test_structure_constructor_validates_parity_and_mirrors():
 
 
 # ---------------------------------------------------------------------------
+# raw ordered tables that the CLI cannot build
+# ---------------------------------------------------------------------------
+
+# skew13 breaks graded commutativity (y1.y2 = y2.y1, e.y3 != y3.e, y3.y3 !=
+# 0), grading closure (y2.y3 = y1) and the half-unit law, and its cyclic
+# residual is not alternating in the odd arguments; the other three tables
+# have the degenerate shapes (1|0), (0|2) and (0|0)
+RAW_TABLES = {
+    "skew13": (GradedSpace(("e",), ("y1", "y2", "y3")), {
+        ("e", "e"): {"e": 1},
+        ("e", "y1"): {"y1": F(1, 2)}, ("y1", "e"): {"y1": F(1, 2)},
+        ("e", "y2"): {"y2": 1}, ("y2", "e"): {"y2": F(1, 2)},
+        ("e", "y3"): {"y3": F(1, 2)}, ("y3", "e"): {"y3": F(1, 3)},
+        ("y1", "y2"): {"e": 1}, ("y2", "y1"): {"e": 1},
+        ("y2", "y3"): {"y1": 1}, ("y3", "y2"): {"y1": -1},
+        ("y3", "y3"): {"e": F(2, 5)},
+    }),
+    "even10": (GradedSpace(("e",), ()), {("e", "e"): {"e": 2}}),
+    "odd02": (GradedSpace((), ("y1", "y2")), {("y1", "y2"): {"y1": 1},
+                                             ("y2", "y2"): {"y2": F(1, 3)}}),
+    "empty00": (GradedSpace((), ()), {}),
+}
+
+# (checked, skipped, violations as "kind instance residual") of each checker
+RAW_EXPECTED = {
+    ("skew13", "check_axioms"): (72, 0, """
+        commutativity e,y2 Vector(1/2*y2)
+        commutativity e,y3 Vector(1/6*y3)
+        commutativity y1,y2 Vector(2*e)
+        commutativity y2,e Vector(-1/2*y2)
+        commutativity y2,y1 Vector(2*e)
+        grading y2,y3 Vector(1*y1)
+        commutativity y3,e Vector(-1/6*y3)
+        grading y3,y2 Vector(-1*y1)
+        commutativity y3,y3 Vector(4/5*e)
+        half_unit e,e,y2 Vector(1/2*y2)
+        leibniz e,y1,y2 Vector(-1/2*e)
+        leibniz e,y2,y1 Vector(-1/2*e)
+        leibniz e,y2,y3 Vector(-1*y1)
+        leibniz e,y3,y2 Vector(1*y1)
+        cyclic y1,y1,y2 Vector(1*y1)
+        cyclic y1,y2,y1 Vector(1*y1)
+        cyclic y1,y2,y2 Vector(1*y2)
+        cyclic y1,y2,y3 Vector(1/3*y3)
+        cyclic y1,y3,y2 Vector(1/3*y3)
+        cyclic y1,y3,y3 Vector(1/5*y1)
+        cyclic y2,y1,y1 Vector(1*y1)
+        cyclic y2,y1,y2 Vector(1*y2)
+        cyclic y2,y1,y3 Vector(1/3*y3)
+        cyclic y2,y2,y1 Vector(1*y2)
+        cyclic y2,y3,y1 Vector(1/3*y3)
+        cyclic y2,y3,y3 Vector(1/5*y2)
+        cyclic y3,y1,y2 Vector(1/3*y3)
+        cyclic y3,y1,y3 Vector(1/5*y1)
+        cyclic y3,y2,y1 Vector(1/3*y3)
+        cyclic y3,y2,y3 Vector(1/5*y2)
+        cyclic y3,y3,y1 Vector(1/5*y1)
+        cyclic y3,y3,y2 Vector(1/5*y2)
+        cyclic y3,y3,y3 Vector(2/5*y3)
+    """),
+    ("skew13", "check_axioms_v2"): (85, 0, """
+        commutativity e,y2 Vector(1/2*y2)
+        commutativity e,y3 Vector(1/6*y3)
+        commutativity y1,y2 Vector(2*e)
+        commutativity y2,e Vector(-1/2*y2)
+        commutativity y2,y1 Vector(2*e)
+        grading y2,y3 Vector(1*y1)
+        commutativity y3,e Vector(-1/6*y3)
+        grading y3,y2 Vector(-1*y1)
+        commutativity y3,y3 Vector(4/5*e)
+        odd_deriv e,e,y2 Vector(-1/2*y2)
+        odd_deriv e,e,y3 Vector(1/12*y3)
+        odd_deriv e,y1,y2 Vector(-3/2*e)
+        odd_deriv e,y2,y1 Vector(-1/2*e)
+        odd_deriv e,y2,y3 Vector(1*y1)
+        odd_deriv e,y3,y2 Vector(-1*y1)
+        odd_deriv e,y3,y3 Vector(-2/5*e)
+        odd_deriv y1,e,y2 Vector(1/2*e)
+        odd_deriv y1,y2,y1 Vector(1*y1)
+        odd_deriv y1,y2,y3 Vector(1/2*y3)
+        odd_deriv y1,y3,y2 Vector(-1/2*y3)
+        odd_deriv y1,y3,y3 Vector(1/5*y1)
+        odd_deriv y2,e,y3 Vector(1/2*y1)
+        odd_deriv y2,y1,y2 Vector(3/2*y2)
+        odd_deriv y2,y1,y3 Vector(1/2*y3)
+        odd_deriv y2,y2,y1 Vector(-1/2*y2)
+        odd_deriv y2,y3,y1 Vector(-1/2*y3)
+        odd_deriv y2,y3,y3 Vector(1/5*y2)
+        odd_deriv y3,e,y2 Vector(-5/6*y1)
+        odd_deriv y3,e,y3 Vector(-1/15*e)
+        odd_deriv y3,y1,y2 Vector(1/3*y3)
+        odd_deriv y3,y1,y3 Vector(-1/5*y1)
+        odd_deriv y3,y2,y1 Vector(1/3*y3)
+        odd_deriv y3,y2,y3 Vector(-2/5*y2)
+        odd_deriv y3,y3,y1 Vector(1/5*y1)
+        odd_deriv y3,y3,y2 Vector(2/5*y2)
+        odd_deriv y3,y3,y3 Vector(2/15*y3)
+    """),
+    ("even10", "check_axioms"): (3, 0, ""),
+    ("even10", "check_axioms_v2"): (4, 0, ""),
+    ("odd02", "check_axioms"): (16, 0, """
+        commutativity y1,y2 Vector(1*y1)
+        grading y1,y2 Vector(1*y1)
+        commutativity y2,y1 Vector(1*y1)
+        commutativity y2,y2 Vector(2/3*y2)
+        grading y2,y2 Vector(1/3*y2)
+        cyclic y1,y2,y2 Vector(1/3*y1)
+        cyclic y2,y1,y2 Vector(1/3*y1)
+        cyclic y2,y2,y1 Vector(1/3*y1)
+        cyclic y2,y2,y2 Vector(1/3*y2)
+    """),
+    ("odd02", "check_axioms_v2"): (16, 0, """
+        commutativity y1,y2 Vector(1*y1)
+        grading y1,y2 Vector(1*y1)
+        commutativity y2,y1 Vector(1*y1)
+        commutativity y2,y2 Vector(2/3*y2)
+        grading y2,y2 Vector(1/3*y2)
+        odd_deriv y1,y2,y2 Vector(1/3*y1)
+        odd_deriv y2,y2,y2 Vector(1/9*y2)
+    """),
+    ("empty00", "check_axioms"): (0, 0, ""),
+    ("empty00", "check_axioms_v2"): (0, 0, ""),
+}
+
+
+@pytest.mark.parametrize("name,checker", list(RAW_EXPECTED))
+def test_checkers_pin_raw_tables_the_cli_cannot_build(name, checker):
+    space, table = RAW_TABLES[name]
+    fn = {"check_axioms": check_axioms, "check_axioms_v2": check_axioms_v2}
+    rep = fn[checker](space, table)
+    checked, skipped, violations = RAW_EXPECTED[name, checker]
+    assert (rep.checked, rep.skipped) == (checked, skipped)
+    assert [f"{v.kind} {','.join(v.instance)} {v.residual!r}"
+            for v in rep.violations] == [
+        line.strip() for line in violations.strip().splitlines()]
+
+
+# ---------------------------------------------------------------------------
 # zero-square criterion
 # ---------------------------------------------------------------------------
 
@@ -114,7 +252,7 @@ def _half_unit_perturbed():
 _DOUBLED_ENGINE = """\
 import sys
 sys.path.insert(0, {tests!r})
-from antalg import brackets
+from antalg import antialgebra, brackets
 from test_antialgebra import _half_unit_perturbed
 from antalg.antialgebra import zero_square_check
 engine = brackets.al_bracket_blocks
@@ -157,6 +295,58 @@ def test_cross_check_weighs_a_non_associative_even_part():
     }
     assert square.shapes() == [(3, 0)]
     assert (rep.checked, len(rep.violations)) == (12, 4)
+
+
+def _free_constants(n_even, n_odd):
+    """The space of shape (n_even|n_odd) and the free structure constants of
+    a graded-commutative parity-preserving table on it: one (a, b, label)
+    per unordered pair {a, b} (distinct when both are odd) and output
+    label of parity |a| + |b|."""
+    sp = GradedSpace([f"x{i}" for i in range(n_even)],
+                     [f"y{i}" for i in range(n_odd)])
+    labels = sp.labels()
+    return sp, [(a, b, l) for i, a in enumerate(labels) for b in labels[i:]
+                if not (a == b and sp.parity(a))
+                for l in (sp.odd if sp.parity(a) != sp.parity(b) else sp.even)]
+
+
+def _unit_and_pair_tables(n_even, n_odd):
+    """Every unit table e_i and every e_i + e_j of the free constants."""
+    sp, consts = _free_constants(n_even, n_odd)
+    for i, j in itertools.combinations_with_replacement(range(len(consts)), 2):
+        prods: dict = {}
+        for a, b, l in {consts[i], consts[j]}:
+            prods.setdefault((a, b), {})[l] = F(1)
+        yield AntialgebraStructure(sp, prods)
+
+
+@pytest.mark.parametrize("n_even,n_odd,constants", [
+    (1, 2, 6), (2, 2, 16), (3, 3, 54), (2, 4, 50)])
+def test_cross_check_weights_hold_on_a_polarization_basis(n_even, n_odd,
+                                                          constants):
+    """[m, m] is quadratic in the structure constants and so is each
+    identity residual, so agreeing on every e_i and every e_i + e_j fixes
+    the weights of `zero_square_check` on the whole shape: none may raise."""
+    assert len(_free_constants(n_even, n_odd)[1]) == constants
+    runs = 0
+    for st in _unit_and_pair_tables(n_even, n_odd):
+        zero_square_check(st)
+        runs += 1
+    assert runs == constants * (constants + 1) // 2
+
+
+@pytest.mark.parametrize("kind,n_even,n_odd", [
+    ("assoc", 2, 2), ("half_unit", 1, 2), ("leibniz", 1, 2),
+    ("cyclic", 1, 3)])
+def test_polarization_basis_catches_a_wrong_weight(monkeypatch, kind, n_even,
+                                                   n_odd):
+    """Doubling one weight of the cross-check makes some table of the
+    polarization basis raise on that weight's block."""
+    (p, q), weight = antialgebra._SQUARE_OF[kind]
+    monkeypatch.setitem(antialgebra._SQUARE_OF, kind, ((p, q), 2 * weight))
+    with pytest.raises(AssertionError, match=rf"on block \({p},{q}\)"):
+        for st in _unit_and_pair_tables(n_even, n_odd):
+            zero_square_check(st)
 
 
 def test_structure_as_an_odd_element():

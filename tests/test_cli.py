@@ -2,10 +2,12 @@
 
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from antalg import antialgebra
 from antalg.cli import main
 
 K3_TEXT = """\
@@ -155,9 +157,11 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 # the finite tables beside the goldens: K3 (x) k[t]/(t^4) (k3t4), the same
-# with eps1.a2 doubled (k3t4p), K3 (x) k[t]/(t^2) rescaled by 1/101, 1/103,
-# 7/9, ... (k3t2r) and that with eps1.a0 doubled (k3t2rp)
-FINITE_GOLDEN = ["k3", "k3t4.alg", "k3t4p.alg", "k3t2r.alg", "k3t2rp.alg"]
+# with eps1.a2 doubled (k3t4p) or with the odd product a1.b1 doubled
+# (k3t4op), K3 (x) k[t]/(t^2) rescaled by 1/101, 1/103, 7/9, ... (k3t2r) and
+# that with eps1.a0 doubled (k3t2rp)
+FINITE_GOLDEN = ["k3", "k3t4.alg", "k3t4p.alg", "k3t4op.alg", "k3t2r.alg",
+                 "k3t2rp.alg"]
 
 # `cohomology` goldens: K3 with each coefficient choice, and K3 + N2 in the
 # basis e = eps + t1 (k3n2x), whose products have several labels
@@ -234,6 +238,22 @@ def test_bracket_reports_nonzero_entries(tmp_path, capsys):
     assert code == 1
     assert "status=nonzero" in out
     assert "entry.1.shape=" in out and "entry.1.value=" in out
+
+
+@pytest.mark.parametrize("command", ["check", "bracket"])
+def test_a_finite_table_gets_one_residual_pass(monkeypatch, capsys, command):
+    """`check` runs check_axioms, check_axioms_v2 and the [m,m] cross-check
+    on one integer table and one pass over the identity residuals, and
+    `bracket` (the cross-check alone) makes one of each too."""
+    calls = Counter()
+    for name in ("_integer_table", "_identity_residuals"):
+        def counted(*args, _name=name, _fn=getattr(antialgebra, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(antialgebra, name, counted)
+    code, out, _ = _run(capsys, [command, "--input", "k3"])
+    assert code == 0 and out
+    assert calls == {"_integer_table": 1, "_identity_residuals": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,21 @@ def test_cochain_validation():
         Cochain(K3, ADJ, 2, {(1, 1): {(("eps",), ("a",)): {("ad", "eps"): F(1)}}})
 
 
+def test_cochain_misses_share_one_empty_value():
+    """A missing block, a repeated odd label and a missing entry all read
+    as the one zero value of the cochain, made once with the cochain."""
+    c = Cochain(K3, ADJ, 2, {(0, 2): {((), ("a", "b")): {("ad", "eps"): F(1)}}})
+    misses = [c.value(2, 0, ("eps", "eps"), ()),
+              c.value(0, 2, (), ("a", "a")),
+              c.value(1, 1, ("eps",), ("a",))]
+    assert all(v is misses[0] for v in misses) and misses[0].is_zero()
+    assert dict(c.value(0, 2, (), ("b", "a")).items()) == {("ad", "eps"): -1}
+    eps0, a0 = ("eps", F(0)), ("a", F(1, 2))
+    w = WindowCochain(1, {(1, 0): {((eps0,), ()): DictVec({eps0: F(1)})}})
+    assert w.value(1, 0, (("eps", F(1)),), ()) is w.value(0, 1, (), (a0,))
+    assert w.value(1, 0, (eps0,), ()) == DictVec({eps0: F(1)})
+
+
 def test_cochain_add_rejects_a_degree_mismatch():
     a = random_cochain(K3, ADJ, 1, random.Random(3))
     b = random_cochain(K3, ADJ, 2, random.Random(3))
