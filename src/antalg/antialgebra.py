@@ -6,11 +6,12 @@ A structure is stored as a completed ordered product table over a
 (`check_axioms`, and the reformulated system `check_axioms_v2`) and as the
 square-zero test of the associated odd element under the alternated
 bracket (`zero_square_check`).  The four identities are written out once,
-in `_identity_residuals`.  A `check` builds the integer table and the
-residuals once (`_TablePass`) and all three read them: `check_axioms`
-records every residual, `check_axioms_v2` its table records and assoc
-residuals, and `zero_square_check` compares each block of [m, m] from the
-bracket engine with a fixed multiple of them.
+in `_identity_residuals`, which the window suites of `zoo` run too.  A
+`check` builds the integer table and the residuals once (`_TablePass`) and
+all three read them: `check_axioms` records every residual,
+`check_axioms_v2` its table records and assoc residuals, and
+`zero_square_check` compares each block of [m, m] from the bracket engine
+with a fixed multiple of them.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ leading ``schema=1`` line; identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -127,33 +128,32 @@ def load_structure(name_or_path: str) -> AntialgebraStructure:
 
 
 def load_coefficients(alg: AntialgebraStructure, selector: str) -> ModuleStructure:
+    """The coefficient module named by ``selector``.  A dual-adjoint or file
+    module is bad input unless its semidirect sum passes `check_axioms`."""
     if selector == "trivial":
         return trivial_module(alg)
     if selector == "adjoint":
         return adjoint_module(alg)
     if selector == "dual-adjoint":
-        return dual_module(adjoint_module(alg))
-    doc = parse_algebra_file(selector)
-    if doc.module_space is None:
-        raise InputError(f"{selector} has no module section")
-    try:
-        mod = ModuleStructure(alg, doc.module_space, doc.action or {},
-                              name=doc.name or selector)
-        table = _semidirect_table(mod)
-    except (KeyError, ValueError) as ex:  # unknown or shared labels, parity
-        raise InputError(ex.args[0]) from None
-    rep = check_axioms(*table, title="module")
+        mod = dual_module(adjoint_module(alg))
+        ext = semidirect(mod)
+    else:
+        doc = parse_algebra_file(selector)
+        if doc.module_space is None:
+            raise InputError(f"{selector} has no module section")
+        try:
+            mod = ModuleStructure(alg, doc.module_space, doc.action or {},
+                                  name=doc.name or selector)
+            ext = semidirect(mod)
+        except (KeyError, ValueError) as ex:  # unknown or shared labels, parity
+            raise InputError(ex.args[0]) from None
+    rep = check_axioms(ext.space, ext.products, title="module")
     if not rep.ok:
         raise InputError(
             f"coefficients in {selector} violate the module identities "
             f"({len(rep.violations)} instances; first: "
             f"{rep.violations[0].kind} at {_fmt(rep.violations[0].instance)})")
     return mod
-
-
-def _semidirect_table(mod: ModuleStructure):
-    ext = semidirect(mod)
-    return ext.space, ext.product_map()
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,10 @@ def cmd_bracket(args, out) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it
+    was."""
     ap = argparse.ArgumentParser(
         prog="antalg",
         description="exact checks and cohomology for graded-commutative "

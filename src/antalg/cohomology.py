@@ -531,8 +531,7 @@ def _delta_matrix(alg, mod, k) -> DifferentialMatrix:
 
 def assemble_complex(alg, mod, kmax, verify=True) -> list:
     """Matrices of delta^k for k = 1..kmax.  With ``verify`` the square-zero
-    law, its five component identities, and (for trivial coefficients) the
-    bicomplex relations are asserted exactly."""
+    law is asserted exactly (`verify_complex`)."""
     mats = [_delta_matrix(alg, mod, k) for k in range(1, kmax + 1)]
     if verify:
         verify_complex(mats, trivial=not mod.action)
@@ -545,34 +544,33 @@ def _require(ok, message) -> None:
         raise AssertionError(message)
 
 
-def verify_complex(mats, trivial=False) -> None:
-    for cur, nxt in zip(mats, mats[1:]):
-        _require(linalg.mat_is_zero(linalg.mat_mul(nxt.full, cur.full)),
-                 f"delta^{nxt.k} after delta^{cur.k} is nonzero")
-        d10a, d01a, dm12a = (cur.comp[c] for c in COMPONENTS)
-        d10b, d01b, dm12b = (nxt.comp[c] for c in COMPONENTS)
-        mul, add = linalg.mat_mul, linalg.mat_add
+def _square_groups(cur, nxt):
+    """delta^{k+1} delta^k as its five groups of component products, one per
+    block shift from (2,0) to (-2,4), each built when it is reached: the
+    square is zero exactly when each group is."""
+    mul, add = linalg.mat_mul, linalg.mat_add
+    d10a, d01a, dm12a = (cur.comp[c] for c in COMPONENTS)
+    d10b, d01b, dm12b = (nxt.comp[c] for c in COMPONENTS)
+    yield "d10.d10", mul(d10b, d10a)
+    yield "d10.d01+d01.d10", add(mul(d10b, d01a), mul(d01b, d10a))
+    yield ("d01.d01+d10.d-12+d-12.d10",
+           add(add(mul(d01b, d01a), mul(d10b, dm12a)), mul(dm12b, d10a)))
+    yield "d01.d-12+d-12.d01", add(mul(d01b, dm12a), mul(dm12b, d01a))
+    yield "d-12.d-12", mul(dm12b, dm12a)
 
-        checks = [
-            ("d10.d10", mul(d10b, d10a)),
-            ("d10.d01+d01.d10", add(mul(d10b, d01a), mul(d01b, d10a))),
-            ("d01.d01+d10.d-12+d-12.d10",
-             add(add(mul(d01b, d01a), mul(d10b, dm12a)), mul(dm12b, d10a))),
-            ("d01.d-12+d-12.d01", add(mul(d01b, dm12a), mul(dm12b, d01a))),
-            ("d-12.d-12", mul(dm12b, dm12a)),
-        ]
-        for name, mat in checks:
-            _require(linalg.mat_is_zero(mat),
-                     f"component identity {name} fails at k={cur.k}")
-        if trivial:
-            _require(linalg.mat_is_zero(cur.comp[(0, 1)]),
+
+def verify_complex(mats, trivial=False) -> None:
+    """delta^{k+1} delta^k = 0 for consecutive matrices, group by group
+    (`_square_groups`).  With trivial coefficients the (0,1)-component of
+    every matrix must vanish."""
+    if trivial:
+        for mat in mats:
+            _require(linalg.mat_is_zero(mat.comp[(0, 1)]),
                      "trivial coefficients must kill the (0,1)-component")
-            _require(linalg.mat_is_zero(
-                add(mul(d10b, dm12a), mul(dm12b, d10a))),
-                "bicomplex anticommutator fails with trivial coefficients")
-    if trivial and mats:
-        _require(linalg.mat_is_zero(mats[-1].comp[(0, 1)]),
-                 "trivial coefficients must kill the (0,1)-component")
+    for cur, nxt in zip(mats, mats[1:]):
+        for name, mat in _square_groups(cur, nxt):
+            _require(linalg.mat_is_zero(mat),
+                     f"delta^{nxt.k} after delta^{cur.k} is nonzero ({name})")
 
 
 def cohomology_dims(alg, mod, kmax) -> list:

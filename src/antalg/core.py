@@ -185,14 +185,14 @@ class Vector:
                 out[l] = c
             else:
                 del out[l]
-        return Vector._trusted(self.space, out)
+        return type(self)._trusted(self.space, out)
 
     def sub(self, other: "Vector") -> "Vector":
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "Vector":
         c = scalar(c)
-        return Vector._trusted(self.space, {
+        return type(self)._trusted(self.space, {
             l: c * v for l, v in self._coeffs.items()} if c else {})
 
     def __eq__(self, other) -> bool:

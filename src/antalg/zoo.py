@@ -15,9 +15,12 @@ Dual labels append "*" to the family name and keep the index and the parity.
 A window of radius N keeps |index| <= N (or floor <= index <= N for the
 one-sided family).  Windowed products return None -- "unknown", distinct
 from the zero dict -- whenever the exact result has support outside the
-window; identity checks count such instances as skipped.  The verification
-suites for the named cocycles use the global index formulas instead, so
-they have no truncation error.
+window; identity checks count such instances as skipped.  The axiom
+suites of the conformal windows run the finite tables' identities
+(`antialgebra._identity_residuals`) on the window's integer table.  The
+verification suites for the named cocycles use the global index formulas
+instead, so they have no truncation error.  Cochain values are `DictVec`s,
+`core.Vector`s over the open basis of all (family, index) labels.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import linalg
-from .antialgebra import CheckReport
+from .antialgebra import CheckReport, _identity_residuals
 from .brackets import _perm_sign
 from .cohomology import (COMPONENTS, Cochain, DeltaContext, _canonical_ys,
                          delta_instance)
+from .core import Vector, as_integers, common_denominator, divided
 
 __all__ = [
     "WindowedAlgebra",
@@ -238,52 +242,34 @@ class WindowedAlgebra:
 # windowed identity checks for the conformal families
 # ---------------------------------------------------------------------------
 
+# The label of every product that leaves a window.  It absorbs: a product
+# with an unknown factor is unknown, so it reaches an instance's residual
+# exactly when that instance needs an unknown product.
+_UNKNOWN = object()
+
+
 def _conf_axiom_report(kind: str, N: int) -> CheckReport:
+    """The four identities of `antialgebra._identity_residuals` on every
+    basis instance of a conformal window, read off the window's integer
+    table with `_UNKNOWN` for each product that leaves the window.  An
+    instance whose residual meets `_UNKNOWN` is skipped; the cyclic one is
+    recorded at increasing odd positions only."""
     w = WindowedAlgebra(kind, N)
     rep = CheckReport(f"{kind}-axioms[N={N}]")
-    # Every product below is of two window labels: a product that leaves
-    # the window is None, which makes the instance unknown.  The table's
-    # dicts are shared, and nothing below mutates them.
-    table = {(u, v): w.mul(u, v) for u in w.labels() for v in w.labels()}
-    unit = {l: {l: Fraction(1)} for l in w.labels()}
-
-    def residual(*terms):
-        """The sum of c * (u.v) over the terms (c, u, v) of label dicts u,
-        v, or None when a product it needs is unknown."""
-        acc: dict = {}
-        for c, u, v in terms:
-            if u is None or v is None:
-                return None
-            for a, ca in u.items():
-                for b, cb in v.items():
-                    row = table[a, b]
-                    if row is None:
-                        return None
-                    for l, x in row.items():
-                        acc[l] = acc.get(l, ZERO) + c * ca * cb * x
-        return {l: x for l, x in acc.items() if x}
-
-    ev, od = w.even, w.odd
-    for x1, x2, x3 in itertools.product(ev, repeat=3):
-        rep.record("assoc", (x1, x2, x3),
-                   residual((1, unit[x1], table[x2, x3]),
-                            (-1, table[x1, x2], unit[x3])))
-    for x1, x2 in itertools.product(ev, repeat=2):
-        for y in od:
-            rep.record("half_unit", (x1, x2, y),
-                       residual((1, unit[x1], table[x2, y]),
-                                (-HALF, table[x1, x2], unit[y])))
-    for x in ev:
-        for y1, y2 in itertools.product(od, repeat=2):
-            rep.record("leibniz", (x, y1, y2),
-                       residual((1, unit[x], table[y1, y2]),
-                                (-1, table[x, y1], unit[y2]),
-                                (-1, unit[y1], table[x, y2])))
-    for y1, y2, y3 in itertools.combinations(od, 3):
-        rep.record("cyclic", (y1, y2, y3),
-                   residual((1, unit[y1], table[y2, y3]),
-                            (1, unit[y2], table[y3, y1]),
-                            (1, unit[y3], table[y1, y2])))
+    labels = w.labels()
+    table = {(u, v): w.mul(u, v) for u in labels for v in labels}
+    d = common_denominator(c for p in table.values() if p for c in p.values())
+    unknown = {_UNKNOWN: 1}
+    t = {u: {_UNKNOWN: unknown} for u in labels}
+    t[_UNKNOWN] = dict.fromkeys(labels, unknown)
+    for (u, v), p in table.items():
+        t[u][v] = unknown if p is None else as_integers(p.items(), d)
+    for law, inst, acc, weight in _identity_residuals(w, t):
+        # odd labels of one family compare by index, the window's order
+        if law == "cyclic" and not inst[0] < inst[1] < inst[2]:
+            continue
+        rep.record(law, inst,
+                   None if _UNKNOWN in acc else divided(acc, weight * d * d))
     return rep
 
 
@@ -299,41 +285,22 @@ def verify_m1_axioms(N: int = 4) -> CheckReport:
 # vectors, cochains and coboundary contexts over the index families
 # ---------------------------------------------------------------------------
 
-class DictVec:
-    """A sparse formal vector over (family, index) labels, Vector-compatible
-    as far as the coboundary formulas care."""
+class DictVec(Vector):
+    """A `core.Vector` over the open basis `_CONF_BASIS` of (family, index)
+    labels, whose labels are not checked; ``c`` is its coefficient dict."""
 
-    __slots__ = ("c",)
+    __slots__ = ()
 
     def __init__(self, c=None):
-        self.c = {k: v for k, v in (c or {}).items() if v}
+        self.space = _CONF_BASIS
+        self._coeffs = {k: v for k, v in (c or {}).items() if v}
 
-    def items(self):
-        return self.c.items()
-
-    def coeff(self, label) -> Fraction:
-        return self.c.get(label, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def add(self, other: "DictVec") -> "DictVec":
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return DictVec(out)
-
-    def sub(self, other: "DictVec") -> "DictVec":
-        return self.add(other.scale(-1))
-
-    def scale(self, s) -> "DictVec":
-        return DictVec({k: v * s for k, v in self.c.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, DictVec) and self.c == other.c
+    @property
+    def c(self) -> dict:
+        return self._coeffs
 
     def __repr__(self):
-        return f"DictVec({self.c!r})"
+        return f"DictVec({self._coeffs!r})"
 
 
 # The conformal labels and their duals as a cochain basis (see

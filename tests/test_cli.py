@@ -1,5 +1,6 @@
 """Exit codes, output formats, and determinism of the command line."""
 
+import argparse
 import subprocess
 import sys
 from collections import Counter
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from antalg import antialgebra
+from antalg import antialgebra, cli
 from antalg.cli import main
 
 K3_TEXT = """\
@@ -105,6 +106,23 @@ def test_cohomology_rejects_invalid_module_file(tmp_path, capsys):
     assert "module identities" in err
 
 
+def test_cohomology_rejects_a_dual_adjoint_action_that_is_no_module(
+        capsys, monkeypatch):
+    """`dual-adjoint` coefficients get the module check of a file module: a
+    dual action with every coefficient doubled breaks the half-unit law."""
+    def doubled(mod):
+        dual = antialgebra.dual_module(mod)
+        return antialgebra.ModuleStructure(dual.base, dual.space, {
+            key: {l: 2 * c for l, c in v.items()}
+            for key, v in dual.action.items()})
+
+    monkeypatch.setattr(cli, "dual_module", doubled)
+    code, out, err = _run(capsys, ["cohomology", "--input", "k3",
+                                   "--coefficients", "dual-adjoint"])
+    assert (code, out) == (2, "")
+    assert "coefficients in dual-adjoint violate the module identities" in err
+
+
 def test_cohomology_input_validation(tmp_path, capsys):
     code, _, err = _run(capsys, ["cohomology", "--input", "ak1"])
     assert code == 2 and "finite table" in err
@@ -115,6 +133,26 @@ def test_cohomology_input_validation(tmp_path, capsys):
     path.write_text(BROKEN_TEXT)
     code, _, err = _run(capsys, ["cohomology", "--input", str(path)])
     assert code == 2 and "not a valid structure" in err
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    """A second `main` call constructs no argument parser."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    try:
+        assert _run(capsys, ["check", "--input", "k3"])[0] == 0
+        first = len(built)
+        assert _run(capsys, ["verify", "gamma"])[0] == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert first and len(built) == first
 
 
 # ---------------------------------------------------------------------------

@@ -761,6 +761,44 @@ def test_axiom_suites_match_the_reference_loops(kind, N):
     _same_report(fn(N), _ref_conf_axioms(kind, N))
 
 
+# terms added to conf_mul at ordered pairs: eps_0 is no longer a unit, eps_1
+# squares to 2 eps_2 next to the window edge, and two odd products change,
+# one of them into a sum of two labels
+_CONF_BENDS = {
+    (EPS(0), EPS(0)): {EPS(0): F(1)},
+    (EPS(1), EPS(1)): {EPS(2): F(1)},
+    (EPS(0), A(F(1, 2))): {A(F(1, 2)): F(1, 2)},
+    (A(F(1, 2)), EPS(0)): {A(F(1, 2)): F(1, 2)},
+    (A(F(-1, 2)), A(F(1, 2))): {EPS(0): F(1, 3)},
+    (A(F(1, 2)), A(F(-1, 2))): {EPS(0): F(-1, 3)},
+    (A(F(1, 2)), A(F(3, 2))): {EPS(1): F(2)},
+    (A(F(3, 2)), A(F(1, 2))): {EPS(1): F(-2)},
+}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["ak1", "m1"])
+def test_axiom_suites_match_the_reference_loops_on_a_bent_product(
+        kind, N, monkeypatch):
+    """The comparison above on a product that breaks all four identities,
+    among instances the window cannot decide."""
+    conf_mul = zoo.conf_mul
+
+    def bent(u, v):
+        out = dict(conf_mul(u, v))
+        for l, c in _CONF_BENDS.get((u, v), {}).items():
+            out[l] = out.get(l, F(0)) + c
+        return {l: c for l, c in out.items() if c}
+
+    monkeypatch.setattr(zoo, "conf_mul", bent)
+    fn = zoo.verify_ak1_axioms if kind == "ak1" else zoo.verify_m1_axioms
+    got = fn(N)
+    _same_report(got, _ref_conf_axioms(kind, N))
+    assert {v.kind for v in got.violations} == {
+        "assoc", "half_unit", "leibniz", "cyclic"}
+    assert got.skipped and any(len(v.residual) > 1 for v in got.violations)
+
+
 @pytest.fixture
 def solver_calls(monkeypatch):
     """A copy of the (rows, rhs, ncols) of every `linalg.solve` call."""
