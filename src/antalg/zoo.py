@@ -21,6 +21,15 @@ suites of the conformal windows run the finite tables' identities
 verification suites for the named cocycles use the global index formulas
 instead, so they have no truncation error.  Cochain values are `DictVec`s,
 `core.Vector`s over the open basis of all (family, index) labels.
+
+Inside the suites labels are keyed by integers, because a `Fraction`
+rehashes on every dict access: the axiom suites key a label by its position
+in the window, the other suites by its doubled label (family, 2 * index)
+with an `int` index, which sorts like the label within a family.  The
+structure constants are written once, on doubled labels.  Every label that
+a caller passes or receives -- the public products, the suites' callbacks,
+a report's instances, residuals and extras, a returned cochain -- is a
+(family, Fraction) label.
 """
 
 from __future__ import annotations
@@ -63,48 +72,70 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
-ZERO = Fraction(0)
 _SIGN = (Fraction(1), Fraction(-1))  # (-1)^p for a parity p
 
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _dbl(label):
+    """The doubled label (family, 2 * index); its index is an `int` when
+    the index is a half-integer, and any other index keeps its exact
+    doubled value, which matches no window label."""
+    fam, idx = label
+    two = 2 * idx
+    return fam, int(two) if two.denominator == 1 else two
 
 
-def _comp_key(label):
-    """Sort key of a (family, index) label."""
-    return (str(label[0]), label[1])
+def _half(label):
+    """The (family, Fraction) label of a doubled label."""
+    return label[0], Fraction(label[1], 2)
+
+
+def _halved(value: dict) -> dict:
+    return {_half(l): c for l, c in value.items()}
 
 
 # ---------------------------------------------------------------------------
-# global structure constants
+# global structure constants, on doubled labels
 # ---------------------------------------------------------------------------
 
 def conf_parity(label) -> int:
     return 0 if label[0] in ("eps", "eps*") else 1
 
 
-def conf_mul(u, v) -> dict:
-    """The conformal product: eps_n.eps_m = eps_{n+m},
-    eps_n.a_i = (1/2) a_{n+i}, a_i.a_j = (1/2)(j-i) eps_{i+j}."""
+def _conf_mul2(u, v) -> dict:
+    """`conf_mul` on doubled labels."""
     (fu, iu), (fv, iv) = u, v
     if fu == "eps" and fv == "eps":
         return {("eps", iu + iv): Fraction(1)}
-    if fu == "eps" and fv == "a":
-        return {("a", iu + iv): HALF}
-    if fu == "a" and fv == "eps":
+    if fu == "eps" and fv == "a" or fu == "a" and fv == "eps":
         return {("a", iu + iv): HALF}
     if fu == "a" and fv == "a":
-        c = HALF * (iv - iu)
+        c = Fraction(iv - iu, 4)
         return {("eps", iu + iv): c} if c else {}
-    raise ValueError(f"not conformal labels: {u}, {v}")
+    raise ValueError(f"not conformal labels: {_half(u)}, {_half(v)}")
 
 
-def _dual_floor_ok(kind, label) -> bool:
-    if kind == "ak1":
-        return True
-    fam, idx = label
-    return idx >= (0 if fam == "eps*" else -HALF)
+def conf_mul(u, v) -> dict:
+    """The conformal product: eps_n.eps_m = eps_{n+m},
+    eps_n.a_i = (1/2) a_{n+i}, a_i.a_j = (1/2)(j-i) eps_{i+j}."""
+    return _halved(_conf_mul2(_dbl(u), _dbl(v)))
+
+
+def _dual_act2(kind, a, u) -> dict:
+    """`dual_act` on doubled labels."""
+    (fa, ia), (fu, iu) = a, u
+    if fa == "eps" and fu == "eps*":
+        fam, c = "eps*", Fraction(1)
+    elif fa == "eps" and fu == "a*":
+        fam, c = "a*", HALF
+    elif fa == "a" and fu == "eps*":
+        fam, c = "a*", Fraction(iu - 2 * ia, 4)
+    elif fa == "a" and fu == "a*":
+        fam, c = "eps*", -HALF
+    else:
+        raise ValueError(f"not an action pair: {_half(a)}, {_half(u)}")
+    if not c or kind != "ak1" and iu - ia < (0 if fam == "eps*" else -1):
+        return {}
+    return {(fam, iu - ia): c}
 
 
 def dual_act(kind, a, u) -> dict:
@@ -115,37 +146,29 @@ def dual_act(kind, a, u) -> dict:
 
     For the one-sided family the floors are structural: a result whose index
     drops below the floor is exactly zero."""
-    (fa, ia), (fu, iu) = a, u
-    if fa == "eps" and fu == "eps*":
-        out = {("eps*", iu - ia): Fraction(1)}
-    elif fa == "eps" and fu == "a*":
-        out = {("a*", iu - ia): HALF}
-    elif fa == "a" and fu == "eps*":
-        c = iu / 2 - ia
-        out = {("a*", iu - ia): c} if c else {}
-    elif fa == "a" and fu == "a*":
-        out = {("eps*", iu - ia): -HALF}
+    return _halved(_dual_act2(kind, _dbl(a), _dbl(u)))
+
+
+def _k1_bracket2(u, v) -> dict:
+    """`k1_bracket` on doubled labels."""
+    (fu, iu), (fv, iv) = u, v
+    if fu == "l" and fv == "l":
+        fam, c = "l", Fraction(iv - iu, 2)
+    elif fu == "l" and fv == "xi":
+        fam, c = "xi", Fraction(2 * iv - iu, 4)
+    elif fu == "xi" and fv == "l":
+        fam, c = "xi", Fraction(iv - 2 * iu, 4)
+    elif fu == "xi" and fv == "xi":
+        fam, c = "l", Fraction(2)
     else:
-        raise ValueError(f"not an action pair: {a}, {u}")
-    return {l: c for l, c in out.items() if _dual_floor_ok(kind, l)}
+        raise ValueError(f"not contact labels: {_half(u)}, {_half(v)}")
+    return {(fam, iu + iv): c} if c else {}
 
 
 def k1_bracket(u, v) -> dict:
     """[l_n, l_m] = (m-n) l_{n+m}, [l_n, xi_i] = (i - n/2) xi_{n+i},
     [xi_i, xi_j] = 2 l_{i+j}."""
-    (fu, iu), (fv, iv) = u, v
-    if fu == "l" and fv == "l":
-        c = iv - iu
-        return {("l", iu + iv): c} if c else {}
-    if fu == "l" and fv == "xi":
-        c = iv - iu / 2
-        return {("xi", iu + iv): c} if c else {}
-    if fu == "xi" and fv == "l":
-        c = -(iu - iv / 2)
-        return {("xi", iu + iv): c} if c else {}
-    if fu == "xi" and fv == "xi":
-        return {("l", iu + iv): Fraction(2)}
-    raise ValueError(f"not contact labels: {u}, {v}")
+    return _halved(_k1_bracket2(_dbl(u), _dbl(v)))
 
 
 def k1_parity(label) -> int:
@@ -153,32 +176,24 @@ def k1_parity(label) -> int:
 
 
 def w1_bracket(u, v) -> dict:
-    (fu, iu), (fv, iv) = u, v
-    if fu != "l" or fv != "l":
+    """The even part of `k1_bracket`."""
+    if u[0] != "l" or v[0] != "l":
         raise ValueError(f"not Witt labels: {u}, {v}")
-    c = iv - iu
-    return {("l", iu + iv): c} if c else {}
+    return k1_bracket(u, v)
 
 
 # ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------
 
-def _half_range(lo, hi):
-    out = []
-    v = lo
-    while v <= hi:
-        out.append(v)
-        v += 1
-    return out
-
-
 class WindowedAlgebra:
     """A truncated view of one of the infinite families.
 
-    ``mul``/``bracket`` return the exact product dict when its support stays
-    inside the window and None ("unknown") when it does not.  None is
-    deliberately distinct from the empty dict, which means exactly zero.
+    ``even`` and ``odd`` list the window's labels by index, ``even2`` and
+    ``odd2`` their doubled labels in the same order.  ``mul``/``bracket``
+    return the exact product dict when its support stays inside the window
+    and None ("unknown") when it does not.  None is deliberately distinct
+    from the empty dict, which means exactly zero.
     """
 
     def __init__(self, kind: str, N: int):
@@ -188,34 +203,28 @@ class WindowedAlgebra:
             raise ValueError("window radius must be >= 1")
         self.kind = kind
         self.N = N
-        n = Fraction(N)
-        if kind == "ak1":
-            self.even = [("eps", Fraction(k)) for k in range(-N, N + 1)]
-            self.odd = [("a", i) for i in _half_range(-n + HALF, n - HALF)]
-        elif kind == "m1":
-            self.even = [("eps", Fraction(k)) for k in range(0, N + 1)]
-            self.odd = [("a", i) for i in _half_range(-HALF, n - HALF)]
-        elif kind == "k1":
-            self.even = [("l", Fraction(k)) for k in range(-N, N + 1)]
-            self.odd = [("xi", i) for i in _half_range(-n + HALF, n - HALF)]
-        else:  # w1
-            self.even = [("l", Fraction(k)) for k in range(-1, N + 1)]
-            self.odd = []
+        even, odd = ("eps", "a") if kind in ("ak1", "m1") else ("l", "xi")
+        # the least doubled index of each parity; w1 has no odd part
+        lo_even, lo_odd = {"m1": (0, -1), "w1": (-2, 2 * N)}.get(
+            kind, (-2 * N, 1 - 2 * N))
+        self.even2 = [(even, k) for k in range(lo_even, 2 * N + 1, 2)]
+        self.odd2 = [(odd, k) for k in range(lo_odd, 2 * N, 2)]
+        self.even = [_half(l) for l in self.even2]
+        self.odd = [_half(l) for l in self.odd2]
 
     def labels(self):
         return self.even + self.odd
 
-    def parity(self, label) -> int:
-        return conf_parity(label) if self.kind in ("ak1", "m1") else k1_parity(label)
+    def labels2(self):
+        return self.even2 + self.odd2
 
     def in_window(self, label) -> bool:
         fam, idx = label
         if self.kind == "ak1" or self.kind == "k1":
             return abs(idx) <= self.N
         if self.kind == "m1":
-            floor = -HALF if fam in ("a", "a*") else Fraction(0)
-            return floor <= idx <= self.N
-        return Fraction(-1) <= idx <= self.N
+            return (-HALF if fam in ("a", "a*") else 0) <= idx <= self.N
+        return -1 <= idx <= self.N
 
     def _window_filter(self, value: dict):
         if any(not self.in_window(l) for l in value):
@@ -242,34 +251,41 @@ class WindowedAlgebra:
 # windowed identity checks for the conformal families
 # ---------------------------------------------------------------------------
 
-# The label of every product that leaves a window.  It absorbs: a product
-# with an unknown factor is unknown, so it reaches an instance's residual
-# exactly when that instance needs an unknown product.
-_UNKNOWN = object()
-
-
 def _conf_axiom_report(kind: str, N: int) -> CheckReport:
     """The four identities of `antialgebra._identity_residuals` on every
     basis instance of a conformal window, read off the window's integer
-    table with `_UNKNOWN` for each product that leaves the window.  An
-    instance whose residual meets `_UNKNOWN` is skipped; the cyclic one is
-    recorded at increasing odd positions only."""
+    table.  The table is keyed by window position 0..n-1 (even labels, then
+    odd ones, each by index) and tabulated once through `conf_mul`; every
+    product that leaves the window is the absorbing position n: a product
+    with an unknown factor is unknown, so n reaches an instance's residual
+    exactly when that instance needs an unknown product, and the instance
+    is skipped.  The cyclic instance is recorded at increasing odd
+    positions only.  Violations map back to labels at the end."""
     w = WindowedAlgebra(kind, N)
     rep = CheckReport(f"{kind}-axioms[N={N}]")
     labels = w.labels()
-    table = {(u, v): w.mul(u, v) for u in labels for v in labels}
-    d = common_denominator(c for p in table.values() if p for c in p.values())
-    unknown = {_UNKNOWN: 1}
-    t = {u: {_UNKNOWN: unknown} for u in labels}
-    t[_UNKNOWN] = dict.fromkeys(labels, unknown)
-    for (u, v), p in table.items():
-        t[u][v] = unknown if p is None else as_integers(p.items(), d)
-    for law, inst, acc, weight in _identity_residuals(w, t):
-        # odd labels of one family compare by index, the window's order
+    n = len(labels)
+    pos = {l: k for k, l in enumerate(labels)}
+    table = [[conf_mul(u, v) for v in labels] for u in labels]
+    d = common_denominator(c for ps in table for p in ps for c in p.values())
+    unknown = {n: 1}
+    t = []
+    for ps in table:
+        t.append({n: unknown})
+        for v, p in enumerate(ps):
+            ks = [pos.get(l, n) for l in p]
+            t[-1][v] = (unknown if n in ks
+                        else as_integers(zip(ks, p.values()), d))
+    t.append(dict.fromkeys(range(n), unknown))
+    space = SimpleNamespace(even=range(len(w.even)), odd=range(len(w.even), n))
+    for law, inst, acc, weight in _identity_residuals(space, t):
         if law == "cyclic" and not inst[0] < inst[1] < inst[2]:
             continue
         rep.record(law, inst,
-                   None if _UNKNOWN in acc else divided(acc, weight * d * d))
+                   None if n in acc else divided(acc, weight * d * d))
+    for v in rep.violations:
+        v.instance = tuple(labels[k] for k in v.instance)
+        v.residual = {labels[k]: c for k, c in v.residual.items()}
     return rep
 
 
@@ -287,7 +303,8 @@ def verify_m1_axioms(N: int = 4) -> CheckReport:
 
 class DictVec(Vector):
     """A `core.Vector` over the open basis `_CONF_BASIS` of (family, index)
-    labels, whose labels are not checked; ``c`` is its coefficient dict."""
+    labels, whose labels are not checked; ``c`` is its coefficient dict.
+    The suites also use it on doubled labels, which never leave them."""
 
     __slots__ = ()
 
@@ -304,7 +321,8 @@ class DictVec(Vector):
 
 
 # The conformal labels and their duals as a cochain basis (see
-# `cohomology.DeltaContext`): parity by family, odd labels ordered by index.
+# `cohomology.DeltaContext`): parity by family, odd labels ordered by index
+# (or by doubled index, for doubled labels).
 _CONF_BASIS = SimpleNamespace(parity=conf_parity, index=lambda label: label[1],
                              vector=DictVec)
 
@@ -323,6 +341,14 @@ class WindowCochain(Cochain):
     def __init__(self, degree: int, blocks=None):
         self.alg = self.mod = None
         self._fill(_CONF_BASIS, _CONF_BASIS, degree, blocks)
+
+
+def _doubled_cochain(coch: WindowCochain) -> WindowCochain:
+    """The same cochain on doubled labels."""
+    return WindowCochain(coch.degree, {pq: {
+        (tuple(map(_dbl, xs)), tuple(map(_dbl, ys))):
+            {_dbl(l): c for l, c in vec.items()}
+        for (xs, ys), vec in coch.block(*pq).items()} for pq in coch.shapes()})
 
 
 def ConfDualDeltaCtx(kind: str) -> DeltaContext:
@@ -351,17 +377,22 @@ def _gamma_s(i):
     return i * i - Fraction(1, 4)
 
 
+def _gamma2(label, t_fn, s_fn) -> DictVec:
+    """`gamma_value` at a doubled label, valued on doubled labels; t_fn and
+    s_fn are called at the label's (Fraction) index."""
+    fam, k = label
+    if fam == "eps":
+        return DictVec({("eps*", -k): Fraction(t_fn(Fraction(k, 2)))})
+    if fam == "a":
+        return DictVec({("a*", -k): Fraction(s_fn(Fraction(k, 2)))})
+    raise ValueError(f"not a conformal label: {_half(label)}")
+
+
 def gamma_value(label, t_fn=None, s_fn=None) -> DictVec:
     """gamma(eps_n) = t(n) eps*_{-n}, gamma(a_i) = s(i) a*_{-i} with the
     standard choice t(n) = -n, s(i) = i^2 - 1/4."""
-    t_fn = t_fn or _gamma_t
-    s_fn = s_fn or _gamma_s
-    fam, idx = label
-    if fam == "eps":
-        return DictVec({("eps*", -idx): _fr(t_fn(idx))})
-    if fam == "a":
-        return DictVec({("a*", -idx): _fr(s_fn(idx))})
-    raise ValueError(f"not a conformal label: {label}")
+    return DictVec(_halved(
+        _gamma2(_dbl(label), t_fn or _gamma_t, s_fn or _gamma_s).c))
 
 
 def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
@@ -382,47 +413,47 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
     w = WindowedAlgebra("ak1", N)
     t_fn = t_fn or _gamma_t
     s_fn = s_fn or _gamma_s
-    values: dict = {}  # label -> gamma(label)
-    acts: dict = {}    # (actor, dual label) -> its dual action
+    values: dict = {}  # doubled label -> gamma(label), doubled
+    acts: dict = {}    # (actor, dual label), doubled -> its dual action
 
     def gfn(label):
         if label not in values:
-            values[label] = gamma_value(label, t_fn, s_fn)
+            values[label] = _gamma2(label, t_fn, s_fn)
         return values[label]
 
     def act(a, l):
         if (a, l) not in acts:
-            acts[a, l] = dual_act("ak1", a, l)
+            acts[a, l] = _dual_act2("ak1", a, l)
         return acts[a, l]
 
     kinds = ("even-even", "mixed", "odd-odd")
-    labels = w.labels()
-    for u in labels:
+    labels = list(zip(w.labels(), w.labels2()))
+    for u, u2 in labels:
         pu = conf_parity(u)
-        for v in labels:
+        for v, v2 in labels:
             pv = conf_parity(v)
             # gamma(u.v) - rho_u gamma(v) - (-1)^{|u||v|} rho_v gamma(u)
             res: dict = {}
-            for l, c in conf_mul(u, v).items():
+            for l, c in _conf_mul2(u2, v2).items():
                 for k, d in gfn(l).items():
-                    res[k] = res.get(k, ZERO) + c * d
-            for l, c in gfn(v).items():
-                for k, d in act(u, l).items():
-                    res[k] = res.get(k, ZERO) - c * d
-            for l, c in gfn(u).items():
-                for k, d in act(v, l).items():
-                    res[k] = res.get(k, ZERO) + (c * d if pu & pv else -c * d)
+                    res[k] = res.get(k, 0) + c * d
+            for l, c in gfn(v2).items():
+                for k, d in act(u2, l).items():
+                    res[k] = res.get(k, 0) - c * d
+            for l, c in gfn(u2).items():
+                for k, d in act(v2, l).items():
+                    res[k] = res.get(k, 0) + (c * d if pu & pv else -c * d)
             rep.record(f"cocycle[{kinds[pu + pv]}]", (u, v),
-                       {k: c for k, c in res.items() if c})
+                       {_half(k): c for k, c in res.items() if c})
     for n in range(-N, N + 1):
         for m in range(-N, N + 1):
-            rep.record("t-additive", (n, m),
-                       _fr(t_fn(n + m)) - _fr(t_fn(n)) - _fr(t_fn(m)))
+            rep.record("t-additive", (n, m), Fraction(t_fn(n + m))
+                       - Fraction(t_fn(n)) - Fraction(t_fn(m)))
     half_idx = [i for _, i in w.odd]
     for i in half_idx:
         for j in half_idx:
-            rep.record("s-relation", (i, j),
-                       _fr(s_fn(i)) - _fr(s_fn(j)) - (j - i) * _fr(t_fn(i + j)))
+            rep.record("s-relation", (i, j), Fraction(s_fn(i))
+                       - Fraction(s_fn(j)) - (j - i) * Fraction(t_fn(i + j)))
     nontrivial, detail = _gamma_nontrivial(w, gfn)
     rep.extras["nontrivial"] = nontrivial
     rep.extras["nontrivial_detail"] = detail
@@ -433,7 +464,7 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
 
 def _gamma_nontrivial(w, gfn):
     """Is gamma outside the span of coboundaries of dual elements on the
-    ak1 window ``w``?
+    ak1 window ``w``?  ``gfn`` is gamma on doubled labels.
 
     The ansatz delta b = gamma for an even dual element b is a linear
     system.  Its even part is the zero map for *every* global b -- the two
@@ -447,24 +478,24 @@ def _gamma_nontrivial(w, gfn):
     not.  Returns (nontrivial?, detail).
     """
     N = w.N
-    variables = [("eps*", Fraction(m)) for m in range(-N, N + 1)]
+    variables = [("eps*", m) for m in range(-2 * N, 2 * N + 1, 2)]
     rows, rhs = [], []
-    for x in w.even:
+    for x in w.even2:
         # even part of delta b at x: (-1/2 + 1/2) rho_x b, identically zero,
         # so each component of gamma(x) is an empty row; the components
         # gamma(x) lacks would be rows 0 = 0
         target = gfn(x)
-        for comp in sorted(target.c, key=_comp_key):
+        for comp in sorted(target.c):
             rows.append({})
             rhs.append(target.c[comp])
-    for y in w.odd:
+    for y in w.odd2:
         target = gfn(y)
         by_comp: dict = {}  # component of rho_y b -> {variable: coeff}
         for k, b in enumerate(variables):
-            for comp, c in dual_act("ak1", y, b).items():
+            for comp, c in _dual_act2("ak1", y, b).items():
                 by_comp.setdefault(comp, {})[k] = c
-        for comp in sorted(by_comp.keys() | target.c.keys(), key=_comp_key):
-            if abs(comp[1] + y[1]) > N:
+        for comp in sorted(by_comp.keys() | target.c.keys()):
+            if abs(comp[1] + y[1]) > 2 * N:
                 continue  # preimage outside the variable window: not sound
             rows.append(by_comp.get(comp, {}))
             rhs.append(target.coeff(comp))
@@ -512,8 +543,8 @@ def eta_family(lam, mu, even_even_coeff=None) -> WindowCochain:
     (with the override +mu the family stops being a coboundary even on the
     line, which pins the default as the only line-compatible choice).
     """
-    lam, mu = _fr(lam), _fr(mu)
-    ee = -mu / 2 if even_even_coeff is None else _fr(even_even_coeff)
+    lam, mu = Fraction(lam), Fraction(mu)
+    ee = -mu / 2 if even_even_coeff is None else Fraction(even_even_coeff)
     e0 = ("eps", Fraction(0))
     am, ap = ("a", -HALF), ("a", HALF)
     blocks = {
@@ -525,131 +556,82 @@ def eta_family(lam, mu, even_even_coeff=None) -> WindowCochain:
     return WindowCochain(2, blocks)
 
 
-def _eta_variables(N: int, D: int):
-    walg = WindowedAlgebra("m1", N)
-    dual_even = [("eps*", Fraction(m)) for m in range(0, D + 1)]
-    dual_odd = [("a*", i) for i in _half_range(-HALF, Fraction(D))]
-    variables = []
-    for u in walg.even:
-        variables.extend((u, w) for w in dual_even)
-    for u in walg.odd:
-        variables.extend((u, w) for w in dual_odd)
-    return walg, dual_even, dual_odd, variables
-
-
-class _EtaRows:
-    """Accumulates the left side of one vector equation delta zeta
-    (instance) = target as scalar rows indexed by dual components."""
-
-    def __init__(self, dual_even, dual_odd, arg_window):
-        self.dual_even = dual_even
-        self.dual_odd = dual_odd
-        self.arg_window = arg_window  # labels with known table values
-        self.rows: dict = {}  # comp -> {var: coeff}
-
-    def _ws(self, arg):
-        return self.dual_even if conf_parity(arg) == 0 else self.dual_odd
-
-    def zeta(self, arg, scale):
-        """+ scale * zeta(arg): out-of-window args contribute the known
-        value zero in table mode and must have been excluded in sound
-        mode."""
-        if arg not in self.arg_window:
-            return
-        for w in self._ws(arg):
-            tbl = self.rows.setdefault(w, {})
-            tbl[(arg, w)] = tbl.get((arg, w), Fraction(0)) + scale
-
-    def act(self, actor, arg, scale):
-        """+ scale * rho_actor zeta(arg)."""
-        if arg not in self.arg_window:
-            return
-        for w in self._ws(arg):
-            for comp, c in dual_act("m1", actor, w).items():
-                tbl = self.rows.setdefault(comp, {})
-                tbl[(arg, w)] = tbl.get((arg, w), Fraction(0)) + scale * c
-
-
 @functools.lru_cache(maxsize=None)
 def _eta_coefficients(N: int, mode: str):
     """The target-free part of `_eta_linear_system`: the rows of "delta zeta
     = target" do not depend on the target, only the right-hand sides do.
 
     Returns (instances, row_table, variables, comp_bound).  Each instance
-    is ((P, Q, xs, ys), comps): comps maps every dual component of the
-    instance's row builder that passes the bound, in sorted order, to the
-    id of its row in row_table.  Equal rows share one id and one dict, so
-    no caller may mutate a row; id 0 is the empty row.
+    is ((P, Q, xs, ys), comps) on doubled labels: comps maps every doubled
+    dual component of delta zeta at the instance that passes the doubled
+    bound, in sorted order, to the id of its row in row_table.  Equal rows
+    share one id and one dict, so no caller may mutate a row; id 0 is the
+    empty row.  The variables are pairs of (family, Fraction) labels.
     """
     D = N + 2
-    walg, dual_even, dual_odd, variables = _eta_variables(N, D)
+    walg = WindowedAlgebra("m1", N)
+    dual = ([("eps*", k) for k in range(0, 2 * D + 1, 2)],
+            [("a*", k) for k in range(-1, 2 * D, 2)])
+    variables = [(u, w) for u in walg.labels2() for w in dual[conf_parity(u)]]
     vindex = {v: k for k, v in enumerate(variables)}
-    arg_window = set(walg.labels())
+    arg_window = set(walg.labels2())
     if mode == "table":
         inst = WindowedAlgebra("m1", D + 2)
         comp_bound = None
     elif mode == "sound":
         inst = walg
-        comp_bound = Fraction(D - N - 1)
+        comp_bound = 2 * (D - N - 1)
     else:
         raise ValueError(mode)
 
     row_table, row_id, instances = [{}], {(): 0}, []
 
-    def intern(key, builder: _EtaRows):
+    def add(rows, comp, var, c):
+        tbl = rows.setdefault(comp, {})
+        tbl[var] = tbl.get(var, 0) + c
+
+    def intern(key, rows):
         comps = {}
-        for comp in sorted(builder.rows, key=_comp_key):
+        for comp in sorted(rows):
             if comp_bound is not None and comp[1] > comp_bound:
                 continue
-            row = {vindex[var]: co
-                   for var, co in builder.rows[comp].items() if co}
-            sig = tuple(sorted(row.items()))
+            row = {vindex[var]: co for var, co in rows[comp].items() if co}
+            # a row's signature holds ints: a Fraction rehashes on each use
+            sig = tuple((k, c.numerator, c.denominator)
+                        for k, c in sorted(row.items()))
             if sig not in row_id:
                 row_id[sig] = len(row_table)
                 row_table.append(row)
             comps[comp] = row_id[sig]
         instances.append((key, comps))
 
-    def skip_product(prod: dict) -> bool:
-        return mode == "sound" and any(l not in arg_window for l in prod)
-
-    ev, od = inst.even, inst.odd
-    for t1 in range(len(ev)):
-        for t2 in range(t1, len(ev)):
-            x0, x1 = ev[t1], ev[t2]
-            prod = conf_mul(x0, x1)
-            if skip_product(prod):
-                continue
-            rb = _EtaRows(dual_even, dual_odd, arg_window)
-            for l, c in prod.items():
-                rb.zeta(l, HALF * c)
-            rb.act(x0, x1, -HALF)
-            rb.act(x1, x0, -HALF)
-            intern((2, 0, (x0, x1), ()), rb)
-    for x in ev:
-        for y in od:
-            prod = conf_mul(x, y)
-            if skip_product(prod):
-                continue
-            rb = _EtaRows(dual_even, dual_odd, arg_window)
-            for l, c in prod.items():
-                rb.zeta(l, c)
-            rb.act(x, y, Fraction(-1))
-            rb.act(y, x, Fraction(-1))
-            intern((1, 1, (x,), (y,)), rb)
-    for t1 in range(len(od)):
-        for t2 in range(t1 + 1, len(od)):
-            y0, y1 = od[t1], od[t2]
-            prod = conf_mul(y0, y1)
-            if skip_product(prod):
-                continue
-            rb = _EtaRows(dual_even, dual_odd, arg_window)
-            for l, c in prod.items():
-                rb.zeta(l, c)
-            rb.act(y0, y1, Fraction(-1))
-            rb.act(y1, y0, Fraction(1))
-            intern((0, 2, (), (y0, y1)), rb)
-    return tuple(instances), tuple(row_table), tuple(variables), comp_bound
+    # each instance with its two arguments and the weights s, s01, s10 of
+    # zeta(x0.x1), rho_x0 zeta(x1) and rho_x1 zeta(x0)
+    one, ev, od = Fraction(1), inst.even2, inst.odd2
+    for key, x0, x1, (s, s01, s10) in itertools.chain(
+            (((2, 0, (x0, x1), ()), x0, x1, (HALF, -HALF, -HALF))
+             for t, x0 in enumerate(ev) for x1 in ev[t:]),
+            (((1, 1, (x,), (y,)), x, y, (one, -one, -one))
+             for x in ev for y in od),
+            (((0, 2, (), (y0, y1)), y0, y1, (one, -one, one))
+             for t, y0 in enumerate(od) for y1 in od[t + 1:])):
+        prod = _conf_mul2(x0, x1)
+        if mode == "sound" and any(l not in arg_window for l in prod):
+            continue
+        # dual component -> {variable: coeff} of delta zeta at the instance;
+        # a zeta-argument outside the window contributes the known value
+        # zero in table mode and was excluded in sound mode
+        rows: dict = {}
+        for l, c in prod.items():
+            for w in dual[conf_parity(l)] if l in arg_window else ():
+                add(rows, w, (l, w), s * c)
+        for actor, arg, sa in ((x0, x1, s01), (x1, x0, s10)):
+            for w in dual[conf_parity(arg)] if arg in arg_window else ():
+                for comp, c in _dual_act2("m1", actor, w).items():
+                    add(rows, comp, (arg, w), sa * c)
+        intern(key, rows)
+    return (tuple(instances), tuple(row_table),
+            tuple((_half(u), _half(w)) for u, w in variables), comp_bound)
 
 
 def _eta_linear_system(N: int, target: WindowCochain, mode: str):
@@ -669,10 +651,12 @@ def _eta_linear_system(N: int, target: WindowCochain, mode: str):
     every global preimage, not just windowed ones.
 
     The rows come from `_eta_coefficients`, built once per (N, mode); this
-    pass reads the target's value at each instance for the right-hand
-    sides and drops repeated (row, right-hand side) equations.
+    pass reads the target's value at each instance, on doubled labels, for
+    the right-hand sides and drops repeated (row, right-hand side)
+    equations.
     """
     instances, row_table, variables, comp_bound = _eta_coefficients(N, mode)
+    target = _doubled_cochain(target)
     rows, rhs, seen = [], [], set()
     for (P, Q, xs, ys), comps in instances:
         tvec = target.value(P, Q, xs, ys)
@@ -680,13 +664,14 @@ def _eta_linear_system(N: int, target: WindowCochain, mode: str):
         if tvec.c:
             order = sorted(comps.keys() | {
                 comp for comp in tvec.c
-                if comp_bound is None or comp[1] <= comp_bound}, key=_comp_key)
+                if comp_bound is None or comp[1] <= comp_bound})
         for comp in order:
             rid = comps.get(comp, 0)
             b = tvec.coeff(comp)
-            if (rid, b) in seen:
+            key = (rid, b) if b else rid  # a zero b hashes no Fraction
+            if key in seen:
                 continue
-            seen.add((rid, b))
+            seen.add(key)
             if rid or b:  # id 0 is the empty row
                 rows.append(row_table[rid])
                 rhs.append(b)
@@ -711,38 +696,39 @@ def eta_coboundary_solve(N: int, target: WindowCochain):
     for k, c in sorted(sol.items()):
         u, w = variables[k]
         table.setdefault(u, {})[w] = c
-    b10 = {((u,), ()): DictVec(v) for u, v in table.items()
-           if conf_parity(u) == 0}
-    b01 = {((), (u,)): DictVec(v) for u, v in table.items()
-           if conf_parity(u) == 1}
-    blocks = {}
-    if b10:
-        blocks[(1, 0)] = b10
-    if b01:
-        blocks[(0, 1)] = b01
-    return WindowCochain(1, blocks)
+    return WindowCochain(1, {  # an empty block is dropped
+        (1, 0): {((u,), ()): DictVec(v) for u, v in table.items()
+                 if conf_parity(u) == 0},
+        (0, 1): {((), (u,)): DictVec(v) for u, v in table.items()
+                 if conf_parity(u) == 1}})
 
 
 _DELTA2_SHAPES = ((3, 0), (2, 1), (1, 2), (0, 3))
 
 
-def _record_delta_instances(rep, ctx, coch, shapes, window, kind_prefix,
-                            target=None):
-    """Record delta coch (minus ``target``) on every window instance of the
-    given shapes.  ``ctx`` is a `ConfDualDeltaCtx`, which is total (never
-    None), so a component whose source block of ``coch`` is empty
-    contributes exactly zero and is not evaluated."""
+def _delta_report(ctx, coch, shapes, window, kind_prefix, target=None):
+    """A report of delta coch (minus ``target``) on every instance of the
+    given shapes from ``window``, computed on doubled labels: ``ctx``,
+    ``coch`` and ``target`` are doubled.  ``ctx`` is total (never None), so
+    a component whose source block of ``coch`` is empty contributes exactly
+    zero and is not evaluated.  Violations map back to labels at the end."""
+    rep = CheckReport("inner")
     present = set(coch.shapes())
     for (P, Q) in shapes:
         comps = tuple(comp for comp in COMPONENTS
                       if (P - comp[0], Q - comp[1]) in present)
-        for xs in itertools.product(window.even, repeat=P):
-            for ys in itertools.combinations(window.odd, Q):
+        for xs in itertools.product(window.even2, repeat=P):
+            for ys in itertools.combinations(window.odd2, Q):
                 v = delta_instance(ctx, coch, P, Q, xs, ys, comps)
                 if v is not None and target is not None:
                     v = v.sub(target.value(P, Q, xs, ys))
                 rep.record(f"{kind_prefix}[{P},{Q}]", (xs, ys),
                            None if v is None else v.c)
+    for v in rep.violations:
+        xs, ys = v.instance
+        v.instance = (tuple(map(_half, xs)), tuple(map(_half, ys)))
+        v.residual = _halved(v.residual)
+    return rep
 
 
 def verify_cocycle_eta(N: int = 4) -> CheckReport:
@@ -766,20 +752,18 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
 
     The solver's coefficient rows are built once per (N, mode) and shared
     by all five targets (see `_eta_coefficients`); only the right-hand
-    sides vary.
+    sides vary.  Legs 1 and 2 evaluate the coboundary on doubled labels.
     """
     if N < 2:
         raise ValueError("the window must have radius >= 2")
     rep = CheckReport(f"eta-family[N={N}]")
     rep.extras["coboundary_line"] = "lam = mu/2"
-    ctx = ConfDualDeltaCtx("m1")
+    ctx = DeltaContext(_CONF_BASIS, _CONF_BASIS, _conf_mul2,
+                       functools.partial(_dual_act2, "m1"))
     w = WindowedAlgebra("m1", N)
     for (lam, mu) in ((1, 0), (0, 1)):
-        c = eta_family(lam, mu)
-        sub = CheckReport("inner")
-        _record_delta_instances(sub, ctx, c, _DELTA2_SHAPES, w,
-                                f"cocycle({lam},{mu})")
-        rep.merge(sub)
+        rep.merge(_delta_report(ctx, _doubled_cochain(eta_family(lam, mu)),
+                                _DELTA2_SHAPES, w, f"cocycle({lam},{mu})"))
     for (lam, mu) in ((1, 2), (Fraction(3, 2), 3)):
         c = eta_family(lam, mu)
         zeta = eta_coboundary_solve(N, c)
@@ -789,11 +773,10 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
             continue
         # independent witness check: evaluate delta zeta - target over the
         # margin window through the coboundary formulas
-        margin = WindowedAlgebra("m1", N + 4)
-        sub = CheckReport("inner")
-        _record_delta_instances(sub, ctx, zeta,
-                                [(2, 0), (1, 1), (0, 2)], margin,
-                                f"witness({lam},{mu})", target=c)
+        sub = _delta_report(ctx, _doubled_cochain(zeta),
+                            [(2, 0), (1, 1), (0, 2)],
+                            WindowedAlgebra("m1", N + 4),
+                            f"witness({lam},{mu})", _doubled_cochain(c))
         rep.merge(sub)
         rep.extras[f"witness({lam},{mu})"] = (
             "failed" if sub.violations else "verified")
@@ -853,12 +836,14 @@ def verify_super_cocycle_gf(N: int = 4, c_fn=None) -> CheckReport:
     Each of the three terms is S(A,B,C) = (-1)^{|A||C|} c([A,B],C) at a
     cyclic rotation of (X,Y,Z).  The call tabulates c on every window pair
     and the nonzero values of S once (``c_fn`` meets each bracket term and
-    third argument once), then reads every instance off the tables."""
+    third argument once), then reads every instance off the tables.  The
+    brackets run on doubled labels."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     c_fn = c_fn or c_gf
     rep = CheckReport(f"gf-2-cocycle[N={N}]")
-    labels = WindowedAlgebra("k1", N).labels()
+    w = WindowedAlgebra("k1", N)
+    labels, labels2 = w.labels(), w.labels2()
     odd = [k1_parity(X) for X in labels]
     pairs = list(itertools.product(range(len(labels)), repeat=2))
 
@@ -867,23 +852,24 @@ def verify_super_cocycle_gf(N: int = 4, c_fn=None) -> CheckReport:
         rep.record("skew", (labels[x], labels[y]),
                    cw[x, y] + _SIGN[odd[x] & odd[y]] * cw[y, x])
 
-    c_third: dict = {}  # bracket term t -> {z: c_fn(t, Z)}, nonzero values
+    c_third: dict = {}  # doubled bracket term -> {z: c_fn(term, Z)}, nonzero
     cyclic: dict = {}   # (x, y, z) -> the sum of its nonzero S terms
     for a, b in pairs:
-        for t, co in k1_bracket(labels[a], labels[b]).items():
+        for t, co in _k1_bracket2(labels2[a], labels2[b]).items():
             if t not in c_third:
+                T = _half(t)
                 c_third[t] = {z: v for z, Z in enumerate(labels)
-                              if (v := c_fn(t, Z))}
+                              if (v := c_fn(T, Z))}
             for c, v in c_third[t].items():
                 s = -co * v if odd[a] & odd[c] else co * v
                 # S(a,b,c) is a term of the instances (a,b,c), (c,a,b)
                 # and (b,c,a)
                 for inst in ((a, b, c), (c, a, b), (b, c, a)):
-                    cyclic[inst] = cyclic.get(inst, ZERO) + s
+                    cyclic[inst] = cyclic.get(inst, 0) + s
     for x, y in pairs:
         for z, Z in enumerate(labels):
             rep.record("cyclic", (labels[x], labels[y], Z),
-                       cyclic.get((x, y, z), ZERO))
+                       cyclic.get((x, y, z), 0))
     for u in OSP_SPAN:
         for v in OSP_SPAN:
             rep.record("osp-vanishing", (u, v), c_fn(u, v))
@@ -899,29 +885,32 @@ def verify_dual_gf(N: int = 4, C_fn=None) -> CheckReport:
     for window pairs (X,Y) and probes Z of index up to 2N (all pairings are
     global: no skips).  The call applies ``C_fn`` once to each window label
     and bracket term, tabulates the pairings <C(Y), [X,Z]> over all probes
-    once per window pair, and reads every instance off the tables."""
+    once per window pair, and reads every instance off the tables.  The
+    brackets and pairings run on doubled labels."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     C_fn = C_fn or C_gf_value
     rep = CheckReport(f"gf-dual-1-cocycle[N={N}]")
-    labels = WindowedAlgebra("k1", N).labels()
-    probes = WindowedAlgebra("k1", 2 * N).labels()
-    probe_index = {Z: z for z, Z in enumerate(probes)}
+    w = WindowedAlgebra("k1", N)
+    labels, labels2 = w.labels(), w.labels2()
+    wide = WindowedAlgebra("k1", 2 * N)
+    probes = wide.labels()
+    probe_index = {Z: z for z, Z in enumerate(wide.labels2())}
     odd = [k1_parity(X) for X in labels]
-    values: dict = {}
+    values: dict = {}  # doubled label -> C(label), doubled
 
     def C(label) -> dict:
         if label not in values:
-            values[label] = C_fn(label)
+            values[label] = {_dbl(l): c for l, c in C_fn(_half(label)).items()}
         return values[label]
 
     # by_dual[u]: the dual label of each bracket term of [labels[u], Z],
     # with every (probe index, coefficient) it occurs at
     by_dual = []
-    for X in labels:
+    for X in labels2:
         occ: dict = {}
-        for z, Z in enumerate(probes):
-            for t, co in k1_bracket(X, Z).items():
+        for Z, z in probe_index.items():
+            for t, co in _k1_bracket2(X, Z).items():
                 occ.setdefault((t[0] + "*", t[1]), []).append((z, co))
         by_dual.append(occ)
 
@@ -930,25 +919,26 @@ def verify_dual_gf(N: int = 4, C_fn=None) -> CheckReport:
         out: dict = {}
         for l, c in dvec.items():
             for z, co in by_dual[u].get(l, ()):
-                out[z] = out.get(z, ZERO) + co * c
+                out[z] = out.get(z, 0) + co * c
         return out
 
-    pairing = [[paired(C(Y), u) for u in range(len(labels))] for Y in labels]
+    pairing = [[paired(C(Y), u) for u in range(len(labels))] for Y in labels2]
     for x, X in enumerate(labels):
         for y, Y in enumerate(labels):
             res: dict = {}
             # -(-1)^{|X||Y|} <C(Y), [X,Z]>
             for z, v in pairing[y][x].items():
-                res[z] = res.get(z, ZERO) + (v if odd[x] & odd[y] else -v)
+                res[z] = res.get(z, 0) + (v if odd[x] & odd[y] else -v)
             for z, v in pairing[x][y].items():  # + <C(X), [Y,Z]>
-                res[z] = res.get(z, ZERO) + v
-            for t, co in k1_bracket(X, Y).items():  # - <C([X,Y]), Z>
+                res[z] = res.get(z, 0) + v
+            # - <C([X,Y]), Z>
+            for t, co in _k1_bracket2(labels2[x], labels2[y]).items():
                 for l, c in C(t).items():
                     z = probe_index.get((l[0].rstrip("*"), l[1]))
                     if z is not None:
-                        res[z] = res.get(z, ZERO) - co * c
+                        res[z] = res.get(z, 0) - co * c
             for z, Z in enumerate(probes):
-                rep.record("dual-cocycle", (X, Y, Z), res.get(z, ZERO))
+                rep.record("dual-cocycle", (X, Y, Z), res.get(z, 0))
     return rep
 
 
@@ -972,37 +962,36 @@ def verify_gv(N: int = 5) -> CheckReport:
     skips); antisymmetry on permuted triples; and windowed nontriviality:
     the ansatz c = delta beta over skew 2-cochains with argument-sum ceiling
     2N is inconsistent (each equation only references beta at index sums
-    within the ceiling, so the restriction is sound for every global beta)."""
+    within the ceiling, so the restriction is sound for every global beta).
+    Brackets and beta's indices run on doubled labels."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     rep = CheckReport(f"gv-3-cocycle[N={N}]")
     w = WindowedAlgebra("w1", N)
     labels = w.even
 
-    for quad in itertools.combinations(labels, 4):
+    for quad, quad2 in zip(itertools.combinations(labels, 4),
+                           itertools.combinations(w.even2, 4)):
         # sum over i < j of (-1)^{i+j} c([a_i, a_j], rest)
-        x = ZERO
+        x = 0
         for i, j in itertools.combinations(range(4), 2):
             rest = tuple(a for t, a in enumerate(quad) if t not in (i, j))
-            for t, co in w1_bracket(quad[i], quad[j]).items():
-                x += (-1) ** (i + j) * co * c_gv(t, *rest)
+            for t, co in _k1_bracket2(quad2[i], quad2[j]).items():
+                x += (-1) ** (i + j) * co * c_gv(_half(t), *rest)
         rep.record("cocycle", quad, {"gv": x} if x else {})
     base = (("l", Fraction(-1)), ("l", Fraction(0)), ("l", Fraction(1)))
     for perm in itertools.permutations(range(3)):
         args = tuple(base[t] for t in perm)
         rep.record("antisymmetry", args,
                    c_gv(*args) - _perm_sign(perm) * c_gv(*base))
-    # nontriviality: beta variables are ordered pairs (a,b), a < b
-    ceiling = 2 * N
-    pair_idx = {}
-    pairs = []
-    rng_indices = [Fraction(k) for k in range(-1, ceiling + 1)]
-    for t1 in range(len(rng_indices)):
-        for t2 in range(t1 + 1, len(rng_indices)):
-            pair_idx[(rng_indices[t1], rng_indices[t2])] = len(pairs)
-            pairs.append((rng_indices[t1], rng_indices[t2]))
+    # nontriviality: beta variables are ordered pairs (a,b), a < b, of
+    # doubled indices up to the doubled ceiling 4N
+    pairs = list(itertools.combinations(range(-2, 4 * N + 1, 2), 2))
+    pair_idx = {p: k for k, p in enumerate(pairs)}
     rows, rhs = [], []
-    for (a, b, c) in itertools.combinations([l[1] for l in labels], 3):
+    for args, args2 in zip(itertools.combinations(labels, 3),
+                           itertools.combinations(w.even2, 3)):
+        a, b, c = (k for _, k in args2)
         row = {}
 
         def beta_coeff(s, r, scale):
@@ -1015,11 +1004,11 @@ def verify_gv(N: int = 5) -> CheckReport:
                 row[j] = v
 
         # -beta([la,lb], lc) + beta([la,lc], lb) - beta([lb,lc], la)
-        beta_coeff(a + b, c, -(b - a))
-        beta_coeff(a + c, b, (c - a))
-        beta_coeff(b + c, a, -(c - b))
+        beta_coeff(a + b, c, Fraction(a - b, 2))
+        beta_coeff(a + c, b, Fraction(c - a, 2))
+        beta_coeff(b + c, a, Fraction(b - c, 2))
         rows.append(row)
-        rhs.append(c_gv(("l", a), ("l", b), ("l", c)))
+        rhs.append(c_gv(*args))
     sol = linalg.solve(rows, rhs, len(pairs))
     if sol is None:
         rep.extras["nontrivial"] = True

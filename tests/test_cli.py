@@ -216,25 +216,44 @@ def _golden_name(argv) -> str:
                     if not a.startswith("--"))
 
 
+# each window suite at its least window, where a doubled floor or bound
+# that is off by one shows first, and eta, gamma and m1-axioms at one
+# window above their default
+EDGE_GOLDEN = [["verify", suite, "--window", n] for suite, n in (
+    ("gamma", "2"), ("eta", "2"), ("gf", "3"), ("dual-gf", "3"), ("gv", "3"),
+    ("ak1-axioms", "1"), ("m1-axioms", "1"), ("eta", "5"), ("gamma", "7"),
+    ("m1-axioms", "6"))]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "gamma"], ["verify", "eta"], ["verify", "gf"],
     ["verify", "dual-gf"], ["verify", "gv"], ["verify", "ak1-axioms"],
     ["verify", "m1-axioms"], ["check", "--input", "ak1"],
     ["check", "--input", "m1"],
 ] + [[cmd, "--input", table] for cmd in ("check", "bracket")
-     for table in FINITE_GOLDEN] + COHOMOLOGY_GOLDEN, ids=_golden_name)
+     for table in FINITE_GOLDEN] + COHOMOLOGY_GOLDEN + EDGE_GOLDEN,
+    ids=_golden_name)
 def test_window_suites_match_their_golden_structured_output(
         capsys, monkeypatch, argv):
     """tests/golden/ holds the structured output of every window suite at
-    its default window, of `check` and `bracket` on the finite tables
-    stored there, and of `cohomology` on K3 and k3n2x; a faster or simpler
-    implementation must print the same bytes."""
+    its default and its least window, of `check` and `bracket` on the
+    finite tables stored there, and of `cohomology` on K3 and k3n2x; a
+    faster or simpler implementation must print the same bytes."""
     monkeypatch.chdir(GOLDEN)  # the finite tables are named relative to it
     code, out, err = _run(capsys, argv + ["--format", "structured"])
     assert out.encode() == (GOLDEN / f"{_golden_name(argv)}.txt").read_bytes()
     assert err == ""
-    failing = argv == ["verify", "eta"] or argv[-1].endswith("p.alg")
+    failing = argv[:2] == ["verify", "eta"] or argv[-1].endswith("p.alg")
     assert code == (1 if failing else 0)
+
+
+def test_verify_eta_text_matches_its_golden(capsys):
+    """The text format prints each violation's instance and residual as
+    reprs, ('eps', Fraction(0, 1)), so a label whose index is not a
+    Fraction changes its bytes."""
+    code, out, err = _run(capsys, ["verify", "eta", "--format", "text"])
+    assert out.encode() == (GOLDEN / "verify-eta-text.txt").read_bytes()
+    assert (code, err) == (1, "")
 
 
 def test_window_on_a_finite_check_is_an_input_error():

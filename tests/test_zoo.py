@@ -7,6 +7,7 @@ leave the window).  Every verifier below separates "checked" from
 """
 
 import copy
+import functools
 import itertools
 import random
 import subprocess
@@ -170,14 +171,19 @@ def test_gamma_single_entry_perturbations_are_caught():
     assert rs.violations[0].kind == "cocycle[mixed]"
 
 
+def _doubled_gamma(t_fn=None, s_fn=None):
+    """gamma on doubled labels (family, 2 * index), as the suite's
+    nontriviality system reads it."""
+    return functools.partial(zoo._gamma2, t_fn=t_fn or zoo._gamma_t,
+                             s_fn=s_fn or zoo._gamma_s)
+
+
 @pytest.mark.parametrize("t_fn", [None, lambda n: 0], ids=["default", "t=0"])
 def test_gamma_nontriviality_verdict(t_fn):
     """The window system is inconsistent with the default gamma, and still
     with t = 0, where gamma has no even part and the odd rows decide."""
-    def gfn(label):
-        return zoo.gamma_value(label, t_fn)
-
-    assert zoo._gamma_nontrivial(zoo.WindowedAlgebra("ak1", 6), gfn) == (
+    w = zoo.WindowedAlgebra("ak1", 6)
+    assert zoo._gamma_nontrivial(w, _doubled_gamma(t_fn)) == (
         True, "no dual element bounds gamma (window system inconsistent)")
 
 
@@ -368,17 +374,19 @@ def test_threefold_pairing_on_the_witt_window():
     assert rep.ok and (rep.checked, rep.skipped) == (41, 0)
 
 
+def _c_gv_012(u, v, w):
+    """The alternating 3-form supported on {l_0, l_1, l_2}."""
+    idx = (u[1], v[1], w[1])
+    if sorted(idx) != [F(0), F(1), F(2)]:
+        return F(0)
+    return F(zoo._perm_sign(tuple(sorted(range(3), key=idx.__getitem__))))
+
+
 def test_gv_cocycle_leg_sees_a_form_that_is_not_closed(monkeypatch):
     """The alternating 3-form supported on {l_0, l_1, l_2} is not closed:
     its only violation is -4 at (l_-1, l_0, l_1, l_3), which the sign
     (-1)^{i+j} of each bracket term decides (+4 without it)."""
-    def c_012(u, v, w):
-        idx = (u[1], v[1], w[1])
-        if sorted(idx) != [F(0), F(1), F(2)]:
-            return F(0)
-        return F(zoo._perm_sign(tuple(sorted(range(3), key=idx.__getitem__))))
-
-    monkeypatch.setattr(zoo, "c_gv", c_012)
+    monkeypatch.setattr(zoo, "c_gv", _c_gv_012)
     rep = zoo.verify_gv(5)
     assert (rep.checked, rep.skipped) == (41, 0)
     cocycle = [(v.instance, v.residual) for v in rep.violations
@@ -594,11 +602,47 @@ def _ref_cocycle_gamma(N, t_fn=None, s_fn=None):
     return rep
 
 
+class _RefEtaRows:
+    """Accumulates the left side of one vector equation delta zeta
+    (instance) = target as scalar rows indexed by dual components."""
+
+    def __init__(self, dual_even, dual_odd, arg_window):
+        self.dual_even = dual_even
+        self.dual_odd = dual_odd
+        self.arg_window = arg_window  # labels with known table values
+        self.rows = {}  # comp -> {var: coeff}
+
+    def _ws(self, arg):
+        return self.dual_even if zoo.conf_parity(arg) == 0 else self.dual_odd
+
+    def zeta(self, arg, scale):
+        """+ scale * zeta(arg), for an arg inside the window."""
+        if arg not in self.arg_window:
+            return
+        for w in self._ws(arg):
+            tbl = self.rows.setdefault(w, {})
+            tbl[(arg, w)] = tbl.get((arg, w), F(0)) + scale
+
+    def act(self, actor, arg, scale):
+        """+ scale * rho_actor zeta(arg)."""
+        if arg not in self.arg_window:
+            return
+        for w in self._ws(arg):
+            for comp, c in zoo.dual_act("m1", actor, w).items():
+                tbl = self.rows.setdefault(comp, {})
+                tbl[(arg, w)] = tbl.get((arg, w), F(0)) + scale * c
+
+
 def _ref_eta_linear_system(N, target, mode):
     """The rows of "delta zeta = target", rebuilt from scratch for each
-    target, with the target's components merged in per instance."""
+    target, with the target's components merged in per instance, on
+    (family, Fraction) labels."""
     D = N + 2
-    walg, dual_even, dual_odd, variables = zoo._eta_variables(N, D)
+    walg = WindowedAlgebra("m1", N)
+    dual_even = [("eps*", F(m)) for m in range(0, D + 1)]
+    dual_odd = [("a*", F(2 * k - 1, 2)) for k in range(D + 1)]
+    variables = ([(u, w) for u in walg.even for w in dual_even]
+                 + [(u, w) for u in walg.odd for w in dual_odd])
     vindex = {v: k for k, v in enumerate(variables)}
     arg_window = set(walg.labels())
     if mode == "table":
@@ -629,7 +673,7 @@ def _ref_eta_linear_system(N, target, mode):
         return mode == "sound" and any(l not in arg_window for l in prod)
 
     def builder():
-        return zoo._EtaRows(dual_even, dual_odd, arg_window)
+        return _RefEtaRows(dual_even, dual_odd, arg_window)
 
     ev, od = inst.even, inst.odd
     for t1 in range(len(ev)):
@@ -776,21 +820,21 @@ _CONF_BENDS = {
 }
 
 
+def _bent_conf_mul(u, v, conf_mul=zoo.conf_mul):
+    """conf_mul plus the terms of _CONF_BENDS."""
+    out = dict(conf_mul(u, v))
+    for l, c in _CONF_BENDS.get((u, v), {}).items():
+        out[l] = out.get(l, F(0)) + c
+    return {l: c for l, c in out.items() if c}
+
+
 @pytest.mark.parametrize("N", [2, 3, 4])
 @pytest.mark.parametrize("kind", ["ak1", "m1"])
 def test_axiom_suites_match_the_reference_loops_on_a_bent_product(
         kind, N, monkeypatch):
     """The comparison above on a product that breaks all four identities,
     among instances the window cannot decide."""
-    conf_mul = zoo.conf_mul
-
-    def bent(u, v):
-        out = dict(conf_mul(u, v))
-        for l, c in _CONF_BENDS.get((u, v), {}).items():
-            out[l] = out.get(l, F(0)) + c
-        return {l: c for l, c in out.items() if c}
-
-    monkeypatch.setattr(zoo, "conf_mul", bent)
+    monkeypatch.setattr(zoo, "conf_mul", _bent_conf_mul)
     fn = zoo.verify_ak1_axioms if kind == "ak1" else zoo.verify_m1_axioms
     got = fn(N)
     _same_report(got, _ref_conf_axioms(kind, N))
@@ -846,7 +890,8 @@ def test_gamma_nontriviality_system_matches_the_reference_loops(
     def gfn(label):
         return zoo.gamma_value(label, t_fn, s_fn)
 
-    zoo._gamma_nontrivial(zoo.WindowedAlgebra("ak1", N), gfn)
+    zoo._gamma_nontrivial(zoo.WindowedAlgebra("ak1", N),
+                          _doubled_gamma(t_fn, s_fn))
     assert solver_calls == [_ref_gamma_system(N, gfn)]
 
 
@@ -940,3 +985,98 @@ def test_no_state_survives_a_suite_call():
     again = zoo.verify_cocycle_eta(4)
     _same_report(again, clean_eta)
     assert again.extras == clean_eta.extras
+
+
+# ---------------------------------------------------------------------------
+# the boundary: integer keys inside the suites, Fraction labels outside
+# ---------------------------------------------------------------------------
+
+def _labels_in(obj):
+    """Every (family, index) label in an instance, a residual or a
+    cochain's argument tuples; ("eps", 2) == ("eps", F(2)), so a label
+    whose index is an int passes an == comparison and only its type shows
+    it."""
+    if isinstance(obj, tuple) and len(obj) == 2 and isinstance(obj[0], str):
+        yield obj
+    elif isinstance(obj, (tuple, list, dict)):  # a dict by its keys
+        for item in obj:
+            yield from _labels_in(item)
+
+
+def _perturbed_reports(monkeypatch):
+    """A report with violations from each suite, under the perturbations
+    of the reference-loop comparisons above."""
+    for which in ("t+1", "s-bump"):
+        t_fn, s_fn = _GAMMA_PERTURBATIONS[which]
+        yield zoo.verify_cocycle_gamma(4, t_fn=t_fn, s_fn=s_fn)
+    yield zoo.verify_cocycle_eta(4)
+    yield zoo.verify_super_cocycle_gf(4, c_fn=_GF_PERTURBATIONS["pair"])
+    yield zoo.verify_dual_gf(4, C_fn=_DUAL_GF_PERTURBATIONS["label"])
+    with monkeypatch.context() as patch:
+        patch.setattr(zoo, "c_gv", _c_gv_012)
+        yield zoo.verify_gv(5)
+    with monkeypatch.context() as patch:
+        patch.setattr(zoo, "conf_mul", _bent_conf_mul)
+        yield zoo.verify_ak1_axioms(3)
+        yield zoo.verify_m1_axioms(3)
+
+
+def test_every_label_that_leaves_a_suite_has_a_fraction_index(monkeypatch):
+    for rep in _perturbed_reports(monkeypatch):
+        assert rep.violations, rep.title
+        labels = [l for v in rep.violations
+                  for l in itertools.chain(_labels_in(v.instance),
+                                           _labels_in(v.residual))]
+        assert labels, rep.title
+        assert {type(idx) for _, idx in labels} == {Fraction}, rep.title
+
+
+def test_eta_solver_returns_fraction_labels():
+    target = zoo.eta_family(1, 2)
+    zeta = zoo.eta_coboundary_solve(4, target)
+    labels = [l for pq in zeta.shapes()
+              for (xs, ys), vec in zeta.block(*pq).items()
+              for l in itertools.chain(xs, ys, vec.c)]
+    for mode in ("sound", "table"):
+        labels += itertools.chain.from_iterable(
+            zoo._eta_linear_system(4, target, mode)[2])
+    labels += itertools.chain.from_iterable(
+        f(*args) for f, args in ((zoo.conf_mul, (A(F(1, 2)), A(F(3, 2)))),
+                                 (zoo.dual_act, ("m1", A(F(1, 2)), ("eps*", F(3)))),
+                                 (zoo.k1_bracket, (L(2), XI(F(1, 2)))),
+                                 (zoo.w1_bracket, (L(2), L(-1)))))
+    labels += WindowedAlgebra("m1", 2).labels()
+    assert len(labels) > 100
+    assert {type(idx) for _, idx in labels} == {Fraction}
+
+
+# Fraction.__hash__ calls of one run of each suite at its default window,
+# with eta's coefficient rows cold, while window labels were keyed by
+# (family, Fraction): ak1-axioms 28,689, m1-axioms 5,478, gamma 15,149 and
+# eta 28,381.  A Fraction rehashes on every dict or set access, so these
+# counts are the cost of keying by Fractions; each ceiling is a tenth of
+# that count.
+_HASH_CEILINGS = {
+    zoo.verify_ak1_axioms: 2868,
+    zoo.verify_m1_axioms: 547,
+    zoo.verify_cocycle_gamma: 1514,
+    zoo.verify_cocycle_eta: 2838,
+}
+
+
+@pytest.mark.parametrize("suite", list(_HASH_CEILINGS),
+                         ids=lambda f: f.__name__)
+def test_window_suites_key_labels_by_integers(suite, monkeypatch):
+    fraction_hash = Fraction.__hash__
+    calls = []
+
+    def counting(self):
+        calls.append(None)
+        return fraction_hash(self)
+
+    zoo._eta_coefficients.cache_clear()
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    hash(Fraction(1, 3))  # the count starts at one: the hook is live
+    suite()
+    monkeypatch.undo()
+    assert 1 <= len(calls) <= 1 + _HASH_CEILINGS[suite]
