@@ -11,6 +11,11 @@ generator of signed terms (`delta10_terms`, `delta01_terms`,
 cochain is only read at basis labels (`Cochain.value`): where a formula
 feeds it a product, the product's labels give one term each.
 
+Every scalar of a formula comes from its `DeltaContext`, and every term
+holds one product or action factor, so the same formulas assemble delta^k
+on integers (`_delta_matrix`): over the scale 2*D*L_k, D the common
+denominator of the products and the action and L_k = lcm(1, .., k+1).
+
 Products or action values that are unknown (None) -- which happens for
 truncated windows of infinite-dimensional algebras -- propagate to None
 results, so callers can skip exactly the undecidable instances.
@@ -21,12 +26,15 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import brackets, linalg
 from .antialgebra import (AntialgebraStructure, ModuleStructure,
                           check_axioms, semidirect)
-from .core import GradedSpace, MultiMap, Vector
+from .core import (MultiMap, Vector, as_integers, common_denominator,
+                   divided)
 
 __all__ = [
     "DeltaContext",
@@ -47,7 +55,6 @@ __all__ = [
 ]
 
 COMPONENTS = ((1, 0), (0, 1), (-1, 2))
-ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
@@ -72,19 +79,26 @@ class DeltaContext:
       m_val_y(v, y)    product of a module value with an odd algebra
                        label: the action on the even component, minus the
                        action on the odd one.
+
+    The formulas' scalars are ``half``, ``one``, the unit sign ``unit`` and
+    the block norms ``norm(n, d)`` = n/d.  Given ``lcm``, which every norm
+    denominator divides, they are 2*lcm times these, all integers.
     """
 
-    def __init__(self, alg, mod, mul, act):
-        self.alg = alg
-        self.mod = mod
-        self.mul = mul
-        self.act = act
+    def __init__(self, alg, mod, mul, act, lcm=None):
+        self.alg, self.mod, self.mul, self.act = alg, mod, mul, act
+        self.lcm = lcm
+        self.half, self.one, self.unit = ((HALF, ONE, 1) if lcm is None
+                                          else (1, 2, lcm))
+
+    def norm(self, n, d):
+        return Fraction(n, d) if self.lcm is None else n * self.lcm // d
 
     def m_alg(self, a, b):
         v = self.mul(a, b)
-        if v is not None and self.alg.parity(a) == 0 == self.alg.parity(b):
-            return {l: c * HALF for l, c in v.items()}
-        return v
+        even = self.alg.parity(a) == 0 == self.alg.parity(b)
+        w = self.half if even else self.one
+        return v if v is None or w == 1 else {l: c * w for l, c in v.items()}
 
     def _act_weighted(self, a, v, w0, w1):
         if v is None:
@@ -101,10 +115,10 @@ class DeltaContext:
         return out
 
     def m_x_val(self, x, v):
-        return self._act_weighted(x, v, HALF, ONE)
+        return self._act_weighted(x, v, self.half, self.one)
 
     def m_val_y(self, v, y):
-        return self._act_weighted(y, v, ONE, -ONE)
+        return self._act_weighted(y, v, self.one, -self.one)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +128,8 @@ class DeltaContext:
 def _canonical_ys(space, ys):
     """Sort odd labels into the basis order; returns (sorted tuple, sign) or
     (None, 0) when a label repeats."""
+    if len(ys) < 2:
+        return tuple(ys), 1
     idx = [space.index(y) for y in ys]
     if len(set(idx)) != len(idx):
         return None, 0
@@ -234,6 +250,14 @@ class Cochain:
             return self._zero
         return vec if sign == 1 else vec.scale(sign)
 
+    def _delta_context(self) -> DeltaContext:
+        mul = self.alg.products.get
+        return DeltaContext(self.alg_space, self.mod_space,
+                            lambda a, b: mul((a, b), {}), self.mod.act)
+
+    def _image(self, blocks) -> "Cochain":
+        return Cochain(self.alg, self.mod, self.degree + 1, blocks)
+
 
 # ---------------------------------------------------------------------------
 # the three coboundary components, each a stream of signed terms
@@ -259,15 +283,17 @@ def delta10_terms(ctx: DeltaContext, coch, p, q, xs, ys):
       + (-1)^p m(c(x0..x_{p-1}), xp)                        if q = 0
       + (1/q) sum_j (-1)^{p+j} c(x0..x_{p-1}; m(xp,yj), ys\\yj)   if q > 0
     """
-    yield -1, ctx.m_x_val(xs[0], coch.value(p, q, xs[1:], ys))
+    u = ctx.unit
+    yield -u, ctx.m_x_val(xs[0], coch.value(p, q, xs[1:], ys))
     for i in range(p):
-        yield from _through((-1) ** i, ctx.m_alg(xs[i], xs[i + 1]), lambda l:
-                            coch.value(p, q, xs[:i] + (l,) + xs[i + 2:], ys))
+        yield from _through(
+            (-1) ** i * u, ctx.m_alg(xs[i], xs[i + 1]),
+            lambda l: coch.value(p, q, xs[:i] + (l,) + xs[i + 2:], ys))
     if q == 0:
-        yield (-1) ** p, ctx.m_x_val(xs[p], coch.value(p, q, xs[:p], ()))
+        yield (-1) ** p * u, ctx.m_x_val(xs[p], coch.value(p, q, xs[:p], ()))
     for j in range(q):
         yield from _through(
-            (-1) ** (p + j) * Fraction(1, q), ctx.m_alg(xs[p], ys[j]),
+            (-1) ** (p + j) * ctx.norm(1, q), ctx.m_alg(xs[p], ys[j]),
             lambda l: coch.value(p, q, xs[:p], (l,) + ys[:j] + ys[j + 1:]))
 
 
@@ -278,7 +304,7 @@ def delta01_terms(ctx: DeltaContext, coch, p, q, xs, ys):
       (2/(q+1)) sum_j (-1)^j     m(c(ys\\yj), yj)        if p = 0, q odd
       (1/(q+1)) sum_j (-1)^{p+j} m(c(xs; ys\\yj), yj)    otherwise
     """
-    norm = Fraction(2 if p == 0 and q % 2 == 1 else 1, q + 1)
+    norm = ctx.norm(2 if p == 0 and q % 2 == 1 else 1, q + 1)
     for j in range(q + 1):
         yield (-1) ** (p + j) * norm, ctx.m_val_y(
             coch.value(p, q, xs, ys[:j] + ys[j + 1:]), ys[j])
@@ -291,7 +317,7 @@ def delta_12_terms(ctx: DeltaContext, coch, p, q, xs, ys):
       (2/((q+1)(q+2))) sum_{i<j} (-1)^{p+i+j}
                        c(xs, m(yi,yj); ys\\{yi,yj})
     """
-    norm = Fraction(2, (q + 1) * (q + 2))
+    norm = ctx.norm(2, (q + 1) * (q + 2))
     for i, j in itertools.combinations(range(q + 2), 2):
         rest = ys[:i] + ys[i + 1:j] + ys[j + 1:]
         yield from _through((-1) ** (p + i + j) * norm, ctx.m_alg(ys[i], ys[j]),
@@ -315,7 +341,7 @@ def delta_instance(ctx, coch, P, Q, xs, ys, components=COMPONENTS):
             if v is None:
                 return None
             for l, d in v.items():
-                out[l] = out.get(l, ZERO) + c * d
+                out[l] = out.get(l, 0) + c * d
     return ctx.mod.vector(out)
 
 
@@ -333,26 +359,20 @@ def apply_delta_component(coch: Cochain, comp) -> Cochain:
     return _materialise_delta(coch, (comp,))
 
 
-def _materialise_delta(coch, components) -> Cochain:
+def _materialise_delta(coch, components):
     """The chosen components of the coboundary of a finite-structure
-    cochain; its module may be the column-tagged one of `_delta_matrix`."""
+    cochain, computed in its `_delta_context` and returned as its `_image`."""
     sp = coch.alg.space
-    products = coch.alg.products
-    ctx = DeltaContext(sp, coch.mod.space,
-                       lambda a, b: products.get((a, b), {}), coch.mod.act)
-    degree = coch.degree + 1
+    ctx = coch._delta_context()
     blocks: dict = {}
-    for (P, Q) in _target_shapes(degree, sp.dim1):
-        table = {}
+    for (P, Q) in _target_shapes(coch.degree + 1, sp.dim1):
+        table = blocks[(P, Q)] = {}
         for xs in itertools.product(sp.even, repeat=P):
             for ys in itertools.combinations(sp.odd, Q):
                 v = delta_instance(ctx, coch, P, Q, xs, ys, components)
                 _require(v is not None, "finite structures cannot be unknown")
-                if not v.is_zero():
-                    table[(xs, ys)] = v
-        if table:
-            blocks[(P, Q)] = table
-    return Cochain(coch.alg, coch.mod, degree, blocks)
+                table[(xs, ys)] = v
+    return coch._image(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -380,34 +400,21 @@ def delta_via_bracket(coch: Cochain) -> Cochain:
                 pys = tuple(ys[t] for t in perm)
                 for out, c in vec.items():
                     entries[(xs, pys, out)] = sign * c
-        if entries:
-            blocks[(p, q)] = MultiMap(sp, p, q, entries)
+        blocks[(p, q)] = MultiMap(sp, p, q, entries)
     phi_bm = brackets.BlockMap(sp, coch.degree, blocks)
     result = brackets.al_bracket_blocks(m_bm, phi_bm)
     # restrict to entries whose arguments all lie in the algebra
-    alg_labels = set(coch.alg.space.labels())
-    mod_labels = set(coch.mod.space.labels())
-    degree = coch.degree + 1
     out_blocks: dict = {}
     for (p, q), mm in result.items():
-        table: dict = {}
         for (xs, ys, out), c in mm.entries():
-            if not all(l in alg_labels for l in xs + ys):
+            if not all(l in coch.alg.space for l in xs + ys):
                 continue
-            _require(out in mod_labels,
+            _require(out in coch.mod.space,
                      "algebra-argument entries must be module-valued")
-            cys, sign = _canonical_ys(coch.alg.space, ys)
-            if cys != ys:
-                continue  # keep one representative per orbit
-            key = (xs, ys)
-            prev = table.get(key, {})
-            prev[out] = prev.get(out, Fraction(0)) + c
-            table[key] = prev
-        cleaned = {k: Vector(coch.mod.space, v) for k, v in table.items()}
-        cleaned = {k: v for k, v in cleaned.items() if not v.is_zero()}
-        if cleaned:
-            out_blocks[(p, q)] = cleaned
-    return Cochain(coch.alg, coch.mod, degree, out_blocks)
+            if _canonical_ys(coch.alg.space, ys)[0] == ys:  # one per orbit
+                table = out_blocks.setdefault((p, q), {})
+                table.setdefault((xs, ys), {})[out] = c
+    return Cochain(coch.alg, coch.mod, coch.degree + 1, out_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -487,45 +494,62 @@ class DifferentialMatrix:
                 f"{self.target.dim}x{self.source.dim})")
 
 
-class _ColumnTagged:
-    """The coefficient module tensored with k^n: labels (j, l) for a column
-    j < n and a module label l, graded by l.  The algebra acts through the
-    module and carries j along, so a cochain valued here is n cochains at
-    once, one per column."""
+class _GenericCochain(Cochain):
+    """The generic k-cochain: its value at (xs, ys) is {(j, l): sign}, one
+    tag per source key (p, q, xs, ys, l) of column j.  Its coboundary runs
+    on D*m and D*rho in an integer context, and its image is the raw blocks
+    {(P, Q): {(xs, ys): {(j, l): int}}} of ``scale``*delta."""
 
-    def __init__(self, mod: ModuleStructure, n: int):
-        self.mod = mod
-        self.space = GradedSpace(
-            [(j, l) for j in range(n) for l in mod.space.even],
-            [(j, l) for j in range(n) for l in mod.space.odd])
+    def __init__(self, source: CochainBasis):
+        alg, mod = self.alg, self.mod = source.alg, source.mod
+        self.degree, self.alg_space = source.degree, alg.space
+        blocks = self._blocks = {}
+        for j, (p, q, xs, ys, l) in enumerate(source.keys):
+            blocks.setdefault((p, q), {}).setdefault((xs, ys), {})[j, l] = 1
+        tables = (alg.products, mod.action)
+        d = common_denominator(c for t in tables for v in t.values()
+                               for c in v.values())
+        mul, rho = ({ab: as_integers(v.items(), d) for ab, v in t.items()}
+                    for t in tables)
+        lcm = math.lcm(*range(1, self.degree + 2))  # q, q+1, (q+1)(q+2) | lcm
+        self.scale = 2 * d * lcm
+        tagged = SimpleNamespace(parity=lambda t: mod.space.parity(t[1]),
+                                 vector=dict)
+        self._ctx = DeltaContext(
+            alg.space, tagged, lambda a, b: mul.get((a, b), {}),
+            lambda a, t: {(t[0], o): c
+                          for o, c in rho.get((a, t[1]), {}).items()}, lcm)
 
-    def act(self, a, label) -> dict:
-        j, l = label
-        return {(j, out): c for out, c in self.mod.act(a, l).items()}
+    def _delta_context(self) -> DeltaContext:
+        return self._ctx
+
+    def value(self, p, q, xs, ys):
+        cys, sign = _canonical_ys(self.alg_space, ys)
+        tags = self._blocks.get((p, q), {}).get((xs, cys), {})
+        return tags if sign == 1 else {t: -c for t, c in tags.items()}
+
+    def _image(self, blocks) -> dict:
+        return blocks
 
 
 def _delta_matrix(alg, mod, k) -> DifferentialMatrix:
-    """delta^k as delta of the generic k-cochain: the one whose entry at
-    (xs, ys) is the sum over outputs l of the tag (j, l), j the column of
-    the source key (p, q, xs, ys, l).  Column j of a component matrix is
-    the component applied to the j-th unit cochain, so it is read off the
-    tag-j part of one coboundary per component."""
+    """delta^k as delta of the generic k-cochain (`_GenericCochain`), on
+    integers: with D the common denominator of the products and the action
+    and L_k = lcm(1, .., k+1), the scale S = 2*D*L_k makes S*delta^k an
+    integer matrix.  Column j of a component matrix is the component applied
+    to the j-th unit cochain, so it is read off the tag-j part of one
+    coboundary per component and divided by S once."""
     source = CochainBasis(alg, mod, k)
     target = CochainBasis(alg, mod, k + 1)
-    tagged = _ColumnTagged(mod, source.dim)
-    blocks: dict = {}
-    for j, (p, q, xs, ys, out) in enumerate(source.keys):
-        blocks.setdefault((p, q), {}).setdefault((xs, ys), {})[(j, out)] = 1
-    generic = Cochain(alg, tagged, k, blocks)
+    generic = _GenericCochain(source)
     comp = {}
     for component in COMPONENTS:
-        image = apply_delta_component(generic, component)
         rows = [{} for _ in range(target.dim)]
-        for (P, Q) in image.shapes():
-            for (xs, ys), val in image.block(P, Q).items():
+        for (P, Q), table in apply_delta_component(generic, component).items():
+            for (xs, ys), val in table.items():
                 for (j, out), c in val.items():
                     rows[target.index((P, Q, xs, ys, out))][j] = c
-        comp[component] = rows
+        comp[component] = [divided(row, generic.scale) for row in rows]
     return DifferentialMatrix(k, source, target, comp)
 
 
@@ -577,14 +601,10 @@ def cohomology_dims(alg, mod, kmax) -> list:
     """[(k, dim C^k, rank delta^k, dim H^k)] for k = 1..kmax.
 
     H^1 is the full kernel of delta^1 (the complex starts at C^1)."""
-    mats = assemble_complex(alg, mod, kmax)
-    out = []
-    prev_rank = 0
-    for mat in mats:
-        dim = mat.source.dim
+    out, prev_rank = [], 0
+    for mat in assemble_complex(alg, mod, kmax):
         r = linalg.rank(mat.full)
-        h = (dim - r) - prev_rank
-        out.append((mat.k, dim, r, h))
+        out.append((mat.k, mat.source.dim, r, mat.source.dim - r - prev_rank))
         prev_rank = r
     return out
 
@@ -604,15 +624,17 @@ def derivation_space(alg: AntialgebraStructure, mod: ModuleStructure) -> dict:
     basis = CochainBasis(alg, mod, 1)
     rows = []
     sp = alg.space
-    for u in sp.labels():
-        for v in sp.labels():
-            pu, pv = sp.parity(u), sp.parity(v)
-            sign = Fraction(-1) ** (pu * pv)
-            residuals = [_derivation_residual(alg, mod, basis.unit(key), u, v,
-                                              sign) for key in basis.keys]
-            for out in mod.space.labels():
-                rows.append({j: c for j, res in enumerate(residuals)
-                             if (c := res.coeff(out))})
+    for u, v in itertools.product(sp.labels(), repeat=2):
+        sign = Fraction(-1) ** (sp.parity(u) * sp.parity(v))
+        residuals = [_derivation_residual(alg, mod, basis.unit(key), u, v,
+                                          sign) for key in basis.keys]
+        for out in mod.space.labels():
+            rows.append({j: c for j, res in enumerate(residuals)
+                         if (c := res.coeff(out))})
+    return _solution_space(rows, basis)
+
+
+def _solution_space(rows, basis: CochainBasis) -> dict:
     kernel = linalg.nullspace(rows, basis.dim)
     rref_mat, _ = linalg.rref(kernel)
     return {
@@ -640,14 +662,7 @@ def _derivation_residual(alg, mod, c: Cochain, u, v, sign) -> Vector:
 def kernel_of_delta1(alg, mod) -> dict:
     """ker delta^1 in the same canonical form as `derivation_space`."""
     mat = _delta_matrix(alg, mod, 1)
-    kernel = linalg.nullspace(mat.full, mat.source.dim)
-    rref_mat, _ = linalg.rref(kernel)
-    return {
-        "basis": [mat.source.from_row(v) for v in kernel],
-        "coeff_basis": kernel,
-        "rref": rref_mat,
-        "cochain_basis": mat.source,
-    }
+    return _solution_space(mat.full, mat.source)
 
 
 # ---------------------------------------------------------------------------
@@ -677,29 +692,14 @@ def extension_from_cocycle(coch: Cochain, name: str = "") -> tuple:
                              "symmetric")
     base = semidirect(mod, name=name or "extension")
     products = base.product_map()
-
-    def correct(a, b, vec: Vector):
-        if vec.is_zero():
-            return
-        tbl = products.setdefault((a, b), {})
-        for l, c in vec.items():
-            tbl[l] = tbl.get(l, Fraction(0)) + c
-            if not tbl[l]:
-                del tbl[l]
-
     sp = alg.space
-    for x1 in sp.even:
-        for x2 in sp.even:
-            correct(x1, x2, coch.value(2, 0, (x1, x2), ()))
-    for x in sp.even:
-        for y in sp.odd:
-            v = coch.value(1, 1, (x,), (y,))
-            correct(x, y, v)
-            correct(y, x, v)  # mixed pairs are symmetric
-    for y1 in sp.odd:
-        for y2 in sp.odd:
-            correct(y1, y2, coch.value(0, 2, (), (y1, y2)))
-    products = {k: v for k, v in products.items() if v}
+    for a, b in itertools.product(sp.labels(), repeat=2):
+        # c at (a, b): mixed pairs read the (1,1) block in the (x, y) order,
+        # so they are symmetric; zero sums are dropped by the structure
+        xs, ys = ([l for l in (a, b) if sp.parity(l) == i] for i in (0, 1))
+        tbl = products.setdefault((a, b), {})
+        for l, c in coch.value(len(xs), len(ys), xs, ys).items():
+            tbl[l] = tbl.get(l, 0) + c
     structure = AntialgebraStructure(base.space, products,
                                      name=name or "extension")
     report = check_axioms(structure.space, structure.product_map(),

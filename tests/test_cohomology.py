@@ -34,6 +34,7 @@ from antalg.cohomology import (
     kernel_of_delta1,
     random_cochain,
     solve_coboundary,
+    _canonical_ys,
     _delta_matrix,
 )
 from antalg.core import GradedSpace, Vector, parse_algebra_text
@@ -83,6 +84,27 @@ def test_cochain_add_rejects_a_degree_mismatch():
     b = random_cochain(K3, ADJ, 2, random.Random(3))
     with pytest.raises(ValueError, match="degrees 1 and 2"):
         a.add(b)
+
+
+def _sort_path(space, ys):
+    """Odd labels sorted into basis order, with the sign of the sort, by
+    sorting and counting inversions; (None, 0) on a repeated label."""
+    idx = [space.index(y) for y in ys]
+    if len(set(idx)) < len(idx):
+        return None, 0
+    inversions = sum(idx[i] > idx[j]
+                     for i, j in itertools.combinations(range(len(idx)), 2))
+    return tuple(sorted(ys, key=space.index)), (-1) ** inversions
+
+
+def test_canonical_odd_order_matches_the_sort_path():
+    """Every tuple of length 0 to 3 over a (1|3) basis, repeats included,
+    sorts as the sort path does, also where the short-tuple path returns
+    early."""
+    space = GradedSpace(["x"], ["c", "a", "b"])
+    for n in range(4):
+        for ys in itertools.product(space.odd, repeat=n):
+            assert _canonical_ys(space, ys) == _sort_path(space, ys), ys
 
 
 def test_random_cochain_reproducibility():
@@ -157,8 +179,9 @@ def test_full_delta_matrix_is_the_sum_of_component_matrices():
 
 
 def test_delta_matrices_store_no_zero():
-    """Component and full matrices hold only nonzero entries, and only in
-    columns of the source basis."""
+    """Component and full matrices hold only nonzero `Fraction` entries
+    (an `int` or a float entry would turn `linalg`'s divisions into float
+    arithmetic), and only in columns of the source basis."""
     sd = semidirect(adjoint_module(K3))
     for alg, mod, kmax in ((K3, ADJ, 4), (K3, dual_module(ADJ), 3),
                            (sd, trivial_module(sd), 3)):
@@ -168,7 +191,59 @@ def test_delta_matrices_store_no_zero():
                 assert len(rows) == mat.target.dim
                 for row in rows:
                     assert all(row.values())
+                    assert all(type(c) is F for c in row.values())
                     assert all(0 <= j < mat.source.dim for j in row)
+
+
+def _rescaled(alg, scales):
+    """The same algebra in the basis e -> scales[e] e."""
+    return AntialgebraStructure(alg.space, {
+        (a, b): {l: c * scales[a] * scales[b] / scales[l]
+                 for l, c in prod.items()}
+        for (a, b), prod in alg.products.items()})
+
+
+# K3 plus a (1|3) summand whose even unit e acts by 1/2 on every odd
+# element: odd dimension 5, with a nonzero odd-odd product a.b
+K3H3_TEXT = """\
+algebra K3H3
+even eps e
+odd a b v1 v2 v3
+
+eps * eps = eps
+eps * a = 1/2*a
+eps * b = 1/2*b
+a * b = 1/2*eps
+e * e = e
+e * v1 = 1/2*v1
+e * v2 = 1/2*v2
+e * v3 = 1/2*v3
+"""
+
+
+def test_integer_assembly_agrees_with_both_routes_beyond_k3():
+    """The integer-assembled matrices, times random cochains, agree with
+    the exact formulas and with the bracket route on inputs that K3 does
+    not reach.  K3H3 has odd dimension 5, so delta^4 reaches the block
+    (0,5) from (0,4) with the norm 1/5 and from (1,3) with 1/10, beside
+    1/3, 1/4 and 1/6: it needs L_4 = 60, where odd dimension 4 needs only
+    12.  K3 rescaled by 3/2 and -2/3 has products over the common
+    denominator 36."""
+    k3h3 = AntialgebraStructure.from_file_doc(parse_algebra_text(K3H3_TEXT))
+    k3r = _rescaled(K3, {"eps": F(3, 2), "a": F(-2, 3), "b": F(1)})
+    assert k3r.products[("a", "b")] == {"eps": F(-2, 9)}
+    rng = random.Random(27)
+    for alg, degrees in ((k3h3, (3, 4)), (k3r, (1, 2, 3))):
+        assert check_axioms(alg.space, alg.product_map()).ok
+        for mod in (trivial_module(alg), adjoint_module(alg)):
+            for degree in degrees:
+                mat = _delta_matrix(alg, mod, degree)
+                for _ in range(2):
+                    c = random_cochain(alg, mod, degree, rng, density=0.3)
+                    image = apply_delta(c)
+                    assert mat.target.coeff_vector(image) == _mat_vec(
+                        mat.full, mat.source.coeff_vector(c))
+                    assert image == delta_via_bracket(c)
 
 
 def test_component_matrices_match_the_unit_cochain_columns():

@@ -3,7 +3,10 @@
 - no `assert` statement: ``python -O`` strips them, so a check must raise
   explicitly;
 - no import outside the standard library and `antalg` itself: the library
-  has no runtime dependencies.
+  has no runtime dependencies;
+- the coboundary formulas name no exact scalar: every scalar comes from
+  their `DeltaContext`, so the one definition of delta serves both the
+  exact context and the integer one of the matrix assembly.
 """
 
 import ast
@@ -40,4 +43,17 @@ def test_no_module_imports_outside_the_standard_library():
     allowed = set(sys.stdlib_module_names) | {"antalg"}
     found = [(name, line, root) for name, tree in TREES.items()
              for line, root in _imported_roots(tree) if root not in allowed]
+    assert found == []
+
+
+def test_the_coboundary_formulas_take_every_scalar_from_their_context():
+    functions = {node.name: node
+                 for node in ast.walk(TREES["cohomology.py"])
+                 if isinstance(node, ast.FunctionDef)}
+    exact = {"Fraction", "HALF", "ONE"}
+    found = [(name, node.lineno)
+             for name in ("delta10_terms", "delta01_terms", "delta_12_terms",
+                          "delta_instance")
+             for node in ast.walk(functions[name])
+             if getattr(node, "id", getattr(node, "attr", None)) in exact]
     assert found == []
