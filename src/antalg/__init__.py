@@ -34,8 +34,8 @@ from .brackets import (
     BlockMap,
     alt,
     alt_blocks,
-    chevalley_eilenberg_differential,
     gerstenhaber_bracket,
+    lie_coboundary,
 )
 from .cohomology import (
     Cochain,
@@ -60,8 +60,7 @@ __all__ = [
     "AntialgebraStructure", "CheckReport", "ModuleStructure", "Violation",
     "adjoint_module", "check_axioms", "check_axioms_v2", "dual_module",
     "semidirect", "trivial_module", "zero_square_check",
-    "BlockMap", "alt", "alt_blocks", "chevalley_eilenberg_differential",
-    "gerstenhaber_bracket",
+    "BlockMap", "alt", "alt_blocks", "gerstenhaber_bracket", "lie_coboundary",
     "Cochain", "CochainBasis", "apply_delta", "assemble_complex",
     "cohomology_dims", "delta_via_bracket", "derivation_space",
     "extension_from_cocycle", "kernel_of_delta1", "random_cochain",

@@ -129,19 +129,26 @@ class AntialgebraStructure:
     """
 
     def __init__(self, space: GradedSpace, products: Mapping, name: str = ""):
+        self._set(space, complete_product_table(space, products), name)
+
+    @classmethod
+    def from_file_doc(cls, doc) -> "AntialgebraStructure":
+        """The structure of a parsed file, whose table
+        `core.parse_algebra_text` has completed already."""
+        structure = cls.__new__(cls)
+        structure._set(doc.space, dict(doc.products), doc.name)
+        return structure
+
+    def _set(self, space: GradedSpace, products: dict, name: str) -> None:
         self.space = space
         self.name = name
-        self.products = complete_product_table(space, products)
-        for (a, b), coeffs in self.products.items():
+        self.products = products
+        for (a, b), coeffs in products.items():
             want = (space.parity(a) + space.parity(b)) % 2
             for l in coeffs:
                 if space.parity(l) != want:
                     raise ValueError(
                         f"product {a!r} * {b!r} is not parity-preserving")
-
-    @classmethod
-    def from_file_doc(cls, doc) -> "AntialgebraStructure":
-        return cls(doc.space, doc.products, name=doc.name)
 
     def mul(self, a, b) -> Vector:
         """Product of two basis labels."""

@@ -1,5 +1,6 @@
 """Insertion products on parity-preserving multilinear maps, the alternated
-graded bracket, and the classical Lie coboundary operator.
+graded bracket, and the Chevalley-Eilenberg coboundary of a Lie
+superalgebra (`lie_coboundary`), the one Lie-side coboundary of the library.
 
 A single (p,q)-map is a `core.MultiMap`, read at basis labels.  Brackets of
 homogeneous maps are in general sums of maps of several (p,q)-shapes with
@@ -22,7 +23,7 @@ __all__ = [
     "bracket_blocks",
     "alt",
     "alt_blocks",
-    "chevalley_eilenberg_differential",
+    "lie_coboundary",
 ]
 
 
@@ -282,61 +283,70 @@ def al_bracket_blocks(a: BlockMap, b: BlockMap) -> BlockMap:
 
 
 # ---------------------------------------------------------------------------
-# the classical operator on purely even spaces
+# the Chevalley-Eilenberg coboundary of a Lie superalgebra
 # ---------------------------------------------------------------------------
 
-def chevalley_eilenberg_differential(br: MultiMap, phi: MultiMap,
-                                     coefficients: str = "adjoint") -> MultiMap:
-    """Lie-algebra coboundary of an alternating k-cochain on a purely even
-    space, with adjoint or trivial coefficients.
+def lie_coboundary(bracket, parity, coch, labels, k, act=None) -> dict:
+    """delta c of a k-cochain c of a Lie superalgebra at every ordered
+    (k+1)-tuple of positions in ``labels`` (Chevalley-Eilenberg 1948, with
+    the super signs of Fuks 1986):
 
-    With trivial coefficients ``phi`` must be valued in basis labels that do
-    not occur among its arguments (a designated coefficient line); the action
-    term is dropped.
-    """
-    space = br.space
-    if space.odd:
-        raise ValueError("the Lie coboundary here needs a purely even space")
-    if (br.p, br.q) != (2, 0):
-        raise ValueError("the bracket must be a (2,0)-map")
-    if not _is_skew_even(br):
-        raise ValueError("the bracket must be antisymmetric")
-    k = phi.p
-    if k < 1 or phi.q != 0:
-        raise ValueError("cochains must be (k,0)-maps with k >= 1")
-    if not _is_skew_even(phi):
-        raise ValueError("the cochain must be antisymmetric")
-    if coefficients not in ("adjoint", "trivial"):
-        raise ValueError("coefficients must be 'adjoint' or 'trivial'")
+      delta c(X_0, .., X_k) = sum_i (-1)^i e_i X_i . c(.., ^X_i, ..)
+        + sum_{i<j} (-1)^{i+j} e_ij c([X_i, X_j], .., ^X_i, .., ^X_j, ..),
 
+    e_i the Koszul sign of moving X_i to the front, e_ij that of moving X_i
+    and then X_j to the front.
+
+    ``bracket(u, v)`` is {term: coeff}, and a term may leave ``labels``;
+    ``parity(u)`` is 0 or 1.  ``coch(args)`` is {key: coeff}: the key is a
+    module label, a fixed key for a scalar cochain, or a variable index for
+    a generic cochain.  It is read at (term,) + rest for each bracket term
+    of two labels and each (k-1)-tuple of labels rest, and with ``act`` at
+    each k-tuple of labels.  ``act(u, key)`` is {key: coeff}; without it the
+    coefficients are trivial.
+
+    A scatter: the nonzero values of c at each bracket term are tabulated
+    once, and every term is pushed into each instance it belongs to.
+    Returns {position tuple: {key: nonzero coeff}}, without the tuples
+    where delta c vanishes."""
+    n, par = len(labels), [parity(u) for u in labels]
     out: dict = {}
-    for xs in itertools.product(space.even, repeat=k + 1):
-        # each inner value is expanded over its labels l
-        terms = []  # (coefficient, outer value)
-        if coefficients == "adjoint":
+
+    def push(inst, vecs, e):  # out[inst] += (-1)^e vec, vecs = (vec, -vec)
+        acc = out.setdefault(inst, {})
+        for key, c in vecs[e % 2].items():
+            acc[key] = acc[key] + c if key in acc else c
+
+    def tuples(m):
+        """(positions r, their labels, prefix sums of their parities) for
+        every m-tuple: moving X_i and then X_j to the front of an instance
+        built from r passes the parities of r[:i] and of r[:j-1]."""
+        for r in itertools.product(range(n), repeat=m):
+            yield (r, tuple(labels[x] for x in r),
+                   list(itertools.accumulate((par[x] for x in r), initial=0)))
+
+    rests = list(tuples(k - 1))
+    values: dict = {}  # bracket term -> [(rest, prefix, c(term, *rest))]
+    for a, b in itertools.product(range(n), repeat=2):
+        for t, co in bracket(labels[a], labels[b]).items():
+            if t not in values:
+                values[t] = [(r, pre, v) for r, args, pre in rests
+                             if (v := coch((t,) + args))]
+            for r, pre, v in values[t]:
+                v = {key: co * c for key, c in v.items()}
+                vecs = v, {key: -c for key, c in v.items()}
+                for i, j in itertools.combinations(range(k + 1), 2):
+                    push(r[:i] + (a,) + r[i:j - 1] + (b,) + r[j - 1:], vecs,
+                         i + j + par[a] * pre[i] + par[b] * pre[j - 1])
+    for r, args, pre in tuples(k) if act else ():
+        v = coch(args)
+        for a in range(n) if v else ():
+            moved: dict = {}
+            for key, c in v.items():
+                for l, d in act(labels[a], key).items():
+                    moved[l] = moved.get(l, 0) + c * d
+            vecs = moved, {key: -c for key, c in moved.items()}
             for i in range(k + 1):
-                for l, c in phi.value(xs[:i] + xs[i + 1:], ()).items():
-                    terms.append(((-1) ** i * c, br.value((xs[i], l), ())))
-        for i, j in itertools.combinations(range(k + 1), 2):
-            rest = tuple(a for t, a in enumerate(xs) if t not in (i, j))
-            for l, c in br.value((xs[i], xs[j]), ()).items():
-                terms.append(((-1) ** (i + j) * c, phi.value((l,) + rest, ())))
-        for c, vec in terms:
-            for label, d in vec.items():
-                key = (xs, (), label)
-                out[key] = out.get(key, 0) + c * d
-    return MultiMap(space, k + 1, 0, out)
-
-
-def _is_skew_even(phi: MultiMap) -> bool:
-    """Antisymmetry of a (k,0)-map under exchanging any two x-arguments."""
-    k = phi.p
-    for xs in itertools.product(phi.space.even, repeat=k):
-        base = phi.value(xs, ())
-        for i in range(k):
-            for j in range(i + 1, k):
-                swapped = list(xs)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                if phi.value(tuple(swapped), ()) != base.scale(-1):
-                    return False
-    return True
+                push(r[:i] + (a,) + r[i:], vecs, i + par[a] * pre[i])
+    return {inst: {key: c for key, c in acc.items() if c}
+            for inst, acc in out.items() if any(acc.values())}

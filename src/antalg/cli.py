@@ -120,11 +120,9 @@ def load_structure(name_or_path: str) -> AntialgebraStructure:
     else:
         doc = parse_algebra_file(name_or_path)
     try:
-        structure = AntialgebraStructure(doc.space, doc.products,
-                                         name=doc.name or name_or_path)
+        return AntialgebraStructure.from_file_doc(doc)
     except ValueError as ex:
         raise InputError(str(ex)) from None
-    return structure
 
 
 def load_coefficients(alg: AntialgebraStructure, selector: str) -> ModuleStructure:

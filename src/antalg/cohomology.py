@@ -532,14 +532,15 @@ class _GenericCochain(Cochain):
         return blocks
 
 
-def _delta_matrix(alg, mod, k) -> DifferentialMatrix:
+def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
     """delta^k as delta of the generic k-cochain (`_GenericCochain`), on
     integers: with D the common denominator of the products and the action
     and L_k = lcm(1, .., k+1), the scale S = 2*D*L_k makes S*delta^k an
     integer matrix.  Column j of a component matrix is the component applied
     to the j-th unit cochain, so it is read off the tag-j part of one
-    coboundary per component and divided by S once."""
-    source = CochainBasis(alg, mod, k)
+    coboundary per component and divided by S once.  ``source`` is the basis
+    of C^k when the caller has it already."""
+    source = source or CochainBasis(alg, mod, k)
     target = CochainBasis(alg, mod, k + 1)
     generic = _GenericCochain(source)
     comp = {}
@@ -556,7 +557,10 @@ def _delta_matrix(alg, mod, k) -> DifferentialMatrix:
 def assemble_complex(alg, mod, kmax, verify=True) -> list:
     """Matrices of delta^k for k = 1..kmax.  With ``verify`` the square-zero
     law is asserted exactly (`verify_complex`)."""
-    mats = [_delta_matrix(alg, mod, k) for k in range(1, kmax + 1)]
+    mats, source = [], None
+    for k in range(1, kmax + 1):  # delta^k's target is delta^{k+1}'s source
+        mats.append(_delta_matrix(alg, mod, k, source))
+        source = mats[-1].target
     if verify:
         verify_complex(mats, trivial=not mod.action)
     return mats

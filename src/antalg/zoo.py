@@ -19,8 +19,10 @@ window; identity checks count such instances as skipped.  The axiom
 suites of the conformal windows run the finite tables' identities
 (`antialgebra._identity_residuals`) on the window's integer table.  The
 verification suites for the named cocycles use the global index formulas
-instead, so they have no truncation error.  Cochain values are `DictVec`s,
-`core.Vector`s over the open basis of all (family, index) labels.
+instead, so they have no truncation error; the Lie-side suites (gf,
+dual-gf, gv) take their coboundaries from `brackets.lie_coboundary`.
+Cochain values are `DictVec`s, `core.Vector`s over the open basis of all
+(family, index) labels.
 
 Inside the suites labels are keyed by integers, because a `Fraction`
 rehashes on every dict access: the axiom suites key a label by its position
@@ -41,7 +43,7 @@ from types import SimpleNamespace
 
 from . import linalg
 from .antialgebra import CheckReport, _identity_residuals
-from .brackets import _perm_sign
+from .brackets import _perm_sign, lie_coboundary
 from .cohomology import (COMPONENTS, Cochain, DeltaContext, _canonical_ys,
                          delta_instance)
 from .core import Vector, as_integers, common_denominator, divided
@@ -823,6 +825,19 @@ OSP_SPAN = (("l", Fraction(-1)), ("l", Fraction(0)), ("l", Fraction(1)),
             ("xi", -HALF), ("xi", HALF))
 
 
+def _coadjoint2(u, key) -> dict:
+    """The coadjoint action on doubled dual labels: (u . l*)(Z) =
+    -(-1)^{|u||l|} l*([u, Z]), nonzero only at the one Z whose bracket with
+    u has the term l.  A key that is not a dual label is acted on by 0."""
+    fam, k = key
+    if not fam.endswith("*"):
+        return {}
+    pu, pl = k1_parity(u), k1_parity(key)
+    z = ("xi" if pu ^ pl else "l", k - u[1])
+    co = _k1_bracket2(u, z).get((fam[:-1], k), 0)
+    return {(z[0] + "*", z[1]): co if pu & pl else -co} if co else {}
+
+
 def verify_super_cocycle_gf(N: int = 4, c_fn=None) -> CheckReport:
     """Super 2-cocycle test with the graded cyclic convention
 
@@ -833,17 +848,15 @@ def verify_super_cocycle_gf(N: int = 4, c_fn=None) -> CheckReport:
     antisymmetry and vanishing on the span of the small subalgebra
     l_{-1}, l_0, l_1, xi_{-1/2}, xi_{1/2}.
 
-    Each of the three terms is S(A,B,C) = (-1)^{|A||C|} c([A,B],C) at a
-    cyclic rotation of (X,Y,Z).  The call tabulates c on every window pair
-    and the nonzero values of S once (``c_fn`` meets each bracket term and
-    third argument once), then reads every instance off the tables.  The
-    brackets run on doubled labels."""
+    The cyclic sum is exactly -(-1)^{|X||Z|} delta c(X,Y,Z), the
+    Chevalley-Eilenberg coboundary with trivial coefficients
+    (`brackets.lie_coboundary`), which runs on doubled labels."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     c_fn = c_fn or c_gf
     rep = CheckReport(f"gf-2-cocycle[N={N}]")
     w = WindowedAlgebra("k1", N)
-    labels, labels2 = w.labels(), w.labels2()
+    labels = w.labels()
     odd = [k1_parity(X) for X in labels]
     pairs = list(itertools.product(range(len(labels)), repeat=2))
 
@@ -852,24 +865,19 @@ def verify_super_cocycle_gf(N: int = 4, c_fn=None) -> CheckReport:
         rep.record("skew", (labels[x], labels[y]),
                    cw[x, y] + _SIGN[odd[x] & odd[y]] * cw[y, x])
 
-    c_third: dict = {}  # doubled bracket term -> {z: c_fn(term, Z)}, nonzero
-    cyclic: dict = {}   # (x, y, z) -> the sum of its nonzero S terms
-    for a, b in pairs:
-        for t, co in _k1_bracket2(labels2[a], labels2[b]).items():
-            if t not in c_third:
-                T = _half(t)
-                c_third[t] = {z: v for z, Z in enumerate(labels)
-                              if (v := c_fn(T, Z))}
-            for c, v in c_third[t].items():
-                s = -co * v if odd[a] & odd[c] else co * v
-                # S(a,b,c) is a term of the instances (a,b,c), (c,a,b)
-                # and (b,c,a)
-                for inst in ((a, b, c), (c, a, b), (b, c, a)):
-                    cyclic[inst] = cyclic.get(inst, 0) + s
+    half = functools.cache(_half)
+
+    def coch(args):
+        v = c_fn(*map(half, args))
+        return {"c": v} if v else {}
+
+    dc = {inst: v["c"] for inst, v in lie_coboundary(
+        _k1_bracket2, k1_parity, coch, w.labels2(), 2).items()}
     for x, y in pairs:
         for z, Z in enumerate(labels):
+            v = dc.get((x, y, z), 0)
             rep.record("cyclic", (labels[x], labels[y], Z),
-                       cyclic.get((x, y, z), 0))
+                       v if odd[x] & odd[z] else -v)
     for u in OSP_SPAN:
         for v in OSP_SPAN:
             rep.record("osp-vanishing", (u, v), c_fn(u, v))
@@ -883,62 +891,31 @@ def verify_dual_gf(N: int = 4, C_fn=None) -> CheckReport:
                           - <C([X,Y]), Z> = 0,
 
     for window pairs (X,Y) and probes Z of index up to 2N (all pairings are
-    global: no skips).  The call applies ``C_fn`` once to each window label
-    and bracket term, tabulates the pairings <C(Y), [X,Z]> over all probes
-    once per window pair, and reads every instance off the tables.  The
-    brackets and pairings run on doubled labels."""
+    global: no skips).  delta C is the Chevalley-Eilenberg coboundary with
+    the coadjoint action (`brackets.lie_coboundary`), on doubled labels; a
+    component of C([X,Y]) pairs with its probe whether or not its family is
+    starred."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     C_fn = C_fn or C_gf_value
     rep = CheckReport(f"gf-dual-1-cocycle[N={N}]")
     w = WindowedAlgebra("k1", N)
-    labels, labels2 = w.labels(), w.labels2()
+    labels = w.labels()
     wide = WindowedAlgebra("k1", 2 * N)
-    probes = wide.labels()
-    probe_index = {Z: z for z, Z in enumerate(wide.labels2())}
-    odd = [k1_parity(X) for X in labels]
-    values: dict = {}  # doubled label -> C(label), doubled
 
-    def C(label) -> dict:
-        if label not in values:
-            values[label] = {_dbl(l): c for l, c in C_fn(_half(label)).items()}
-        return values[label]
+    def coch(args):
+        return {_dbl(l): c for l, c in C_fn(_half(args[0])).items()}
 
-    # by_dual[u]: the dual label of each bracket term of [labels[u], Z],
-    # with every (probe index, coefficient) it occurs at
-    by_dual = []
-    for X in labels2:
-        occ: dict = {}
-        for Z, z in probe_index.items():
-            for t, co in _k1_bracket2(X, Z).items():
-                occ.setdefault((t[0] + "*", t[1]), []).append((z, co))
-        by_dual.append(occ)
-
-    def paired(dvec: dict, u: int) -> dict:
-        """{z: <dvec, [labels[u], probes[z]]>} where some term pairs."""
-        out: dict = {}
-        for l, c in dvec.items():
-            for z, co in by_dual[u].get(l, ()):
-                out[z] = out.get(z, 0) + co * c
-        return out
-
-    pairing = [[paired(C(Y), u) for u in range(len(labels))] for Y in labels2]
+    probes = [(Z, (fam + "*", k), (fam, k))
+              for Z, (fam, k) in zip(wide.labels(), wide.labels2())]
+    dC = lie_coboundary(_k1_bracket2, k1_parity, coch, w.labels2(), 1,
+                        _coadjoint2)
     for x, X in enumerate(labels):
         for y, Y in enumerate(labels):
-            res: dict = {}
-            # -(-1)^{|X||Y|} <C(Y), [X,Z]>
-            for z, v in pairing[y][x].items():
-                res[z] = res.get(z, 0) + (v if odd[x] & odd[y] else -v)
-            for z, v in pairing[x][y].items():  # + <C(X), [Y,Z]>
-                res[z] = res.get(z, 0) + v
-            # - <C([X,Y]), Z>
-            for t, co in _k1_bracket2(labels2[x], labels2[y]).items():
-                for l, c in C(t).items():
-                    z = probe_index.get((l[0].rstrip("*"), l[1]))
-                    if z is not None:
-                        res[z] = res.get(z, 0) - co * c
-            for z, Z in enumerate(probes):
-                rep.record("dual-cocycle", (X, Y, Z), res.get(z, 0))
+            res = dC.get((x, y))
+            for Z, star, plain in probes:
+                rep.record("dual-cocycle", (X, Y, Z),
+                           res.get(star, 0) + res.get(plain, 0) if res else 0)
     return rep
 
 
@@ -950,10 +927,10 @@ def c_gv(u, v, w) -> Fraction:
     """The alternating 3-form supported on {l_{-1}, l_0, l_1}: the sign of
     the permutation sorting the indices to (-1, 0, 1)."""
     idx = (u[1], v[1], w[1])
-    if sorted(idx) != [Fraction(-1), Fraction(0), Fraction(1)]:
+    # the membership test rejects most triples before the Fraction sort
+    if any(i not in (-1, 0, 1) for i in idx) or sorted(idx) != [-1, 0, 1]:
         return Fraction(0)
-    order = tuple(sorted(range(3), key=lambda t: idx[t]))
-    return Fraction(_perm_sign(order))
+    return Fraction(_perm_sign(sorted(range(3), key=idx.__getitem__)))
 
 
 def verify_gv(N: int = 5) -> CheckReport:
@@ -963,22 +940,23 @@ def verify_gv(N: int = 5) -> CheckReport:
     the ansatz c = delta beta over skew 2-cochains with argument-sum ceiling
     2N is inconsistent (each equation only references beta at index sums
     within the ceiling, so the restriction is sound for every global beta).
-    Brackets and beta's indices run on doubled labels."""
+    Both coboundaries are `brackets.lie_coboundary` on doubled labels, the
+    second of the generic beta, whose value is {variable: +-1}."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     rep = CheckReport(f"gv-3-cocycle[N={N}]")
     w = WindowedAlgebra("w1", N)
-    labels = w.even
+    labels, n = w.even, len(w.even)
 
-    for quad, quad2 in zip(itertools.combinations(labels, 4),
-                           itertools.combinations(w.even2, 4)):
-        # sum over i < j of (-1)^{i+j} c([a_i, a_j], rest)
-        x = 0
-        for i, j in itertools.combinations(range(4), 2):
-            rest = tuple(a for t, a in enumerate(quad) if t not in (i, j))
-            for t, co in _k1_bracket2(quad2[i], quad2[j]).items():
-                x += (-1) ** (i + j) * co * c_gv(_half(t), *rest)
-        rep.record("cocycle", quad, {"gv": x} if x else {})
+    half = functools.cache(_half)
+
+    def coch(args):
+        v = c_gv(*map(half, args))
+        return {"gv": v} if v else {}
+
+    dc = lie_coboundary(_k1_bracket2, k1_parity, coch, w.even2, 3)
+    for quad in itertools.combinations(range(n), 4):
+        rep.record("cocycle", tuple(labels[t] for t in quad), dc.get(quad, {}))
     base = (("l", Fraction(-1)), ("l", Fraction(0)), ("l", Fraction(1)))
     for perm in itertools.permutations(range(3)):
         args = tuple(base[t] for t in perm)
@@ -988,31 +966,19 @@ def verify_gv(N: int = 5) -> CheckReport:
     # doubled indices up to the doubled ceiling 4N
     pairs = list(itertools.combinations(range(-2, 4 * N + 1, 2), 2))
     pair_idx = {p: k for k, p in enumerate(pairs)}
-    rows, rhs = [], []
-    for args, args2 in zip(itertools.combinations(labels, 3),
-                           itertools.combinations(w.even2, 3)):
-        a, b, c = (k for _, k in args2)
-        row = {}
 
-        def beta_coeff(s, r, scale):
-            if s == r:
-                return
-            key = (s, r) if s < r else (r, s)
-            sgn = Fraction(1) if s < r else Fraction(-1)
-            j = pair_idx[key]
-            if v := row.pop(j, 0) + sgn * scale:
-                row[j] = v
+    def beta(args):
+        s, r = (k for _, k in args)
+        if s == r:
+            return {}
+        return {pair_idx[min(s, r), max(s, r)]: 1 if s < r else -1}
 
-        # -beta([la,lb], lc) + beta([la,lc], lb) - beta([lb,lc], la)
-        beta_coeff(a + b, c, Fraction(a - b, 2))
-        beta_coeff(a + c, b, Fraction(c - a, 2))
-        beta_coeff(b + c, a, Fraction(b - c, 2))
-        rows.append(row)
-        rhs.append(c_gv(*args))
-    sol = linalg.solve(rows, rhs, len(pairs))
-    if sol is None:
-        rep.extras["nontrivial"] = True
-    else:
-        rep.extras["nontrivial"] = False
+    dbeta = lie_coboundary(_k1_bracket2, k1_parity, beta, w.even2, 2)
+    triples = list(itertools.combinations(range(n), 3))
+    sol = linalg.solve([dbeta.get(t, {}) for t in triples],
+                       [c_gv(*(labels[x] for x in t)) for t in triples],
+                       len(pairs))
+    rep.extras["nontrivial"] = sol is None
+    if sol is not None:
         rep.record("nontriviality", ("solve",), Fraction(1))
     return rep

@@ -24,9 +24,9 @@ from antalg.brackets import (
     alt,
     alt_blocks,
     bracket_blocks,
-    chevalley_eilenberg_differential,
     gerstenhaber_bracket,
     gerstenhaber_product,
+    lie_coboundary,
     _perm_sign,
 )
 from antalg.antialgebra import (
@@ -35,7 +35,9 @@ from antalg.antialgebra import (
     check_axioms_v2,
     zero_square_check,
 )
+from antalg import linalg
 from antalg.core import GradedSpace, MultiMap, Vector, parse_algebra_text
+from antalg.zoo import _k1_bracket2
 
 F = Fraction
 
@@ -569,6 +571,21 @@ def _skew_even(mm):
     return MultiMap(mm.space, k, 0, out)
 
 
+def _sl2_bracket(u, v):
+    return dict(SL2_BR.value((u, v), ()).items())
+
+
+def _even(u):
+    return 0
+
+
+def _on_labels(d, labels):
+    """The cochain on labels of `lie_coboundary`'s result ``d``, which is
+    keyed by positions in ``labels``."""
+    pos = {l: i for i, l in enumerate(labels)}
+    return lambda args: d.get(tuple(pos[a] for a in args), {})
+
+
 def test_lie_coboundary_squares_to_zero_on_sl2():
     rng = random.Random(101)
     for _ in range(10):
@@ -580,12 +597,100 @@ def test_lie_coboundary_squares_to_zero_on_sl2():
                 if c:
                     ent[(args, (), out)] = F(c)
         phi = _skew_even(MultiMap(SL2, k, 0, ent))
-        d1 = chevalley_eilenberg_differential(SL2_BR, phi)
-        assert chevalley_eilenberg_differential(SL2_BR, d1).is_zero()
+        assert not phi.is_zero()
+        d1 = lie_coboundary(_sl2_bracket, _even,
+                            lambda args: dict(phi.value(args, ()).items()),
+                            SL2.even, k, _sl2_bracket)
+        assert lie_coboundary(_sl2_bracket, _even, _on_labels(d1, SL2.even),
+                              SL2.even, k + 1, _sl2_bracket) == {}
 
 
 def test_lie_coboundary_of_the_bracket_restates_jacobi():
-    assert chevalley_eilenberg_differential(SL2_BR, SL2_BR).is_zero()
+    assert lie_coboundary(_sl2_bracket, _even,
+                          lambda args: _sl2_bracket(*args), SL2.even, 2,
+                          _sl2_bracket) == {}
+
+
+def test_lie_coboundary_gives_the_cohomology_of_sl2():
+    """H*(sl2; k) is 1, 0, 0, 1 in degrees 0 to 3 (Chevalley-Eilenberg
+    1948): with trivial coefficients delta^0 = 0, C^0 to C^3 have dims 1,
+    3, 3, 1, and delta^1, delta^2 have ranks 3 and 0.  Each matrix is read
+    off delta of the unit alternating k-cochains at increasing tuples."""
+    labels = SL2.even
+
+    def unit(basis):  # the alternating k-cochain that is 1 at basis
+        def coch(args):
+            order = sorted(range(len(args)),
+                           key=lambda t: labels.index(args[t]))
+            if tuple(args[t] for t in order) != basis:
+                return {}
+            return {"c": _perm_sign(order)}
+        return coch
+
+    def matrix(k):  # a column per unit cochain, a row per increasing tuple
+        rows = list(itertools.combinations(range(len(labels)), k + 1))
+        cols = []
+        for basis in itertools.combinations(labels, k):
+            d = lie_coboundary(_sl2_bracket, _even, unit(basis), labels, k)
+            cols.append({i: d[r]["c"] for i, r in enumerate(rows) if r in d})
+        return cols
+
+    ranks = [linalg.rank(matrix(k)) for k in (1, 2)]
+    assert ranks == [3, 0]
+    dims = [math.comb(3, k) for k in range(4)]
+    assert [dims[0], dims[1] - ranks[0], dims[2] - ranks[1] - ranks[0],
+            dims[3] - ranks[1]] == [1, 0, 0, 1]
+
+
+# osp(1|2) as the span of l_-1, l_0, l_1, xi_-1/2, xi_1/2 in K(1), on the
+# doubled labels of `zoo._k1_bracket2`: the bracket closes on it
+OSP = (("l", -2), ("l", 0), ("l", 2), ("xi", -1), ("xi", 1))
+
+
+def _osp_parity(u):
+    return int(u[0] == "xi")
+
+
+def _random_super_alternating(rng, k, outs):
+    """A random even k-cochain on OSP, skew in even arguments and symmetric
+    in odd ones: c(.., X, Y, ..) = -(-1)^{|X||Y|} c(.., Y, X, ..).  Its
+    values are drawn on non-decreasing position tuples, over the keys of
+    ``outs`` whose parity is that of the arguments."""
+    par = [_osp_parity(u) for u in OSP]
+    table = {}
+    for r in itertools.combinations_with_replacement(range(len(OSP)), k):
+        if any(x == y and not par[x] for x, y in zip(r, r[1:])):
+            continue  # a repeated even argument: zero
+        want = sum(par[x] for x in r) % 2
+        table[r] = {key: F(rng.randint(-2, 2)) for key in outs
+                    if _osp_parity(key) == want}
+    pos = {u: x for x, u in enumerate(OSP)}
+
+    def coch(args):
+        r, sign = [pos[u] for u in args], 1
+        for end in range(len(r) - 1, 0, -1):  # bubble sort, sign by swap
+            for t in range(end):
+                if r[t] > r[t + 1]:
+                    r[t], r[t + 1] = r[t + 1], r[t]
+                    sign *= 1 if par[r[t]] & par[r[t + 1]] else -1
+        return {key: sign * c for key, c in table.get(tuple(r), {}).items()}
+    return coch
+
+
+@pytest.mark.parametrize("coefficients", ["trivial", "adjoint"])
+def test_lie_coboundary_squares_to_zero_on_osp12(coefficients):
+    """delta^2 = 0 on random even super-alternating cochains of osp(1|2),
+    with trivial and with adjoint coefficients: the super signs of the
+    engine (the Koszul signs and (-1)^{i+j}) are those of a complex."""
+    rng = random.Random(12)
+    act = _k1_bracket2 if coefficients == "adjoint" else None
+    outs = OSP if act else (("c", 0),)  # the scalar key is even
+    for k in (1, 2, 3):
+        coch = _random_super_alternating(rng, k, outs)
+        d = lie_coboundary(_k1_bracket2, _osp_parity, coch, OSP, k, act)
+        assert d  # the cochain is not a cocycle
+        assert lie_coboundary(_k1_bracket2, _osp_parity, _on_labels(d, OSP),
+                              OSP, k + 1, act) == {}
 
 
 # ---------------------------------------------------------------------------

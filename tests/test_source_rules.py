@@ -6,7 +6,11 @@
   has no runtime dependencies;
 - the coboundary formulas name no exact scalar: every scalar comes from
   their `DeltaContext`, so the one definition of delta serves both the
-  exact context and the integer one of the matrix assembly.
+  exact context and the integer one of the matrix assembly;
+- the Lie-side suites take their coboundaries from the one
+  Chevalley-Eilenberg engine, `brackets.lie_coboundary`: each calls it and
+  none calls a bracket itself, and no function is named after the
+  finite-only operator it replaced.
 """
 
 import ast
@@ -56,4 +60,25 @@ def test_the_coboundary_formulas_take_every_scalar_from_their_context():
                           "delta_instance")
              for node in ast.walk(functions[name])
              if getattr(node, "id", getattr(node, "attr", None)) in exact]
+    assert found == []
+
+
+def _called_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            yield getattr(sub.func, "id", getattr(sub.func, "attr", None))
+
+
+def test_the_lie_suites_take_their_coboundary_from_the_one_engine():
+    functions = {node.name: node for node in ast.walk(TREES["zoo.py"])
+                 if isinstance(node, ast.FunctionDef)}
+    brackets = {"_k1_bracket2", "k1_bracket", "w1_bracket", "bracket"}
+    for name in ("verify_super_cocycle_gf", "verify_dual_gf", "verify_gv"):
+        called = set(_called_names(functions[name]))
+        assert "lie_coboundary" in called, name
+        assert not called & brackets, name
+    found = [(name, node.lineno) for name, tree in TREES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "chevalley_eilenberg_differential"]
     assert found == []
