@@ -5,18 +5,18 @@ A structure is stored as a completed ordered product table over a
 `core.GradedSpace`.  Its validity is checked identity by identity
 (`check_axioms`, and the reformulated system `check_axioms_v2`) and as the
 square-zero test of the associated odd element under the alternated
-bracket (`zero_square_check`).  The four identities are written out once,
-in `_identity_residuals`, which the window suites of `zoo` run too.  A
-`check` builds the integer table and the residuals once (`_TablePass`) and
-all three read them: `check_axioms` records every residual,
-`check_axioms_v2` its table records and assoc residuals, and
-`zero_square_check` compares each block of [m, m] from the bracket engine
-with a fixed multiple of them.
+bracket (`zero_square_check`).  One engine, `_identity_residuals`, scatters
+the residuals of the laws (`_LAWS`) from the nonzero products of the
+integer table, finite or a `zoo` window: an instance that no product
+reaches is counted but not evaluated.  A `check` builds the table and the
+residuals once (`_TablePass`) for all three checkers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
@@ -88,11 +88,12 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def merge(self, other: "CheckReport") -> None:
-        self.checked += other.checked
-        self.skipped += other.skipped
-        self.violations.extend(other.violations)
-        self.extras.update(other.extras)
+    def merge(self, *others: "CheckReport") -> None:
+        for other in others:
+            self.checked += other.checked
+            self.skipped += other.skipped
+            self.violations.extend(other.violations)
+            self.extras.update(other.extras)
 
     def lines(self) -> list:
         out = [
@@ -224,22 +225,21 @@ class ModuleStructure:
 # the identity checkers
 # ---------------------------------------------------------------------------
 
-def _left(acc: dict, row: Mapping, v: Mapping, c: int) -> None:
-    """acc += c * (a.v) for a raw vector v and a's row ``row`` of T."""
-    for l, w in v.items():
-        prod = row.get(l)
-        if prod:
-            for out, z in prod.items():
-                acc[out] = acc.get(out, 0) + c * w * z
-
-
-def _right(acc: dict, t: Mapping, v: Mapping, b, c: int) -> None:
-    """acc += c * (v.b) for a raw vector v, reading the rows of T."""
-    for l, w in v.items():
-        prod = t[l].get(b)
-        if prod:
-            for out, z in prod.items():
-                acc[out] = acc.get(out, 0) + c * w * z
+# The laws as data: (kind, slot domains, weight, terms) on an instance
+# (s0, s1, s2), a domain E, O or L (even, odd or all labels), a term
+# (c, "0(12)") c * s0.(s1.s2) and (c, "(01)2") c * (s0.s1).s2, all weight
+# times the law.  odd_deriv's sign -(-1)^{|a|} splits its slot a.
+_LAWS = (
+    ("assoc", "EEE", 1, ((1, "0(12)"), (-1, "(01)2"))),
+    ("half_unit", "EEO", 2, ((2, "0(12)"), (-1, "(01)2"))),
+    ("leibniz", "EOO", 1, ((1, "0(12)"), (-1, "(01)2"), (-1, "1(02)"))),
+    ("cyclic", "OOO", 1, ((1, "0(12)"), (1, "1(20)"), (1, "2(01)"))),
+    ("even_comm", "EEL", 1, ((1, "0(12)"), (-1, "1(02)"))),
+    ("odd_deriv", "ELO", 1, ((1, "(01)2"), (-1, "(02)1"), (-1, "0(12)"))),
+    ("odd_deriv", "OLO", 1, ((1, "(01)2"), (-1, "(02)1"), (1, "0(12)"))),
+)
+_AXIOMS = ("assoc", "half_unit", "leibniz", "cyclic")  # of `check_axioms`
+_V2 = ("assoc", "even_comm", "odd_deriv")  # of `check_axioms_v2`
 
 
 def _integer_table(table: Mapping):
@@ -254,49 +254,77 @@ def _integer_table(table: Mapping):
     return t, d
 
 
-def _identity_residuals(space: GradedSpace, t: Mapping):
-    """Yield (kind, instance, residual, w) for the four identities of
-    `check_axioms` on every basis instance of the integer table T = D *
-    table: the residual {label: int} is w * D^2 times the identity's.
-    Every term has one basis-label factor, so it is read off T's rows."""
-    ev, od = space.even, space.odd
-    for x1, x2, x3 in itertools.product(ev, ev, ev):
-        acc: dict = {}
-        _left(acc, t[x1], t[x2][x3], 1)
-        _right(acc, t, t[x1][x2], x3, -1)
-        yield "assoc", (x1, x2, x3), acc, 1
-    for x1, x2, y in itertools.product(ev, ev, od):
-        acc = {}
-        _left(acc, t[x1], t[x2][y], 2)  # the weights 1, -1/2 times 2
-        _right(acc, t, t[x1][x2], y, -1)
-        yield "half_unit", (x1, x2, y), acc, 2
-    for x, y1, y2 in itertools.product(ev, od, od):
-        acc = {}
-        _left(acc, t[x], t[y1][y2], 1)
-        _right(acc, t, t[x][y1], y2, -1)
-        _left(acc, t[y1], t[x][y2], -1)
-        yield "leibniz", (x, y1, y2), acc, 1
-    # the rotations of (y1, y2, y3) sum the same three terms: the residual
-    # is computed at the first rotation met and kept for the other two
-    rotations: dict = {}
-    for y1, y2, y3 in itertools.product(od, od, od):
-        acc = rotations.pop((y1, y2, y3), None)
-        if acc is None:
-            acc = {}
-            _left(acc, t[y1], t[y2][y3], 1)
-            _left(acc, t[y2], t[y3][y1], 1)
-            _left(acc, t[y3], t[y1][y2], 1)
-            rotations[y2, y3, y1] = rotations[y3, y1, y2] = acc
-        yield "cyclic", (y1, y2, y3), acc, 1
+def _identity_residuals(space, t: Mapping, kinds, increasing=()) -> dict:
+    """{kind: {instance: {label: int}}}, the residuals of the laws ``kinds``
+    on the integer table T at every instance a nonzero product reaches (for
+    an ``increasing`` law, of window positions, only at increasing ones): a
+    term walks T's nonzero products at its inner slots, meets its outer one
+    by T's column (s.(..)) or row ((..).s) and adds into its one instance,
+    in the order of an instance-by-instance sum."""
+    member = {"E": set(space.even), "O": set(space.odd),
+              "L": {*space.even, *space.odd}}
+    nonzero = [(a, b, v) for a, row in t.items() for b, v in row.items() if v]
+    index = ({}, {})  # l -> [(s, T[s][l])] and l -> [(s, T[l][s])]
+    for a, b, v in nonzero:
+        index[0].setdefault(b, []).append((a, v))
+        index[1].setdefault(a, []).append((b, v))
+    reached = {kind: defaultdict(dict) for kind in kinds}
+    for kind, doms, _, terms in (law for law in _LAWS if law[0] in kinds):
+        found, inc = reached[kind], kind in increasing
+        for c, term in terms:
+            right = term[0] == "("  # the outer slot, then the inner two
+            slots = [int(term[i]) for i in ((4, 1, 2) if right else (0, 2, 3))]
+            place = operator.itemgetter(*map(slots.index, range(3)))
+            outer, di, dj = (member[doms[s]] for s in slots)
+            for a, b, v in nonzero:
+                if a in di and b in dj:
+                    for l, w in v.items():
+                        for s, prod in index[right].get(l, ()):
+                            if s in outer:
+                                key = place((s, a, b))
+                                if inc and not key[0] < key[1] < key[2]:
+                                    continue
+                                acc = found[key]
+                                for out, z in prod.items():
+                                    acc[out] = acc.get(out, 0) + c * w * z
+    return reached
+
+
+def _identity_reports(space, t: Mapping, kinds, residual, unknown=None,
+                      increasing=()) -> dict:
+    """{kind: CheckReport} of the laws ``kinds`` on the integer table T from
+    one scatter (`_identity_residuals`): an instance no product reaches is
+    a checked zero, counted but not evaluated; a reached one holding the
+    absorbing label ``unknown`` is skipped, and a nonzero one a violation,
+    residual(acc, weight).  An ``increasing`` law has C(|O|, 3) instances."""
+    pos = {l: k for k, l in enumerate((*space.even, *space.odd))}
+    size = {"E": len(space.even), "O": len(space.odd), "L": len(pos)}
+    reports = {kind: CheckReport(kind) for kind in kinds}
+    for kind, found in _identity_residuals(space, t, kinds,
+                                           increasing).items():
+        laws = [law for law in _LAWS if law[0] == kind]
+        rep, bad = reports[kind], []
+        for inst, acc in found.items():
+            if unknown is not None and unknown in acc:
+                rep.skipped += 1
+            elif any(acc.values()):
+                bad.append(([pos[l] for l in inst], inst))  # product order
+        rep.checked = (math.comb(size["O"], 3) if kind in increasing else sum(
+            math.prod(map(size.get, law[1])) for law in laws)) - rep.skipped
+        rep.violations = [Violation(kind, i, residual(found[i], laws[0][2]))
+                          for _, i in sorted(bad)]
+    return reports
 
 
 class _TablePass:
     """The integer table of one finite table and the reports of its
     residuals, each built once, on first use, and merged into the report of
-    every checker of one `check`; a zero residual is only counted."""
+    every checker of one `check`; ``kinds`` are the laws the pass serves."""
 
-    def __init__(self, space: GradedSpace, table: Mapping):
+    def __init__(self, space: GradedSpace, table: Mapping,
+                 kinds=_AXIOMS + _V2[1:]):
         self.space = space
+        self.kinds = kinds
         self.t, self.d = _integer_table(table)
 
     def residual(self, acc: Mapping, d: int):
@@ -319,12 +347,10 @@ class _TablePass:
 
     @cached_property
     def identities(self) -> dict:
-        """{kind: CheckReport} of the residuals of `_identity_residuals`,
-        one per identity in the order of `_SQUARE_OF`."""
-        parts, dd = {kind: CheckReport(kind) for kind in _SQUARE_OF}, self.d**2
-        for kind, instance, acc, w in _identity_residuals(self.space, self.t):
-            parts[kind].record(kind, instance, self.residual(acc, w * dd))
-        return parts
+        """{kind: CheckReport} of the pass's laws, from one scatter."""
+        dd = self.d**2
+        return _identity_reports(self.space, self.t, self.kinds,
+                                 lambda acc, w: self.residual(acc, w * dd))
 
 
 def check_axioms(space: GradedSpace, table: Mapping,
@@ -342,10 +368,8 @@ def check_axioms(space: GradedSpace, table: Mapping,
 
     ``_pass``, a `_TablePass` of the same table, shares the residuals.
     """
-    rep = CheckReport(title)
-    shared = _pass or _TablePass(space, table)
-    for part in (shared.table, *shared.identities.values()):
-        rep.merge(part)
+    rep, shared = CheckReport(title), _pass or _TablePass(space, table, _AXIOMS)
+    rep.merge(shared.table, *map(shared.identities.get, _AXIOMS))
     return rep
 
 
@@ -358,25 +382,10 @@ def check_axioms_v2(space: GradedSpace, table: Mapping,
       odd_deriv   right multiplication by an odd element is an odd derivation:
                   (a.b).y = (a.y).b + (-1)^{|a|} a.(b.y)
 
-    Graded commutativity, grading closure and assoc are recorded from the
-    residuals of `check_axioms` (shared through ``_pass``, as there).
+    The table's records and the laws are shared through ``_pass``, as there.
     """
-    rep = CheckReport(title)
-    shared = _pass or _TablePass(space, table)
-    rep.merge(shared.table)
-    rep.merge(shared.identities["assoc"])
-    t, dd, labels = shared.t, shared.d**2, space.labels()
-    for x1, x2, a in itertools.product(space.even, space.even, labels):
-        acc: dict = {}
-        _left(acc, t[x1], t[x2][a], 1)
-        _left(acc, t[x2], t[x1][a], -1)
-        rep.record("even_comm", (x1, x2, a), shared.residual(acc, dd))
-    for a, b, y in itertools.product(labels, labels, space.odd):
-        acc = {}
-        _right(acc, t, t[a][b], y, 1)
-        _right(acc, t, t[a][y], b, -1)
-        _left(acc, t[a], t[b][y], -(-1) ** space.parity(a))
-        rep.record("odd_deriv", (a, b, y), shared.residual(acc, dd))
+    rep, shared = CheckReport(title), _pass or _TablePass(space, table, _V2)
+    rep.merge(shared.table, *map(shared.identities.get, _V2))
     return rep
 
 
@@ -394,40 +403,35 @@ _SQUARE_OF = {
 
 
 def zero_square_check(structure: AntialgebraStructure, _pass=None):
-    """Compute [m, m] under the alternated bracket for the structure's odd
-    element m and report every nonzero entry.
+    """[m, m] under the alternated bracket for the structure's odd element m.
 
-    Returns (report, block_map).  Each block is also compared with a fixed
+    Returns (report, block_map).  Each block is compared with a fixed
     multiple of the residuals of `check_axioms` (shared through ``_pass``,
     as there): [m, m] is -1/2 assoc on (3,0), -2 half_unit on (2,1),
     -leibniz on (1,2) and 2/3 cyclic on (0,3) (the last two are already
     alternating in the odd arguments).  A mismatch there means a
     transcription bug in the bracket engine itself and raises
-    AssertionError naming the block.
+    AssertionError naming the block.  The report counts every (xs, ys) at
+    increasing ys and records the nonzero entries, read off the residuals.
     """
     m = structure.m_blocks()
     square = brackets.al_bracket_blocks(m, m)
     sp = structure.space
-    shared = _pass or _TablePass(sp, structure.products)
-    expected = {shape: {} for shape, _ in _SQUARE_OF.values()}
-    for kind, part in shared.identities.items():
-        (p, q), weight = _SQUARE_OF[kind]
-        for v in part.violations:
-            for l, c in v.residual.items():
-                expected[p, q][v.instance[:p], v.instance[p:], l] = weight * c
+    shared = _pass or _TablePass(sp, structure.products, _AXIOMS)
     rep = CheckReport(f"zero-square[{structure.name or '?'}]")
-    for (p, q), want in expected.items():
-        block = dict(square.block(p, q).entries())
-        if block != want:
+    for kind, ((p, q), weight) in _SQUARE_OF.items():
+        want = [(v.instance[:p], v.instance[p:],
+                 {l: weight * c for l, c in v.residual.items()})
+                for v in shared.identities[kind].violations]
+        if dict(square.block(p, q).entries()) != {
+                (xs, ys, l): c for xs, ys, val in want for l, c in val.items()}:
             raise AssertionError("bracket engine disagrees with direct "
                                  f"expansion on block ({p},{q})")
-        by_args = defaultdict(dict)
-        for (xs, ys, l), c in block.items():
-            by_args[xs, ys][l] = c
-        for xs in itertools.product(sp.even, repeat=p):
-            for ys in itertools.combinations(sp.odd, q):
-                rep.record(f"square[{p},{q}]", (xs, ys),
-                           Vector._trusted(sp, by_args.get((xs, ys), {})))
+        rep.checked += len(sp.even) ** p * math.comb(len(sp.odd), q)
+        rep.violations += [
+            Violation(f"square[{p},{q}]", (xs, ys), Vector._trusted(sp, val))
+            for xs, ys, val in want
+            if all(sp.index(y) < sp.index(z) for y, z in zip(ys, ys[1:]))]
     return rep, square
 
 

@@ -182,10 +182,8 @@ def cmd_check(args, out) -> int:
     sp, table = alg.space, alg.products
     shared = _TablePass(sp, table)  # one residual pass for all three checks
     rep = check_axioms(sp, table, title=f"axioms[{alg.name}]", _pass=shared)
-    rep2 = check_axioms_v2(sp, table, _pass=shared)
-    sq, _ = zero_square_check(alg, _pass=shared)
-    rep.merge(rep2)
-    rep.merge(sq)
+    rep.merge(check_axioms_v2(sp, table, _pass=shared),
+              zero_square_check(alg, _pass=shared)[0])
     emit_report(rep, args.format, out, {"command": "check", "input": args.input})
     return EXIT_OK if rep.ok else EXIT_MATH
 
@@ -196,7 +194,7 @@ def cmd_cohomology(args, out) -> int:
             f"cohomology tables need a finite table; "
             f"use `verify {args.input}-axioms` for the windowed family")
     alg = load_structure(args.input)
-    base = check_axioms(alg.space, alg.product_map())
+    base = check_axioms(alg.space, alg.products)
     if not base.ok:
         raise InputError(f"{args.input} is not a valid structure "
                          f"({len(base.violations)} identity violations); "

@@ -476,18 +476,20 @@ class CochainBasis:
 
 
 class DifferentialMatrix:
-    """delta^k : C^k -> C^{k+1} with its three component matrices, which
-    `_delta_matrix` reads off delta of the generic k-cochain.  Every matrix
-    is a list of `linalg` rows, one dict {column: nonzero coefficient} per
-    basis key of C^{k+1}; `full` is the sum of the components."""
+    """delta^k : C^k -> C^{k+1} from its three component matrices, given as
+    ``scale`` times them on integers.  Every matrix is a list of `linalg`
+    rows, one dict {column: nonzero coefficient} per basis key of C^{k+1};
+    `full` is their sum, taken on integers before the one division."""
 
     def __init__(self, k, source: CochainBasis, target: CochainBasis,
-                 comp: dict):
+                 comp: dict, scale: int):
         self.k = k
         self.source = source
         self.target = target
-        self.comp = comp
-        self.full = functools.reduce(linalg.mat_add, comp.values())
+        self.comp = {name: [divided(row, scale) for row in rows]
+                     for name, rows in comp.items()}
+        self.full = [divided(row, scale) for row in
+                     functools.reduce(linalg.mat_add, comp.values())]
 
     def __repr__(self):
         return (f"DifferentialMatrix(k={self.k}, "
@@ -545,13 +547,12 @@ def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
     generic = _GenericCochain(source)
     comp = {}
     for component in COMPONENTS:
-        rows = [{} for _ in range(target.dim)]
+        rows = comp[component] = [{} for _ in range(target.dim)]
         for (P, Q), table in apply_delta_component(generic, component).items():
             for (xs, ys), val in table.items():
                 for (j, out), c in val.items():
                     rows[target.index((P, Q, xs, ys, out))][j] = c
-        comp[component] = [divided(row, generic.scale) for row in rows]
-    return DifferentialMatrix(k, source, target, comp)
+    return DifferentialMatrix(k, source, target, comp, generic.scale)
 
 
 def assemble_complex(alg, mod, kmax, verify=True) -> list:
@@ -706,7 +707,7 @@ def extension_from_cocycle(coch: Cochain, name: str = "") -> tuple:
             tbl[l] = tbl.get(l, 0) + c
     structure = AntialgebraStructure(base.space, products,
                                      name=name or "extension")
-    report = check_axioms(structure.space, structure.product_map(),
+    report = check_axioms(structure.space, structure.products,
                           title=f"extension[{structure.name}]")
     return structure, report
 

@@ -16,11 +16,13 @@ A window of radius N keeps |index| <= N (or floor <= index <= N for the
 one-sided family).  Windowed products return None -- "unknown", distinct
 from the zero dict -- whenever the exact result has support outside the
 window; identity checks count such instances as skipped.  The axiom
-suites of the conformal windows run the finite tables' identities
-(`antialgebra._identity_residuals`) on the window's integer table.  The
-verification suites for the named cocycles use the global index formulas
-instead, so they have no truncation error; the Lie-side suites (gf,
-dual-gf, gv) take their coboundaries from `brackets.lie_coboundary`.
+suites of the conformal windows scatter the finite tables' identities
+(`antialgebra._identity_reports`) from the nonzero products of the
+window's integer table, and count the instances no product reaches as
+checked without evaluating them.  The verification suites for the named
+cocycles use the global index formulas instead, so they have no truncation
+error; the Lie-side suites (gf, dual-gf, gv) take their coboundaries from
+`brackets.lie_coboundary`.
 Cochain values are `DictVec`s, `core.Vector`s over the open basis of all
 (family, index) labels.
 
@@ -42,7 +44,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import linalg
-from .antialgebra import CheckReport, _identity_residuals
+from .antialgebra import _AXIOMS, CheckReport, _identity_reports
 from .brackets import _perm_sign, lie_coboundary
 from .cohomology import (COMPONENTS, Cochain, DeltaContext, _canonical_ys,
                          delta_instance)
@@ -254,15 +256,13 @@ class WindowedAlgebra:
 # ---------------------------------------------------------------------------
 
 def _conf_axiom_report(kind: str, N: int) -> CheckReport:
-    """The four identities of `antialgebra._identity_residuals` on every
-    basis instance of a conformal window, read off the window's integer
-    table.  The table is keyed by window position 0..n-1 (even labels, then
-    odd ones, each by index) and tabulated once through `conf_mul`; every
-    product that leaves the window is the absorbing position n: a product
-    with an unknown factor is unknown, so n reaches an instance's residual
-    exactly when that instance needs an unknown product, and the instance
-    is skipped.  The cyclic instance is recorded at increasing odd
-    positions only.  Violations map back to labels at the end."""
+    """The four identities of `antialgebra._LAWS` on a conformal window,
+    scattered from the nonzero products of its integer table: an instance
+    that no product reaches is counted, not evaluated.  The table is keyed
+    by position 0..n-1 (even labels, then odd ones) and tabulated once by
+    `conf_mul`; a product that leaves the window, or has a factor n, is the
+    absorbing position n, so n reaches exactly the instances that need an
+    unknown product, which are skipped."""
     w = WindowedAlgebra(kind, N)
     rep = CheckReport(f"{kind}-axioms[N={N}]")
     labels = w.labels()
@@ -271,23 +271,20 @@ def _conf_axiom_report(kind: str, N: int) -> CheckReport:
     table = [[conf_mul(u, v) for v in labels] for u in labels]
     d = common_denominator(c for ps in table for p in ps for c in p.values())
     unknown = {n: 1}
-    t = []
-    for ps in table:
-        t.append({n: unknown})
+    t = {n: dict.fromkeys(range(n), unknown)}
+    for u, ps in enumerate(table):
+        row = t[u] = {n: unknown}
         for v, p in enumerate(ps):
             ks = [pos.get(l, n) for l in p]
-            t[-1][v] = (unknown if n in ks
-                        else as_integers(zip(ks, p.values()), d))
-    t.append(dict.fromkeys(range(n), unknown))
+            row[v] = (unknown if n in ks
+                      else as_integers(zip(ks, p.values()), d))
     space = SimpleNamespace(even=range(len(w.even)), odd=range(len(w.even), n))
-    for law, inst, acc, weight in _identity_residuals(space, t):
-        if law == "cyclic" and not inst[0] < inst[1] < inst[2]:
-            continue
-        rep.record(law, inst,
-                   None if n in acc else divided(acc, weight * d * d))
-    for v in rep.violations:
+    rep.merge(*_identity_reports(
+        space, t, _AXIOMS, lambda acc, weight: {
+            labels[k]: c for k, c in divided(acc, weight * d * d).items()},
+        unknown=n, increasing=("cyclic",)).values())
+    for v in rep.violations:  # back from positions to labels
         v.instance = tuple(labels[k] for k in v.instance)
-        v.residual = {labels[k]: c for k, c in v.residual.items()}
     return rep
 
 

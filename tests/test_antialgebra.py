@@ -1,6 +1,7 @@
 """Axiom checkers, the zero-square criterion, and module constructions."""
 
 import itertools
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from antalg import antialgebra, brackets
+from antalg import antialgebra, brackets, zoo
 from antalg.antialgebra import (
     AntialgebraStructure,
     CheckReport,
@@ -22,11 +23,13 @@ from antalg.antialgebra import (
     zero_square_check,
     ModuleStructure,
 )
-from antalg.core import GradedSpace, Vector, parse_algebra_text
+from antalg.core import (GradedSpace, Vector, common_denominator, divided,
+                         parse_algebra_text)
 
 F = Fraction
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "antalg" / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _k3():
@@ -217,6 +220,251 @@ def test_checkers_pin_raw_tables_the_cli_cannot_build(name, checker):
     assert [f"{v.kind} {','.join(v.instance)} {v.residual!r}"
             for v in rep.violations] == [
         line.strip() for line in violations.strip().splitlines()]
+
+
+# ---------------------------------------------------------------------------
+# the dense oracle: every identity instance evaluated one at a time
+# ---------------------------------------------------------------------------
+
+def _dense_left(acc, row, v, c):
+    """acc += c * (a.v) for a raw vector v and a's row ``row`` of T."""
+    for l, w in v.items():
+        prod = row.get(l)
+        if prod:
+            for out, z in prod.items():
+                acc[out] = acc.get(out, 0) + c * w * z
+
+
+def _dense_right(acc, t, v, b, c):
+    """acc += c * (v.b) for a raw vector v, reading the rows of T."""
+    for l, w in v.items():
+        prod = t[l].get(b)
+        if prod:
+            for out, z in prod.items():
+                acc[out] = acc.get(out, 0) + c * w * z
+
+
+_SIX = antialgebra._AXIOMS + antialgebra._V2[1:]
+
+
+def _dense_residuals(space, t):
+    """Yield (kind, instance, acc, weight) for the six laws on every basis
+    instance of the integer table T, in `itertools.product` order:
+    the per-instance loops that the scatter of
+    `antialgebra._identity_residuals` replaced.  acc is weight * D^2 times
+    the law's residual, summed term by term in the order of
+    `antialgebra._LAWS` (the cyclic sum at every rotation on its own)."""
+    ev, od = tuple(space.even), tuple(space.odd)
+    labels = ev + od
+    for x1, x2, x3 in itertools.product(ev, ev, ev):
+        acc = {}
+        _dense_left(acc, t[x1], t[x2][x3], 1)
+        _dense_right(acc, t, t[x1][x2], x3, -1)
+        yield "assoc", (x1, x2, x3), acc, 1
+    for x1, x2, y in itertools.product(ev, ev, od):
+        acc = {}
+        _dense_left(acc, t[x1], t[x2][y], 2)  # the weights 1, -1/2 times 2
+        _dense_right(acc, t, t[x1][x2], y, -1)
+        yield "half_unit", (x1, x2, y), acc, 2
+    for x, y1, y2 in itertools.product(ev, od, od):
+        acc = {}
+        _dense_left(acc, t[x], t[y1][y2], 1)
+        _dense_right(acc, t, t[x][y1], y2, -1)
+        _dense_left(acc, t[y1], t[x][y2], -1)
+        yield "leibniz", (x, y1, y2), acc, 1
+    for y1, y2, y3 in itertools.product(od, od, od):
+        acc = {}
+        _dense_left(acc, t[y1], t[y2][y3], 1)
+        _dense_left(acc, t[y2], t[y3][y1], 1)
+        _dense_left(acc, t[y3], t[y1][y2], 1)
+        yield "cyclic", (y1, y2, y3), acc, 1
+    for x1, x2, a in itertools.product(ev, ev, labels):
+        acc = {}
+        _dense_left(acc, t[x1], t[x2][a], 1)
+        _dense_left(acc, t[x2], t[x1][a], -1)
+        yield "even_comm", (x1, x2, a), acc, 1
+    for a, b, y in itertools.product(labels, labels, od):
+        acc = {}
+        _dense_right(acc, t, t[a][b], y, 1)
+        _dense_right(acc, t, t[a][y], b, -1)
+        _dense_left(acc, t[a], t[b][y], -1 if a in ev else 1)
+        yield "odd_deriv", (a, b, y), acc, 1
+
+
+def _dense_report(space, table, title, kinds):
+    """`check_axioms` (kinds `_AXIOMS`) or `check_axioms_v2` (kinds `_V2`)
+    with every identity instance recorded one at a time."""
+    shared = antialgebra._TablePass(space, table)
+    rep, dd = CheckReport(title), shared.d ** 2
+    rep.merge(shared.table)
+    for kind, inst, acc, weight in _dense_residuals(space, shared.t):
+        if kind in kinds:
+            rep.record(kind, inst, shared.residual(acc, weight * dd))
+    return rep
+
+
+def _dense_square_report(structure):
+    """`zero_square_check`'s report with every (xs, ys) at increasing ys
+    recorded one at a time, from the bracket engine's [m, m]."""
+    sp, m = structure.space, structure.m_blocks()
+    square = brackets.al_bracket_blocks(m, m)
+    rep = CheckReport(f"zero-square[{structure.name or '?'}]")
+    for p, q in ((3, 0), (2, 1), (1, 2), (0, 3)):
+        by_args = {}
+        for (xs, ys, l), c in square.block(p, q).entries():
+            by_args.setdefault((xs, ys), {})[l] = c
+        for xs in itertools.product(sp.even, repeat=p):
+            for ys in itertools.combinations(sp.odd, q):
+                rep.record(f"square[{p},{q}]", (xs, ys),
+                           Vector(sp, by_args.get((xs, ys), {})))
+    return rep
+
+
+def _same_report(got, want):
+    assert got.lines() == want.lines()
+    assert [(v.kind, v.instance, dict(v.residual.items()))
+            for v in got.violations] == [
+        (v.kind, v.instance, dict(v.residual.items()))
+        for v in want.violations]
+
+
+def _same_scatter(space, t, kinds=_SIX, increasing=()):
+    """The scatter's residuals are the dense ones at every instance (at
+    increasing ones for the ``increasing`` laws), with the same labels in
+    the same order, and it reaches no other instance; a missing instance is
+    a zero that no product reaches."""
+    got = antialgebra._identity_residuals(space, t, kinds, increasing)
+    reached = total = 0
+    for kind, inst, acc, _ in _dense_residuals(space, t):
+        if kind not in kinds or (kind in increasing
+                                 and not inst[0] < inst[1] < inst[2]):
+            continue
+        scattered = got[kind].pop(inst, {})
+        assert list(scattered.items()) == list(acc.items()), (kind, inst)
+        reached, total = reached + bool(acc), total + 1
+    assert not any(got.values())
+    return reached, total
+
+
+def _same_as_dense(structure):
+    """Both checkers and the [m, m] report against the dense oracle, and
+    the scatter against the dense residuals; the numbers of instances that
+    some product reaches and of all instances."""
+    sp, table = structure.space, structure.products
+    _same_report(check_axioms(sp, table, title="t"),
+                 _dense_report(sp, table, "t", antialgebra._AXIOMS))
+    _same_report(check_axioms_v2(sp, table, title="t"),
+                 _dense_report(sp, table, "t", antialgebra._V2))
+    _same_report(zero_square_check(structure)[0],
+                 _dense_square_report(structure))
+    return _same_scatter(sp, antialgebra._integer_table(table)[0])
+
+
+@pytest.mark.parametrize("name", list(RAW_TABLES))
+def test_raw_tables_match_the_dense_oracle(name):
+    space, table = RAW_TABLES[name]
+    for kinds, fn in ((antialgebra._AXIOMS, check_axioms),
+                      (antialgebra._V2, check_axioms_v2)):
+        _same_report(fn(space, table, title="t"),
+                     _dense_report(space, table, "t", kinds))
+    _same_scatter(space, antialgebra._integer_table(table)[0])
+
+
+def test_the_criterion_1_grid_matches_the_dense_oracle():
+    tables = [K3.products] + [
+        _family_table(*vals)
+        for vals in itertools.product([F(0), F(1, 2), F(1), F(2)], repeat=4)]
+    for table in tables:
+        _same_as_dense(AntialgebraStructure(K3.space, table))
+
+
+def _random_table(rng, n_even, n_odd):
+    """A graded-commutative table with a random half of the free structure
+    constants set to small random fractions."""
+    sp, consts = _free_constants(n_even, n_odd)
+    prods: dict = {}
+    for a, b, l in consts:
+        if rng.random() < 0.5:
+            c = F(rng.randint(-3, 3), rng.randint(1, 3))
+            prods.setdefault((a, b), {})[l] = c
+    return AntialgebraStructure(sp, prods, name=f"rand{n_even}{n_odd}")
+
+
+@pytest.mark.parametrize("n_even,n_odd", [(1, 2), (2, 2), (3, 3), (2, 4)])
+def test_random_tables_match_the_dense_oracle(n_even, n_odd):
+    rng = random.Random(1800 + 10 * n_even + n_odd)
+    failing = 0
+    for _ in range(6):
+        st = _random_table(rng, n_even, n_odd)
+        _same_as_dense(st)
+        failing += not check_axioms(st.space, st.products).ok
+    assert failing
+
+
+@pytest.mark.parametrize("stem", ["k3t4p", "k3t4op", "k3t2rp"])
+def test_golden_tables_match_the_dense_oracle(stem):
+    doc = parse_algebra_text((GOLDEN / f"{stem}.alg").read_text())
+    st = AntialgebraStructure.from_file_doc(doc)
+    reached, total = _same_as_dense(st)
+    assert 0 < reached < total  # instances no product reaches are skipped
+
+
+def _bent(u, v, conf_mul=zoo.conf_mul):
+    """conf_mul plus eps_0 at eps_0.eps_0 and -+2 eps_1 at a_{+-1/2}.a_{3/2}
+    and its mirror."""
+    out = dict(conf_mul(u, v))
+    bend = {(("eps", F(0)), ("eps", F(0))): (("eps", F(0)), 1),
+            (("a", F(1, 2)), ("a", F(3, 2))): (("eps", F(1)), -2),
+            (("a", F(3, 2)), ("a", F(1, 2))): (("eps", F(1)), 2),
+            (("a", F(-1, 2)), ("a", F(3, 2))): (("eps", F(1)), 2),
+            (("a", F(3, 2)), ("a", F(-1, 2))): (("eps", F(1)), -2)}
+    if (u, v) in bend:
+        l, c = bend[u, v]
+        out[l] = out.get(l, 0) + c
+    return {l: c for l, c in out.items() if c}
+
+
+@pytest.mark.parametrize("bent", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["ak1", "m1"])
+def test_window_axiom_suites_match_the_dense_oracle(kind, N, bent,
+                                                    monkeypatch):
+    """The window's integer table, with its absorbing position n, through
+    the dense oracle: skipped exactly where n reaches the residual, and the
+    cyclic law at increasing positions only.  The bent product breaks the
+    identities inside the window."""
+    seen = []
+    engine = antialgebra._identity_residuals
+
+    def capture(*args):
+        seen.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(antialgebra, "_identity_residuals", capture)
+    if bent:
+        monkeypatch.setattr(zoo, "conf_mul", _bent)
+    got = zoo._conf_axiom_report(kind, N)
+    [(space, t, kinds, increasing)] = seen
+    assert (kinds, increasing) == (antialgebra._AXIOMS, ("cyclic",))
+    _same_scatter(space, t, kinds, increasing)
+    _same_scatter(space, t)  # all six laws, at every instance
+    labels = zoo.WindowedAlgebra(kind, N).labels()
+    n = len(labels)
+    d = common_denominator(c for u in labels for v in labels
+                           for c in zoo.conf_mul(u, v).values())
+    want = CheckReport(got.title)
+    for law, inst, acc, weight in _dense_residuals(space, t):
+        if law not in kinds or (law == "cyclic"
+                                and not inst[0] < inst[1] < inst[2]):
+            continue
+        want.record(law, tuple(labels[k] for k in inst),
+                    None if n in acc else {
+                        labels[k]: c
+                        for k, c in divided(acc, weight * d * d).items()})
+    assert got.lines() == want.lines() and got.skipped
+    assert [(v.kind, v.instance, v.residual) for v in got.violations] == [
+        (v.kind, v.instance, v.residual) for v in want.violations]
+    assert got.ok != bent
 
 
 # ---------------------------------------------------------------------------

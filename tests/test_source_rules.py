@@ -10,7 +10,11 @@
 - the Lie-side suites take their coboundaries from the one
   Chevalley-Eilenberg engine, `brackets.lie_coboundary`: each calls it and
   none calls a bracket itself, and no function is named after the
-  finite-only operator it replaced.
+  finite-only operator it replaced;
+- the identity checkers read their residuals from the one scatter over the
+  nonzero products, `antialgebra._identity_residuals`: no per-instance
+  helper (`_left`, `_right`) is left beside it, and `check_axioms_v2` and
+  `zoo._conf_axiom_report` enumerate no instances themselves.
 """
 
 import ast
@@ -82,3 +86,29 @@ def test_the_lie_suites_take_their_coboundary_from_the_one_engine():
              if isinstance(node, ast.FunctionDef)
              and node.name == "chevalley_eilenberg_differential"]
     assert found == []
+
+
+def _functions(name):
+    return {node.name: node for node in ast.walk(TREES[name])
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _read_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.Name, ast.Attribute)):
+            yield getattr(sub, "id", getattr(sub, "attr", None))
+
+
+def test_the_identity_checkers_read_one_scatter():
+    found = [(name, fn) for name in ("antialgebra.py", "zoo.py")
+             for fn in _functions(name) if fn in ("_left", "_right")]
+    assert found == []
+    engine = _functions("antialgebra.py")
+    assert "_identity_residuals" in set(_called_names(
+        engine["_identity_reports"]))
+    v2 = engine["check_axioms_v2"]
+    conf = _functions("zoo.py")["_conf_axiom_report"]
+    assert "identities" in set(_read_names(v2))
+    assert "_identity_reports" in set(_called_names(conf))
+    for node in (v2, conf):  # no instance loop, no record per instance
+        assert not {"product", "record"} & set(_called_names(node))
