@@ -225,11 +225,20 @@ class ModuleStructure:
 # the identity checkers
 # ---------------------------------------------------------------------------
 
+def _parse_term(c, term) -> tuple:
+    """(c, right, slots, place) of a term of `_LAWS`: is its outer slot on
+    the right, its slots as (outer, inner, inner), their getter from those."""
+    right = term[0] == "("
+    slots = [int(term[i]) for i in ((4, 1, 2) if right else (0, 2, 3))]
+    return c, right, slots, operator.itemgetter(*map(slots.index, range(3)))
+
+
 # The laws as data: (kind, slot domains, weight, terms) on an instance
 # (s0, s1, s2), a domain E, O or L (even, odd or all labels), a term
-# (c, "0(12)") c * s0.(s1.s2) and (c, "(01)2") c * (s0.s1).s2, all weight
-# times the law.  odd_deriv's sign -(-1)^{|a|} splits its slot a.
-_LAWS = (
+# (c, "0(12)") c * s0.(s1.s2) and (c, "(01)2") c * (s0.s1).s2, parsed once,
+# all weight times the law.  odd_deriv's sign -(-1)^{|a|} splits slot a.
+_LAWS = tuple((kind, doms, weight, tuple(_parse_term(*t) for t in terms))
+              for kind, doms, weight, terms in (
     ("assoc", "EEE", 1, ((1, "0(12)"), (-1, "(01)2"))),
     ("half_unit", "EEO", 2, ((2, "0(12)"), (-1, "(01)2"))),
     ("leibniz", "EOO", 1, ((1, "0(12)"), (-1, "(01)2"), (-1, "1(02)"))),
@@ -237,7 +246,7 @@ _LAWS = (
     ("even_comm", "EEL", 1, ((1, "0(12)"), (-1, "1(02)"))),
     ("odd_deriv", "ELO", 1, ((1, "(01)2"), (-1, "(02)1"), (-1, "0(12)"))),
     ("odd_deriv", "OLO", 1, ((1, "(01)2"), (-1, "(02)1"), (1, "0(12)"))),
-)
+))
 _AXIOMS = ("assoc", "half_unit", "leibniz", "cyclic")  # of `check_axioms`
 _V2 = ("assoc", "even_comm", "odd_deriv")  # of `check_axioms_v2`
 
@@ -271,10 +280,7 @@ def _identity_residuals(space, t: Mapping, kinds, increasing=()) -> dict:
     reached = {kind: defaultdict(dict) for kind in kinds}
     for kind, doms, _, terms in (law for law in _LAWS if law[0] in kinds):
         found, inc = reached[kind], kind in increasing
-        for c, term in terms:
-            right = term[0] == "("  # the outer slot, then the inner two
-            slots = [int(term[i]) for i in ((4, 1, 2) if right else (0, 2, 3))]
-            place = operator.itemgetter(*map(slots.index, range(3)))
+        for c, right, slots, place in terms:
             outer, di, dj = (member[doms[s]] for s in slots)
             for a, b, v in nonzero:
                 if a in di and b in dj:

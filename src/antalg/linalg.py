@@ -4,7 +4,8 @@ A matrix is a list of rows, and a row is a dict from column index to a
 nonzero Fraction.  No zero is ever stored, so an empty dict is a zero row.
 A matrix does not carry its column count; the two functions that need it
 (`nullspace`, `solve`) take it as an argument.  Kernel vectors and
-solutions come back as rows of the same form.
+solutions come back as rows of the same form.  `solve` takes several
+right-hand sides, and solves for all of them with one elimination.
 
 Elimination keeps everything in exact rationals.  It visits the columns in
 order and keeps, for each column, the set of unreduced rows that are
@@ -67,12 +68,13 @@ def _pivot_weight(c: Fraction):
     return abs(c.numerator) * c.denominator
 
 
-def _eliminate(mat: list, descending: bool = False) -> list:
+def _eliminate(mat: list, descending=False, stop=float("inf")) -> list:
     """Forward elimination in increasing (or decreasing) column order.
 
     Returns the pivot rows as (column, row) pairs in elimination order.  A
-    pivot row is zero in every column visited before its own.  The input
-    rows are not modified.
+    pivot row is zero in every column visited before its own.  Columns >=
+    ``stop`` are not visited, and each row left nonzero (only there)
+    follows the pivots as (None, row).  The input rows are not modified.
     """
     work = {i: dict(row) for i, row in enumerate(mat) if row}
     where: dict = {}  # column -> ids of the unreduced rows nonzero there
@@ -80,7 +82,7 @@ def _eliminate(mat: list, descending: bool = False) -> list:
         for j in row:
             where.setdefault(j, set()).add(i)
     pivots = []
-    for col in sorted(where, reverse=descending):
+    for col in sorted((j for j in where if j < stop), reverse=descending):
         ids = where.pop(col)
         if not ids:
             continue
@@ -111,7 +113,7 @@ def _eliminate(mat: list, descending: bool = False) -> list:
         pivots.append((col, prow))
         if not work:
             break
-    return pivots
+    return pivots + [(None, row) for row in work.values()]
 
 
 def rref(mat: list) -> tuple:
@@ -160,10 +162,19 @@ def nullspace(mat: list, ncols: int) -> list:
 
 def solve(mat: list, rhs: list, ncols: int):
     """One exact solution of mat * x = rhs, as a row, or None if the system
-    is inconsistent.  ``rhs`` has one scalar per row of ``mat``."""
-    aug = [{**row, ncols: b} if b else row
-           for row, b in zip(mat, rhs, strict=True)]
-    red, pivot_cols = rref(aug)
-    if pivot_cols and pivot_cols[-1] == ncols:
-        return None  # a pivot in the constant column: inconsistent
-    return {pc: row[ncols] for row, pc in zip(red, pivot_cols) if ncols in row}
+    is inconsistent.  ``rhs`` has one scalar per row of ``mat``, or one
+    tuple per row, a scalar per target, and then the answer is a list, one
+    solution (or None) per target: the canonical one, on the rref pivots of
+    ``mat`` with the free variables zero.  The right-hand sides are columns
+    ncols, ncols + 1, .. of one elimination that stops before them.  With
+    no rows the answer is {}."""
+    many = bool(rhs) and isinstance(rhs[0], tuple)
+    steps = _eliminate([{**row, **{ncols + t: c for t, c in enumerate(
+        b if many else (b,)) if c}} for row, b in zip(mat, rhs, strict=True)],
+        stop=ncols)
+    red, pivot_cols = rref([row for col, row in steps if col is not None])
+    bad = {j for col, row in steps if col is None for j in row}
+    sols = [None if j in bad else {
+        pc: row[j] for row, pc in zip(red, pivot_cols) if j in row}
+        for j in range(ncols, ncols + (len(rhs[0]) if many else 1))]
+    return sols if many else sols[0]

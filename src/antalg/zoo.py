@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -342,11 +343,13 @@ class WindowCochain(Cochain):
         self._fill(_CONF_BASIS, _CONF_BASIS, degree, blocks)
 
 
-def _doubled_cochain(coch: WindowCochain) -> WindowCochain:
-    """The same cochain on doubled labels."""
+def _doubled_cochain(coch: WindowCochain, d=None) -> WindowCochain:
+    """The same cochain on doubled labels; given ``d``, which every
+    denominator divides, d times it, on ints."""
+    value = dict if d is None else functools.partial(as_integers, d=d)
     return WindowCochain(coch.degree, {pq: {
         (tuple(map(_dbl, xs)), tuple(map(_dbl, ys))):
-            {_dbl(l): c for l, c in vec.items()}
+            value((_dbl(l), c) for l, c in vec.items())
         for (xs, ys), vec in coch.block(*pq).items()} for pq in coch.shapes()})
 
 
@@ -412,18 +415,9 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
     w = WindowedAlgebra("ak1", N)
     t_fn = t_fn or _gamma_t
     s_fn = s_fn or _gamma_s
-    values: dict = {}  # doubled label -> gamma(label), doubled
-    acts: dict = {}    # (actor, dual label), doubled -> its dual action
-
-    def gfn(label):
-        if label not in values:
-            values[label] = _gamma2(label, t_fn, s_fn)
-        return values[label]
-
-    def act(a, l):
-        if (a, l) not in acts:
-            acts[a, l] = _dual_act2("ak1", a, l)
-        return acts[a, l]
+    # gamma and the dual action on doubled labels, each computed once
+    gfn = functools.cache(lambda label: _gamma2(label, t_fn, s_fn))
+    act = functools.cache(functools.partial(_dual_act2, "ak1"))
 
     kinds = ("even-even", "mixed", "odd-odd")
     labels = list(zip(w.labels(), w.labels2()))
@@ -555,18 +549,23 @@ def eta_family(lam, mu, even_even_coeff=None) -> WindowCochain:
     return WindowCochain(2, blocks)
 
 
-@functools.lru_cache(maxsize=None)
-def _eta_coefficients(N: int, mode: str):
-    """The target-free part of `_eta_linear_system`: the rows of "delta zeta
-    = target" do not depend on the target, only the right-hand sides do.
+# the one-sided family's product and action on doubled labels, times 4
+_conf_mul4 = functools.cache(lambda u, v: as_integers(
+    _conf_mul2(u, v).items(), 4))
+_dual_act4 = functools.cache(lambda a, u: as_integers(
+    _dual_act2("m1", a, u).items(), 4))
 
-    Returns (instances, row_table, variables, comp_bound).  Each instance
-    is ((P, Q, xs, ys), comps) on doubled labels: comps maps every doubled
-    dual component of delta zeta at the instance that passes the doubled
-    bound, in sorted order, to the id of its row in row_table.  Equal rows
-    share one id and one dict, so no caller may mutate a row; id 0 is the
-    empty row.  The variables are pairs of (family, Fraction) labels.
-    """
+
+@functools.lru_cache(maxsize=None)
+def _eta_coefficients(N: int):
+    """The target-free part of `_eta_linear_system`, built once per N:
+    ({mode: (instances, bound)}, row_table, variables).  An instance is
+    ((P, Q, xs, ys), comps) on doubled labels, comps mapping each doubled
+    dual component of delta zeta there up to ``bound`` (None: all), sorted,
+    to its row id.  The sound instances are the table ones whose arguments
+    and product lie in the argument window.  A row is summed on ints, 8
+    times its coefficients, and divided once; equal rows share one id and
+    one dict, which no caller may mutate; id 0 is the empty row."""
     D = N + 2
     walg = WindowedAlgebra("m1", N)
     dual = ([("eps*", k) for k in range(0, 2 * D + 1, 2)],
@@ -574,67 +573,46 @@ def _eta_coefficients(N: int, mode: str):
     variables = [(u, w) for u in walg.labels2() for w in dual[conf_parity(u)]]
     vindex = {v: k for k, v in enumerate(variables)}
     arg_window = set(walg.labels2())
-    if mode == "table":
-        inst = WindowedAlgebra("m1", D + 2)
-        comp_bound = None
-    elif mode == "sound":
-        inst = walg
-        comp_bound = 2 * (D - N - 1)
-    else:
-        raise ValueError(mode)
-
-    row_table, row_id, instances = [{}], {(): 0}, []
-
-    def add(rows, comp, var, c):
-        tbl = rows.setdefault(comp, {})
-        tbl[var] = tbl.get(var, 0) + c
-
-    def intern(key, rows):
-        comps = {}
-        for comp in sorted(rows):
-            if comp_bound is not None and comp[1] > comp_bound:
-                continue
-            row = {vindex[var]: co for var, co in rows[comp].items() if co}
-            # a row's signature holds ints: a Fraction rehashes on each use
-            sig = tuple((k, c.numerator, c.denominator)
-                        for k, c in sorted(row.items()))
-            if sig not in row_id:
-                row_id[sig] = len(row_table)
-                row_table.append(row)
-            comps[comp] = row_id[sig]
-        instances.append((key, comps))
-
-    # each instance with its two arguments and the weights s, s01, s10 of
-    # zeta(x0.x1), rho_x0 zeta(x1) and rho_x1 zeta(x0)
-    one, ev, od = Fraction(1), inst.even2, inst.odd2
+    bound = 2 * (D - N - 1)
+    row_id, table, sound = {(): 0}, [], []  # row signature -> its id
+    margin = WindowedAlgebra("m1", D + 2)
+    ev, od = margin.even2, margin.odd2
+    # each instance with its two arguments and twice the weights s, s01,
+    # s10 of zeta(x0.x1), rho_x0 zeta(x1) and rho_x1 zeta(x0)
     for key, x0, x1, (s, s01, s10) in itertools.chain(
-            (((2, 0, (x0, x1), ()), x0, x1, (HALF, -HALF, -HALF))
+            (((2, 0, (x0, x1), ()), x0, x1, (1, -1, -1))
              for t, x0 in enumerate(ev) for x1 in ev[t:]),
-            (((1, 1, (x,), (y,)), x, y, (one, -one, -one))
-             for x in ev for y in od),
-            (((0, 2, (), (y0, y1)), y0, y1, (one, -one, one))
+            (((1, 1, (x,), (y,)), x, y, (2, -2, -2)) for x in ev for y in od),
+            (((0, 2, (), (y0, y1)), y0, y1, (2, -2, 2))
              for t, y0 in enumerate(od) for y1 in od[t + 1:])):
-        prod = _conf_mul2(x0, x1)
-        if mode == "sound" and any(l not in arg_window for l in prod):
-            continue
-        # dual component -> {variable: coeff} of delta zeta at the instance;
-        # a zeta-argument outside the window contributes the known value
-        # zero in table mode and was excluded in sound mode
+        prod = _conf_mul4(x0, x1)
+        # (dual component, variable, 8 * coeff) of delta zeta at the
+        # instance; a zeta-argument outside the window is the known zero
+        terms = [(w, (l, w), s * c) for l, c in prod.items()
+                 if l in arg_window for w in dual[conf_parity(l)]]
+        terms += [(comp, (arg, w), sa * c)
+                  for actor, arg, sa in ((x0, x1, s01), (x1, x0, s10))
+                  if arg in arg_window for w in dual[conf_parity(arg)]
+                  for comp, c in _dual_act4(actor, w).items()]
         rows: dict = {}
-        for l, c in prod.items():
-            for w in dual[conf_parity(l)] if l in arg_window else ():
-                add(rows, w, (l, w), s * c)
-        for actor, arg, sa in ((x0, x1, s01), (x1, x0, s10)):
-            for w in dual[conf_parity(arg)] if arg in arg_window else ():
-                for comp, c in _dual_act2("m1", actor, w).items():
-                    add(rows, comp, (arg, w), sa * c)
-        intern(key, rows)
-    return (tuple(instances), tuple(row_table),
-            tuple((_half(u), _half(w)) for u, w in variables), comp_bound)
+        for comp, var, c in terms:
+            row = rows.setdefault(comp, {})
+            row[vindex[var]] = row.get(vindex[var], 0) + c
+        comps = {comp: row_id.setdefault(tuple(sorted(
+            (k, c) for k, c in rows[comp].items() if c)), len(row_id))
+            for comp in sorted(rows)}
+        table.append((key, comps))
+        if arg_window.issuperset((x0, x1, *prod)):
+            sound.append((key, {c: r for c, r in comps.items()
+                                if c[1] <= bound}))
+    return ({"table": (tuple(table), None), "sound": (tuple(sound), bound)},
+            tuple(divided(dict(sig), 8) for sig in row_id),
+            tuple((_half(u), _half(w)) for u, w in variables))
 
 
-def _eta_linear_system(N: int, target: WindowCochain, mode: str):
-    """Rows of "delta zeta = target" over table variables.
+def _eta_linear_system(N: int, targets, mode: str):
+    """Rows of "delta zeta = target" over table variables, with one
+    right-hand side per target on each row, as a tuple.
 
     mode "table": equations over the margin window M = D + 2, components
     unrestricted; a solution is a finite table whose coboundary equals the
@@ -649,84 +627,93 @@ def _eta_linear_system(N: int, target: WindowCochain, mode: str):
     shifts the dual index by at most N).  Inconsistency here rules out
     every global preimage, not just windowed ones.
 
-    The rows come from `_eta_coefficients`, built once per (N, mode); this
-    pass reads the target's value at each instance, on doubled labels, for
-    the right-hand sides and drops repeated (row, right-hand side)
-    equations.
+    The rows come from `_eta_coefficients`; this pass reads the targets'
+    values, on doubled labels, and drops repeated (row, right-hand sides).
     """
-    instances, row_table, variables, comp_bound = _eta_coefficients(N, mode)
-    target = _doubled_cochain(target)
-    rows, rhs, seen = [], [], set()
-    for (P, Q, xs, ys), comps in instances:
-        tvec = target.value(P, Q, xs, ys)
-        order = comps
-        if tvec.c:
-            order = sorted(comps.keys() | {
-                comp for comp in tvec.c
-                if comp_bound is None or comp[1] <= comp_bound})
-        for comp in order:
-            rid = comps.get(comp, 0)
-            b = tvec.coeff(comp)
-            key = (rid, b) if b else rid  # a zero b hashes no Fraction
-            if key in seen:
-                continue
-            seen.add(key)
-            if rid or b:  # id 0 is the empty row
+    modes, row_table, variables = _eta_coefficients(N)
+    instances, bound = modes[mode]
+    values: dict = {}  # doubled instance -> the targets' values there
+    for t, target in enumerate(map(_doubled_cochain, targets)):
+        for pq in target.shapes():
+            for (xs, ys), vec in target.block(*pq).items():
+                values.setdefault((*pq, xs, ys),
+                                  [{} for _ in targets])[t] = vec.c
+    rows, rhs, seen, zero = [], [], set(), (0,) * len(targets)
+    for key, comps in instances:
+        vals = values.get(key)
+        if vals:
+            comps = {comp: comps.get(comp, 0) for comp in sorted(
+                comps.keys() | {comp for v in vals for comp in v
+                                if bound is None or comp[1] <= bound})}
+        for comp, rid in comps.items():
+            bs = tuple(v.get(comp, 0) for v in vals) if vals else zero
+            eq = (rid, bs) if any(bs) else rid  # zeros hash no Fraction
+            if eq and eq not in seen:  # id 0 with zeros reads 0 = 0
                 rows.append(row_table[rid])
-                rhs.append(b)
+                rhs.append(bs)
+            seen.add(eq)
     return rows, rhs, list(variables)
+
+
+def _eta_solutions(N: int, targets) -> list:
+    """(zeta, sound) per target from two solver calls: on the sound systems
+    of all targets, then on the table systems of those whose sound system
+    is consistent (``sound``; if not, no global preimage exists).  zeta is
+    a finite-table 1-cochain with delta zeta = target globally, or None."""
+    rows, rhs, variables = _eta_linear_system(N, targets, "sound")
+    sound = linalg.solve(rows, rhs, len(variables))
+    live = [t for t, sol in zip(targets, sound) if sol is not None]
+    found = iter(linalg.solve(*_eta_linear_system(N, live, "table")[:2],
+                              len(variables)) if live else ())
+    out = []
+    for ok in [sol is not None for sol in sound]:
+        sol, blocks = next(found) if ok else None, {(1, 0): {}, (0, 1): {}}
+        for k, c in sorted((sol or {}).items()):
+            u, w = variables[k]
+            p = conf_parity(u)
+            blocks[1 - p, p].setdefault(((u,), ()) if p == 0 else ((), (u,)),
+                                        {})[w] = c
+        out.append((None if sol is None else WindowCochain(1, blocks), ok))
+    return out
 
 
 def eta_coboundary_solve(N: int, target: WindowCochain):
     """A finite-table 1-cochain zeta with delta zeta = target globally, or
-    None when no global preimage of any support exists.
-
-    Existence is decided by the table-mode system (complete over the margin
-    window); non-existence by inconsistency of the sound-mode subsystem.
-    """
-    rows, rhs, variables = _eta_linear_system(N, target, "sound")
-    if linalg.solve(rows, rhs, len(variables)) is None:
-        return None
-    rows, rhs, variables = _eta_linear_system(N, target, "table")
-    sol = linalg.solve(rows, rhs, len(variables))
-    if sol is None:
-        return None
-    table: dict = {}
-    for k, c in sorted(sol.items()):
-        u, w = variables[k]
-        table.setdefault(u, {})[w] = c
-    return WindowCochain(1, {  # an empty block is dropped
-        (1, 0): {((u,), ()): DictVec(v) for u, v in table.items()
-                 if conf_parity(u) == 0},
-        (0, 1): {((), (u,)): DictVec(v) for u, v in table.items()
-                 if conf_parity(u) == 1}})
+    None: `_eta_solutions` for one target."""
+    return _eta_solutions(N, [target])[0][0]
 
 
-_DELTA2_SHAPES = ((3, 0), (2, 1), (1, 2), (0, 3))
-
-
-def _delta_report(ctx, coch, shapes, window, kind_prefix, target=None):
+def _delta_report(coch, shapes, window, kind_prefix, target=None):
     """A report of delta coch (minus ``target``) on every instance of the
-    given shapes from ``window``, computed on doubled labels: ``ctx``,
-    ``coch`` and ``target`` are doubled.  ``ctx`` is total (never None), so
-    a component whose source block of ``coch`` is empty contributes exactly
-    zero and is not evaluated.  Violations map back to labels at the end."""
+    given shapes from ``window``, on doubled labels and ints: 4 times the
+    products and the action go into the integer `DeltaContext` of L_k =
+    lcm(1, .., k+1), k the degree, and the cochain and target times their
+    common denominator D_c, so S = 2 * 4 * L_k * D_c times each residual
+    is an integer dict.  Components from empty blocks are not evaluated;
+    only a nonzero residual, a violation, is divided by S."""
     rep = CheckReport("inner")
+    lcm = math.lcm(*range(1, coch.degree + 2))
+    ctx = DeltaContext(_CONF_BASIS, _CONF_BASIS, _conf_mul4, _dual_act4, lcm)
+    d = common_denominator(
+        c for x in (coch, target) if x for pq in x.shapes()
+        for v in x.block(*pq).values() for c in v.c.values())
+    scale = 8 * lcm * d
+    icoch = _doubled_cochain(coch, d)
+    itarget = target and _doubled_cochain(target, scale)
     present = set(coch.shapes())
     for (P, Q) in shapes:
         comps = tuple(comp for comp in COMPONENTS
                       if (P - comp[0], Q - comp[1]) in present)
         for xs in itertools.product(window.even2, repeat=P):
             for ys in itertools.combinations(window.odd2, Q):
-                v = delta_instance(ctx, coch, P, Q, xs, ys, comps)
-                if v is not None and target is not None:
-                    v = v.sub(target.value(P, Q, xs, ys))
-                rep.record(f"{kind_prefix}[{P},{Q}]", (xs, ys),
-                           None if v is None else v.c)
-    for v in rep.violations:
-        xs, ys = v.instance
-        v.instance = (tuple(map(_half, xs)), tuple(map(_half, ys)))
-        v.residual = _halved(v.residual)
+                res = delta_instance(ctx, icoch, P, Q, xs, ys, comps).c
+                for l, c in (itarget.value(P, Q, xs, ys).items()
+                             if target else ()):
+                    res[l] = res.get(l, 0) - c
+                rep.record(f"{kind_prefix}[{P},{Q}]", (xs, ys), res)
+    for v in rep.violations:  # back to labels
+        v.instance = tuple(tuple(map(_half, args)) for args in v.instance)
+        v.residual = _halved(divided(v.residual, scale))
     return rep
 
 
@@ -747,46 +734,42 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
        lam = mu/2 (checked independently against the coboundary formulas
        over the enlarged margin window);
     3. off the line the sound restricted system is inconsistent, so no
-       global 1-cochain of any support bounds the member.
+       global 1-cochain of any support bounds the member; a consistent one
+       is a violation, at ("solve",) with a table witness, else ("sound",).
 
-    The solver's coefficient rows are built once per (N, mode) and shared
-    by all five targets (see `_eta_coefficients`); only the right-hand
-    sides vary.  Legs 1 and 2 evaluate the coboundary on doubled labels.
+    The coefficient rows are built once per N (`_eta_coefficients`; the
+    sound rows are a filter of the table rows), and legs 2 and 3 make two
+    solver calls for all five targets (`_eta_solutions`).  Legs 1 and 2
+    evaluate the coboundary on doubled labels and ints (`_delta_report`).
     """
     if N < 2:
         raise ValueError("the window must have radius >= 2")
     rep = CheckReport(f"eta-family[N={N}]")
     rep.extras["coboundary_line"] = "lam = mu/2"
-    ctx = DeltaContext(_CONF_BASIS, _CONF_BASIS, _conf_mul2,
-                       functools.partial(_dual_act2, "m1"))
     w = WindowedAlgebra("m1", N)
     for (lam, mu) in ((1, 0), (0, 1)):
-        rep.merge(_delta_report(ctx, _doubled_cochain(eta_family(lam, mu)),
-                                _DELTA2_SHAPES, w, f"cocycle({lam},{mu})"))
-    for (lam, mu) in ((1, 2), (Fraction(3, 2), 3)):
-        c = eta_family(lam, mu)
-        zeta = eta_coboundary_solve(N, c)
-        tag = f"coboundary({lam},{mu})"
-        if zeta is None:
-            rep.record(tag, ("solve",), Fraction(1))
-            continue
-        # independent witness check: evaluate delta zeta - target over the
-        # margin window through the coboundary formulas
-        sub = _delta_report(ctx, _doubled_cochain(zeta),
-                            [(2, 0), (1, 1), (0, 2)],
-                            WindowedAlgebra("m1", N + 4),
-                            f"witness({lam},{mu})", _doubled_cochain(c))
-        rep.merge(sub)
-        rep.extras[f"witness({lam},{mu})"] = (
-            "failed" if sub.violations else "verified")
-    for (lam, mu) in ((1, 0), (0, 1), (1, 1)):
-        c = eta_family(lam, mu)
-        zeta = eta_coboundary_solve(N, c)
-        tag = f"noncoboundary({lam},{mu})"
-        if zeta is not None:
-            rep.record(tag, ("solve",), Fraction(1))
-        else:
-            rep.extras[tag] = "inconsistent"
+        rep.merge(_delta_report(
+            eta_family(lam, mu), [(3, 0), (2, 1), (1, 2), (0, 3)], w,
+            f"cocycle({lam},{mu})"))
+    params = ((1, 2), (Fraction(3, 2), 3), (1, 0), (0, 1), (1, 1))
+    targets = [eta_family(lam, mu) for lam, mu in params]
+    for t, (zeta, sound) in enumerate(_eta_solutions(N, targets)):
+        lam, mu = params[t]
+        if t >= 2 and not sound:  # off the line: no global preimage
+            rep.extras[f"noncoboundary({lam},{mu})"] = "inconsistent"
+        elif t >= 2:
+            rep.record(f"noncoboundary({lam},{mu})",
+                       ("sound" if zeta is None else "solve",), Fraction(1))
+        elif zeta is None:
+            rep.record(f"coboundary({lam},{mu})", ("solve",), Fraction(1))
+        else:  # independent witness check: delta zeta - target over the
+            # margin window through the coboundary formulas
+            sub = _delta_report(zeta, [(2, 0), (1, 1), (0, 2)],
+                                WindowedAlgebra("m1", N + 4),
+                                f"witness({lam},{mu})", targets[t])
+            rep.merge(sub)
+            rep.extras[f"witness({lam},{mu})"] = (
+                "failed" if sub.violations else "verified")
     return rep
 
 

@@ -14,7 +14,10 @@
 - the identity checkers read their residuals from the one scatter over the
   nonzero products, `antialgebra._identity_residuals`: no per-instance
   helper (`_left`, `_right`) is left beside it, and `check_axioms_v2` and
-  `zoo._conf_axiom_report` enumerate no instances themselves.
+  `zoo._conf_axiom_report` enumerate no instances themselves;
+- the eta suite's coefficient build and coboundary reports run on ints:
+  `zoo._eta_coefficients` and `zoo._delta_report` name no exact scalar and
+  divide nowhere but in their one call of `core.divided`.
 """
 
 import ast
@@ -112,3 +115,15 @@ def test_the_identity_checkers_read_one_scatter():
     assert "_identity_reports" in set(_called_names(conf))
     for node in (v2, conf):  # no instance loop, no record per instance
         assert not {"product", "record"} & set(_called_names(node))
+
+
+def test_the_eta_builds_divide_once_through_divided():
+    functions = _functions("zoo.py")
+    for name in ("_eta_coefficients", "_delta_report"):
+        node = functions[name]
+        assert not {"Fraction", "HALF", "ONE"} & set(_read_names(node)), name
+        assert list(_called_names(node)).count("divided") == 1, name
+        divisions = [sub.lineno for sub in ast.walk(node)
+                     if isinstance(sub, (ast.BinOp, ast.AugAssign))
+                     and isinstance(sub.op, (ast.Div, ast.FloorDiv))]
+        assert divisions == [], name

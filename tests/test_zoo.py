@@ -229,25 +229,54 @@ def test_eta_report_pins_the_failing_leg():
     }
 
 
+def _doubled_first_entry(zeta):
+    """zeta with its first (1,0)-entry doubled: a witness that fails."""
+    blocks = {pq: dict(zeta.block(*pq)) for pq in zeta.shapes()}
+    key, vec = next(iter(blocks[(1, 0)].items()))
+    blocks[(1, 0)][key] = vec.scale(2)
+    return WindowCochain(1, blocks)
+
+
 def test_eta_report_flags_a_failing_witness(monkeypatch):
     """A witness whose coboundary misses its target is reported as failed,
     and its instances are carried as violations."""
-    solve = zoo.eta_coboundary_solve
+    solutions = zoo._eta_solutions
 
-    def perturbed(N, target):
-        zeta = solve(N, target)
-        if zeta is None:
-            return None
-        blocks = {pq: dict(zeta.block(*pq)) for pq in zeta.shapes()}
-        key, vec = next(iter(blocks[(1, 0)].items()))
-        blocks[(1, 0)][key] = vec.scale(2)
-        return WindowCochain(1, blocks)
+    def perturbed(N, targets):
+        return [(None if zeta is None else _doubled_first_entry(zeta), sound)
+                for zeta, sound in solutions(N, targets)]
 
-    monkeypatch.setattr(zoo, "eta_coboundary_solve", perturbed)
+    monkeypatch.setattr(zoo, "_eta_solutions", perturbed)
     rep = zoo.verify_cocycle_eta(4)
     for tag in ("witness(1,2)", "witness(3/2,3)"):
         assert rep.extras[tag] == "failed"
         assert any(v.kind.startswith(tag + "[") for v in rep.violations)
+
+
+def test_eta_report_claims_no_obstruction_from_a_consistent_sound_system(
+        monkeypatch):
+    """Only an inconsistent sound system proves that no global preimage
+    exists.  When the sound system of an off-line target is made consistent,
+    its table system (inconsistent: no finite table bounds the target)
+    decides nothing, and the report records a violation for the target
+    instead of calling it inconsistent."""
+    solve = linalg.solve
+
+    def sound_consistent_for_11(rows, rhs, ncols):
+        answers = solve(rows, rhs, ncols)
+        if len(rhs[0]) == 5:  # the sound systems of all five targets
+            assert answers[4] is None  # (1,1), the last target
+            answers[4] = {}
+        return answers
+
+    monkeypatch.setattr(linalg, "solve", sound_consistent_for_11)
+    rep = zoo.verify_cocycle_eta(4)
+    assert "noncoboundary(1,1)" not in rep.extras
+    assert [v.instance for v in rep.violations
+            if v.kind == "noncoboundary(1,1)"] == [("sound",)]
+    assert rep.extras["noncoboundary(1,0)"] == "inconsistent"
+    assert rep.extras["noncoboundary(0,1)"] == "inconsistent"
+    assert rep.extras["witness(1,2)"] == "verified"
 
 
 _UNORDERED_ODD = """\
@@ -916,48 +945,139 @@ def _eta_target(name):
     return _ETA_TARGETS[name]()
 
 
+def _ref_delta_report(coch, shapes, window, kind_prefix, target=None):
+    """delta coch (minus ``target``) at every instance of the given shapes
+    from ``window``, in the exact Fraction context of the one-sided family
+    on (family, Fraction) labels: the eta suite's coboundary report as it
+    was computed before it moved to doubled labels and ints."""
+    ctx = zoo.ConfDualDeltaCtx("m1")
+    rep = CheckReport("inner")
+    for (P, Q) in shapes:
+        for xs in itertools.product(window.even, repeat=P):
+            for ys in itertools.combinations(window.odd, Q):
+                v = zoo.delta_instance(ctx, coch, P, Q, xs, ys)
+                if target is not None:
+                    v = v.sub(target.value(P, Q, xs, ys))
+                rep.record(f"{kind_prefix}[{P},{Q}]", (xs, ys), v.c)
+    return rep
+
+
+def _eta_delta_cases():
+    """(name, coch, shapes, window radius, target) of the coboundary
+    reports that `verify_cocycle_eta` makes, at N = 2..5, and a witness
+    that fails."""
+    delta2 = [(3, 0), (2, 1), (1, 2), (0, 3)]
+    for N in (2, 3, 4, 5):
+        for lam, mu in ((1, 0), (0, 1)):
+            yield (f"cocycle({lam},{mu})@{N}", zoo.eta_family(lam, mu),
+                   delta2, N, None)
+    for lam, mu in ((1, 2), (F(3, 2), 3)):
+        target = zoo.eta_family(lam, mu)
+        zeta = zoo.eta_coboundary_solve(4, target)
+        for name, coch in (("", zeta), (" x2", zeta.scale(2))):
+            yield (f"witness({lam},{mu}){name}", coch,
+                   [(2, 0), (1, 1), (0, 2)], 8, target)
+
+
+@pytest.mark.parametrize("case", list(_eta_delta_cases()),
+                         ids=lambda case: case[0])
+def test_eta_delta_reports_match_the_fraction_reference(case):
+    """The integer coboundary report of the eta suite gives the checked and
+    skipped counts and the violations, in order with their instances and
+    residuals, of the exact Fraction computation."""
+    name, coch, shapes, radius, target = case
+    window = WindowedAlgebra("m1", radius)
+    got = zoo._delta_report(coch, shapes, window, "k", target)
+    want = _ref_delta_report(coch, shapes, window, "k", target)
+    _same_report(got, want)
+    assert (got.checked, got.skipped) == (want.checked, want.skipped)
+    assert [(v.kind, v.instance, v.residual) for v in got.violations] == [
+        (v.kind, v.instance, v.residual) for v in want.violations]
+    assert bool(got.violations) == (name.endswith("x2")
+                                    or name.startswith("cocycle(0,1)"))
+
+
+def _column(rows, rhs, t):
+    """Target t's own system in a stacked one: the equations (row, rhs[t])
+    in first-occurrence order, without repeats and without 0 = 0."""
+    out_rows, out_rhs, seen = [], [], set()
+    for row, bs in zip(rows, rhs, strict=True):
+        key = (tuple(sorted(row.items())), bs[t])
+        if key not in seen and (row or bs[t]):
+            out_rows.append(row)
+            out_rhs.append(bs[t])
+        seen.add(key)
+    return out_rows, out_rhs
+
+
 def test_eta_systems_match_the_per_target_builder(solver_calls):
-    """The shared coefficient rows give each target exactly the system the
-    per-target builder gives it, whatever order the targets come in, and
-    the solver sees exactly those systems."""
-    cases = [(N, name) for N in (2, 3, 4) for name in _ETA_TARGETS]
+    """The shared coefficient rows give each target of a stacked system
+    exactly the system the per-target builder gives it, whatever order the
+    targets come in and whichever targets share the system; the one-target
+    solver sees those systems too."""
     want = {(N, name, mode): _ref_eta_linear_system(N, _eta_target(name), mode)
-            for N, name in cases for mode in ("sound", "table")}
+            for N in (2, 3, 4) for name in _ETA_TARGETS
+            for mode in ("sound", "table")}
     for seed in (3, 4):
         zoo._eta_coefficients.cache_clear()
-        order = list(cases)
-        random.Random(seed).shuffle(order)
-        for N, name in order:
-            target = _eta_target(name)
-            for mode in ("sound", "table"):
-                assert zoo._eta_linear_system(N, target, mode) == want[
-                    N, name, mode]
-            solver_calls.clear()
-            zoo.eta_coboundary_solve(N, target)
-            rows, rhs, variables = want[N, name, "sound"]
-            expected = [(rows, rhs, len(variables))]
-            if name in ("(1,2)", "(3/2,3)"):  # on the line: sound rows hold
-                rows, rhs, variables = want[N, name, "table"]
-                expected.append((rows, rhs, len(variables)))
-            assert solver_calls == expected
+        rng = random.Random(seed)
+        for N in rng.sample([2, 3, 4], 3):
+            everyone = rng.sample(list(_ETA_TARGETS), len(_ETA_TARGETS))
+            for names in (everyone, everyone[:rng.randint(1, 3)]):
+                targets = [_eta_target(name) for name in names]
+                for mode in ("sound", "table"):
+                    rows, rhs, variables = zoo._eta_linear_system(
+                        N, targets, mode)
+                    assert all(len(bs) == len(names) for bs in rhs)
+                    for t, name in enumerate(names):
+                        ref_rows, ref_rhs, ref_vars = want[N, name, mode]
+                        assert _column(rows, rhs, t) == (ref_rows, ref_rhs)
+                        assert variables == ref_vars
+            for name in everyone:
+                target = _eta_target(name)
+                solver_calls.clear()
+                zoo.eta_coboundary_solve(N, target)
+                modes = ["sound"]
+                if name in ("(1,2)", "(3/2,3)"):  # on the line
+                    modes.append("table")
+                assert len(solver_calls) == len(modes)
+                for (rows, rhs, ncols), mode in zip(solver_calls, modes):
+                    ref_rows, ref_rhs, ref_vars = want[N, name, mode]
+                    assert _column(rows, rhs, 0) == (ref_rows, ref_rhs)
+                    assert ncols == len(ref_vars)
 
 
-def test_eta_suite_solves_the_same_seven_systems(solver_calls):
-    """verify eta makes seven solver calls: the sound and the table system
-    of the two line members, then the sound system of the three off-line
-    ones."""
+def test_eta_suite_makes_two_solver_calls(monkeypatch):
+    """verify eta makes two solver calls: one on the sound systems of all
+    five targets, then one on the table systems of the two line members,
+    whose sound systems are the consistent ones.  Column t of each call is
+    target t's own system, and each answer is what the one-target solver
+    gives on that system."""
+    solve = linalg.solve
+    calls = []
+
+    def recording(rows, rhs, ncols):
+        answers = solve(rows, rhs, ncols)
+        calls.append((copy.deepcopy((rows, rhs, ncols)), answers))
+        return answers
+
+    monkeypatch.setattr(linalg, "solve", recording)
     zoo._eta_coefficients.cache_clear()
     zoo.verify_cocycle_eta(4)
-    expected = []
-    for name, modes in (("(1,2)", ("sound", "table")),
-                        ("(3/2,3)", ("sound", "table")),
-                        ("(1,0)", ("sound",)), ("(0,1)", ("sound",)),
-                        ("(1,1)", ("sound",))):
-        for mode in modes:
-            rows, rhs, variables = _ref_eta_linear_system(
+    monkeypatch.undo()
+    names = ["(1,2)", "(3/2,3)", "(1,0)", "(0,1)", "(1,1)"]
+    assert len(calls) == 2
+    for ((rows, rhs, ncols), answers), (mode, group) in zip(
+            calls, [("sound", names), ("table", names[:2])]):
+        assert len(answers) == len(group)
+        for t, name in enumerate(group):
+            ref_rows, ref_rhs, ref_vars = _ref_eta_linear_system(
                 4, _eta_target(name), mode)
-            expected.append((rows, rhs, len(variables)))
-    assert solver_calls == expected
+            assert _column(rows, rhs, t) == (ref_rows, ref_rhs)
+            assert ncols == len(ref_vars)
+            assert answers[t] == solve(ref_rows, ref_rhs, ncols)
+        assert [a is not None for a in answers] == [
+            name in names[:2] for name in group]
 
 
 def test_no_state_survives_a_suite_call():
@@ -1039,7 +1159,7 @@ def test_eta_solver_returns_fraction_labels():
               for l in itertools.chain(xs, ys, vec.c)]
     for mode in ("sound", "table"):
         labels += itertools.chain.from_iterable(
-            zoo._eta_linear_system(4, target, mode)[2])
+            zoo._eta_linear_system(4, [target], mode)[2])
     labels += itertools.chain.from_iterable(
         f(*args) for f, args in ((zoo.conf_mul, (A(F(1, 2)), A(F(3, 2)))),
                                  (zoo.dual_act, ("m1", A(F(1, 2)), ("eps*", F(3)))),
