@@ -15,6 +15,8 @@ Every scalar of a formula comes from its `DeltaContext`, and every term
 holds one product or action factor, so the same formulas assemble delta^k
 on integers (`_delta_matrix`): over the scale 2*D*L_k, D the common
 denominator of the products and the action and L_k = lcm(1, .., k+1).
+That one integer matrix per degree (`DifferentialMatrix`) is divided once
+for `linalg`, and delta^2 = 0 is one integer product (`verify_complex`).
 
 Products or action values that are unknown (None) -- which happens for
 truncated windows of infinite-dimensional algebras -- propagate to None
@@ -24,7 +26,6 @@ results, so callers can skip exactly the undecidable instances.
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -476,20 +477,16 @@ class CochainBasis:
 
 
 class DifferentialMatrix:
-    """delta^k : C^k -> C^{k+1} from its three component matrices, given as
-    ``scale`` times them on integers.  Every matrix is a list of `linalg`
-    rows, one dict {column: nonzero coefficient} per basis key of C^{k+1};
-    `full` is their sum, taken on integers before the one division."""
+    """delta^k : C^k -> C^{k+1}, held once on integers: ``ints`` is S_k
+    times it over its scale S_k = ``scale``, one dict {column: nonzero int}
+    per basis key of C^{k+1}, and `full` is the one division of those rows,
+    the `Fraction` rows that `linalg` eliminates on."""
 
     def __init__(self, k, source: CochainBasis, target: CochainBasis,
-                 comp: dict, scale: int):
-        self.k = k
-        self.source = source
-        self.target = target
-        self.comp = {name: [divided(row, scale) for row in rows]
-                     for name, rows in comp.items()}
-        self.full = [divided(row, scale) for row in
-                     functools.reduce(linalg.mat_add, comp.values())]
+                 ints: list, scale: int):
+        self.k, self.source, self.target = k, source, target
+        self.ints, self.scale = ints, scale
+        self.full = [divided(row, scale) for row in ints]
 
     def __repr__(self):
         return (f"DifferentialMatrix(k={self.k}, "
@@ -498,16 +495,24 @@ class DifferentialMatrix:
 
 class _GenericCochain(Cochain):
     """The generic k-cochain: its value at (xs, ys) is {(j, l): sign}, one
-    tag per source key (p, q, xs, ys, l) of column j.  Its coboundary runs
-    on D*m and D*rho in an integer context, and its image is the raw blocks
-    {(P, Q): {(xs, ys): {(j, l): int}}} of ``scale``*delta."""
+    tag per source key (p, q, xs, ys, l) of column j.  Every ordering of an
+    odd tuple is indexed at construction, to the key's tags or to their one
+    negated copy, so a read is one lookup and a repeated label misses.  Its
+    coboundary runs on D*m and D*rho in an integer context, and its image
+    is the raw blocks {(P, Q): {(xs, ys): {(j, l): int}}} of ``scale``*delta."""
 
     def __init__(self, source: CochainBasis):
         alg, mod = self.alg, self.mod = source.alg, source.mod
         self.degree, self.alg_space = source.degree, alg.space
-        blocks = self._blocks = {}
+        keyed: dict = {}
         for j, (p, q, xs, ys, l) in enumerate(source.keys):
-            blocks.setdefault((p, q), {}).setdefault((xs, ys), {})[j, l] = 1
+            keyed.setdefault((xs, ys), {})[j, l] = 1
+        signed = {key: (tags, {t: -1 for t in tags})
+                  for key, tags in keyed.items()}
+        self._tags = {(xs, tuple(ys[t] for t in perm)):
+                      both[brackets._perm_sign(perm) < 0]
+                      for (xs, ys), both in signed.items()
+                      for perm in itertools.permutations(range(len(ys)))}
         tables = (alg.products, mod.action)
         d = common_denominator(c for t in tables for v in t.values()
                                for c in v.values())
@@ -526,9 +531,7 @@ class _GenericCochain(Cochain):
         return self._ctx
 
     def value(self, p, q, xs, ys):
-        cys, sign = _canonical_ys(self.alg_space, ys)
-        tags = self._blocks.get((p, q), {}).get((xs, cys), {})
-        return tags if sign == 1 else {t: -c for t, c in tags.items()}
+        return self._tags.get((xs, ys), {})
 
     def _image(self, blocks) -> dict:
         return blocks
@@ -538,21 +541,22 @@ def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
     """delta^k as delta of the generic k-cochain (`_GenericCochain`), on
     integers: with D the common denominator of the products and the action
     and L_k = lcm(1, .., k+1), the scale S = 2*D*L_k makes S*delta^k an
-    integer matrix.  Column j of a component matrix is the component applied
-    to the j-th unit cochain, so it is read off the tag-j part of one
-    coboundary per component and divided by S once.  ``source`` is the basis
-    of C^k when the caller has it already."""
+    integer matrix.  Column j of a component is that component applied to
+    the j-th unit cochain, read off the tag-j part of one coboundary per
+    component; an entry's blocks fix its one component, so no two write
+    the same entry.  ``source`` is the basis of C^k when the caller has it
+    already."""
     source = source or CochainBasis(alg, mod, k)
     target = CochainBasis(alg, mod, k + 1)
     generic = _GenericCochain(source)
-    comp = {}
+    rows = [{} for _ in range(target.dim)]
     for component in COMPONENTS:
-        rows = comp[component] = [{} for _ in range(target.dim)]
         for (P, Q), table in apply_delta_component(generic, component).items():
             for (xs, ys), val in table.items():
                 for (j, out), c in val.items():
-                    rows[target.index((P, Q, xs, ys, out))][j] = c
-    return DifferentialMatrix(k, source, target, comp, generic.scale)
+                    if c:
+                        rows[target.index((P, Q, xs, ys, out))][j] = c
+    return DifferentialMatrix(k, source, target, rows, generic.scale)
 
 
 def assemble_complex(alg, mod, kmax, verify=True) -> list:
@@ -573,33 +577,35 @@ def _require(ok, message) -> None:
         raise AssertionError(message)
 
 
-def _square_groups(cur, nxt):
-    """delta^{k+1} delta^k as its five groups of component products, one per
-    block shift from (2,0) to (-2,4), each built when it is reached: the
-    square is zero exactly when each group is."""
-    mul, add = linalg.mat_mul, linalg.mat_add
-    d10a, d01a, dm12a = (cur.comp[c] for c in COMPONENTS)
-    d10b, d01b, dm12b = (nxt.comp[c] for c in COMPONENTS)
-    yield "d10.d10", mul(d10b, d10a)
-    yield "d10.d01+d01.d10", add(mul(d10b, d01a), mul(d01b, d10a))
-    yield ("d01.d01+d10.d-12+d-12.d10",
-           add(add(mul(d01b, d01a), mul(d10b, dm12a)), mul(dm12b, d10a)))
-    yield "d01.d-12+d-12.d01", add(mul(d01b, dm12a), mul(dm12b, d01a))
-    yield "d-12.d-12", mul(dm12b, dm12a)
+# the groups of component composites in delta^{k+1} delta^k, by shift P - p
+_SQUARE_GROUPS = ((2, "d10.d10"), (1, "d10.d01+d01.d10"),
+                  (0, "d01.d01+d10.d-12+d-12.d10"),
+                  (-1, "d01.d-12+d-12.d01"), (-2, "d-12.d-12"))
+
+
+def _shifts(rows, target: CochainBasis, source: CochainBasis) -> set:
+    """{P - p} over the nonzero entries of ``rows``, from the source block
+    (p, q) of the entry's column to the target block (P, Q) of its row."""
+    return {target.keys[i][0] - source.keys[j][0]
+            for i, row in enumerate(rows) for j in row}
 
 
 def verify_complex(mats, trivial=False) -> None:
-    """delta^{k+1} delta^k = 0 for consecutive matrices, group by group
-    (`_square_groups`).  With trivial coefficients the (0,1)-component of
-    every matrix must vanish."""
+    """delta^{k+1} delta^k = 0 for consecutive matrices, from one integer
+    product, S_{k+1}*S_k times the square: its entries of one shift are
+    exactly those of one group, and a failure names the first nonzero
+    group.  With trivial coefficients no entry of a matrix may have shift
+    0, which is its (0,1)-component."""
     if trivial:
         for mat in mats:
-            _require(linalg.mat_is_zero(mat.comp[(0, 1)]),
+            _require(0 not in _shifts(mat.ints, mat.target, mat.source),
                      "trivial coefficients must kill the (0,1)-component")
     for cur, nxt in zip(mats, mats[1:]):
-        for name, mat in _square_groups(cur, nxt):
-            _require(linalg.mat_is_zero(mat),
-                     f"delta^{nxt.k} after delta^{cur.k} is nonzero ({name})")
+        shifts = _shifts(linalg.mat_mul(nxt.ints, cur.ints), nxt.target,
+                         cur.source)
+        name = next((n for dp, n in _SQUARE_GROUPS if dp in shifts), None)
+        _require(name is None,
+                 f"delta^{nxt.k} after delta^{cur.k} is nonzero ({name})")
 
 
 def cohomology_dims(alg, mod, kmax) -> list:

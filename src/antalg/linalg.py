@@ -1,7 +1,8 @@
 """Exact sparse linear algebra over Q for the cohomology machinery.
 
 A matrix is a list of rows, and a row is a dict from column index to a
-nonzero Fraction.  No zero is ever stored, so an empty dict is a zero row.
+nonzero Fraction (`mat_mul` also multiplies int rows exactly).  No zero is
+ever stored, so an empty dict is a zero row.
 A matrix does not carry its column count; the two functions that need it
 (`nullspace`, `solve`) take it as an argument.  Kernel vectors and
 solutions come back as rows of the same form.  `solve` takes several
@@ -21,7 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 __all__ = [
-    "mat_add",
     "mat_mul",
     "mat_is_zero",
     "rref",
@@ -29,18 +29,6 @@ __all__ = [
     "nullspace",
     "solve",
 ]
-
-
-def mat_add(a: list, b: list) -> list:
-    out = []
-    for ra, rb in zip(a, b, strict=True):
-        row = dict(ra)
-        for j, c in rb.items():
-            c += row.pop(j, 0)
-            if c:
-                row[j] = c
-        out.append(row)
-    return out
 
 
 def mat_mul(a: list, b: list) -> list:

@@ -291,12 +291,28 @@ def _dense_residuals(space, t):
         yield "odd_deriv", (a, b, y), acc, 1
 
 
+def _dense_table_report(space, shared):
+    """`_TablePass.table` with graded commutativity and grading closure
+    recorded at every ordered pair, one at a time: the loop that the visit
+    of the nonzero products replaced."""
+    rep, t, d = CheckReport("table"), shared.t, shared.d
+    for a, b in itertools.product(space.labels(), repeat=2):
+        ab, ba = t[a][b], t[b][a]
+        sign = (-1) ** (space.parity(a) * space.parity(b))
+        res = {l: ab.get(l, 0) - sign * ba.get(l, 0) for l in {*ab, *ba}}
+        rep.record("commutativity", (a, b), shared.residual(res, d))
+        want = (space.parity(a) + space.parity(b)) % 2
+        bad = {l: c for l, c in ab.items() if space.parity(l) != want}
+        rep.record("grading", (a, b), shared.residual(bad, d))
+    return rep
+
+
 def _dense_report(space, table, title, kinds):
     """`check_axioms` (kinds `_AXIOMS`) or `check_axioms_v2` (kinds `_V2`)
-    with every identity instance recorded one at a time."""
+    with every table pair and identity instance recorded one at a time."""
     shared = antialgebra._TablePass(space, table)
     rep, dd = CheckReport(title), shared.d ** 2
-    rep.merge(shared.table)
+    rep.merge(_dense_table_report(space, shared))
     for kind, inst, acc, weight in _dense_residuals(space, shared.t):
         if kind in kinds:
             rep.record(kind, inst, shared.residual(acc, weight * dd))

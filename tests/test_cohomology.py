@@ -24,6 +24,7 @@ from antalg.cohomology import (
     Cochain,
     CochainBasis,
     apply_delta,
+    DifferentialMatrix,
     apply_delta_component,
     assemble_complex,
     cohomology_dims,
@@ -34,8 +35,10 @@ from antalg.cohomology import (
     kernel_of_delta1,
     random_cochain,
     solve_coboundary,
+    verify_complex,
     _canonical_ys,
     _delta_matrix,
+    _GenericCochain,
 )
 from antalg.core import (GradedSpace, Vector, parse_algebra_file,
                          parse_algebra_text)
@@ -108,6 +111,30 @@ def test_canonical_odd_order_matches_the_sort_path():
             assert _canonical_ys(space, ys) == _sort_path(space, ys), ys
 
 
+def test_generic_cochain_reads_every_ordering_as_the_sort_path():
+    """The generic cochain's one lookup per read gives, at every ordered
+    odd tuple, repeated labels included, its tags at the sorted tuple times
+    the sign of the sort, and {} where a label repeats.  K3 |x ad(K3) has
+    odd dimension 4, so degree 3 reaches odd tuples of length 3."""
+    sd = semidirect(adjoint_module(K3))
+    sp = sd.space
+    for mod in (trivial_module(sd), adjoint_module(sd)):
+        for degree in (1, 2, 3):
+            source = CochainBasis(sd, mod, degree)
+            generic = _GenericCochain(source)
+            tags: dict = {}
+            for j, (p, q, xs, ys, l) in enumerate(source.keys):
+                tags.setdefault((xs, ys), {})[j, l] = 1
+            for p in range(degree + 1):
+                for xs in itertools.product(sp.even, repeat=p):
+                    for ys in itertools.product(sp.odd, repeat=degree - p):
+                        cys, sign = _canonical_ys(sp, ys)
+                        want = {t: sign * c for t, c in tags.get(
+                            (xs, cys), {}).items()}
+                        got = generic.value(p, degree - p, xs, ys)
+                        assert got == want, (degree, xs, ys)
+
+
 def test_random_cochain_reproducibility():
     a = random_cochain(K3, ADJ, 2, random.Random(17))
     b = random_cochain(K3, ADJ, 2, random.Random(17))
@@ -167,12 +194,21 @@ def test_delta_splits_into_the_three_components():
                 assert total == apply_delta(c)
 
 
+def _component(mat, comp):
+    """The component ``comp`` of delta^k as a matrix: the `full` rows
+    restricted to the entries whose block shift, from the source block of
+    the column to the target block of the row, is ``comp``."""
+    return [{j: c for j, c in row.items()
+             if (P - mat.source.keys[j][0], Q - mat.source.keys[j][1]) == comp}
+            for (P, Q, *_), row in zip(mat.target.keys, mat.full, strict=True)]
+
+
 def test_full_delta_matrix_is_the_sum_of_component_matrices():
     mat = _delta_matrix(K3, ADJ, 2)
     n, m = mat.target.dim, mat.source.dim
     summed = [[F(0)] * m for _ in range(n)]
     for comp in COMPONENTS:
-        block = _densify(mat.comp[comp], m)
+        block = _densify(_component(mat, comp), m)
         for i in range(n):
             for j in range(m):
                 summed[i][j] += block[i][j]
@@ -180,20 +216,26 @@ def test_full_delta_matrix_is_the_sum_of_component_matrices():
 
 
 def test_delta_matrices_store_no_zero():
-    """Component and full matrices hold only nonzero `Fraction` entries
-    (an `int` or a float entry would turn `linalg`'s divisions into float
-    arithmetic), and only in columns of the source basis."""
+    """The full matrix and its components hold only nonzero `Fraction`
+    entries (an `int` or a float entry would turn `linalg`'s divisions into
+    float arithmetic), and only in columns of the source basis.  The
+    integer rows hold only nonzero `int`s there, and `full` is them over
+    the scale."""
     sd = semidirect(adjoint_module(K3))
     for alg, mod, kmax in ((K3, ADJ, 4), (K3, dual_module(ADJ), 3),
                            (sd, trivial_module(sd), 3)):
         for k in range(1, kmax + 1):
             mat = _delta_matrix(alg, mod, k)
-            for rows in (mat.full, *mat.comp.values()):
+            comps = [_component(mat, comp) for comp in COMPONENTS]
+            for rows, kind in ((mat.full, F), *((c, F) for c in comps),
+                               (mat.ints, int)):
                 assert len(rows) == mat.target.dim
                 for row in rows:
                     assert all(row.values())
-                    assert all(type(c) is F for c in row.values())
+                    assert all(type(c) is kind for c in row.values())
                     assert all(0 <= j < mat.source.dim for j in row)
+            assert mat.full == [{j: F(c, mat.scale) for j, c in row.items()}
+                                for row in mat.ints]
 
 
 def _rescaled(alg, scales):
@@ -258,7 +300,8 @@ def test_component_matrices_match_the_unit_cochain_columns():
             for j, key in enumerate(mat.source.keys):
                 unit = mat.source.unit(key)
                 for comp in COMPONENTS:
-                    column = [row.get(j, F(0)) for row in mat.comp[comp]]
+                    column = [row.get(j, F(0))
+                              for row in _component(mat, comp)]
                     assert column == mat.target.coeff_vector(
                         apply_delta_component(unit, comp)), (mod, key, comp)
 
@@ -349,6 +392,78 @@ def test_delta_squared_check_survives_python_O():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "delta^3 after delta^2 is nonzero" in proc.stdout
+
+
+# The delta^2 failure messages of `assemble_complex`, as the check by nine
+# component products gave them before the one integer product replaced it.
+# Each table here fails first in d10.d10 (K3 (x) k[t]/(t^4) is valid, but
+# its even part acts on the odd part by more than one scalar).
+DELTA2_MESSAGES = [
+    (table, coeff, kmax, "delta^3 after delta^2 is nonzero (d10.d10)")
+    for table in ("s12", "k3ad", "k3t4") for coeff in ("trivial", "adjoint")
+    for kmax in (3, 4)]
+
+
+def _delta2_table(name):
+    if name == "s12":
+        return S12
+    if name == "k3ad":
+        return semidirect(adjoint_module(K3))
+    return AntialgebraStructure.from_file_doc(
+        parse_algebra_file(GOLDEN / f"{name}.alg"))
+
+
+@pytest.mark.parametrize("table,coeff,kmax,message", DELTA2_MESSAGES)
+def test_delta_squared_failure_messages_are_pinned(table, coeff, kmax,
+                                                   message):
+    alg = _delta2_table(table)
+    mod = (trivial_module if coeff == "trivial" else adjoint_module)(alg)
+    with pytest.raises(AssertionError) as err:
+        assemble_complex(alg, mod, kmax)
+    assert str(err.value) == message
+
+
+def _without_d10(mat):
+    """delta^k with its (1,0)-component dropped: the entries of shift 1."""
+    keys = mat.source.keys
+    return DifferentialMatrix(mat.k, mat.source, mat.target, [
+        {j: c for j, c in row.items() if P - keys[j][0] != 1}
+        for (P, *_), row in zip(mat.target.keys, mat.ints, strict=True)],
+        mat.scale)
+
+
+@pytest.mark.parametrize("coeff,dropped,group", [
+    ("trivial", "outer", "d01.d01+d10.d-12+d-12.d10"),
+    ("trivial", "inner", "d01.d01+d10.d-12+d-12.d10"),
+    ("trivial", "both", "d-12.d-12"),
+    ("adjoint", "outer", "d10.d01+d01.d10"),
+    ("adjoint", "inner", "d10.d01+d01.d10"),
+    ("adjoint", "both", "d01.d01+d10.d-12+d-12.d10")])
+def test_delta_squared_names_the_first_nonzero_group(coeff, dropped, group):
+    """No table above fails first in a group other than d10.d10, so these
+    cases drop the (1,0)-component of delta^2 (inner), delta^3 (outer) or
+    both on K3 |x ad(K3), which leaves the later groups to be named.  The
+    names are those that the nine component products gave."""
+    sd = semidirect(adjoint_module(K3))
+    mod = (trivial_module if coeff == "trivial" else adjoint_module)(sd)
+    cur, nxt = assemble_complex(sd, mod, 3, verify=False)[1:]
+    if dropped != "outer":
+        cur = _without_d10(cur)
+    if dropped != "inner":
+        nxt = _without_d10(nxt)
+    with pytest.raises(AssertionError) as err:
+        verify_complex([cur, nxt])
+    assert str(err.value) == f"delta^3 after delta^2 is nonzero ({group})"
+
+
+def test_trivial_coefficients_check_the_01_component():
+    """Adjoint coefficients give K3's delta^1 a (0,1)-component, which the
+    trivial-coefficient check rejects with its pinned message."""
+    mats = assemble_complex(K3, ADJ, 2)
+    with pytest.raises(AssertionError) as err:
+        verify_complex(mats, trivial=True)
+    assert str(err.value) == ("trivial coefficients must kill the "
+                              "(0,1)-component")
 
 
 def test_cohomology_dimension_tables():

@@ -191,7 +191,7 @@ class AgainstDenseReference(unittest.TestCase):
     def test_density_1_0(self):
         self._check(1.0, 103)
 
-    def test_mat_mul_and_mat_add_match_the_dense_results(self):
+    def test_mat_mul_matches_the_dense_result(self):
         rng = random.Random(104)
         for density in (0.05, 0.3, 1.0):
             for _ in range(10):
@@ -204,15 +204,14 @@ class AgainstDenseReference(unittest.TestCase):
                 self.assertTrue(_stores_no_zero(prod))
                 self.assertEqual(linalg.mat_is_zero(prod),
                                  all(not c for row in dense for c in row))
-                # a + c, and a - a, which cancels to the zero matrix
-                c = _rand_sparse_dense(rng, n, k, density)
-                total = linalg.mat_add(sparse(a), sparse(c))
-                self.assertEqual(densify(total, k),
-                                 [[x + y for x, y in zip(ra, rc)]
-                                  for ra, rc in zip(a, c)])
-                self.assertTrue(_stores_no_zero(total))
-                neg = [{j: -v for j, v in row.items()} for row in sparse(a)]
-                self.assertEqual(linalg.mat_add(sparse(a), neg), [{}] * n)
+                # on int rows, as the delta^2 check runs: (6a)(6b) = 36ab
+                ints = linalg.mat_mul(*(sparse([[int(6 * c) for c in row]
+                                                for row in x]) for x in (a, b)))
+                self.assertEqual(densify(ints, m),
+                                 [[36 * c for c in row] for row in dense])
+                self.assertTrue(_stores_no_zero(ints))
+                self.assertTrue(all(type(c) is int
+                                    for row in ints for c in row.values()))
 
     def test_rank_runs_its_reversed_order_self_check(self):
         rows = sparse([[F(1), F(2)], [F(2), F(4)]])

@@ -17,7 +17,11 @@
   `zoo._conf_axiom_report` enumerate no instances themselves;
 - the eta suite's coefficient build and coboundary reports run on ints:
   `zoo._eta_coefficients` and `zoo._delta_report` name no exact scalar and
-  divide nowhere but in their one call of `core.divided`.
+  divide nowhere but in their one call of `core.divided`;
+- delta^k is held once on integers: its assembly (`_GenericCochain`,
+  `_delta_matrix`) and the delta^2 check (`verify_complex`) name neither
+  `Fraction` nor `divided`, and the module's one call of `divided` is in
+  `DifferentialMatrix`, the one division of delta^k for `linalg`.
 """
 
 import ast
@@ -127,3 +131,14 @@ def test_the_eta_builds_divide_once_through_divided():
                      if isinstance(sub, (ast.BinOp, ast.AugAssign))
                      and isinstance(sub.op, (ast.Div, ast.FloorDiv))]
         assert divisions == [], name
+
+
+def test_delta_matrices_stay_on_integers_until_their_one_division():
+    tree = TREES["cohomology.py"]
+    top = {node.name: node for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for name in ("_GenericCochain", "_delta_matrix", "verify_complex"):
+        assert not {"Fraction", "divided"} & set(_read_names(top[name])), name
+    calls = [name for name, node in top.items()
+             for called in _called_names(node) if called == "divided"]
+    assert calls == ["DifferentialMatrix"]
