@@ -15,7 +15,6 @@ from .core import (
     Vector,
     parse_algebra_file,
     parse_algebra_text,
-    serialize_algebra,
 )
 from .antialgebra import (
     AntialgebraStructure,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraFile", "GradedSpace", "MultiMap", "ParseError", "Vector",
-    "parse_algebra_file", "parse_algebra_text", "serialize_algebra",
+    "parse_algebra_file", "parse_algebra_text",
     "AntialgebraStructure", "CheckReport", "ModuleStructure", "Violation",
     "adjoint_module", "check_axioms", "check_axioms_v2", "dual_module",
     "semidirect", "trivial_module", "zero_square_check",

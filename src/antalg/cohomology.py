@@ -363,7 +363,7 @@ def apply_delta_component(coch: Cochain, comp) -> Cochain:
 def _materialise_delta(coch, components):
     """The chosen components of the coboundary of a finite-structure
     cochain, computed in its `_delta_context` and returned as its `_image`."""
-    sp = coch.alg.space
+    sp = coch.alg_space
     ctx = coch._delta_context()
     blocks: dict = {}
     for (P, Q) in _target_shapes(coch.degree + 1, sp.dim1):
@@ -494,18 +494,18 @@ class DifferentialMatrix:
 
 
 class _GenericCochain(Cochain):
-    """The generic k-cochain: its value at (xs, ys) is {(j, l): sign}, one
-    tag per source key (p, q, xs, ys, l) of column j.  Every ordering of an
-    odd tuple is indexed at construction, to the key's tags or to their one
-    negated copy, so a read is one lookup and a repeated label misses.  Its
-    coboundary runs on D*m and D*rho in an integer context, and its image
-    is the raw blocks {(P, Q): {(xs, ys): {(j, l): int}}} of ``scale``*delta."""
+    """The generic cochain on the source keys (p, q, xs, ys, l): its value
+    at (xs, ys) is {(j, l): sign}, one tag per key of column j.  Every
+    ordering of an odd tuple is indexed at construction, to the key's tags
+    or to their one negated copy, so a read is one lookup and a repeated
+    label misses.  Its coboundary runs in the integer context of ``mul``
+    and ``act`` on the algebra ``basis`` and the module ``parity``, and its
+    image is the raw blocks {(P, Q): {(xs, ys): {(j, l): int}}}."""
 
-    def __init__(self, source: CochainBasis):
-        alg, mod = self.alg, self.mod = source.alg, source.mod
-        self.degree, self.alg_space = source.degree, alg.space
+    def __init__(self, keys, basis, parity, mul, act, degree):
+        self.degree, self.alg_space = degree, basis
         keyed: dict = {}
-        for j, (p, q, xs, ys, l) in enumerate(source.keys):
+        for j, (p, q, xs, ys, l) in enumerate(keys):
             keyed.setdefault((xs, ys), {})[j, l] = 1
         signed = {key: (tags, {t: -1 for t in tags})
                   for key, tags in keyed.items()}
@@ -513,19 +513,11 @@ class _GenericCochain(Cochain):
                       both[brackets._perm_sign(perm) < 0]
                       for (xs, ys), both in signed.items()
                       for perm in itertools.permutations(range(len(ys)))}
-        tables = (alg.products, mod.action)
-        d = common_denominator(c for t in tables for v in t.values()
-                               for c in v.values())
-        mul, rho = ({ab: as_integers(v.items(), d) for ab, v in t.items()}
-                    for t in tables)
-        lcm = math.lcm(*range(1, self.degree + 2))  # q, q+1, (q+1)(q+2) | lcm
-        self.scale = 2 * d * lcm
-        tagged = SimpleNamespace(parity=lambda t: mod.space.parity(t[1]),
-                                 vector=dict)
+        tagged = SimpleNamespace(parity=lambda t: parity(t[1]), vector=dict)
         self._ctx = DeltaContext(
-            alg.space, tagged, lambda a, b: mul.get((a, b), {}),
-            lambda a, t: {(t[0], o): c
-                          for o, c in rho.get((a, t[1]), {}).items()}, lcm)
+            basis, tagged, mul,
+            lambda a, t: {(t[0], o): c for o, c in act(a, t[1]).items()},
+            math.lcm(*range(1, degree + 2)))  # q, q+1, (q+1)(q+2) | lcm
 
     def _delta_context(self) -> DeltaContext:
         return self._ctx
@@ -548,7 +540,14 @@ def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
     already."""
     source = source or CochainBasis(alg, mod, k)
     target = CochainBasis(alg, mod, k + 1)
-    generic = _GenericCochain(source)
+    tables = (alg.products, mod.action)
+    d = common_denominator(c for t in tables for v in t.values()
+                           for c in v.values())
+    mul, rho = ({ab: as_integers(v.items(), d) for ab, v in t.items()}
+                for t in tables)
+    generic = _GenericCochain(source.keys, alg.space, mod.space.parity,
+                              lambda a, b: mul.get((a, b), {}),
+                              lambda a, l: rho.get((a, l), {}), k)
     rows = [{} for _ in range(target.dim)]
     for component in COMPONENTS:
         for (P, Q), table in apply_delta_component(generic, component).items():
@@ -556,7 +555,8 @@ def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
                 for (j, out), c in val.items():
                     if c:
                         rows[target.index((P, Q, xs, ys, out))][j] = c
-    return DifferentialMatrix(k, source, target, rows, generic.scale)
+    return DifferentialMatrix(k, source, target, rows,
+                              2 * d * generic._ctx.lcm)
 
 
 def assemble_complex(alg, mod, kmax, verify=True) -> list:

@@ -27,7 +27,6 @@ __all__ = [
     "complete_product_table",
     "parse_algebra_text",
     "parse_algebra_file",
-    "serialize_algebra",
     "ParseError",
 ]
 
@@ -533,42 +532,3 @@ def parse_algebra_file(path) -> AlgebraFile:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_algebra_text(fh.read())
 
-
-def _format_expr(coeffs: Mapping) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for label in sorted(coeffs, key=str):
-        c = coeffs[label]
-        txt = label if c == 1 else f"{format_scalar(c)}*{label}"
-        parts.append(txt)
-    return " + ".join(parts).replace("+ -", "- ")
-
-
-def serialize_algebra(doc: AlgebraFile) -> str:
-    """Render an AlgebraFile back to text; rationals round-trip losslessly."""
-    lines = [f"algebra {doc.name}"]
-    if doc.space.even:
-        lines.append("even " + " ".join(doc.space.even))
-    if doc.space.odd:
-        lines.append("odd " + " ".join(doc.space.odd))
-    lines.append("")
-    order = {l: i for i, l in enumerate(doc.space.labels())}
-    seen = set()
-    for (a, b) in sorted(doc.products, key=lambda ab: (order[ab[0]], order[ab[1]])):
-        if (b, a) in seen:
-            continue
-        seen.add((a, b))
-        lines.append(f"{a} * {b} = {_format_expr(doc.products[(a, b)])}")
-    if doc.module_space is not None:
-        lines.append("")
-        lines.append("module")
-        if doc.module_space.even:
-            lines.append("even " + " ".join(doc.module_space.even))
-        if doc.module_space.odd:
-            lines.append("odd " + " ".join(doc.module_space.odd))
-        morder = {l: i for i, l in enumerate(doc.module_space.labels())}
-        for (a, b) in sorted(doc.action or {},
-                             key=lambda ab: (order[ab[0]], morder[ab[1]])):
-            lines.append(f"{a} . {b} = {_format_expr(doc.action[(a, b)])}")
-    return "\n".join(lines) + "\n"

@@ -22,7 +22,9 @@ window's integer table, and count the instances no product reaches as
 checked without evaluating them.  The verification suites for the named
 cocycles use the global index formulas instead, so they have no truncation
 error; the Lie-side suites (gf, dual-gf, gv) take their coboundaries from
-`brackets.lie_coboundary`.
+`brackets.lie_coboundary`, and the eta suite's coefficient rows are
+`cohomology.delta_instance` of the generic 1-cochain on its window
+variables, the `cohomology._GenericCochain` that delta^k is assembled from.
 Cochain values are `DictVec`s, `core.Vector`s over the open basis of all
 (family, index) labels.
 
@@ -48,7 +50,7 @@ from . import linalg
 from .antialgebra import _AXIOMS, CheckReport, _identity_reports
 from .brackets import _perm_sign, lie_coboundary
 from .cohomology import (COMPONENTS, Cochain, DeltaContext, _canonical_ys,
-                         delta_instance)
+                         _GenericCochain, delta_instance)
 from .core import Vector, as_integers, common_denominator, divided
 
 __all__ = [
@@ -563,50 +565,44 @@ def _eta_coefficients(N: int):
     ((P, Q, xs, ys), comps) on doubled labels, comps mapping each doubled
     dual component of delta zeta there up to ``bound`` (None: all), sorted,
     to its row id.  The sound instances are the table ones whose arguments
-    and product lie in the argument window.  A row is summed on ints, 8
-    times its coefficients, and divided once; equal rows share one id and
-    one dict, which no caller may mutate; id 0 is the empty row."""
+    and product lie in the argument window.  delta zeta is `delta_instance`
+    of the generic 1-cochain on the variables, zero outside the window, over
+    4 times the products and the action: a row is 16 = 2 * lcm(1, 2) * 4
+    times its coefficients, on ints, and is divided once; equal rows share
+    one id and one dict, which no caller may mutate; id 0 is the empty row."""
     D = N + 2
     walg = WindowedAlgebra("m1", N)
     dual = ([("eps*", k) for k in range(0, 2 * D + 1, 2)],
             [("a*", k) for k in range(-1, 2 * D, 2)])
     variables = [(u, w) for u in walg.labels2() for w in dual[conf_parity(u)]]
-    vindex = {v: k for k, v in enumerate(variables)}
+    generic = _GenericCochain(
+        [(1, 0, (u,), (), w) if conf_parity(u) == 0 else (0, 1, (), (u,), w)
+         for u, w in variables], _CONF_BASIS, conf_parity, _conf_mul4,
+        _dual_act4, 1)
+    ctx = generic._delta_context()
     arg_window = set(walg.labels2())
     bound = 2 * (D - N - 1)
     row_id, table, sound = {(): 0}, [], []  # row signature -> its id
     margin = WindowedAlgebra("m1", D + 2)
     ev, od = margin.even2, margin.odd2
-    # each instance with its two arguments and twice the weights s, s01,
-    # s10 of zeta(x0.x1), rho_x0 zeta(x1) and rho_x1 zeta(x0)
-    for key, x0, x1, (s, s01, s10) in itertools.chain(
-            (((2, 0, (x0, x1), ()), x0, x1, (1, -1, -1))
-             for t, x0 in enumerate(ev) for x1 in ev[t:]),
-            (((1, 1, (x,), (y,)), x, y, (2, -2, -2)) for x in ev for y in od),
-            (((0, 2, (), (y0, y1)), y0, y1, (2, -2, 2))
-             for t, y0 in enumerate(od) for y1 in od[t + 1:])):
-        prod = _conf_mul4(x0, x1)
-        # (dual component, variable, 8 * coeff) of delta zeta at the
-        # instance; a zeta-argument outside the window is the known zero
-        terms = [(w, (l, w), s * c) for l, c in prod.items()
-                 if l in arg_window for w in dual[conf_parity(l)]]
-        terms += [(comp, (arg, w), sa * c)
-                  for actor, arg, sa in ((x0, x1, s01), (x1, x0, s10))
-                  if arg in arg_window for w in dual[conf_parity(arg)]
-                  for comp, c in _dual_act4(actor, w).items()]
-        rows: dict = {}
-        for comp, var, c in terms:
-            row = rows.setdefault(comp, {})
-            row[vindex[var]] = row.get(vindex[var], 0) + c
+    for key in itertools.chain(
+            ((2, 0, xs, ()) for xs in itertools.combinations_with_replacement(
+                ev, 2)),
+            ((1, 1, (x,), (y,)) for x in ev for y in od),
+            ((0, 2, (), ys) for ys in itertools.combinations(od, 2))):
+        rows: dict = {}  # dual component -> {variable: 16 * coeff}
+        for (j, comp), c in delta_instance(ctx, generic, *key).items():
+            rows.setdefault(comp, {})[j] = c
         comps = {comp: row_id.setdefault(tuple(sorted(
             (k, c) for k, c in rows[comp].items() if c)), len(row_id))
             for comp in sorted(rows)}
         table.append((key, comps))
-        if arg_window.issuperset((x0, x1, *prod)):
+        args = key[2] + key[3]
+        if arg_window.issuperset((*args, *_conf_mul4(*args))):
             sound.append((key, {c: r for c, r in comps.items()
                                 if c[1] <= bound}))
     return ({"table": (tuple(table), None), "sound": (tuple(sound), bound)},
-            tuple(divided(dict(sig), 8) for sig in row_id),
+            tuple(divided(dict(sig), 2 * ctx.lcm * 4) for sig in row_id),
             tuple((_half(u), _half(w)) for u, w in variables))
 
 
@@ -737,10 +733,12 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
        global 1-cochain of any support bounds the member; a consistent one
        is a violation, at ("solve",) with a table witness, else ("sound",).
 
-    The coefficient rows are built once per N (`_eta_coefficients`; the
-    sound rows are a filter of the table rows), and legs 2 and 3 make two
-    solver calls for all five targets (`_eta_solutions`).  Legs 1 and 2
-    evaluate the coboundary on doubled labels and ints (`_delta_report`).
+    The coefficient rows are built once per N, as delta of the generic
+    window 1-cochain (`_eta_coefficients`; the sound rows are a filter of
+    the table rows), and legs 2 and 3 make two solver calls for all five
+    targets (`_eta_solutions`).  Legs 1 and 2 evaluate the coboundary on
+    doubled labels and ints (`_delta_report`).  Every leg takes delta from
+    the one `delta_instance`.
     """
     if N < 2:
         raise ValueError("the window must have radius >= 2")

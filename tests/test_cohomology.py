@@ -121,7 +121,8 @@ def test_generic_cochain_reads_every_ordering_as_the_sort_path():
     for mod in (trivial_module(sd), adjoint_module(sd)):
         for degree in (1, 2, 3):
             source = CochainBasis(sd, mod, degree)
-            generic = _GenericCochain(source)
+            generic = _GenericCochain(source.keys, sp, mod.space.parity,
+                                      None, None, degree)
             tags: dict = {}
             for j, (p, q, xs, ys, l) in enumerate(source.keys):
                 tags.setdefault((xs, ys), {})[j, l] = 1
@@ -381,7 +382,7 @@ except AssertionError as exc:
 
 
 def test_delta_squared_check_survives_python_O():
-    """delta^2 != 0 on K3 |x ad(K3) (ROADMAP item 1) is caught by
+    """delta^2 != 0 on K3 |x ad(K3) (ROADMAP item 2) is caught by
     `verify_complex`, also under ``python -O``, which strips asserts."""
     sd = semidirect(adjoint_module(K3))
     with pytest.raises(AssertionError, match=r"delta\^3 after delta\^2"):

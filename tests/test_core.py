@@ -18,7 +18,6 @@ from antalg.core import (
     is_parity_preserving,
     parity_of,
     parse_algebra_text,
-    serialize_algebra,
 )
 
 F = Fraction
@@ -157,7 +156,7 @@ def test_parity_bookkeeping():
 # parser
 # ---------------------------------------------------------------------------
 
-def test_parse_k3_and_serialize_round_trip():
+def test_parse_k3_completes_the_product_table():
     doc = parse_algebra_text(K3_TEXT)
     assert doc.name == "K3"
     assert doc.space == GradedSpace(("eps",), ("a", "b"))
@@ -165,10 +164,6 @@ def test_parse_k3_and_serialize_round_trip():
     # mirror pairs are filled in with the graded-commutativity sign
     assert doc.products[("b", "a")] == {"eps": F(-1, 2)}
     assert doc.products[("a", "eps")] == {"a": F(1, 2)}
-    again = parse_algebra_text(serialize_algebra(doc))
-    assert again.name == doc.name
-    assert again.space == doc.space
-    assert again.products == doc.products
 
 
 def test_parse_module_block():

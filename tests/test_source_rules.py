@@ -18,6 +18,9 @@
 - the eta suite's coefficient build and coboundary reports run on ints:
   `zoo._eta_coefficients` and `zoo._delta_report` name no exact scalar and
   divide nowhere but in their one call of `core.divided`;
+- the eta coefficient rows hold no coboundary weights of their own:
+  `zoo._eta_coefficients` takes them from `delta_instance`, on the generic
+  cochain of the matrix assembly;
 - delta^k is held once on integers: its assembly (`_GenericCochain`,
   `_delta_matrix`) and the delta^2 check (`verify_complex`) name neither
   `Fraction` nor `divided`, and the module's one call of `divided` is in
@@ -123,6 +126,8 @@ def test_the_identity_checkers_read_one_scatter():
 
 def test_the_eta_builds_divide_once_through_divided():
     functions = _functions("zoo.py")
+    called = set(_called_names(functions["_eta_coefficients"]))
+    assert {"delta_instance", "_GenericCochain"} <= called
     for name in ("_eta_coefficients", "_delta_report"):
         node = functions[name]
         assert not {"Fraction", "HALF", "ONE"} & set(_read_names(node)), name

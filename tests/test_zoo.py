@@ -1047,6 +1047,71 @@ def test_eta_systems_match_the_per_target_builder(solver_calls):
                     assert ncols == len(ref_vars)
 
 
+def _ref_eta_coefficients(N):
+    """The eta suite's coefficient rows as they were written before they
+    came from `delta_instance`: delta^1 of the dual-valued 1-cochain zeta by
+    hand, on doubled labels, over 4 times the products and the action, with
+    twice the weights of zeta(x0.x1), rho_x0 zeta(x1) and rho_x1 zeta(x0) on
+    the (2,0), (1,1) and (0,2) instances.  ({mode: (instances, bound)},
+    variables) in the layout of `zoo._eta_coefficients`, except that each
+    dual component maps to its row {variable: Fraction} rather than an id."""
+    D = N + 2
+    walg = WindowedAlgebra("m1", N)
+    dual = ([("eps*", k) for k in range(0, 2 * D + 1, 2)],
+            [("a*", k) for k in range(-1, 2 * D, 2)])
+    variables = [(u, w) for u in walg.labels2()
+                 for w in dual[zoo.conf_parity(u)]]
+    vindex = {v: k for k, v in enumerate(variables)}
+    arg_window = set(walg.labels2())
+    bound = 2 * (D - N - 1)
+    table, sound = [], []
+    margin = WindowedAlgebra("m1", D + 2)
+    ev, od = margin.even2, margin.odd2
+    for key, x0, x1, (s, s01, s10) in itertools.chain(
+            (((2, 0, (x0, x1), ()), x0, x1, (1, -1, -1))
+             for t, x0 in enumerate(ev) for x1 in ev[t:]),
+            (((1, 1, (x,), (y,)), x, y, (2, -2, -2)) for x in ev for y in od),
+            (((0, 2, (), (y0, y1)), y0, y1, (2, -2, 2))
+             for t, y0 in enumerate(od) for y1 in od[t + 1:])):
+        prod = zoo._conf_mul4(x0, x1)
+        # (dual component, variable, 8 * coeff) of delta zeta at the
+        # instance; a zeta-argument outside the window is the known zero
+        terms = [(w, (l, w), s * c) for l, c in prod.items()
+                 if l in arg_window for w in dual[zoo.conf_parity(l)]]
+        terms += [(comp, (arg, w), sa * c)
+                  for actor, arg, sa in ((x0, x1, s01), (x1, x0, s10))
+                  if arg in arg_window for w in dual[zoo.conf_parity(arg)]
+                  for comp, c in zoo._dual_act4(actor, w).items()]
+        rows: dict = {}
+        for comp, var, c in terms:
+            row = rows.setdefault(comp, {})
+            row[vindex[var]] = row.get(vindex[var], 0) + c
+        comps = {comp: {k: F(c, 8) for k, c in rows[comp].items() if c}
+                 for comp in sorted(rows)}
+        table.append((key, comps))
+        if arg_window.issuperset((x0, x1, *prod)):
+            sound.append((key, {c: r for c, r in comps.items()
+                                if c[1] <= bound}))
+    return ({"table": (table, None), "sound": (sound, bound)},
+            tuple((zoo._half(u), zoo._half(w)) for u, w in variables))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_eta_rows_match_the_hand_written_coboundary(N):
+    """Every eta coefficient row, taken from `delta_instance` on the generic
+    1-cochain, is the row the hand-written delta^1 gives: the same
+    variables, and the same table and sound instances in the same order,
+    each with the same component rows."""
+    modes, row_table, variables = zoo._eta_coefficients(N)
+    want, want_variables = _ref_eta_coefficients(N)
+    assert variables == want_variables
+    assert modes.keys() == want.keys()
+    for mode, (instances, bound) in modes.items():
+        got = [(key, {comp: row_table[rid] for comp, rid in comps.items()})
+               for key, comps in instances]
+        assert (got, bound) == want[mode], mode
+
+
 def test_eta_suite_makes_two_solver_calls(monkeypatch):
     """verify eta makes two solver calls: one on the sound systems of all
     five targets, then one on the table systems of the two line members,
