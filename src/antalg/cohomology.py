@@ -15,8 +15,11 @@ Every scalar of a formula comes from its `DeltaContext`, and every term
 holds one product or action factor, so the same formulas assemble delta^k
 on integers (`_delta_matrix`): over the scale 2*D*L_k, D the common
 denominator of the products and the action and L_k = lcm(1, .., k+1).
-That one integer matrix per degree (`DifferentialMatrix`) is divided once
-for `linalg`, and delta^2 = 0 is one integer product (`verify_complex`).
+That one integer matrix per degree (`DifferentialMatrix`) is what the
+complex is read from: rank delta^k is fraction-free elimination on its rows
+(`cohomology_dims`), ker delta^1 is their nullspace, and delta^2 = 0 is one
+integer product (`verify_complex`).  It is divided into `Fraction`s only
+where a value of delta^k is needed (`solve_coboundary`).
 
 Products or action values that are unknown (None) -- which happens for
 truncated windows of infinite-dimensional algebras -- propagate to None
@@ -26,6 +29,7 @@ results, so callers can skip exactly the undecidable instances.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -479,14 +483,19 @@ class CochainBasis:
 class DifferentialMatrix:
     """delta^k : C^k -> C^{k+1}, held once on integers: ``ints`` is S_k
     times it over its scale S_k = ``scale``, one dict {column: nonzero int}
-    per basis key of C^{k+1}, and `full` is the one division of those rows,
-    the `Fraction` rows that `linalg` eliminates on."""
+    per basis key of C^{k+1}.  Rank and kernel are taken on ``ints``, which
+    has the row space of delta^k.  `full`, the one division of those rows
+    into delta^k's own `Fraction` rows, is built on first read, by the
+    callers that need delta^k's values (`solve_coboundary`)."""
 
     def __init__(self, k, source: CochainBasis, target: CochainBasis,
                  ints: list, scale: int):
         self.k, self.source, self.target = k, source, target
         self.ints, self.scale = ints, scale
-        self.full = [divided(row, scale) for row in ints]
+
+    @functools.cached_property
+    def full(self) -> list:
+        return [divided(row, self.scale) for row in self.ints]
 
     def __repr__(self):
         return (f"DifferentialMatrix(k={self.k}, "
@@ -614,7 +623,7 @@ def cohomology_dims(alg, mod, kmax) -> list:
     H^1 is the full kernel of delta^1 (the complex starts at C^1)."""
     out, prev_rank = [], 0
     for mat in assemble_complex(alg, mod, kmax):
-        r = linalg.rank(mat.full)
+        r = linalg.rank(mat.ints)
         out.append((mat.k, mat.source.dim, r, mat.source.dim - r - prev_rank))
         prev_rank = r
     return out
@@ -673,7 +682,7 @@ def _derivation_residual(alg, mod, c: Cochain, u, v, sign) -> Vector:
 def kernel_of_delta1(alg, mod) -> dict:
     """ker delta^1 in the same canonical form as `derivation_space`."""
     mat = _delta_matrix(alg, mod, 1)
-    return _solution_space(mat.full, mat.source)
+    return _solution_space(mat.ints, mat.source)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,31 @@
 """Exact sparse linear algebra over Q for the cohomology machinery.
 
 A matrix is a list of rows, and a row is a dict from column index to a
-nonzero Fraction (`mat_mul` also multiplies int rows exactly).  No zero is
-ever stored, so an empty dict is a zero row.
-A matrix does not carry its column count; the two functions that need it
-(`nullspace`, `solve`) take it as an argument.  Kernel vectors and
-solutions come back as rows of the same form.  `solve` takes several
-right-hand sides, and solves for all of them with one elimination.
+nonzero `Fraction` or `int`.  No zero is ever stored, so an empty dict is a
+zero row.  A matrix does not carry its column count; the two functions that
+need it (`nullspace`, `solve`) take it as an argument.  Kernel vectors,
+rref rows and solutions come back as rows of nonzero `Fraction`s.  `solve`
+takes several right-hand sides, and solves for all of them with one
+elimination.
 
-Elimination keeps everything in exact rationals.  It visits the columns in
-order and keeps, for each column, the set of unreduced rows that are
-nonzero there, so only those rows are looked at.  The pivot is the entry
-minimising |num|*den in its column, which keeps numerators and
-denominators small, and a row update touches only the pivot row's nonzero
-columns.  `rank` re-runs the elimination with the column order reversed
-and insists both passes agree.
+Elimination is fraction-free (Bareiss, 1968): it works on integer rows and
+creates no `Fraction`.  Each input row is first replaced by its primitive
+integer multiple (times the lcm of its denominators, over the gcd of its
+entries), which spans the same line, so `int` and `Fraction` rows are
+eliminated alike.  The columns are visited in order, and for each column
+the set of unreduced rows that are nonzero there is kept, so only those
+rows are looked at.  The pivot is the entry of least absolute value in its
+column, ties going to the lower row.  A row update, row <- (p/g) row -
+(f/g) pivot row with g = gcd(p, f), touches the pivot row's nonzero columns
+(and scales the row when p/g is not 1), and the result is divided by the
+gcd of its entries.  `rref` scales the pivot rows to leading 1s only at the
+end.  `rank` re-runs the elimination with the column order reversed and
+insists both passes agree.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -52,19 +59,26 @@ def mat_is_zero(a: list) -> bool:
     return not any(a)
 
 
-def _pivot_weight(c: Fraction):
-    return abs(c.numerator) * c.denominator
+def _primitive(row: dict) -> dict:
+    """The primitive integer multiple of a nonzero row: times the lcm of its
+    denominators, then divided by the gcd of its entries."""
+    den = math.lcm(*(c.denominator for c in row.values()))
+    ints = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
+    g = math.gcd(*ints.values())
+    return {j: c // g for j, c in ints.items()} if g != 1 else ints
 
 
 def _eliminate(mat: list, descending=False, stop=float("inf")) -> list:
-    """Forward elimination in increasing (or decreasing) column order.
+    """Fraction-free forward elimination in increasing (or decreasing)
+    column order, on the primitive integer multiples of the rows.
 
-    Returns the pivot rows as (column, row) pairs in elimination order.  A
-    pivot row is zero in every column visited before its own.  Columns >=
-    ``stop`` are not visited, and each row left nonzero (only there)
-    follows the pivots as (None, row).  The input rows are not modified.
+    Returns the pivot rows, primitive int rows, as (column, row) pairs in
+    elimination order.  A pivot row is zero in every column visited before
+    its own.  Columns >= ``stop`` are not visited, and each row left
+    nonzero (only there) follows the pivots as (None, row).  The input rows
+    are not modified.
     """
-    work = {i: dict(row) for i, row in enumerate(mat) if row}
+    work = {i: _primitive(row) for i, row in enumerate(mat) if row}
     where: dict = {}  # column -> ids of the unreduced rows nonzero there
     for i, row in work.items():
         for j in row:
@@ -74,23 +88,29 @@ def _eliminate(mat: list, descending=False, stop=float("inf")) -> list:
         ids = where.pop(col)
         if not ids:
             continue
-        r = min(ids, key=lambda i: (_pivot_weight(work[i][col]), i))
+        r = min(ids, key=lambda i: (abs(work[i][col]), i))
         ids.discard(r)
         prow = work.pop(r)
-        pc = prow[col]
+        p = prow[col]
         rest = [(j, b) for j, b in prow.items() if j != col]
         for j, _ in rest:
             where[j].discard(r)
         for i in ids:
+            # row <- (p/g) row - (f/g) prow, g = gcd(p, f), then made primitive
             row = work[i]
-            factor = row.pop(col) / pc
+            f = row.pop(col)
+            g = math.gcd(p, f)
+            a, f = p // g, f // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
             for j, b in rest:
                 x = row.get(j)
                 if x is None:
-                    row[j] = -factor * b
+                    row[j] = -f * b
                     where[j].add(i)
                 else:
-                    x -= factor * b
+                    x -= f * b
                     if x:
                         row[j] = x
                     else:
@@ -98,6 +118,9 @@ def _eliminate(mat: list, descending=False, stop=float("inf")) -> list:
                         where[j].discard(i)
             if not row:
                 del work[i]
+            elif (g := math.gcd(*row.values())) != 1:
+                for j in row:
+                    row[j] //= g
         pivots.append((col, prow))
         if not work:
             break
@@ -108,25 +131,31 @@ def rref(mat: list) -> tuple:
     """Reduced row echelon form; returns (rref matrix, pivot column list).
 
     The result is canonical: two matrices have equal row spaces iff their
-    rrefs coincide (zero rows are dropped).
+    rrefs coincide (zero rows are dropped).  Its rows hold `Fraction`s.
     """
-    reduced: dict = {}  # pivot column -> its row, scaled to a leading 1
+    reduced: dict = {}  # pivot column -> its primitive int row
     for col, row in reversed(_eliminate(mat)):
         # the rows in `reduced` are zero in each other's pivot columns, so
         # clearing their pivot columns here fills in none of them
         for pc in [j for j in row if j in reduced]:
-            f = row.pop(pc)
-            for j, b in reduced[pc].items():
-                if j != pc:
-                    x = row.get(j, 0) - f * b
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-        inv = 1 / row[col]
-        reduced[col] = {j: c * inv for j, c in row.items()}
+            # row <- (d/g) row - (f/g) red, d and f their entries at pc
+            red = reduced[pc]
+            g = math.gcd(red[pc], row[pc])
+            a, f = red[pc] // g, row[pc] // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, b in red.items():
+                x = row.get(j, 0) - f * b
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        g = math.gcd(*row.values())
+        reduced[col] = {j: c // g for j, c in row.items()}
     pivot_cols = sorted(reduced)
-    return [reduced[c] for c in pivot_cols], pivot_cols
+    return [{j: Fraction(c, reduced[pc][pc]) for j, c in reduced[pc].items()}
+            for pc in pivot_cols], pivot_cols
 
 
 def rank(mat: list) -> int:

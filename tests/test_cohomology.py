@@ -534,6 +534,19 @@ def test_delta_expands_products_with_several_labels():
                 assert apply_delta(c) == delta_via_bracket(c)
 
 
+def test_k3n2x_adjoint_ranks_through_degree_five():
+    """The scale case: tests/golden/k3n2x.alg with adjoint coefficients to
+    k = 5 (delta^5 is 3402 x 1134).  The ranks are those the `Fraction`
+    elimination gave before ranks were taken on the integer rows, and the
+    cohomology is K3 + N2's, as in the basis of single-label products."""
+    alg = AntialgebraStructure.from_file_doc(
+        parse_algebra_file(GOLDEN / "k3n2x.alg"))
+    table = cohomology_dims(alg, adjoint_module(alg), 5)
+    assert [r for _, _, r, _ in table] == [8, 32, 92, 284, 848]
+    assert [h for _, _, _, h in table] == [5, 2, 2, 2, 2]
+    assert [d for _, d, _, _ in table] == [13, 42, 126, 378, 1134]
+
+
 # ---------------------------------------------------------------------------
 # degree one: derivations
 # ---------------------------------------------------------------------------
@@ -724,21 +737,28 @@ def test_windowed_adjoint_delta_squares_to_zero_where_decidable():
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _kunneth_kx2y2(kmax):
+    return [sum((2 if i in (0, n) else 1) for i in range(n + 1))
+            for n in range(1, kmax + 1)]
+
+
 @pytest.mark.parametrize("table,coefficients,kmax,expected", [
     # HH^n(k[t]/(t^m)) = m - 1 for n >= 1 in characteristic 0
     ("kt2", "adjoint", 5, [1] * 5),
     ("kt3", "adjoint", 5, [2] * 5),
     ("kt4", "adjoint", 4, [3] * 4),
     # Kuenneth: HH^n(A (x) A) = sum_i h_i h_{n-i} for A = k[t]/(t^2), with
-    # h = 2, 1, 1, .. (HH^0 is the centre, A itself): 4, 5, 6, 7
-    ("kx2y2", "adjoint", 4, [sum((2 if i in (0, n) else 1)
-                                 for i in range(n + 1)) for n in range(1, 5)]),
+    # h = 2, 1, 1, .. (HH^0 is the centre, A itself): 4, 5, 6, 7, 8
+    ("kx2y2", "adjoint", 4, _kunneth_kx2y2(4)),
     # k is separable: HH^n(k, k) = 0 for n >= 1
     ("kunit", "adjoint", 5, [0] * 5),
     # the unit acts by 0 on the trivial module: the complex is contractible
     ("kt2", "trivial", 5, [0] * 5),
     # Ext^n over k[t]/(t^3) between k and k: 1 in each degree
     ("tkt3", "trivial", 5, [1] * 5),
+    # the largest complexes here: delta^5 is 16384 x 4096 on both
+    ("kt4", "adjoint", 5, [3] * 5),
+    ("kx2y2", "adjoint", 5, _kunneth_kx2y2(5)),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_cohomology_of_purely_even_tables_has_its_classical_value(
         table, coefficients, kmax, expected):

@@ -1,10 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
-`linalg` works on rows {column: nonzero Fraction}.  The dense elimination
-below, on full lists of Fractions, is an independent reference for it.
+`linalg` works on rows {column: nonzero Fraction or int}, and eliminates on
+their primitive integer multiples.  The dense elimination below, on full
+lists of Fractions, is an independent reference for it; integer multiples
+of its rows must give the same rank, rref, nullspace and solutions.
 """
 
 import copy
+import math
 import random
 import unittest
 from fractions import Fraction
@@ -139,6 +142,19 @@ def _stores_no_zero(rows):
     return all(c for row in rows for c in row.values())
 
 
+def _holds_fractions(rows):
+    return all(type(c) is F for row in rows for c in row.values())
+
+
+def _integer_multiples(dense, rng):
+    """Each dense row times a random nonzero integer that clears its
+    denominators: (int rows with the same row space, the factors)."""
+    factors = [math.lcm(*(c.denominator for c in row))
+               * rng.choice((-3, -2, -1, 1, 2, 5)) for row in dense]
+    return [[int(c * k) for c in row]
+            for row, k in zip(dense, factors)], factors
+
+
 # ---------------------------------------------------------------------------
 # the sparse engine against the dense reference
 # ---------------------------------------------------------------------------
@@ -157,30 +173,65 @@ class AgainstDenseReference(unittest.TestCase):
 
     def _check(self, density, seed):
         rng, cases = self._cases(density, seed)
+        int_rng = random.Random(seed + 1000)
         for dense, m in cases:
             rows = sparse(dense)
+            int_dense, factors = _integer_multiples(dense, int_rng)
+            ints = sparse(int_dense)
+            self.assertTrue(all(type(c) is int
+                                for row in ints for c in row.values()))
             before = [dict(row) for row in rows]
-            self.assertEqual(linalg.rank(rows), dense_rank(dense, m))
+            int_before = [dict(row) for row in ints]
+            rank = dense_rank(dense, m)
+            self.assertEqual(linalg.rank(rows), rank)
+            self.assertEqual(linalg.rank(ints), rank)
+            for mat in (rows, ints):
+                self._check_pivot_rows(mat, rank)
             red, pivots = linalg.rref(rows)
             want_red, want_pivots = dense_rref(dense, m)
             self.assertEqual(densify(red, m), want_red)
             self.assertEqual(pivots, want_pivots)
             self.assertTrue(_stores_no_zero(red))
+            self.assertTrue(_holds_fractions(red))
+            int_red = linalg.rref(ints)
+            self.assertEqual(int_red, (red, pivots))
+            self.assertTrue(_holds_fractions(int_red[0]))
             ns = linalg.nullspace(rows, m)
             self.assertEqual(densify(ns, m), dense_nullspace(dense, m))
             self.assertTrue(_stores_no_zero(ns))
+            self.assertTrue(_holds_fractions(ns))
+            int_ns = linalg.nullspace(ints, m)
+            self.assertEqual(int_ns, ns)
+            self.assertTrue(_holds_fractions(int_ns))
             # a consistent right-hand side, then an arbitrary one
             x0 = [F(rng.randint(-4, 4)) for _ in range(m)]
             for rhs in (mat_vec(dense, x0),
                         [F(rng.randint(-3, 3)) for _ in dense]):
                 got = linalg.solve(rows, rhs, m)
                 want = dense_solve(dense, rhs, m)
+                # the same system on the integer rows: each equation scaled
+                self.assertEqual(linalg.solve(ints, [
+                    b * k for b, k in zip(rhs, factors)], m), got)
                 if want is None:
                     self.assertIsNone(got)
                 else:
                     self.assertEqual(densify(got, m), want)
                     self.assertTrue(all(got.values()))
+                    self.assertTrue(_holds_fractions([got]))
             self.assertEqual(rows, before)  # inputs are left untouched
+            self.assertEqual(ints, int_before)
+
+    def _check_pivot_rows(self, mat, rank):
+        """Both elimination orders give ``rank`` pivot rows, each a
+        primitive int row: int entries with gcd 1."""
+        for descending in (False, True):
+            steps = linalg._eliminate(mat, descending)
+            self.assertEqual(len(steps), rank)
+            for col, row in steps:
+                self.assertIsNotNone(col)
+                self.assertIn(col, row)
+                self.assertTrue(all(type(c) is int for c in row.values()))
+                self.assertEqual(math.gcd(*row.values()), 1)
 
     def test_density_0_05(self):
         self._check(0.05, 101)

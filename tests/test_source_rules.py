@@ -24,7 +24,11 @@
 - delta^k is held once on integers: its assembly (`_GenericCochain`,
   `_delta_matrix`) and the delta^2 check (`verify_complex`) name neither
   `Fraction` nor `divided`, and the module's one call of `divided` is in
-  `DifferentialMatrix`, the one division of delta^k for `linalg`.
+  `DifferentialMatrix`, the one division of delta^k into `Fraction`s;
+- exact rank runs on integer rows: `linalg._eliminate` and the
+  `_primitive` rows it starts from name no `Fraction`, and
+  `cohomology_dims` ranks delta^k's integer rows, ``.ints``, so no
+  `Fraction` is made on the way to a cohomology table.
 """
 
 import ast
@@ -147,3 +151,14 @@ def test_delta_matrices_stay_on_integers_until_their_one_division():
     calls = [name for name, node in top.items()
              for called in _called_names(node) if called == "divided"]
     assert calls == ["DifferentialMatrix"]
+
+
+def test_exact_rank_runs_on_integer_rows():
+    kernel = _functions("linalg.py")
+    for name in ("_eliminate", "_primitive"):
+        assert "Fraction" not in set(_read_names(kernel[name])), name
+    dims = _functions("cohomology.py")["cohomology_dims"]
+    ranked = [sub.args[0] for sub in ast.walk(dims)
+              if isinstance(sub, ast.Call)
+              and getattr(sub.func, "attr", None) == "rank"]
+    assert [getattr(arg, "attr", None) for arg in ranked] == ["ints"]
