@@ -266,17 +266,23 @@ def _integer_table(table: Mapping):
 def _identity_residuals(space, t: Mapping, kinds, increasing=()) -> dict:
     """{kind: {instance: {label: int}}}, the residuals of the laws ``kinds``
     on the integer table T at every instance a nonzero product reaches (for
-    an ``increasing`` law, of window positions, only at increasing ones): a
+    an ``increasing`` law, only at increasing ones, by label order): a
     term walks T's nonzero products at its inner slots, meets its outer one
     by T's column (s.(..)) or row ((..).s) and adds into its one instance,
-    in the order of an instance-by-instance sum."""
-    member = {"E": set(space.even), "O": set(space.odd),
-              "L": {*space.even, *space.odd}}
+    in the order of an instance-by-instance sum.  Slots range over the
+    labels of ``space``; T may also hold products of those with labels
+    beyond them (a window's closure table), which are read only as outer
+    products."""
+    every = {*space.even, *space.odd}
+    member = {"E": set(space.even), "O": set(space.odd), "L": every}
     nonzero = [(a, b, v) for a, row in t.items() for b, v in row.items() if v]
-    index = ({}, {})  # l -> [(s, T[s][l])] and l -> [(s, T[l][s])]
+    index = ({}, {})  # l -> [(s, T[s][l])] and l -> [(s, T[l][s])], s a slot
     for a, b, v in nonzero:
-        index[0].setdefault(b, []).append((a, v))
-        index[1].setdefault(a, []).append((b, v))
+        if a in every:
+            index[0].setdefault(b, []).append((a, v))
+        if b in every:
+            index[1].setdefault(a, []).append((b, v))
+    nonzero = [(a, b, v) for a, b, v in nonzero if a in every and b in every]
     reached = {kind: defaultdict(dict) for kind in kinds}
     for kind, doms, _, terms in (law for law in _LAWS if law[0] in kinds):
         found, inc = reached[kind], kind in increasing
@@ -296,29 +302,26 @@ def _identity_residuals(space, t: Mapping, kinds, increasing=()) -> dict:
     return reached
 
 
-def _identity_reports(space, t: Mapping, kinds, residual, unknown=None,
+def _identity_reports(space, t: Mapping, kinds, residual,
                       increasing=()) -> dict:
     """{kind: CheckReport} of the laws ``kinds`` on the integer table T from
     one scatter (`_identity_residuals`): an instance no product reaches is
-    a checked zero, counted but not evaluated; a reached one holding the
-    absorbing label ``unknown`` is skipped, and a nonzero one a violation,
-    residual(acc, weight).  An ``increasing`` law has C(|O|, 3) instances."""
+    a checked zero, counted but not evaluated, and a nonzero one is a
+    violation, residual(acc, weight).  An ``increasing`` law has C(|O|, 3)
+    instances."""
     pos = {l: k for k, l in enumerate((*space.even, *space.odd))}
     size = {"E": len(space.even), "O": len(space.odd), "L": len(pos)}
     reports = {kind: CheckReport(kind) for kind in kinds}
     for kind, found in _identity_residuals(space, t, kinds,
                                            increasing).items():
         laws = [law for law in _LAWS if law[0] == kind]
-        rep, bad = reports[kind], []
-        for inst, acc in found.items():
-            if unknown is not None and unknown in acc:
-                rep.skipped += 1
-            elif any(acc.values()):
-                bad.append(([pos[l] for l in inst], inst))  # product order
+        rep, bad = reports[kind], sorted(  # in product order
+            ([pos[l] for l in inst], inst) for inst, acc in found.items()
+            if any(acc.values()))
         rep.checked = (math.comb(size["O"], 3) if kind in increasing else sum(
-            math.prod(map(size.get, law[1])) for law in laws)) - rep.skipped
+            math.prod(map(size.get, law[1])) for law in laws))
         rep.violations = [Violation(kind, i, residual(found[i], laws[0][2]))
-                          for _, i in sorted(bad)]
+                          for _, i in bad]
     return reports
 
 

@@ -21,9 +21,9 @@ complex is read from: rank delta^k is fraction-free elimination on its rows
 integer product (`verify_complex`).  It is divided into `Fraction`s only
 where a value of delta^k is needed (`solve_coboundary`).
 
-Products or action values that are unknown (None) -- which happens for
-truncated windows of infinite-dimensional algebras -- propagate to None
-results, so callers can skip exactly the undecidable instances.
+A context's product and action are total: on the infinite conformal
+families (`zoo`) they are the global index formulas, so every instance
+whose arguments lie in a window is decided exactly.
 """
 
 from __future__ import annotations
@@ -70,10 +70,8 @@ class DeltaContext:
     ``alg`` and ``mod`` are bases of the algebra and the module: they answer
     ``parity(label)`` and ``index(label)`` (the canonical order of odd
     labels), and ``mod`` builds module values with ``vector(coeffs)``.
-    ``mul(a, b)`` and ``act(a, l)`` return {label: coeff} mappings, or
-    None for a value that a truncated window cannot decide; None
-    propagates through the three methods, which return {label: coeff}
-    mappings too (callers must not mutate them):
+    ``mul(a, b)`` and ``act(a, l)`` return {label: coeff} mappings, and
+    so do the three methods (callers must not mutate them):
 
       m_alg(a, b)      the distinguished odd element on algebra labels:
                        half the product on even-even pairs, the product
@@ -86,36 +84,31 @@ class DeltaContext:
                        action on the odd one.
 
     The formulas' scalars are ``half``, ``one``, the unit sign ``unit`` and
-    the block norms ``norm(n, d)`` = n/d.  Given ``lcm``, which every norm
-    denominator divides, they are 2*lcm times these, all integers.
+    the block norms ``norm(n, d)`` = n/d.  Given a positive ``lcm``, which
+    every norm denominator divides, they are 2*lcm times these, all
+    integers; the default 0 keeps them exact.
     """
 
-    def __init__(self, alg, mod, mul, act, lcm=None):
+    def __init__(self, alg, mod, mul, act, lcm=0):
         self.alg, self.mod, self.mul, self.act = alg, mod, mul, act
         self.lcm = lcm
-        self.half, self.one, self.unit = ((HALF, ONE, 1) if lcm is None
-                                          else (1, 2, lcm))
+        self.half, self.one, self.unit = (1, 2, lcm) if lcm else (HALF, ONE, 1)
 
     def norm(self, n, d):
-        return Fraction(n, d) if self.lcm is None else n * self.lcm // d
+        return n * self.lcm // d if self.lcm else Fraction(n, d)
 
     def m_alg(self, a, b):
         v = self.mul(a, b)
         even = self.alg.parity(a) == 0 == self.alg.parity(b)
         w = self.half if even else self.one
-        return v if v is None or w == 1 else {l: c * w for l, c in v.items()}
+        return v if w == 1 else {l: c * w for l, c in v.items()}
 
     def _act_weighted(self, a, v, w0, w1):
-        if v is None:
-            return None
         parity = self.mod.parity
         out: dict = {}
         for l, c in v.items():
-            acted = self.act(a, l)
-            if acted is None:
-                return None
             wc = (w0 if parity(l) == 0 else w1) * c
-            for k, d in acted.items():
+            for k, d in self.act(a, l).items():
                 out[k] = out.get(k, 0) + wc * d
         return out
 
@@ -270,16 +263,13 @@ class Cochain:
 
 def _through(coeff, prod, value_at):
     """The terms of coeff * c(.., m, ..) for a product m = {l: d}: one term
-    (coeff * d, value_at(l)) per label, or one unknown term if m is None."""
-    if prod is None:
-        yield coeff, None
-        return
+    (coeff * d, value_at(l)) per label."""
     for l, d in prod.items():
         yield coeff * d, value_at(l)
 
 
 def delta10_terms(ctx: DeltaContext, coch, p, q, xs, ys):
-    """The signed terms (coefficient, module value or None) of the
+    """The signed terms (coefficient, module value) of the
     contribution of the (p,q)-block to the (p+1,q)-block of the coboundary,
     evaluated at xs (p+1 even labels) and ys (q odd labels):
 
@@ -335,16 +325,13 @@ _TERMS = {(1, 0): delta10_terms, (0, 1): delta01_terms,
 
 def delta_instance(ctx, coch, P, Q, xs, ys, components=COMPONENTS):
     """Value of the chosen components of the coboundary at one basis
-    instance of the target block (P,Q), the one sum of their terms; None at
-    the first unknown term, whose successors are not evaluated."""
+    instance of the target block (P,Q), the one sum of their terms."""
     out: dict = {}
     for dp, dq in components:
         p, q = P - dp, Q - dq
         if p < 0 or q < 0:
             continue
         for c, v in _TERMS[(dp, dq)](ctx, coch, p, q, xs, ys):
-            if v is None:
-                return None
             for l, d in v.items():
                 out[l] = out.get(l, 0) + c * d
     return ctx.mod.vector(out)
@@ -374,9 +361,8 @@ def _materialise_delta(coch, components):
         table = blocks[(P, Q)] = {}
         for xs in itertools.product(sp.even, repeat=P):
             for ys in itertools.combinations(sp.odd, Q):
-                v = delta_instance(ctx, coch, P, Q, xs, ys, components)
-                _require(v is not None, "finite structures cannot be unknown")
-                table[(xs, ys)] = v
+                table[(xs, ys)] = delta_instance(ctx, coch, P, Q, xs, ys,
+                                                 components)
     return coch._image(blocks)
 
 

@@ -19,7 +19,8 @@ column, ties going to the lower row.  A row update, row <- (p/g) row -
 (f/g) pivot row with g = gcd(p, f), touches the pivot row's nonzero columns
 (and scales the row when p/g is not 1), and the result is divided by the
 gcd of its entries.  `rref` scales the pivot rows to leading 1s only at the
-end.  `rank` re-runs the elimination with the column order reversed and
+end, and `solve` back-substitutes on the pivot rows of its own elimination.
+`rank` re-runs the elimination with the column order reversed and
 insists both passes agree.
 """
 
@@ -127,14 +128,13 @@ def _eliminate(mat: list, descending=False, stop=float("inf")) -> list:
     return pivots + [(None, row) for row in work.values()]
 
 
-def rref(mat: list) -> tuple:
-    """Reduced row echelon form; returns (rref matrix, pivot column list).
-
-    The result is canonical: two matrices have equal row spaces iff their
-    rrefs coincide (zero rows are dropped).  Its rows hold `Fraction`s.
-    """
+def _back_substitute(pivots) -> tuple:
+    """(rref rows, pivot columns) of the echelon pivot rows of `_eliminate`,
+    given as its (column, row) pairs in elimination order, each row zero in
+    the pivot columns before its own: each later pivot column is cleared
+    from each row, and the rows are scaled to leading 1s at the end."""
     reduced: dict = {}  # pivot column -> its primitive int row
-    for col, row in reversed(_eliminate(mat)):
+    for col, row in reversed(pivots):
         # the rows in `reduced` are zero in each other's pivot columns, so
         # clearing their pivot columns here fills in none of them
         for pc in [j for j in row if j in reduced]:
@@ -156,6 +156,15 @@ def rref(mat: list) -> tuple:
     pivot_cols = sorted(reduced)
     return [{j: Fraction(c, reduced[pc][pc]) for j, c in reduced[pc].items()}
             for pc in pivot_cols], pivot_cols
+
+
+def rref(mat: list) -> tuple:
+    """Reduced row echelon form; returns (rref matrix, pivot column list).
+
+    The result is canonical: two matrices have equal row spaces iff their
+    rrefs coincide (zero rows are dropped).  Its rows hold `Fraction`s.
+    """
+    return _back_substitute(_eliminate(mat))
 
 
 def rank(mat: list) -> int:
@@ -183,13 +192,14 @@ def solve(mat: list, rhs: list, ncols: int):
     tuple per row, a scalar per target, and then the answer is a list, one
     solution (or None) per target: the canonical one, on the rref pivots of
     ``mat`` with the free variables zero.  The right-hand sides are columns
-    ncols, ncols + 1, .. of one elimination that stops before them.  With
-    no rows the answer is {}."""
+    ncols, ncols + 1, .. of one elimination that stops before them, and its
+    pivot rows are back-substituted as they stand.  With no rows the answer
+    is {}."""
     many = bool(rhs) and isinstance(rhs[0], tuple)
     steps = _eliminate([{**row, **{ncols + t: c for t, c in enumerate(
         b if many else (b,)) if c}} for row, b in zip(mat, rhs, strict=True)],
         stop=ncols)
-    red, pivot_cols = rref([row for col, row in steps if col is not None])
+    red, pivot_cols = _back_substitute([s for s in steps if s[0] is not None])
     bad = {j for col, row in steps if col is None for j in row}
     sols = [None if j in bad else {
         pc: row[j] for row, pc in zip(red, pivot_cols) if j in row}

@@ -13,29 +13,29 @@ Basis labels are (family, index) pairs with exact rational indices:
 Dual labels append "*" to the family name and keep the index and the parity.
 
 A window of radius N keeps |index| <= N (or floor <= index <= N for the
-one-sided family).  Windowed products return None -- "unknown", distinct
-from the zero dict -- whenever the exact result has support outside the
-window; identity checks count such instances as skipped.  The axiom
-suites of the conformal windows scatter the finite tables' identities
-(`antialgebra._identity_reports`) from the nonzero products of the
-window's integer table, and count the instances no product reaches as
-checked without evaluating them.  The verification suites for the named
-cocycles use the global index formulas instead, so they have no truncation
-error; the Lie-side suites (gf, dual-gf, gv) take their coboundaries from
-`brackets.lie_coboundary`, and the eta suite's coefficient rows are
-`cohomology.delta_instance` of the generic 1-cochain on its window
-variables, the `cohomology._GenericCochain` that delta^k is assembled from.
+one-sided family).  A window bounds the arguments of an identity or a
+coboundary instance, never the labels in between: every product is the
+global index formula, so every instance whose arguments lie in the window
+is decided exactly.  The axiom suites of the conformal windows scatter the
+finite tables' identities (`antialgebra._identity_reports`) from the
+nonzero products of the window's closure table, which holds the window
+labels times the labels of the 2N window, and count the instances no
+product reaches as checked without evaluating them.  The Lie-side suites
+(gf, dual-gf, gv) take their coboundaries from `brackets.lie_coboundary`,
+and the eta suite's coefficient rows are `cohomology.delta_instance` of the
+generic 1-cochain on its window variables, the `cohomology._GenericCochain`
+that delta^k is assembled from.
 Cochain values are `DictVec`s, `core.Vector`s over the open basis of all
 (family, index) labels.
 
 Inside the suites labels are keyed by integers, because a `Fraction`
-rehashes on every dict access: the axiom suites key a label by its position
-in the window, the other suites by its doubled label (family, 2 * index)
-with an `int` index, which sorts like the label within a family.  The
-structure constants are written once, on doubled labels.  Every label that
-a caller passes or receives -- the public products, the suites' callbacks,
-a report's instances, residuals and extras, a returned cochain -- is a
-(family, Fraction) label.
+rehashes on every dict access: a label is keyed by its doubled label
+(family, 2 * index) with an `int` index, which sorts like the label within
+a family (the axiom suites key it by the doubled index alone, even on eps
+and odd on a).  The structure constants are written once, on doubled
+labels.  Every label that a caller passes or receives -- the public
+products, the suites' callbacks, a report's instances, residuals and
+extras, a returned cochain -- is a (family, Fraction) label.
 """
 
 from __future__ import annotations
@@ -194,21 +194,15 @@ def w1_bracket(u, v) -> dict:
 # ---------------------------------------------------------------------------
 
 class WindowedAlgebra:
-    """A truncated view of one of the infinite families.
-
-    ``even`` and ``odd`` list the window's labels by index, ``even2`` and
-    ``odd2`` their doubled labels in the same order.  ``mul``/``bracket``
-    return the exact product dict when its support stays inside the window
-    and None ("unknown") when it does not.  None is deliberately distinct
-    from the empty dict, which means exactly zero.
-    """
+    """A window of one of the infinite families: ``even`` and ``odd`` list
+    its labels by index, ``even2`` and ``odd2`` their doubled labels in the
+    same order."""
 
     def __init__(self, kind: str, N: int):
         if kind not in ("ak1", "m1", "k1", "w1"):
             raise ValueError(f"unknown family {kind!r}")
         if N < 1:
             raise ValueError("window radius must be >= 1")
-        self.kind = kind
         self.N = N
         even, odd = ("eps", "a") if kind in ("ak1", "m1") else ("l", "xi")
         # the least doubled index of each parity; w1 has no odd part
@@ -225,69 +219,40 @@ class WindowedAlgebra:
     def labels2(self):
         return self.even2 + self.odd2
 
-    def in_window(self, label) -> bool:
-        fam, idx = label
-        if self.kind == "ak1" or self.kind == "k1":
-            return abs(idx) <= self.N
-        if self.kind == "m1":
-            return (-HALF if fam in ("a", "a*") else 0) <= idx <= self.N
-        return -1 <= idx <= self.N
-
-    def _window_filter(self, value: dict):
-        if any(not self.in_window(l) for l in value):
-            return None
-        return value
-
-    def mul(self, u, v):
-        if self.kind not in ("ak1", "m1"):
-            raise ValueError("mul is for the conformal families")
-        if not (self.in_window(u) and self.in_window(v)):
-            raise ValueError("arguments must lie in the window")
-        return self._window_filter(conf_mul(u, v))
-
-    def bracket(self, u, v):
-        if self.kind not in ("k1", "w1"):
-            raise ValueError("bracket is for the Lie families")
-        if not (self.in_window(u) and self.in_window(v)):
-            raise ValueError("arguments must lie in the window")
-        br = k1_bracket(u, v) if self.kind == "k1" else w1_bracket(u, v)
-        return self._window_filter(br)
-
 
 # ---------------------------------------------------------------------------
 # windowed identity checks for the conformal families
 # ---------------------------------------------------------------------------
 
 def _conf_axiom_report(kind: str, N: int) -> CheckReport:
-    """The four identities of `antialgebra._LAWS` on a conformal window,
-    scattered from the nonzero products of its integer table: an instance
-    that no product reaches is counted, not evaluated.  The table is keyed
-    by position 0..n-1 (even labels, then odd ones) and tabulated once by
-    `conf_mul`; a product that leaves the window, or has a factor n, is the
-    absorbing position n, so n reaches exactly the instances that need an
-    unknown product, which are skipped."""
+    """The four identities of `antialgebra._LAWS` at every window instance,
+    scattered from the nonzero products of the window's exact closure
+    table: an instance that no product reaches is counted, not evaluated.
+    A law's slots range over the window, and a product of two window labels
+    lies in the 2N window, so the table holds `_conf_mul2` of the window
+    labels with the labels of the 2N window and of those with the window
+    labels, as integers over their common denominator.  It is keyed by the
+    doubled index alone, which is even on eps and odd on a."""
     w = WindowedAlgebra(kind, N)
+    window, wide = set(w.labels2()), WindowedAlgebra(kind, 2 * N).labels2()
+    table = {u[1]: {v[1]: _conf_mul2(u, v) for v in (
+        wide if u in window else w.labels2())} for u in wide}
+    d = common_denominator(c for row in table.values() for p in row.values()
+                           for c in p.values())
+    t = {u: {v: as_integers(((l[1], c) for l, c in p.items()), d)
+             for v, p in row.items()} for u, row in table.items()}
+
+    def label(k):
+        return _half(("a" if k % 2 else "eps", k))
+
     rep = CheckReport(f"{kind}-axioms[N={N}]")
-    labels = w.labels()
-    n = len(labels)
-    pos = {l: k for k, l in enumerate(labels)}
-    table = [[conf_mul(u, v) for v in labels] for u in labels]
-    d = common_denominator(c for ps in table for p in ps for c in p.values())
-    unknown = {n: 1}
-    t = {n: dict.fromkeys(range(n), unknown)}
-    for u, ps in enumerate(table):
-        row = t[u] = {n: unknown}
-        for v, p in enumerate(ps):
-            ks = [pos.get(l, n) for l in p]
-            row[v] = (unknown if n in ks
-                      else as_integers(zip(ks, p.values()), d))
-    space = SimpleNamespace(even=range(len(w.even)), odd=range(len(w.even), n))
     rep.merge(*_identity_reports(
-        space, t, _AXIOMS, lambda acc, weight: {
-            labels[k]: c for k, c in divided(acc, weight * d * d).items()},
-        unknown=n, increasing=("cyclic",)).values())
-    for v in rep.violations:  # back from positions to labels
-        v.instance = tuple(labels[k] for k in v.instance)
+        SimpleNamespace(even=[k for _, k in w.even2],
+                        odd=[k for _, k in w.odd2]), t, _AXIOMS,
+        lambda acc, weight: {label(k): c for k, c in divided(
+            acc, weight * d * d).items()}, increasing=("cyclic",)).values())
+    for v in rep.violations:  # back from doubled indices to labels
+        v.instance = tuple(map(label, v.instance))
     return rep
 
 
@@ -357,16 +322,17 @@ def _doubled_cochain(coch: WindowCochain, d=None) -> WindowCochain:
 
 def ConfDualDeltaCtx(kind: str) -> DeltaContext:
     """Coboundary context for a conformal family acting on its dual module,
-    with the global index formulas (total: never unknown)."""
+    with the global index formulas, defined at every label."""
     return DeltaContext(_CONF_BASIS, _CONF_BASIS, conf_mul,
                         lambda a, l: dual_act(kind, a, l))
 
 
 def ak1_adjoint_ctx(N: int):
-    """Coboundary context for the ak1 window acting on itself, and the
-    window; out-of-window products are unknown (None)."""
-    w = WindowedAlgebra("ak1", N)
-    return DeltaContext(_CONF_BASIS, _CONF_BASIS, w.mul, w.mul), w
+    """Coboundary context for the conformal family acting on itself, with
+    the global product (total, as `ConfDualDeltaCtx`), and the ak1 window
+    of radius N, whose labels give the instances a caller reads."""
+    return (DeltaContext(_CONF_BASIS, _CONF_BASIS, conf_mul, conf_mul),
+            WindowedAlgebra("ak1", N))
 
 
 # ---------------------------------------------------------------------------

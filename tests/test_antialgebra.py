@@ -23,8 +23,7 @@ from antalg.antialgebra import (
     zero_square_check,
     ModuleStructure,
 )
-from antalg.core import (GradedSpace, Vector, common_denominator, divided,
-                         parse_algebra_text)
+from antalg.core import GradedSpace, Vector, divided, parse_algebra_text
 
 F = Fraction
 
@@ -425,19 +424,44 @@ def test_golden_tables_match_the_dense_oracle(stem):
     assert 0 < reached < total  # instances no product reaches are skipped
 
 
-def _bent(u, v, conf_mul=zoo.conf_mul):
-    """conf_mul plus eps_0 at eps_0.eps_0 and -+2 eps_1 at a_{+-1/2}.a_{3/2}
-    and its mirror."""
-    out = dict(conf_mul(u, v))
-    bend = {(("eps", F(0)), ("eps", F(0))): (("eps", F(0)), 1),
-            (("a", F(1, 2)), ("a", F(3, 2))): (("eps", F(1)), -2),
-            (("a", F(3, 2)), ("a", F(1, 2))): (("eps", F(1)), 2),
-            (("a", F(-1, 2)), ("a", F(3, 2))): (("eps", F(1)), 2),
-            (("a", F(3, 2)), ("a", F(-1, 2))): (("eps", F(1)), -2)}
+def _bent(u, v, conf_mul2=zoo._conf_mul2):
+    """`zoo._conf_mul2`, the product on doubled labels, plus eps_0 at
+    eps_0.eps_0 and -+2 eps_1 at a_{+-1/2}.a_{3/2} and its mirror."""
+    out = dict(conf_mul2(u, v))
+    bend = {(("eps", 0), ("eps", 0)): (("eps", 0), 1),
+            (("a", 1), ("a", 3)): (("eps", 2), -2),
+            (("a", 3), ("a", 1)): (("eps", 2), 2),
+            (("a", -1), ("a", 3)): (("eps", 2), 2),
+            (("a", 3), ("a", -1)): (("eps", 2), -2)}
     if (u, v) in bend:
         l, c = bend[u, v]
         out[l] = out.get(l, 0) + c
     return {l: c for l, c in out.items() if c}
+
+
+def _conf_label2(k):
+    """The doubled label of a doubled index: even on eps, odd on a."""
+    return ("a" if k % 2 else "eps", k)
+
+
+class _GlobalConfTable:
+    """The global conformal product as the table T that `_dense_residuals`
+    reads, keyed by doubled indices: T[u][v] and T[u].get(v) are u.v, with
+    `Fraction` coefficients, computed on each read through
+    `zoo._conf_mul2`."""
+
+    class _Row:
+        def __init__(self, u):
+            self.u = u
+
+        def get(self, v):
+            return {l[1]: c for l, c in zoo._conf_mul2(
+                _conf_label2(self.u), _conf_label2(v)).items()}
+
+        __getitem__ = get
+
+    def __getitem__(self, u):
+        return self._Row(u)
 
 
 @pytest.mark.parametrize("bent", [False, True])
@@ -445,10 +469,12 @@ def _bent(u, v, conf_mul=zoo.conf_mul):
 @pytest.mark.parametrize("kind", ["ak1", "m1"])
 def test_window_axiom_suites_match_the_dense_oracle(kind, N, bent,
                                                     monkeypatch):
-    """The window's integer table, with its absorbing position n, through
-    the dense oracle: skipped exactly where n reaches the residual, and the
-    cyclic law at increasing positions only.  The bent product breaks the
-    identities inside the window."""
+    """The window's closure table through the scatter and the dense
+    residuals of the same table, with the cyclic law at increasing
+    instances only; and the suite's report against the dense oracle on the
+    global product at every window instance, so the table holds every
+    product an instance needs.  The bent product breaks the identities
+    inside the window."""
     seen = []
     engine = antialgebra._identity_residuals
 
@@ -458,26 +484,25 @@ def test_window_axiom_suites_match_the_dense_oracle(kind, N, bent,
 
     monkeypatch.setattr(antialgebra, "_identity_residuals", capture)
     if bent:
-        monkeypatch.setattr(zoo, "conf_mul", _bent)
+        monkeypatch.setattr(zoo, "_conf_mul2", _bent)
     got = zoo._conf_axiom_report(kind, N)
     [(space, t, kinds, increasing)] = seen
     assert (kinds, increasing) == (antialgebra._AXIOMS, ("cyclic",))
     _same_scatter(space, t, kinds, increasing)
     _same_scatter(space, t)  # all six laws, at every instance
-    labels = zoo.WindowedAlgebra(kind, N).labels()
-    n = len(labels)
-    d = common_denominator(c for u in labels for v in labels
-                           for c in zoo.conf_mul(u, v).values())
+    w = zoo.WindowedAlgebra(kind, N)
+    assert (list(space.even), list(space.odd)) == (
+        [k for _, k in w.even2], [k for _, k in w.odd2])
+    labels = dict(zip(space.even + space.odd, w.labels()))
     want = CheckReport(got.title)
-    for law, inst, acc, weight in _dense_residuals(space, t):
+    for law, inst, acc, weight in _dense_residuals(space, _GlobalConfTable()):
         if law not in kinds or (law == "cyclic"
                                 and not inst[0] < inst[1] < inst[2]):
             continue
-        want.record(law, tuple(labels[k] for k in inst),
-                    None if n in acc else {
-                        labels[k]: c
-                        for k, c in divided(acc, weight * d * d).items()})
-    assert got.lines() == want.lines() and got.skipped
+        want.record(law, tuple(labels[k] for k in inst), {
+            zoo._half(_conf_label2(k)): c
+            for k, c in divided(acc, weight).items()})
+    assert got.lines() == want.lines() and not got.skipped
     assert [(v.kind, v.instance, v.residual) for v in got.violations] == [
         (v.kind, v.instance, v.residual) for v in want.violations]
     assert got.ok != bent

@@ -689,8 +689,8 @@ def test_solve_coboundary_edge_cases():
 # ---------------------------------------------------------------------------
 
 class LazyDelta(WindowCochain):
-    """Coboundary of a windowed cochain, evaluated instance by instance;
-    None marks values that the truncation cannot decide."""
+    """Coboundary of a windowed cochain, evaluated instance by instance
+    with the global products, so every value is decided."""
 
     def __init__(self, ctx, base):
         super().__init__(base.degree + 1)
@@ -702,8 +702,6 @@ class LazyDelta(WindowCochain):
         if cys is None:
             return DictVec()
         v = delta_instance(self.ctx, self.base, p, q, tuple(xs), cys)
-        if v is None:
-            return None
         return v if sign == 1 else v.scale(sign)
 
 
@@ -714,18 +712,13 @@ def test_windowed_adjoint_delta_squares_to_zero_where_decidable():
         (0, 1): {((), (l,)): DictVec({l: F(1)}) for l in w.odd},
     })
     dd = LazyDelta(ctx, LazyDelta(ctx, ident))
-    decided = bad = unknown = 0
+    decided = bad = 0
     for p, q in ((3, 0), (2, 1), (1, 2), (0, 3)):
         for xs in itertools.product(w.even, repeat=p):
             for ys in itertools.combinations(w.odd, q):
-                v = dd.value(p, q, xs, ys)
-                if v is None:
-                    unknown += 1
-                else:
-                    decided += 1
-                    if v.c:
-                        bad += 1
-    assert (decided, bad, unknown) == (370, 0, 392)
+                decided += 1
+                bad += bool(dd.value(p, q, xs, ys).c)
+    assert (decided, bad) == (762, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,27 @@ class AgainstDenseReference(unittest.TestCase):
                 self.assertTrue(all(type(c) is int
                                     for row in ints for c in row.values()))
 
+    def test_solve_eliminates_once(self):
+        """`solve` back-substitutes on the pivot rows of its one
+        elimination, for one target and for several."""
+        calls = []
+        original = linalg._eliminate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        linalg._eliminate = counting
+        try:
+            rows = sparse([[F(1), F(2), F(0)], [F(2), F(4), F(1)],
+                           [F(0), F(0), F(3)]])
+            for rhs in ([F(1), F(3), F(3)], [(F(1), F(0)), (F(3), F(1)),
+                                             (F(3), F(1))]):
+                del calls[:]
+                linalg.solve(rows, rhs, 3)
+                self.assertEqual(len(calls), 1)
+        finally:
+            linalg._eliminate = original
+
     def test_rank_runs_its_reversed_order_self_check(self):
         rows = sparse([[F(1), F(2)], [F(2), F(4)]])
         original = linalg._eliminate

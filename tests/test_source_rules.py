@@ -28,7 +28,12 @@
 - exact rank runs on integer rows: `linalg._eliminate` and the
   `_primitive` rows it starts from name no `Fraction`, and
   `cohomology_dims` ranks delta^k's integer rows, ``.ints``, so no
-  `Fraction` is made on the way to a cohomology table.
+  `Fraction` is made on the way to a cohomology table;
+- every window computation is decided exactly: the coboundary layer
+  (`DeltaContext`, `_through`, `delta_instance`) and the identity suites
+  (`antialgebra._identity_reports`, `zoo._conf_axiom_report`) compare
+  nothing with None and name no "unknown", and `zoo.WindowedAlgebra`
+  defines no product (`mul`, `bracket`) of its own.
 """
 
 import ast
@@ -107,6 +112,12 @@ def _functions(name):
             if isinstance(node, ast.FunctionDef)}
 
 
+def _top(name):
+    """The module's top-level functions and classes by name."""
+    return {node.name: node for node in TREES[name].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 def _read_names(node):
     for sub in ast.walk(node):
         if isinstance(sub, (ast.Name, ast.Attribute)):
@@ -143,9 +154,7 @@ def test_the_eta_builds_divide_once_through_divided():
 
 
 def test_delta_matrices_stay_on_integers_until_their_one_division():
-    tree = TREES["cohomology.py"]
-    top = {node.name: node for node in tree.body
-           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    top = _top("cohomology.py")
     for name in ("_GenericCochain", "_delta_matrix", "verify_complex"):
         assert not {"Fraction", "divided"} & set(_read_names(top[name])), name
     calls = [name for name, node in top.items()
@@ -162,3 +171,24 @@ def test_exact_rank_runs_on_integer_rows():
               if isinstance(sub, ast.Call)
               and getattr(sub.func, "attr", None) == "rank"]
     assert [getattr(arg, "attr", None) for arg in ranked] == ["ints"]
+
+
+def test_window_computations_have_no_unknown_value():
+    nodes = {f"{name}:{fn}": _top(name)[fn] for name, fn in (
+        ("cohomology.py", "DeltaContext"), ("cohomology.py", "_through"),
+        ("cohomology.py", "delta_instance"),
+        ("antialgebra.py", "_identity_reports"),
+        ("zoo.py", "_conf_axiom_report"))}
+    for where, node in nodes.items():
+        compared = [sub.lineno for sub in ast.walk(node)
+                    if isinstance(sub, ast.Compare)
+                    for side in (sub.left, *sub.comparators)
+                    if isinstance(side, ast.Constant) and side.value is None]
+        assert compared == [], where
+        named = {getattr(sub, attr) for sub in ast.walk(node)
+                 for attr in ("id", "attr", "arg") if hasattr(sub, attr)}
+        assert not {n for n in named if n and "unknown" in n}, where
+    window = _top("zoo.py")["WindowedAlgebra"]
+    methods = {sub.name for sub in window.body
+               if isinstance(sub, ast.FunctionDef)}
+    assert not methods & {"mul", "bracket"}
