@@ -70,10 +70,10 @@ class CheckReport:
         self.extras: dict = {}
 
     def record(self, kind, instance, residual) -> None:
-        """Count one instance; a nonzero/None-free residual is a violation."""
+        """Count one instance; a nonzero residual is a violation.  Every
+        instance is decided, so a None residual is an error, not a skip."""
         if residual is None:
-            self.skipped += 1
-            return
+            raise TypeError(f"no residual for {kind} at {instance}")
         self.checked += 1
         if isinstance(residual, Vector):
             nonzero = not residual.is_zero()

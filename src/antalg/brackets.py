@@ -203,14 +203,18 @@ def _bracket(a: BlockMap, b: BlockMap) -> tuple:
     integers over the common denominator D."""
     if a.space != b.space:
         raise ValueError("operands live on different spaces")
+    same = a is b
     da, fs = _cleared([mm for _, mm in a.items()])
-    db, gs = _cleared([mm for _, mm in b.items()])
+    db, gs = (da, fs) if same else _cleared([mm for _, mm in b.items()])
     accs: dict = {}
     for f in fs:
         for g in gs:
-            # [phi, psi] = j_phi psi - (-1)^{|phi||psi|} j_psi phi
-            _insert(accs, f, g, 1)
-            _insert(accs, g, f, -(-1) ** (f.parity * g.parity))
+            # [phi, psi] = j_phi psi - (-1)^{|phi||psi|} j_psi phi; in a
+            # self-bracket the mirror term of (f, g) is met at (g, f)
+            sign = (-1) ** (f.parity * g.parity)
+            _insert(accs, f, g, 1 - sign if same else 1)
+            if not same:
+                _insert(accs, g, f, -sign)
     return accs, da * db
 
 

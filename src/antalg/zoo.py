@@ -33,9 +33,12 @@ rehashes on every dict access: a label is keyed by its doubled label
 (family, 2 * index) with an `int` index, which sorts like the label within
 a family (the axiom suites key it by the doubled index alone, even on eps
 and odd on a).  The structure constants are written once, on doubled
-labels.  Every label that a caller passes or receives -- the public
-products, the suites' callbacks, a report's instances, residuals and
-extras, a returned cochain -- is a (family, Fraction) label.
+labels, as ints times 4.  The suites compute on ints and divide only
+violations back into `Fraction`s; the axiom, gf and dual-gf suites count
+their zero instances without recording each.  Every label that a caller
+passes or receives -- the public products, the suites' callbacks, a
+report's instances, residuals and extras, a returned cochain -- is a
+(family, Fraction) label.
 """
 
 from __future__ import annotations
@@ -101,43 +104,44 @@ def _halved(value: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# global structure constants, on doubled labels
+# global structure constants, on doubled labels, as ints times 4
 # ---------------------------------------------------------------------------
 
 def conf_parity(label) -> int:
     return 0 if label[0] in ("eps", "eps*") else 1
 
 
-def _conf_mul2(u, v) -> dict:
-    """`conf_mul` on doubled labels."""
+@functools.cache
+def _conf_mul4(u, v) -> dict:
+    """4 times `conf_mul` on doubled labels, as ints; cached, read only."""
     (fu, iu), (fv, iv) = u, v
     if fu == "eps" and fv == "eps":
-        return {("eps", iu + iv): Fraction(1)}
+        return {("eps", iu + iv): 4}
     if fu == "eps" and fv == "a" or fu == "a" and fv == "eps":
-        return {("a", iu + iv): HALF}
+        return {("a", iu + iv): 2}
     if fu == "a" and fv == "a":
-        c = Fraction(iv - iu, 4)
-        return {("eps", iu + iv): c} if c else {}
+        return {("eps", iu + iv): iv - iu} if iv != iu else {}
     raise ValueError(f"not conformal labels: {_half(u)}, {_half(v)}")
 
 
 def conf_mul(u, v) -> dict:
     """The conformal product: eps_n.eps_m = eps_{n+m},
     eps_n.a_i = (1/2) a_{n+i}, a_i.a_j = (1/2)(j-i) eps_{i+j}."""
-    return _halved(_conf_mul2(_dbl(u), _dbl(v)))
+    return _halved(divided(_conf_mul4(_dbl(u), _dbl(v)), 4))
 
 
-def _dual_act2(kind, a, u) -> dict:
-    """`dual_act` on doubled labels."""
+@functools.cache
+def _dual_act4(kind, a, u) -> dict:
+    """4 times `dual_act` on doubled labels, as ints; cached, read only."""
     (fa, ia), (fu, iu) = a, u
     if fa == "eps" and fu == "eps*":
-        fam, c = "eps*", Fraction(1)
+        fam, c = "eps*", 4
     elif fa == "eps" and fu == "a*":
-        fam, c = "a*", HALF
+        fam, c = "a*", 2
     elif fa == "a" and fu == "eps*":
-        fam, c = "a*", Fraction(iu - 2 * ia, 4)
+        fam, c = "a*", iu - 2 * ia
     elif fa == "a" and fu == "a*":
-        fam, c = "eps*", -HALF
+        fam, c = "eps*", -2
     else:
         raise ValueError(f"not an action pair: {_half(a)}, {_half(u)}")
     if not c or kind != "ak1" and iu - ia < (0 if fam == "eps*" else -1):
@@ -153,20 +157,20 @@ def dual_act(kind, a, u) -> dict:
 
     For the one-sided family the floors are structural: a result whose index
     drops below the floor is exactly zero."""
-    return _halved(_dual_act2(kind, _dbl(a), _dbl(u)))
+    return _halved(divided(_dual_act4(kind, _dbl(a), _dbl(u)), 4))
 
 
-def _k1_bracket2(u, v) -> dict:
-    """`k1_bracket` on doubled labels."""
+def _k1_bracket4(u, v) -> dict:
+    """4 times `k1_bracket` on doubled labels, as ints."""
     (fu, iu), (fv, iv) = u, v
     if fu == "l" and fv == "l":
-        fam, c = "l", Fraction(iv - iu, 2)
+        fam, c = "l", 2 * (iv - iu)
     elif fu == "l" and fv == "xi":
-        fam, c = "xi", Fraction(2 * iv - iu, 4)
+        fam, c = "xi", 2 * iv - iu
     elif fu == "xi" and fv == "l":
-        fam, c = "xi", Fraction(iv - 2 * iu, 4)
+        fam, c = "xi", iv - 2 * iu
     elif fu == "xi" and fv == "xi":
-        fam, c = "l", Fraction(2)
+        fam, c = "l", 8
     else:
         raise ValueError(f"not contact labels: {_half(u)}, {_half(v)}")
     return {(fam, iu + iv): c} if c else {}
@@ -175,7 +179,7 @@ def _k1_bracket2(u, v) -> dict:
 def k1_bracket(u, v) -> dict:
     """[l_n, l_m] = (m-n) l_{n+m}, [l_n, xi_i] = (i - n/2) xi_{n+i},
     [xi_i, xi_j] = 2 l_{i+j}."""
-    return _halved(_k1_bracket2(_dbl(u), _dbl(v)))
+    return _halved(divided(_k1_bracket4(_dbl(u), _dbl(v)), 4))
 
 
 def k1_parity(label) -> int:
@@ -229,13 +233,13 @@ def _conf_axiom_report(kind: str, N: int) -> CheckReport:
     scattered from the nonzero products of the window's exact closure
     table: an instance that no product reaches is counted, not evaluated.
     A law's slots range over the window, and a product of two window labels
-    lies in the 2N window, so the table holds `_conf_mul2` of the window
-    labels with the labels of the 2N window and of those with the window
-    labels, as integers over their common denominator.  It is keyed by the
-    doubled index alone, which is even on eps and odd on a."""
+    lies in the 2N window, so the table holds 4d times the products of the
+    window labels with the 2N window labels and of those with the window
+    labels, on ints (d = 1 for the conformal product), keyed by the doubled
+    index alone, which is even on eps and odd on a."""
     w = WindowedAlgebra(kind, N)
     window, wide = set(w.labels2()), WindowedAlgebra(kind, 2 * N).labels2()
-    table = {u[1]: {v[1]: _conf_mul2(u, v) for v in (
+    table = {u[1]: {v[1]: _conf_mul4(u, v) for v in (
         wide if u in window else w.labels2())} for u in wide}
     d = common_denominator(c for row in table.values() for p in row.values()
                            for c in p.values())
@@ -250,7 +254,8 @@ def _conf_axiom_report(kind: str, N: int) -> CheckReport:
         SimpleNamespace(even=[k for _, k in w.even2],
                         odd=[k for _, k in w.odd2]), t, _AXIOMS,
         lambda acc, weight: {label(k): c for k, c in divided(
-            acc, weight * d * d).items()}, increasing=("cyclic",)).values())
+            acc, weight * (4 * d) ** 2).items()},
+        increasing=("cyclic",)).values())
     for v in rep.violations:  # back from doubled indices to labels
         v.instance = tuple(map(label, v.instance))
     return rep
@@ -381,11 +386,13 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
         raise ValueError("the window must have radius >= 2")
     rep = CheckReport(f"gamma-cocycle[N={N}]")
     w = WindowedAlgebra("ak1", N)
-    t_fn = t_fn or _gamma_t
-    s_fn = s_fn or _gamma_s
-    # gamma and the dual action on doubled labels, each computed once
-    gfn = functools.cache(lambda label: _gamma2(label, t_fn, s_fn))
-    act = functools.cache(functools.partial(_dual_act2, "ak1"))
+    # gamma on the 2N window, which holds every product of two window
+    # labels, as d gamma on ints; g[k] is d t(k/2) or d s(k/2), k even or odd
+    gam = {l: _gamma2(l, t_fn or _gamma_t, s_fn or _gamma_s)
+           for l in WindowedAlgebra("ak1", 2 * N).labels2()}
+    d = common_denominator(c for v in gam.values() for c in v.c.values())
+    ig = {l: as_integers(v.c.items(), d) for l, v in gam.items()}
+    g = {k: ig[fam, k].get((fam + "*", -k), 0) for fam, k in ig}
 
     kinds = ("even-even", "mixed", "odd-odd")
     labels = list(zip(w.labels(), w.labels2()))
@@ -393,29 +400,28 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
         pu = conf_parity(u)
         for v, v2 in labels:
             pv = conf_parity(v)
-            # gamma(u.v) - rho_u gamma(v) - (-1)^{|u||v|} rho_v gamma(u)
+            # 4d (gamma(u.v) - rho_u gamma(v) - (-1)^{|u||v|} rho_v gamma(u))
             res: dict = {}
-            for l, c in _conf_mul2(u2, v2).items():
-                for k, d in gfn(l).items():
-                    res[k] = res.get(k, 0) + c * d
-            for l, c in gfn(v2).items():
-                for k, d in act(u2, l).items():
-                    res[k] = res.get(k, 0) - c * d
-            for l, c in gfn(u2).items():
-                for k, d in act(v2, l).items():
-                    res[k] = res.get(k, 0) + (c * d if pu & pv else -c * d)
+            for l, c in _conf_mul4(u2, v2).items():
+                for k, e in ig[l].items():
+                    res[k] = res.get(k, 0) + c * e
+            for l, c in ig[v2].items():
+                for k, e in _dual_act4("ak1", u2, l).items():
+                    res[k] = res.get(k, 0) - c * e
+            for l, c in ig[u2].items():
+                for k, e in _dual_act4("ak1", v2, l).items():
+                    res[k] = res.get(k, 0) + (c * e if pu & pv else -c * e)
             rep.record(f"cocycle[{kinds[pu + pv]}]", (u, v),
-                       {_half(k): c for k, c in res.items() if c})
+                       _halved(divided(res, 4 * d)))
     for n in range(-N, N + 1):
         for m in range(-N, N + 1):
-            rep.record("t-additive", (n, m), Fraction(t_fn(n + m))
-                       - Fraction(t_fn(n)) - Fraction(t_fn(m)))
-    half_idx = [i for _, i in w.odd]
-    for i in half_idx:
-        for j in half_idx:
-            rep.record("s-relation", (i, j), Fraction(s_fn(i))
-                       - Fraction(s_fn(j)) - (j - i) * Fraction(t_fn(i + j)))
-    nontrivial, detail = _gamma_nontrivial(w, gfn)
+            rep.record("t-additive", (n, m), Fraction(
+                g[2 * (n + m)] - g[2 * n] - g[2 * m], d))
+    for (_, i), (_, ki) in zip(w.odd, w.odd2):
+        for (_, j), (_, kj) in zip(w.odd, w.odd2):
+            rep.record("s-relation", (i, j), Fraction(
+                g[ki] - g[kj] - (kj - ki) // 2 * g[ki + kj], d))
+    nontrivial, detail = _gamma_nontrivial(w, gam.__getitem__)
     rep.extras["nontrivial"] = nontrivial
     rep.extras["nontrivial_detail"] = detail
     if not nontrivial:
@@ -453,8 +459,8 @@ def _gamma_nontrivial(w, gfn):
         target = gfn(y)
         by_comp: dict = {}  # component of rho_y b -> {variable: coeff}
         for k, b in enumerate(variables):
-            for comp, c in _dual_act2("ak1", y, b).items():
-                by_comp.setdefault(comp, {})[k] = c
+            for comp, c in _dual_act4("ak1", y, b).items():
+                by_comp.setdefault(comp, {})[k] = Fraction(c, 4)
         for comp in sorted(by_comp.keys() | target.c.keys()):
             if abs(comp[1] + y[1]) > 2 * N:
                 continue  # preimage outside the variable window: not sound
@@ -517,13 +523,6 @@ def eta_family(lam, mu, even_even_coeff=None) -> WindowCochain:
     return WindowCochain(2, blocks)
 
 
-# the one-sided family's product and action on doubled labels, times 4
-_conf_mul4 = functools.cache(lambda u, v: as_integers(
-    _conf_mul2(u, v).items(), 4))
-_dual_act4 = functools.cache(lambda a, u: as_integers(
-    _dual_act2("m1", a, u).items(), 4))
-
-
 @functools.lru_cache(maxsize=None)
 def _eta_coefficients(N: int):
     """The target-free part of `_eta_linear_system`, built once per N:
@@ -544,7 +543,7 @@ def _eta_coefficients(N: int):
     generic = _GenericCochain(
         [(1, 0, (u,), (), w) if conf_parity(u) == 0 else (0, 1, (), (u,), w)
          for u, w in variables], _CONF_BASIS, conf_parity, _conf_mul4,
-        _dual_act4, 1)
+        functools.partial(_dual_act4, "m1"), 1)
     ctx = generic._delta_context()
     arg_window = set(walg.labels2())
     bound = 2 * (D - N - 1)
@@ -655,7 +654,8 @@ def _delta_report(coch, shapes, window, kind_prefix, target=None):
     only a nonzero residual, a violation, is divided by S."""
     rep = CheckReport("inner")
     lcm = math.lcm(*range(1, coch.degree + 2))
-    ctx = DeltaContext(_CONF_BASIS, _CONF_BASIS, _conf_mul4, _dual_act4, lcm)
+    ctx = DeltaContext(_CONF_BASIS, _CONF_BASIS, _conf_mul4,
+                       functools.partial(_dual_act4, "m1"), lcm)
     d = common_denominator(
         c for x in (coch, target) if x for pq in x.shapes()
         for v in x.block(*pq).values() for c in v.c.values())
@@ -769,8 +769,8 @@ OSP_SPAN = (("l", Fraction(-1)), ("l", Fraction(0)), ("l", Fraction(1)),
             ("xi", -HALF), ("xi", HALF))
 
 
-def _coadjoint2(u, key) -> dict:
-    """The coadjoint action on doubled dual labels: (u . l*)(Z) =
+def _coadjoint4(u, key) -> dict:
+    """4 times the coadjoint action on doubled dual labels: (u . l*)(Z) =
     -(-1)^{|u||l|} l*([u, Z]), nonzero only at the one Z whose bracket with
     u has the term l.  A key that is not a dual label is acted on by 0."""
     fam, k = key
@@ -778,7 +778,7 @@ def _coadjoint2(u, key) -> dict:
         return {}
     pu, pl = k1_parity(u), k1_parity(key)
     z = ("xi" if pu ^ pl else "l", k - u[1])
-    co = _k1_bracket2(u, z).get((fam[:-1], k), 0)
+    co = _k1_bracket4(u, z).get((fam[:-1], k), 0)
     return {(z[0] + "*", z[1]): co if pu & pl else -co} if co else {}
 
 
@@ -794,34 +794,31 @@ def verify_super_cocycle_gf(N: int = 4, c_fn=None) -> CheckReport:
 
     The cyclic sum is exactly -(-1)^{|X||Z|} delta c(X,Y,Z), the
     Chevalley-Eilenberg coboundary with trivial coefficients
-    (`brackets.lie_coboundary`), which runs on doubled labels."""
+    (`brackets.lie_coboundary`), on doubled labels and ints."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     c_fn = c_fn or c_gf
     rep = CheckReport(f"gf-2-cocycle[N={N}]")
-    w = WindowedAlgebra("k1", N)
-    labels = w.labels()
+    w, big = WindowedAlgebra("k1", N), WindowedAlgebra("k1", 2 * N)
+    labels, l2 = w.labels(), w.labels2()
     odd = [k1_parity(X) for X in labels]
-    pairs = list(itertools.product(range(len(labels)), repeat=2))
-
-    cw = {(x, y): c_fn(labels[x], labels[y]) for x, y in pairs}
-    for x, y in pairs:
-        rep.record("skew", (labels[x], labels[y]),
-                   cw[x, y] + _SIGN[odd[x] & odd[y]] * cw[y, x])
-
-    half = functools.cache(_half)
-
-    def coch(args):
-        v = c_fn(*map(half, args))
-        return {"c": v} if v else {}
-
-    dc = {inst: v["c"] for inst, v in lie_coboundary(
-        _k1_bracket2, k1_parity, coch, w.labels2(), 2).items()}
-    for x, y in pairs:
-        for z, Z in enumerate(labels):
-            v = dc.get((x, y, z), 0)
-            rep.record("cyclic", (labels[x], labels[y], Z),
-                       v if odd[x] & odd[z] else -v)
+    # c at (bracket term, window label), every term lying in the 2N window
+    cw = {(t2, u2): c_fn(t, u) for t, t2 in zip(big.labels(), big.labels2())
+          for u, u2 in zip(labels, l2)}
+    for x, y in itertools.product(range(len(labels)), repeat=2):
+        rep.record("skew", (labels[x], labels[y]), cw[l2[x], l2[y]]
+                   + _SIGN[odd[x] & odd[y]] * cw[l2[y], l2[x]])
+    # d c on ints: 4d times the cyclic sum where it is nonzero, zeros counted
+    d = common_denominator(cw.values())
+    icoch = {args: {"c": c} for args, c in as_integers(cw.items(), d).items()
+             if c}
+    dc = lie_coboundary(_k1_bracket4, k1_parity,
+                        lambda args: icoch.get(args, {}), l2, 2)
+    rep.checked += len(labels) ** 3 - len(dc)
+    for x, y, z in sorted(dc):
+        v = dc[x, y, z]["c"]
+        rep.record("cyclic", (labels[x], labels[y], labels[z]),
+                   Fraction(v if odd[x] & odd[z] else -v, 4 * d))
     for u in OSP_SPAN:
         for v in OSP_SPAN:
             rep.record("osp-vanishing", (u, v), c_fn(u, v))
@@ -836,30 +833,30 @@ def verify_dual_gf(N: int = 4, C_fn=None) -> CheckReport:
 
     for window pairs (X,Y) and probes Z of index up to 2N (all pairings are
     global: no skips).  delta C is the Chevalley-Eilenberg coboundary with
-    the coadjoint action (`brackets.lie_coboundary`), on doubled labels; a
+    the coadjoint action (`brackets.lie_coboundary`), on integers; a
     component of C([X,Y]) pairs with its probe whether or not its family is
     starred."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     C_fn = C_fn or C_gf_value
     rep = CheckReport(f"gf-dual-1-cocycle[N={N}]")
-    w = WindowedAlgebra("k1", N)
-    labels = w.labels()
-    wide = WindowedAlgebra("k1", 2 * N)
-
-    def coch(args):
-        return {_dbl(l): c for l, c in C_fn(_half(args[0])).items()}
-
-    probes = [(Z, (fam + "*", k), (fam, k))
-              for Z, (fam, k) in zip(wide.labels(), wide.labels2())]
-    dC = lie_coboundary(_k1_bracket2, k1_parity, coch, w.labels2(), 1,
-                        _coadjoint2)
-    for x, X in enumerate(labels):
-        for y, Y in enumerate(labels):
-            res = dC.get((x, y))
-            for Z, star, plain in probes:
-                rep.record("dual-cocycle", (X, Y, Z),
-                           res.get(star, 0) + res.get(plain, 0) if res else 0)
+    w, big = WindowedAlgebra("k1", N), WindowedAlgebra("k1", 2 * N)
+    labels, probes = w.labels(), list(zip(big.labels(), big.labels2()))
+    # C on the 2N window, which holds every bracket term, as d C on ints
+    cv = {Z2: C_fn(Z) for Z, Z2 in probes}
+    d = common_denominator(c for v in cv.values() for c in v.values())
+    icoch = {Z2: as_integers(((_dbl(l), c) for l, c in v.items()), d)
+             for Z2, v in cv.items()}
+    dC = lie_coboundary(_k1_bracket4, k1_parity, lambda args: icoch[args[0]],
+                        w.labels2(), 1, _coadjoint4)
+    # 4d times each pairing where delta C is nonzero; the zeros are counted
+    for x, y in sorted(dC):
+        for Z, (fam, k) in probes:
+            v = dC[x, y].get((fam + "*", k), 0) + dC[x, y].get((fam, k), 0)
+            if v:
+                rep.record("dual-cocycle", (labels[x], labels[y], Z),
+                           Fraction(v, 4 * d))
+    rep.checked = len(labels) ** 2 * len(probes)
     return rep
 
 
@@ -884,23 +881,26 @@ def verify_gv(N: int = 5) -> CheckReport:
     the ansatz c = delta beta over skew 2-cochains with argument-sum ceiling
     2N is inconsistent (each equation only references beta at index sums
     within the ceiling, so the restriction is sound for every global beta).
-    Both coboundaries are `brackets.lie_coboundary` on doubled labels, the
-    second of the generic beta, whose value is {variable: +-1}."""
+    Both coboundaries are `brackets.lie_coboundary` on doubled labels and
+    ints, the second of the generic beta, whose value is {variable: +-1}."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     rep = CheckReport(f"gv-3-cocycle[N={N}]")
-    w = WindowedAlgebra("w1", N)
+    w, wide = WindowedAlgebra("w1", N), WindowedAlgebra("w1", 2 * N)
     labels, n = w.even, len(w.even)
-
-    half = functools.cache(_half)
-
-    def coch(args):
-        v = c_gv(*map(half, args))
-        return {"gv": v} if v else {}
-
-    dc = lie_coboundary(_k1_bracket2, k1_parity, coch, w.even2, 3)
+    # c at (bracket term, two window labels), every term lying in the 2N
+    # window; d c on ints gives 4d times delta c
+    cv = {(t2, *r2): c_gv(t, *r) for t, t2 in zip(wide.even, wide.even2)
+          for r, r2 in zip(*(itertools.product(x, repeat=2)
+                             for x in (labels, w.even2)))}
+    d = common_denominator(cv.values())
+    icoch = {args: {"gv": c} for args, c in as_integers(cv.items(), d).items()
+             if c}
+    dc = lie_coboundary(_k1_bracket4, k1_parity,
+                        lambda args: icoch.get(args, {}), w.even2, 3)
     for quad in itertools.combinations(range(n), 4):
-        rep.record("cocycle", tuple(labels[t] for t in quad), dc.get(quad, {}))
+        rep.record("cocycle", tuple(labels[t] for t in quad),
+                   divided(dc.get(quad, {}), 4 * d))
     base = (("l", Fraction(-1)), ("l", Fraction(0)), ("l", Fraction(1)))
     for perm in itertools.permutations(range(3)):
         args = tuple(base[t] for t in perm)
@@ -917,10 +917,10 @@ def verify_gv(N: int = 5) -> CheckReport:
             return {}
         return {pair_idx[min(s, r), max(s, r)]: 1 if s < r else -1}
 
-    dbeta = lie_coboundary(_k1_bracket2, k1_parity, beta, w.even2, 2)
+    dbeta = lie_coboundary(_k1_bracket4, k1_parity, beta, w.even2, 2)
     triples = list(itertools.combinations(range(n), 3))
-    sol = linalg.solve([dbeta.get(t, {}) for t in triples],
-                       [c_gv(*(labels[x] for x in t)) for t in triples],
+    sol = linalg.solve([dbeta.get(t, {}) for t in triples],  # 4 delta beta
+                       [4 * c_gv(*(labels[x] for x in t)) for t in triples],
                        len(pairs))
     rep.extras["nontrivial"] = sol is None
     if sol is not None:

@@ -424,10 +424,11 @@ def test_golden_tables_match_the_dense_oracle(stem):
     assert 0 < reached < total  # instances no product reaches are skipped
 
 
-def _bent(u, v, conf_mul2=zoo._conf_mul2):
-    """`zoo._conf_mul2`, the product on doubled labels, plus eps_0 at
-    eps_0.eps_0 and -+2 eps_1 at a_{+-1/2}.a_{3/2} and its mirror."""
-    out = dict(conf_mul2(u, v))
+def _bent(u, v, conf_mul4=zoo._conf_mul4):
+    """`zoo._conf_mul4`, 4 times the product on doubled labels, plus 4 times
+    eps_0 at eps_0.eps_0 and -+2 eps_1 at a_{+-1/2}.a_{3/2} and its
+    mirror."""
+    out = dict(conf_mul4(u, v))
     bend = {(("eps", 0), ("eps", 0)): (("eps", 0), 1),
             (("a", 1), ("a", 3)): (("eps", 2), -2),
             (("a", 3), ("a", 1)): (("eps", 2), 2),
@@ -435,7 +436,7 @@ def _bent(u, v, conf_mul2=zoo._conf_mul2):
             (("a", 3), ("a", -1)): (("eps", 2), -2)}
     if (u, v) in bend:
         l, c = bend[u, v]
-        out[l] = out.get(l, 0) + c
+        out[l] = out.get(l, 0) + 4 * c
     return {l: c for l, c in out.items() if c}
 
 
@@ -448,15 +449,15 @@ class _GlobalConfTable:
     """The global conformal product as the table T that `_dense_residuals`
     reads, keyed by doubled indices: T[u][v] and T[u].get(v) are u.v, with
     `Fraction` coefficients, computed on each read through
-    `zoo._conf_mul2`."""
+    `zoo._conf_mul4` over 4."""
 
     class _Row:
         def __init__(self, u):
             self.u = u
 
         def get(self, v):
-            return {l[1]: c for l, c in zoo._conf_mul2(
-                _conf_label2(self.u), _conf_label2(v)).items()}
+            return {l[1]: c for l, c in divided(zoo._conf_mul4(
+                _conf_label2(self.u), _conf_label2(v)), 4).items()}
 
         __getitem__ = get
 
@@ -484,7 +485,7 @@ def test_window_axiom_suites_match_the_dense_oracle(kind, N, bent,
 
     monkeypatch.setattr(antialgebra, "_identity_residuals", capture)
     if bent:
-        monkeypatch.setattr(zoo, "_conf_mul2", _bent)
+        monkeypatch.setattr(zoo, "_conf_mul4", _bent)
     got = zoo._conf_axiom_report(kind, N)
     [(space, t, kinds, increasing)] = seen
     assert (kinds, increasing) == (antialgebra._AXIOMS, ("cyclic",))
@@ -745,11 +746,12 @@ def test_double_dual_returns_the_action_up_to_the_parity_sign():
 
 def test_check_report_counting_and_merge():
     rep = CheckReport("demo")
-    rep.record("id", (1,), None)                       # skipped
+    with pytest.raises(TypeError):
+        rep.record("id", (1,), None)                   # no instance is skipped
     rep.record("id", (2,), Vector.zero(K3.space))      # clean
     rep.record("id", (3,), {"a": F(0)})                # clean (zero dict)
     rep.record("id", (4,), {"a": F(1)})                # violation
-    assert (rep.checked, rep.skipped, len(rep.violations)) == (3, 1, 1)
+    assert (rep.checked, rep.skipped, len(rep.violations)) == (3, 0, 1)
     assert not rep.ok
     other = CheckReport("more")
     other.record("id", (5,), F(0))

@@ -10,6 +10,7 @@ works in — does not, because vanishing on block-ordered points is not
 preserved by insertion.
 """
 
+import copy
 import itertools
 import math
 import random
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from antalg import brackets
 from antalg.brackets import (
     BlockMap,
     al_bracket_blocks,
@@ -37,7 +39,7 @@ from antalg.antialgebra import (
 )
 from antalg import linalg
 from antalg.core import GradedSpace, MultiMap, Vector, parse_algebra_text
-from antalg.zoo import _k1_bracket2
+from antalg.zoo import _k1_bracket4
 
 F = Fraction
 
@@ -643,7 +645,7 @@ def test_lie_coboundary_gives_the_cohomology_of_sl2():
 
 
 # osp(1|2) as the span of l_-1, l_0, l_1, xi_-1/2, xi_1/2 in K(1), on the
-# doubled labels of `zoo._k1_bracket2`: the bracket closes on it
+# doubled labels of `zoo._k1_bracket4`: the bracket closes on it
 OSP = (("l", -2), ("l", 0), ("l", 2), ("xi", -1), ("xi", 1))
 
 
@@ -683,13 +685,13 @@ def test_lie_coboundary_squares_to_zero_on_osp12(coefficients):
     with trivial and with adjoint coefficients: the super signs of the
     engine (the Koszul signs and (-1)^{i+j}) are those of a complex."""
     rng = random.Random(12)
-    act = _k1_bracket2 if coefficients == "adjoint" else None
+    act = _k1_bracket4 if coefficients == "adjoint" else None
     outs = OSP if act else (("c", 0),)  # the scalar key is even
     for k in (1, 2, 3):
         coch = _random_super_alternating(rng, k, outs)
-        d = lie_coboundary(_k1_bracket2, _osp_parity, coch, OSP, k, act)
+        d = lie_coboundary(_k1_bracket4, _osp_parity, coch, OSP, k, act)
         assert d  # the cochain is not a cocycle
-        assert lie_coboundary(_k1_bracket2, _osp_parity, _on_labels(d, OSP),
+        assert lie_coboundary(_k1_bracket4, _osp_parity, _on_labels(d, OSP),
                               OSP, k + 1, act) == {}
 
 
@@ -909,6 +911,33 @@ def test_al_bracket_of_a_perturbed_structure_matches_the_fraction_loops(name):
     got = al_bracket_blocks(m, m)
     assert not got.is_zero()
     assert got == _ref_al_bracket_blocks(m, m) and _all_fractions(got)
+
+
+def _self_bracket_operands():
+    """m of each table that `check` runs on in the goldens, random odd
+    block maps (degree 2: every block has parity 1) and random even ones
+    (degrees 1 and 3), whose self-bracket is zero."""
+    data = Path(brackets.__file__).parent / "data"
+    for path in [data / "k3.alg"] + [GOLDEN / f"{name}.alg" for name in (
+            "k3t2r", "k3t2rp", "k3t4", "k3t4op", "k3t4p")]:
+        doc = parse_algebra_text(path.read_text())
+        yield AntialgebraStructure.from_file_doc(doc).m_blocks()
+    rng = random.Random(907)
+    for degree in (2, 2, 2, 2, 2, 2, 1, 3):
+        yield _rand_block_map(rng, SP22, degree)
+
+
+def test_a_self_bracket_is_the_bracket_with_a_copy():
+    """A self-bracket inserts each ordered pair once with the weight
+    1 - (-1)^{|f||g|} instead of once per order; the integer entries, their
+    shapes and the denominator are those of the bracket with a copy of the
+    operand, which takes the two-insertion path."""
+    for m in _self_bracket_operands():
+        twin = copy.deepcopy(m)
+        assert twin is not m and twin == m
+        assert brackets._bracket(m, m) == brackets._bracket(m, twin)
+        assert bracket_blocks(m, m) == bracket_blocks(m, twin)
+        assert al_bracket_blocks(m, m) == al_bracket_blocks(m, twin)
 
 
 def test_no_integer_reaches_a_caller():

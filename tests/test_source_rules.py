@@ -11,6 +11,11 @@
   Chevalley-Eilenberg engine, `brackets.lie_coboundary`: each calls it and
   none calls a bracket itself, and no function is named after the
   finite-only operator it replaced;
+- the window structure constants are written once, as integers times 4
+  on doubled labels (`_conf_mul4`, `_dual_act4`, `_k1_bracket4`): no
+  `Fraction` form on doubled labels is left beside them, and each public
+  product (`conf_mul`, `dual_act`, `k1_bracket`) is one call of
+  `core.divided` on its integer form;
 - the identity checkers read their residuals from the one scatter over the
   nonzero products, `antialgebra._identity_residuals`: no per-instance
   helper (`_left`, `_right`) is left beside it, and `check_axioms_v2` and
@@ -95,7 +100,7 @@ def _called_names(node):
 def test_the_lie_suites_take_their_coboundary_from_the_one_engine():
     functions = {node.name: node for node in ast.walk(TREES["zoo.py"])
                  if isinstance(node, ast.FunctionDef)}
-    brackets = {"_k1_bracket2", "k1_bracket", "w1_bracket", "bracket"}
+    brackets = {"_k1_bracket4", "k1_bracket", "w1_bracket", "bracket"}
     for name in ("verify_super_cocycle_gf", "verify_dual_gf", "verify_gv"):
         called = set(_called_names(functions[name]))
         assert "lie_coboundary" in called, name
@@ -105,6 +110,16 @@ def test_the_lie_suites_take_their_coboundary_from_the_one_engine():
              if isinstance(node, ast.FunctionDef)
              and node.name == "chevalley_eilenberg_differential"]
     assert found == []
+
+
+def test_the_window_structure_constants_are_written_once_on_ints():
+    named = {getattr(node, attr) for node in ast.walk(TREES["zoo.py"])
+             for attr in ("name", "id", "attr") if hasattr(node, attr)}
+    assert not named & {"_conf_mul2", "_dual_act2", "_k1_bracket2"}
+    top = _top("zoo.py")
+    for name in ("conf_mul", "dual_act", "k1_bracket"):
+        assert list(_called_names(top[name])).count("divided") == 1, name
+        assert f"_{name}4" in set(_called_names(top[name])), name
 
 
 def _functions(name):

@@ -866,12 +866,13 @@ _CONF_BENDS = {
 }
 
 
-def _bent_conf_mul2(u, v, conf_mul2=zoo._conf_mul2):
-    """`zoo._conf_mul2`, the product on doubled labels that the axiom suites
-    and `zoo.conf_mul` call, plus the terms of _CONF_BENDS."""
-    out = dict(conf_mul2(u, v))
+def _bent_conf_mul4(u, v, conf_mul4=zoo._conf_mul4):
+    """`zoo._conf_mul4`, 4 times the product on doubled labels that the
+    axiom suites and `zoo.conf_mul` call, plus 4 times the terms of
+    _CONF_BENDS."""
+    out = dict(conf_mul4(u, v))
     for l, c in _CONF_BENDS.get((zoo._half(u), zoo._half(v)), {}).items():
-        out[zoo._dbl(l)] = out.get(zoo._dbl(l), F(0)) + c
+        out[zoo._dbl(l)] = out.get(zoo._dbl(l), 0) + 4 * c
     return {l: c for l, c in out.items() if c}
 
 
@@ -881,7 +882,7 @@ def test_axiom_suites_match_the_reference_loops_on_a_bent_product(
         kind, N, monkeypatch):
     """The comparison above on a product that breaks all four identities,
     at instances whose products leave the window too."""
-    monkeypatch.setattr(zoo, "_conf_mul2", _bent_conf_mul2)
+    monkeypatch.setattr(zoo, "_conf_mul4", _bent_conf_mul4)
     fn = zoo.verify_ak1_axioms if kind == "ak1" else zoo.verify_m1_axioms
     got = fn(N)
     _same_report(got, _ref_conf_axioms(kind, N))
@@ -912,6 +913,11 @@ _GAMMA_PERTURBATIONS = {
     "s-linear": (None, lambda i: i * i - F(1, 4) + i),
     # gamma = 0 is a coboundary: the verdict's other branch
     "zero": (lambda n: 0, lambda i: 0),
+    # non-dyadic values: the suite clears gamma over a common denominator
+    # d = 3 or 28, beyond the 4 of the structure constants
+    "t/3": (lambda n: F(-n, 3), None),
+    "s+1/7": (None, lambda i: i * i - F(1, 4) + (F(1, 7) if i == F(3, 2)
+                                                  else 0)),
 }
 
 
@@ -1100,7 +1106,7 @@ def _ref_eta_coefficients(N):
         terms += [(comp, (arg, w), sa * c)
                   for actor, arg, sa in ((x0, x1, s01), (x1, x0, s10))
                   if arg in arg_window for w in dual[zoo.conf_parity(arg)]
-                  for comp, c in zoo._dual_act4(actor, w).items()]
+                  for comp, c in zoo._dual_act4("m1", actor, w).items()]
         rows: dict = {}
         for comp, var, c in terms:
             row = rows.setdefault(comp, {})
@@ -1220,7 +1226,7 @@ def _perturbed_reports(monkeypatch):
         patch.setattr(zoo, "c_gv", _c_gv_012)
         yield zoo.verify_gv(5)
     with monkeypatch.context() as patch:
-        patch.setattr(zoo, "_conf_mul2", _bent_conf_mul2)
+        patch.setattr(zoo, "_conf_mul4", _bent_conf_mul4)
         yield zoo.verify_ak1_axioms(3)
         yield zoo.verify_m1_axioms(3)
 
