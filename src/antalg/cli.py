@@ -78,10 +78,12 @@ def _fmt(obj) -> str:
 
 
 def _fmt_value(val) -> str:
-    """A sparse vector/dict as `c1*l1 + c2*l2` with labels sorted."""
-    items = val.items() if hasattr(val, "items") else val
+    """A scalar, or a sparse vector/dict as `c1*l1 + c2*l2` with labels
+    sorted."""
+    if not hasattr(val, "items"):
+        return format_scalar(val)
     parts = [f"{format_scalar(c)}*{_fmt(l)}"
-             for l, c in sorted(items, key=lambda lc: str(lc[0])) if c]
+             for l, c in sorted(val.items(), key=lambda lc: str(lc[0])) if c]
     return " + ".join(parts) if parts else "0"
 
 

@@ -488,14 +488,17 @@ class DifferentialMatrix:
                 f"{self.target.dim}x{self.source.dim})")
 
 
-class _GenericCochain(Cochain):
+class _GenericCochain:
     """The generic cochain on the source keys (p, q, xs, ys, l): its value
     at (xs, ys) is {(j, l): sign}, one tag per key of column j.  Every
     ordering of an odd tuple is indexed at construction, to the key's tags
     or to their one negated copy, so a read is one lookup and a repeated
     label misses.  Its coboundary runs in the integer context of ``mul``
     and ``act`` on the algebra ``basis`` and the module ``parity``, and its
-    image is the raw blocks {(P, Q): {(xs, ys): {(j, l): int}}}."""
+    image is the raw blocks {(P, Q): {(xs, ys): {(j, l): int}}}.  It is no
+    `Cochain`: it has just what `delta_instance` and `_materialise_delta`
+    read (``alg_space``, ``degree``, `value`, `_delta_context`,
+    `_image`)."""
 
     def __init__(self, keys, basis, parity, mul, act, degree):
         self.degree, self.alg_space = degree, basis

@@ -20,8 +20,6 @@ __all__ = [
     "GradedSpace",
     "Vector",
     "MultiMap",
-    "INHOMOGENEOUS",
-    "parity_of",
     "is_parity_preserving",
     "AlgebraFile",
     "complete_product_table",
@@ -209,9 +207,6 @@ class Vector:
         return "Vector(" + " + ".join(parts) + ")"
 
 
-INHOMOGENEOUS = "inhomogeneous"
-
-
 class MultiMap:
     """A sparse (p,q)-linear map V0^p x V1^q -> V.
 
@@ -314,22 +309,6 @@ class MultiMap:
             if exs == xs and eys == ys:
                 out[l] = out.get(l, Fraction(0)) + c
         return Vector(self.space, out)
-
-
-def parity_of(phi: MultiMap):
-    """Parity of a map: p + i + 1 (mod 2) for a map valued in V_i.
-
-    For a map with both output parts present and of different parities the
-    string ``"inhomogeneous"`` is returned.  The zero map is reported with the
-    parity-preserving value p + q + 1 (mod 2).
-    """
-    gradings = phi.output_gradings()
-    if not gradings:
-        return (phi.p + phi.q + 1) % 2
-    parities = {(phi.p + i + 1) % 2 for i in gradings}
-    if len(parities) == 1:
-        return parities.pop()
-    return INHOMOGENEOUS
 
 
 def is_parity_preserving(phi: MultiMap) -> bool:

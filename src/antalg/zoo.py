@@ -28,12 +28,15 @@ that delta^k is assembled from.
 Cochain values are `DictVec`s, `core.Vector`s over the open basis of all
 (family, index) labels.
 
-Inside the suites labels are keyed by integers, because a `Fraction`
-rehashes on every dict access: a label is keyed by its doubled label
-(family, 2 * index) with an `int` index, which sorts like the label within
-a family (the axiom suites key it by the doubled index alone, even on eps
-and odd on a).  The structure constants are written once, on doubled
-labels, as ints times 4.  The suites compute on ints and divide only
+Inside the suites a label is keyed by its doubled index alone, an `int`:
+2n for eps_n, l_n and their duals, 2i for a_i, xi_i and theirs.  Within
+the pair (even family, odd family) of a slot the key's last bit is its
+parity and names its family, so the key sorts like the label and carries
+no family name.  Between the (family, Fraction) functions and the suites
+family names are checked on the way in (`_dbl`, which rejects a label of
+another family or an index of the wrong kind) and attached on the way out
+(`_half`), and nowhere else.  The structure constants are written once,
+on int keys, as ints times 4.  The suites compute on ints and divide only
 violations back into `Fraction`s; the axiom, gf and dual-gf suites count
 their zero instances without recording each.  Every label that a caller
 passes or receives -- the public products, the suites' callbacks, a
@@ -84,27 +87,35 @@ __all__ = [
 HALF = Fraction(1, 2)
 _SIGN = (Fraction(1), Fraction(-1))  # (-1)^p for a parity p
 
+# the family pairs (even family, odd family) of the int keys
+_CONF, _CONF_DUAL = ("eps", "a"), ("eps*", "a*")
+_K1, _K1_DUAL = ("l", "xi"), ("l*", "xi*")
 
-def _dbl(label):
-    """The doubled label (family, 2 * index); its index is an `int` when
-    the index is a half-integer, and any other index keeps its exact
-    doubled value, which matches no window label."""
+
+def _dbl(label, families) -> int:
+    """The int key of a label of ``families``: its doubled index, read off
+    the index's numerator and denominator without `Fraction` arithmetic.  A
+    label of another family, or whose index is not of its family's kind,
+    raises ValueError."""
     fam, idx = label
-    two = 2 * idx
-    return fam, int(two) if two.denominator == 1 else two
+    den = idx.denominator
+    k = 2 * idx.numerator // den
+    if den > 2 or families[k & 1] != fam:
+        raise ValueError(f"not a label of {'/'.join(families)}: {label!r}")
+    return k
 
 
-def _half(label):
-    """The (family, Fraction) label of a doubled label."""
-    return label[0], Fraction(label[1], 2)
+def _half(k, families):
+    """The (family, Fraction) label of an int key of ``families``."""
+    return families[k & 1], Fraction(k, 2)
 
 
-def _halved(value: dict) -> dict:
-    return {_half(l): c for l, c in value.items()}
+def _halved(value: dict, families) -> dict:
+    return {_half(k, families): c for k, c in value.items()}
 
 
 # ---------------------------------------------------------------------------
-# global structure constants, on doubled labels, as ints times 4
+# global structure constants, on int keys, as ints times 4
 # ---------------------------------------------------------------------------
 
 def conf_parity(label) -> int:
@@ -113,40 +124,33 @@ def conf_parity(label) -> int:
 
 @functools.cache
 def _conf_mul4(u, v) -> dict:
-    """4 times `conf_mul` on doubled labels, as ints; cached, read only."""
-    (fu, iu), (fv, iv) = u, v
-    if fu == "eps" and fv == "eps":
-        return {("eps", iu + iv): 4}
-    if fu == "eps" and fv == "a" or fu == "a" and fv == "eps":
-        return {("a", iu + iv): 2}
-    if fu == "a" and fv == "a":
-        return {("eps", iu + iv): iv - iu} if iv != iu else {}
-    raise ValueError(f"not conformal labels: {_half(u)}, {_half(v)}")
+    """4 times `conf_mul` on int keys; cached, read only."""
+    if u & v & 1:
+        return {u + v: v - u} if v != u else {}
+    return {u + v: 2 if (u | v) & 1 else 4}
 
 
 def conf_mul(u, v) -> dict:
     """The conformal product: eps_n.eps_m = eps_{n+m},
     eps_n.a_i = (1/2) a_{n+i}, a_i.a_j = (1/2)(j-i) eps_{i+j}."""
-    return _halved(divided(_conf_mul4(_dbl(u), _dbl(v)), 4))
+    return _halved(divided(_conf_mul4(_dbl(u, _CONF), _dbl(v, _CONF)), 4),
+                   _CONF)
 
 
 @functools.cache
-def _dual_act4(kind, a, u) -> dict:
-    """4 times `dual_act` on doubled labels, as ints; cached, read only."""
-    (fa, ia), (fu, iu) = a, u
-    if fa == "eps" and fu == "eps*":
-        fam, c = "eps*", 4
-    elif fa == "eps" and fu == "a*":
-        fam, c = "a*", 2
-    elif fa == "a" and fu == "eps*":
-        fam, c = "a*", iu - 2 * ia
-    elif fa == "a" and fu == "a*":
-        fam, c = "eps*", -2
+def _dual_act4(one_sided, a, u) -> dict:
+    """4 times `dual_act` on int keys, the actor's and the dual label's,
+    with the floors of the one-sided family if ``one_sided``; cached, read
+    only."""
+    if a & 1:
+        c = -2 if u & 1 else u - 2 * a
     else:
-        raise ValueError(f"not an action pair: {_half(a)}, {_half(u)}")
-    if not c or kind != "ak1" and iu - ia < (0 if fam == "eps*" else -1):
+        c = 2 if u & 1 else 4
+    # the floor keys are 0 on eps* and -1 on a*, so a result key lies below
+    # its floor exactly when it is below -1
+    if not c or one_sided and u - a < -1:
         return {}
-    return {(fam, iu - ia): c}
+    return {u - a: c}
 
 
 def dual_act(kind, a, u) -> dict:
@@ -157,29 +161,23 @@ def dual_act(kind, a, u) -> dict:
 
     For the one-sided family the floors are structural: a result whose index
     drops below the floor is exactly zero."""
-    return _halved(divided(_dual_act4(kind, _dbl(a), _dbl(u)), 4))
+    return _halved(divided(_dual_act4(
+        kind != "ak1", _dbl(a, _CONF), _dbl(u, _CONF_DUAL)), 4), _CONF_DUAL)
 
 
 def _k1_bracket4(u, v) -> dict:
-    """4 times `k1_bracket` on doubled labels, as ints."""
-    (fu, iu), (fv, iv) = u, v
-    if fu == "l" and fv == "l":
-        fam, c = "l", 2 * (iv - iu)
-    elif fu == "l" and fv == "xi":
-        fam, c = "xi", 2 * iv - iu
-    elif fu == "xi" and fv == "l":
-        fam, c = "xi", iv - 2 * iu
-    elif fu == "xi" and fv == "xi":
-        fam, c = "l", 8
+    """4 times `k1_bracket` on int keys."""
+    if u & 1:
+        c = 8 if v & 1 else v - 2 * u
     else:
-        raise ValueError(f"not contact labels: {_half(u)}, {_half(v)}")
-    return {(fam, iu + iv): c} if c else {}
+        c = 2 * v - u if v & 1 else 2 * (v - u)
+    return {u + v: c} if c else {}
 
 
 def k1_bracket(u, v) -> dict:
     """[l_n, l_m] = (m-n) l_{n+m}, [l_n, xi_i] = (i - n/2) xi_{n+i},
     [xi_i, xi_j] = 2 l_{i+j}."""
-    return _halved(divided(_k1_bracket4(_dbl(u), _dbl(v)), 4))
+    return _halved(divided(_k1_bracket4(_dbl(u, _K1), _dbl(v, _K1)), 4), _K1)
 
 
 def k1_parity(label) -> int:
@@ -199,8 +197,8 @@ def w1_bracket(u, v) -> dict:
 
 class WindowedAlgebra:
     """A window of one of the infinite families: ``even`` and ``odd`` list
-    its labels by index, ``even2`` and ``odd2`` their doubled labels in the
-    same order."""
+    its labels by index, ``even2`` and ``odd2`` their int keys in the same
+    order."""
 
     def __init__(self, kind: str, N: int):
         if kind not in ("ak1", "m1", "k1", "w1"):
@@ -208,14 +206,14 @@ class WindowedAlgebra:
         if N < 1:
             raise ValueError("window radius must be >= 1")
         self.N = N
-        even, odd = ("eps", "a") if kind in ("ak1", "m1") else ("l", "xi")
-        # the least doubled index of each parity; w1 has no odd part
+        families = _CONF if kind in ("ak1", "m1") else _K1
+        # the least key of each parity; w1 has no odd part
         lo_even, lo_odd = {"m1": (0, -1), "w1": (-2, 2 * N)}.get(
             kind, (-2 * N, 1 - 2 * N))
-        self.even2 = [(even, k) for k in range(lo_even, 2 * N + 1, 2)]
-        self.odd2 = [(odd, k) for k in range(lo_odd, 2 * N, 2)]
-        self.even = [_half(l) for l in self.even2]
-        self.odd = [_half(l) for l in self.odd2]
+        self.even2 = list(range(lo_even, 2 * N + 1, 2))
+        self.odd2 = list(range(lo_odd, 2 * N, 2))
+        self.even = [_half(k, families) for k in self.even2]
+        self.odd = [_half(k, families) for k in self.odd2]
 
     def labels(self):
         return self.even + self.odd
@@ -235,29 +233,23 @@ def _conf_axiom_report(kind: str, N: int) -> CheckReport:
     A law's slots range over the window, and a product of two window labels
     lies in the 2N window, so the table holds 4d times the products of the
     window labels with the 2N window labels and of those with the window
-    labels, on ints (d = 1 for the conformal product), keyed by the doubled
-    index alone, which is even on eps and odd on a."""
+    labels, on int keys and ints (d = 1 for the conformal product)."""
     w = WindowedAlgebra(kind, N)
     window, wide = set(w.labels2()), WindowedAlgebra(kind, 2 * N).labels2()
-    table = {u[1]: {v[1]: _conf_mul4(u, v) for v in (
+    table = {u: {v: _conf_mul4(u, v) for v in (
         wide if u in window else w.labels2())} for u in wide}
     d = common_denominator(c for row in table.values() for p in row.values()
                            for c in p.values())
-    t = {u: {v: as_integers(((l[1], c) for l, c in p.items()), d)
-             for v, p in row.items()} for u, row in table.items()}
-
-    def label(k):
-        return _half(("a" if k % 2 else "eps", k))
-
+    t = {u: {v: as_integers(p.items(), d) for v, p in row.items()}
+         for u, row in table.items()}
     rep = CheckReport(f"{kind}-axioms[N={N}]")
     rep.merge(*_identity_reports(
-        SimpleNamespace(even=[k for _, k in w.even2],
-                        odd=[k for _, k in w.odd2]), t, _AXIOMS,
-        lambda acc, weight: {label(k): c for k, c in divided(
-            acc, weight * (4 * d) ** 2).items()},
+        SimpleNamespace(even=w.even2, odd=w.odd2), t, _AXIOMS,
+        lambda acc, weight: _halved(divided(acc, weight * (4 * d) ** 2),
+                                    _CONF),
         increasing=("cyclic",)).values())
-    for v in rep.violations:  # back from doubled indices to labels
-        v.instance = tuple(map(label, v.instance))
+    for v in rep.violations:  # back from int keys to labels
+        v.instance = tuple(_half(k, _CONF) for k in v.instance)
     return rep
 
 
@@ -276,7 +268,7 @@ def verify_m1_axioms(N: int = 4) -> CheckReport:
 class DictVec(Vector):
     """A `core.Vector` over the open basis `_CONF_BASIS` of (family, index)
     labels, whose labels are not checked; ``c`` is its coefficient dict.
-    The suites also use it on doubled labels, which never leave them."""
+    The suites also use it on int keys, which never leave them."""
 
     __slots__ = ()
 
@@ -293,9 +285,12 @@ class DictVec(Vector):
 
 
 # The conformal labels and their duals as a cochain basis (see
-# `cohomology.DeltaContext`): parity by family, odd labels ordered by index
-# (or by doubled index, for doubled labels).
+# `cohomology.DeltaContext`): parity by family, odd labels ordered by index.
 _CONF_BASIS = SimpleNamespace(parity=conf_parity, index=lambda label: label[1],
+                             vector=DictVec)
+# The int keys as a cochain basis: parity is the last bit, and the index is
+# the key itself.
+_INT_BASIS = SimpleNamespace(parity=lambda k: k & 1, index=lambda k: k,
                              vector=DictVec)
 
 
@@ -307,22 +302,26 @@ def _sort_ys(ys):
 class WindowCochain(Cochain):
     """A finitely supported cochain over the conformal families, valued in
     the family or its dual: {(p,q): {(xs, ys): DictVec or dict}} with
-    canonical increasing odd arguments.  There is no finite structure behind
-    it, so ``alg`` and ``mod`` are None."""
+    canonical increasing odd arguments.  ``basis`` is that of its labels:
+    `_CONF_BASIS` for (family, index) labels, `_INT_BASIS` for int keys.
+    There is no finite structure behind it, so ``alg`` and ``mod`` are
+    None."""
 
-    def __init__(self, degree: int, blocks=None):
+    def __init__(self, degree: int, blocks=None, basis=_CONF_BASIS):
         self.alg = self.mod = None
-        self._fill(_CONF_BASIS, _CONF_BASIS, degree, blocks)
+        self._fill(basis, basis, degree, blocks)
 
 
 def _doubled_cochain(coch: WindowCochain, d=None) -> WindowCochain:
-    """The same cochain on doubled labels; given ``d``, which every
-    denominator divides, d times it, on ints."""
+    """The same conformal, dual-valued cochain on int keys; given ``d``,
+    which every denominator divides, d times it, on ints."""
     value = dict if d is None else functools.partial(as_integers, d=d)
+    arg = functools.partial(_dbl, families=_CONF)
     return WindowCochain(coch.degree, {pq: {
-        (tuple(map(_dbl, xs)), tuple(map(_dbl, ys))):
-            value((_dbl(l), c) for l, c in vec.items())
-        for (xs, ys), vec in coch.block(*pq).items()} for pq in coch.shapes()})
+        (tuple(map(arg, xs)), tuple(map(arg, ys))):
+            value((_dbl(l, _CONF_DUAL), c) for l, c in vec.items())
+        for (xs, ys), vec in coch.block(*pq).items()} for pq in coch.shapes()},
+        _INT_BASIS)
 
 
 def ConfDualDeltaCtx(kind: str) -> DeltaContext:
@@ -352,22 +351,17 @@ def _gamma_s(i):
     return i * i - Fraction(1, 4)
 
 
-def _gamma2(label, t_fn, s_fn) -> DictVec:
-    """`gamma_value` at a doubled label, valued on doubled labels; t_fn and
-    s_fn are called at the label's (Fraction) index."""
-    fam, k = label
-    if fam == "eps":
-        return DictVec({("eps*", -k): Fraction(t_fn(Fraction(k, 2)))})
-    if fam == "a":
-        return DictVec({("a*", -k): Fraction(s_fn(Fraction(k, 2)))})
-    raise ValueError(f"not a conformal label: {_half(label)}")
+def _gamma2(k, t_fn, s_fn) -> DictVec:
+    """`gamma_value` at an int key, valued on int keys; t_fn and s_fn are
+    called at the key's (Fraction) index."""
+    return DictVec({-k: Fraction((s_fn if k & 1 else t_fn)(Fraction(k, 2)))})
 
 
 def gamma_value(label, t_fn=None, s_fn=None) -> DictVec:
     """gamma(eps_n) = t(n) eps*_{-n}, gamma(a_i) = s(i) a*_{-i} with the
     standard choice t(n) = -n, s(i) = i^2 - 1/4."""
-    return DictVec(_halved(
-        _gamma2(_dbl(label), t_fn or _gamma_t, s_fn or _gamma_s).c))
+    return DictVec(_halved(_gamma2(_dbl(label, _CONF), t_fn or _gamma_t,
+                                   s_fn or _gamma_s).c, _CONF_DUAL))
 
 
 def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
@@ -388,37 +382,37 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
     w = WindowedAlgebra("ak1", N)
     # gamma on the 2N window, which holds every product of two window
     # labels, as d gamma on ints; g[k] is d t(k/2) or d s(k/2), k even or odd
-    gam = {l: _gamma2(l, t_fn or _gamma_t, s_fn or _gamma_s)
-           for l in WindowedAlgebra("ak1", 2 * N).labels2()}
+    gam = {k: _gamma2(k, t_fn or _gamma_t, s_fn or _gamma_s)
+           for k in WindowedAlgebra("ak1", 2 * N).labels2()}
     d = common_denominator(c for v in gam.values() for c in v.c.values())
-    ig = {l: as_integers(v.c.items(), d) for l, v in gam.items()}
-    g = {k: ig[fam, k].get((fam + "*", -k), 0) for fam, k in ig}
+    ig = {k: as_integers(v.c.items(), d) for k, v in gam.items()}
+    g = {k: v.get(-k, 0) for k, v in ig.items()}
 
     kinds = ("even-even", "mixed", "odd-odd")
     labels = list(zip(w.labels(), w.labels2()))
     for u, u2 in labels:
-        pu = conf_parity(u)
+        pu = u2 & 1
         for v, v2 in labels:
-            pv = conf_parity(v)
+            pv = v2 & 1
             # 4d (gamma(u.v) - rho_u gamma(v) - (-1)^{|u||v|} rho_v gamma(u))
             res: dict = {}
             for l, c in _conf_mul4(u2, v2).items():
                 for k, e in ig[l].items():
                     res[k] = res.get(k, 0) + c * e
             for l, c in ig[v2].items():
-                for k, e in _dual_act4("ak1", u2, l).items():
+                for k, e in _dual_act4(False, u2, l).items():
                     res[k] = res.get(k, 0) - c * e
             for l, c in ig[u2].items():
-                for k, e in _dual_act4("ak1", v2, l).items():
+                for k, e in _dual_act4(False, v2, l).items():
                     res[k] = res.get(k, 0) + (c * e if pu & pv else -c * e)
             rep.record(f"cocycle[{kinds[pu + pv]}]", (u, v),
-                       _halved(divided(res, 4 * d)))
+                       _halved(divided(res, 4 * d), _CONF_DUAL))
     for n in range(-N, N + 1):
         for m in range(-N, N + 1):
             rep.record("t-additive", (n, m), Fraction(
                 g[2 * (n + m)] - g[2 * n] - g[2 * m], d))
-    for (_, i), (_, ki) in zip(w.odd, w.odd2):
-        for (_, j), (_, kj) in zip(w.odd, w.odd2):
+    for (_, i), ki in zip(w.odd, w.odd2):
+        for (_, j), kj in zip(w.odd, w.odd2):
             rep.record("s-relation", (i, j), Fraction(
                 g[ki] - g[kj] - (kj - ki) // 2 * g[ki + kj], d))
     nontrivial, detail = _gamma_nontrivial(w, gam.__getitem__)
@@ -431,7 +425,7 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
 
 def _gamma_nontrivial(w, gfn):
     """Is gamma outside the span of coboundaries of dual elements on the
-    ak1 window ``w``?  ``gfn`` is gamma on doubled labels.
+    ak1 window ``w``?  ``gfn`` is gamma on int keys.
 
     The ansatz delta b = gamma for an even dual element b is a linear
     system.  Its even part is the zero map for *every* global b -- the two
@@ -445,7 +439,7 @@ def _gamma_nontrivial(w, gfn):
     not.  Returns (nontrivial?, detail).
     """
     N = w.N
-    variables = [("eps*", m) for m in range(-2 * N, 2 * N + 1, 2)]
+    variables = range(-2 * N, 2 * N + 1, 2)  # the even dual keys
     rows, rhs = [], []
     for x in w.even2:
         # even part of delta b at x: (-1/2 + 1/2) rho_x b, identically zero,
@@ -459,10 +453,10 @@ def _gamma_nontrivial(w, gfn):
         target = gfn(y)
         by_comp: dict = {}  # component of rho_y b -> {variable: coeff}
         for k, b in enumerate(variables):
-            for comp, c in _dual_act4("ak1", y, b).items():
+            for comp, c in _dual_act4(False, y, b).items():
                 by_comp.setdefault(comp, {})[k] = Fraction(c, 4)
         for comp in sorted(by_comp.keys() | target.c.keys()):
-            if abs(comp[1] + y[1]) > 2 * N:
+            if abs(comp + y) > 2 * N:
                 continue  # preimage outside the variable window: not sound
             rows.append(by_comp.get(comp, {}))
             rhs.append(target.coeff(comp))
@@ -527,23 +521,22 @@ def eta_family(lam, mu, even_even_coeff=None) -> WindowCochain:
 def _eta_coefficients(N: int):
     """The target-free part of `_eta_linear_system`, built once per N:
     ({mode: (instances, bound)}, row_table, variables).  An instance is
-    ((P, Q, xs, ys), comps) on doubled labels, comps mapping each doubled
-    dual component of delta zeta there up to ``bound`` (None: all), sorted,
-    to its row id.  The sound instances are the table ones whose arguments
-    and product lie in the argument window.  delta zeta is `delta_instance`
+    ((P, Q, xs, ys), comps) on int keys, comps mapping each dual key of
+    delta zeta there up to ``bound`` (None: all), sorted, to its row id.
+    The sound instances are the table ones whose arguments and product lie
+    in the argument window.  delta zeta is `delta_instance`
     of the generic 1-cochain on the variables, zero outside the window, over
     4 times the products and the action: a row is 16 = 2 * lcm(1, 2) * 4
     times its coefficients, on ints, and is divided once; equal rows share
     one id and one dict, which no caller may mutate; id 0 is the empty row."""
     D = N + 2
     walg = WindowedAlgebra("m1", N)
-    dual = ([("eps*", k) for k in range(0, 2 * D + 1, 2)],
-            [("a*", k) for k in range(-1, 2 * D, 2)])
-    variables = [(u, w) for u in walg.labels2() for w in dual[conf_parity(u)]]
+    dual = (range(0, 2 * D + 1, 2), range(-1, 2 * D, 2))  # keys by parity
+    variables = [(u, w) for u in walg.labels2() for w in dual[u & 1]]
     generic = _GenericCochain(
-        [(1, 0, (u,), (), w) if conf_parity(u) == 0 else (0, 1, (), (u,), w)
-         for u, w in variables], _CONF_BASIS, conf_parity, _conf_mul4,
-        functools.partial(_dual_act4, "m1"), 1)
+        [(0, 1, (), (u,), w) if u & 1 else (1, 0, (u,), (), w)
+         for u, w in variables], _INT_BASIS, _INT_BASIS.parity, _conf_mul4,
+        functools.partial(_dual_act4, True), 1)
     ctx = generic._delta_context()
     arg_window = set(walg.labels2())
     bound = 2 * (D - N - 1)
@@ -565,10 +558,11 @@ def _eta_coefficients(N: int):
         args = key[2] + key[3]
         if arg_window.issuperset((*args, *_conf_mul4(*args))):
             sound.append((key, {c: r for c, r in comps.items()
-                                if c[1] <= bound}))
+                                if c <= bound}))
     return ({"table": (tuple(table), None), "sound": (tuple(sound), bound)},
             tuple(divided(dict(sig), 2 * ctx.lcm * 4) for sig in row_id),
-            tuple((_half(u), _half(w)) for u, w in variables))
+            tuple((_half(u, _CONF), _half(w, _CONF_DUAL))
+                  for u, w in variables))
 
 
 def _eta_linear_system(N: int, targets, mode: str):
@@ -589,11 +583,11 @@ def _eta_linear_system(N: int, targets, mode: str):
     every global preimage, not just windowed ones.
 
     The rows come from `_eta_coefficients`; this pass reads the targets'
-    values, on doubled labels, and drops repeated (row, right-hand sides).
+    values, on int keys, and drops repeated (row, right-hand sides).
     """
     modes, row_table, variables = _eta_coefficients(N)
     instances, bound = modes[mode]
-    values: dict = {}  # doubled instance -> the targets' values there
+    values: dict = {}  # instance on int keys -> the targets' values there
     for t, target in enumerate(map(_doubled_cochain, targets)):
         for pq in target.shapes():
             for (xs, ys), vec in target.block(*pq).items():
@@ -605,7 +599,7 @@ def _eta_linear_system(N: int, targets, mode: str):
         if vals:
             comps = {comp: comps.get(comp, 0) for comp in sorted(
                 comps.keys() | {comp for v in vals for comp in v
-                                if bound is None or comp[1] <= bound})}
+                                if bound is None or comp <= bound})}
         for comp, rid in comps.items():
             bs = tuple(v.get(comp, 0) for v in vals) if vals else zero
             eq = (rid, bs) if any(bs) else rid  # zeros hash no Fraction
@@ -646,7 +640,7 @@ def eta_coboundary_solve(N: int, target: WindowCochain):
 
 def _delta_report(coch, shapes, window, kind_prefix, target=None):
     """A report of delta coch (minus ``target``) on every instance of the
-    given shapes from ``window``, on doubled labels and ints: 4 times the
+    given shapes from ``window``, on int keys and ints: 4 times the
     products and the action go into the integer `DeltaContext` of L_k =
     lcm(1, .., k+1), k the degree, and the cochain and target times their
     common denominator D_c, so S = 2 * 4 * L_k * D_c times each residual
@@ -654,8 +648,8 @@ def _delta_report(coch, shapes, window, kind_prefix, target=None):
     only a nonzero residual, a violation, is divided by S."""
     rep = CheckReport("inner")
     lcm = math.lcm(*range(1, coch.degree + 2))
-    ctx = DeltaContext(_CONF_BASIS, _CONF_BASIS, _conf_mul4,
-                       functools.partial(_dual_act4, "m1"), lcm)
+    ctx = DeltaContext(_INT_BASIS, _INT_BASIS, _conf_mul4,
+                       functools.partial(_dual_act4, True), lcm)
     d = common_denominator(
         c for x in (coch, target) if x for pq in x.shapes()
         for v in x.block(*pq).values() for c in v.c.values())
@@ -674,8 +668,9 @@ def _delta_report(coch, shapes, window, kind_prefix, target=None):
                     res[l] = res.get(l, 0) - c
                 rep.record(f"{kind_prefix}[{P},{Q}]", (xs, ys), res)
     for v in rep.violations:  # back to labels
-        v.instance = tuple(tuple(map(_half, args)) for args in v.instance)
-        v.residual = _halved(divided(v.residual, scale))
+        v.instance = tuple(tuple(_half(k, _CONF) for k in args)
+                           for args in v.instance)
+        v.residual = _halved(divided(v.residual, scale), _CONF_DUAL)
     return rep
 
 
@@ -703,7 +698,7 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
     window 1-cochain (`_eta_coefficients`; the sound rows are a filter of
     the table rows), and legs 2 and 3 make two solver calls for all five
     targets (`_eta_solutions`).  Legs 1 and 2 evaluate the coboundary on
-    doubled labels and ints (`_delta_report`).  Every leg takes delta from
+    int keys and ints (`_delta_report`).  Every leg takes delta from
     the one `delta_instance`.
     """
     if N < 2:
@@ -769,17 +764,12 @@ OSP_SPAN = (("l", Fraction(-1)), ("l", Fraction(0)), ("l", Fraction(1)),
             ("xi", -HALF), ("xi", HALF))
 
 
-def _coadjoint4(u, key) -> dict:
-    """4 times the coadjoint action on doubled dual labels: (u . l*)(Z) =
-    -(-1)^{|u||l|} l*([u, Z]), nonzero only at the one Z whose bracket with
-    u has the term l.  A key that is not a dual label is acted on by 0."""
-    fam, k = key
-    if not fam.endswith("*"):
-        return {}
-    pu, pl = k1_parity(u), k1_parity(key)
-    z = ("xi" if pu ^ pl else "l", k - u[1])
-    co = _k1_bracket4(u, z).get((fam[:-1], k), 0)
-    return {(z[0] + "*", z[1]): co if pu & pl else -co} if co else {}
+def _coadjoint4(u, k) -> dict:
+    """4 times the coadjoint action on the int keys of dual labels:
+    (u . l*)(Z) = -(-1)^{|u||l|} l*([u, Z]), nonzero only at Z = l - u, the
+    one Z whose bracket with u has the term l."""
+    co = _k1_bracket4(u, k - u).get(k, 0)
+    return {k - u: co if u & k & 1 else -co} if co else {}
 
 
 def verify_super_cocycle_gf(N: int = 4, c_fn=None) -> CheckReport:
@@ -794,14 +784,14 @@ def verify_super_cocycle_gf(N: int = 4, c_fn=None) -> CheckReport:
 
     The cyclic sum is exactly -(-1)^{|X||Z|} delta c(X,Y,Z), the
     Chevalley-Eilenberg coboundary with trivial coefficients
-    (`brackets.lie_coboundary`), on doubled labels and ints."""
+    (`brackets.lie_coboundary`), on int keys and ints."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     c_fn = c_fn or c_gf
     rep = CheckReport(f"gf-2-cocycle[N={N}]")
     w, big = WindowedAlgebra("k1", N), WindowedAlgebra("k1", 2 * N)
     labels, l2 = w.labels(), w.labels2()
-    odd = [k1_parity(X) for X in labels]
+    odd = [X & 1 for X in l2]
     # c at (bracket term, window label), every term lying in the 2N window
     cw = {(t2, u2): c_fn(t, u) for t, t2 in zip(big.labels(), big.labels2())
           for u, u2 in zip(labels, l2)}
@@ -812,7 +802,7 @@ def verify_super_cocycle_gf(N: int = 4, c_fn=None) -> CheckReport:
     d = common_denominator(cw.values())
     icoch = {args: {"c": c} for args, c in as_integers(cw.items(), d).items()
              if c}
-    dc = lie_coboundary(_k1_bracket4, k1_parity,
+    dc = lie_coboundary(_k1_bracket4, _INT_BASIS.parity,
                         lambda args: icoch.get(args, {}), l2, 2)
     rep.checked += len(labels) ** 3 - len(dc)
     for x, y, z in sorted(dc):
@@ -833,9 +823,8 @@ def verify_dual_gf(N: int = 4, C_fn=None) -> CheckReport:
 
     for window pairs (X,Y) and probes Z of index up to 2N (all pairings are
     global: no skips).  delta C is the Chevalley-Eilenberg coboundary with
-    the coadjoint action (`brackets.lie_coboundary`), on integers; a
-    component of C([X,Y]) pairs with its probe whether or not its family is
-    starred."""
+    the coadjoint action (`brackets.lie_coboundary`), on int keys and ints.
+    A value of ``C_fn`` off the dual labels l*, xi* raises ValueError."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     C_fn = C_fn or C_gf_value
@@ -845,14 +834,15 @@ def verify_dual_gf(N: int = 4, C_fn=None) -> CheckReport:
     # C on the 2N window, which holds every bracket term, as d C on ints
     cv = {Z2: C_fn(Z) for Z, Z2 in probes}
     d = common_denominator(c for v in cv.values() for c in v.values())
-    icoch = {Z2: as_integers(((_dbl(l), c) for l, c in v.items()), d)
-             for Z2, v in cv.items()}
-    dC = lie_coboundary(_k1_bracket4, k1_parity, lambda args: icoch[args[0]],
-                        w.labels2(), 1, _coadjoint4)
+    icoch = {Z2: as_integers(((_dbl(l, _K1_DUAL), c) for l, c in v.items()),
+                             d) for Z2, v in cv.items()}
+    dC = lie_coboundary(_k1_bracket4, _INT_BASIS.parity,
+                        lambda args: icoch[args[0]], w.labels2(), 1,
+                        _coadjoint4)
     # 4d times each pairing where delta C is nonzero; the zeros are counted
     for x, y in sorted(dC):
-        for Z, (fam, k) in probes:
-            v = dC[x, y].get((fam + "*", k), 0) + dC[x, y].get((fam, k), 0)
+        for Z, k in probes:
+            v = dC[x, y].get(k, 0)
             if v:
                 rep.record("dual-cocycle", (labels[x], labels[y], Z),
                            Fraction(v, 4 * d))
@@ -881,8 +871,8 @@ def verify_gv(N: int = 5) -> CheckReport:
     the ansatz c = delta beta over skew 2-cochains with argument-sum ceiling
     2N is inconsistent (each equation only references beta at index sums
     within the ceiling, so the restriction is sound for every global beta).
-    Both coboundaries are `brackets.lie_coboundary` on doubled labels and
-    ints, the second of the generic beta, whose value is {variable: +-1}."""
+    Both coboundaries are `brackets.lie_coboundary` on int keys and ints,
+    the second of the generic beta, whose value is {variable: +-1}."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     rep = CheckReport(f"gv-3-cocycle[N={N}]")
@@ -896,7 +886,7 @@ def verify_gv(N: int = 5) -> CheckReport:
     d = common_denominator(cv.values())
     icoch = {args: {"gv": c} for args, c in as_integers(cv.items(), d).items()
              if c}
-    dc = lie_coboundary(_k1_bracket4, k1_parity,
+    dc = lie_coboundary(_k1_bracket4, _INT_BASIS.parity,
                         lambda args: icoch.get(args, {}), w.even2, 3)
     for quad in itertools.combinations(range(n), 4):
         rep.record("cocycle", tuple(labels[t] for t in quad),
@@ -907,17 +897,18 @@ def verify_gv(N: int = 5) -> CheckReport:
         rep.record("antisymmetry", args,
                    c_gv(*args) - _perm_sign(perm) * c_gv(*base))
     # nontriviality: beta variables are ordered pairs (a,b), a < b, of
-    # doubled indices up to the doubled ceiling 4N
+    # int keys up to the doubled ceiling 4N
     pairs = list(itertools.combinations(range(-2, 4 * N + 1, 2), 2))
     pair_idx = {p: k for k, p in enumerate(pairs)}
 
     def beta(args):
-        s, r = (k for _, k in args)
+        s, r = args
         if s == r:
             return {}
         return {pair_idx[min(s, r), max(s, r)]: 1 if s < r else -1}
 
-    dbeta = lie_coboundary(_k1_bracket4, k1_parity, beta, w.even2, 2)
+    dbeta = lie_coboundary(_k1_bracket4, _INT_BASIS.parity, beta, w.even2,
+                           2)
     triples = list(itertools.combinations(range(n), 3))
     sol = linalg.solve([dbeta.get(t, {}) for t in triples],  # 4 delta beta
                        [4 * c_gv(*(labels[x] for x in t)) for t in triples],

@@ -425,29 +425,21 @@ def test_golden_tables_match_the_dense_oracle(stem):
 
 
 def _bent(u, v, conf_mul4=zoo._conf_mul4):
-    """`zoo._conf_mul4`, 4 times the product on doubled labels, plus 4 times
-    eps_0 at eps_0.eps_0 and -+2 eps_1 at a_{+-1/2}.a_{3/2} and its
-    mirror."""
+    """`zoo._conf_mul4`, 4 times the product on int keys (doubled indices),
+    plus 4 times eps_0 at eps_0.eps_0 and -+2 eps_1 at a_{+-1/2}.a_{3/2}
+    and its mirror."""
     out = dict(conf_mul4(u, v))
-    bend = {(("eps", 0), ("eps", 0)): (("eps", 0), 1),
-            (("a", 1), ("a", 3)): (("eps", 2), -2),
-            (("a", 3), ("a", 1)): (("eps", 2), 2),
-            (("a", -1), ("a", 3)): (("eps", 2), 2),
-            (("a", 3), ("a", -1)): (("eps", 2), -2)}
+    bend = {(0, 0): (0, 1), (1, 3): (2, -2), (3, 1): (2, 2),
+            (-1, 3): (2, 2), (3, -1): (2, -2)}
     if (u, v) in bend:
         l, c = bend[u, v]
         out[l] = out.get(l, 0) + 4 * c
     return {l: c for l, c in out.items() if c}
 
 
-def _conf_label2(k):
-    """The doubled label of a doubled index: even on eps, odd on a."""
-    return ("a" if k % 2 else "eps", k)
-
-
 class _GlobalConfTable:
     """The global conformal product as the table T that `_dense_residuals`
-    reads, keyed by doubled indices: T[u][v] and T[u].get(v) are u.v, with
+    reads, keyed by int keys: T[u][v] and T[u].get(v) are u.v, with
     `Fraction` coefficients, computed on each read through
     `zoo._conf_mul4` over 4."""
 
@@ -456,8 +448,7 @@ class _GlobalConfTable:
             self.u = u
 
         def get(self, v):
-            return {l[1]: c for l, c in divided(zoo._conf_mul4(
-                _conf_label2(self.u), _conf_label2(v)), 4).items()}
+            return divided(zoo._conf_mul4(self.u, v), 4)
 
         __getitem__ = get
 
@@ -492,8 +483,7 @@ def test_window_axiom_suites_match_the_dense_oracle(kind, N, bent,
     _same_scatter(space, t, kinds, increasing)
     _same_scatter(space, t)  # all six laws, at every instance
     w = zoo.WindowedAlgebra(kind, N)
-    assert (list(space.even), list(space.odd)) == (
-        [k for _, k in w.even2], [k for _, k in w.odd2])
+    assert (list(space.even), list(space.odd)) == (w.even2, w.odd2)
     labels = dict(zip(space.even + space.odd, w.labels()))
     want = CheckReport(got.title)
     for law, inst, acc, weight in _dense_residuals(space, _GlobalConfTable()):
@@ -501,7 +491,7 @@ def test_window_axiom_suites_match_the_dense_oracle(kind, N, bent,
                                 and not inst[0] < inst[1] < inst[2]):
             continue
         want.record(law, tuple(labels[k] for k in inst), {
-            zoo._half(_conf_label2(k)): c
+            zoo._half(k, zoo._CONF): c
             for k, c in divided(acc, weight).items()})
     assert got.lines() == want.lines() and not got.skipped
     assert [(v.kind, v.instance, v.residual) for v in got.violations] == [

@@ -645,12 +645,12 @@ def test_lie_coboundary_gives_the_cohomology_of_sl2():
 
 
 # osp(1|2) as the span of l_-1, l_0, l_1, xi_-1/2, xi_1/2 in K(1), on the
-# doubled labels of `zoo._k1_bracket4`: the bracket closes on it
-OSP = (("l", -2), ("l", 0), ("l", 2), ("xi", -1), ("xi", 1))
+# int keys (doubled indices) of `zoo._k1_bracket4`: the bracket closes on it
+OSP = (-2, 0, 2, -1, 1)
 
 
 def _osp_parity(u):
-    return int(u[0] == "xi")
+    return u & 1
 
 
 def _random_super_alternating(rng, k, outs):
@@ -686,7 +686,7 @@ def test_lie_coboundary_squares_to_zero_on_osp12(coefficients):
     engine (the Koszul signs and (-1)^{i+j}) are those of a complex."""
     rng = random.Random(12)
     act = _k1_bracket4 if coefficients == "adjoint" else None
-    outs = OSP if act else (("c", 0),)  # the scalar key is even
+    outs = OSP if act else (0,)  # the scalar key is even
     for k in (1, 2, 3):
         coch = _random_super_alternating(rng, k, outs)
         d = lie_coboundary(_k1_bracket4, _osp_parity, coch, OSP, k, act)

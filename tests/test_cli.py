@@ -4,6 +4,7 @@ import argparse
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,22 @@ def test_verify_exit_codes(capsys):
     assert _run(capsys, ["verify", "eta"])[0] == 1
     assert _run(capsys, ["verify", "no-such-suite"])[0] == 2
     assert _run(capsys, ["verify", "gamma", "--window", "1"])[0] == 2
+
+
+def test_a_scalar_residual_prints_as_a_scalar(capsys, monkeypatch):
+    """gamma, gf, gv and eta record some violations with a scalar residual;
+    the structured report prints it and runs to its end."""
+    def suite(n):
+        rep = antialgebra.CheckReport(f"gv-3-cocycle[N={n}]")
+        rep.record("nontriviality", ("solve",), Fraction(1))
+        return rep
+
+    monkeypatch.setitem(cli._VERIFY, "gv", (suite, 5))
+    code, out, err = _run(capsys, ["verify", "gv", "--format", "structured"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-3:] == [
+        "violation.1.kind=nontriviality", "violation.1.instance=(solve)",
+        "violation.1.residual=1"]
 
 
 @pytest.mark.parametrize("argv,message", [

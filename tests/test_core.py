@@ -16,7 +16,6 @@ from antalg.core import (
     Vector,
     complete_product_table,
     is_parity_preserving,
-    parity_of,
     parse_algebra_text,
 )
 
@@ -145,11 +144,6 @@ def test_parity_bookkeeping():
     assert is_parity_preserving(even_valued)
     assert is_parity_preserving(odd_valued)
     assert not is_parity_preserving(mixed)
-    # a parity-preserving map of total arity n has parity n + 1: both
-    # degree-2 maps above are odd, a 1-ary map is even
-    assert parity_of(even_valued) == parity_of(odd_valued) == 1
-    assert parity_of(MultiMap(sp, 1, 0, {(("u",), (), "u"): 1})) == 0
-    assert parity_of(mixed) == "inhomogeneous"
 
 
 # ---------------------------------------------------------------------------

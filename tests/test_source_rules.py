@@ -12,10 +12,15 @@
   none calls a bracket itself, and no function is named after the
   finite-only operator it replaced;
 - the window structure constants are written once, as integers times 4
-  on doubled labels (`_conf_mul4`, `_dual_act4`, `_k1_bracket4`): no
-  `Fraction` form on doubled labels is left beside them, and each public
+  on int keys (`_conf_mul4`, `_dual_act4`, `_k1_bracket4`): no
+  `Fraction` form on those keys is left beside them, and each public
   product (`conf_mul`, `dual_act`, `k1_bracket`) is one call of
   `core.divided` on its integer form;
+- a window label is keyed by its doubled index alone, an `int` whose last
+  bit is its parity: the structure constants on those keys (`_conf_mul4`,
+  `_dual_act4`, `_k1_bracket4`, `_coadjoint4`) name no family, so hold no
+  `str` constant beside their docstrings, and a window's keys (`labels2`)
+  are plain ints;
 - the identity checkers read their residuals from the one scatter over the
   nonzero products, `antialgebra._identity_residuals`: no per-instance
   helper (`_left`, `_right`) is left beside it, and `check_axioms_v2` and
@@ -44,6 +49,8 @@
 import ast
 import sys
 from pathlib import Path
+
+from antalg.zoo import WindowedAlgebra
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "antalg"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -120,6 +127,19 @@ def test_the_window_structure_constants_are_written_once_on_ints():
     for name in ("conf_mul", "dual_act", "k1_bracket"):
         assert list(_called_names(top[name])).count("divided") == 1, name
         assert f"_{name}4" in set(_called_names(top[name])), name
+
+
+def test_window_labels_are_keyed_by_their_doubled_index_alone():
+    top = _top("zoo.py")
+    names = ("_conf_mul4", "_dual_act4", "_k1_bracket4", "_coadjoint4")
+    assert all(ast.get_docstring(top[name]) for name in names)
+    found = [(name, sub.lineno) for name in names
+             for stmt in top[name].body[1:]  # after the docstring
+             for sub in ast.walk(stmt)
+             if isinstance(sub, ast.Constant) and isinstance(sub.value, str)]
+    assert found == []
+    assert WindowedAlgebra("ak1", 2).labels2() == [
+        -4, -2, 0, 2, 4, -3, -1, 1, 3]
 
 
 def _functions(name):

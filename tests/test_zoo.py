@@ -43,8 +43,7 @@ def test_window_construction_and_validation():
         WindowedAlgebra("nope", 2)
     with pytest.raises(ValueError):
         WindowedAlgebra("ak1", 0)
-    assert w.labels2() == [("eps", k) for k in range(-4, 5, 2)] + [
-        ("a", k) for k in range(-3, 4, 2)]
+    assert w.labels2() == list(range(-4, 5, 2)) + list(range(-3, 4, 2))
     assert not hasattr(w, "mul") and not hasattr(w, "bracket")
 
 
@@ -192,8 +191,8 @@ def test_gamma_single_entry_perturbations_are_caught():
 
 
 def _doubled_gamma(t_fn=None, s_fn=None):
-    """gamma on doubled labels (family, 2 * index), as the suite's
-    nontriviality system reads it."""
+    """gamma on int keys (doubled indices), as the suite's nontriviality
+    system reads it."""
     return functools.partial(zoo._gamma2, t_fn=t_fn or zoo._gamma_t,
                              s_fn=s_fn or zoo._gamma_s)
 
@@ -806,8 +805,6 @@ _DUAL_GF_PERTURBATIONS = {
     # their values pair only with probes of index beyond N
     "probe-outside": _bump_C(L(7), ("l*", F(-7)), F(-1, 4)),
     "probe-outside-2": _bump_C(L(6), ("l*", F(-5))),
-    # an unstarred component, met only by the <C([X,Y]), Z> term
-    "unstarred": _bump_C(L(1), ("l", F(3))),
 }
 
 # every perturbation at the default window; the default and the
@@ -818,7 +815,7 @@ _GF_CASES = ([(4, k) for k in _GF_PERTURBATIONS]
                                  "odd-bracket-outside")]
              + [(5, "default"), (5, "odd-bracket-outside")])
 _DUAL_GF_CASES = ([(4, k) for k in _DUAL_GF_PERTURBATIONS]
-                  + [(3, k) for k in ("default", "probe-outside", "unstarred")]
+                  + [(3, k) for k in ("default", "probe-outside")]
                   + [(5, "default"), (5, "probe-outside")])
 
 
@@ -867,12 +864,14 @@ _CONF_BENDS = {
 
 
 def _bent_conf_mul4(u, v, conf_mul4=zoo._conf_mul4):
-    """`zoo._conf_mul4`, 4 times the product on doubled labels that the
-    axiom suites and `zoo.conf_mul` call, plus 4 times the terms of
+    """`zoo._conf_mul4`, 4 times the product on int keys that the axiom
+    suites and `zoo.conf_mul` call, plus 4 times the terms of
     _CONF_BENDS."""
     out = dict(conf_mul4(u, v))
-    for l, c in _CONF_BENDS.get((zoo._half(u), zoo._half(v)), {}).items():
-        out[zoo._dbl(l)] = out.get(zoo._dbl(l), 0) + 4 * c
+    at = (zoo._half(u, zoo._CONF), zoo._half(v, zoo._CONF))
+    for l, c in _CONF_BENDS.get(at, {}).items():
+        k = zoo._dbl(l, zoo._CONF)
+        out[k] = out.get(k, 0) + 4 * c
     return {l: c for l, c in out.items() if c}
 
 
@@ -1075,17 +1074,15 @@ def test_eta_systems_match_the_per_target_builder(solver_calls):
 def _ref_eta_coefficients(N):
     """The eta suite's coefficient rows as they were written before they
     came from `delta_instance`: delta^1 of the dual-valued 1-cochain zeta by
-    hand, on doubled labels, over 4 times the products and the action, with
+    hand, on int keys, over 4 times the products and the action, with
     twice the weights of zeta(x0.x1), rho_x0 zeta(x1) and rho_x1 zeta(x0) on
     the (2,0), (1,1) and (0,2) instances.  ({mode: (instances, bound)},
     variables) in the layout of `zoo._eta_coefficients`, except that each
     dual component maps to its row {variable: Fraction} rather than an id."""
     D = N + 2
     walg = WindowedAlgebra("m1", N)
-    dual = ([("eps*", k) for k in range(0, 2 * D + 1, 2)],
-            [("a*", k) for k in range(-1, 2 * D, 2)])
-    variables = [(u, w) for u in walg.labels2()
-                 for w in dual[zoo.conf_parity(u)]]
+    dual = (range(0, 2 * D + 1, 2), range(-1, 2 * D, 2))
+    variables = [(u, w) for u in walg.labels2() for w in dual[u & 1]]
     vindex = {v: k for k, v in enumerate(variables)}
     arg_window = set(walg.labels2())
     bound = 2 * (D - N - 1)
@@ -1102,11 +1099,11 @@ def _ref_eta_coefficients(N):
         # (dual component, variable, 8 * coeff) of delta zeta at the
         # instance; a zeta-argument outside the window is the known zero
         terms = [(w, (l, w), s * c) for l, c in prod.items()
-                 if l in arg_window for w in dual[zoo.conf_parity(l)]]
+                 if l in arg_window for w in dual[l & 1]]
         terms += [(comp, (arg, w), sa * c)
                   for actor, arg, sa in ((x0, x1, s01), (x1, x0, s10))
-                  if arg in arg_window for w in dual[zoo.conf_parity(arg)]
-                  for comp, c in zoo._dual_act4("m1", actor, w).items()]
+                  if arg in arg_window for w in dual[arg & 1]
+                  for comp, c in zoo._dual_act4(True, actor, w).items()]
         rows: dict = {}
         for comp, var, c in terms:
             row = rows.setdefault(comp, {})
@@ -1116,9 +1113,10 @@ def _ref_eta_coefficients(N):
         table.append((key, comps))
         if arg_window.issuperset((x0, x1, *prod)):
             sound.append((key, {c: r for c, r in comps.items()
-                                if c[1] <= bound}))
+                                if c <= bound}))
     return ({"table": (table, None), "sound": (sound, bound)},
-            tuple((zoo._half(u), zoo._half(w)) for u, w in variables))
+            tuple((zoo._half(u, zoo._CONF), zoo._half(w, zoo._CONF_DUAL))
+                  for u, w in variables))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -1239,6 +1237,29 @@ def test_every_label_that_leaves_a_suite_has_a_fraction_index(monkeypatch):
                                            _labels_in(v.residual))]
         assert labels, rep.title
         assert {type(idx) for _, idx in labels} == {Fraction}, rep.title
+
+
+# a label whose family or index kind is not that of its slot, at each entry
+# of a label into the suites; the last two are C_fn values off the dual
+# labels: l*_{1/3} and the unstarred l_3
+_OFF_FAMILY_CALLS = {
+    "conf_mul-eps-half": lambda: zoo.conf_mul(EPS(F(1, 2)), EPS(0)),
+    "conf_mul-a-1": lambda: zoo.conf_mul(A(1), EPS(0)),
+    "dual_act-eps-third": lambda: zoo.dual_act("m1", EPS(F(1, 3)),
+                                             ("eps*", F(0))),
+    "k1_bracket-xi-1": lambda: zoo.k1_bracket(XI(1), L(0)),
+    "gamma_value-a-1": lambda: zoo.gamma_value(A(1)),
+    "dual_gf-lstar-third": lambda: zoo.verify_dual_gf(
+        4, C_fn=_bump_C(L(1), ("l*", F(1, 3)))),
+    "dual_gf-unstarred": lambda: zoo.verify_dual_gf(
+        4, C_fn=_bump_C(L(1), ("l", F(3)))),
+}
+
+
+@pytest.mark.parametrize("which", list(_OFF_FAMILY_CALLS))
+def test_a_label_off_its_family_is_rejected_where_it_enters(which):
+    with pytest.raises(ValueError, match="not a label of"):
+        _OFF_FAMILY_CALLS[which]()
 
 
 def test_eta_solver_returns_fraction_labels():
