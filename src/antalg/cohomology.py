@@ -15,6 +15,9 @@ Every scalar of a formula comes from its `DeltaContext`, and every term
 holds one product or action factor, so the same formulas assemble delta^k
 on integers (`_delta_matrix`): over the scale 2*D*L_k, D the common
 denominator of the products and the action and L_k = lcm(1, .., k+1).
+The generic k-cochain (`_GenericCochain`) is swept once per component over
+the instances of C^{k+1} that carry a key, with only the components whose
+source block it has (`_materialise_delta`).
 That one integer matrix per degree (`DifferentialMatrix`) is what the
 complex is read from: rank delta^k is fraction-free elimination on its rows
 (`cohomology_dims`), ker delta^1 is their nullspace, and delta^2 = 0 is one
@@ -75,7 +78,8 @@ class DeltaContext:
 
       m_alg(a, b)      the distinguished odd element on algebra labels:
                        half the product on even-even pairs, the product
-                       otherwise.
+                       otherwise; a pure function of (a, b) in one
+                       context, so weighed once per label pair (memoized).
       m_x_val(x, v)    product of an even algebra label with a module
                        value: half the action on the even module component,
                        the action on the odd one.
@@ -93,15 +97,19 @@ class DeltaContext:
         self.alg, self.mod, self.mul, self.act = alg, mod, mul, act
         self.lcm = lcm
         self.half, self.one, self.unit = (1, 2, lcm) if lcm else (HALF, ONE, 1)
+        self._weighted: dict = {}  # m_alg by label pair
 
     def norm(self, n, d):
         return n * self.lcm // d if self.lcm else Fraction(n, d)
 
     def m_alg(self, a, b):
-        v = self.mul(a, b)
-        even = self.alg.parity(a) == 0 == self.alg.parity(b)
-        w = self.half if even else self.one
-        return v if w == 1 else {l: c * w for l, c in v.items()}
+        if (a, b) not in self._weighted:
+            v = self.mul(a, b)
+            even = self.alg.parity(a) == 0 == self.alg.parity(b)
+            w = self.half if even else self.one
+            self._weighted[a, b] = (
+                v if w == 1 else {l: c * w for l, c in v.items()})
+        return self._weighted[a, b]
 
     def _act_weighted(self, a, v, w0, w1):
         parity = self.mod.parity
@@ -256,6 +264,11 @@ class Cochain:
     def _image(self, blocks) -> "Cochain":
         return Cochain(self.alg, self.mod, self.degree + 1, blocks)
 
+    def _targets(self):
+        """(shape, instances) of C^{k+1} that carry a basis key."""
+        return CochainBasis(self.alg, self.mod,
+                            self.degree + 1).instances.items()
+
 
 # ---------------------------------------------------------------------------
 # the three coboundary components, each a stream of signed terms
@@ -353,16 +366,20 @@ def apply_delta_component(coch: Cochain, comp) -> Cochain:
 
 def _materialise_delta(coch, components):
     """The chosen components of the coboundary of a finite-structure
-    cochain, computed in its `_delta_context` and returned as its `_image`."""
-    sp = coch.alg_space
+    cochain, computed in its `_delta_context` and returned as its `_image`.
+    Each target instance of its `_targets` is swept with only the
+    components whose source block (P - dp, Q - dq) the cochain has
+    (`shapes`); a target shape that no component reaches is skipped, since
+    the coboundary is zero there."""
     ctx = coch._delta_context()
+    present = set(coch.shapes())
     blocks: dict = {}
-    for (P, Q) in _target_shapes(coch.degree + 1, sp.dim1):
-        table = blocks[(P, Q)] = {}
-        for xs in itertools.product(sp.even, repeat=P):
-            for ys in itertools.combinations(sp.odd, Q):
-                table[(xs, ys)] = delta_instance(ctx, coch, P, Q, xs, ys,
-                                                 components)
+    for (P, Q), instances in coch._targets():
+        comps = [(dp, dq) for dp, dq in components
+                 if (P - dp, Q - dq) in present]
+        if comps:
+            blocks[P, Q] = {inst: delta_instance(ctx, coch, P, Q, *inst, comps)
+                            for inst in instances}
     return coch._image(blocks)
 
 
@@ -415,7 +432,8 @@ def delta_via_bracket(coch: Cochain) -> Cochain:
 class CochainBasis:
     """The ordered basis of C^k: blocks in decreasing p, x-tuples in
     lexicographic basis order, odd tuples as increasing combinations, output
-    labels in module order."""
+    labels in module order.  ``instances`` holds the argument tuples
+    (xs, ys) of each block (p, q) that has an output label."""
 
     def __init__(self, alg: AntialgebraStructure, mod: ModuleStructure,
                  degree: int):
@@ -424,14 +442,14 @@ class CochainBasis:
         self.alg = alg
         self.mod = mod
         self.degree = degree
-        self.keys = []  # (p, q, xs, ys, out)
-        sp = alg.space
-        for (p, q) in _target_shapes(degree, sp.dim1):
-            outs = mod.space.even if q % 2 == 0 else mod.space.odd
-            for xs in itertools.product(sp.even, repeat=p):
-                for ys in itertools.combinations(sp.odd, q):
-                    for out in outs:
-                        self.keys.append((p, q, xs, ys, out))
+        sp, outs = alg.space, (mod.space.even, mod.space.odd)
+        self.instances = {
+            (p, q): list(itertools.product(itertools.product(
+                sp.even, repeat=p), itertools.combinations(sp.odd, q)))
+            for (p, q) in _target_shapes(degree, sp.dim1) if outs[q % 2]}
+        self.keys = [(p, q, xs, ys, out)
+                     for (p, q), block in self.instances.items()
+                     for xs, ys in block for out in outs[q % 2]]
         self._index = {k: i for i, k in enumerate(self.keys)}
 
     @property
@@ -494,14 +512,17 @@ class _GenericCochain:
     ordering of an odd tuple is indexed at construction, to the key's tags
     or to their one negated copy, so a read is one lookup and a repeated
     label misses.  Its coboundary runs in the integer context of ``mul``
-    and ``act`` on the algebra ``basis`` and the module ``parity``, and its
-    image is the raw blocks {(P, Q): {(xs, ys): {(j, l): int}}}.  It is no
-    `Cochain`: it has just what `delta_instance` and `_materialise_delta`
-    read (``alg_space``, ``degree``, `value`, `_delta_context`,
-    `_image`)."""
+    and ``act`` on the algebra ``basis`` and the module ``parity``, over
+    ``targets``, the `CochainBasis.instances` of C^{k+1}: an instance
+    without an output label has no row.  Its image is the raw blocks
+    {(P, Q): {(xs, ys): {(j, l): int}}}.  It is no `Cochain`: it has just
+    what `delta_instance` and `_materialise_delta` read (``alg_space``,
+    ``degree``, `value`, `shapes`, `_targets`, `_delta_context`, `_image`)."""
 
-    def __init__(self, keys, basis, parity, mul, act, degree):
+    def __init__(self, keys, basis, parity, mul, act, degree, targets=()):
         self.degree, self.alg_space = degree, basis
+        self._shapes = {key[:2] for key in keys}
+        self._instances = dict(targets)
         keyed: dict = {}
         for j, (p, q, xs, ys, l) in enumerate(keys):
             keyed.setdefault((xs, ys), {})[j, l] = 1
@@ -519,6 +540,12 @@ class _GenericCochain:
 
     def _delta_context(self) -> DeltaContext:
         return self._ctx
+
+    def shapes(self):
+        return self._shapes
+
+    def _targets(self):
+        return self._instances.items()
 
     def value(self, p, q, xs, ys):
         return self._tags.get((xs, ys), {})
@@ -545,7 +572,8 @@ def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
                 for t in tables)
     generic = _GenericCochain(source.keys, alg.space, mod.space.parity,
                               lambda a, b: mul.get((a, b), {}),
-                              lambda a, l: rho.get((a, l), {}), k)
+                              lambda a, l: rho.get((a, l), {}), k,
+                              target.instances)
     rows = [{} for _ in range(target.dim)]
     for component in COMPONENTS:
         for (P, Q), table in apply_delta_component(generic, component).items():

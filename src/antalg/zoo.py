@@ -95,14 +95,14 @@ _K1, _K1_DUAL = ("l", "xi"), ("l*", "xi*")
 def _dbl(label, families) -> int:
     """The int key of a label of ``families``: its doubled index, read off
     the index's numerator and denominator without `Fraction` arithmetic.  A
-    label of another family, or whose index is not of its family's kind,
-    raises ValueError."""
+    label of another family, or whose index is not an `int` or `Fraction`
+    of its family's kind, raises ValueError."""
     fam, idx = label
-    den = idx.denominator
-    k = 2 * idx.numerator // den
-    if den > 2 or families[k & 1] != fam:
-        raise ValueError(f"not a label of {'/'.join(families)}: {label!r}")
-    return k
+    if isinstance(idx, (int, Fraction)) and idx.denominator <= 2:
+        k = 2 * idx.numerator // idx.denominator
+        if families[k & 1] == fam:
+            return k
+    raise ValueError(f"not a label of {'/'.join(families)}: {label!r}")
 
 
 def _half(k, families):
@@ -178,10 +178,6 @@ def k1_bracket(u, v) -> dict:
     """[l_n, l_m] = (m-n) l_{n+m}, [l_n, xi_i] = (i - n/2) xi_{n+i},
     [xi_i, xi_j] = 2 l_{i+j}."""
     return _halved(divided(_k1_bracket4(_dbl(u, _K1), _dbl(v, _K1)), 4), _K1)
-
-
-def k1_parity(label) -> int:
-    return 0 if label[0] in ("l", "l*") else 1
 
 
 def w1_bracket(u, v) -> dict:

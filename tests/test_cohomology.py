@@ -307,6 +307,29 @@ def test_component_matrices_match_the_unit_cochain_columns():
                         apply_delta_component(unit, comp)), (mod, key, comp)
 
 
+def test_delta_matrix_columns_match_the_bracket_route():
+    """Column j of delta^k is delta of the j-th unit cochain by the bracket
+    route, which shares no sweep code with the assembly.  With trivial
+    coefficients no odd-Q block of C^{k+1} carries an output label, so the
+    assembly sweeps none of them and no (0,1)-component; the dual and the
+    non-scalar adjoint actions run every component through the memoized
+    products."""
+    k3n2x = AntialgebraStructure.from_file_doc(
+        parse_algebra_file(GOLDEN / "k3n2x.alg"))
+    sd = semidirect(adjoint_module(K3))
+    for alg, mod, kmax in ((k3n2x, trivial_module(k3n2x), 3),
+                           (K3, dual_module(ADJ), 3),
+                           (sd, adjoint_module(sd, tag="ad2"), 2)):
+        for k in range(1, kmax + 1):
+            mat = _delta_matrix(alg, mod, k)
+            if not mod.action:
+                assert all(key[1] % 2 == 0 for key in mat.target.keys)
+            for j, key in enumerate(mat.source.keys):
+                column = [row.get(j, F(0)) for row in mat.full]
+                assert column == mat.target.coeff_vector(
+                    delta_via_bracket(mat.source.unit(key))), (mod, k, key)
+
+
 # ---------------------------------------------------------------------------
 # the complex and its bidegree structure
 # ---------------------------------------------------------------------------

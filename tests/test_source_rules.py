@@ -35,6 +35,9 @@
   `_delta_matrix`) and the delta^2 check (`verify_complex`) name neither
   `Fraction` nor `divided`, and the module's one call of `divided` is in
   `DifferentialMatrix`, the one division of delta^k into `Fraction`s;
+- delta^k is assembled through `apply_delta_component`, one call per
+  component: `_delta_matrix` reaches delta by no other name, since the
+  benchmark's per-degree assembly spans wrap that one;
 - exact rank runs on integer rows: `linalg._eliminate` and the
   `_primitive` rows it starts from name no `Fraction`, and
   `cohomology_dims` ranks delta^k's integer rows, ``.ints``, so no
@@ -195,6 +198,13 @@ def test_delta_matrices_stay_on_integers_until_their_one_division():
     calls = [name for name, node in top.items()
              for called in _called_names(node) if called == "divided"]
     assert calls == ["DifferentialMatrix"]
+
+
+def test_delta_matrices_reach_delta_through_apply_delta_component():
+    called = list(_called_names(_top("cohomology.py")["_delta_matrix"]))
+    assert called.count("apply_delta_component") == 1
+    assert not {"_materialise_delta", "apply_delta",
+                "delta_instance"} & set(called)
 
 
 def test_exact_rank_runs_on_integer_rows():

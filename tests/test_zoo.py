@@ -457,6 +457,10 @@ def test_gv_cocycle_leg_sees_a_form_that_is_not_closed(monkeypatch):
 # products and signs through the global formulas.  Reports must agree
 # exactly, down to each violation's residual and its repr.
 
+def _k1_parity(label):
+    return 0 if label[0] in ("l", "l*") else 1
+
+
 def _ref_super_cocycle_gf(N, c_fn=None):
     c_fn = c_fn or zoo.c_gf
     rep = CheckReport(f"gf-2-cocycle[N={N}]")
@@ -466,7 +470,7 @@ def _ref_super_cocycle_gf(N, c_fn=None):
         return sum((co * c_fn(t, z) for t, co in first.items()), F(0))
 
     labels = w.labels()
-    par = zoo.k1_parity
+    par = _k1_parity
     for X in labels:
         for Y in labels:
             sgn = F(-1) ** (par(X) * par(Y))
@@ -500,7 +504,7 @@ def _ref_dual_gf(N, C_fn=None):
 
     for X in w.labels():
         for Y in w.labels():
-            sgn = F(-1) ** (zoo.k1_parity(X) * zoo.k1_parity(Y))
+            sgn = F(-1) ** (_k1_parity(X) * _k1_parity(Y))
             CX, CY = C_fn(X), C_fn(Y)
             Cbr = {}
             for t, co in zoo.k1_bracket(X, Y).items():
@@ -1240,8 +1244,9 @@ def test_every_label_that_leaves_a_suite_has_a_fraction_index(monkeypatch):
 
 
 # a label whose family or index kind is not that of its slot, at each entry
-# of a label into the suites; the last two are C_fn values off the dual
-# labels: l*_{1/3} and the unstarred l_3
+# of a label into the suites, an index that is no int or Fraction (0.5,
+# "1/2") among them; the last two are C_fn values off the dual labels:
+# l*_{1/3} and the unstarred l_3
 _OFF_FAMILY_CALLS = {
     "conf_mul-eps-half": lambda: zoo.conf_mul(EPS(F(1, 2)), EPS(0)),
     "conf_mul-a-1": lambda: zoo.conf_mul(A(1), EPS(0)),
@@ -1249,6 +1254,8 @@ _OFF_FAMILY_CALLS = {
                                              ("eps*", F(0))),
     "k1_bracket-xi-1": lambda: zoo.k1_bracket(XI(1), L(0)),
     "gamma_value-a-1": lambda: zoo.gamma_value(A(1)),
+    "conf_mul-eps-float": lambda: zoo.conf_mul(("eps", 0.5), ("eps", 0)),
+    "gamma_value-a-str": lambda: zoo.gamma_value(("a", "1/2")),
     "dual_gf-lstar-third": lambda: zoo.verify_dual_gf(
         4, C_fn=_bump_C(L(1), ("l*", F(1, 3)))),
     "dual_gf-unstarred": lambda: zoo.verify_dual_gf(
