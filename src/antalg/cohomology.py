@@ -13,11 +13,15 @@ feeds it a product, the product's labels give one term each.
 
 Every scalar of a formula comes from its `DeltaContext`, and every term
 holds one product or action factor, so the same formulas assemble delta^k
-on integers (`_delta_matrix`): over the scale 2*D*L_k, D the common
-denominator of the products and the action and L_k = lcm(1, .., k+1).
-The generic k-cochain (`_GenericCochain`) is swept once per component over
-the instances of C^{k+1} that carry a key, with only the components whose
-source block it has (`_materialise_delta`).
+on integers: over the scale 2*D*L_k, D the common denominator of the
+products and the action and L_k = lcm(1, .., k+1).  One core
+(`_delta_between`) assembles it between any two lists of keys, from
+integer products and an integer action: the generic k-cochain
+(`_GenericCochain`) on the source keys is swept once per component over
+the instances of the target keys, with only the components whose source
+block it has (`_live_components`).  A finite structure gives it the keys
+of its `CochainBasis`es (`_delta_matrix`); `zoo` gives it the finite
+weight slices of an infinite family.
 That one integer matrix per degree (`DifferentialMatrix`) is what the
 complex is read from: rank delta^k is fraction-free elimination on its rows
 (`cohomology_dims`), ker delta^1 is their nullspace, and delta^2 = 0 is one
@@ -364,19 +368,24 @@ def apply_delta_component(coch: Cochain, comp) -> Cochain:
     return _materialise_delta(coch, (comp,))
 
 
+def _live_components(coch, P, Q, components=COMPONENTS) -> list:
+    """The ``components`` that reach the block (P, Q) of the coboundary
+    from a block that ``coch`` has (`shapes`): elsewhere a component is
+    zero, so these are the only ones worth running at (P, Q)."""
+    present = coch.shapes()
+    return [(dp, dq) for dp, dq in components if (P - dp, Q - dq) in present]
+
+
 def _materialise_delta(coch, components):
     """The chosen components of the coboundary of a finite-structure
     cochain, computed in its `_delta_context` and returned as its `_image`.
-    Each target instance of its `_targets` is swept with only the
-    components whose source block (P - dp, Q - dq) the cochain has
-    (`shapes`); a target shape that no component reaches is skipped, since
+    Each target instance of its `_targets` is swept with its
+    `_live_components`; a target shape that none reaches is skipped, since
     the coboundary is zero there."""
     ctx = coch._delta_context()
-    present = set(coch.shapes())
     blocks: dict = {}
     for (P, Q), instances in coch._targets():
-        comps = [(dp, dq) for dp, dq in components
-                 if (P - dp, Q - dq) in present]
+        comps = _live_components(coch, P, Q, components)
         if comps:
             blocks[P, Q] = {inst: delta_instance(ctx, coch, P, Q, *inst, comps)
                             for inst in instances}
@@ -487,10 +496,12 @@ class CochainBasis:
 class DifferentialMatrix:
     """delta^k : C^k -> C^{k+1}, held once on integers: ``ints`` is S_k
     times it over its scale S_k = ``scale``, one dict {column: nonzero int}
-    per basis key of C^{k+1}.  Rank and kernel are taken on ``ints``, which
-    has the row space of delta^k.  `full`, the one division of those rows
-    into delta^k's own `Fraction` rows, is built on first read, by the
-    callers that need delta^k's values (`solve_coboundary`)."""
+    per key of ``target``, the `CochainBasis` of C^{k+1} or a weight slice
+    of it (``source`` likewise for C^k).  Rank and kernel are taken on
+    ``ints``, which has the row space of delta^k.  `full`, the one division
+    of those rows into delta^k's own `Fraction` rows, is built on first
+    read, by the callers that need delta^k's values (`solve_coboundary`,
+    `zoo.eta_coboundary_solve`)."""
 
     def __init__(self, k, source: CochainBasis, target: CochainBasis,
                  ints: list, scale: int):
@@ -503,7 +514,7 @@ class DifferentialMatrix:
 
     def __repr__(self):
         return (f"DifferentialMatrix(k={self.k}, "
-                f"{self.target.dim}x{self.source.dim})")
+                f"{len(self.target.keys)}x{len(self.source.keys)})")
 
 
 class _GenericCochain:
@@ -513,11 +524,11 @@ class _GenericCochain:
     or to their one negated copy, so a read is one lookup and a repeated
     label misses.  Its coboundary runs in the integer context of ``mul``
     and ``act`` on the algebra ``basis`` and the module ``parity``, over
-    ``targets``, the `CochainBasis.instances` of C^{k+1}: an instance
-    without an output label has no row.  Its image is the raw blocks
-    {(P, Q): {(xs, ys): {(j, l): int}}}.  It is no `Cochain`: it has just
-    what `delta_instance` and `_materialise_delta` read (``alg_space``,
-    ``degree``, `value`, `shapes`, `_targets`, `_delta_context`, `_image`)."""
+    ``targets``, the (shape, instances) of the target keys of C^{k+1}.
+    Its image is the raw blocks {(P, Q): {(xs, ys): {(j, l): int}}}.  It
+    is no `Cochain`: it has just what `delta_instance` and
+    `_materialise_delta` read (``alg_space``, ``degree``, `value`,
+    `shapes`, `_targets`, `_delta_context`, `_image`)."""
 
     def __init__(self, keys, basis, parity, mul, act, degree, targets=()):
         self.degree, self.alg_space = degree, basis
@@ -554,27 +565,22 @@ class _GenericCochain:
         return blocks
 
 
-def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
-    """delta^k as delta of the generic k-cochain (`_GenericCochain`), on
-    integers: with D the common denominator of the products and the action
-    and L_k = lcm(1, .., k+1), the scale S = 2*D*L_k makes S*delta^k an
-    integer matrix.  Column j of a component is that component applied to
-    the j-th unit cochain, read off the tag-j part of one coboundary per
-    component; an entry's blocks fix its one component, so no two write
-    the same entry.  ``source`` is the basis of C^k when the caller has it
-    already."""
-    source = source or CochainBasis(alg, mod, k)
-    target = CochainBasis(alg, mod, k + 1)
-    tables = (alg.products, mod.action)
-    d = common_denominator(c for t in tables for v in t.values()
-                           for c in v.values())
-    mul, rho = ({ab: as_integers(v.items(), d) for ab, v in t.items()}
-                for t in tables)
-    generic = _GenericCochain(source.keys, alg.space, mod.space.parity,
-                              lambda a, b: mul.get((a, b), {}),
-                              lambda a, l: rho.get((a, l), {}), k,
-                              target.instances)
-    rows = [{} for _ in range(target.dim)]
+def _delta_between(k, source, target, basis, parity, mul, act, d):
+    """delta^k between two lists of keys (p, q, xs, ys, out) of C^k and
+    C^{k+1}, each given as a `CochainBasis` gives it: ``keys``, the
+    ``instances`` (xs, ys) of each block that has a key, and ``index``.
+    It is delta of the generic k-cochain on the source keys
+    (`_GenericCochain`), swept over the target instances, on integers:
+    ``mul`` and ``act`` are D times the products and the action, on the
+    algebra ``basis`` and the module ``parity``, and with L_k = lcm(1, ..,
+    k+1) the scale S = 2*D*L_k makes S*delta^k an integer matrix.  Every
+    value the sweep reaches must be a target key.  Column j of a component
+    is that component applied to the j-th unit cochain, read off the tag-j
+    part of one coboundary per component; an entry's blocks fix its one
+    component, so no two write the same entry."""
+    generic = _GenericCochain(source.keys, basis, parity, mul, act, k,
+                              target.instances.items())
+    rows = [{} for _ in target.keys]
     for component in COMPONENTS:
         for (P, Q), table in apply_delta_component(generic, component).items():
             for (xs, ys), val in table.items():
@@ -583,6 +589,21 @@ def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
                         rows[target.index((P, Q, xs, ys, out))][j] = c
     return DifferentialMatrix(k, source, target, rows,
                               2 * d * generic._ctx.lcm)
+
+
+def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
+    """delta^k of a finite structure between its `CochainBasis`es, by
+    `_delta_between` on the tables cleared of their common denominator D.
+    ``source`` is the basis of C^k when the caller has it already."""
+    tables = (alg.products, mod.action)
+    d = common_denominator(c for t in tables for v in t.values()
+                           for c in v.values())
+    mul, rho = ({ab: as_integers(v.items(), d) for ab, v in t.items()}
+                for t in tables)
+    return _delta_between(k, source or CochainBasis(alg, mod, k),
+                          CochainBasis(alg, mod, k + 1), alg.space,
+                          mod.space.parity, lambda a, b: mul.get((a, b), {}),
+                          lambda a, l: rho.get((a, l), {}), d)
 
 
 def assemble_complex(alg, mod, kmax, verify=True) -> list:

@@ -4,9 +4,7 @@ A matrix is a list of rows, and a row is a dict from column index to a
 nonzero `Fraction` or `int`.  No zero is ever stored, so an empty dict is a
 zero row.  A matrix does not carry its column count; the two functions that
 need it (`nullspace`, `solve`) take it as an argument.  Kernel vectors,
-rref rows and solutions come back as rows of nonzero `Fraction`s.  `solve`
-takes several right-hand sides, and solves for all of them with one
-elimination.
+rref rows and solutions come back as rows of nonzero `Fraction`s.
 
 Elimination is fraction-free (Bareiss, 1968): it works on integer rows and
 creates no `Fraction`.  Each input row is first replaced by its primitive
@@ -188,20 +186,15 @@ def nullspace(mat: list, ncols: int) -> list:
 
 def solve(mat: list, rhs: list, ncols: int):
     """One exact solution of mat * x = rhs, as a row, or None if the system
-    is inconsistent.  ``rhs`` has one scalar per row of ``mat``, or one
-    tuple per row, a scalar per target, and then the answer is a list, one
-    solution (or None) per target: the canonical one, on the rref pivots of
-    ``mat`` with the free variables zero.  The right-hand sides are columns
-    ncols, ncols + 1, .. of one elimination that stops before them, and its
-    pivot rows are back-substituted as they stand.  With no rows the answer
-    is {}."""
-    many = bool(rhs) and isinstance(rhs[0], tuple)
-    steps = _eliminate([{**row, **{ncols + t: c for t, c in enumerate(
-        b if many else (b,)) if c}} for row, b in zip(mat, rhs, strict=True)],
-        stop=ncols)
-    red, pivot_cols = _back_substitute([s for s in steps if s[0] is not None])
-    bad = {j for col, row in steps if col is None for j in row}
-    sols = [None if j in bad else {
-        pc: row[j] for row, pc in zip(red, pivot_cols) if j in row}
-        for j in range(ncols, ncols + (len(rhs[0]) if many else 1))]
-    return sols if many else sols[0]
+    is inconsistent: the canonical one, on the rref pivots of ``mat`` with
+    the free variables zero.  ``rhs`` has one scalar per row of ``mat``.
+    The right-hand side is column ncols of one elimination that stops
+    before it, and its pivot rows are back-substituted as they stand.  With
+    no rows the answer is {}."""
+    steps = _eliminate([{**row, ncols: b} if b else row
+                        for row, b in zip(mat, rhs, strict=True)], stop=ncols)
+    if steps and steps[-1][0] is None:  # a row 0 = b with b nonzero
+        return None
+    red, pivot_cols = _back_substitute(steps)
+    return {pc: row[ncols] for row, pc in zip(red, pivot_cols)
+            if ncols in row}

@@ -21,10 +21,13 @@ finite tables' identities (`antialgebra._identity_reports`) from the
 nonzero products of the window's closure table, which holds the window
 labels times the labels of the 2N window, and count the instances no
 product reaches as checked without evaluating them.  The Lie-side suites
-(gf, dual-gf, gv) take their coboundaries from `brackets.lie_coboundary`,
-and the eta suite's coefficient rows are `cohomology.delta_instance` of the
-generic 1-cochain on its window variables, the `cohomology._GenericCochain`
-that delta^k is assembled from.
+(gf, dual-gf, gv) take their coboundaries from `brackets.lie_coboundary`.
+The eta suite needs no window to decide a coboundary: delta preserves the
+weight, the sum of the doubled indices of the arguments and the output,
+and a weight slice of the one-sided family's cochains with floored dual
+coefficients is finite (`_m1_slice`), so "is it a coboundary?" is one
+exact solve of delta^1 between two slices, assembled by the one integer
+core of the finite tables (`cohomology._delta_between`).
 Cochain values are `DictVec`s, `core.Vector`s over the open basis of all
 (family, index) labels.
 
@@ -55,8 +58,8 @@ from types import SimpleNamespace
 from . import linalg
 from .antialgebra import _AXIOMS, CheckReport, _identity_reports
 from .brackets import _perm_sign, lie_coboundary
-from .cohomology import (COMPONENTS, Cochain, DeltaContext, _canonical_ys,
-                         _GenericCochain, delta_instance)
+from .cohomology import (Cochain, DeltaContext, _canonical_ys,
+                         _delta_between, _live_components, delta_instance)
 from .core import Vector, as_integers, common_denominator, divided
 
 __all__ = [
@@ -513,125 +516,60 @@ def eta_family(lam, mu, even_even_coeff=None) -> WindowCochain:
     return WindowCochain(2, blocks)
 
 
-@functools.lru_cache(maxsize=None)
-def _eta_coefficients(N: int):
-    """The target-free part of `_eta_linear_system`, built once per N:
-    ({mode: (instances, bound)}, row_table, variables).  An instance is
-    ((P, Q, xs, ys), comps) on int keys, comps mapping each dual key of
-    delta zeta there up to ``bound`` (None: all), sorted, to its row id.
-    The sound instances are the table ones whose arguments and product lie
-    in the argument window.  delta zeta is `delta_instance`
-    of the generic 1-cochain on the variables, zero outside the window, over
-    4 times the products and the action: a row is 16 = 2 * lcm(1, 2) * 4
-    times its coefficients, on ints, and is divided once; equal rows share
-    one id and one dict, which no caller may mutate; id 0 is the empty row."""
-    D = N + 2
-    walg = WindowedAlgebra("m1", N)
-    dual = (range(0, 2 * D + 1, 2), range(-1, 2 * D, 2))  # keys by parity
-    variables = [(u, w) for u in walg.labels2() for w in dual[u & 1]]
-    generic = _GenericCochain(
-        [(0, 1, (), (u,), w) if u & 1 else (1, 0, (u,), (), w)
-         for u, w in variables], _INT_BASIS, _INT_BASIS.parity, _conf_mul4,
-        functools.partial(_dual_act4, True), 1)
-    ctx = generic._delta_context()
-    arg_window = set(walg.labels2())
-    bound = 2 * (D - N - 1)
-    row_id, table, sound = {(): 0}, [], []  # row signature -> its id
-    margin = WindowedAlgebra("m1", D + 2)
-    ev, od = margin.even2, margin.odd2
-    for key in itertools.chain(
-            ((2, 0, xs, ()) for xs in itertools.combinations_with_replacement(
-                ev, 2)),
-            ((1, 1, (x,), (y,)) for x in ev for y in od),
-            ((0, 2, (), ys) for ys in itertools.combinations(od, 2))):
-        rows: dict = {}  # dual component -> {variable: 16 * coeff}
-        for (j, comp), c in delta_instance(ctx, generic, *key).items():
-            rows.setdefault(comp, {})[j] = c
-        comps = {comp: row_id.setdefault(tuple(sorted(
-            (k, c) for k, c in rows[comp].items() if c)), len(row_id))
-            for comp in sorted(rows)}
-        table.append((key, comps))
-        args = key[2] + key[3]
-        if arg_window.issuperset((*args, *_conf_mul4(*args))):
-            sound.append((key, {c: r for c, r in comps.items()
-                                if c <= bound}))
-    return ({"table": (tuple(table), None), "sound": (tuple(sound), bound)},
-            tuple(divided(dict(sig), 2 * ctx.lcm * 4) for sig in row_id),
-            tuple((_half(u, _CONF), _half(w, _CONF_DUAL))
-                  for u, w in variables))
-
-
-def _eta_linear_system(N: int, targets, mode: str):
-    """Rows of "delta zeta = target" over table variables, with one
-    right-hand side per target on each row, as a tuple.
-
-    mode "table": equations over the margin window M = D + 2, components
-    unrestricted; a solution is a finite table whose coboundary equals the
-    target *globally* (beyond the margin both sides vanish: the table is
-    supported at argument index <= N and dual index <= D, and the dual floor
-    kills every action term once an instance index exceeds D + 2).
-
-    mode "sound": equations only where every zeta-argument stays inside the
-    argument window, asserted only on dual components of index <=
-    D - N - 1.  Any global zeta, with arbitrary support, satisfies exactly
-    these rows with the out-of-window variables not contributing (the action
-    shifts the dual index by at most N).  Inconsistency here rules out
-    every global preimage, not just windowed ones.
-
-    The rows come from `_eta_coefficients`; this pass reads the targets'
-    values, on int keys, and drops repeated (row, right-hand sides).
-    """
-    modes, row_table, variables = _eta_coefficients(N)
-    instances, bound = modes[mode]
-    values: dict = {}  # instance on int keys -> the targets' values there
-    for t, target in enumerate(map(_doubled_cochain, targets)):
-        for pq in target.shapes():
-            for (xs, ys), vec in target.block(*pq).items():
-                values.setdefault((*pq, xs, ys),
-                                  [{} for _ in targets])[t] = vec.c
-    rows, rhs, seen, zero = [], [], set(), (0,) * len(targets)
-    for key, comps in instances:
-        vals = values.get(key)
-        if vals:
-            comps = {comp: comps.get(comp, 0) for comp in sorted(
-                comps.keys() | {comp for v in vals for comp in v
-                                if bound is None or comp <= bound})}
-        for comp, rid in comps.items():
-            bs = tuple(v.get(comp, 0) for v in vals) if vals else zero
-            eq = (rid, bs) if any(bs) else rid  # zeros hash no Fraction
-            if eq and eq not in seen:  # id 0 with zeros reads 0 = 0
-                rows.append(row_table[rid])
-                rhs.append(bs)
-            seen.add(eq)
-    return rows, rhs, list(variables)
-
-
-def _eta_solutions(N: int, targets) -> list:
-    """(zeta, sound) per target from two solver calls: on the sound systems
-    of all targets, then on the table systems of those whose sound system
-    is consistent (``sound``; if not, no global preimage exists).  zeta is
-    a finite-table 1-cochain with delta zeta = target globally, or None."""
-    rows, rhs, variables = _eta_linear_system(N, targets, "sound")
-    sound = linalg.solve(rows, rhs, len(variables))
-    live = [t for t, sol in zip(targets, sound) if sol is not None]
-    found = iter(linalg.solve(*_eta_linear_system(N, live, "table")[:2],
-                              len(variables)) if live else ())
-    out = []
-    for ok in [sol is not None for sol in sound]:
-        sol, blocks = next(found) if ok else None, {(1, 0): {}, (0, 1): {}}
-        for k, c in sorted((sol or {}).items()):
-            u, w = variables[k]
-            p = conf_parity(u)
-            blocks[1 - p, p].setdefault(((u,), ()) if p == 0 else ((), (u,)),
-                                        {})[w] = c
-        out.append((None if sol is None else WindowCochain(1, blocks), ok))
-    return out
+def _m1_slice(k, weights):
+    """The keys (p, q, xs, ys, w) of C^k of m1 with coefficients in its
+    floored dual whose ints sum to one of ``weights``, weight by weight,
+    each in `CochainBasis` order, with their ``instances`` and ``index`` as
+    a `CochainBasis` has them.  Every key is at least -1, so no key of a
+    slice exceeds its weight by more than k, and the slice is finite."""
+    keys, instances = [], {}
+    for weight in weights:
+        ev, od = range(0, weight + k + 1, 2), range(-1, weight + k + 1, 2)
+        for p in range(k, -1, -1):
+            for xs in itertools.product(ev, repeat=p):
+                for ys in itertools.combinations(od, k - p):
+                    w = weight - sum(xs) - sum(ys)
+                    if w >= -1 and w & 1 == (k - p) & 1:  # eps* 0, a* -1
+                        keys.append((p, k - p, xs, ys, w))
+                        instances.setdefault((p, k - p), {})[xs, ys] = None
+    index = {key: i for i, key in enumerate(keys)}
+    return SimpleNamespace(keys=keys, instances=instances,
+                           index=index.__getitem__)
 
 
 def eta_coboundary_solve(N: int, target: WindowCochain):
-    """A finite-table 1-cochain zeta with delta zeta = target globally, or
-    None: `_eta_solutions` for one target."""
-    return _eta_solutions(N, [target])[0][0]
+    """A finite 1-cochain zeta with delta zeta = target globally, or None
+    if no global 1-cochain of any support has that coboundary.
+
+    delta preserves the weight, the sum of the ints of the arguments and
+    the output, and the weight-w part of any global preimage solves the
+    equation on the slice of weight w (`_m1_slice`).  So one exact solve
+    of `cohomology._delta_between` over the slices of the weights that the
+    target carries decides, with no window: a target component at a key
+    below its floor lies in no slice and rules every preimage out.  ``N``
+    is not read; the answer does not depend on it."""
+    itarget = _doubled_cochain(target)
+    values = {(*pq, xs, ys, w): c for pq in itarget.shapes()
+              for (xs, ys), vec in itarget.block(*pq).items()
+              for w, c in vec.c.items()}
+    weights = sorted({sum(key[2] + key[3]) + key[4] for key in values})
+    source, image = _m1_slice(1, weights), _m1_slice(2, weights)
+    rhs = [values.pop(key, 0) for key in image.keys]
+    if values:  # a key below its floor
+        return None
+    mat = _delta_between(1, source, image, _INT_BASIS, _INT_BASIS.parity,
+                         _conf_mul4, functools.partial(_dual_act4, True), 4)
+    sol = linalg.solve(mat.full, rhs, len(source.keys))
+    if sol is None:
+        return None
+    label = functools.partial(_half, families=_CONF)
+    blocks: dict = {}
+    for j, c in sol.items():
+        p, q, xs, ys, w = source.keys[j]
+        blocks.setdefault((p, q), {}).setdefault(
+            (tuple(map(label, xs)), tuple(map(label, ys))),
+            {})[_half(w, _CONF_DUAL)] = c
+    return WindowCochain(1, blocks)
 
 
 def _delta_report(coch, shapes, window, kind_prefix, target=None):
@@ -640,8 +578,8 @@ def _delta_report(coch, shapes, window, kind_prefix, target=None):
     products and the action go into the integer `DeltaContext` of L_k =
     lcm(1, .., k+1), k the degree, and the cochain and target times their
     common denominator D_c, so S = 2 * 4 * L_k * D_c times each residual
-    is an integer dict.  Components from empty blocks are not evaluated;
-    only a nonzero residual, a violation, is divided by S."""
+    is an integer dict.  Only the `_live_components` of the cochain are
+    evaluated; only a nonzero residual, a violation, is divided by S."""
     rep = CheckReport("inner")
     lcm = math.lcm(*range(1, coch.degree + 2))
     ctx = DeltaContext(_INT_BASIS, _INT_BASIS, _conf_mul4,
@@ -652,10 +590,8 @@ def _delta_report(coch, shapes, window, kind_prefix, target=None):
     scale = 8 * lcm * d
     icoch = _doubled_cochain(coch, d)
     itarget = target and _doubled_cochain(target, scale)
-    present = set(coch.shapes())
     for (P, Q) in shapes:
-        comps = tuple(comp for comp in COMPONENTS
-                      if (P - comp[0], Q - comp[1]) in present)
+        comps = _live_components(coch, P, Q)
         for xs in itertools.product(window.even2, repeat=P):
             for ys in itertools.combinations(window.odd2, Q):
                 res = delta_instance(ctx, icoch, P, Q, xs, ys, comps).c
@@ -685,17 +621,16 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
        zeta) for the witness zeta of eta(1,2) (see ``eta_family``);
     2. the coboundary solver finds an exact global witness on the line
        lam = mu/2 (checked independently against the coboundary formulas
-       over the enlarged margin window);
-    3. off the line the sound restricted system is inconsistent, so no
-       global 1-cochain of any support bounds the member; a consistent one
-       is a violation, at ("solve",) with a table witness, else ("sound",).
+       over the N + 4 window);
+    3. off the line the solve is inconsistent, so no global 1-cochain of
+       any support bounds the member; a consistent solve is a violation at
+       ("solve",).
 
-    The coefficient rows are built once per N, as delta of the generic
-    window 1-cochain (`_eta_coefficients`; the sound rows are a filter of
-    the table rows), and legs 2 and 3 make two solver calls for all five
-    targets (`_eta_solutions`).  Legs 1 and 2 evaluate the coboundary on
-    int keys and ints (`_delta_report`).  Every leg takes delta from
-    the one `delta_instance`.
+    Legs 2 and 3 make one exact solve per target on the weight-0 slice,
+    where every member lives (`eta_coboundary_solve`): delta^1 from its 3
+    keys of C^1 to its 5 of C^2, with no window and no margin.  Legs 1 and
+    2 evaluate the coboundary on int keys and ints (`_delta_report`).
+    Every leg takes delta from the one `delta_instance`.
     """
     if N < 2:
         raise ValueError("the window must have radius >= 2")
@@ -707,21 +642,20 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
             eta_family(lam, mu), [(3, 0), (2, 1), (1, 2), (0, 3)], w,
             f"cocycle({lam},{mu})"))
     params = ((1, 2), (Fraction(3, 2), 3), (1, 0), (0, 1), (1, 1))
-    targets = [eta_family(lam, mu) for lam, mu in params]
-    for t, (zeta, sound) in enumerate(_eta_solutions(N, targets)):
-        lam, mu = params[t]
-        if t >= 2 and not sound:  # off the line: no global preimage
+    for t, (lam, mu) in enumerate(params):
+        target = eta_family(lam, mu)
+        zeta = eta_coboundary_solve(N, target)
+        if t >= 2 and zeta is None:  # off the line: no global preimage
             rep.extras[f"noncoboundary({lam},{mu})"] = "inconsistent"
         elif t >= 2:
-            rep.record(f"noncoboundary({lam},{mu})",
-                       ("sound" if zeta is None else "solve",), Fraction(1))
+            rep.record(f"noncoboundary({lam},{mu})", ("solve",), Fraction(1))
         elif zeta is None:
             rep.record(f"coboundary({lam},{mu})", ("solve",), Fraction(1))
         else:  # independent witness check: delta zeta - target over the
-            # margin window through the coboundary formulas
+            # N + 4 window through the coboundary formulas
             sub = _delta_report(zeta, [(2, 0), (1, 1), (0, 2)],
                                 WindowedAlgebra("m1", N + 4),
-                                f"witness({lam},{mu})", targets[t])
+                                f"witness({lam},{mu})", target)
             rep.merge(sub)
             rep.extras[f"witness({lam},{mu})"] = (
                 "failed" if sub.violations else "verified")

@@ -25,19 +25,23 @@
   nonzero products, `antialgebra._identity_residuals`: no per-instance
   helper (`_left`, `_right`) is left beside it, and `check_axioms_v2` and
   `zoo._conf_axiom_report` enumerate no instances themselves;
-- the eta suite's coefficient build and coboundary reports run on ints:
-  `zoo._eta_coefficients` and `zoo._delta_report` name no exact scalar and
-  divide nowhere but in their one call of `core.divided`;
-- the eta coefficient rows hold no coboundary weights of their own:
-  `zoo._eta_coefficients` takes them from `delta_instance`, on the generic
-  cochain of the matrix assembly;
+- the eta suite's coboundary reports run on ints: `zoo._delta_report`
+  names no exact scalar and divides nowhere but in its one call of
+  `core.divided`;
+- the eta solve holds no coboundary of its own: `zoo.eta_coboundary_solve`
+  reaches delta only through the integer core of the matrix assembly,
+  `cohomology._delta_between` (no `_GenericCochain` or `delta_instance`),
+  and it and its slice enumerator `zoo._m1_slice` name no exact scalar and
+  divide nowhere: the solve's one division is `DifferentialMatrix.full`;
 - delta^k is held once on integers: its assembly (`_GenericCochain`,
-  `_delta_matrix`) and the delta^2 check (`verify_complex`) name neither
-  `Fraction` nor `divided`, and the module's one call of `divided` is in
-  `DifferentialMatrix`, the one division of delta^k into `Fraction`s;
+  `_delta_between`, `_delta_matrix`) and the delta^2 check
+  (`verify_complex`) name neither `Fraction` nor `divided`, and the
+  module's one call of `divided` is in `DifferentialMatrix`, the one
+  division of delta^k into `Fraction`s;
 - delta^k is assembled through `apply_delta_component`, one call per
-  component: `_delta_matrix` reaches delta by no other name, since the
-  benchmark's per-degree assembly spans wrap that one;
+  component: the core `_delta_between` reaches delta by no other name,
+  and the finite-table `_delta_matrix` only through the core, since the
+  benchmark's per-degree assembly spans wrap that one name;
 - exact rank runs on integer rows: `linalg._eliminate` and the
   `_primitive` rows it starts from name no `Fraction`, and
   `cohomology_dims` ranks delta^k's integer rows, ``.ints``, so no
@@ -179,12 +183,16 @@ def test_the_identity_checkers_read_one_scatter():
 
 def test_the_eta_builds_divide_once_through_divided():
     functions = _functions("zoo.py")
-    called = set(_called_names(functions["_eta_coefficients"]))
-    assert {"delta_instance", "_GenericCochain"} <= called
-    for name in ("_eta_coefficients", "_delta_report"):
+    solve = functions["eta_coboundary_solve"]
+    called = set(_called_names(solve))
+    assert "_delta_between" in called
+    assert not {"_GenericCochain", "delta_instance", "DeltaContext"} & called
+    assert "full" in set(_read_names(solve))
+    for name, divided in (("eta_coboundary_solve", 0), ("_m1_slice", 0),
+                          ("_delta_report", 1)):
         node = functions[name]
         assert not {"Fraction", "HALF", "ONE"} & set(_read_names(node)), name
-        assert list(_called_names(node)).count("divided") == 1, name
+        assert list(_called_names(node)).count("divided") == divided, name
         divisions = [sub.lineno for sub in ast.walk(node)
                      if isinstance(sub, (ast.BinOp, ast.AugAssign))
                      and isinstance(sub.op, (ast.Div, ast.FloorDiv))]
@@ -193,7 +201,8 @@ def test_the_eta_builds_divide_once_through_divided():
 
 def test_delta_matrices_stay_on_integers_until_their_one_division():
     top = _top("cohomology.py")
-    for name in ("_GenericCochain", "_delta_matrix", "verify_complex"):
+    for name in ("_GenericCochain", "_delta_between", "_delta_matrix",
+                 "verify_complex"):
         assert not {"Fraction", "divided"} & set(_read_names(top[name])), name
     calls = [name for name, node in top.items()
              for called in _called_names(node) if called == "divided"]
@@ -201,10 +210,14 @@ def test_delta_matrices_stay_on_integers_until_their_one_division():
 
 
 def test_delta_matrices_reach_delta_through_apply_delta_component():
-    called = list(_called_names(_top("cohomology.py")["_delta_matrix"]))
+    top = _top("cohomology.py")
+    others = {"_materialise_delta", "apply_delta", "delta_instance"}
+    called = list(_called_names(top["_delta_between"]))
     assert called.count("apply_delta_component") == 1
-    assert not {"_materialise_delta", "apply_delta",
-                "delta_instance"} & set(called)
+    assert not others & set(called)
+    wrapper = set(_called_names(top["_delta_matrix"]))
+    assert "_delta_between" in wrapper
+    assert not (others | {"apply_delta_component", "_GenericCochain"}) & wrapper
 
 
 def test_exact_rank_runs_on_integer_rows():
