@@ -22,12 +22,13 @@ nonzero products of the window's closure table, which holds the window
 labels times the labels of the 2N window, and count the instances no
 product reaches as checked without evaluating them.  The Lie-side suites
 (gf, dual-gf, gv) take their coboundaries from `brackets.lie_coboundary`.
-The eta suite needs no window to decide a coboundary: delta preserves the
-weight, the sum of the doubled indices of the arguments and the output,
-and a weight slice of the one-sided family's cochains with floored dual
-coefficients is finite (`_m1_slice`), so "is it a coboundary?" is one
-exact solve of delta^1 between two slices, assembled by the one integer
-core of the finite tables (`cohomology._delta_between`).
+No suite needs a window margin to decide a coboundary: delta preserves
+the weight, the sum of the doubled indices of the arguments (and of the
+output, with dual coefficients), so only a preimage's part at the target's
+weights matters, and each class is decided by one exact solve on those
+weight slices: eta's delta^1 between two slices of the one-sided family
+(`_m1_slice`, assembled by `cohomology._delta_between`), gamma's one dual
+key of weight 0, and gv's skew pairs of keys at c's weights.
 Cochain values are `DictVec`s, `core.Vector`s over the open basis of all
 (family, index) labels.
 
@@ -90,20 +91,24 @@ __all__ = [
 HALF = Fraction(1, 2)
 _SIGN = (Fraction(1), Fraction(-1))  # (-1)^p for a parity p
 
-# the family pairs (even family, odd family) of the int keys
+# the family pairs (even family, odd family) of the int keys, and the
+# even family alone of the line subalgebra
 _CONF, _CONF_DUAL = ("eps", "a"), ("eps*", "a*")
 _K1, _K1_DUAL = ("l", "xi"), ("l*", "xi*")
+_W1 = ("l",)
 
 
 def _dbl(label, families) -> int:
-    """The int key of a label of ``families``: its doubled index, read off
-    the index's numerator and denominator without `Fraction` arithmetic.  A
-    label of another family, or whose index is not an `int` or `Fraction`
-    of its family's kind, raises ValueError."""
+    """The int key of a label of ``families``, (even family, odd family) or
+    (even family,): its doubled index, read off the index's numerator and
+    denominator without `Fraction` arithmetic.  A label of another family,
+    or whose index is not an `int` or `Fraction` of its family's kind,
+    raises ValueError."""
     fam, idx = label
     if isinstance(idx, (int, Fraction)) and idx.denominator <= 2:
         k = 2 * idx.numerator // idx.denominator
-        if families[k & 1] == fam:
+        p = k & 1
+        if families[p:p + 1] == (fam,):
             return k
     raise ValueError(f"not a label of {'/'.join(families)}: {label!r}")
 
@@ -204,7 +209,6 @@ class WindowedAlgebra:
             raise ValueError(f"unknown family {kind!r}")
         if N < 1:
             raise ValueError("window radius must be >= 1")
-        self.N = N
         families = _CONF if kind in ("ak1", "m1") else _K1
         # the least key of each parity; w1 has no odd part
         lo_even, lo_odd = {"m1": (0, -1), "w1": (-2, 2 * N)}.get(
@@ -370,10 +374,10 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
        evaluated with the global formulas (no truncation skips);
     2. the characterising functional equations of the coefficient functions:
        additivity of t and s(i) - s(j) = (j - i) t(i + j);
-    3. windowed nontriviality: the even part of the coboundary of any dual
-       element vanishes identically (the two even-even terms cancel per dual
-       basis vector, uniformly in the index), while gamma has nonzero even
-       part, so no dual element has coboundary gamma.
+    3. nontriviality on the weight-0 slice: gamma has weight 0, and
+       delta preserves weight, so a global dual element bounds gamma only
+       if its weight-0 part c eps*_0 does; one exact solve for c against
+       gamma at the window labels decides (`_gamma_nontrivial`).
     """
     if N < 2:
         raise ValueError("the window must have radius >= 2")
@@ -423,43 +427,23 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
 
 
 def _gamma_nontrivial(w, gfn):
-    """Is gamma outside the span of coboundaries of dual elements on the
-    ak1 window ``w``?  ``gfn`` is gamma on int keys.
+    """Is there no global dual element b with delta b = gamma at the labels
+    of the ak1 window ``w``?  ``gfn`` is gamma on int keys.
 
-    The ansatz delta b = gamma for an even dual element b is a linear
-    system.  Its even part is the zero map for *every* global b -- the two
-    even-even terms -m(x,b) and +m(b,x) are (1/2)rho_x b each by
-    commutativity, for any index -- so those rows have zero coefficients and
-    the system already fails wherever gamma(eps_n) != 0.  The odd part reads
-    rho_y b = gamma(y); the action shifts the dual index by -idx(y), so a
-    component equation is complete over the window variables iff its unique
-    preimage index lies in the window, and only those rows are asserted.
-    Inconsistency of the asserted rows rules out every global b, windowed or
-    not.  Returns (nontrivial?, detail).
-    """
-    N = w.N
-    variables = range(-2 * N, 2 * N + 1, 2)  # the even dual keys
+    gamma has weight 0 (gamma(eps_n) is a multiple of eps*_{-n}, gamma(a_i)
+    of a*_{-i}), so only b's weight-0 part c eps*_0 matters: one unknown.
+    The even part of delta b is zero for every b (the even-even terms
+    -m(x,b) and +m(b,x) cancel), so each component of gamma(eps_n) is an
+    empty row; the odd part reads c rho_y eps*_0 = gamma(y).  Returns
+    (nontrivial?, detail)."""
     rows, rhs = [], []
-    for x in w.even2:
-        # even part of delta b at x: (-1/2 + 1/2) rho_x b, identically zero,
-        # so each component of gamma(x) is an empty row; the components
-        # gamma(x) lacks would be rows 0 = 0
+    for x in w.labels2():
+        rho = _dual_act4(False, x, 0) if x & 1 else {}
         target = gfn(x)
-        for comp in sorted(target.c):
-            rows.append({})
-            rhs.append(target.c[comp])
-    for y in w.odd2:
-        target = gfn(y)
-        by_comp: dict = {}  # component of rho_y b -> {variable: coeff}
-        for k, b in enumerate(variables):
-            for comp, c in _dual_act4(False, y, b).items():
-                by_comp.setdefault(comp, {})[k] = Fraction(c, 4)
-        for comp in sorted(by_comp.keys() | target.c.keys()):
-            if abs(comp + y) > 2 * N:
-                continue  # preimage outside the variable window: not sound
-            rows.append(by_comp.get(comp, {}))
+        for comp in sorted(rho.keys() | target.c.keys()):
+            rows.append({0: Fraction(rho[comp], 4)} if comp in rho else {})
             rhs.append(target.coeff(comp))
-    sol = linalg.solve(rows, rhs, len(variables))
+    sol = linalg.solve(rows, rhs, 1)
     if sol is None:
         return True, "no dual element bounds gamma (window system inconsistent)"
     return False, "a window dual element bounds gamma"
@@ -666,28 +650,25 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
 # the central charge cocycle on the contact superalgebra and its dual form
 # ---------------------------------------------------------------------------
 
+def _gf(k) -> Fraction:
+    """`c_gf` at the int keys (k, -k): n^3 - n at k = 2n, -4 i^2 + 1 at
+    k = 2i."""
+    return Fraction(1 - k * k) if k & 1 else Fraction(k ** 3 - 4 * k, 8)
+
+
 def c_gf(u, v) -> Fraction:
     """c(l_n, l_m) = (n^3 - n) delta_{n+m,0};
     c(xi_i, xi_j) = (-4 i^2 + 1) delta_{i+j,0}; zero on mixed pairs."""
-    (fu, iu), (fv, iv) = u, v
-    if fu == "l" and fv == "l" and iu + iv == 0:
-        return iu ** 3 - iu
-    if fu == "xi" and fv == "xi" and iu + iv == 0:
-        return -4 * iu ** 2 + 1
-    return Fraction(0)
+    ku, kv = _dbl(u, _K1), _dbl(v, _K1)
+    return Fraction(0) if ku + kv else _gf(ku)
 
 
 def C_gf_value(label) -> dict:
     """The dual-valued form: C(l_n) = (n^3-n) l*_{-n},
     C(xi_i) = (-4i^2+1) xi*_{-i}."""
-    fam, idx = label
-    if fam == "l":
-        c = idx ** 3 - idx
-        return {("l*", -idx): c} if c else {}
-    if fam == "xi":
-        c = -4 * idx ** 2 + 1
-        return {("xi*", -idx): c} if c else {}
-    raise ValueError(f"not a contact label: {label}")
+    k = _dbl(label, _K1)
+    c = _gf(k)
+    return {_half(-k, _K1_DUAL): c} if c else {}
 
 
 OSP_SPAN = (("l", Fraction(-1)), ("l", Fraction(0)), ("l", Fraction(1)),
@@ -787,22 +768,22 @@ def verify_dual_gf(N: int = 4, C_fn=None) -> CheckReport:
 def c_gv(u, v, w) -> Fraction:
     """The alternating 3-form supported on {l_{-1}, l_0, l_1}: the sign of
     the permutation sorting the indices to (-1, 0, 1)."""
-    idx = (u[1], v[1], w[1])
-    # the membership test rejects most triples before the Fraction sort
-    if any(i not in (-1, 0, 1) for i in idx) or sorted(idx) != [-1, 0, 1]:
+    keys = (_dbl(u, _W1), _dbl(v, _W1), _dbl(w, _W1))
+    if sorted(keys) != [-2, 0, 2]:
         return Fraction(0)
-    return Fraction(_perm_sign(sorted(range(3), key=idx.__getitem__)))
+    return Fraction(_perm_sign(sorted(range(3), key=keys.__getitem__)))
 
 
 def verify_gv(N: int = 5) -> CheckReport:
     """delta c = 0 for the degree-three form, with trivial coefficients, on
     every increasing argument quadruple from the window (global brackets, no
-    skips); antisymmetry on permuted triples; and windowed nontriviality:
-    the ansatz c = delta beta over skew 2-cochains with argument-sum ceiling
-    2N is inconsistent (each equation only references beta at index sums
-    within the ceiling, so the restriction is sound for every global beta).
-    Both coboundaries are `brackets.lie_coboundary` on int keys and ints,
-    the second of the generic beta, whose value is {variable: +-1}."""
+    skips); antisymmetry on permuted triples; and nontriviality: no global
+    skew 2-cochain beta has delta beta = c on the window triples.  delta
+    preserves weight, so only beta's part at the weights of c's window
+    triples matters: the pairs a < b of keys at least -2 there, for c_gv
+    the one pair (l_{-1}, l_1).  Both coboundaries are
+    `brackets.lie_coboundary` on int keys and ints, the second of the
+    generic beta, whose value is {unknown: +-1}."""
     if N < 3:
         raise ValueError("the window must have radius >= 3")
     rep = CheckReport(f"gv-3-cocycle[N={N}]")
@@ -826,23 +807,24 @@ def verify_gv(N: int = 5) -> CheckReport:
         args = tuple(base[t] for t in perm)
         rep.record("antisymmetry", args,
                    c_gv(*args) - _perm_sign(perm) * c_gv(*base))
-    # nontriviality: beta variables are ordered pairs (a,b), a < b, of
-    # int keys up to the doubled ceiling 4N
-    pairs = list(itertools.combinations(range(-2, 4 * N + 1, 2), 2))
+    # nontriviality: the unknowns are the pairs (a, b), -2 <= a < b, at the
+    # weights a + b of c's window triples
+    triples = list(itertools.combinations(range(n), 3))
+    rhs = [4 * c_gv(*(labels[x] for x in t)) for t in triples]
+    weights = sorted({sum(w.even2[x] for x in t)
+                      for t, c in zip(triples, rhs) if c})
+    pairs = [(a, s - a) for s in weights for a in range(-2, s // 2, 2)]
     pair_idx = {p: k for k, p in enumerate(pairs)}
 
     def beta(args):
         s, r = args
-        if s == r:
-            return {}
-        return {pair_idx[min(s, r), max(s, r)]: 1 if s < r else -1}
+        k = pair_idx.get((min(s, r), max(s, r)))
+        return {} if k is None else {k: 1 if s < r else -1}
 
     dbeta = lie_coboundary(_k1_bracket4, _INT_BASIS.parity, beta, w.even2,
                            2)
-    triples = list(itertools.combinations(range(n), 3))
     sol = linalg.solve([dbeta.get(t, {}) for t in triples],  # 4 delta beta
-                       [4 * c_gv(*(labels[x] for x in t)) for t in triples],
-                       len(pairs))
+                       rhs, len(pairs))
     rep.extras["nontrivial"] = sol is None
     if sol is not None:
         rep.record("nontriviality", ("solve",), Fraction(1))

@@ -1,4 +1,5 @@
-"""Rules that every module of the library keeps, read from its syntax tree:
+"""Rules that the eight modules of the library keep, read from their syntax
+trees:
 
 - no `assert` statement: ``python -O`` strips them, so a check must raise
   explicitly;
@@ -33,6 +34,9 @@
   `cohomology._delta_between` (no `_GenericCochain` or `delta_instance`),
   and it and its slice enumerator `zoo._m1_slice` name no exact scalar and
   divide nowhere: the solve's one division is `DifferentialMatrix.full`;
+- gamma's nontriviality is decided on its weight-0 slice, whose one
+  unknown does not depend on the window: `zoo._gamma_nontrivial` reads no
+  window radius `N`;
 - delta^k is held once on integers: its assembly (`_GenericCochain`,
   `_delta_between`, `_delta_matrix`) and the delta^2 check
   (`verify_complex`) name neither `Fraction` nor `divided`, and the
@@ -75,8 +79,8 @@ def _imported_roots(tree):
 
 
 def test_the_rules_see_every_module():
-    assert {"__init__.py", "cli.py", "cohomology.py", "core.py",
-            "zoo.py"} <= set(TREES)
+    assert {"__init__.py", "antialgebra.py", "brackets.py", "cli.py",
+            "cohomology.py", "core.py", "linalg.py", "zoo.py"} <= set(TREES)
 
 
 def test_no_module_checks_with_assert():
@@ -197,6 +201,11 @@ def test_the_eta_builds_divide_once_through_divided():
                      if isinstance(sub, (ast.BinOp, ast.AugAssign))
                      and isinstance(sub.op, (ast.Div, ast.FloorDiv))]
         assert divisions == [], name
+
+
+def test_gamma_nontriviality_reads_no_window_radius():
+    node = _top("zoo.py")["_gamma_nontrivial"]
+    assert "N" not in set(_read_names(node))
 
 
 def test_delta_matrices_stay_on_integers_until_their_one_division():

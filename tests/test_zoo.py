@@ -436,6 +436,53 @@ def _c_gv_012(u, v, w):
     return F(zoo._perm_sign(tuple(sorted(range(3), key=idx.__getitem__))))
 
 
+def _ref_gv_slice_rows(N, pairs):
+    """4 delta beta at the increasing w1 window triples, for beta the sum
+    of an unknown times l*_a ^ l*_b for each (l_a, l_b) of ``pairs``,
+    through `w1_bracket` on labels, with the sign (-1)^{i+j} of each
+    bracket term."""
+    def beta(u, v):  # {column: coefficient}
+        return {k: 1 if (u, v) == pair else -1
+                for k, pair in enumerate(pairs) if {u, v} == set(pair)}
+
+    rows = []
+    for x, y, z in itertools.combinations(WindowedAlgebra("w1", N).even, 3):
+        row: dict = {}
+        for sign, (p, q), r in ((-1, (x, y), z), (1, (x, z), y),
+                                (-1, (y, z), x)):
+            for l, c in zoo.w1_bracket(p, q).items():
+                for k, e in beta(l, r).items():
+                    row[k] = row.get(k, 0) + 4 * sign * c * e
+        rows.append({k: e for k, e in row.items() if e})
+    return rows
+
+
+# a form, its one increasing triple of value 1, and the skew pairs at its
+# weight: c_gv at weight 0, where delta(l*_-1 ^ l*_1) is zero at every
+# window triple, and the form on {l_0, l_1, l_2} at doubled weight 6
+_GV_SLICES = {
+    "c_gv": (zoo.c_gv, (L(-1), L(0), L(1)), [(L(-1), L(1))]),
+    "012": (_c_gv_012, (L(0), L(1), L(2)),
+            [(L(-1), L(4)), (L(0), L(3)), (L(1), L(2))]),
+}
+
+
+@pytest.mark.parametrize("which", list(_GV_SLICES))
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
+def test_gv_solves_on_the_weight_slice_of_c(N, which, solver_calls,
+                                            monkeypatch):
+    """One column per skew pair at the form's weight; the verdicts are
+    those of the window system over every pair up to the 4N key ceiling."""
+    form, support, pairs = _GV_SLICES[which]
+    monkeypatch.setattr(zoo, "c_gv", form)
+    nontrivial = zoo.verify_gv(N).extras["nontrivial"]
+    triples = itertools.combinations(WindowedAlgebra("w1", N).even, 3)
+    assert solver_calls == [(
+        _ref_gv_slice_rows(N, pairs),
+        [4 if t == support else 0 for t in triples], len(pairs))]
+    assert nontrivial is (which == "c_gv" or N > 3)
+
+
 def test_gv_cocycle_leg_sees_a_form_that_is_not_closed(monkeypatch):
     """The alternating 3-form supported on {l_0, l_1, l_2} is not closed:
     its only violation is -4 at (l_-1, l_0, l_1, l_3), which the sign
@@ -592,8 +639,10 @@ def _ref_gamma_residual(gfn, u, v):
 
 
 def _ref_gamma_system(N, gfn):
-    """The rows, right-hand sides and column count of the nontriviality
-    system, one `dual_act` call per (component, variable)."""
+    """The rows, right-hand sides and column count of the window system
+    over the dual elements of the window, one `dual_act` call per
+    (component, variable), asserting only the rows whose preimage lies in
+    the window: the verdict oracle of the weight-0 slice solve."""
     variables = [("eps*", F(m)) for m in range(-N, N + 1)]
     rows, rhs = [], []
     w = WindowedAlgebra("ak1", N)
@@ -613,6 +662,22 @@ def _ref_gamma_system(N, gfn):
                          if (c := DictVec(zoo.dual_act("ak1", y, b)).coeff(comp))})
             rhs.append(target.coeff(comp))
     return rows, rhs, len(variables)
+
+
+def _ref_gamma_slice(N, gfn):
+    """The rows, right-hand sides and column count of the weight-0 slice
+    solve: one unknown, the coefficient of eps*_0, one `dual_act` call per
+    odd window label; at an even label the two even-even terms cancel."""
+    rows, rhs = [], []
+    for x in WindowedAlgebra("ak1", N).labels():
+        rho = (zoo.dual_act("ak1", x, ("eps*", F(0)))
+               if zoo.conf_parity(x) else {})
+        target = gfn(x)
+        for comp in sorted(set(rho) | set(target.c),
+                           key=lambda l: (str(l[0]), l[1])):
+            rows.append({0: rho[comp]} if comp in rho else {})
+            rhs.append(target.coeff(comp))
+    return rows, rhs, 1
 
 
 def _ref_cocycle_gamma(N, t_fn=None, s_fn=None):
@@ -926,6 +991,9 @@ _GAMMA_PERTURBATIONS = {
     "t/3": (lambda n: F(-n, 3), None),
     "s+1/7": (None, lambda i: i * i - F(1, 4) + (F(1, 7) if i == F(3, 2)
                                                   else 0)),
+    # gamma = delta(eps*_0) on the odd labels: the one entry that the
+    # weight-0 unknown bounds with a nonzero value
+    "δε*₀": (lambda n: 0, lambda i: -i),
 }
 
 
@@ -952,9 +1020,12 @@ def test_gamma_nontriviality_system_matches_the_reference_loops(
     def gfn(label):
         return zoo.gamma_value(label, t_fn, s_fn)
 
-    zoo._gamma_nontrivial(zoo.WindowedAlgebra("ak1", N),
-                          _doubled_gamma(t_fn, s_fn))
-    assert solver_calls == [_ref_gamma_system(N, gfn)]
+    nontrivial, _ = zoo._gamma_nontrivial(zoo.WindowedAlgebra("ak1", N),
+                                          _doubled_gamma(t_fn, s_fn))
+    assert solver_calls == [_ref_gamma_slice(N, gfn)]
+    assert nontrivial is (linalg.solve(*_ref_gamma_system(N, gfn)) is None)
+    sol = linalg.solve(*_ref_gamma_slice(N, gfn))
+    assert sol == (None if nontrivial else {0: 1} if which == "δε*₀" else {})
 
 
 _STRAY_ARGS = ((), (A(F(-1, 2)), A(F(1, 2))))
@@ -1320,8 +1391,8 @@ def test_every_label_that_leaves_a_suite_has_a_fraction_index(monkeypatch):
 
 # a label whose family or index kind is not that of its slot, at each entry
 # of a label into the suites, an index that is no int or Fraction (0.5,
-# "1/2") among them; the last two are C_fn values off the dual labels:
-# l*_{1/3} and the unstarred l_3
+# "1/2") among them; the dual_gf cases are C_fn values off the dual labels,
+# l*_{1/3} and the unstarred l_3, and c_gv takes l labels only
 _OFF_FAMILY_CALLS = {
     "conf_mul-eps-half": lambda: zoo.conf_mul(EPS(F(1, 2)), EPS(0)),
     "conf_mul-a-1": lambda: zoo.conf_mul(A(1), EPS(0)),
@@ -1335,6 +1406,13 @@ _OFF_FAMILY_CALLS = {
         4, C_fn=_bump_C(L(1), ("l*", F(1, 3)))),
     "dual_gf-unstarred": lambda: zoo.verify_dual_gf(
         4, C_fn=_bump_C(L(1), ("l", F(3)))),
+    "c_gf-l-half": lambda: zoo.c_gf(L(F(1, 2)), L(F(-1, 2))),
+    "c_gf-xi-1": lambda: zoo.c_gf(("xi", 1), ("xi", -1)),
+    "C_gf_value-l-half": lambda: zoo.C_gf_value(L(F(1, 2))),
+    "c_gv-eps": lambda: zoo.c_gv(EPS(-1), EPS(0), EPS(1)),
+    "c_gv-xi-1": lambda: zoo.c_gv(XI(-1), L(0), L(1)),
+    "c_gv-xi-half": lambda: zoo.c_gv(XI(F(-1, 2)), L(0), L(1)),
+    "c_gv-l-half": lambda: zoo.c_gv(L(F(1, 2)), L(0), L(1)),
 }
 
 
