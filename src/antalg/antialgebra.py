@@ -14,7 +14,6 @@ residuals once (`_TablePass`) for all three checkers.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections import defaultdict
@@ -162,17 +161,28 @@ class AntialgebraStructure:
     def m_blocks(self) -> brackets.BlockMap:
         """The structure as an odd element of the alternated algebra.
 
-        Three blocks: the even-even part carries the extra factor 1/2, the
-        mixed part is taken in the (x, y) order, the odd-odd part verbatim.
+        Three blocks read off the nonzero products of the table, which
+        `_set` has validated: the even-even part carries the extra factor
+        1/2, the mixed part is taken in the (x, y) order (its (y, x) mirrors
+        are skipped), the odd-odd part verbatim.
         """
-        sp, blocks = self.space, {}
-        for p, q in ((2, 0), (1, 1), (0, 2)):
-            w = Fraction(1, 2) if p == 2 else 1
-            blocks[p, q] = MultiMap(sp, p, q, {
-                (args[:p], args[p:], l): c * w
-                for args in itertools.product(*(sp.even,) * p, *(sp.odd,) * q)
-                for l, c in self.mul(*args).items()})
-        return brackets.BlockMap(sp, 2, blocks)
+        sp, half = self.space, Fraction(1, 2)
+        blocks: dict = {(2, 0): {}, (1, 1): {}, (0, 2): {}}
+        for (a, b), coeffs in self.products.items():
+            pa, pb = sp.parity(a), sp.parity(b)
+            if pa > pb:  # an (odd, even) mirror
+                continue
+            if pb == 0:
+                block, xs, ys = blocks[2, 0], (a, b), ()
+            elif pa == 0:
+                block, xs, ys = blocks[1, 1], (a,), (b,)
+            else:
+                block, xs, ys = blocks[0, 2], (), (a, b)
+            for l, c in coeffs.items():
+                block[xs, ys, l] = c * half if pb == 0 else c
+        return brackets.BlockMap(sp, 2, {
+            pq: MultiMap._trusted(sp, *pq, entries)
+            for pq, entries in blocks.items()})
 
     def __repr__(self):
         return (f"AntialgebraStructure({self.name or '?'}, "
@@ -273,32 +283,40 @@ def _identity_residuals(space, t: Mapping, kinds, increasing=()) -> dict:
     labels of ``space``; T may also hold products of those with labels
     beyond them (a window's closure table), which are read only as outer
     products."""
-    every = {*space.even, *space.odd}
-    member = {"E": set(space.even), "O": set(space.odd), "L": every}
+    every, odd = {*space.even, *space.odd}, set(space.odd)
+    member = {"E": set(space.even), "O": odd, "L": every}
     nonzero = [(a, b, v) for a, row in t.items() for b, v in row.items() if v]
-    index = ({}, {})  # l -> [(s, T[s][l])] and l -> [(s, T[l][s])], s a slot
+    # (right, s is odd) -> {l: [(s, T[s][l])]} (right 0) or
+    # {l: [(s, T[l][s])]} (right 1), s a slot label
+    index: dict = {(r, p): {} for r in (0, 1) for p in (False, True)}
     for a, b, v in nonzero:
         if a in every:
-            index[0].setdefault(b, []).append((a, v))
+            index[0, a in odd].setdefault(b, []).append((a, v))
         if b in every:
-            index[1].setdefault(a, []).append((b, v))
-    nonzero = [(a, b, v) for a, b, v in nonzero if a in every and b in every]
+            index[1, b in odd].setdefault(a, []).append((b, v))
+    nonzero = [ab for ab in nonzero if ab[0] in every and ab[1] in every]
+    is_odd = {"E": (False,), "O": (True,), "L": (False, True)}  # per domain
+    pairs: dict = {}  # (dom, dom) -> the nonzero products a.b, a and b in them
     reached = {kind: defaultdict(dict) for kind in kinds}
     for kind, doms, _, terms in (law for law in _LAWS if law[0] in kinds):
         found, inc = reached[kind], kind in increasing
         for c, right, slots, place in terms:
-            outer, di, dj = (member[doms[s]] for s in slots)
-            for a, b, v in nonzero:
-                if a in di and b in dj:
-                    for l, w in v.items():
-                        for s, prod in index[right].get(l, ()):
-                            if s in outer:
-                                key = place((s, a, b))
-                                if inc and not key[0] < key[1] < key[2]:
-                                    continue
-                                acc = found[key]
-                                for out, z in prod.items():
-                                    acc[out] = acc.get(out, 0) + c * w * z
+            do, di, dj = (doms[s] for s in slots)
+            if (di, dj) not in pairs:
+                pairs[di, dj] = [ab for ab in nonzero if ab[0] in member[di]
+                                 and ab[1] in member[dj]]
+            outers = [index[right, p] for p in is_odd[do]]
+            for a, b, v in pairs[di, dj]:
+                for l, w in v.items():
+                    cw = c * w
+                    for outer in outers:
+                        for s, prod in outer.get(l, ()):
+                            key = place((s, a, b))
+                            if inc and not key[0] < key[1] < key[2]:
+                                continue
+                            acc = found[key]
+                            for out, z in prod.items():
+                                acc[out] = acc.get(out, 0) + cw * z
     return reached
 
 

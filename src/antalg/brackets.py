@@ -241,28 +241,6 @@ def bracket_blocks(a: BlockMap, b: BlockMap) -> BlockMap:
 # alternation
 # ---------------------------------------------------------------------------
 
-def _alt_sum(entries, q: int) -> dict:
-    """q! Alt of integer entries: the sum of their signed y-permutations."""
-    signed = [(perm, _perm_sign(perm))
-              for perm in itertools.permutations(range(q))]
-    out: dict = {}
-    for (xs, ys, label), c in entries:
-        for perm, sign in signed:
-            key = (xs, tuple(ys[i] for i in perm), label)
-            out[key] = out.get(key, 0) + sign * c
-    return out
-
-
-def alt(phi: MultiMap) -> MultiMap:
-    """Antisymmetrise over the odd arguments: (1/q!) sum of signed y-permutations."""
-    if phi.q <= 1:
-        return phi
-    d = common_denominator(c for _, c in phi.entries())
-    acc = _alt_sum(as_integers(phi.entries(), d).items(), phi.q)
-    return MultiMap._trusted(phi.space, phi.p, phi.q,
-                             divided(acc, d * math.factorial(phi.q)))
-
-
 def _perm_sign(perm) -> int:
     sign = 1
     for i in range(len(perm)):
@@ -270,6 +248,63 @@ def _perm_sign(perm) -> int:
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
+
+
+def _canonical_ys(space, ys):
+    """Sort odd labels into the basis order; returns (sorted tuple, sign) or
+    (None, 0) when a label repeats.  The sign is that of the sort, read off
+    the inversions of the labels' indices."""
+    if len(ys) < 2:
+        return tuple(ys), 1
+    if len(ys) == 2:
+        i, j = space.index(ys[0]), space.index(ys[1])
+        return ((tuple(ys), 1) if i < j else ((ys[1], ys[0]), -1) if i > j
+                else (None, 0))
+    idx = [space.index(y) for y in ys]
+    sign = 1
+    for i, j in itertools.combinations(idx, 2):
+        if i >= j:
+            if i == j:
+                return None, 0
+            sign = -sign
+    return tuple([y for _, y in sorted(zip(idx, ys))]), sign
+
+
+def _alt_sum(acc: dict, space: GradedSpace, q: int) -> dict:
+    """q! Alt of integer entries: the sum of their signed y-permutations.
+
+    Each entry is folded onto its increasing odd order with the sign of the
+    sort (`_canonical_ys`), an entry with a repeated odd label dropping out;
+    the folded entries are summed once, and only the nonzero sums are spread
+    back over the q! orderings: entries + nonzero * q! steps, not
+    entries * q!.  For q <= 1 the entries are returned as they are."""
+    if q <= 1:
+        return acc
+    folded: dict = {}
+    for (xs, ys, label), c in acc.items():
+        cys, sign = _canonical_ys(space, ys)
+        if sign:
+            key = (xs, cys, label)
+            folded[key] = folded.get(key, 0) + sign * c
+    signed = [(perm, _perm_sign(perm))
+              for perm in itertools.permutations(range(q))]
+    out: dict = {}
+    for (xs, ys, label), c in folded.items():
+        if c:
+            for perm, sign in signed:
+                out[xs, tuple(ys[i] for i in perm), label] = sign * c
+    return out
+
+
+def alt(phi: MultiMap) -> MultiMap:
+    """Antisymmetrise over the odd arguments: (1/q!) sum of signed
+    y-permutations, folded through the increasing odd orders (`_alt_sum`)."""
+    if phi.q <= 1:
+        return phi
+    d = common_denominator(c for _, c in phi.entries())
+    acc = _alt_sum(as_integers(phi.entries(), d), phi.space, phi.q)
+    return MultiMap._trusted(phi.space, phi.p, phi.q,
+                             divided(acc, d * math.factorial(phi.q)))
 
 
 def alt_blocks(bm: BlockMap) -> BlockMap:
@@ -282,7 +317,7 @@ def al_bracket_blocks(a: BlockMap, b: BlockMap) -> BlockMap:
     accs, d = _bracket(a, b)
     return BlockMap(a.space, a.degree + b.degree - 1, {
         (p, q): MultiMap._trusted(a.space, p, q, divided(
-            _alt_sum(acc.items(), q), d * math.factorial(q)))
+            _alt_sum(acc, a.space, q), d * math.factorial(q)))
         for (p, q), acc in accs.items()})
 
 

@@ -43,6 +43,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import brackets, linalg
+from .brackets import _canonical_ys
 from .antialgebra import (AntialgebraStructure, ModuleStructure,
                           check_axioms, semidirect)
 from .core import (MultiMap, Vector, as_integers, common_denominator,
@@ -134,19 +135,6 @@ class DeltaContext:
 # ---------------------------------------------------------------------------
 # cochains
 # ---------------------------------------------------------------------------
-
-def _canonical_ys(space, ys):
-    """Sort odd labels into the basis order; returns (sorted tuple, sign) or
-    (None, 0) when a label repeats."""
-    if len(ys) < 2:
-        return tuple(ys), 1
-    idx = [space.index(y) for y in ys]
-    if len(set(idx)) != len(idx):
-        return None, 0
-    order = sorted(range(len(ys)), key=lambda t: idx[t])
-    sign = brackets._perm_sign(tuple(order))
-    return tuple(ys[t] for t in order), sign
-
 
 class Cochain:
     """A degree-k cochain: blocks keyed (p,q), entries keyed by canonical

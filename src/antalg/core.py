@@ -101,8 +101,10 @@ class GradedSpace:
 
     def index(self, label) -> int:
         """Position of the label inside its grading component."""
-        self.parity(label)
-        return self._index[label]
+        try:
+            return self._index[label]
+        except KeyError:
+            raise KeyError(f"unknown basis label: {label!r}") from None
 
     def __contains__(self, label) -> bool:
         return label in self._parity
@@ -355,24 +357,26 @@ def _check_label(tok: str, lineno: int) -> str:
     return tok
 
 
+_TERM_RE = re.compile(r"[+-]?[^+-]+")
+_NUMERIC_RE = re.compile(r"\d")
+
+
 def _parse_expr(text: str, space: GradedSpace, lineno: int) -> dict:
-    """Parse c1*l1 + c2*l2 - ... into {label: Fraction}."""
+    """Parse c1*l1 + c2*l2 - ... into {label: Fraction}, making one
+    Fraction per term: its sign is kept as a flag and read with the
+    coefficient's text."""
     out: dict = {}
-    # split into signed terms
-    terms = re.findall(r"[+-]?[^+-]+", text)
     stripped = text.strip()
     if not stripped:
         raise ParseError(lineno, "empty right-hand side")
     if stripped == "0":
         return out
-    for raw in terms:
+    for raw in _TERM_RE.findall(text):  # signed terms
         term = raw.strip()
         if not term:
             continue
-        sign = Fraction(1)
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
+        negative = term[0] == "-"  # the one sign a term can lead with
+        if term[0] in "+-":
             term = term[1:].strip()
         if not term:
             raise ParseError(lineno, "dangling sign in expression")
@@ -386,21 +390,22 @@ def _parse_expr(text: str, space: GradedSpace, lineno: int) -> dict:
                 coeff_txt, label = pieces
             elif len(pieces) == 1:
                 piece = pieces[0]
-                if re.match(r"^\d", piece):
-                    if piece.strip() in ("0",):
+                if _NUMERIC_RE.match(piece):
+                    if piece == "0":
                         continue
                     raise ParseError(lineno, f"numeric term {piece!r} without label")
                 coeff_txt, label = "1", piece
             else:
                 raise ParseError(lineno, f"cannot parse term {raw.strip()!r}")
         try:
-            coeff = sign * Fraction(coeff_txt)
+            # coeff_txt holds no sign: the terms were split at every sign
+            coeff = Fraction("-" + coeff_txt if negative else coeff_txt)
         except (ValueError, ZeroDivisionError):
             raise ParseError(lineno, f"bad rational coefficient {coeff_txt!r}")
         if label not in space:
             raise ParseError(lineno, f"unknown label {label!r} in expression")
         if coeff:
-            out[label] = out.get(label, Fraction(0)) + coeff
+            out[label] = out[label] + coeff if label in out else coeff
     return {l: c for l, c in out.items() if c}
 
 
@@ -413,16 +418,19 @@ def complete_product_table(space: GradedSpace, given: Mapping) -> dict:
     """
     table: dict = {}
     for (a, b), coeffs in given.items():
-        _put_product(table, space, a, b, coeffs)
+        exact = {l: scalar(c) for l, c in coeffs.items()}
+        _put_product(table, space, a, b, {l: c for l, c in exact.items() if c})
     return {k: v for k, v in table.items() if v}
 
 
-def _put_product(table: dict, space: GradedSpace, a, b, coeffs: Mapping) -> None:
-    """Enter a.b and its mirror b.a into ``table``; raise ValueError when
-    either clashes with a value already there."""
-    coeffs = {l: scalar(c) for l, c in coeffs.items() if scalar(c)}
-    sign = -1 if (space.parity(a) == 1 and space.parity(b) == 1) else 1
-    mirror = {l: sign * c for l, c in coeffs.items()}
+def _put_product(table: dict, space: GradedSpace, a, b, coeffs: dict) -> None:
+    """Enter a.b = ``coeffs``, nonzero Fractions, and its mirror b.a, a dict
+    of its own, into ``table``; raise ValueError when either clashes with a
+    value already there."""
+    if space.parity(a) == 1 and space.parity(b) == 1:
+        mirror = {l: -c for l, c in coeffs.items()}
+    else:
+        mirror = dict(coeffs)
     for key, val in (((a, b), coeffs), ((b, a), mirror)):
         if key in table and table[key] != val:
             raise ValueError(

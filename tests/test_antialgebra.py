@@ -23,7 +23,8 @@ from antalg.antialgebra import (
     zero_square_check,
     ModuleStructure,
 )
-from antalg.core import GradedSpace, Vector, divided, parse_algebra_text
+from antalg.core import (GradedSpace, MultiMap, Vector, divided,
+                         parse_algebra_text)
 
 F = Fraction
 
@@ -637,6 +638,39 @@ def test_structure_as_an_odd_element():
         "a": F(1, 2)}
     assert dict(m.block(0, 2).value((), ("a", "b")).items()) == {
         "eps": F(1, 2)}
+
+
+def _ref_m_blocks(structure):
+    """m as the library built it before it read the table's entries: every
+    (x, y)-ordered label tuple of each block enumerated through `mul`."""
+    sp, blocks = structure.space, {}
+    for p, q in ((2, 0), (1, 1), (0, 2)):
+        w = F(1, 2) if p == 2 else 1
+        blocks[p, q] = MultiMap(sp, p, q, {
+            (args[:p], args[p:], l): c * w
+            for args in itertools.product(*(sp.even,) * p, *(sp.odd,) * q)
+            for l, c in structure.mul(*args).items()})
+    return brackets.BlockMap(sp, 2, blocks)
+
+
+def _m_operands():
+    """k3, every golden table, K3 |x ad(K3) and K3 |x ad(K3)*."""
+    yield K3
+    for path in sorted(GOLDEN.glob("*.alg")):
+        yield AntialgebraStructure.from_file_doc(
+            parse_algebra_text(path.read_text()))
+    yield semidirect(adjoint_module(K3))
+    yield semidirect(dual_module(adjoint_module(K3)))
+
+
+def test_m_is_read_off_the_table_as_the_enumeration_gives_it():
+    structures = list(_m_operands())
+    assert len(structures) == 15
+    for st in structures:
+        m, want = st.m_blocks(), _ref_m_blocks(st)
+        assert m == want, st.name
+        assert all(type(c) is Fraction for _, mm in m.items()
+                   for _, c in mm.entries())
 
 
 def _family_table(al, be, ga, de):

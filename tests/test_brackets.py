@@ -45,6 +45,8 @@ F = Fraction
 
 SP12 = GradedSpace(("u",), ("y0", "y1"))
 SP22 = GradedSpace(("u0", "u1"), ("y0", "y1"))
+SP23 = GradedSpace(("u0", "u1"), ("y0", "y1", "y2"))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _entries(mm):
@@ -869,17 +871,45 @@ def test_engine_product_cancels_to_the_zero_map():
     assert _ref_gerstenhaber_product(phi, psi).is_zero() and got.is_zero()
 
 
+def _repeats(mm):
+    """The number of entries of a map with a repeated odd label."""
+    return sum(len(set(ys)) < len(ys) for (_, ys, _), _ in mm.entries())
+
+
 def test_engine_alt_matches_the_fraction_loops():
+    """`alt` folds each entry onto its increasing odd order and spreads only
+    the nonzero sums back: on SP23 the q = 3 maps have distinct labels, so
+    the spread-back runs, beside entries with a repeated label."""
     rng = random.Random(812)
-    for p, q in SMALL_SHAPES:
-        for _ in range(3):
-            mm = _rand_mixed_map(rng, SP22, p, q)
-            got = alt(mm)
-            assert got == _ref_alt(mm) and _all_fractions(got)
+    spread = repeated = 0
+    for sp in (SP22, SP23):
+        for p, q in SMALL_SHAPES:
+            for _ in range(3):
+                mm = _rand_mixed_map(rng, sp, p, q)
+                got = alt(mm)
+                assert got == _ref_alt(mm) and _all_fractions(got)
+                if sp is SP23 and q == 3:
+                    spread += not got.is_zero()
+                    repeated += _repeats(mm)
+    assert spread and repeated
     # a symmetric pair with a fractional coefficient alternates to zero
     sym = MultiMap(SP22, 1, 2, {(("u0",), ("y0", "y1"), "u1"): F(3, 101),
                                 (("u0",), ("y1", "y0"), "u1"): F(3, 101)})
     assert alt(sym).is_zero() and _ref_alt(sym).is_zero()
+    # a q = 3 map on distinct labels whose signed orderings cancel, beside
+    # entries with a repeated label, which drop out of the fold
+    cancel = MultiMap(SP23, 0, 3, {((), ("y0", "y1", "y2"), "y1"): F(2, 7),
+                                   ((), ("y2", "y1", "y0"), "y1"): F(2, 7),
+                                   ((), ("y1", "y2", "y0"), "y1"): F(-4, 7),
+                                   ((), ("y2", "y0", "y1"), "y1"): F(4, 7),
+                                   ((), ("y0", "y0", "y2"), "y1"): F(5),
+                                   ((), ("y2", "y1", "y2"), "y0"): F(1, 3)})
+    assert alt(cancel).is_zero() and _ref_alt(cancel).is_zero()
+    # one increasing entry spreads over all six orderings
+    one = MultiMap(SP23, 1, 3, {(("u1",), ("y2", "y0", "y1"), "y0"): F(3, 5)})
+    got = alt(one)
+    assert got == _ref_alt(one) and len(got.entries()) == 6
+    assert got.coeff(("u1",), ("y0", "y1", "y2"), "y0") == F(1, 10)
 
 
 def _rand_block_map(rng, sp, degree):
@@ -892,16 +922,27 @@ def _rand_block_map(rng, sp, degree):
 
 
 def test_al_bracket_blocks_matches_the_fraction_loops():
+    """Random block maps on SP22 and on SP23, where brackets have q = 3
+    blocks on distinct odd labels whose Alt survives, and the self-bracket
+    of a valid 2|4 table, whose raw (0,3) block has entries on distinct
+    labels and on repeated ones but alternates to zero."""
     rng = random.Random(813)
-    for _ in range(12):
-        a = _rand_block_map(rng, SP22, rng.choice((1, 2, 3)))
-        b = _rand_block_map(rng, SP22, rng.choice((1, 2)))
-        got = al_bracket_blocks(a, b)
-        assert got == _ref_al_bracket_blocks(a, b) and _all_fractions(got)
-        assert _all_fractions(bracket_blocks(a, b))
-
-
-GOLDEN = Path(__file__).parent / "golden"
+    spread = 0
+    for sp in (SP22, SP23):
+        for _ in range(12):
+            a = _rand_block_map(rng, sp, rng.choice((1, 2, 3)))
+            b = _rand_block_map(rng, sp, rng.choice((1, 2)))
+            got = al_bracket_blocks(a, b)
+            assert got == _ref_al_bracket_blocks(a, b) and _all_fractions(got)
+            assert _all_fractions(bracket_blocks(a, b))
+            spread += sp is SP23 and not got.block(0, 3).is_zero()
+    assert spread
+    doc = parse_algebra_text((GOLDEN / "k3t2r.alg").read_text())
+    m = AntialgebraStructure.from_file_doc(doc).m_blocks()
+    raw = bracket_blocks(m, m).block(0, 3)
+    assert 0 < _repeats(raw) < len(raw.entries())
+    got = al_bracket_blocks(m, m)
+    assert got.is_zero() and got == _ref_al_bracket_blocks(m, m)
 
 
 @pytest.mark.parametrize("name", ["k3t4p", "k3t2rp"])

@@ -192,6 +192,49 @@ def test_parse_errors_carry_line_numbers(text, lineno, fragment):
     assert fragment in str(exc.value)
 
 
+def _products(*lines):
+    """The completed table of a 2|2 document with the given product lines."""
+    return parse_algebra_text("\n".join(
+        ("algebra X", "even e f", "odd y z") + lines) + "\n").products
+
+
+def test_parse_reads_each_term_with_its_sign():
+    assert _products("e * f = f - f") == {}  # cancelled, not stored
+    assert _products("e * f = 0") == {}  # an empty entry, not stored
+    assert _products("e * f = - 1/2*f + 3 e - 0*e") == {
+        ("e", "f"): {"f": F(-1, 2), "e": F(3)},
+        ("f", "e"): {"f": F(-1, 2), "e": F(3)}}
+    # terms are split before every sign that a term body follows, so a
+    # sign run without spaces reads as its last sign, a trailing sign is
+    # dropped, and a sign with only spaces before the next one is dangling
+    assert _products("e * f = --1/2*f")[("e", "f")] == {"f": F(-1, 2)}
+    assert _products("e * f = e+-f")[("e", "f")] == {"e": F(1), "f": F(-1)}
+    assert _products("e * f = e -")[("e", "f")] == {"e": F(1)}
+    for rhs in ("+ -f", "e - -f"):
+        with pytest.raises(ParseError, match="line 4: dangling sign"):
+            _products(f"e * f = {rhs}")
+    # the zero entry of y.z is stored while parsing: z.y may not differ
+    with pytest.raises(ParseError, match="line 5: conflicting"):
+        _products("y * z = 0", "z * y = e")
+
+
+def test_parse_mirrors_are_signed_dicts_of_their_own():
+    table = _products("y * z = 1/3*e", "e * y = 2*z", "e * e = -f")
+    assert table == {("y", "z"): {"e": F(1, 3)}, ("z", "y"): {"e": F(-1, 3)},
+                     ("e", "y"): {"z": F(2)}, ("y", "e"): {"z": F(2)},
+                     ("e", "e"): {"f": F(-1)}}
+    assert all(type(c) is Fraction for v in table.values() for c in v.values())
+    assert table[("e", "y")] is not table[("y", "e")]
+    table[("e", "y")]["z"] = F(5)
+    assert table[("y", "e")] == {"z": F(2)}
+    given = {("e", "y"): {"z": 1}, ("y", "z"): {"e": "1/2"}}
+    done = complete_product_table(GradedSpace(("e",), ("y", "z")), given)
+    assert done == {("e", "y"): {"z": F(1)}, ("y", "e"): {"z": F(1)},
+                    ("y", "z"): {"e": F(1, 2)}, ("z", "y"): {"e": F(-1, 2)}}
+    assert done[("e", "y")] is not done[("y", "e")]
+    assert all(v is not given.get(k) for k, v in done.items())
+
+
 def test_completion_rejects_conflicting_mirrors():
     sp = GradedSpace((), ("a", "b"))
     given = {("a", "b"): {}, }

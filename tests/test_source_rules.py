@@ -22,6 +22,11 @@ trees:
   `_dual_act4`, `_k1_bracket4`, `_coadjoint4`) name no family, so hold no
   `str` constant beside their docstrings, and a window's keys (`labels2`)
   are plain ints;
+- m is read off the nonzero products of its table:
+  `AntialgebraStructure.m_blocks` calls neither `mul` nor
+  `itertools.product`, so enumerates no label tuples;
+- the parser makes one `Fraction` per term: `core._parse_expr` calls
+  `Fraction` exactly once;
 - the identity checkers read their residuals from the one scatter over the
   nonzero products, `antialgebra._identity_residuals`: no per-instance
   helper (`_left`, `_right`) is left beside it, and `check_axioms_v2` and
@@ -183,6 +188,18 @@ def test_the_identity_checkers_read_one_scatter():
     assert "_identity_reports" in set(_called_names(conf))
     for node in (v2, conf):  # no instance loop, no record per instance
         assert not {"product", "record"} & set(_called_names(node))
+
+
+def test_m_is_read_off_the_table():
+    structure = _top("antialgebra.py")["AntialgebraStructure"]
+    m = next(node for node in structure.body
+             if isinstance(node, ast.FunctionDef) and node.name == "m_blocks")
+    assert not {"mul", "product"} & set(_called_names(m))
+
+
+def test_the_parser_makes_one_fraction_per_term():
+    called = list(_called_names(_top("core.py")["_parse_expr"]))
+    assert called.count("Fraction") == 1
 
 
 def test_the_eta_builds_divide_once_through_divided():
