@@ -24,9 +24,11 @@ of its `CochainBasis`es (`_delta_matrix`); `zoo` gives it the finite
 weight slices of an infinite family.
 That one integer matrix per degree (`DifferentialMatrix`) is what the
 complex is read from: rank delta^k is fraction-free elimination on its rows
-(`cohomology_dims`), ker delta^1 is their nullspace, and delta^2 = 0 is one
-integer product (`verify_complex`).  It is divided into `Fraction`s only
-where a value of delta^k is needed (`solve_coboundary`).
+(`cohomology_dims`), ker delta^1 is their nullspace, and delta^k delta^{k-1}
+= 0 is one integer product per degree (`verify_complex`), checked as soon
+as delta^k is built, so a complex with delta^2 != 0 is assembled no further
+than its first failing degree (`assemble_complex`).  It is divided into
+`Fraction`s only where a value of delta^k is needed (`solve_coboundary`).
 
 A context's product and action are total: on the infinite conformal
 families (`zoo`) they are the global index formulas, so every instance
@@ -596,13 +598,16 @@ def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
 
 def assemble_complex(alg, mod, kmax, verify=True) -> list:
     """Matrices of delta^k for k = 1..kmax.  With ``verify`` the square-zero
-    law is asserted exactly (`verify_complex`)."""
+    law is asserted exactly, degree by degree: as soon as delta^k is built,
+    `verify_complex` checks it against delta^{k-1}, and delta^{k+1} is
+    built only if that pair passes.  A failing complex raises at its first
+    failing pair, with no larger matrix assembled."""
     mats, source = [], None
     for k in range(1, kmax + 1):  # delta^k's target is delta^{k+1}'s source
         mats.append(_delta_matrix(alg, mod, k, source))
         source = mats[-1].target
-    if verify:
-        verify_complex(mats, trivial=not mod.action)
+        if verify:
+            verify_complex(mats[-2:], trivial=not mod.action)
     return mats
 
 
@@ -626,11 +631,15 @@ def _shifts(rows, target: CochainBasis, source: CochainBasis) -> set:
 
 
 def verify_complex(mats, trivial=False) -> None:
-    """delta^{k+1} delta^k = 0 for consecutive matrices, from one integer
-    product, S_{k+1}*S_k times the square: its entries of one shift are
-    exactly those of one group, and a failure names the first nonzero
-    group.  With trivial coefficients no entry of a matrix may have shift
-    0, which is its (0,1)-component."""
+    """delta^{k+1} delta^k = 0 for each consecutive pair of ``mats``, from
+    one integer product per pair, S_{k+1}*S_k times the square: its entries
+    of one shift are exactly those of one group, and a failure names the
+    first failing pair and its first nonzero group.  With trivial
+    coefficients no entry of a matrix may have shift 0, which is its
+    (0,1)-component; within one call every matrix of ``mats`` is checked
+    for that before any pair.  `assemble_complex` calls it on each new pair
+    (delta^{k-1}, delta^k) as it builds the complex, so there the order is
+    degree by degree and an interior delta^k is checked for shift 0 twice."""
     if trivial:
         for mat in mats:
             _require(0 not in _shifts(mat.ints, mat.target, mat.source),

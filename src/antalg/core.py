@@ -357,21 +357,22 @@ def _check_label(tok: str, lineno: int) -> str:
     return tok
 
 
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
+_TERM_RE = re.compile(r"[+-]?[^+-]+|[+-]")  # a signed term, or a lone sign
 _NUMERIC_RE = re.compile(r"\d")
 
 
 def _parse_expr(text: str, space: GradedSpace, lineno: int) -> dict:
     """Parse c1*l1 + c2*l2 - ... into {label: Fraction}, making one
     Fraction per term: its sign is kept as a flag and read with the
-    coefficient's text."""
+    coefficient's text.  Each sign must lead a term of its own, so a run of
+    signs (``--x``, ``e+-f``, ``e - -f``) or a trailing sign is an error."""
     out: dict = {}
     stripped = text.strip()
     if not stripped:
         raise ParseError(lineno, "empty right-hand side")
     if stripped == "0":
         return out
-    for raw in _TERM_RE.findall(text):  # signed terms
+    for raw in _TERM_RE.findall(text):  # signed terms, or a lone sign
         term = raw.strip()
         if not term:
             continue

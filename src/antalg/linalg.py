@@ -7,12 +7,13 @@ need it (`nullspace`, `solve`) take it as an argument.  Kernel vectors,
 rref rows and solutions come back as rows of nonzero `Fraction`s.
 
 Elimination is fraction-free (Bareiss, 1968): it works on integer rows and
-creates no `Fraction`.  Each input row is first replaced by its primitive
-integer multiple (times the lcm of its denominators, over the gcd of its
-entries), which spans the same line, so `int` and `Fraction` rows are
-eliminated alike.  The columns are visited in order, and for each column
-the set of unreduced rows that are nonzero there is kept, so only those
-rows are looked at.  The pivot is the entry of least absolute value in its
+creates no `Fraction`.  Each input row is first replaced by a new dict, its
+primitive integer multiple (times the lcm of its denominators, over the gcd
+of its entries), which spans the same line, so `int` and `Fraction` rows are
+eliminated alike; a row of `int`s skips the lcm and is only divided by its
+gcd.  The columns are visited in order, and for each column the set of
+unreduced rows that are nonzero there is kept, so only those rows are
+looked at.  The pivot is the entry of least absolute value in its
 column, ties going to the lower row.  A row update, row <- (p/g) row -
 (f/g) pivot row with g = gcd(p, f), touches the pivot row's nonzero columns
 (and scales the row when p/g is not 1), and the result is divided by the
@@ -59,8 +60,12 @@ def mat_is_zero(a: list) -> bool:
 
 
 def _primitive(row: dict) -> dict:
-    """The primitive integer multiple of a nonzero row: times the lcm of its
-    denominators, then divided by the gcd of its entries."""
+    """The primitive integer multiple of a nonzero row, as a new dict: times
+    the lcm of its denominators, then divided by the gcd of its entries.  A
+    row of `int`s has no denominator to clear, so only the gcd is taken."""
+    if all(map(int.__instancecheck__, row.values())):
+        g = math.gcd(*row.values())
+        return {j: c // g for j, c in row.items()} if g != 1 else dict(row)
     den = math.lcm(*(c.denominator for c in row.values()))
     ints = {j: c.numerator * (den // c.denominator) for j, c in row.items()}
     g = math.gcd(*ints.values())

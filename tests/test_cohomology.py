@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from antalg import linalg, zoo
+from antalg import cohomology, linalg, zoo
 from antalg.antialgebra import (
     AntialgebraStructure,
     adjoint_module,
@@ -445,6 +445,38 @@ def test_delta_squared_failure_messages_are_pinned(table, coeff, kmax,
     with pytest.raises(AssertionError) as err:
         assemble_complex(alg, mod, kmax)
     assert str(err.value) == message
+
+
+def test_a_failing_complex_stops_at_its_first_failing_degree(monkeypatch):
+    """`assemble_complex` checks each pair as soon as it exists, so on
+    K3 (x) k[t]/(t^4), whose delta^3 delta^2 is nonzero, it builds delta^1
+    to delta^3 only, not the far larger delta^4 and delta^5."""
+    built = []
+    delta_matrix = cohomology._delta_matrix
+
+    def counting(alg, mod, k, source=None):
+        built.append(k)
+        return delta_matrix(alg, mod, k, source)
+    monkeypatch.setattr(cohomology, "_delta_matrix", counting)
+    alg = _delta2_table("k3t4")
+    with pytest.raises(AssertionError) as err:
+        assemble_complex(alg, adjoint_module(alg), 5)
+    assert str(err.value) == "delta^3 after delta^2 is nonzero (d10.d10)"
+    assert built == [1, 2, 3]
+
+
+@pytest.mark.parametrize("table", ["k3", "k3n2x"])
+def test_verified_complexes_equal_the_unverified_ones(table):
+    """Checking degree by degree changes no matrix: with and without
+    ``verify``, every delta^k has the same integer rows and scale."""
+    alg = K3 if table == "k3" else AntialgebraStructure.from_file_doc(
+        parse_algebra_file(GOLDEN / "k3n2x.alg"))
+    for mod in (trivial_module(alg), adjoint_module(alg)):
+        checked = assemble_complex(alg, mod, 4)
+        unchecked = assemble_complex(alg, mod, 4, verify=False)
+        assert [m.k for m in checked] == [1, 2, 3, 4]
+        assert [(m.ints, m.scale) for m in checked] == [
+            (m.ints, m.scale) for m in unchecked]
 
 
 def _without_d10(mat):

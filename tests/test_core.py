@@ -204,13 +204,9 @@ def test_parse_reads_each_term_with_its_sign():
     assert _products("e * f = - 1/2*f + 3 e - 0*e") == {
         ("e", "f"): {"f": F(-1, 2), "e": F(3)},
         ("f", "e"): {"f": F(-1, 2), "e": F(3)}}
-    # terms are split before every sign that a term body follows, so a
-    # sign run without spaces reads as its last sign, a trailing sign is
-    # dropped, and a sign with only spaces before the next one is dangling
-    assert _products("e * f = --1/2*f")[("e", "f")] == {"f": F(-1, 2)}
-    assert _products("e * f = e+-f")[("e", "f")] == {"e": F(1), "f": F(-1)}
-    assert _products("e * f = e -")[("e", "f")] == {"e": F(1)}
-    for rhs in ("+ -f", "e - -f"):
+    # each sign must lead a term body: a run of signs, with or without
+    # spaces, and a trailing sign are dangling, not read as one sign
+    for rhs in ("--1/2*f", "e+-f", "e -", "+ -f", "e - -f"):
         with pytest.raises(ParseError, match="line 4: dangling sign"):
             _products(f"e * f = {rhs}")
     # the zero entry of y.z is stored while parsing: z.y may not differ

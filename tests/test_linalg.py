@@ -355,6 +355,31 @@ class InputsUnchanged(unittest.TestCase):
             self.assertEqual([id(row) for row in rows], ids)
             self.assertEqual(rows, before)
 
+    def test_int_rows_eliminate_as_their_fractions_and_stay_unchanged(self):
+        """Rows of `int`s skip the denominator lcm of `_primitive`; the
+        elimination is the one of the same rows as `Fraction`s, and it
+        neither changes nor returns the caller's rows, primitive ones
+        (gcd 1, no division) included."""
+        rng = random.Random(61)
+        for _ in range(40):
+            n, m = rng.randint(1, 10), rng.randint(1, 10)
+            dense, _ = _integer_multiples(
+                _rand_sparse_dense(rng, n, m, rng.choice([0.3, 0.8])), rng)
+            rows = [{j: c for j, c in enumerate(row) if c} for row in dense]
+            rows.append({0: 1, m - 1: -1} if m > 1 else {0: 1})  # primitive
+            rows.insert(rng.randint(0, len(rows)), rng.choice(rows))
+            fractions = [{j: F(c) for j, c in row.items()} for row in rows]
+            before = copy.deepcopy(rows)
+            for descending in (False, True):
+                steps = linalg._eliminate(rows, descending)
+                self.assertEqual(steps,
+                                 linalg._eliminate(fractions, descending))
+                self.assertTrue(all(type(c) is int
+                                    for _, row in steps for c in row.values()))
+                self.assertFalse({id(row) for _, row in steps}
+                                 & {id(row) for row in rows})
+                self.assertEqual(rows, before)
+
 
 class SparseInput(unittest.TestCase):
     """Matrices at about 10% density, where a row update touches only the

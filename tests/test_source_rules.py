@@ -47,6 +47,9 @@ trees:
   (`verify_complex`) name neither `Fraction` nor `divided`, and the
   module's one call of `divided` is in `DifferentialMatrix`, the one
   division of delta^k into `Fraction`s;
+- delta^2 = 0 is checked degree by degree: `assemble_complex` calls
+  `verify_complex` only inside the loop that builds delta^k
+  (`_delta_matrix`), so a failing complex stops at its first failing pair;
 - delta^k is assembled through `apply_delta_component`, one call per
   component: the core `_delta_between` reaches delta by no other name,
   and the finite-table `_delta_matrix` only through the core, since the
@@ -244,6 +247,18 @@ def test_delta_matrices_reach_delta_through_apply_delta_component():
     wrapper = set(_called_names(top["_delta_matrix"]))
     assert "_delta_between" in wrapper
     assert not (others | {"apply_delta_component", "_GenericCochain"}) & wrapper
+
+
+def test_the_complex_is_checked_in_its_degree_loop():
+    assemble = _top("cohomology.py")["assemble_complex"]
+    loops = [node for node in ast.walk(assemble)
+             if isinstance(node, ast.For)
+             and "_delta_matrix" in set(_called_names(node))]
+    assert len(loops) == 1
+    called = list(_called_names(assemble))
+    assert called.count("verify_complex") >= 1
+    assert (list(_called_names(loops[0])).count("verify_complex")
+            == called.count("verify_complex"))
 
 
 def test_exact_rank_runs_on_integer_rows():
