@@ -482,30 +482,15 @@ def semidirect(module: ModuleStructure,
     when the module axioms hold; run `check_axioms` on it to find out.
     """
     base = module.base
-    clash = set(base.space.labels()) & set(module.space.labels())
+    clash = [l for l in module.space.even + module.space.odd
+             if l in base.space]
     if clash:
         raise ValueError(f"algebra and module labels overlap: {sorted(map(str, clash))}")
     space = GradedSpace(base.space.even + module.space.even,
                         base.space.odd + module.space.odd)
-    products: dict = {}
-
-    def put(a, b, coeffs: Mapping):
-        coeffs = {l: scalar(c) for l, c in coeffs.items() if scalar(c)}
-        if coeffs:
-            products[(a, b)] = coeffs
-
-    for (a, b), coeffs in base.products.items():
-        put(a, b, coeffs)
-    for a in base.space.labels():
-        pa = base.space.parity(a)
-        for v in module.space.labels():
-            pv = module.space.parity(v)
-            acted = module.act(a, v)
-            put(a, v, dict(acted.items()))
-            sign = Fraction(-1) ** (pa * pv)
-            put(v, a, {l: sign * c for l, c in acted.items()})
+    # the table's completion enters each mirror v.a = (-1)^{|a||v|} rho_a v;
     # B.B = 0: omitted entries are zero
-    return AntialgebraStructure(space, products,
+    return AntialgebraStructure(space, {**base.products, **module.action},
                                 name=name or f"{base.name}|x{module.name}")
 
 
@@ -517,15 +502,10 @@ def _relabelled_space(space: GradedSpace, tag) -> GradedSpace:
 def adjoint_module(structure: AntialgebraStructure,
                    tag="ad") -> ModuleStructure:
     """The algebra acting on a relabelled copy of itself by multiplication."""
-    mspace = _relabelled_space(structure.space, tag)
-    action: dict = {}
-    for a in structure.space.labels():
-        for b in structure.space.labels():
-            coeffs = {(tag, l): c for l, c in structure.mul(a, b).items()}
-            if coeffs:
-                action[(a, (tag, b))] = coeffs
-    return ModuleStructure(structure, mspace, action,
-                           name=f"ad({structure.name})")
+    action = {(a, (tag, b)): {(tag, l): c for l, c in coeffs.items()}
+              for (a, b), coeffs in structure.products.items()}
+    return ModuleStructure(structure, _relabelled_space(structure.space, tag),
+                           action, name=f"ad({structure.name})")
 
 
 def trivial_module(structure: AntialgebraStructure, even_labels=("triv",),
@@ -547,20 +527,10 @@ def dual_module(module: ModuleStructure) -> ModuleStructure:
     returns the original action.
     """
     base = module.base
-    dspace = GradedSpace(tuple(dual_label(l) for l in module.space.even),
-                         tuple(dual_label(l) for l in module.space.odd))
-    action: dict = {}
-    for a in base.space.labels():
-        pa = base.space.parity(a)
-        for l in module.space.labels():
-            pl = module.space.parity(l)
-            sign = Fraction(-1) ** (pl * pa)
-            coeffs: dict = {}
-            for k in module.space.labels():
-                c = module.act(a, k).coeff(l)
-                if c:
-                    coeffs[dual_label(k)] = sign * c
-            if coeffs:
-                action[(a, dual_label(l))] = coeffs
-    return ModuleStructure(base, dspace, action,
-                           name=f"dual({module.name})")
+    action: dict = {}  # the transpose of rho_a, signed
+    for (a, k), coeffs in module.action.items():
+        for l, c in coeffs.items():
+            action.setdefault((a, dual_label(l)), {})[dual_label(k)] = (
+                -c if base.space.parity(a) * module.space.parity(l) else c)
+    return ModuleStructure(base, _relabelled_space(module.space, "dual"),
+                           action, name=f"dual({module.name})")

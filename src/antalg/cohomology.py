@@ -15,13 +15,13 @@ Every scalar of a formula comes from its `DeltaContext`, and every term
 holds one product or action factor, so the same formulas assemble delta^k
 on integers: over the scale 2*D*L_k, D the common denominator of the
 products and the action and L_k = lcm(1, .., k+1).  One core
-(`_delta_between`) assembles it between any two lists of keys, from
+(`_delta_between`) assembles it between any two `CochainBasis`es, from
 integer products and an integer action: the generic k-cochain
 (`_GenericCochain`) on the source keys is swept once per component over
 the instances of the target keys, with only the components whose source
-block it has (`_live_components`).  A finite structure gives it the keys
-of its `CochainBasis`es (`_delta_matrix`); `zoo` gives it the finite
-weight slices of an infinite family.
+block it has (`_live_components`).  A finite structure gives it its bases
+(`_delta_matrix`), `zoo` the finite weight slices of an infinite family
+(`CochainBasis.from_keys`), both in one key order (`_cochain_keys`).
 That one integer matrix per degree (`DifferentialMatrix`) is what the
 complex is read from: rank delta^k is fraction-free elimination on its rows
 (`cohomology_dims`), ker delta^1 is their nullspace, and delta^k delta^{k-1}
@@ -344,11 +344,6 @@ def delta_instance(ctx, coch, P, Q, xs, ys, components=COMPONENTS):
     return ctx.mod.vector(out)
 
 
-def _target_shapes(degree: int, dim1: int):
-    return [(p, degree - p) for p in range(degree, -1, -1)
-            if degree - p <= dim1]
-
-
 def apply_delta(coch: Cochain) -> Cochain:
     """The full coboundary of a finite-structure cochain."""
     return _materialise_delta(coch, COMPONENTS)
@@ -428,28 +423,47 @@ def delta_via_bracket(coch: Cochain) -> Cochain:
 # bases and matrices
 # ---------------------------------------------------------------------------
 
+def _cochain_keys(k, even, odd, outputs) -> list:
+    """The keys (p, q, xs, ys, out) of C^k in basis order: blocks in
+    decreasing p, x-tuples of ``even`` in lexicographic order, increasing
+    combinations of ``odd``, then each instance's ``outputs(q, xs, ys)``."""
+    return [(p, k - p, xs, ys, out) for p in range(k, -1, -1)
+            for xs, ys in itertools.product(itertools.product(even, repeat=p),
+                                            itertools.combinations(odd, k - p))
+            for out in outputs(k - p, xs, ys)]
+
+
 class CochainBasis:
-    """The ordered basis of C^k: blocks in decreasing p, x-tuples in
-    lexicographic basis order, odd tuples as increasing combinations, output
-    labels in module order.  ``instances`` holds the argument tuples
-    (xs, ys) of each block (p, q) that has an output label."""
+    """The ordered basis of C^k, in the order of `_cochain_keys`, with
+    output labels in module order.  ``instances`` holds the argument tuples
+    (xs, ys) of each block (p, q) that has a key."""
 
     def __init__(self, alg: AntialgebraStructure, mod: ModuleStructure,
                  degree: int):
         if degree < 1:
             raise ValueError("cochain bases start at degree 1")
-        self.alg = alg
-        self.mod = mod
-        self.degree = degree
-        sp, outs = alg.space, (mod.space.even, mod.space.odd)
-        self.instances = {
-            (p, q): list(itertools.product(itertools.product(
-                sp.even, repeat=p), itertools.combinations(sp.odd, q)))
-            for (p, q) in _target_shapes(degree, sp.dim1) if outs[q % 2]}
-        self.keys = [(p, q, xs, ys, out)
-                     for (p, q), block in self.instances.items()
-                     for xs, ys in block for out in outs[q % 2]]
-        self._index = {k: i for i, k in enumerate(self.keys)}
+        self.alg, self.mod, self.degree = alg, mod, degree
+        outs = (mod.space.even, mod.space.odd)
+        self._fill(_cochain_keys(degree, alg.space.even, alg.space.odd,
+                                 lambda q, xs, ys: outs[q % 2]))
+
+    @classmethod
+    def from_keys(cls, keys: list) -> "CochainBasis":
+        """The basis of any key list, in its order (`zoo`'s weight slices).
+        No structure is behind it: ``alg``, ``mod`` and ``degree`` are None."""
+        basis = cls.__new__(cls)
+        basis.alg = basis.mod = basis.degree = None
+        basis._fill(keys)
+        return basis
+
+    def _fill(self, keys: list) -> None:
+        """The keys, their instances in order of first appearance, indexed."""
+        self.keys = keys
+        blocks: dict = {}
+        for p, q, xs, ys, _ in keys:
+            blocks.setdefault((p, q), {})[xs, ys] = None
+        self.instances = {pq: list(block) for pq, block in blocks.items()}
+        self._index = dict(zip(keys, itertools.count()))
 
     @property
     def dim(self) -> int:
@@ -556,18 +570,17 @@ class _GenericCochain:
 
 
 def _delta_between(k, source, target, basis, parity, mul, act, d):
-    """delta^k between two lists of keys (p, q, xs, ys, out) of C^k and
-    C^{k+1}, each given as a `CochainBasis` gives it: ``keys``, the
-    ``instances`` (xs, ys) of each block that has a key, and ``index``.
-    It is delta of the generic k-cochain on the source keys
-    (`_GenericCochain`), swept over the target instances, on integers:
-    ``mul`` and ``act`` are D times the products and the action, on the
-    algebra ``basis`` and the module ``parity``, and with L_k = lcm(1, ..,
-    k+1) the scale S = 2*D*L_k makes S*delta^k an integer matrix.  Every
-    value the sweep reaches must be a target key.  Column j of a component
-    is that component applied to the j-th unit cochain, read off the tag-j
-    part of one coboundary per component; an entry's blocks fix its one
-    component, so no two write the same entry."""
+    """delta^k between the `CochainBasis`es ``source`` of C^k and
+    ``target`` of C^{k+1}, of a finite structure or of any key lists
+    (`CochainBasis.from_keys`): delta of the generic k-cochain on the
+    source keys (`_GenericCochain`), swept over the target instances, on
+    integers.  ``mul`` and ``act`` are D times the products and the
+    action, on the algebra ``basis`` and the module ``parity``, and with
+    L_k = lcm(1, .., k+1) the scale S = 2*D*L_k makes S*delta^k an
+    integer matrix.  Every value the sweep reaches must be a target key.
+    Column j of a component is that component applied to the j-th unit
+    cochain, read off the tag-j part of one coboundary per component; an
+    entry's blocks fix its one component, so no two write the same entry."""
     generic = _GenericCochain(source.keys, basis, parity, mul, act, k,
                               target.instances.items())
     rows = [{} for _ in target.keys]

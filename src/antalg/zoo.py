@@ -27,8 +27,9 @@ the weight, the sum of the doubled indices of the arguments (and of the
 output, with dual coefficients), so only a preimage's part at the target's
 weights matters, and each class is decided by one exact solve on those
 weight slices: eta's delta^1 between two slices of the one-sided family
-(`_m1_slice`, assembled by `cohomology._delta_between`), gamma's one dual
-key of weight 0, and gv's skew pairs of keys at c's weights.
+(`_m1_slice`, a `cohomology.CochainBasis` of keys, assembled by
+`cohomology._delta_between`), gamma's one dual key of weight 0, and gv's
+skew pairs of keys at c's weights.
 Cochain values are `DictVec`s, `core.Vector`s over the open basis of all
 (family, index) labels.
 
@@ -59,8 +60,9 @@ from types import SimpleNamespace
 from . import linalg
 from .antialgebra import _AXIOMS, CheckReport, _identity_reports
 from .brackets import _perm_sign, lie_coboundary
-from .cohomology import (Cochain, DeltaContext, _canonical_ys,
-                         _delta_between, _live_components, delta_instance)
+from .cohomology import (Cochain, CochainBasis, DeltaContext, _canonical_ys,
+                         _cochain_keys, _delta_between, _live_components,
+                         delta_instance)
 from .core import Vector, as_integers, common_denominator, divided
 
 __all__ = [
@@ -443,10 +445,10 @@ def _gamma_nontrivial(w, gfn):
         for comp in sorted(rho.keys() | target.c.keys()):
             rows.append({0: Fraction(rho[comp], 4)} if comp in rho else {})
             rhs.append(target.coeff(comp))
-    sol = linalg.solve(rows, rhs, 1)
-    if sol is None:
-        return True, "no dual element bounds gamma (window system inconsistent)"
-    return False, "a window dual element bounds gamma"
+    if linalg.solve(rows, rhs, 1) is None:
+        return True, ("no dual element bounds gamma "
+                      "(weight-0 slice inconsistent)")
+    return False, "a weight-0 dual element bounds gamma"
 
 
 # ---------------------------------------------------------------------------
@@ -501,24 +503,18 @@ def eta_family(lam, mu, even_even_coeff=None) -> WindowCochain:
 
 
 def _m1_slice(k, weights):
-    """The keys (p, q, xs, ys, w) of C^k of m1 with coefficients in its
-    floored dual whose ints sum to one of ``weights``, weight by weight,
-    each in `CochainBasis` order, with their ``instances`` and ``index`` as
-    a `CochainBasis` has them.  Every key is at least -1, so no key of a
+    """The basis (`CochainBasis.from_keys`) of the keys (p, q, xs, ys, w) of
+    C^k of m1 with coefficients in its floored dual whose ints sum to one
+    of ``weights``, weight by weight, each in `CochainBasis` order
+    (`cohomology._cochain_keys`).  Every key is at least -1, so no key of a
     slice exceeds its weight by more than k, and the slice is finite."""
-    keys, instances = [], {}
+    keys = []
     for weight in weights:
-        ev, od = range(0, weight + k + 1, 2), range(-1, weight + k + 1, 2)
-        for p in range(k, -1, -1):
-            for xs in itertools.product(ev, repeat=p):
-                for ys in itertools.combinations(od, k - p):
-                    w = weight - sum(xs) - sum(ys)
-                    if w >= -1 and w & 1 == (k - p) & 1:  # eps* 0, a* -1
-                        keys.append((p, k - p, xs, ys, w))
-                        instances.setdefault((p, k - p), {})[xs, ys] = None
-    index = {key: i for i, key in enumerate(keys)}
-    return SimpleNamespace(keys=keys, instances=instances,
-                           index=index.__getitem__)
+        keys += _cochain_keys(
+            k, range(0, weight + k + 1, 2), range(-1, weight + k + 1, 2),
+            lambda q, xs, ys: [w for w in (weight - sum(xs) - sum(ys),)
+                               if w >= -1 and w & 1 == q & 1])  # eps* 0, a* -1
+    return CochainBasis.from_keys(keys)
 
 
 def eta_coboundary_solve(N: int, target: WindowCochain):

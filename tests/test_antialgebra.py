@@ -764,6 +764,91 @@ def test_double_dual_returns_the_action_up_to_the_parity_sign():
             assert lhs == rhs
 
 
+def _ref_semidirect(module, name=""):
+    """The semidirect sum as the library built it before it read the sparse
+    tables: every (algebra, module) label pair through `act`, and its
+    mirror with the sign written out."""
+    base = module.base
+    space = GradedSpace(base.space.even + module.space.even,
+                        base.space.odd + module.space.odd)
+    products = {ab: dict(coeffs) for ab, coeffs in base.products.items()}
+    for a in base.space.labels():
+        for v in module.space.labels():
+            acted = dict(module.act(a, v).items())
+            sign = F(-1) ** (base.space.parity(a) * module.space.parity(v))
+            if acted:
+                products[a, v] = acted
+                products[v, a] = {l: sign * c for l, c in acted.items()}
+    return AntialgebraStructure(space, products,
+                                name=name or f"{base.name}|x{module.name}")
+
+
+def _ref_adjoint_module(structure, tag="ad"):
+    """The adjoint module through `mul`, one label pair at a time."""
+    sp = structure.space
+    mspace = GradedSpace(tuple((tag, l) for l in sp.even),
+                         tuple((tag, l) for l in sp.odd))
+    action = {}
+    for a in sp.labels():
+        for b in sp.labels():
+            coeffs = {(tag, l): c for l, c in structure.mul(a, b).items()}
+            if coeffs:
+                action[a, (tag, b)] = coeffs
+    return ModuleStructure(structure, mspace, action,
+                           name=f"ad({structure.name})")
+
+
+def _ref_dual_module(module):
+    """The dual module, each entry read as ``act(a, k).coeff(l)``."""
+    base, msp = module.base, module.space
+    dspace = GradedSpace(tuple(dual_label(l) for l in msp.even),
+                         tuple(dual_label(l) for l in msp.odd))
+    action = {}
+    for a in base.space.labels():
+        for l in msp.labels():
+            sign = F(-1) ** (msp.parity(l) * base.space.parity(a))
+            coeffs = {dual_label(k): sign * c for k in msp.labels()
+                      if (c := module.act(a, k).coeff(l))}
+            if coeffs:
+                action[a, dual_label(l)] = coeffs
+    return ModuleStructure(base, dspace, action, name=f"dual({module.name})")
+
+
+def _same_module(got, want):
+    assert (got.base, got.space, got.name) == (want.base, want.space,
+                                               want.name)
+    assert got.action == want.action, got.name
+    assert all(type(c) is Fraction for v in got.action.values()
+               for c in v.values())
+
+
+def _same_structure(got, want):
+    assert (got.space, got.name) == (want.space, want.name)
+    assert got.products == want.products, got.name
+    assert all(type(c) is Fraction for v in got.products.values()
+               for c in v.values())
+
+
+def test_module_constructors_match_their_label_loop_forms():
+    """On k3 and every golden table: the adjoint module, its dual and
+    double dual, and the semidirect sums with each of them (K3 |x ad(K3)
+    among them) are the tables the label loops give, signs included."""
+    structures = [K3] + [AntialgebraStructure.from_file_doc(
+        parse_algebra_text(path.read_text()))
+        for path in sorted(GOLDEN.glob("*.alg"))]
+    assert len(structures) == 13
+    for st in structures:
+        ad, ref_ad = adjoint_module(st), _ref_adjoint_module(st)
+        _same_module(ad, ref_ad)
+        dual, ref_dual = dual_module(ad), _ref_dual_module(ref_ad)
+        _same_module(dual, ref_dual)
+        _same_module(dual_module(dual), _ref_dual_module(ref_dual))
+        for mod in (ad, dual, trivial_module(st)):
+            _same_structure(semidirect(mod), _ref_semidirect(mod))
+    _same_structure(semidirect(adjoint_module(K3, tag="x"), name="sd"),
+                    _ref_semidirect(_ref_adjoint_module(K3, tag="x"), "sd"))
+
+
 # ---------------------------------------------------------------------------
 # report mechanics
 # ---------------------------------------------------------------------------

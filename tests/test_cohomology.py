@@ -144,6 +144,41 @@ def test_random_cochain_reproducibility():
     assert a != c
 
 
+def _ref_basis(alg, mod, degree):
+    """(keys, instances) of C^k as `CochainBasis` enumerated them before
+    the one key enumerator: the shapes (p, k - p) in decreasing p with k - p
+    at most the odd dimension, the instances of each shape that has an
+    output label, and the keys of each instance in module order."""
+    sp, outs = alg.space, (mod.space.even, mod.space.odd)
+    instances = {
+        (p, q): list(itertools.product(itertools.product(sp.even, repeat=p),
+                                       itertools.combinations(sp.odd, q)))
+        for p, q in ((p, degree - p) for p in range(degree, -1, -1))
+        if q <= sp.dim1 and outs[q % 2]}
+    keys = [(p, q, xs, ys, out) for (p, q), block in instances.items()
+            for xs, ys in block for out in outs[q % 2]]
+    return keys, instances
+
+
+def test_cochain_bases_keep_their_key_order():
+    """On k3 and every golden table, with trivial, adjoint and dual-adjoint
+    coefficients, the keys and instances of C^1..C^3 are those of the
+    enumeration above, in its order, and each key is indexed at its
+    place."""
+    paths = [DATA / "k3.alg", *sorted(GOLDEN.glob("*.alg"))]
+    assert len(paths) == 13
+    for path in paths:
+        alg = AntialgebraStructure.from_file_doc(parse_algebra_file(path))
+        adj = adjoint_module(alg)
+        for mod in (trivial_module(alg), adj, dual_module(adj)):
+            for k in (1, 2, 3):
+                basis = CochainBasis(alg, mod, k)
+                assert (basis.keys, basis.instances) == _ref_basis(
+                    alg, mod, k), (path.name, mod.name, k)
+                assert list(map(basis.index, basis.keys)) == list(
+                    range(basis.dim))
+
+
 # ---------------------------------------------------------------------------
 # one operator, three routes
 # ---------------------------------------------------------------------------

@@ -27,6 +27,14 @@ trees:
   `itertools.product`, so enumerates no label tuples;
 - the parser makes one `Fraction` per term: `core._parse_expr` calls
   `Fraction` exactly once;
+- the graded mirror rule a.b = (-1)^{|a||b|} b.a is written once, in the
+  table's completion: the module constructors (`semidirect`,
+  `adjoint_module`, `dual_module`) read the sparse tables and call none of
+  `labels`, `act`, `mul` or `product`, so enumerate no label pairs;
+- the cochain key order is written once, in `cohomology._cochain_keys`:
+  `CochainBasis.__init__` and `zoo._m1_slice` call it, `_m1_slice` gives
+  its keys to `CochainBasis.from_keys` and builds no `SimpleNamespace`,
+  and no `_target_shapes` is left beside it;
 - the identity checkers read their residuals from the one scatter over the
   nonzero products, `antialgebra._identity_residuals`: no per-instance
   helper (`_left`, `_right`) is left beside it, and `check_axioms_v2` and
@@ -203,6 +211,27 @@ def test_m_is_read_off_the_table():
 def test_the_parser_makes_one_fraction_per_term():
     called = list(_called_names(_top("core.py")["_parse_expr"]))
     assert called.count("Fraction") == 1
+
+
+def test_the_module_constructors_read_the_sparse_tables():
+    top = _top("antialgebra.py")
+    for name in ("semidirect", "adjoint_module", "dual_module"):
+        called = set(_called_names(top[name]))
+        assert not {"labels", "act", "mul", "product"} & called, name
+
+
+def test_the_cochain_key_order_is_written_once():
+    basis = _top("cohomology.py")["CochainBasis"]
+    init = next(node for node in basis.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__")
+    assert "_cochain_keys" in set(_called_names(init))
+    called = set(_called_names(_top("zoo.py")["_m1_slice"]))
+    assert {"_cochain_keys", "from_keys"} <= called
+    assert "SimpleNamespace" not in called
+    found = [(name, fn) for name in TREES for fn in _functions(name)
+             if fn == "_target_shapes"]
+    assert found == []
 
 
 def test_the_eta_builds_divide_once_through_divided():

@@ -13,13 +13,13 @@ import itertools
 import math
 import subprocess
 import sys
-import types
 from fractions import Fraction
 
 import pytest
 
 from antalg import linalg, zoo
 from antalg.antialgebra import CheckReport
+from antalg.cohomology import CochainBasis, _cochain_keys
 from antalg.zoo import DictVec, WindowCochain, WindowedAlgebra
 
 F = Fraction
@@ -199,11 +199,12 @@ def _doubled_gamma(t_fn=None, s_fn=None):
 
 @pytest.mark.parametrize("t_fn", [None, lambda n: 0], ids=["default", "t=0"])
 def test_gamma_nontriviality_verdict(t_fn):
-    """The window system is inconsistent with the default gamma, and still
-    with t = 0, where gamma has no even part and the odd rows decide."""
+    """The weight-0 slice system is inconsistent with the default gamma, and
+    still with t = 0, where gamma has no even part and the odd rows
+    decide."""
     w = zoo.WindowedAlgebra("ak1", 6)
     assert zoo._gamma_nontrivial(w, _doubled_gamma(t_fn)) == (
-        True, "no dual element bounds gamma (window system inconsistent)")
+        True, "no dual element bounds gamma (weight-0 slice inconsistent)")
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +707,9 @@ def _ref_cocycle_gamma(N, t_fn=None, s_fn=None):
                        F(s_fn0(i)) - F(s_fn0(j)) - (j - i) * F(t_fn0(i + j)))
     if linalg.solve(*_ref_gamma_system(N, gfn)) is None:
         nontrivial, detail = (
-            True, "no dual element bounds gamma (window system inconsistent)")
+            True, "no dual element bounds gamma (weight-0 slice inconsistent)")
     else:
-        nontrivial, detail = False, "a window dual element bounds gamma"
+        nontrivial, detail = False, "a weight-0 dual element bounds gamma"
     rep.extras["nontrivial"] = nontrivial
     rep.extras["nontrivial_detail"] = detail
     if not nontrivial:
@@ -1204,11 +1205,45 @@ def test_eta_rows_match_the_hand_written_coboundary(N):
         assert {key: row for key, row in got.items() if row} == {
             key: row for key, row in want.items() if row}, weight
         assert set(want) <= set(got), weight
-        if weight == 0:
-            assert mat.target.keys == [
-                (2, 0, (0, 0), (), 0), (1, 1, (0,), (-1,), 1),
-                (1, 1, (0,), (1,), -1), (1, 1, (2,), (-1,), -1),
-                (0, 2, (), (-1, 1), 0)]
+
+
+# the keys (p, q, xs, ys, w) of C^2 of m1 with floored dual coefficients,
+# by doubled weight
+_M1_SLICE_KEYS = {
+    0: [(2, 0, (0, 0), (), 0), (1, 1, (0,), (-1,), 1), (1, 1, (0,), (1,), -1),
+        (1, 1, (2,), (-1,), -1), (0, 2, (), (-1, 1), 0)],
+    2: [(2, 0, (0, 0), (), 2), (2, 0, (0, 2), (), 0), (2, 0, (2, 0), (), 0),
+        (1, 1, (0,), (-1,), 3), (1, 1, (0,), (1,), 1), (1, 1, (0,), (3,), -1),
+        (1, 1, (2,), (-1,), 1), (1, 1, (2,), (1,), -1),
+        (1, 1, (4,), (-1,), -1), (0, 2, (), (-1, 1), 2),
+        (0, 2, (), (-1, 3), 0)],
+    4: [(2, 0, (0, 0), (), 4), (2, 0, (0, 2), (), 2), (2, 0, (0, 4), (), 0),
+        (2, 0, (2, 0), (), 2), (2, 0, (2, 2), (), 0), (2, 0, (4, 0), (), 0),
+        (1, 1, (0,), (-1,), 5), (1, 1, (0,), (1,), 3), (1, 1, (0,), (3,), 1),
+        (1, 1, (0,), (5,), -1), (1, 1, (2,), (-1,), 3), (1, 1, (2,), (1,), 1),
+        (1, 1, (2,), (3,), -1), (1, 1, (4,), (-1,), 1),
+        (1, 1, (4,), (1,), -1), (1, 1, (6,), (-1,), -1),
+        (0, 2, (), (-1, 1), 4), (0, 2, (), (-1, 3), 2),
+        (0, 2, (), (-1, 5), 0), (0, 2, (), (1, 3), 0)],
+}
+
+
+@pytest.mark.parametrize("weights", [[0], [2], [0, 2], [4]])
+def test_m1_slice_keys_are_pinned(weights):
+    """A slice of C^2 of m1 holds the keys of its weights weight by weight,
+    each in `CochainBasis` order (at weight 0, the five keys that the eta
+    family lives on).  Its instances are those of its keys, once each, in
+    order of first appearance, and each key is indexed at its place."""
+    basis = zoo._m1_slice(2, weights)
+    keys = [key for weight in weights for key in _M1_SLICE_KEYS[weight]]
+    assert basis.keys == keys
+    instances = {}
+    for p, q, xs, ys, _ in keys:
+        if (xs, ys) not in instances.setdefault((p, q), []):
+            instances[p, q].append((xs, ys))
+    assert basis.instances == instances
+    assert list(map(basis.index, keys)) == list(range(len(keys)))
+    assert basis.alg is basis.mod is basis.degree is None
 
 
 def test_eta_suite_makes_one_slice_solve_per_target(solver_calls):
@@ -1238,21 +1273,14 @@ _TRIVIAL_SLICES = {
 
 
 def _trivial_slice(weight):
-    """The keys of C^k of m1 with trivial coefficients (output key 0) whose
-    argument ints sum to ``weight``, in `CochainBasis` order, with their
-    instances and index, as `zoo._m1_slice` gives a slice."""
+    """The basis of the keys of C^k of m1 with trivial coefficients (output
+    key 0) whose argument ints sum to ``weight``, in `CochainBasis` order,
+    as `zoo._m1_slice` gives a slice."""
     def slice_of(k):
-        ev, od = range(0, weight + k + 1, 2), range(-1, weight + k + 1, 2)
-        keys = [(p, k - p, xs, ys, 0)
-                for p in range(k, -1, -1) if (k - p) % 2 == 0
-                for xs in itertools.product(ev, repeat=p)
-                for ys in itertools.combinations(od, k - p)
-                if sum(xs + ys) == weight]
-        instances = {}
-        for p, q, xs, ys, _ in keys:
-            instances.setdefault((p, q), {})[xs, ys] = None
-        return types.SimpleNamespace(keys=keys, instances=instances,
-                                     index=keys.index)
+        return CochainBasis.from_keys(_cochain_keys(
+            k, range(0, weight + k + 1, 2), range(-1, weight + k + 1, 2),
+            lambda q, xs, ys: (0,) if q % 2 == 0 and sum(xs + ys) == weight
+            else ()))
     return slice_of
 
 
