@@ -11,17 +11,18 @@ generator of signed terms (`delta10_terms`, `delta01_terms`,
 cochain is only read at basis labels (`Cochain.value`): where a formula
 feeds it a product, the product's labels give one term each.
 
-Every scalar of a formula comes from its `DeltaContext`, and every term
-holds one product or action factor, so the same formulas assemble delta^k
-on integers: over the scale 2*D*L_k, D the common denominator of the
-products and the action and L_k = lcm(1, .., k+1).  One core
+Every scalar of a formula comes from its `DeltaContext`, so the same
+formulas run exactly or on integers (`zoo`'s eta reports).  delta^k is
+held on integers, over the scale 2*D*L_k, D the common denominator of
+the products and the action and L_k = lcm(1, .., k+1).  One core
 (`_delta_between`) assembles it between any two `CochainBasis`es, from
-integer products and an integer action: the generic k-cochain
-(`_GenericCochain`) on the source keys is swept once per component over
-the instances of the target keys, with only the components whose source
-block it has (`_live_components`).  A finite structure gives it its bases
-(`_delta_matrix`), `zoo` the finite weight slices of an infinite family
-(`CochainBasis.from_keys`), both in one key order (`_cochain_keys`).
+integer products and an integer action: each source key is scattered
+through the transpose of each term of the three formulas, over the
+nonzero products and actions, so a column costs what its nonzero
+products cost; the tests pin every column against the formulas.  A
+finite structure gives it its bases (`_delta_matrix`), `zoo` the finite
+weight slices of an infinite family (`CochainBasis.from_keys`), both in
+one key order (`_cochain_keys`).
 That one integer matrix per degree (`DifferentialMatrix`) is what the
 complex is read from: rank delta^k is fraction-free elimination on its rows
 (`cohomology_dims`), ker delta^1 is their nullspace, and delta^k delta^{k-1}
@@ -37,12 +38,12 @@ whose arguments lie in a window is decided exactly.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import functools
 import itertools
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 from . import brackets, linalg
 from .brackets import _canonical_ys
@@ -250,19 +251,6 @@ class Cochain:
             return self._zero
         return vec if sign == 1 else vec.scale(sign)
 
-    def _delta_context(self) -> DeltaContext:
-        mul = self.alg.products.get
-        return DeltaContext(self.alg_space, self.mod_space,
-                            lambda a, b: mul((a, b), {}), self.mod.act)
-
-    def _image(self, blocks) -> "Cochain":
-        return Cochain(self.alg, self.mod, self.degree + 1, blocks)
-
-    def _targets(self):
-        """(shape, instances) of C^{k+1} that carry a basis key."""
-        return CochainBasis(self.alg, self.mod,
-                            self.degree + 1).instances.items()
-
 
 # ---------------------------------------------------------------------------
 # the three coboundary components, each a stream of signed terms
@@ -361,20 +349,23 @@ def _live_components(coch, P, Q, components=COMPONENTS) -> list:
     return [(dp, dq) for dp, dq in components if (P - dp, Q - dq) in present]
 
 
-def _materialise_delta(coch, components):
+def _materialise_delta(coch: Cochain, components) -> Cochain:
     """The chosen components of the coboundary of a finite-structure
-    cochain, computed in its `_delta_context` and returned as its `_image`.
-    Each target instance of its `_targets` is swept with its
-    `_live_components`; a target shape that none reaches is skipped, since
-    the coboundary is zero there."""
-    ctx = coch._delta_context()
+    cochain, computed exactly in the context of its tables.  Each target
+    instance of C^{k+1} is swept with the `_live_components`; a target
+    shape that none reaches is skipped, since the coboundary is zero
+    there."""
+    mul = coch.alg.products.get
+    ctx = DeltaContext(coch.alg_space, coch.mod_space,
+                       lambda a, b: mul((a, b), {}), coch.mod.act)
+    targets = CochainBasis(coch.alg, coch.mod, coch.degree + 1)
     blocks: dict = {}
-    for (P, Q), instances in coch._targets():
+    for (P, Q), instances in targets.instances.items():
         comps = _live_components(coch, P, Q, components)
         if comps:
             blocks[P, Q] = {inst: delta_instance(ctx, coch, P, Q, *inst, comps)
                             for inst in instances}
-    return coch._image(blocks)
+    return Cochain(coch.alg, coch.mod, coch.degree + 1, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -521,77 +512,106 @@ class DifferentialMatrix:
                 f"{len(self.target.keys)}x{len(self.source.keys)})")
 
 
-class _GenericCochain:
-    """The generic cochain on the source keys (p, q, xs, ys, l): its value
-    at (xs, ys) is {(j, l): sign}, one tag per key of column j.  Every
-    ordering of an odd tuple is indexed at construction, to the key's tags
-    or to their one negated copy, so a read is one lookup and a repeated
-    label misses.  Its coboundary runs in the integer context of ``mul``
-    and ``act`` on the algebra ``basis`` and the module ``parity``, over
-    ``targets``, the (shape, instances) of the target keys of C^{k+1}.
-    Its image is the raw blocks {(P, Q): {(xs, ys): {(j, l): int}}}.  It
-    is no `Cochain`: it has just what `delta_instance` and
-    `_materialise_delta` read (``alg_space``, ``degree``, `value`,
-    `shapes`, `_targets`, `_delta_context`, `_image`)."""
-
-    def __init__(self, keys, basis, parity, mul, act, degree, targets=()):
-        self.degree, self.alg_space = degree, basis
-        self._shapes = {key[:2] for key in keys}
-        self._instances = dict(targets)
-        keyed: dict = {}
-        for j, (p, q, xs, ys, l) in enumerate(keys):
-            keyed.setdefault((xs, ys), {})[j, l] = 1
-        signed = {key: (tags, {t: -1 for t in tags})
-                  for key, tags in keyed.items()}
-        self._tags = {(xs, tuple(ys[t] for t in perm)):
-                      both[brackets._perm_sign(perm) < 0]
-                      for (xs, ys), both in signed.items()
-                      for perm in itertools.permutations(range(len(ys)))}
-        tagged = SimpleNamespace(parity=lambda t: parity(t[1]), vector=dict)
-        self._ctx = DeltaContext(
-            basis, tagged, mul,
-            lambda a, t: {(t[0], o): c for o, c in act(a, t[1]).items()},
-            math.lcm(*range(1, degree + 2)))  # q, q+1, (q+1)(q+2) | lcm
-
-    def _delta_context(self) -> DeltaContext:
-        return self._ctx
-
-    def shapes(self):
-        return self._shapes
-
-    def _targets(self):
-        return self._instances.items()
-
-    def value(self, p, q, xs, ys):
-        return self._tags.get((xs, ys), {})
-
-    def _image(self, blocks) -> dict:
-        return blocks
-
-
 def _delta_between(k, source, target, basis, parity, mul, act, d):
     """delta^k between the `CochainBasis`es ``source`` of C^k and
     ``target`` of C^{k+1}, of a finite structure or of any key lists
-    (`CochainBasis.from_keys`): delta of the generic k-cochain on the
-    source keys (`_GenericCochain`), swept over the target instances, on
-    integers.  ``mul`` and ``act`` are D times the products and the
-    action, on the algebra ``basis`` and the module ``parity``, and with
-    L_k = lcm(1, .., k+1) the scale S = 2*D*L_k makes S*delta^k an
-    integer matrix.  Every value the sweep reaches must be a target key.
-    Column j of a component is that component applied to the j-th unit
-    cochain, read off the tag-j part of one coboundary per component; an
-    entry's blocks fix its one component, so no two write the same entry."""
-    generic = _GenericCochain(source.keys, basis, parity, mul, act, k,
-                              target.instances.items())
-    rows = [{} for _ in target.keys]
-    for component in COMPONENTS:
-        for (P, Q), table in apply_delta_component(generic, component).items():
-            for (xs, ys), val in table.items():
-                for (j, out), c in val.items():
-                    if c:
-                        rows[target.index((P, Q, xs, ys, out))][j] = c
-    return DifferentialMatrix(k, source, target, rows,
-                              2 * d * generic._ctx.lcm)
+    (`CochainBasis.from_keys`), on integers.  ``mul`` and ``act`` are D
+    times the products and the action, on the algebra ``basis`` and the
+    module ``parity``, and with L_k = lcm(1, .., k+1) the scale
+    S = 2*D*L_k makes S*delta^k an integer matrix: the context's scalars
+    half, one, unit and norm(n, d) are 1, 2, L_k and n*L_k/d.
+
+    Column j is delta of the j-th unit cochain, pushed from its key
+    (p, q, xs, ys, l) through the transpose of each pull term.  Each line
+    below pairs a pull term with its push; a product a.b = z is one of
+    ``mul``'s nonzero products, inverted by output, and x.l, y.l are
+    ``act``'s nonzero actions, all among the labels that the target keys
+    carry (a term through any other label meets no target key):
+
+      delta10_terms
+        - m(x0, c(x1..; ys))           x.l, x prepended to xs
+        (-1)^p m(c(x0..), xp), q = 0   x.l, x appended to xs
+        c(.., m(xi, x_{i+1}), ..)      even a.b = xs[i], which a, b replace
+        c(..; m(xp, yj), ys\\yj)       mixed x.y = ys[r], sign (-1)^r:
+                                       ys[r] out, x appended to xs, y
+                                       inserted into ys at its place j
+      delta01_terms
+        m(c(xs; ys\\yj), yj)           y.l, y inserted into ys at j
+      delta_12_terms
+        c(xs, m(yi, yj); ..)           odd a < b, a.b = xs[-1]: xs[-1] out,
+                                       a, b inserted into ys at i < j
+
+    A formed key must be a target key (KeyError otherwise).  A column's
+    terms are summed before its nonzero entries are stored; an entry's
+    blocks fix its one component, so no two components meet."""
+    lcm = math.lcm(*range(1, k + 2))  # q, q+1, (q+1)(q+2) | lcm
+    even, odd = {}, {}  # the labels the target keys carry, in key order
+    for instances in target.instances.values():
+        for xs, ys in instances:
+            even.update(dict.fromkeys(xs))
+            odd.update(dict.fromkeys(ys))
+    rank = {y: basis.index(y) for y in odd}
+    # product output -> [(a, b, weighted int)]: even.even, even.odd, and odd
+    # pairs a < b
+    ee, eo, oo = {}, {}, {}
+    for table, lefts, rights, w in ((ee, even, even, 1), (eo, even, odd, 2),
+                                    (oo, odd, odd, 2)):
+        for a in lefts:
+            for b in rights:
+                if table is not oo or rank[a] < rank[b]:
+                    for z, c in mul(a, b).items():
+                        table.setdefault(z, []).append((a, b, w * c))
+    # module label -> ([(even actor, o, weighted int)], [(odd actor, ..)])
+    actions = {}
+    for l in dict.fromkeys(key[4] for key in source.keys):
+        w0, w1 = (1, 2) if parity(l) == 0 else (2, -2)  # half|one, one|-one
+        actions[l] = tuple([(a, o, w * c) for a in actors
+                            for o, c in act(a, l).items()]
+                           for actors, w in ((even, w0), (odd, w1)))
+    index, rows = target._index, [{} for _ in target.keys]
+    for j, (p, q, xs, ys, l) in enumerate(source.keys):
+        at = [basis.index(y) for y in ys]  # the ranks of ys, increasing
+        by_even, by_odd = actions[l]
+        terms = []
+        for x, o, c in by_even:  # delta10: the action at the first slot
+            terms.append(((p + 1, q, (x,) + xs, ys, o), -lcm * c))
+            if q == 0:  # and at the last
+                terms.append(((p + 1, 0, xs + (x,), (), o),
+                              (-1) ** p * lcm * c))
+        for i, z in enumerate(xs):  # delta10: an even product into slot i
+            for a, b, c in ee.get(z, ()):
+                terms.append(((p + 1, q, xs[:i] + (a, b) + xs[i + 1:], ys, l),
+                              (-1) ** i * lcm * c))
+        for r, z in enumerate(ys):  # delta10: a mixed product out of ys
+            rest, at_rest = ys[:r] + ys[r + 1:], at[:r] + at[r + 1:]
+            for x, y, c in eo.get(z, ()):
+                i = bisect.bisect_left(at_rest, rank[y])
+                if at_rest[i:i + 1] != [rank[y]]:
+                    terms.append(((p + 1, q, xs + (x,),
+                                   rest[:i] + (y,) + rest[i:], l),
+                                  (-1) ** (p + i + r) * (lcm // q) * c))
+        n01 = (2 if p == 0 and q % 2 else 1) * lcm // (q + 1)
+        for y, o, c in by_odd:  # delta01: the odd action, y inserted
+            i = bisect.bisect_left(at, rank[y])
+            if at[i:i + 1] != [rank[y]]:
+                terms.append(((p, q + 1, xs, ys[:i] + (y,) + ys[i:], o),
+                              (-1) ** (p + i) * n01 * c))
+        n12 = 2 * lcm // ((q + 1) * (q + 2))
+        for a, b, c in oo.get(xs[-1], ()) if p else ():  # delta-12
+            i = bisect.bisect_left(at, rank[a])
+            jb = bisect.bisect_left(at, rank[b])
+            if at[i:i + 1] != [rank[a]] and at[jb:jb + 1] != [rank[b]]:
+                terms.append(((p - 1, q + 2, xs[:-1],
+                               ys[:i] + (a,) + ys[i:jb] + (b,) + ys[jb:], l),
+                              (-1) ** (p + i + jb + 1) * n12 * c))
+        col: dict = {}
+        for key, c in terms:
+            row = index[key]
+            col[row] = col.get(row, 0) + c
+        for row, c in col.items():
+            if c:
+                rows[row][j] = c
+    return DifferentialMatrix(k, source, target, rows, 2 * d * lcm)
 
 
 def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:

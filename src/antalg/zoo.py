@@ -517,6 +517,17 @@ def _m1_slice(k, weights):
     return CochainBasis.from_keys(keys)
 
 
+@functools.lru_cache(maxsize=1)
+def _m1_delta1(weights: tuple):
+    """delta^1 of m1 with floored dual coefficients between its slices of
+    ``weights`` (`_m1_slice`), by `cohomology._delta_between`.  The last
+    one built is kept, so the five targets of a `verify eta` run, all of
+    weight 0, share one matrix; its callers only read it."""
+    return _delta_between(1, _m1_slice(1, weights), _m1_slice(2, weights),
+                          _INT_BASIS, _INT_BASIS.parity, _conf_mul4,
+                          functools.partial(_dual_act4, True), 4)
+
+
 def eta_coboundary_solve(N: int, target: WindowCochain):
     """A finite 1-cochain zeta with delta zeta = target globally, or None
     if no global 1-cochain of any support has that coboundary.
@@ -524,28 +535,26 @@ def eta_coboundary_solve(N: int, target: WindowCochain):
     delta preserves the weight, the sum of the ints of the arguments and
     the output, and the weight-w part of any global preimage solves the
     equation on the slice of weight w (`_m1_slice`).  So one exact solve
-    of `cohomology._delta_between` over the slices of the weights that the
-    target carries decides, with no window: a target component at a key
+    of delta^1 over the slices of the weights that the target carries
+    (`_m1_delta1`) decides, with no window: a target component at a key
     below its floor lies in no slice and rules every preimage out.  ``N``
     is not read; the answer does not depend on it."""
     itarget = _doubled_cochain(target)
     values = {(*pq, xs, ys, w): c for pq in itarget.shapes()
               for (xs, ys), vec in itarget.block(*pq).items()
               for w, c in vec.c.items()}
-    weights = sorted({sum(key[2] + key[3]) + key[4] for key in values})
-    source, image = _m1_slice(1, weights), _m1_slice(2, weights)
-    rhs = [values.pop(key, 0) for key in image.keys]
+    mat = _m1_delta1(tuple(sorted({sum(key[2] + key[3]) + key[4]
+                                   for key in values})))
+    rhs = [values.pop(key, 0) for key in mat.target.keys]
     if values:  # a key below its floor
         return None
-    mat = _delta_between(1, source, image, _INT_BASIS, _INT_BASIS.parity,
-                         _conf_mul4, functools.partial(_dual_act4, True), 4)
-    sol = linalg.solve(mat.full, rhs, len(source.keys))
+    sol = linalg.solve(mat.full, rhs, len(mat.source.keys))
     if sol is None:
         return None
     label = functools.partial(_half, families=_CONF)
     blocks: dict = {}
     for j, c in sol.items():
-        p, q, xs, ys, w = source.keys[j]
+        p, q, xs, ys, w = mat.source.keys[j]
         blocks.setdefault((p, q), {}).setdefault(
             (tuple(map(label, xs)), tuple(map(label, ys))),
             {})[_half(w, _CONF_DUAL)] = c
@@ -608,9 +617,10 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
 
     Legs 2 and 3 make one exact solve per target on the weight-0 slice,
     where every member lives (`eta_coboundary_solve`): delta^1 from its 3
-    keys of C^1 to its 5 of C^2, with no window and no margin.  Legs 1 and
-    2 evaluate the coboundary on int keys and ints (`_delta_report`).
-    Every leg takes delta from the one `delta_instance`.
+    keys of C^1 to its 5 of C^2, built once (`_m1_delta1`), with no window
+    and no margin.  Legs 1 and 2 evaluate the coboundary formulas,
+    `delta_instance`, on int keys and ints (`_delta_report`), so the
+    witness check shares no code with the matrix's scatter.
     """
     if N < 2:
         raise ValueError("the window must have radius >= 2")

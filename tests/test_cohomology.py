@@ -38,7 +38,6 @@ from antalg.cohomology import (
     verify_complex,
     _canonical_ys,
     _delta_matrix,
-    _GenericCochain,
 )
 from antalg.core import (GradedSpace, Vector, parse_algebra_file,
                          parse_algebra_text)
@@ -109,31 +108,6 @@ def test_canonical_odd_order_matches_the_sort_path():
     for n in range(4):
         for ys in itertools.product(space.odd, repeat=n):
             assert _canonical_ys(space, ys) == _sort_path(space, ys), ys
-
-
-def test_generic_cochain_reads_every_ordering_as_the_sort_path():
-    """The generic cochain's one lookup per read gives, at every ordered
-    odd tuple, repeated labels included, its tags at the sorted tuple times
-    the sign of the sort, and {} where a label repeats.  K3 |x ad(K3) has
-    odd dimension 4, so degree 3 reaches odd tuples of length 3."""
-    sd = semidirect(adjoint_module(K3))
-    sp = sd.space
-    for mod in (trivial_module(sd), adjoint_module(sd)):
-        for degree in (1, 2, 3):
-            source = CochainBasis(sd, mod, degree)
-            generic = _GenericCochain(source.keys, sp, mod.space.parity,
-                                      None, None, degree)
-            tags: dict = {}
-            for j, (p, q, xs, ys, l) in enumerate(source.keys):
-                tags.setdefault((xs, ys), {})[j, l] = 1
-            for p in range(degree + 1):
-                for xs in itertools.product(sp.even, repeat=p):
-                    for ys in itertools.product(sp.odd, repeat=degree - p):
-                        cys, sign = _canonical_ys(sp, ys)
-                        want = {t: sign * c for t, c in tags.get(
-                            (xs, cys), {}).items()}
-                        got = generic.value(p, degree - p, xs, ys)
-                        assert got == want, (degree, xs, ys)
 
 
 def test_random_cochain_reproducibility():
@@ -325,21 +299,46 @@ def test_integer_assembly_agrees_with_both_routes_beyond_k3():
                     assert image == delta_via_bracket(c)
 
 
+def _unit_column_degree(alg, mod, cells=12000):
+    """The largest degree up to 3 whose delta^k has at most ``cells``
+    entries, or 1 where even delta^1 has more."""
+    dims = [CochainBasis(alg, mod, k).dim for k in range(1, 5)]
+    return max((k for k in (1, 2, 3) if dims[k - 1] * dims[k] <= cells),
+               default=1)
+
+
 def test_component_matrices_match_the_unit_cochain_columns():
     """Each column of an assembled component matrix is that component
-    applied to one unit cochain.  On K3 |x ad(K3) the even part acts on the
-    odd part by non-scalars, which K3 alone does not exercise."""
-    sd = semidirect(adjoint_module(K3))
-    for mod in (trivial_module(sd), adjoint_module(sd)):
-        for degree in (1, 2):
-            mat = _delta_matrix(sd, mod, degree)
+    applied to one unit cochain by the pull formulas: the scatter of the
+    assembly against the formulas it transposes.  Every golden table takes
+    trivial, adjoint and dual-adjoint coefficients, at the degree of
+    `_unit_column_degree`, and so does K3 |x ad(K3) at degree 3.  There
+    the even part acts on the odd part by non-scalars, which K3 alone does
+    not exercise, and odd dimension 4 makes degree 3 reach odd tuples of
+    length 3, where a mixed product leaves the odd tuple from any of three
+    places and an odd pair enters it at any two of four."""
+    algs = [AntialgebraStructure.from_file_doc(parse_algebra_file(path))
+            for path in sorted(GOLDEN.glob("*.alg"))]
+    assert len(algs) == 12
+    for alg, degree in (*((alg, None) for alg in algs),
+                        (semidirect(adjoint_module(K3)), 3)):
+        adj = adjoint_module(alg)
+        for mod in (trivial_module(alg), adj, dual_module(adj)):
+            mat = _delta_matrix(alg, mod,
+                                degree or _unit_column_degree(alg, mod))
+            columns = {comp: [{} for _ in mat.source.keys]
+                       for comp in COMPONENTS}
+            for comp, cols in columns.items():
+                for i, row in enumerate(_component(mat, comp)):
+                    for j, c in row.items():
+                        cols[j][i] = c
             for j, key in enumerate(mat.source.keys):
                 unit = mat.source.unit(key)
-                for comp in COMPONENTS:
-                    column = [row.get(j, F(0))
-                              for row in _component(mat, comp)]
-                    assert column == mat.target.coeff_vector(
-                        apply_delta_component(unit, comp)), (mod, key, comp)
+                for comp, cols in columns.items():
+                    image = mat.target.coeff_vector(
+                        apply_delta_component(unit, comp))
+                    assert cols[j] == {i: c for i, c in enumerate(image)
+                                       if c}, (mod.name, key, comp)
 
 
 def test_delta_matrix_columns_match_the_bracket_route():

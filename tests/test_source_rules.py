@@ -43,25 +43,28 @@ trees:
   names no exact scalar and divides nowhere but in its one call of
   `core.divided`;
 - the eta solve holds no coboundary of its own: `zoo.eta_coboundary_solve`
-  reaches delta only through the integer core of the matrix assembly,
-  `cohomology._delta_between` (no `_GenericCochain` or `delta_instance`),
-  and it and its slice enumerator `zoo._m1_slice` name no exact scalar and
-  divide nowhere: the solve's one division is `DifferentialMatrix.full`;
+  reaches delta only through `zoo._m1_delta1`, the cached call of the
+  integer core of the matrix assembly, `cohomology._delta_between` (no
+  `delta_instance` or `DeltaContext`), and it, that call and the slice
+  enumerator `zoo._m1_slice` name no exact scalar and divide nowhere: the
+  solve's one division is `DifferentialMatrix.full`;
 - gamma's nontriviality is decided on its weight-0 slice, whose one
   unknown does not depend on the window: `zoo._gamma_nontrivial` reads no
   window radius `N`;
-- delta^k is held once on integers: its assembly (`_GenericCochain`,
-  `_delta_between`, `_delta_matrix`) and the delta^2 check
+- delta^k is held once on integers: its assembly (`_delta_between`,
+  `_delta_matrix`) and the delta^2 check
   (`verify_complex`) name neither `Fraction` nor `divided`, and the
   module's one call of `divided` is in `DifferentialMatrix`, the one
   division of delta^k into `Fraction`s;
 - delta^2 = 0 is checked degree by degree: `assemble_complex` calls
   `verify_complex` only inside the loop that builds delta^k
   (`_delta_matrix`), so a failing complex stops at its first failing pair;
-- delta^k is assembled through `apply_delta_component`, one call per
-  component: the core `_delta_between` reaches delta by no other name,
-  and the finite-table `_delta_matrix` only through the core, since the
-  benchmark's per-degree assembly spans wrap that one name;
+- delta^k is scattered from the source keys, not pulled through the
+  instance formulas: the core `_delta_between` calls none of
+  `delta_instance`, `_materialise_delta` and `apply_delta_component`, the
+  finite-table `_delta_matrix` reaches delta only through the core, and
+  no generic cochain (`_GenericCochain`) is left for the formulas to
+  sweep;
 - exact rank runs on integer rows: `linalg._eliminate` and the
   `_primitive` rows it starts from name no `Fraction`, and
   `cohomology_dims` ranks delta^k's integer rows, ``.ints``, so no
@@ -238,11 +241,14 @@ def test_the_eta_builds_divide_once_through_divided():
     functions = _functions("zoo.py")
     solve = functions["eta_coboundary_solve"]
     called = set(_called_names(solve))
-    assert "_delta_between" in called
-    assert not {"_GenericCochain", "delta_instance", "DeltaContext"} & called
+    assert "_m1_delta1" in called
+    assert "_delta_between" in set(_called_names(functions["_m1_delta1"]))
+    for name in ("eta_coboundary_solve", "_m1_delta1"):
+        assert not {"delta_instance", "DeltaContext"} & set(
+            _called_names(functions[name])), name
     assert "full" in set(_read_names(solve))
-    for name, divided in (("eta_coboundary_solve", 0), ("_m1_slice", 0),
-                          ("_delta_report", 1)):
+    for name, divided in (("eta_coboundary_solve", 0), ("_m1_delta1", 0),
+                          ("_m1_slice", 0), ("_delta_report", 1)):
         node = functions[name]
         assert not {"Fraction", "HALF", "ONE"} & set(_read_names(node)), name
         assert list(_called_names(node)).count("divided") == divided, name
@@ -259,23 +265,22 @@ def test_gamma_nontriviality_reads_no_window_radius():
 
 def test_delta_matrices_stay_on_integers_until_their_one_division():
     top = _top("cohomology.py")
-    for name in ("_GenericCochain", "_delta_between", "_delta_matrix",
-                 "verify_complex"):
+    for name in ("_delta_between", "_delta_matrix", "verify_complex"):
         assert not {"Fraction", "divided"} & set(_read_names(top[name])), name
     calls = [name for name, node in top.items()
              for called in _called_names(node) if called == "divided"]
     assert calls == ["DifferentialMatrix"]
 
 
-def test_delta_matrices_reach_delta_through_apply_delta_component():
+def test_delta_matrices_are_scattered_not_pulled():
     top = _top("cohomology.py")
-    others = {"_materialise_delta", "apply_delta", "delta_instance"}
-    called = list(_called_names(top["_delta_between"]))
-    assert called.count("apply_delta_component") == 1
-    assert not others & set(called)
+    pull = {"delta_instance", "_materialise_delta", "apply_delta",
+            "apply_delta_component", "DeltaContext"}
+    assert not pull & set(_called_names(top["_delta_between"]))
     wrapper = set(_called_names(top["_delta_matrix"]))
     assert "_delta_between" in wrapper
-    assert not (others | {"apply_delta_component", "_GenericCochain"}) & wrapper
+    assert not pull & wrapper
+    assert not any("_GenericCochain" in _top(name) for name in TREES)
 
 
 def test_the_complex_is_checked_in_its_degree_loop():

@@ -19,7 +19,8 @@ import pytest
 
 from antalg import linalg, zoo
 from antalg.antialgebra import CheckReport
-from antalg.cohomology import CochainBasis, _cochain_keys
+from antalg.cohomology import (CochainBasis, DeltaContext, _cochain_keys,
+                               delta_instance)
 from antalg.zoo import DictVec, WindowCochain, WindowedAlgebra
 
 F = Fraction
@@ -1262,6 +1263,23 @@ def test_eta_suite_makes_one_slice_solve_per_target(solver_calls):
         "verified")
 
 
+def test_eta_suite_builds_its_slice_matrix_once(monkeypatch):
+    """The five targets of a verify eta run share one weight-0 delta^1:
+    from a cold cache the run calls the matrix core once."""
+    built = []
+    core = zoo._delta_between
+
+    def counting(*args):
+        built.append(args[0])
+        return core(*args)
+
+    monkeypatch.setattr(zoo, "_delta_between", counting)
+    zoo._m1_delta1.cache_clear()
+    zoo.verify_cocycle_eta(4)
+    zoo._m1_delta1.cache_clear()
+    assert built == [1]
+
+
 # doubled weight: (dims of C^1..C^4, ranks of delta^1..delta^4) of m1 with
 # trivial coefficients
 _TRIVIAL_SLICES = {
@@ -1320,6 +1338,42 @@ def test_m1_floored_dual_slice_table_at_weight_0():
     assert {mats[1].target.keys[i]: row for i, row in enumerate(square)
             if row} == {(2, 1, (0, 2), (-1,), -1): {0: F(-1, 4)},
                         (2, 1, (2, 0), (-1,), -1): {0: F(1, 4)}}
+
+
+_SLICE_KINDS = {
+    "floored": (lambda weights: lambda k: zoo._m1_slice(k, weights),
+                _FLOORED),
+    "trivial": (lambda weights: _trivial_slice(*weights), lambda a, l: {}),
+}
+
+
+@pytest.mark.parametrize("kind, weights", [
+    *((kind, [w]) for kind in _SLICE_KINDS for w in range(9)),
+    ("floored", [0, 2])], ids=lambda v: v if isinstance(v, str) else
+    "+".join(map(str, v)))
+def test_m1_slice_matrices_match_the_unit_cochain_columns(kind, weights):
+    """Column j of delta^k on a weight slice of m1, k <= 3, is the pull
+    formulas' coboundary of the j-th unit cochain, an int-key
+    `WindowCochain`, read at every target instance in the integer
+    `DeltaContext` of L_k (products and action times 4, the core's D):
+    exactly the scatter's integer column, and no value of the formulas
+    falls outside the target keys."""
+    slice_of, act = _SLICE_KINDS[kind]
+    for k in (1, 2, 3):
+        mat = _m1_delta(k, slice_of(weights), act)
+        ctx = DeltaContext(zoo._INT_BASIS, zoo._INT_BASIS, zoo._conf_mul4,
+                           act, math.lcm(*range(1, k + 2)))
+        for j, (p, q, xs, ys, l) in enumerate(mat.source.keys):
+            unit = WindowCochain(k, {(p, q): {(xs, ys): {l: 1}}},
+                                 zoo._INT_BASIS)
+            column = {
+                mat.target.index((P, Q, txs, tys, out)): c
+                for (P, Q), instances in mat.target.instances.items()
+                for txs, tys in instances
+                for out, c in delta_instance(ctx, unit, P, Q, txs,
+                                             tys).items()}
+            assert column == {i: row[j] for i, row in enumerate(mat.ints)
+                              if j in row}, (k, mat.source.keys[j])
 
 
 def _weight_2_target():
