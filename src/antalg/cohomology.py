@@ -16,8 +16,9 @@ formulas run exactly or on integers (`zoo`'s eta reports).  delta^k is
 held on integers, over the scale 2*D*L_k, D the common denominator of
 the products and the action and L_k = lcm(1, .., k+1).  One core
 (`_delta_between`) assembles it between any two `CochainBasis`es, from
-integer products and an integer action: each source key is scattered
-through the transpose of each term of the three formulas, over the
+integer products and an integer action: `apply_delta_component` on the
+unit cochains of the source keys (`_UnitCochains`) scatters each key
+through the transpose of each term of that component's formula, over the
 nonzero products and actions, so a column costs what its nonzero
 products cost; the tests pin every column against the formulas.  A
 finite structure gives it its bases (`_delta_matrix`), `zoo` the finite
@@ -337,7 +338,12 @@ def apply_delta(coch: Cochain) -> Cochain:
     return _materialise_delta(coch, COMPONENTS)
 
 
-def apply_delta_component(coch: Cochain, comp) -> Cochain:
+def apply_delta_component(coch, comp):
+    """One component of the coboundary: of a `Cochain`, the cochain its
+    pull formulas give (`_materialise_delta`); of the `_UnitCochains` of a
+    basis, their columns, scattered from the source keys."""
+    if isinstance(coch, _UnitCochains):
+        return coch.columns(comp)
     return _materialise_delta(coch, (comp,))
 
 
@@ -512,6 +518,126 @@ class DifferentialMatrix:
                 f"{len(self.target.keys)}x{len(self.source.keys)})")
 
 
+class _UnitCochains:
+    """The unit cochains of the source keys (p, q, xs, ys, l) of delta^k,
+    all at once, in the integer context of `_delta_between`: what
+    `apply_delta_component` scatters into one sparse column per key.  It
+    is no `Cochain`; it holds the tables the scatter reads, over the labels
+    that the target keys carry (a term through any other label meets no
+    target key).  A product a.b = z is one of ``mul``'s nonzero products,
+    inverted by output: even.even, even.odd and odd pairs a < b.  x.l and
+    y.l are ``act``'s nonzero actions on each source output label l, split
+    by the actor's parity.  Both are weighted by the formulas' integer
+    scalars (half = 1, one = 2)."""
+
+    def __init__(self, k, source, target, basis, parity, mul, act):
+        self.degree, self.keys = k, source.keys
+        self.lcm = math.lcm(*range(1, k + 2))  # q, q+1, (q+1)(q+2) | lcm
+        self._index = target._index
+        even, odd = {}, {}  # the labels the target keys carry, in key order
+        for instances in target.instances.values():
+            for xs, ys in instances:
+                even.update(dict.fromkeys(xs))
+                odd.update(dict.fromkeys(ys))
+        self._rank = rank = {y: basis.index(y) for y in odd}
+        # product output -> [(a, b, weighted int)]
+        self._ee, self._eo, self._oo = ee, eo, oo = {}, {}, {}
+        for table, lefts, rights, w in ((ee, even, even, 1),
+                                        (eo, even, odd, 2), (oo, odd, odd, 2)):
+            for a in lefts:
+                for b in rights:
+                    if table is not oo or rank[a] < rank[b]:
+                        for z, c in mul(a, b).items():
+                            table.setdefault(z, []).append((a, b, w * c))
+        # module label -> ([(even actor, o, weighted int)], [(odd actor, ..)])
+        self._actions = {}
+        for l in dict.fromkeys(key[4] for key in self.keys):
+            # half|one on an even output, one|-one on an odd one
+            w0, w1 = (1, 2) if parity(l) == 0 else (2, -2)
+            self._actions[l] = tuple([(a, o, w * c) for a in actors
+                                      for o, c in act(a, l).items()]
+                                     for actors, w in ((even, w0), (odd, w1)))
+        # the ranks of each key's ys, increasing
+        self._at = [[basis.index(y) for y in key[3]] for key in self.keys]
+
+    def columns(self, comp) -> list:
+        """Component ``comp`` of delta of each unit cochain, in key order:
+        {target row: nonzero int}.  A formed key must be a target key
+        (KeyError otherwise); a column's terms are summed before its
+        nonzero entries are kept."""
+        push, index, out = self._PUSH[comp], self._index, []
+        for key, at in zip(self.keys, self._at):
+            col: dict = {}
+            for target, c in push(self, *key, at):
+                row = index[target]
+                col[row] = col.get(row, 0) + c
+            if 0 in col.values():
+                col = {row: c for row, c in col.items() if c}
+            out.append(col)
+        return out
+
+    # Each push transposes the pull terms of one component: a line below
+    # pairs a pull term with the target keys it reaches from (p, q, xs, ys, l).
+    #
+    #   delta10_terms
+    #     - m(x0, c(x1..; ys))           x.l, x prepended to xs
+    #     (-1)^p m(c(x0..), xp), q = 0   x.l, x appended to xs
+    #     c(.., m(xi, x_{i+1}), ..)      even a.b = xs[i], which a, b replace
+    #     c(..; m(xp, yj), ys\yj)        mixed x.y = ys[r], sign (-1)^r: ys[r]
+    #                                    out, x appended to xs, y inserted
+    #                                    into ys at its place j
+    #   delta01_terms
+    #     m(c(xs; ys\yj), yj)            y.l, y inserted into ys at j
+    #   delta_12_terms
+    #     c(xs, m(yi, yj); ..)           odd a < b, a.b = xs[-1]: xs[-1] out,
+    #                                    a, b inserted into ys at i < j
+
+    def _push10(self, p, q, xs, ys, l, at):
+        lcm, rank, terms = self.lcm, self._rank, []
+        for x, o, c in self._actions[l][0]:  # the action at the first slot
+            terms.append(((p + 1, q, (x,) + xs, ys, o), -lcm * c))
+            if q == 0:  # and at the last
+                terms.append(((p + 1, 0, xs + (x,), (), o),
+                              (-1) ** p * lcm * c))
+        for i, z in enumerate(xs):  # an even product into slot i
+            for a, b, c in self._ee.get(z, ()):
+                terms.append(((p + 1, q, xs[:i] + (a, b) + xs[i + 1:], ys, l),
+                              (-1) ** i * lcm * c))
+        for r, z in enumerate(ys):  # a mixed product out of ys
+            rest, at_rest = ys[:r] + ys[r + 1:], at[:r] + at[r + 1:]
+            for x, y, c in self._eo.get(z, ()):
+                i = bisect.bisect_left(at_rest, rank[y])
+                if at_rest[i:i + 1] != [rank[y]]:
+                    terms.append(((p + 1, q, xs + (x,),
+                                   rest[:i] + (y,) + rest[i:], l),
+                                  (-1) ** (p + i + r) * (lcm // q) * c))
+        return terms
+
+    def _push01(self, p, q, xs, ys, l, at):
+        n01 = (2 if p == 0 and q % 2 else 1) * self.lcm // (q + 1)
+        rank, terms = self._rank, []
+        for y, o, c in self._actions[l][1]:  # the odd action, y inserted
+            i = bisect.bisect_left(at, rank[y])
+            if at[i:i + 1] != [rank[y]]:
+                terms.append(((p, q + 1, xs, ys[:i] + (y,) + ys[i:], o),
+                              (-1) ** (p + i) * n01 * c))
+        return terms
+
+    def _push_12(self, p, q, xs, ys, l, at):
+        n12 = 2 * self.lcm // ((q + 1) * (q + 2))
+        rank, terms = self._rank, []
+        for a, b, c in self._oo.get(xs[-1], ()) if p else ():
+            i = bisect.bisect_left(at, rank[a])
+            jb = bisect.bisect_left(at, rank[b])
+            if at[i:i + 1] != [rank[a]] and at[jb:jb + 1] != [rank[b]]:
+                terms.append(((p - 1, q + 2, xs[:-1],
+                               ys[:i] + (a,) + ys[i:jb] + (b,) + ys[jb:], l),
+                              (-1) ** (p + i + jb + 1) * n12 * c))
+        return terms
+
+    _PUSH = {(1, 0): _push10, (0, 1): _push01, (-1, 2): _push_12}
+
+
 def _delta_between(k, source, target, basis, parity, mul, act, d):
     """delta^k between the `CochainBasis`es ``source`` of C^k and
     ``target`` of C^{k+1}, of a finite structure or of any key lists
@@ -519,99 +645,20 @@ def _delta_between(k, source, target, basis, parity, mul, act, d):
     times the products and the action, on the algebra ``basis`` and the
     module ``parity``, and with L_k = lcm(1, .., k+1) the scale
     S = 2*D*L_k makes S*delta^k an integer matrix: the context's scalars
-    half, one, unit and norm(n, d) are 1, 2, L_k and n*L_k/d.
-
-    Column j is delta of the j-th unit cochain, pushed from its key
-    (p, q, xs, ys, l) through the transpose of each pull term.  Each line
-    below pairs a pull term with its push; a product a.b = z is one of
-    ``mul``'s nonzero products, inverted by output, and x.l, y.l are
-    ``act``'s nonzero actions, all among the labels that the target keys
-    carry (a term through any other label meets no target key):
-
-      delta10_terms
-        - m(x0, c(x1..; ys))           x.l, x prepended to xs
-        (-1)^p m(c(x0..), xp), q = 0   x.l, x appended to xs
-        c(.., m(xi, x_{i+1}), ..)      even a.b = xs[i], which a, b replace
-        c(..; m(xp, yj), ys\\yj)       mixed x.y = ys[r], sign (-1)^r:
-                                       ys[r] out, x appended to xs, y
-                                       inserted into ys at its place j
-      delta01_terms
-        m(c(xs; ys\\yj), yj)           y.l, y inserted into ys at j
-      delta_12_terms
-        c(xs, m(yi, yj); ..)           odd a < b, a.b = xs[-1]: xs[-1] out,
-                                       a, b inserted into ys at i < j
-
-    A formed key must be a target key (KeyError otherwise).  A column's
-    terms are summed before its nonzero entries are stored; an entry's
-    blocks fix its one component, so no two components meet."""
-    lcm = math.lcm(*range(1, k + 2))  # q, q+1, (q+1)(q+2) | lcm
-    even, odd = {}, {}  # the labels the target keys carry, in key order
-    for instances in target.instances.values():
-        for xs, ys in instances:
-            even.update(dict.fromkeys(xs))
-            odd.update(dict.fromkeys(ys))
-    rank = {y: basis.index(y) for y in odd}
-    # product output -> [(a, b, weighted int)]: even.even, even.odd, and odd
-    # pairs a < b
-    ee, eo, oo = {}, {}, {}
-    for table, lefts, rights, w in ((ee, even, even, 1), (eo, even, odd, 2),
-                                    (oo, odd, odd, 2)):
-        for a in lefts:
-            for b in rights:
-                if table is not oo or rank[a] < rank[b]:
-                    for z, c in mul(a, b).items():
-                        table.setdefault(z, []).append((a, b, w * c))
-    # module label -> ([(even actor, o, weighted int)], [(odd actor, ..)])
-    actions = {}
-    for l in dict.fromkeys(key[4] for key in source.keys):
-        w0, w1 = (1, 2) if parity(l) == 0 else (2, -2)  # half|one, one|-one
-        actions[l] = tuple([(a, o, w * c) for a in actors
-                            for o, c in act(a, l).items()]
-                           for actors, w in ((even, w0), (odd, w1)))
-    index, rows = target._index, [{} for _ in target.keys]
-    for j, (p, q, xs, ys, l) in enumerate(source.keys):
-        at = [basis.index(y) for y in ys]  # the ranks of ys, increasing
-        by_even, by_odd = actions[l]
-        terms = []
-        for x, o, c in by_even:  # delta10: the action at the first slot
-            terms.append(((p + 1, q, (x,) + xs, ys, o), -lcm * c))
-            if q == 0:  # and at the last
-                terms.append(((p + 1, 0, xs + (x,), (), o),
-                              (-1) ** p * lcm * c))
-        for i, z in enumerate(xs):  # delta10: an even product into slot i
-            for a, b, c in ee.get(z, ()):
-                terms.append(((p + 1, q, xs[:i] + (a, b) + xs[i + 1:], ys, l),
-                              (-1) ** i * lcm * c))
-        for r, z in enumerate(ys):  # delta10: a mixed product out of ys
-            rest, at_rest = ys[:r] + ys[r + 1:], at[:r] + at[r + 1:]
-            for x, y, c in eo.get(z, ()):
-                i = bisect.bisect_left(at_rest, rank[y])
-                if at_rest[i:i + 1] != [rank[y]]:
-                    terms.append(((p + 1, q, xs + (x,),
-                                   rest[:i] + (y,) + rest[i:], l),
-                                  (-1) ** (p + i + r) * (lcm // q) * c))
-        n01 = (2 if p == 0 and q % 2 else 1) * lcm // (q + 1)
-        for y, o, c in by_odd:  # delta01: the odd action, y inserted
-            i = bisect.bisect_left(at, rank[y])
-            if at[i:i + 1] != [rank[y]]:
-                terms.append(((p, q + 1, xs, ys[:i] + (y,) + ys[i:], o),
-                              (-1) ** (p + i) * n01 * c))
-        n12 = 2 * lcm // ((q + 1) * (q + 2))
-        for a, b, c in oo.get(xs[-1], ()) if p else ():  # delta-12
-            i = bisect.bisect_left(at, rank[a])
-            jb = bisect.bisect_left(at, rank[b])
-            if at[i:i + 1] != [rank[a]] and at[jb:jb + 1] != [rank[b]]:
-                terms.append(((p - 1, q + 2, xs[:-1],
-                               ys[:i] + (a,) + ys[i:jb] + (b,) + ys[jb:], l),
-                              (-1) ** (p + i + jb + 1) * n12 * c))
-        col: dict = {}
-        for key, c in terms:
-            row = index[key]
-            col[row] = col.get(row, 0) + c
-        for row, c in col.items():
-            if c:
+    half, one, unit and norm(n, d) are 1, 2, L_k and n*L_k/d.  Column j of
+    a component is that component applied to the j-th unit cochain, each
+    source key scattered through the transpose of the component's pull
+    terms (`_UnitCochains`); an entry's blocks fix its one component, so
+    no two components write the same entry.  The columns come through
+    `apply_delta_component`, one call per component, because the
+    benchmark's per-degree assembly spans wrap that name."""
+    units = _UnitCochains(k, source, target, basis, parity, mul, act)
+    rows = [{} for _ in target.keys]
+    for component in COMPONENTS:
+        for j, col in enumerate(apply_delta_component(units, component)):
+            for row, c in col.items():
                 rows[row][j] = c
-    return DifferentialMatrix(k, source, target, rows, 2 * d * lcm)
+    return DifferentialMatrix(k, source, target, rows, 2 * d * units.lcm)
 
 
 def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:

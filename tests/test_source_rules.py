@@ -51,8 +51,8 @@ trees:
 - gamma's nontriviality is decided on its weight-0 slice, whose one
   unknown does not depend on the window: `zoo._gamma_nontrivial` reads no
   window radius `N`;
-- delta^k is held once on integers: its assembly (`_delta_between`,
-  `_delta_matrix`) and the delta^2 check
+- delta^k is held once on integers: its assembly (`_UnitCochains`,
+  `_delta_between`, `_delta_matrix`) and the delta^2 check
   (`verify_complex`) name neither `Fraction` nor `divided`, and the
   module's one call of `divided` is in `DifferentialMatrix`, the one
   division of delta^k into `Fraction`s;
@@ -60,11 +60,13 @@ trees:
   `verify_complex` only inside the loop that builds delta^k
   (`_delta_matrix`), so a failing complex stops at its first failing pair;
 - delta^k is scattered from the source keys, not pulled through the
-  instance formulas: the core `_delta_between` calls none of
-  `delta_instance`, `_materialise_delta` and `apply_delta_component`, the
-  finite-table `_delta_matrix` reaches delta only through the core, and
-  no generic cochain (`_GenericCochain`) is left for the formulas to
-  sweep;
+  instance formulas: the core `_delta_between` reaches delta through
+  `apply_delta_component` on its `_UnitCochains`, one call per component
+  (the benchmark's per-degree assembly spans wrap that name); neither
+  calls `delta_instance`, `_materialise_delta`, `apply_delta` or
+  `DeltaContext`; the finite-table `_delta_matrix` reaches delta only
+  through the core; and no generic cochain (`_GenericCochain`) is left
+  for the formulas to sweep;
 - exact rank runs on integer rows: `linalg._eliminate` and the
   `_primitive` rows it starts from name no `Fraction`, and
   `cohomology_dims` ranks delta^k's integer rows, ``.ints``, so no
@@ -265,21 +267,26 @@ def test_gamma_nontriviality_reads_no_window_radius():
 
 def test_delta_matrices_stay_on_integers_until_their_one_division():
     top = _top("cohomology.py")
-    for name in ("_delta_between", "_delta_matrix", "verify_complex"):
+    for name in ("_UnitCochains", "_delta_between", "_delta_matrix",
+                 "verify_complex"):
         assert not {"Fraction", "divided"} & set(_read_names(top[name])), name
     calls = [name for name, node in top.items()
              for called in _called_names(node) if called == "divided"]
     assert calls == ["DifferentialMatrix"]
 
 
-def test_delta_matrices_are_scattered_not_pulled():
+def test_delta_matrices_reach_delta_through_apply_delta_component():
     top = _top("cohomology.py")
     pull = {"delta_instance", "_materialise_delta", "apply_delta",
-            "apply_delta_component", "DeltaContext"}
-    assert not pull & set(_called_names(top["_delta_between"]))
+            "DeltaContext"}
+    called = list(_called_names(top["_delta_between"]))
+    assert called.count("apply_delta_component") == 1
+    assert "_UnitCochains" in called
+    for name in ("_delta_between", "_UnitCochains"):
+        assert not pull & set(_called_names(top[name])), name
     wrapper = set(_called_names(top["_delta_matrix"]))
     assert "_delta_between" in wrapper
-    assert not pull & wrapper
+    assert not (pull | {"apply_delta_component"}) & wrapper
     assert not any("_GenericCochain" in _top(name) for name in TREES)
 
 
