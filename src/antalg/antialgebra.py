@@ -7,9 +7,11 @@ A structure is stored as a completed ordered product table over a
 square-zero test of the associated odd element under the alternated
 bracket (`zero_square_check`).  One engine, `_identity_residuals`, scatters
 the residuals of the laws (`_LAWS`) from the nonzero products of the
-integer table, finite or a `zoo` window: an instance that no product
-reaches is counted but not evaluated.  A `check` builds the table and the
-residuals once (`_TablePass`) for all three checkers.
+integer table, finite or a `zoo` window, on flat int keys (an instance's
+slot positions and an output label's number) and returns the nonzero
+ones alone: every other instance is counted in closed form, not
+evaluated.  A `check` builds the table and the residuals once
+(`_TablePass`) for all three checkers.
 """
 
 from __future__ import annotations
@@ -257,6 +259,7 @@ _LAWS = tuple((kind, doms, weight, tuple(_parse_term(*t) for t in terms))
     ("odd_deriv", "ELO", 1, ((1, "(01)2"), (-1, "(02)1"), (-1, "0(12)"))),
     ("odd_deriv", "OLO", 1, ((1, "(01)2"), (-1, "(02)1"), (1, "0(12)"))),
 ))
+_DOM_ODD = {"E": (False,), "O": (True,), "L": (False, True)}  # s is odd?
 _AXIOMS = ("assoc", "half_unit", "leibniz", "cyclic")  # of `check_axioms`
 _V2 = ("assoc", "even_comm", "odd_deriv")  # of `check_axioms_v2`
 
@@ -274,72 +277,106 @@ def _integer_table(table: Mapping):
 
 
 def _identity_residuals(space, t: Mapping, kinds, increasing=()) -> dict:
-    """{kind: {instance: {label: int}}}, the residuals of the laws ``kinds``
-    on the integer table T at every instance a nonzero product reaches (for
-    an ``increasing`` law, only at increasing ones, by label order): a
-    term walks T's nonzero products at its inner slots, meets its outer one
-    by T's column (s.(..)) or row ((..).s) and adds into its one instance,
-    in the order of an instance-by-instance sum.  Slots range over the
-    labels of ``space``; T may also hold products of those with labels
+    """{kind: {instance: {label: int}}}, the nonzero residuals of the laws
+    ``kinds`` on the integer table T, by instance in product order (for an
+    ``increasing`` law, only at increasing instances, by label order).
+
+    Slots range over the labels of ``space``, numbered by position, and the
+    output labels are numbered by first appearance, so an (instance,
+    output) pair is one int, (position triple) * n_out + output.  A term
+    walks T's nonzero products at its inner slots and meets its outer one
+    by T's column (s.(..)) or row ((..).s), tabulated once per side, slot
+    domain and slot place as (s * weight of the place + output, T's
+    entry); it adds into one flat {int: int} per law, in the order of an
+    instance-by-instance sum, and only the nonzero sums are mapped back to
+    labels.  T may also hold products of the slot labels with labels
     beyond them (a window's closure table), which are read only as outer
     products."""
-    every, odd = {*space.even, *space.odd}, set(space.odd)
-    member = {"E": set(space.even), "O": odd, "L": every}
-    nonzero = [(a, b, v) for a, row in t.items() for b, v in row.items() if v]
-    # (right, s is odd) -> {l: [(s, T[s][l])]} (right 0) or
-    # {l: [(s, T[l][s])]} (right 1), s a slot label
+    labels = (*space.even, *space.odd)
+    n, n_even = len(labels), len(space.even)
+    pos = {l: k for k, l in enumerate(labels)}
+    outs: dict = {}  # output label -> its number, by first appearance
+    # (right, s is odd) -> {l: [(s, its position, T[s][l])]} (right 0) or
+    # {l: [(s, its position, T[l][s])]} (right 1), T's entry numbered
     index: dict = {(r, p): {} for r in (0, 1) for p in (False, True)}
-    for a, b, v in nonzero:
-        if a in every:
-            index[0, a in odd].setdefault(b, []).append((a, v))
-        if b in every:
-            index[1, b in odd].setdefault(a, []).append((b, v))
-    nonzero = [ab for ab in nonzero if ab[0] in every and ab[1] in every]
-    is_odd = {"E": (False,), "O": (True,), "L": (False, True)}  # per domain
-    pairs: dict = {}  # (dom, dom) -> the nonzero products a.b, a and b in them
-    reached = {kind: defaultdict(dict) for kind in kinds}
+    inner = []  # (a, b, their positions, a.b) for slot labels a, b
+    for a, row in t.items():
+        pa = pos.get(a, -1)
+        for b, v in row.items():
+            pb = pos.get(b, -1)
+            if not v or pa < 0 and pb < 0:
+                continue
+            prod = [(outs.setdefault(o, len(outs)), z) for o, z in v.items()]
+            if pa >= 0:
+                index[0, pa >= n_even].setdefault(b, []).append((a, pa, prod))
+                if pb >= 0:
+                    inner.append((a, b, pa, pb, v))
+            if pb >= 0:
+                index[1, pb >= n_even].setdefault(a, []).append((b, pb, prod))
+    weight = (n * n * len(outs), n * len(outs), len(outs))  # per slot place
+    dom_pos = {"E": range(n_even), "O": range(n_even, n), "L": range(n)}
+    tables: dict = {}  # (right, dom, place) -> {l: [(s, key part, z)]}
+    pairs: dict = {}  # (dom, dom) -> the inner products in them
+    found: dict = {kind: {} for kind in kinds}
     for kind, doms, _, terms in (law for law in _LAWS if law[0] in kinds):
-        found, inc = reached[kind], kind in increasing
-        for c, right, slots, place in terms:
-            do, di, dj = (doms[s] for s in slots)
+        acc, inc = found[kind], kind in increasing
+        get = acc.get
+        for c, right, (so, si, sj), place in terms:
+            do, di, dj = doms[so], doms[si], doms[sj]
+            if (right, do, so) not in tables:
+                w, tab = weight[so], {}
+                for p in _DOM_ODD[do]:
+                    for l, hits in index[right, p].items():
+                        row = [(s, ps * w + o, z) for s, ps, prod in hits
+                               for o, z in prod]
+                        tab[l] = tab[l] + row if l in tab else row
+                tables[right, do, so] = tab
             if (di, dj) not in pairs:
-                pairs[di, dj] = [ab for ab in nonzero if ab[0] in member[di]
-                                 and ab[1] in member[dj]]
-            outers = [index[right, p] for p in is_odd[do]]
-            for a, b, v in pairs[di, dj]:
-                for l, w in v.items():
-                    cw = c * w
-                    for outer in outers:
-                        for s, prod in outer.get(l, ()):
-                            key = place((s, a, b))
-                            if inc and not key[0] < key[1] < key[2]:
-                                continue
-                            acc = found[key]
-                            for out, z in prod.items():
-                                acc[out] = acc.get(out, 0) + cw * z
-    return reached
+                pairs[di, dj] = [ab for ab in inner if ab[2] in dom_pos[di]
+                                 and ab[3] in dom_pos[dj]]
+            tab, wi, wj = tables[right, do, so], weight[si], weight[sj]
+            for a, b, pa, pb, v in pairs[di, dj]:
+                base = pa * wi + pb * wj
+                for l, x in v.items():
+                    hits = tab.get(l)
+                    if not hits:
+                        continue
+                    if inc:
+                        hits = [h for h in hits
+                                if (i := place((h[0], a, b)))[0] < i[1] < i[2]]
+                    cx = c * x
+                    for _, k, z in hits:
+                        k += base
+                        acc[k] = get(k, 0) + cx * z
+    n_out, names = len(outs), list(outs)
+    for kind, acc in found.items():
+        by_inst: dict = {}
+        for k in [k for k, z in acc.items() if z]:
+            q, o = divmod(k, n_out)
+            by_inst.setdefault(q, {})[names[o]] = acc[k]
+        found[kind] = {(labels[q // n // n], labels[q // n % n],
+                        labels[q % n]): by_inst[q] for q in sorted(by_inst)}
+    return found
 
 
 def _identity_reports(space, t: Mapping, kinds, residual,
                       increasing=()) -> dict:
     """{kind: CheckReport} of the laws ``kinds`` on the integer table T from
-    one scatter (`_identity_residuals`): an instance no product reaches is
-    a checked zero, counted but not evaluated, and a nonzero one is a
-    violation, residual(acc, weight).  An ``increasing`` law has C(|O|, 3)
-    instances."""
-    pos = {l: k for k, l in enumerate((*space.even, *space.odd))}
-    size = {"E": len(space.even), "O": len(space.odd), "L": len(pos)}
-    reports = {kind: CheckReport(kind) for kind in kinds}
+    the nonzero residuals of one scatter (`_identity_residuals`), in product
+    order: each is a violation, residual(acc, weight), and every other
+    instance is a checked zero, counted in closed form and not evaluated.
+    An ``increasing`` law has C(|O|, 3) instances."""
+    size = {"E": len(space.even), "O": len(space.odd)}
+    size["L"] = size["E"] + size["O"]
+    reports = {}
     for kind, found in _identity_residuals(space, t, kinds,
                                            increasing).items():
         laws = [law for law in _LAWS if law[0] == kind]
-        rep, bad = reports[kind], sorted(  # in product order
-            ([pos[l] for l in inst], inst) for inst, acc in found.items()
-            if any(acc.values()))
+        rep = reports[kind] = CheckReport(kind)
         rep.checked = (math.comb(size["O"], 3) if kind in increasing else sum(
             math.prod(map(size.get, law[1])) for law in laws))
-        rep.violations = [Violation(kind, i, residual(found[i], laws[0][2]))
-                          for _, i in bad]
+        rep.violations = [Violation(kind, inst, residual(acc, laws[0][2]))
+                          for inst, acc in found.items()]
     return reports
 
 
@@ -361,20 +398,23 @@ class _TablePass:
     @cached_property
     def table(self) -> CheckReport:
         """Graded commutativity and grading closure of every ordered pair,
-        evaluated where a.b or b.a is nonzero: every other pair is a checked
-        zero of both laws, counted but not visited."""
+        evaluated where a.b or b.a is nonzero and recorded where they fail:
+        every other pair is a checked zero of both laws, counted but not
+        visited."""
         rep, sp, t = CheckReport("table"), self.space, self.t
         pos = {l: k for k, l in enumerate(sp.labels())}
         pairs = {pair for a, row in t.items() for b, v in row.items() if v
                  and a in pos and b in pos for pair in ((a, b), (b, a))}
         for a, b in sorted(pairs, key=lambda ab: (pos[ab[0]], pos[ab[1]])):
-            ab, ba = t[a][b], t[b][a]
+            ab, ba = t.get(a, {}).get(b, {}), t.get(b, {}).get(a, {})
             sign = (-1) ** (sp.parity(a) * sp.parity(b))
             res = {l: ab.get(l, 0) - sign * ba.get(l, 0) for l in {*ab, *ba}}
-            rep.record("commutativity", (a, b), self.residual(res, self.d))
             want = (sp.parity(a) + sp.parity(b)) % 2
             bad = {l: c for l, c in ab.items() if sp.parity(l) != want}
-            rep.record("grading", (a, b), self.residual(bad, self.d))
+            rep.violations += [
+                Violation(kind, (a, b), self.residual(v, self.d))
+                for kind, v in (("commutativity", res), ("grading", bad))
+                if any(v.values())]
         rep.checked = 2 * len(pos) ** 2
         return rep
 

@@ -252,15 +252,34 @@ def _perm_sign(perm) -> int:
 
 def _canonical_ys(space, ys):
     """Sort odd labels into the basis order; returns (sorted tuple, sign) or
-    (None, 0) when a label repeats.  The sign is that of the sort, read off
-    the inversions of the labels' indices."""
-    if len(ys) < 2:
+    (None, 0) when a label repeats.  Two and three labels are sorted by
+    direct comparisons of their indices; a longer tuple reads its sign off
+    the inversions of the indices."""
+    n = len(ys)
+    if n < 2:
         return tuple(ys), 1
-    if len(ys) == 2:
-        i, j = space.index(ys[0]), space.index(ys[1])
-        return ((tuple(ys), 1) if i < j else ((ys[1], ys[0]), -1) if i > j
-                else (None, 0))
-    idx = [space.index(y) for y in ys]
+    index = space.index
+    if n == 2:
+        a, b = ys
+        i, j = index(a), index(b)
+        return ((a, b), 1) if i < j else ((b, a), -1) if i > j else (None, 0)
+    if n == 3:
+        a, b, c = ys
+        i, j, k = index(a), index(b), index(c)
+        if i < j:
+            if j < k:
+                return (a, b, c), 1
+            if i < k:
+                return ((a, c, b), -1) if k < j else (None, 0)
+            return ((c, a, b), 1) if k < i else (None, 0)
+        if j < i:
+            if i < k:
+                return (b, a, c), -1
+            if j < k:
+                return ((b, c, a), 1) if k < i else (None, 0)
+            return ((c, b, a), -1) if k < j else (None, 0)
+        return None, 0
+    idx = [index(y) for y in ys]
     sign = 1
     for i, j in itertools.combinations(idx, 2):
         if i >= j:

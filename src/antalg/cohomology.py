@@ -364,9 +364,9 @@ def _materialise_delta(coch: Cochain, components) -> Cochain:
     mul = coch.alg.products.get
     ctx = DeltaContext(coch.alg_space, coch.mod_space,
                        lambda a, b: mul((a, b), {}), coch.mod.act)
-    targets = CochainBasis(coch.alg, coch.mod, coch.degree + 1)
     blocks: dict = {}
-    for (P, Q), instances in targets.instances.items():
+    for (P, Q), instances in _cochain_instances(
+            coch.alg, coch.mod, coch.degree + 1).items():
         comps = _live_components(coch, P, Q, components)
         if comps:
             blocks[P, Q] = {inst: delta_instance(ctx, coch, P, Q, *inst, comps)
@@ -428,6 +428,18 @@ def _cochain_keys(k, even, odd, outputs) -> list:
             for xs, ys in itertools.product(itertools.product(even, repeat=p),
                                             itertools.combinations(odd, k - p))
             for out in outputs(k - p, xs, ys)]
+
+
+def _cochain_instances(alg, mod, k) -> dict:
+    """{(p, q): [(xs, ys)]}, the instances of C^k that carry a key, in
+    basis order: `_cochain_keys` with one output label per instance, so no
+    key is enumerated or indexed."""
+    outs = (mod.space.even[:1], mod.space.odd[:1])
+    blocks: dict = {}
+    for p, q, xs, ys, _ in _cochain_keys(k, alg.space.even, alg.space.odd,
+                                         lambda q, xs, ys: outs[q % 2]):
+        blocks.setdefault((p, q), []).append((xs, ys))
+    return blocks
 
 
 class CochainBasis:

@@ -41,6 +41,7 @@ from antalg.cohomology import (
 )
 from antalg.core import (GradedSpace, Vector, parse_algebra_file,
                          parse_algebra_text)
+from antalg.brackets import _perm_sign
 from antalg.zoo import DictVec, WindowCochain
 
 F = Fraction
@@ -90,24 +91,25 @@ def test_cochain_add_rejects_a_degree_mismatch():
 
 
 def _sort_path(space, ys):
-    """Odd labels sorted into basis order, with the sign of the sort, by
-    sorting and counting inversions; (None, 0) on a repeated label."""
-    idx = [space.index(y) for y in ys]
-    if len(set(idx)) < len(idx):
+    """Odd labels ordered by ``space.index``, with the sign (`_perm_sign`)
+    of the sorting permutation; (None, 0) when a label repeats."""
+    if len(set(ys)) < len(ys):
         return None, 0
-    inversions = sum(idx[i] > idx[j]
-                     for i, j in itertools.combinations(range(len(idx)), 2))
-    return tuple(sorted(ys, key=space.index)), (-1) ** inversions
+    perm = sorted(range(len(ys)), key=lambda i: space.index(ys[i]))
+    return tuple(ys[i] for i in perm), _perm_sign(perm)
 
 
 def test_canonical_odd_order_matches_the_sort_path():
-    """Every tuple of length 0 to 3 over a (1|3) basis, repeats included,
-    sorts as the sort path does, also where the short-tuple path returns
-    early."""
-    space = GradedSpace(["x"], ["c", "a", "b"])
-    for n in range(4):
-        for ys in itertools.product(space.odd, repeat=n):
-            assert _canonical_ys(space, ys) == _sort_path(space, ys), ys
+    """Every tuple of length 0 to 4 over four odd labels, repeats included,
+    on a (1|4) basis and on the conformal basis of (family, index) labels,
+    sorts as the sort path does: the closed-form sorts of two and three
+    labels and the inversion count of four."""
+    for space, odd in (
+            (GradedSpace(["x"], ["d", "c", "a", "b"]), ("d", "c", "a", "b")),
+            (zoo._CONF_BASIS, tuple(("a", F(k, 2)) for k in (3, -1, 1, -3)))):
+        for n in range(5):
+            for ys in itertools.product(odd, repeat=n):
+                assert _canonical_ys(space, ys) == _sort_path(space, ys), ys
 
 
 def test_random_cochain_reproducibility():

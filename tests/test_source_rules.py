@@ -36,9 +36,12 @@ trees:
   its keys to `CochainBasis.from_keys` and builds no `SimpleNamespace`,
   and no `_target_shapes` is left beside it;
 - the identity checkers read their residuals from the one scatter over the
-  nonzero products, `antialgebra._identity_residuals`: no per-instance
-  helper (`_left`, `_right`) is left beside it, and `check_axioms_v2` and
-  `zoo._conf_axiom_report` enumerate no instances themselves;
+  nonzero products, `antialgebra._identity_residuals`, which sums each
+  law on flat int keys and returns the nonzero residuals alone, in
+  product order: no per-instance helper (`_left`, `_right`) is left
+  beside it, `check_axioms_v2` and `zoo._conf_axiom_report` enumerate no
+  instances themselves, and `_identity_reports` neither filters nor sorts
+  what the scatter returns (no `any`, no `sorted`);
 - the eta suite's coboundary reports run on ints: `zoo._delta_report`
   names no exact scalar and divides nowhere but in its one call of
   `core.divided`;
@@ -204,6 +207,11 @@ def test_the_identity_checkers_read_one_scatter():
     assert "_identity_reports" in set(_called_names(conf))
     for node in (v2, conf):  # no instance loop, no record per instance
         assert not {"product", "record"} & set(_called_names(node))
+
+
+def test_the_identity_reports_read_only_nonzero_residuals():
+    reports = _functions("antialgebra.py")["_identity_reports"]
+    assert not {"any", "sorted"} & set(_called_names(reports))
 
 
 def test_m_is_read_off_the_table():
