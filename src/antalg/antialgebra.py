@@ -208,7 +208,7 @@ class ModuleStructure:
         table: dict = {}
         for (a, b), coeffs in action.items():
             want = (base.space.parity(a) + space.parity(b)) % 2
-            cleaned = {l: scalar(c) for l, c in coeffs.items() if scalar(c)}
+            cleaned = {l: s for l, c in coeffs.items() if (s := scalar(c))}
             for l in cleaned:
                 if space.parity(l) != want:
                     raise ValueError(

@@ -53,10 +53,6 @@ _VERIFY = {
     "m1-axioms": (zoo.verify_m1_axioms, 4),
 }
 
-# the least window radius each suite accepts
-_MIN_WINDOW = {"gamma": 2, "eta": 2, "gf": 3, "dual-gf": 3, "gv": 3,
-               "ak1-axioms": 1, "m1-axioms": 1}
-
 
 class InputError(Exception):
     pass
@@ -164,8 +160,8 @@ def _suite_window(suite: str, window) -> tuple:
     """The suite's function and the window radius to run it at."""
     fn, default_n = _VERIFY[suite]
     n = default_n if window is None else window
-    if n < _MIN_WINDOW[suite]:
-        raise InputError(f"--window must be >= {_MIN_WINDOW[suite]} "
+    if n < zoo._MIN_WINDOW[suite]:
+        raise InputError(f"--window must be >= {zoo._MIN_WINDOW[suite]} "
                          f"for {suite}, got {n}")
     return fn, n
 

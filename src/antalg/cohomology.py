@@ -11,12 +11,12 @@ generator of signed terms (`delta10_terms`, `delta01_terms`,
 cochain is only read at basis labels (`Cochain.value`): where a formula
 feeds it a product, the product's labels give one term each.
 
-Every scalar of a formula comes from its `DeltaContext`, so the same
-formulas run exactly or on integers (`zoo`'s eta reports).  delta^k is
-held on integers, over the scale 2*D*L_k, D the common denominator of
-the products and the action and L_k = lcm(1, .., k+1).  One core
-(`_delta_between`) assembles it between any two `CochainBasis`es, from
-integer products and an integer action: `apply_delta_component` on the
+`DeltaContext` is the one place for delta's scalars and integer scale,
+so the formulas run exactly or on integers (`zoo`'s eta reports).  delta^k
+is held on integers, in the context of degree k: over the scale 2*D*L_k,
+D the common denominator of the products and the action and L_k =
+lcm(1, .., k+1).  One core (`_delta_between`) assembles it between any
+two `CochainBasis`es, in that context: `apply_delta_component` on the
 unit cochains of the source keys (`_UnitCochains`) scatters each key
 through the transpose of each term of that component's formula, over the
 nonzero products and actions, so a column costs what its nonzero
@@ -96,20 +96,29 @@ class DeltaContext:
                        label: the action on the even component, minus the
                        action on the odd one.
 
-    The formulas' scalars are ``half``, ``one``, the unit sign ``unit`` and
-    the block norms ``norm(n, d)`` = n/d.  Given a positive ``lcm``, which
-    every norm denominator divides, they are 2*lcm times these, all
-    integers; the default 0 keeps them exact.
+    The scalars of delta, ``half``, ``one``, the unit sign ``unit`` and the
+    block norms (`norm`), are written here alone.  At a positive ``degree``
+    k they are 1, 2, L_k = lcm(1, .., k+1) and L_k times the norms, so each
+    term is ``scale`` = 2*L_k times its value; the default 0 keeps them exact.
     """
 
-    def __init__(self, alg, mod, mul, act, lcm=0):
+    def __init__(self, alg, mod, mul, act, *, degree=0):
         self.alg, self.mod, self.mul, self.act = alg, mod, mul, act
-        self.lcm = lcm
-        self.half, self.one, self.unit = (1, 2, lcm) if lcm else (HALF, ONE, 1)
+        self.degree, lcm = degree, math.lcm(*range(1, degree + 2))
+        self.half, self.one, self.unit, self.scale = (
+            (1, 2, lcm, 2 * lcm) if degree else (HALF, ONE, 1, 1))
         self._weighted: dict = {}  # m_alg by label pair
 
-    def norm(self, n, d):
-        return n * self.lcm // d if self.lcm else Fraction(n, d)
+    def norm(self, component, p, q):
+        """The norm n/d of ``component`` from the block (p, q): 1/q for (1,0),
+        2/(q+1) for (0,1) at p = 0 and q odd, else 1/(q+1), 2/((q+1)(q+2))
+        for (-1,2).  On integers n*L_k/d: ValueError if d does not divide."""
+        n, d = ((1, q) if component == (1, 0) else
+                (2 if p == 0 and q % 2 else 1, q + 1) if component == (0, 1)
+                else (2, (q + 1) * (q + 2)))
+        if self.degree and n * self.unit % d:
+            raise ValueError(f"{n}/{d} is no norm of degree {self.degree}")
+        return n * self.unit // d if self.degree else Fraction(n, d)
 
     def m_alg(self, a, b):
         if (a, b) not in self._weighted:
@@ -274,7 +283,7 @@ def delta10_terms(ctx: DeltaContext, coch, p, q, xs, ys):
       + (-1)^p m(c(x0..x_{p-1}), xp)                        if q = 0
       + (1/q) sum_j (-1)^{p+j} c(x0..x_{p-1}; m(xp,yj), ys\\yj)   if q > 0
     """
-    u = ctx.unit
+    u, norm = ctx.unit, q and ctx.norm((1, 0), p, q)
     yield -u, ctx.m_x_val(xs[0], coch.value(p, q, xs[1:], ys))
     for i in range(p):
         yield from _through(
@@ -284,7 +293,7 @@ def delta10_terms(ctx: DeltaContext, coch, p, q, xs, ys):
         yield (-1) ** p * u, ctx.m_x_val(xs[p], coch.value(p, q, xs[:p], ()))
     for j in range(q):
         yield from _through(
-            (-1) ** (p + j) * ctx.norm(1, q), ctx.m_alg(xs[p], ys[j]),
+            (-1) ** (p + j) * norm, ctx.m_alg(xs[p], ys[j]),
             lambda l: coch.value(p, q, xs[:p], (l,) + ys[:j] + ys[j + 1:]))
 
 
@@ -295,7 +304,7 @@ def delta01_terms(ctx: DeltaContext, coch, p, q, xs, ys):
       (2/(q+1)) sum_j (-1)^j     m(c(ys\\yj), yj)        if p = 0, q odd
       (1/(q+1)) sum_j (-1)^{p+j} m(c(xs; ys\\yj), yj)    otherwise
     """
-    norm = ctx.norm(2 if p == 0 and q % 2 == 1 else 1, q + 1)
+    norm = ctx.norm((0, 1), p, q)
     for j in range(q + 1):
         yield (-1) ** (p + j) * norm, ctx.m_val_y(
             coch.value(p, q, xs, ys[:j] + ys[j + 1:]), ys[j])
@@ -308,7 +317,7 @@ def delta_12_terms(ctx: DeltaContext, coch, p, q, xs, ys):
       (2/((q+1)(q+2))) sum_{i<j} (-1)^{p+i+j}
                        c(xs, m(yi,yj); ys\\{yi,yj})
     """
-    norm = ctx.norm(2, (q + 1) * (q + 2))
+    norm = ctx.norm((-1, 2), p, q)
     for i, j in itertools.combinations(range(q + 2), 2):
         rest = ys[:i] + ys[i + 1:j] + ys[j + 1:]
         yield from _through((-1) ** (p + i + j) * norm, ctx.m_alg(ys[i], ys[j]),
@@ -532,45 +541,47 @@ class DifferentialMatrix:
 
 class _UnitCochains:
     """The unit cochains of the source keys (p, q, xs, ys, l) of delta^k,
-    all at once, in the integer context of `_delta_between`: what
+    all at once, in the integer `DeltaContext` of `_delta_between`: what
     `apply_delta_component` scatters into one sparse column per key.  It
     is no `Cochain`; it holds the tables the scatter reads, over the labels
     that the target keys carry (a term through any other label meets no
-    target key).  A product a.b = z is one of ``mul``'s nonzero products,
-    inverted by output: even.even, even.odd and odd pairs a < b.  x.l and
-    y.l are ``act``'s nonzero actions on each source output label l, split
-    by the actor's parity.  Both are weighted by the formulas' integer
-    scalars (half = 1, one = 2)."""
+    target key).  A product a.b = z is one of the context's nonzero
+    products, inverted by output: even.even, even.odd and odd pairs a < b.
+    x.l and y.l are its nonzero actions on each source output label l,
+    split by the actor's parity.  Both carry the context's scalars, as its
+    `m_alg`, `m_x_val` and `m_val_y` weigh them."""
 
-    def __init__(self, k, source, target, basis, parity, mul, act):
-        self.degree, self.keys = k, source.keys
-        self.lcm = math.lcm(*range(1, k + 2))  # q, q+1, (q+1)(q+2) | lcm
+    def __init__(self, ctx, source, target):
+        self.degree, self.keys, self._unit = ctx.degree, source.keys, ctx.unit
+        self._norm = functools.cache(ctx.norm)  # one call per source block
         self._index = target._index
         even, odd = {}, {}  # the labels the target keys carry, in key order
         for instances in target.instances.values():
             for xs, ys in instances:
                 even.update(dict.fromkeys(xs))
                 odd.update(dict.fromkeys(ys))
-        self._rank = rank = {y: basis.index(y) for y in odd}
+        self._rank = rank = {y: ctx.alg.index(y) for y in odd}
         # product output -> [(a, b, weighted int)]
         self._ee, self._eo, self._oo = ee, eo, oo = {}, {}, {}
-        for table, lefts, rights, w in ((ee, even, even, 1),
-                                        (eo, even, odd, 2), (oo, odd, odd, 2)):
+        for table, lefts, rights, w in ((ee, even, even, ctx.half),
+                                        (eo, even, odd, ctx.one),
+                                        (oo, odd, odd, ctx.one)):
             for a in lefts:
                 for b in rights:
                     if table is not oo or rank[a] < rank[b]:
-                        for z, c in mul(a, b).items():
+                        for z, c in ctx.mul(a, b).items():
                             table.setdefault(z, []).append((a, b, w * c))
         # module label -> ([(even actor, o, weighted int)], [(odd actor, ..)])
         self._actions = {}
         for l in dict.fromkeys(key[4] for key in self.keys):
             # half|one on an even output, one|-one on an odd one
-            w0, w1 = (1, 2) if parity(l) == 0 else (2, -2)
+            w0, w1 = ((ctx.half, ctx.one) if ctx.mod.parity(l) == 0
+                      else (ctx.one, -ctx.one))
             self._actions[l] = tuple([(a, o, w * c) for a in actors
-                                      for o, c in act(a, l).items()]
+                                      for o, c in ctx.act(a, l).items()]
                                      for actors, w in ((even, w0), (odd, w1)))
         # the ranks of each key's ys, increasing
-        self._at = [[basis.index(y) for y in key[3]] for key in self.keys]
+        self._at = [[ctx.alg.index(y) for y in key[3]] for key in self.keys]
 
     def columns(self, comp) -> list:
         """Component ``comp`` of delta of each unit cochain, in key order:
@@ -605,16 +616,17 @@ class _UnitCochains:
     #                                    a, b inserted into ys at i < j
 
     def _push10(self, p, q, xs, ys, l, at):
-        lcm, rank, terms = self.lcm, self._rank, []
+        u, n10 = self._unit, q and self._norm((1, 0), p, q)
+        rank, terms = self._rank, []
         for x, o, c in self._actions[l][0]:  # the action at the first slot
-            terms.append(((p + 1, q, (x,) + xs, ys, o), -lcm * c))
+            terms.append(((p + 1, q, (x,) + xs, ys, o), -u * c))
             if q == 0:  # and at the last
                 terms.append(((p + 1, 0, xs + (x,), (), o),
-                              (-1) ** p * lcm * c))
+                              (-1) ** p * u * c))
         for i, z in enumerate(xs):  # an even product into slot i
             for a, b, c in self._ee.get(z, ()):
                 terms.append(((p + 1, q, xs[:i] + (a, b) + xs[i + 1:], ys, l),
-                              (-1) ** i * lcm * c))
+                              (-1) ** i * u * c))
         for r, z in enumerate(ys):  # a mixed product out of ys
             rest, at_rest = ys[:r] + ys[r + 1:], at[:r] + at[r + 1:]
             for x, y, c in self._eo.get(z, ()):
@@ -622,11 +634,11 @@ class _UnitCochains:
                 if at_rest[i:i + 1] != [rank[y]]:
                     terms.append(((p + 1, q, xs + (x,),
                                    rest[:i] + (y,) + rest[i:], l),
-                                  (-1) ** (p + i + r) * (lcm // q) * c))
+                                  (-1) ** (p + i + r) * n10 * c))
         return terms
 
     def _push01(self, p, q, xs, ys, l, at):
-        n01 = (2 if p == 0 and q % 2 else 1) * self.lcm // (q + 1)
+        n01 = self._norm((0, 1), p, q)
         rank, terms = self._rank, []
         for y, o, c in self._actions[l][1]:  # the odd action, y inserted
             i = bisect.bisect_left(at, rank[y])
@@ -636,7 +648,7 @@ class _UnitCochains:
         return terms
 
     def _push_12(self, p, q, xs, ys, l, at):
-        n12 = 2 * self.lcm // ((q + 1) * (q + 2))
+        n12 = p and self._norm((-1, 2), p, q)
         rank, terms = self._rank, []
         for a, b, c in self._oo.get(xs[-1], ()) if p else ():
             i = bisect.bisect_left(at, rank[a])
@@ -650,27 +662,25 @@ class _UnitCochains:
     _PUSH = {(1, 0): _push10, (0, 1): _push01, (-1, 2): _push_12}
 
 
-def _delta_between(k, source, target, basis, parity, mul, act, d):
+def _delta_between(ctx, source, target, d):
     """delta^k between the `CochainBasis`es ``source`` of C^k and
     ``target`` of C^{k+1}, of a finite structure or of any key lists
-    (`CochainBasis.from_keys`), on integers.  ``mul`` and ``act`` are D
-    times the products and the action, on the algebra ``basis`` and the
-    module ``parity``, and with L_k = lcm(1, .., k+1) the scale
-    S = 2*D*L_k makes S*delta^k an integer matrix: the context's scalars
-    half, one, unit and norm(n, d) are 1, 2, L_k and n*L_k/d.  Column j of
-    a component is that component applied to the j-th unit cochain, each
-    source key scattered through the transpose of the component's pull
-    terms (`_UnitCochains`); an entry's blocks fix its one component, so
-    no two components write the same entry.  The columns come through
+    (`CochainBasis.from_keys`), in the integer `DeltaContext` ``ctx`` of
+    degree k.  Its products and action are D = ``d`` times the structure's,
+    so S = D * ``ctx.scale`` makes S*delta^k an integer matrix.  Column j
+    of a component is that component applied to the j-th unit cochain,
+    each source key scattered through the transpose of the component's
+    pull terms (`_UnitCochains`); an entry's blocks fix its one component,
+    so no two components write the same entry.  The columns come through
     `apply_delta_component`, one call per component, because the
     benchmark's per-degree assembly spans wrap that name."""
-    units = _UnitCochains(k, source, target, basis, parity, mul, act)
+    units = _UnitCochains(ctx, source, target)
     rows = [{} for _ in target.keys]
     for component in COMPONENTS:
         for j, col in enumerate(apply_delta_component(units, component)):
             for row, c in col.items():
                 rows[row][j] = c
-    return DifferentialMatrix(k, source, target, rows, 2 * d * units.lcm)
+    return DifferentialMatrix(ctx.degree, source, target, rows, d * ctx.scale)
 
 
 def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
@@ -682,10 +692,10 @@ def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
                            for c in v.values())
     mul, rho = ({ab: as_integers(v.items(), d) for ab, v in t.items()}
                 for t in tables)
-    return _delta_between(k, source or CochainBasis(alg, mod, k),
-                          CochainBasis(alg, mod, k + 1), alg.space,
-                          mod.space.parity, lambda a, b: mul.get((a, b), {}),
-                          lambda a, l: rho.get((a, l), {}), d)
+    ctx = DeltaContext(alg.space, mod.space, lambda a, b: mul.get((a, b), {}),
+                       lambda a, l: rho.get((a, l), {}), degree=k)
+    return _delta_between(ctx, source or CochainBasis(alg, mod, k),
+                          CochainBasis(alg, mod, k + 1), d)
 
 
 def assemble_complex(alg, mod, kmax, verify=True) -> list:

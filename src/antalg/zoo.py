@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -201,6 +200,16 @@ def w1_bracket(u, v) -> dict:
 # windows
 # ---------------------------------------------------------------------------
 
+# the least window radius of each suite by name, which `cli` reads too
+_MIN_WINDOW = {"gamma": 2, "eta": 2, "gf": 3, "dual-gf": 3, "gv": 3,
+               "ak1-axioms": 1, "m1-axioms": 1}
+
+
+def _require_window(suite: str, N: int) -> None:
+    if N < (least := _MIN_WINDOW[suite]):
+        raise ValueError(f"the window must have radius >= {least}")
+
+
 class WindowedAlgebra:
     """A window of one of the infinite families: ``even`` and ``odd`` list
     its labels by index, ``even2`` and ``odd2`` their int keys in the same
@@ -239,6 +248,7 @@ def _conf_axiom_report(kind: str, N: int) -> CheckReport:
     lies in the 2N window, so the table holds 4d times the products of the
     window labels with the 2N window labels and of those with the window
     labels, on int keys and ints (d = 1 for the conformal product)."""
+    _require_window(f"{kind}-axioms", N)
     w = WindowedAlgebra(kind, N)
     window, wide = set(w.labels2()), WindowedAlgebra(kind, 2 * N).labels2()
     table = {u: {v: _conf_mul4(u, v) for v in (
@@ -297,6 +307,9 @@ _CONF_BASIS = SimpleNamespace(parity=conf_parity, index=lambda label: label[1],
 # the key itself.
 _INT_BASIS = SimpleNamespace(parity=lambda k: k & 1, index=lambda k: k,
                              vector=DictVec)
+# eta's integer context by degree: m1 on its floored dual, times 4, int keys
+_m1_ctx = functools.partial(DeltaContext, _INT_BASIS, _INT_BASIS, _conf_mul4,
+                            functools.partial(_dual_act4, True))
 
 
 def _sort_ys(ys):
@@ -381,8 +394,7 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
        if its weight-0 part c eps*_0 does; one exact solve for c against
        gamma at the window labels decides (`_gamma_nontrivial`).
     """
-    if N < 2:
-        raise ValueError("the window must have radius >= 2")
+    _require_window("gamma", N)
     rep = CheckReport(f"gamma-cocycle[N={N}]")
     w = WindowedAlgebra("ak1", N)
     # gamma on the 2N window, which holds every product of two window
@@ -523,9 +535,8 @@ def _m1_delta1(weights: tuple):
     ``weights`` (`_m1_slice`), by `cohomology._delta_between`.  The last
     one built is kept, so the five targets of a `verify eta` run, all of
     weight 0, share one matrix; its callers only read it."""
-    return _delta_between(1, _m1_slice(1, weights), _m1_slice(2, weights),
-                          _INT_BASIS, _INT_BASIS.parity, _conf_mul4,
-                          functools.partial(_dual_act4, True), 4)
+    return _delta_between(_m1_ctx(degree=1), _m1_slice(1, weights),
+                          _m1_slice(2, weights), 4)
 
 
 def eta_coboundary_solve(N: int, target: WindowCochain):
@@ -563,20 +574,17 @@ def eta_coboundary_solve(N: int, target: WindowCochain):
 
 def _delta_report(coch, shapes, window, kind_prefix, target=None):
     """A report of delta coch (minus ``target``) on every instance of the
-    given shapes from ``window``, on int keys and ints: 4 times the
-    products and the action go into the integer `DeltaContext` of L_k =
-    lcm(1, .., k+1), k the degree, and the cochain and target times their
-    common denominator D_c, so S = 2 * 4 * L_k * D_c times each residual
-    is an integer dict.  Only the `_live_components` of the cochain are
+    given shapes from ``window``, on int keys and ints: in the `_m1_ctx`
+    of the cochain's degree, with the cochain and target times their common
+    denominator D_c, S = 4 * ``ctx.scale`` * D_c times each residual is an
+    integer dict.  Only the `_live_components` of the cochain are
     evaluated; only a nonzero residual, a violation, is divided by S."""
     rep = CheckReport("inner")
-    lcm = math.lcm(*range(1, coch.degree + 2))
-    ctx = DeltaContext(_INT_BASIS, _INT_BASIS, _conf_mul4,
-                       functools.partial(_dual_act4, True), lcm)
+    ctx = _m1_ctx(degree=coch.degree)
     d = common_denominator(
         c for x in (coch, target) if x for pq in x.shapes()
         for v in x.block(*pq).values() for c in v.c.values())
-    scale = 8 * lcm * d
+    scale = 4 * ctx.scale * d
     icoch = _doubled_cochain(coch, d)
     itarget = target and _doubled_cochain(target, scale)
     for (P, Q) in shapes:
@@ -622,8 +630,7 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
     `delta_instance`, on int keys and ints (`_delta_report`), so the
     witness check shares no code with the matrix's scatter.
     """
-    if N < 2:
-        raise ValueError("the window must have radius >= 2")
+    _require_window("eta", N)
     rep = CheckReport(f"eta-family[N={N}]")
     rep.extras["coboundary_line"] = "lam = mu/2"
     w = WindowedAlgebra("m1", N)
@@ -702,8 +709,7 @@ def verify_super_cocycle_gf(N: int = 4, c_fn=None) -> CheckReport:
     The cyclic sum is exactly -(-1)^{|X||Z|} delta c(X,Y,Z), the
     Chevalley-Eilenberg coboundary with trivial coefficients
     (`brackets.lie_coboundary`), on int keys and ints."""
-    if N < 3:
-        raise ValueError("the window must have radius >= 3")
+    _require_window("gf", N)
     c_fn = c_fn or c_gf
     rep = CheckReport(f"gf-2-cocycle[N={N}]")
     w, big = WindowedAlgebra("k1", N), WindowedAlgebra("k1", 2 * N)
@@ -742,8 +748,7 @@ def verify_dual_gf(N: int = 4, C_fn=None) -> CheckReport:
     global: no skips).  delta C is the Chevalley-Eilenberg coboundary with
     the coadjoint action (`brackets.lie_coboundary`), on int keys and ints.
     A value of ``C_fn`` off the dual labels l*, xi* raises ValueError."""
-    if N < 3:
-        raise ValueError("the window must have radius >= 3")
+    _require_window("dual-gf", N)
     C_fn = C_fn or C_gf_value
     rep = CheckReport(f"gf-dual-1-cocycle[N={N}]")
     w, big = WindowedAlgebra("k1", N), WindowedAlgebra("k1", 2 * N)
@@ -790,8 +795,7 @@ def verify_gv(N: int = 5) -> CheckReport:
     the one pair (l_{-1}, l_1).  Both coboundaries are
     `brackets.lie_coboundary` on int keys and ints, the second of the
     generic beta, whose value is {unknown: +-1}."""
-    if N < 3:
-        raise ValueError("the window must have radius >= 3")
+    _require_window("gv", N)
     rep = CheckReport(f"gv-3-cocycle[N={N}]")
     w, wide = WindowedAlgebra("w1", N), WindowedAlgebra("w1", 2 * N)
     labels, n = w.even, len(w.even)

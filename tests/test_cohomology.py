@@ -1,5 +1,6 @@
 """The coboundary operator, its complex, and the attached solvers."""
 
+import functools
 import itertools
 import random
 import subprocess
@@ -23,6 +24,7 @@ from antalg.cohomology import (
     COMPONENTS,
     Cochain,
     CochainBasis,
+    DeltaContext,
     apply_delta,
     DifferentialMatrix,
     apply_delta_component,
@@ -341,6 +343,120 @@ def test_component_matrices_match_the_unit_cochain_columns():
                         apply_delta_component(unit, comp))
                     assert cols[j] == {i: c for i, c in enumerate(image)
                                        if c}, (mod.name, key, comp)
+
+
+class _Reweighted(DeltaContext):
+    """An integer context whose scalars are not delta's: half 5, one 3,
+    the unit sign 7*L_k and every norm 3 times its own."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.half, self.one, self.unit = 5, 3, 7 * self.unit
+
+    def norm(self, component, p, q):
+        return 3 * super().norm(component, p, q)
+
+
+def _scattered_and_pulled(ctx, source, target, unit):
+    """The columns of `_delta_between` in ``ctx``, and those that
+    `delta_instance` gives in ``ctx`` for each unit cochain ``unit(key)``
+    at every target instance: two lists of {target row: value}."""
+    mat = cohomology._delta_between(ctx, source, target, 1)
+    scattered = [{} for _ in source.keys]
+    for i, row in enumerate(mat.ints):
+        for j, c in row.items():
+            scattered[j][i] = c
+    pulled = [{target.index((P, Q, xs, ys, out)): c
+               for (P, Q), instances in target.instances.items()
+               for xs, ys in instances
+               for out, c in delta_instance(ctx, unit(key), P, Q, xs,
+                                            ys).items() if c}
+              for key in source.keys]
+    return mat, scattered, pulled
+
+
+def test_the_scatter_takes_every_weight_from_its_context():
+    """The matrix scatter holds no weight of its own: in a context whose
+    scalars are not delta's (`_Reweighted`), each column of
+    `_delta_between` is `delta_instance` of its unit cochain in that same
+    context, and the matrix differs from delta's.  On the golden k3n2x
+    with adjoint coefficients and on the weight slices 0 and 2 of m1 with
+    floored dual coefficients, k <= 3."""
+    alg = AntialgebraStructure.from_file_doc(
+        parse_algebra_file(GOLDEN / "k3n2x.alg"))
+    mod = adjoint_module(alg)
+    finite = (alg.space, mod.space,
+              lambda a, b: alg.products.get((a, b), {}),
+              lambda a, l: mod.action.get((a, l), {}))
+    m1 = (zoo._INT_BASIS, zoo._INT_BASIS, zoo._conf_mul4,
+          functools.partial(zoo._dual_act4, True))
+    for k in (1, 2, 3):
+        def window_unit(key):
+            p, q, xs, ys, l = key
+            return WindowCochain(k, {(p, q): {(xs, ys): {l: 1}}},
+                                 zoo._INT_BASIS)
+        for args, source, target, unit in (
+                (finite, CochainBasis(alg, mod, k),
+                 CochainBasis(alg, mod, k + 1), None),
+                (m1, zoo._m1_slice(k, [0, 2]), zoo._m1_slice(k + 1, [0, 2]),
+                 window_unit)):
+            mat, scattered, pulled = _scattered_and_pulled(
+                _Reweighted(*args, degree=k), source, target,
+                unit or source.unit)
+            assert scattered == pulled, (k, source.keys[:1])
+            plain = cohomology._delta_between(
+                DeltaContext(*args, degree=k), source, target, 1)
+            assert mat.ints != plain.ints, (k, source.keys[:1])
+
+
+def test_an_integer_norm_is_never_floored():
+    """A context of degree k holds delta^k's norms n/d as n*L_k/d.  Where
+    d does not divide n*L_k it raises, not floors: a degree-1 context
+    (L = 2) meets delta_01's 1/3 from the block (0,2) of a 2-cochain, in
+    the formulas and in the scatter alike; degree 2 (L = 6) gives 2."""
+    alg = semidirect(ADJ)
+    mod = trivial_module(alg)
+    args = (alg.space, mod.space,
+            lambda a, b: alg.products.get((a, b), {}),
+            lambda a, l: mod.action.get((a, l), {}))
+    low, high = DeltaContext(*args, degree=1), DeltaContext(*args, degree=2)
+    assert (high.norm((0, 1), 0, 2), high.scale) == (2, 12)
+    with pytest.raises(ValueError, match="1/3 is no norm of degree 1"):
+        low.norm((0, 1), 0, 2)
+    ys = tuple(alg.space.odd[:3])
+    c = Cochain(alg, mod, 2, {(0, 2): {((), ys[:2]): {
+        mod.space.even[0]: F(1)}}})
+    with pytest.raises(ValueError, match="1/3 is no norm of degree 1"):
+        delta_instance(low, c, 0, 3, (), ys)
+    with pytest.raises(ValueError, match="1/3 is no norm of degree 1"):
+        cohomology._delta_between(low, CochainBasis(alg, mod, 2),
+                                  CochainBasis(alg, mod, 3), 1)
+
+
+def test_the_benchmark_call_sites_are_reached(monkeypatch):
+    """The benchmark's per-layer spans wrap `apply_delta_component` in
+    `cohomology`, labelled by the ``degree`` of its first argument, and
+    `delta_instance` in `zoo`: a cohomology table calls the first once
+    per component and degree, with that degree, and the eta suite reaches
+    the second."""
+    degrees, instances = [], []
+    component, instance = cohomology.apply_delta_component, zoo.delta_instance
+
+    def recording_component(*args):
+        degrees.append(args[0].degree)
+        return component(*args)
+
+    def recording_instance(*args):
+        instances.append(args[0].degree)
+        return instance(*args)
+
+    monkeypatch.setattr(cohomology, "apply_delta_component",
+                        recording_component)
+    monkeypatch.setattr(zoo, "delta_instance", recording_instance)
+    cohomology_dims(K3, ADJ, 3)
+    assert degrees == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+    zoo.verify_cocycle_eta(2)
+    assert instances and set(instances) <= {1, 2}
 
 
 def test_delta_matrix_columns_match_the_bracket_route():

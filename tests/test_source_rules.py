@@ -7,7 +7,10 @@ trees:
   has no runtime dependencies;
 - the coboundary formulas name no exact scalar: every scalar comes from
   their `DeltaContext`, so the one definition of delta serves both the
-  exact context and the integer one of the matrix assembly;
+  exact context and the integer one of the matrix assembly; L_k is
+  computed in `DeltaContext` alone, which takes its degree (keyword
+  ``degree``, no ``lcm``), and the matrix scatter `_UnitCochains` names no
+  lcm;
 - the Lie-side suites take their coboundaries from the one
   Chevalley-Eilenberg engine, `brackets.lie_coboundary`: each calls it and
   none calls a bracket itself, and no function is named after the
@@ -48,7 +51,7 @@ trees:
 - the eta solve holds no coboundary of its own: `zoo.eta_coboundary_solve`
   reaches delta only through `zoo._m1_delta1`, the cached call of the
   integer core of the matrix assembly, `cohomology._delta_between` (no
-  `delta_instance` or `DeltaContext`), and it, that call and the slice
+  `delta_instance`), and it, that call and the slice
   enumerator `zoo._m1_slice` name no exact scalar and divide nowhere: the
   solve's one division is `DifferentialMatrix.full`;
 - gamma's nontriviality is decided on its weight-0 slice, whose one
@@ -65,11 +68,12 @@ trees:
 - delta^k is scattered from the source keys, not pulled through the
   instance formulas: the core `_delta_between` reaches delta through
   `apply_delta_component` on its `_UnitCochains`, one call per component
-  (the benchmark's per-degree assembly spans wrap that name); neither
-  calls `delta_instance`, `_materialise_delta`, `apply_delta` or
-  `DeltaContext`; the finite-table `_delta_matrix` reaches delta only
-  through the core; and no generic cochain (`_GenericCochain`) is left
-  for the formulas to sweep;
+  (the benchmark's per-degree assembly spans wrap that name), and takes
+  its `DeltaContext` whole (no ``basis``, ``parity``, ``mul`` or ``act``
+  parameter); neither calls `delta_instance`, `_materialise_delta` or
+  `apply_delta`; the finite-table `_delta_matrix` builds its context and
+  reaches delta only through the core; and no generic cochain
+  (`_GenericCochain`) is left for the formulas to sweep;
 - exact rank runs on integer rows: `linalg._eliminate` and the
   `_primitive` rows it starts from name no `Fraction`, and
   `cohomology_dims` ranks delta^k's integer rows, ``.ints``, so no
@@ -131,6 +135,20 @@ def test_the_coboundary_formulas_take_every_scalar_from_their_context():
              for node in ast.walk(functions[name])
              if getattr(node, "id", getattr(node, "attr", None)) in exact]
     assert found == []
+    top = _top("cohomology.py")
+    assert "lcm" not in set(_read_names(top["_UnitCochains"]))
+    # L_k = lcm(1, .., k+1) is computed once, in the context
+    ranged = [(name, fn) for name in TREES for fn, node in _top(name).items()
+              for sub in ast.walk(node) if isinstance(sub, ast.Call)
+              and getattr(sub.func, "attr", getattr(sub.func, "id", None))
+              == "lcm" and "range" in set(_called_names(sub))]
+    assert ranged == [("cohomology.py", "DeltaContext")]
+    init = next(node for node in top["DeltaContext"].body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__")
+    assert [a.arg for a in init.args.args] == [
+        "self", "alg", "mod", "mul", "act"]
+    assert [a.arg for a in init.args.kwonlyargs] == ["degree"]
 
 
 def _called_names(node):
@@ -254,8 +272,8 @@ def test_the_eta_builds_divide_once_through_divided():
     assert "_m1_delta1" in called
     assert "_delta_between" in set(_called_names(functions["_m1_delta1"]))
     for name in ("eta_coboundary_solve", "_m1_delta1"):
-        assert not {"delta_instance", "DeltaContext"} & set(
-            _called_names(functions[name])), name
+        assert not {"delta_instance", "_materialise_delta", "apply_delta"} & (
+            set(_called_names(functions[name]))), name
     assert "full" in set(_read_names(solve))
     for name, divided in (("eta_coboundary_solve", 0), ("_m1_delta1", 0),
                           ("_m1_slice", 0), ("_delta_report", 1)):
@@ -285,15 +303,16 @@ def test_delta_matrices_stay_on_integers_until_their_one_division():
 
 def test_delta_matrices_reach_delta_through_apply_delta_component():
     top = _top("cohomology.py")
-    pull = {"delta_instance", "_materialise_delta", "apply_delta",
-            "DeltaContext"}
+    pull = {"delta_instance", "_materialise_delta", "apply_delta"}
     called = list(_called_names(top["_delta_between"]))
     assert called.count("apply_delta_component") == 1
     assert "_UnitCochains" in called
+    assert [a.arg for a in top["_delta_between"].args.args] == [
+        "ctx", "source", "target", "d"]
     for name in ("_delta_between", "_UnitCochains"):
         assert not pull & set(_called_names(top[name])), name
     wrapper = set(_called_names(top["_delta_matrix"]))
-    assert "_delta_between" in wrapper
+    assert {"_delta_between", "DeltaContext"} <= wrapper
     assert not (pull | {"apply_delta_component"}) & wrapper
     assert not any("_GenericCochain" in _top(name) for name in TREES)
 

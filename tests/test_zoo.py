@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from antalg import linalg, zoo
+from antalg import cli, linalg, zoo
 from antalg.antialgebra import CheckReport
 from antalg.cohomology import (CochainBasis, DeltaContext, _cochain_keys,
                                delta_instance)
@@ -46,6 +46,18 @@ def test_window_construction_and_validation():
         WindowedAlgebra("ak1", 0)
     assert w.labels2() == list(range(-4, 5, 2)) + list(range(-3, 4, 2))
     assert not hasattr(w, "mul") and not hasattr(w, "bracket")
+
+
+@pytest.mark.parametrize("suite", sorted(zoo._MIN_WINDOW))
+def test_each_suite_raises_one_below_its_least_window(suite):
+    """The least window radius of each suite is written once, in
+    `zoo._MIN_WINDOW`, which `verify` reads too: the suite raises one below
+    its entry and runs at it."""
+    assert set(zoo._MIN_WINDOW) == set(cli._VERIFY)
+    least, fn = zoo._MIN_WINDOW[suite], cli._VERIFY[suite][0]
+    with pytest.raises(ValueError, match=f"radius >= {least}$"):
+        fn(least - 1)
+    assert fn(least).checked > 0
 
 
 def test_window_products_are_decided_beyond_the_window():
@@ -1172,8 +1184,9 @@ def _m1_delta(k, slice_of, act):
     """delta^k of m1 between the key lists ``slice_of(k)`` and
     ``slice_of(k + 1)``, with the action ``act`` on int keys, from the one
     core that also assembles the finite tables."""
-    return zoo._delta_between(k, slice_of(k), slice_of(k + 1), zoo._INT_BASIS,
-                              zoo._INT_BASIS.parity, zoo._conf_mul4, act, 4)
+    ctx = DeltaContext(zoo._INT_BASIS, zoo._INT_BASIS, zoo._conf_mul4, act,
+                       degree=k)
+    return zoo._delta_between(ctx, slice_of(k), slice_of(k + 1), 4)
 
 
 _FLOORED = functools.partial(zoo._dual_act4, True)
@@ -1270,7 +1283,7 @@ def test_eta_suite_builds_its_slice_matrix_once(monkeypatch):
     core = zoo._delta_between
 
     def counting(*args):
-        built.append(args[0])
+        built.append(args[0].degree)
         return core(*args)
 
     monkeypatch.setattr(zoo, "_delta_between", counting)
@@ -1362,7 +1375,7 @@ def test_m1_slice_matrices_match_the_unit_cochain_columns(kind, weights):
     for k in (1, 2, 3):
         mat = _m1_delta(k, slice_of(weights), act)
         ctx = DeltaContext(zoo._INT_BASIS, zoo._INT_BASIS, zoo._conf_mul4,
-                           act, math.lcm(*range(1, k + 2)))
+                           act, degree=k)
         for j, (p, q, xs, ys, l) in enumerate(mat.source.keys):
             unit = WindowCochain(k, {(p, q): {(xs, ys): {l: 1}}},
                                  zoo._INT_BASIS)
