@@ -48,7 +48,7 @@ def test_window_construction_and_validation():
     assert not hasattr(w, "mul") and not hasattr(w, "bracket")
 
 
-@pytest.mark.parametrize("suite", sorted(zoo._MIN_WINDOW))
+@pytest.mark.parametrize("suite", sorted(cli._VERIFY))
 def test_each_suite_raises_one_below_its_least_window(suite):
     """The least window radius of each suite is written once, in
     `zoo._MIN_WINDOW`, which `verify` reads too: the suite raises one below
