@@ -160,9 +160,12 @@ def _suite_window(suite: str, window) -> tuple:
     """The suite's function and the window radius to run it at."""
     fn, default_n = _VERIFY[suite]
     n = default_n if window is None else window
-    if n < zoo._MIN_WINDOW[suite]:
-        raise InputError(f"--window must be >= {zoo._MIN_WINDOW[suite]} "
-                         f"for {suite}, got {n}")
+    least, greatest = zoo._WINDOW_RADII[suite]
+    if n < least:
+        raise InputError(f"--window must be >= {least} for {suite}, got {n}")
+    if n > greatest:
+        raise InputError(f"--window must be <= {greatest} for {suite}, "
+                         f"got {n}")
     return fn, n
 
 

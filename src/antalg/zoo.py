@@ -42,8 +42,9 @@ family names are checked on the way in (`_dbl`, which rejects a label of
 another family or an index of the wrong kind) and attached on the way out
 (`_half`), and nowhere else.  The structure constants are written once,
 on int keys, as ints times 4.  The suites compute on ints and divide only
-violations back into `Fraction`s; the axiom, gf and dual-gf suites count
-their zero instances without recording each.  Every label that a caller
+violations back into `Fraction`s; the axiom, gamma, eta and dual-gf
+suites and gf's cyclic identity count their zero instances without
+recording each.  Every label that a caller
 passes or receives -- the public products, the suites' callbacks, a
 report's instances, residuals and extras, a returned cochain -- is a
 (family, Fraction) label.
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -91,6 +93,11 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 _SIGN = (Fraction(1), Fraction(-1))  # (-1)^p for a parity p
+
+# the least key of the one-sided family m1 and of its floored dual: the
+# floors are 0 on eps and eps*, -1 on a and a*, and every key below -1 lies
+# below its floor
+_M1_FLOOR = -1
 
 # the family pairs (even family, odd family) of the int keys, and the
 # even family alone of the line subalgebra
@@ -155,9 +162,8 @@ def _dual_act4(one_sided, a, u) -> dict:
         c = -2 if u & 1 else u - 2 * a
     else:
         c = 2 if u & 1 else 4
-    # the floor keys are 0 on eps* and -1 on a*, so a result key lies below
-    # its floor exactly when it is below -1
-    if not c or one_sided and u - a < -1:
+    # a result key lies below its floor exactly when it is below _M1_FLOOR
+    if not c or one_sided and u - a < _M1_FLOOR:
         return {}
     return {u - a: c}
 
@@ -200,14 +206,20 @@ def w1_bracket(u, v) -> dict:
 # windows
 # ---------------------------------------------------------------------------
 
-# the least window radius of each suite by name, which `cli` reads too
-_MIN_WINDOW = {"gamma": 2, "eta": 2, "gf": 3, "dual-gf": 3, "gv": 3,
-               "ak1-axioms": 1, "m1-axioms": 1}
+# the (least, greatest) window radius of each suite by name, which `cli`
+# reads too; at its greatest radius each suite runs in about 2 s or less
+# (one process on a shared 2-vCPU x86-64 machine)
+_WINDOW_RADII = {"gamma": (2, 128), "eta": (2, 100000), "gf": (3, 96),
+                 "dual-gf": (3, 128), "gv": (3, 52),
+                 "ak1-axioms": (1, 40), "m1-axioms": (1, 80)}
 
 
 def _require_window(suite: str, N: int) -> None:
-    if N < (least := _MIN_WINDOW[suite]):
+    least, greatest = _WINDOW_RADII[suite]
+    if N < least:
         raise ValueError(f"the window must have radius >= {least}")
+    if N > greatest:
+        raise ValueError(f"the window must have radius <= {greatest}")
 
 
 class WindowedAlgebra:
@@ -222,7 +234,7 @@ class WindowedAlgebra:
             raise ValueError("window radius must be >= 1")
         families = _CONF if kind in ("ak1", "m1") else _K1
         # the least key of each parity; w1 has no odd part
-        lo_even, lo_odd = {"m1": (0, -1), "w1": (-2, 2 * N)}.get(
+        lo_even, lo_odd = {"m1": (0, _M1_FLOOR), "w1": (-2, 2 * N)}.get(
             kind, (-2 * N, 1 - 2 * N))
         self.even2 = list(range(lo_even, 2 * N + 1, 2))
         self.odd2 = list(range(lo_odd, 2 * N, 2))
@@ -393,6 +405,11 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
        delta preserves weight, so a global dual element bounds gamma only
        if its weight-0 part c eps*_0 does; one exact solve for c against
        gamma at the window labels decides (`_gamma_nontrivial`).
+
+    The residuals of 1 and 2 are ints, 4d times the cocycle dict on int
+    keys and d times each equation, d the common denominator of gamma's
+    values.  Only a nonzero one is divided back into `Fraction`s and
+    recorded; the zeros are counted.
     """
     _require_window("gamma", N)
     rep = CheckReport(f"gamma-cocycle[N={N}]")
@@ -422,16 +439,21 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
             for l, c in ig[u2].items():
                 for k, e in _dual_act4(False, v2, l).items():
                     res[k] = res.get(k, 0) + (c * e if pu & pv else -c * e)
-            rep.record(f"cocycle[{kinds[pu + pv]}]", (u, v),
-                       _halved(divided(res, 4 * d), _CONF_DUAL))
+            if any(res.values()):
+                rep.record(f"cocycle[{kinds[pu + pv]}]", (u, v),
+                           _halved(divided(res, 4 * d), _CONF_DUAL))
     for n in range(-N, N + 1):
         for m in range(-N, N + 1):
-            rep.record("t-additive", (n, m), Fraction(
-                g[2 * (n + m)] - g[2 * n] - g[2 * m], d))
+            if r := g[2 * (n + m)] - g[2 * n] - g[2 * m]:
+                rep.record("t-additive", (n, m), Fraction(r, d))
     for (_, i), ki in zip(w.odd, w.odd2):
         for (_, j), kj in zip(w.odd, w.odd2):
-            rep.record("s-relation", (i, j), Fraction(
-                g[ki] - g[kj] - (kj - ki) // 2 * g[ki + kj], d))
+            if r := g[ki] - g[kj] - (kj - ki) // 2 * g[ki + kj]:
+                rep.record("s-relation", (i, j), Fraction(r, d))
+    # the zero residuals, counted: every ordered pair of window labels, of
+    # t's arguments and of s's
+    rep.checked += (len(labels) ** 2 + (2 * N + 1) ** 2 + len(w.odd2) ** 2
+                    - len(rep.violations))
     nontrivial, detail = _gamma_nontrivial(w, gam.__getitem__)
     rep.extras["nontrivial"] = nontrivial
     rep.extras["nontrivial_detail"] = detail
@@ -523,9 +545,10 @@ def _m1_slice(k, weights):
     keys = []
     for weight in weights:
         keys += _cochain_keys(
-            k, range(0, weight + k + 1, 2), range(-1, weight + k + 1, 2),
+            k, range(0, weight + k + 1, 2),
+            range(_M1_FLOOR, weight + k + 1, 2),
             lambda q, xs, ys: [w for w in (weight - sum(xs) - sum(ys),)
-                               if w >= -1 and w & 1 == q & 1])  # eps* 0, a* -1
+                               if w >= _M1_FLOOR and w & 1 == q & 1])
     return CochainBasis.from_keys(keys)
 
 
@@ -572,13 +595,41 @@ def eta_coboundary_solve(N: int, target: WindowCochain):
     return WindowCochain(1, blocks)
 
 
+def _sums_at_most(keys, n, bound, distinct):
+    """The n-tuples of the ascending ``keys`` whose sum is at most
+    ``bound``, in the order of `itertools.combinations` (``distinct``) or
+    of `itertools.product`: each slot stops at the first key whose least
+    completion by the slots after it exceeds the bound."""
+    if not n:
+        if bound >= 0:
+            yield ()
+        return
+    for j, k in enumerate(keys):
+        rest = keys[j + 1:] if distinct else keys
+        if k + (sum(rest[:n - 1]) if distinct else (n - 1) * keys[0]) > bound:
+            return
+        for tail in _sums_at_most(rest, n - 1, bound - k, distinct):
+            yield (k, *tail)
+
+
 def _delta_report(coch, shapes, window, kind_prefix, target=None):
     """A report of delta coch (minus ``target``) on every instance of the
     given shapes from ``window``, on int keys and ints: in the `_m1_ctx`
     of the cochain's degree, with the cochain and target times their common
     denominator D_c, S = 4 * ``ctx.scale`` * D_c times each residual is an
-    integer dict.  Only the `_live_components` of the cochain are
-    evaluated; only a nonzero residual, a violation, is divided by S."""
+    integer dict.
+
+    delta preserves the weight, the sum of an instance's keys and its
+    output key.  A component w of a value of coch or target at arguments
+    of key sum a has weight W = a + w, and delta carries it only to
+    instances of weight W whose output key is w or an action's, never
+    below `_M1_FLOOR`: to key sums of at most W - min(w, _M1_FLOOR), which
+    is W + 1 unless w lies below the floor.  So only the instances under
+    the greatest such bound can carry a residual.  They are evaluated
+    through the coboundary formulas, `delta_instance`, with the
+    `_live_components` of the cochain, in window order; every other
+    instance is counted as a checked zero.  Only a nonzero residual, a
+    violation, is divided by S."""
     rep = CheckReport("inner")
     ctx = _m1_ctx(degree=coch.degree)
     d = common_denominator(
@@ -587,15 +638,23 @@ def _delta_report(coch, shapes, window, kind_prefix, target=None):
     scale = 4 * ctx.scale * d
     icoch = _doubled_cochain(coch, d)
     itarget = target and _doubled_cochain(target, scale)
+    top = max((sum(xs + ys) + w - min(w, _M1_FLOOR)
+               for x in (icoch, itarget) if x for pq in x.shapes()
+               for (xs, ys), v in x.block(*pq).items() for w in v.c),
+              default=-math.inf)
+    even, odd = window.even2, window.odd2
     for (P, Q) in shapes:
         comps = _live_components(coch, P, Q)
-        for xs in itertools.product(window.even2, repeat=P):
-            for ys in itertools.combinations(window.odd2, Q):
+        for xs in _sums_at_most(even, P, top - sum(odd[:Q]), False):
+            for ys in _sums_at_most(odd, Q, top - sum(xs), True):
                 res = delta_instance(ctx, icoch, P, Q, xs, ys, comps).c
                 for l, c in (itarget.value(P, Q, xs, ys).items()
                              if target else ()):
                     res[l] = res.get(l, 0) - c
-                rep.record(f"{kind_prefix}[{P},{Q}]", (xs, ys), res)
+                if any(res.values()):
+                    rep.record(f"{kind_prefix}[{P},{Q}]", (xs, ys), res)
+    rep.checked += sum(len(even) ** P * math.comb(len(odd), Q)
+                       for P, Q in shapes) - len(rep.violations)
     for v in rep.violations:  # back to labels
         v.instance = tuple(tuple(_half(k, _CONF) for k in args)
                            for args in v.instance)
@@ -608,7 +667,10 @@ def verify_cocycle_eta(N: int = 4) -> CheckReport:
 
     1. delta of the family at the basis parameters (1,0) and (0,1), on
        every window instance, via the global formulas (no skips) — each
-       nonzero value is recorded as a violation.  The (1,0) member is
+       nonzero value is recorded as a violation.  The members have weight
+       0, so only instances of key sum at most 1 can be nonzero (22 of the
+       1016 at N = 4, witnesses included): those are evaluated and the
+       others counted (`_delta_report`).  The (1,0) member is
        closed; the (0,1) member is not, and the report carries its nonzero
        instances rather than hiding them.  They are -1/4 a*_{-1/2} at
        ((eps_0, eps_1); a_{-1/2}) and +1/4 a*_{-1/2} at the swapped pair:

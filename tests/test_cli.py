@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from antalg import antialgebra, cli
+from antalg import antialgebra, cli, zoo
 from antalg.cli import main
 
 K3_TEXT = """\
@@ -208,6 +208,38 @@ def test_window_below_the_suites_minimum_is_an_input_error(argv, message):
     assert "Traceback" not in proc.stderr
     assert f"input error: {message}" in proc.stderr
     assert proc.stdout == ""
+
+
+def _window_argv(suite, n):
+    """The commands that run ``suite`` at radius n: `verify`, and `check`
+    for the two axiom suites."""
+    argv = [["verify", suite, "--window", str(n)]]
+    family, _, kind = suite.partition("-")
+    if kind == "axioms":
+        argv.append(["check", "--input", family, "--window", str(n)])
+    return argv
+
+
+@pytest.mark.parametrize("suite", sorted(cli._VERIFY))
+def test_window_above_the_suites_greatest_is_refused_before_any_window(
+        suite, capsys, monkeypatch):
+    """Each suite has a greatest radius, beside its least one in
+    `zoo._WINDOW_RADII`.  One above it, and far above it (a radius whose
+    window could not even be listed), the command exits 2 with a message
+    before it builds any window or calls the suite."""
+    def no_window(*args):
+        raise AssertionError(f"a window was built: {args}")
+
+    monkeypatch.setattr(zoo, "WindowedAlgebra", no_window)
+    monkeypatch.setitem(cli._VERIFY, suite, (no_window, cli._VERIFY[suite][1]))
+    greatest = zoo._WINDOW_RADII[suite][1]
+    assert greatest >= 12
+    for n in (greatest + 1, 10 ** 20):
+        for argv in _window_argv(suite, n):
+            code, out, err = _run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert err == (f"input error: --window must be <= {greatest} "
+                           f"for {suite}, got {n}\n"), argv
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -438,7 +438,10 @@ def test_the_benchmark_call_sites_are_reached(monkeypatch):
     `cohomology`, labelled by the ``degree`` of its first argument, and
     `delta_instance` in `zoo`: a cohomology table calls the first once
     per component and degree, with that degree, and the eta suite reaches
-    the second."""
+    the second at exactly the shapes that hold an instance whose key sum
+    can carry a residual.  At N = 2 these are the four shapes of the two
+    members' delta (doubled weight 0, key sums at most 1) but (0,3), whose
+    least key sum is -1 + 1 + 3 = 3, and the three of the witnesses'."""
     degrees, instances = [], []
     component, instance = cohomology.apply_delta_component, zoo.delta_instance
 
@@ -456,7 +459,7 @@ def test_the_benchmark_call_sites_are_reached(monkeypatch):
     cohomology_dims(K3, ADJ, 3)
     assert degrees == [1, 1, 1, 2, 2, 2, 3, 3, 3]
     zoo.verify_cocycle_eta(2)
-    assert {(3, 0), (2, 1), (1, 2), (0, 3)} <= set(instances)
+    assert set(instances) == {(3, 0), (2, 1), (1, 2), (2, 0), (1, 1), (0, 2)}
 
 
 def test_delta_matrix_columns_match_the_bracket_route():

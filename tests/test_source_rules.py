@@ -48,6 +48,11 @@ trees:
 - the eta suite's coboundary reports run on ints: `zoo._delta_report`
   names no exact scalar and divides nowhere but in its one call of
   `core.divided`;
+- the eta suite's coboundary reports are pulled through the instance
+  formulas, so the witness check shares no code with the matrix scatter:
+  `zoo._delta_report` reaches delta only through `delta_instance`, and
+  calls none of `_delta_between`, `_UnitCochains`,
+  `apply_delta_component` or `_m1_delta1`;
 - the eta solve holds no coboundary of its own: `zoo.eta_coboundary_solve`
   reaches delta only through `zoo._m1_delta1`, the cached call of the
   integer core of the matrix assembly, `cohomology._delta_between` (no
@@ -284,6 +289,13 @@ def test_the_eta_builds_divide_once_through_divided():
                      if isinstance(sub, (ast.BinOp, ast.AugAssign))
                      and isinstance(sub.op, (ast.Div, ast.FloorDiv))]
         assert divisions == [], name
+
+
+def test_the_eta_reports_pull_delta_through_the_instance_formulas():
+    called = set(_called_names(_top("zoo.py")["_delta_report"]))
+    assert "delta_instance" in called
+    assert not {"_delta_between", "_UnitCochains", "apply_delta_component",
+                "_m1_delta1"} & called
 
 
 def test_gamma_nontriviality_reads_no_window_radius():

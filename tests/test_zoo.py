@@ -20,7 +20,8 @@ import pytest
 from antalg import cli, linalg, zoo
 from antalg.antialgebra import CheckReport
 from antalg.cohomology import (CochainBasis, DeltaContext, _cochain_keys,
-                               delta_instance)
+                               _live_components, delta_instance)
+from antalg.core import common_denominator, divided
 from antalg.zoo import DictVec, WindowCochain, WindowedAlgebra
 
 F = Fraction
@@ -51,13 +52,27 @@ def test_window_construction_and_validation():
 @pytest.mark.parametrize("suite", sorted(cli._VERIFY))
 def test_each_suite_raises_one_below_its_least_window(suite):
     """The least window radius of each suite is written once, in
-    `zoo._MIN_WINDOW`, which `verify` reads too: the suite raises one below
-    its entry and runs at it."""
-    assert set(zoo._MIN_WINDOW) == set(cli._VERIFY)
-    least, fn = zoo._MIN_WINDOW[suite], cli._VERIFY[suite][0]
+    `zoo._WINDOW_RADII`, which `verify` reads too: the suite raises one
+    below its entry and runs at it."""
+    assert set(zoo._WINDOW_RADII) == set(cli._VERIFY)
+    (least, _), fn = zoo._WINDOW_RADII[suite], cli._VERIFY[suite][0]
     with pytest.raises(ValueError, match=f"radius >= {least}$"):
         fn(least - 1)
     assert fn(least).checked > 0
+
+
+@pytest.mark.parametrize("suite", sorted(cli._VERIFY))
+def test_each_suite_raises_one_above_its_greatest_window(suite, monkeypatch):
+    """The greatest radius sits beside the least one: above it the suite
+    raises before it builds a window, however large the radius."""
+    def no_window(*args):
+        raise AssertionError(f"a window was built: {args}")
+
+    greatest, fn = zoo._WINDOW_RADII[suite][1], cli._VERIFY[suite][0]
+    monkeypatch.setattr(zoo, "WindowedAlgebra", no_window)
+    for n in (greatest + 1, 10 ** 20):
+        with pytest.raises(ValueError, match=f"radius <= {greatest}$"):
+            fn(n)
 
 
 def test_window_products_are_decided_beyond_the_window():
@@ -1113,6 +1128,85 @@ def test_eta_delta_reports_match_the_fraction_reference(case):
         (v.kind, v.instance, v.residual) for v in want.violations]
     assert bool(got.violations) == (name.endswith("x2")
                                     or name.startswith("cocycle(0,1)"))
+
+
+def _full_window_delta_report(coch, shapes, window, kind_prefix,
+                              target=None):
+    """`zoo._delta_report` as it was before it evaluated only the instances
+    that can carry a residual: delta coch (minus ``target``) through
+    `delta_instance` at every window instance of the shapes, on int keys
+    and ints, each one recorded."""
+    rep = CheckReport("inner")
+    ctx = zoo._m1_ctx(degree=coch.degree)
+    d = common_denominator(
+        c for x in (coch, target) if x for pq in x.shapes()
+        for v in x.block(*pq).values() for c in v.c.values())
+    scale = 4 * ctx.scale * d
+    icoch = zoo._doubled_cochain(coch, d)
+    itarget = target and zoo._doubled_cochain(target, scale)
+    for (P, Q) in shapes:
+        comps = _live_components(coch, P, Q)
+        for xs in itertools.product(window.even2, repeat=P):
+            for ys in itertools.combinations(window.odd2, Q):
+                res = delta_instance(ctx, icoch, P, Q, xs, ys, comps).c
+                for l, c in (itarget.value(P, Q, xs, ys).items()
+                             if target else ()):
+                    res[l] = res.get(l, 0) - c
+                rep.record(f"{kind_prefix}[{P},{Q}]", (xs, ys), res)
+    for v in rep.violations:
+        v.instance = tuple(tuple(zoo._half(k, zoo._CONF) for k in args)
+                           for args in v.instance)
+        v.residual = zoo._halved(divided(v.residual, scale), zoo._CONF_DUAL)
+    return rep
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_the_eta_suite_matches_its_full_window_reports(N, monkeypatch):
+    """`verify_cocycle_eta` evaluates delta only at the instances whose
+    key sum can carry a residual, and its report is the one that
+    evaluating every window instance gives: the same counts, and the same
+    violations in the same order, with their instances and residuals."""
+    got = zoo.verify_cocycle_eta(N)
+    monkeypatch.setattr(zoo, "_delta_report", _full_window_delta_report)
+    want = zoo.verify_cocycle_eta(N)
+    _same_report(got, want)
+    assert len(got.violations) == 2
+
+
+def _two_weight_cases():
+    """(name, coch, target) of reports off the suite's weight 0: a failing
+    witness, a cochain of two weights against a target of a third, and a
+    target with a value below the dual floor."""
+    target = zoo.eta_family(1, 2)
+    yield ("doubled-entry witness",
+           _doubled_first_entry(zoo.eta_coboundary_solve(4, target)), target)
+    two = WindowCochain(1, {  # doubled weights 0 and 2
+        (1, 0): {((EPS(0),), ()): {("eps*", F(0)): F(1)}},
+        (0, 1): {((), (A(F(1, 2)),)): {("a*", F(1, 2)): F(3, 2)}}})
+    third = WindowCochain(2, {  # doubled weight 4
+        (2, 0): {((EPS(1), EPS(1)), ()): {("eps*", F(0)): F(5)}},
+        (1, 1): {((EPS(1),), (A(F(1, 2)),)): {("a*", F(1, 2)): F(-1, 3)}}})
+    yield "two weights, target at a third", two, third
+    below = WindowCochain(2, {  # doubled weight 12, valued below the floor
+        (2, 0): {((EPS(4), EPS(4)), ()): {("eps*", F(-2)): F(1)}}})
+    yield "target below the floor", two, below
+
+
+@pytest.mark.parametrize("case", list(_two_weight_cases()),
+                         ids=lambda case: case[0])
+@pytest.mark.parametrize("radius", [4, 6, 8])
+def test_delta_reports_off_weight_0_match_their_full_window_reports(
+        case, radius):
+    """Off the suite's one weight, and with a value below the floor that
+    lowers the least output key, the report of the instances that can
+    carry a residual is still that of every window instance."""
+    name, coch, target = case
+    shapes = [(2, 0), (1, 1), (0, 2)]
+    window = WindowedAlgebra("m1", radius)
+    got = zoo._delta_report(coch, shapes, window, "w", target)
+    _same_report(got, _full_window_delta_report(coch, shapes, window, "w",
+                                                  target))
+    assert got.violations
 
 
 def test_eta_slice_solve_agrees_with_the_window_systems():
