@@ -7,20 +7,22 @@ arguments and valued in the module component of parity q (mod 2).  The
 coboundary has three components moving a block (p,q) to (p+1,q), (p,q+1)
 and (p-1,q+2).  Each instance formula is written once, verbatim, as a
 generator of signed terms (`delta10_terms`, `delta01_terms`,
-`delta_12_terms`); `delta_instance` is the one place that sums them.  A
-cochain is only read at basis labels (`Cochain.value`): where a formula
+`delta_12_terms`); `delta_instance` is the one place that sums them, and
+evaluates delta at one instance (`zoo`'s eta reports, the tests' oracle).
+A cochain is only read at basis labels (`Cochain.value`): where a formula
 feeds it a product, the product's labels give one term each.
 
 `DeltaContext` is the one place for delta's scalars and integer scale,
-so the formulas run exactly or on integers (`zoo`'s eta reports).  delta^k
-is held on integers, in the context of degree k: over the scale 2*D*L_k,
-D the common denominator of the products and the action and L_k =
+so the formulas run exactly or on integers.  delta^k is held on
+integers, in the context of degree k: over the scale 2*D*L_k, D the
+common denominator of the products and the action and L_k =
 lcm(1, .., k+1).  One core (`_delta_between`) assembles it between any
 two `CochainBasis`es, in that context: `apply_delta_component` on the
 unit cochains of the source keys (`_UnitCochains`) scatters each key
 through the transpose of each term of that component's formula, over the
 nonzero products and actions, so a column costs what its nonzero
-products cost; the tests pin every column against the formulas.  A
+products cost.  Every whole-cochain coboundary comes from it: `apply_delta`
+of a cochain reads delta^k's columns at its support keys.  A
 finite structure gives it its bases (`_delta_matrix`), `zoo` the finite
 weight slices of an infinite family (`CochainBasis.from_keys`), both in
 one key order (`_cochain_keys`).
@@ -328,11 +330,11 @@ _TERMS = {(1, 0): delta10_terms, (0, 1): delta01_terms,
           (-1, 2): delta_12_terms}
 
 
-def delta_instance(ctx, coch, P, Q, xs, ys, components=COMPONENTS):
-    """Value of the chosen components of the coboundary at one basis
-    instance of the target block (P,Q), the one sum of their terms."""
+def delta_instance(ctx, coch, P, Q, xs, ys):
+    """Value of the coboundary at one basis instance of the target block
+    (P,Q), the one sum of the terms of its three components."""
     out: dict = {}
-    for dp, dq in components:
+    for dp, dq in COMPONENTS:
         p, q = P - dp, Q - dq
         if p < 0 or q < 0:
             continue
@@ -344,43 +346,36 @@ def delta_instance(ctx, coch, P, Q, xs, ys, components=COMPONENTS):
 
 def apply_delta(coch: Cochain) -> Cochain:
     """The full coboundary of a finite-structure cochain."""
-    return _materialise_delta(coch, COMPONENTS)
+    return _scattered_delta(coch, COMPONENTS)
 
 
 def apply_delta_component(coch, comp):
-    """One component of the coboundary: of a `Cochain`, the cochain its
-    pull formulas give (`_materialise_delta`); of the `_UnitCochains` of a
-    basis, their columns, scattered from the source keys."""
+    """One component of the coboundary: of a `Cochain`, the cochain that
+    the matrix scatter gives (`_scattered_delta`); of the `_UnitCochains`
+    of a basis, their columns."""
     if isinstance(coch, _UnitCochains):
         return coch.columns(comp)
-    return _materialise_delta(coch, (comp,))
+    return _scattered_delta(coch, (comp,))
 
 
-def _live_components(coch, P, Q, components=COMPONENTS) -> list:
-    """The ``components`` that reach the block (P, Q) of the coboundary
-    from a block that ``coch`` has (`shapes`): elsewhere a component is
-    zero, so these are the only ones worth running at (P, Q)."""
-    present = coch.shapes()
-    return [(dp, dq) for dp, dq in components if (P - dp, Q - dq) in present]
-
-
-def _materialise_delta(coch: Cochain, components) -> Cochain:
+def _scattered_delta(coch: Cochain, components) -> Cochain:
     """The chosen components of the coboundary of a finite-structure
-    cochain, computed exactly in the context of its tables.  Each target
-    instance of C^{k+1} is swept with the `_live_components`; a target
-    shape that none reaches is skipped, since the coboundary is zero
-    there."""
-    mul = coch.alg.products.get
-    ctx = DeltaContext(coch.alg_space, coch.mod_space,
-                       lambda a, b: mul((a, b), {}), coch.mod.act)
-    blocks: dict = {}
-    for (P, Q), instances in _cochain_instances(
-            coch.alg, coch.mod, coch.degree + 1).items():
-        comps = _live_components(coch, P, Q, components)
-        if comps:
-            blocks[P, Q] = {inst: delta_instance(ctx, coch, P, Q, *inst, comps)
-                            for inst in instances}
-    return Cochain(coch.alg, coch.mod, coch.degree + 1, blocks)
+    cochain: the columns of delta^k at its support keys (`_delta_matrix`),
+    each entry kept if its block shift is one of ``components``, times the
+    cochain's coefficients."""
+    coeffs = {(p, q, xs, ys, out): c for p, q in coch.shapes()
+              for (xs, ys), vec in coch.block(p, q).items()
+              for out, c in vec.items()}
+    mat = _delta_matrix(coch.alg, coch.mod, coch.degree,
+                        CochainBasis.from_keys(list(coeffs)))
+    keys, values = mat.source.keys, list(coeffs.values())
+    row: dict = {}
+    for i, ((P, Q, *_), entries) in enumerate(zip(mat.target.keys, mat.full)):
+        s = sum(c * values[j] for j, c in entries.items()
+                if (P - keys[j][0], Q - keys[j][1]) in components)
+        if s:
+            row[i] = s
+    return mat.target.from_row(row)
 
 
 # ---------------------------------------------------------------------------
@@ -439,38 +434,34 @@ def _cochain_keys(k, even, odd, outputs) -> list:
             for out in outputs(k - p, xs, ys)]
 
 
-def _cochain_instances(alg, mod, k) -> dict:
-    """{(p, q): [(xs, ys)]}, the instances of C^k that carry a key, in
-    basis order: `_cochain_keys` with one output label per instance, so no
-    key is enumerated or indexed."""
-    outs = (mod.space.even[:1], mod.space.odd[:1])
-    blocks: dict = {}
-    for p, q, xs, ys, _ in _cochain_keys(k, alg.space.even, alg.space.odd,
-                                         lambda q, xs, ys: outs[q % 2]):
-        blocks.setdefault((p, q), []).append((xs, ys))
-    return blocks
-
-
 class CochainBasis:
     """The ordered basis of C^k, in the order of `_cochain_keys`, with
     output labels in module order.  ``instances`` holds the argument tuples
-    (xs, ys) of each block (p, q) that has a key."""
+    (xs, ys) of each block (p, q) that has a key.  ``even`` and ``odd``
+    are the labels the scatter may put into its keys (`_UnitCochains`):
+    all of the algebra's, since every key a push forms from them is a key
+    of the full C^k."""
 
     def __init__(self, alg: AntialgebraStructure, mod: ModuleStructure,
                  degree: int):
         if degree < 1:
             raise ValueError("cochain bases start at degree 1")
         self.alg, self.mod, self.degree = alg, mod, degree
+        self.even, self.odd = alg.space.even, alg.space.odd
         outs = (mod.space.even, mod.space.odd)
-        self._fill(_cochain_keys(degree, alg.space.even, alg.space.odd,
+        self._fill(_cochain_keys(degree, self.even, self.odd,
                                  lambda q, xs, ys: outs[q % 2]))
 
     @classmethod
     def from_keys(cls, keys: list) -> "CochainBasis":
-        """The basis of any key list, in its order (`zoo`'s weight slices).
+        """The basis of any key list, in its order (`zoo`'s weight slices),
+        with the labels that its keys carry, in order of first appearance.
         No structure is behind it: ``alg``, ``mod`` and ``degree`` are None."""
         basis = cls.__new__(cls)
         basis.alg = basis.mod = basis.degree = None
+        basis.even, basis.odd = (
+            list(dict.fromkeys(l for key in keys for l in key[i]))
+            for i in (2, 3))
         basis._fill(keys)
         return basis
 
@@ -544,42 +535,36 @@ class _UnitCochains:
     all at once, in the integer `DeltaContext` of `_delta_between`: what
     `apply_delta_component` scatters into one sparse column per key.  It
     is no `Cochain`; it holds the tables the scatter reads, over the labels
-    that the target keys carry (a term through any other label meets no
-    target key).  A product a.b = z is one of the context's nonzero
-    products, inverted by output: even.even, even.odd and odd pairs a < b.
-    x.l and y.l are its nonzero actions on each source output label l,
-    split by the actor's parity.  Both carry the context's scalars, as its
-    `m_alg`, `m_x_val` and `m_val_y` weigh them."""
+    that the target basis supplies (``even`` and ``odd``; a term through
+    any other label meets no target key).  A product a.b = z is one of the
+    context's weighted products `m_alg`, inverted by output: even.even,
+    even.odd and odd pairs a < b.  x.l and y.l are its weighted actions
+    `m_x_val` and `m_val_y` on each source output label l.  The context
+    alone decides which scalar weighs which product."""
 
     def __init__(self, ctx, source, target):
         self.degree, self.keys, self._unit = ctx.degree, source.keys, ctx.unit
         self._norm = functools.cache(ctx.norm)  # one call per source block
         self._index = target._index
-        even, odd = {}, {}  # the labels the target keys carry, in key order
-        for instances in target.instances.values():
-            for xs, ys in instances:
-                even.update(dict.fromkeys(xs))
-                odd.update(dict.fromkeys(ys))
+        even, odd = target.even, target.odd
         self._rank = rank = {y: ctx.alg.index(y) for y in odd}
         # product output -> [(a, b, weighted int)]
         self._ee, self._eo, self._oo = ee, eo, oo = {}, {}, {}
-        for table, lefts, rights, w in ((ee, even, even, ctx.half),
-                                        (eo, even, odd, ctx.one),
-                                        (oo, odd, odd, ctx.one)):
+        for table, lefts, rights in ((ee, even, even), (eo, even, odd),
+                                     (oo, odd, odd)):
             for a in lefts:
                 for b in rights:
                     if table is not oo or rank[a] < rank[b]:
-                        for z, c in ctx.mul(a, b).items():
-                            table.setdefault(z, []).append((a, b, w * c))
+                        for z, c in ctx.m_alg(a, b).items():
+                            table.setdefault(z, []).append((a, b, c))
         # module label -> ([(even actor, o, weighted int)], [(odd actor, ..)])
         self._actions = {}
         for l in dict.fromkeys(key[4] for key in self.keys):
-            # half|one on an even output, one|-one on an odd one
-            w0, w1 = ((ctx.half, ctx.one) if ctx.mod.parity(l) == 0
-                      else (ctx.one, -ctx.one))
-            self._actions[l] = tuple([(a, o, w * c) for a in actors
-                                      for o, c in ctx.act(a, l).items()]
-                                     for actors, w in ((even, w0), (odd, w1)))
+            self._actions[l] = (
+                [(x, o, c) for x in even
+                 for o, c in ctx.m_x_val(x, {l: 1}).items()],
+                [(y, o, c) for y in odd
+                 for o, c in ctx.m_val_y({l: 1}, y).items()])
         # the ranks of each key's ys, increasing
         self._at = [[ctx.alg.index(y) for y in key[3]] for key in self.keys]
 

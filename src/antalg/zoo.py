@@ -62,8 +62,7 @@ from . import linalg
 from .antialgebra import _AXIOMS, CheckReport, _identity_reports
 from .brackets import _perm_sign, lie_coboundary
 from .cohomology import (Cochain, CochainBasis, DeltaContext, _canonical_ys,
-                         _cochain_keys, _delta_between, _live_components,
-                         delta_instance)
+                         _cochain_keys, _delta_between, delta_instance)
 from .core import Vector, as_integers, common_denominator, divided
 
 __all__ = [
@@ -138,9 +137,8 @@ def conf_parity(label) -> int:
     return 0 if label[0] in ("eps", "eps*") else 1
 
 
-@functools.cache
 def _conf_mul4(u, v) -> dict:
-    """4 times `conf_mul` on int keys; cached, read only."""
+    """4 times `conf_mul` on int keys."""
     if u & v & 1:
         return {u + v: v - u} if v != u else {}
     return {u + v: 2 if (u | v) & 1 else 4}
@@ -153,11 +151,9 @@ def conf_mul(u, v) -> dict:
                    _CONF)
 
 
-@functools.cache
 def _dual_act4(one_sided, a, u) -> dict:
     """4 times `dual_act` on int keys, the actor's and the dual label's,
-    with the floors of the one-sided family if ``one_sided``; cached, read
-    only."""
+    with the floors of the one-sided family if ``one_sided``."""
     if a & 1:
         c = -2 if u & 1 else u - 2 * a
     else:
@@ -626,8 +622,8 @@ def _delta_report(coch, shapes, window, kind_prefix, target=None):
     below `_M1_FLOOR`: to key sums of at most W - min(w, _M1_FLOOR), which
     is W + 1 unless w lies below the floor.  So only the instances under
     the greatest such bound can carry a residual.  They are evaluated
-    through the coboundary formulas, `delta_instance`, with the
-    `_live_components` of the cochain, in window order; every other
+    through the coboundary formulas, `delta_instance`, in window order, so
+    this check shares no code with the matrix scatter; every other
     instance is counted as a checked zero.  Only a nonzero residual, a
     violation, is divided by S."""
     rep = CheckReport("inner")
@@ -644,10 +640,9 @@ def _delta_report(coch, shapes, window, kind_prefix, target=None):
               default=-math.inf)
     even, odd = window.even2, window.odd2
     for (P, Q) in shapes:
-        comps = _live_components(coch, P, Q)
         for xs in _sums_at_most(even, P, top - sum(odd[:Q]), False):
             for ys in _sums_at_most(odd, Q, top - sum(xs), True):
-                res = delta_instance(ctx, icoch, P, Q, xs, ys, comps).c
+                res = delta_instance(ctx, icoch, P, Q, xs, ys).c
                 for l, c in (itarget.value(P, Q, xs, ys).items()
                              if target else ()):
                     res[l] = res.get(l, 0) - c

@@ -174,9 +174,30 @@ def _densify(rows, ncols):
     return [[row.get(j, F(0)) for j in range(ncols)] for row in rows]
 
 
+def _exact_ctx(alg, mod):
+    """The exact `DeltaContext` of a finite structure's tables."""
+    return DeltaContext(alg.space, mod.space,
+                        lambda a, b: alg.products.get((a, b), {}),
+                        lambda a, l: mod.action.get((a, l), {}))
+
+
+def _pulled(ctx, target, coch):
+    """delta of ``coch`` by the pull formulas, `delta_instance` in ``ctx``
+    at every instance of the `CochainBasis` ``target``: {target row:
+    nonzero value}."""
+    return {target.index((P, Q, xs, ys, out)): c
+            for (P, Q), instances in target.instances.items()
+            for xs, ys in instances
+            for out, c in delta_instance(ctx, coch, P, Q, xs, ys).items()
+            if c}
+
+
 def test_apply_delta_agrees_with_matrix_action():
+    """`apply_delta` and the matrix times the coefficients both come from
+    the scatter; the pull formulas swept over C^{k+1} are the reference."""
     rng = random.Random(23)
     for mod in _modules():
+        ctx = _exact_ctx(K3, mod)
         for degree in (1, 2, 3):
             mat = _delta_matrix(K3, mod, degree)
             for _ in range(4):
@@ -184,6 +205,8 @@ def test_apply_delta_agrees_with_matrix_action():
                 image = apply_delta(c)
                 vec = _mat_vec(mat.full, mat.source.coeff_vector(c))
                 assert mat.target.coeff_vector(image) == vec
+                assert image == mat.target.from_row(
+                    _pulled(ctx, mat.target, c))
 
 
 def test_apply_delta_agrees_with_the_bracket_route():
@@ -300,6 +323,8 @@ def test_integer_assembly_agrees_with_both_routes_beyond_k3():
                     image = apply_delta(c)
                     assert mat.target.coeff_vector(image) == _mat_vec(
                         mat.full, mat.source.coeff_vector(c))
+                    assert image == mat.target.from_row(
+                        _pulled(_exact_ctx(alg, mod), mat.target, c))
                     assert image == delta_via_bracket(c)
 
 
@@ -313,8 +338,11 @@ def _unit_column_degree(alg, mod, cells=12000):
 
 def test_component_matrices_match_the_unit_cochain_columns():
     """Each column of an assembled component matrix is that component
-    applied to one unit cochain by the pull formulas: the scatter of the
-    assembly against the formulas it transposes.  Every golden table takes
+    applied to one unit cochain by the pull formulas, `delta_instance` at
+    every target instance whose block is the unit's shifted by the
+    component (a unit cochain has one block, so the target block fixes the
+    component): the scatter of the assembly against the formulas it
+    transposes.  Every golden table takes
     trivial, adjoint and dual-adjoint coefficients, at the degree of
     `_unit_column_degree`, and so does K3 |x ad(K3) at degree 3.  There
     the even part acts on the odd part by non-scalars, which K3 alone does
@@ -336,13 +364,15 @@ def test_component_matrices_match_the_unit_cochain_columns():
                 for i, row in enumerate(_component(mat, comp)):
                     for j, c in row.items():
                         cols[j][i] = c
+            ctx = _exact_ctx(alg, mod)
             for j, key in enumerate(mat.source.keys):
-                unit = mat.source.unit(key)
+                pulled = _pulled(ctx, mat.target, mat.source.unit(key))
                 for comp, cols in columns.items():
-                    image = mat.target.coeff_vector(
-                        apply_delta_component(unit, comp))
-                    assert cols[j] == {i: c for i, c in enumerate(image)
-                                       if c}, (mod.name, key, comp)
+                    assert cols[j] == {
+                        i: c for i, c in pulled.items()
+                        if (mat.target.keys[i][0] - key[0],
+                            mat.target.keys[i][1] - key[1]) == comp}, (
+                        mod.name, key, comp)
 
 
 class _Reweighted(DeltaContext):
@@ -366,12 +396,7 @@ def _scattered_and_pulled(ctx, source, target, unit):
     for i, row in enumerate(mat.ints):
         for j, c in row.items():
             scattered[j][i] = c
-    pulled = [{target.index((P, Q, xs, ys, out)): c
-               for (P, Q), instances in target.instances.items()
-               for xs, ys in instances
-               for out, c in delta_instance(ctx, unit(key), P, Q, xs,
-                                            ys).items() if c}
-              for key in source.keys]
+    pulled = [_pulled(ctx, target, unit(key)) for key in source.keys]
     return mat, scattered, pulled
 
 

@@ -11,6 +11,10 @@ trees:
   computed in `DeltaContext` alone, which takes its degree (keyword
   ``degree``, no ``lcm``), and the matrix scatter `_UnitCochains` names no
   lcm;
+- the context alone decides which scalar weighs which product, for pull
+  and push alike: `_UnitCochains` tabulates the context's weighted
+  products (`m_alg`, `m_x_val`, `m_val_y`) and reads none of ``half``,
+  ``one``, ``mul`` or ``act`` of its context;
 - the Lie-side suites take their coboundaries from the one
   Chevalley-Eilenberg engine, `brackets.lie_coboundary`: each calls it and
   none calls a bracket itself, and no function is named after the
@@ -20,6 +24,10 @@ trees:
   `Fraction` form on those keys is left beside them, and each public
   product (`conf_mul`, `dual_act`, `k1_bracket`) is one call of
   `core.divided` on its integer form;
+- `zoo` holds no unbounded cache (`functools.cache`, or `lru_cache`
+  without a finite ``maxsize``): its structure constants are two-branch
+  formulas, cheaper to compute than to look up in a table that only
+  grows;
 - a window label is keyed by its doubled index alone, an `int` whose last
   bit is its parity: the structure constants on those keys (`_conf_mul4`,
   `_dual_act4`, `_k1_bracket4`, `_coadjoint4`) name no family, so hold no
@@ -75,10 +83,14 @@ trees:
   `apply_delta_component` on its `_UnitCochains`, one call per component
   (the benchmark's per-degree assembly spans wrap that name), and takes
   its `DeltaContext` whole (no ``basis``, ``parity``, ``mul`` or ``act``
-  parameter); neither calls `delta_instance`, `_materialise_delta` or
-  `apply_delta`; the finite-table `_delta_matrix` builds its context and
-  reaches delta only through the core; and no generic cochain
-  (`_GenericCochain`) is left for the formulas to sweep;
+  parameter); neither calls `delta_instance` or `apply_delta`; the
+  finite-table `_delta_matrix` builds its context and reaches delta only
+  through the core; and no generic cochain (`_GenericCochain`) is left
+  for the formulas to sweep;
+- one delta per job: every whole-cochain coboundary comes from the matrix
+  scatter, and the pull formulas only evaluate single instances.
+  `apply_delta`, `apply_delta_component` and the helper they call reach
+  delta through `_delta_matrix` and call no `delta_instance`;
 - exact rank runs on integer rows: `linalg._eliminate` and the
   `_primitive` rows it starts from name no `Fraction`, and
   `cohomology_dims` ranks delta^k's integer rows, ``.ints``, so no
@@ -87,16 +99,22 @@ trees:
   (`DeltaContext`, `_through`, `delta_instance`) and the identity suites
   (`antialgebra._identity_reports`, `zoo._conf_axiom_report`) compare
   nothing with None and name no "unknown", and `zoo.WindowedAlgebra`
-  defines no product (`mul`, `bracket`) of its own.
+  defines no product (`mul`, `bracket`) of its own;
+- the benchmark's tracer finds what it wraps: each `_patch(owner, name,
+  ..)` in `Tracer.install` of `perfbench/tracing.py`, read from its
+  syntax tree (the benchmark is not imported), names an attribute that
+  its `antalg` module still has, or a key of the table it patches.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 from antalg.zoo import WindowedAlgebra
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "antalg"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(SRC.rglob("*.py"))}
 
@@ -277,7 +295,7 @@ def test_the_eta_builds_divide_once_through_divided():
     assert "_m1_delta1" in called
     assert "_delta_between" in set(_called_names(functions["_m1_delta1"]))
     for name in ("eta_coboundary_solve", "_m1_delta1"):
-        assert not {"delta_instance", "_materialise_delta", "apply_delta"} & (
+        assert not {"delta_instance", "apply_delta"} & (
             set(_called_names(functions[name]))), name
     assert "full" in set(_read_names(solve))
     for name, divided in (("eta_coboundary_solve", 0), ("_m1_delta1", 0),
@@ -315,7 +333,7 @@ def test_delta_matrices_stay_on_integers_until_their_one_division():
 
 def test_delta_matrices_reach_delta_through_apply_delta_component():
     top = _top("cohomology.py")
-    pull = {"delta_instance", "_materialise_delta", "apply_delta"}
+    pull = {"delta_instance", "apply_delta"}
     called = list(_called_names(top["_delta_between"]))
     assert called.count("apply_delta_component") == 1
     assert "_UnitCochains" in called
@@ -371,3 +389,107 @@ def test_window_computations_have_no_unknown_value():
     methods = {sub.name for sub in window.body
                if isinstance(sub, ast.FunctionDef)}
     assert not methods & {"mul", "bracket"}
+
+
+def test_the_scatter_takes_its_weighted_products_from_the_context():
+    scatter = _top("cohomology.py")["_UnitCochains"]
+    read = {sub.attr for sub in ast.walk(scatter)
+            if isinstance(sub, ast.Attribute)
+            and getattr(sub.value, "id", None) == "ctx"}
+    assert not read & {"half", "one", "mul", "act"}
+    assert {"m_alg", "m_x_val", "m_val_y"} <= read
+
+
+def test_zoo_holds_no_unbounded_cache():
+    found = []
+    for node in ast.walk(TREES["zoo.py"]):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if name == "cache":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) == "lru_cache":
+            sizes = [*node.args[:1],
+                     *(k.value for k in node.keywords if k.arg == "maxsize")]
+            if getattr(sizes[0] if sizes else None, "value", None) is None:
+                found.append(node.lineno)
+    assert found == []
+
+
+def test_whole_cochain_deltas_come_from_the_scatter():
+    top = _top("cohomology.py")
+    route = {"apply_delta", "apply_delta_component"}
+    route |= {called for name in route for called in _called_names(top[name])
+              if called in top}
+    called = {c for name in route for c in _called_names(top[name])}
+    assert "delta_instance" not in called, sorted(route)
+    assert "_delta_matrix" in called
+
+
+def _string_tuples(tree):
+    """{name: the strings} of the module's top-level tuples of strings."""
+    return {node.targets[0].id: tuple(e.value for e in node.value.elts)
+            for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Tuple)
+            and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    for e in node.value.elts)}
+
+
+def _patched(node, strings, loops=None):
+    """(owner, names) of every `_patch(owner, name, ..)` call under
+    ``node``: a name is a string constant, or the variable of an enclosing
+    loop over a tuple of strings (literal or named in ``strings``)."""
+    loops = loops or {}
+    if isinstance(node, ast.For):
+        it = node.iter
+        loops = {**loops, node.target.id: (
+            strings[it.id] if isinstance(it, ast.Name)
+            else tuple(e.value for e in it.elts))}
+    if isinstance(node, ast.Call) and getattr(node.func, "attr",
+                                              None) == "_patch":
+        owner, name = node.args[:2]
+        yield owner, (loops[name.id] if isinstance(name, ast.Name)
+                      else (name.value,))
+    for child in ast.iter_child_nodes(node):
+        yield from _patched(child, strings, loops)
+
+
+def test_the_benchmark_tracer_wraps_names_that_exist():
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    strings = _string_tuples(tree)
+    for node in tree.body:  # the tuples it imports from its own modules
+        if isinstance(node, ast.ImportFrom) and (
+                PERFBENCH / f"{node.module}.py").exists():
+            strings.update(_string_tuples(ast.parse(
+                (PERFBENCH / f"{node.module}.py").read_text(
+                    encoding="utf-8"))))
+    tracer = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Tracer")
+    install = next(node for node in tracer.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "install")
+
+    def module_of(node):  # mod["name"], the antalg module `name`
+        return f"antalg.{node.slice.value}"
+
+    bound = {node.targets[0].id: module_of(node.value)
+             for node in ast.walk(install) if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Subscript)}
+    found = {}  # (owner, name): whether the owner has it
+    for owner, names in _patched(install, strings):
+        path = []
+        while isinstance(owner, ast.Attribute):  # cli._VERIFY
+            path.insert(0, owner.attr)
+            owner = owner.value
+        where = (bound[owner.id] if isinstance(owner, ast.Name)
+                 else module_of(owner))
+        target = importlib.import_module(where)
+        for attr in path:
+            target = getattr(target, attr)
+        for name in names:
+            found[".".join([where, *path]), name] = (
+                name in target if isinstance(target, dict)
+                else hasattr(target, name))
+    assert [key for key, ok in found.items() if not ok] == []
+    assert {("antalg.zoo", "delta_instance"), ("antalg.cli._VERIFY", "eta"),
+            ("antalg.cli", "dual_module")} <= set(found)

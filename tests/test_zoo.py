@@ -20,7 +20,7 @@ import pytest
 from antalg import cli, linalg, zoo
 from antalg.antialgebra import CheckReport
 from antalg.cohomology import (CochainBasis, DeltaContext, _cochain_keys,
-                               _live_components, delta_instance)
+                               delta_instance)
 from antalg.core import common_denominator, divided
 from antalg.zoo import DictVec, WindowCochain, WindowedAlgebra
 
@@ -1145,10 +1145,9 @@ def _full_window_delta_report(coch, shapes, window, kind_prefix,
     icoch = zoo._doubled_cochain(coch, d)
     itarget = target and zoo._doubled_cochain(target, scale)
     for (P, Q) in shapes:
-        comps = _live_components(coch, P, Q)
         for xs in itertools.product(window.even2, repeat=P):
             for ys in itertools.combinations(window.odd2, Q):
-                res = delta_instance(ctx, icoch, P, Q, xs, ys, comps).c
+                res = delta_instance(ctx, icoch, P, Q, xs, ys).c
                 for l, c in (itarget.value(P, Q, xs, ys).items()
                              if target else ()):
                     res[l] = res.get(l, 0) - c
