@@ -436,11 +436,9 @@ def _cochain_keys(k, even, odd, outputs) -> list:
 
 class CochainBasis:
     """The ordered basis of C^k, in the order of `_cochain_keys`, with
-    output labels in module order.  ``instances`` holds the argument tuples
-    (xs, ys) of each block (p, q) that has a key.  ``even`` and ``odd``
-    are the labels the scatter may put into its keys (`_UnitCochains`):
-    all of the algebra's, since every key a push forms from them is a key
-    of the full C^k."""
+    output labels in module order.  ``even`` and ``odd`` are the labels the
+    scatter may put into its keys (`_UnitCochains`): all of the algebra's,
+    since every key a push forms from them is a key of the full C^k."""
 
     def __init__(self, alg: AntialgebraStructure, mod: ModuleStructure,
                  degree: int):
@@ -466,13 +464,18 @@ class CochainBasis:
         return basis
 
     def _fill(self, keys: list) -> None:
-        """The keys, their instances in order of first appearance, indexed."""
+        """The keys, indexed."""
         self.keys = keys
-        blocks: dict = {}
-        for p, q, xs, ys, _ in keys:
-            blocks.setdefault((p, q), {})[xs, ys] = None
-        self.instances = {pq: list(block) for pq, block in blocks.items()}
         self._index = dict(zip(keys, itertools.count()))
+
+    @functools.cached_property
+    def instances(self) -> dict:
+        """The argument tuples (xs, ys) of each block (p, q) that has a
+        key, in order of first appearance; no matrix build reads them."""
+        blocks: dict = {}
+        for p, q, xs, ys, _ in self.keys:
+            blocks.setdefault((p, q), {})[xs, ys] = None
+        return {pq: list(block) for pq, block in blocks.items()}
 
     @property
     def dim(self) -> int:

@@ -41,10 +41,10 @@ no family name.  Between the (family, Fraction) functions and the suites
 family names are checked on the way in (`_dbl`, which rejects a label of
 another family or an index of the wrong kind) and attached on the way out
 (`_half`), and nowhere else.  The structure constants are written once,
-on int keys, as ints times 4.  The suites compute on ints and divide only
-violations back into `Fraction`s; the axiom, gamma, eta and dual-gf
-suites and gf's cyclic identity count their zero instances without
-recording each.  Every label that a caller
+on int keys, as ints times 4.  The suites compute on ints, build no
+`Fraction` for a zero and divide only violations back; the axiom, gamma,
+eta and dual-gf suites and gf's two identities count their zero
+instances without recording each.  Every label that a caller
 passes or receives -- the public products, the suites' callbacks, a
 report's instances, residuals and extras, a returned cochain -- is a
 (family, Fraction) label.
@@ -91,7 +91,7 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
-_SIGN = (Fraction(1), Fraction(-1))  # (-1)^p for a parity p
+_ZERO = Fraction(0)  # the one zero value of c_gf and c_gv
 
 # the least key of the one-sided family m1 and of its floored dual: the
 # floors are 0 on eps and eps*, -1 on a and a*, and every key below -1 lies
@@ -107,15 +107,15 @@ _W1 = ("l",)
 
 def _dbl(label, families) -> int:
     """The int key of a label of ``families``, (even family, odd family) or
-    (even family,): its doubled index, read off the index's numerator and
-    denominator without `Fraction` arithmetic.  A label of another family,
-    or whose index is not an `int` or `Fraction` of its family's kind,
-    raises ValueError."""
+    (even family,): its doubled index, read off the index's
+    `as_integer_ratio()` without `Fraction` arithmetic.  A label of another
+    family, or whose index is not an `int` or `Fraction` of its family's
+    kind, raises ValueError."""
     fam, idx = label
-    if isinstance(idx, (int, Fraction)) and idx.denominator <= 2:
-        k = 2 * idx.numerator // idx.denominator
-        p = k & 1
-        if families[p:p + 1] == (fam,):
+    if isinstance(idx, (int, Fraction)):
+        n, q = idx.as_integer_ratio()
+        p = (k := 2 * n // q) & 1
+        if q <= 2 and families[p:p + 1] == (fam,):
             return k
     raise ValueError(f"not a label of {'/'.join(families)}: {label!r}")
 
@@ -204,10 +204,12 @@ def w1_bracket(u, v) -> dict:
 
 # the (least, greatest) window radius of each suite by name, which `cli`
 # reads too; at its greatest radius each suite runs in about 2 s or less
-# (one process on a shared 2-vCPU x86-64 machine)
+# (one process on a shared 2-vCPU x86-64 machine); no window is wider than
+# _WINDOW_LIMIT, which holds each suite's 2N window and eta's N + 4 one
 _WINDOW_RADII = {"gamma": (2, 128), "eta": (2, 100000), "gf": (3, 96),
                  "dual-gf": (3, 128), "gv": (3, 52),
                  "ak1-axioms": (1, 40), "m1-axioms": (1, 80)}
+_WINDOW_LIMIT = 2 * max(greatest for _, greatest in _WINDOW_RADII.values())
 
 
 def _require_window(suite: str, N: int) -> None:
@@ -219,23 +221,29 @@ def _require_window(suite: str, N: int) -> None:
 
 
 class WindowedAlgebra:
-    """A window of one of the infinite families: ``even`` and ``odd`` list
-    its labels by index, ``even2`` and ``odd2`` their int keys in the same
-    order."""
+    """A window of one of the infinite families: ``even2`` and ``odd2`` list
+    its int keys by index, ``even`` and ``odd``, built on first read, its
+    labels in the same order."""
 
     def __init__(self, kind: str, N: int):
         if kind not in ("ak1", "m1", "k1", "w1"):
             raise ValueError(f"unknown family {kind!r}")
-        if N < 1:
-            raise ValueError("window radius must be >= 1")
-        families = _CONF if kind in ("ak1", "m1") else _K1
+        if not 1 <= N <= _WINDOW_LIMIT:
+            raise ValueError(f"window radius must lie in [1, {_WINDOW_LIMIT}]")
+        self._families = _CONF if kind in ("ak1", "m1") else _K1
         # the least key of each parity; w1 has no odd part
         lo_even, lo_odd = {"m1": (0, _M1_FLOOR), "w1": (-2, 2 * N)}.get(
             kind, (-2 * N, 1 - 2 * N))
         self.even2 = list(range(lo_even, 2 * N + 1, 2))
         self.odd2 = list(range(lo_odd, 2 * N, 2))
-        self.even = [_half(k, families) for k in self.even2]
-        self.odd = [_half(k, families) for k in self.odd2]
+
+    @functools.cached_property
+    def even(self) -> list:
+        return [_half(k, self._families) for k in self.even2]
+
+    @functools.cached_property
+    def odd(self) -> list:
+        return [_half(k, self._families) for k in self.odd2]
 
     def labels(self):
         return self.even + self.odd
@@ -253,23 +261,18 @@ def _conf_axiom_report(kind: str, N: int) -> CheckReport:
     scattered from the nonzero products of the window's exact closure
     table: an instance that no product reaches is counted, not evaluated.
     A law's slots range over the window, and a product of two window labels
-    lies in the 2N window, so the table holds 4d times the products of the
-    window labels with the 2N window labels and of those with the window
-    labels, on int keys and ints (d = 1 for the conformal product)."""
+    lies in the 2N window, so the table holds `_conf_mul4`'s ints, 4 times
+    the products of the window labels with the 2N window labels and of
+    those with the window labels, on int keys."""
     _require_window(f"{kind}-axioms", N)
     w = WindowedAlgebra(kind, N)
     window, wide = set(w.labels2()), WindowedAlgebra(kind, 2 * N).labels2()
     table = {u: {v: _conf_mul4(u, v) for v in (
         wide if u in window else w.labels2())} for u in wide}
-    d = common_denominator(c for row in table.values() for p in row.values()
-                           for c in p.values())
-    t = {u: {v: as_integers(p.items(), d) for v, p in row.items()}
-         for u, row in table.items()}
     rep = CheckReport(f"{kind}-axioms[N={N}]")
     rep.merge(*_identity_reports(
-        SimpleNamespace(even=w.even2, odd=w.odd2), t, _AXIOMS,
-        lambda acc, weight: _halved(divided(acc, weight * (4 * d) ** 2),
-                                    _CONF),
+        SimpleNamespace(even=w.even2, odd=w.odd2), table, _AXIOMS,
+        lambda acc, weight: _halved(divided(acc, weight * 16), _CONF),
         increasing=("cyclic",)).values())
     for v in rep.violations:  # back from int keys to labels
         v.instance = tuple(_half(k, _CONF) for k in v.instance)
@@ -730,7 +733,7 @@ def c_gf(u, v) -> Fraction:
     """c(l_n, l_m) = (n^3 - n) delta_{n+m,0};
     c(xi_i, xi_j) = (-4 i^2 + 1) delta_{i+j,0}; zero on mixed pairs."""
     ku, kv = _dbl(u, _K1), _dbl(v, _K1)
-    return Fraction(0) if ku + kv else _gf(ku)
+    return _ZERO if ku + kv else _gf(ku)
 
 
 def C_gf_value(label) -> dict:
@@ -763,25 +766,29 @@ def verify_super_cocycle_gf(N: int = 4, c_fn=None) -> CheckReport:
     antisymmetry and vanishing on the span of the small subalgebra
     l_{-1}, l_0, l_1, xi_{-1/2}, xi_{1/2}.
 
-    The cyclic sum is exactly -(-1)^{|X||Z|} delta c(X,Y,Z), the
-    Chevalley-Eilenberg coboundary with trivial coefficients
-    (`brackets.lie_coboundary`), on int keys and ints."""
+    Antisymmetry and the cyclic sum read c's nonzero values as ints, d c;
+    the sum is exactly -(-1)^{|X||Z|} delta c(X,Y,Z), the Chevalley-Eilenberg
+    coboundary with trivial coefficients (`brackets.lie_coboundary`)."""
     _require_window("gf", N)
     c_fn = c_fn or c_gf
     rep = CheckReport(f"gf-2-cocycle[N={N}]")
     w, big = WindowedAlgebra("k1", N), WindowedAlgebra("k1", 2 * N)
     labels, l2 = w.labels(), w.labels2()
     odd = [X & 1 for X in l2]
-    # c at (bracket term, window label), every term lying in the 2N window
-    cw = {(t2, u2): c_fn(t, u) for t, t2 in zip(big.labels(), big.labels2())
-          for u, u2 in zip(labels, l2)}
-    for x, y in itertools.product(range(len(labels)), repeat=2):
-        rep.record("skew", (labels[x], labels[y]), cw[l2[x], l2[y]]
-                   + _SIGN[odd[x] & odd[y]] * cw[l2[y], l2[x]])
-    # d c on ints: 4d times the cyclic sum where it is nonzero, zeros counted
+    # c at (bracket term, window label), every term lying in the 2N window,
+    # where it is nonzero, and d c on ints
+    cw = {(t2, u2): c for t, t2 in zip(big.labels(), big.labels2())
+          for u, u2 in zip(labels, l2) if (c := c_fn(t, u)) != 0}
     d = common_denominator(cw.values())
-    icoch = {args: {"c": c} for args, c in as_integers(cw.items(), d).items()
-             if c}
+    icw = as_integers(cw.items(), d)
+    # d (c(X, Y) + (-1)^{|X||Y|} c(Y, X)) where it is nonzero, zeros counted
+    for x, y in itertools.product(range(len(labels)), repeat=2):
+        xy, yx = icw.get((l2[x], l2[y]), 0), icw.get((l2[y], l2[x]), 0)
+        if v := (xy - yx if odd[x] & odd[y] else xy + yx):
+            rep.record("skew", (labels[x], labels[y]), Fraction(v, d))
+    rep.checked += len(labels) ** 2 - len(rep.violations)
+    # 4d times the cyclic sum where it is nonzero, zeros counted
+    icoch = {args: {"c": c} for args, c in icw.items()}
     dc = lie_coboundary(_k1_bracket4, _INT_BASIS.parity,
                         lambda args: icoch.get(args, {}), l2, 2)
     rep.checked += len(labels) ** 3 - len(dc)
@@ -838,7 +845,7 @@ def c_gv(u, v, w) -> Fraction:
     the permutation sorting the indices to (-1, 0, 1)."""
     keys = (_dbl(u, _W1), _dbl(v, _W1), _dbl(w, _W1))
     if sorted(keys) != [-2, 0, 2]:
-        return Fraction(0)
+        return _ZERO
     return Fraction(_perm_sign(sorted(range(3), key=keys.__getitem__)))
 
 
@@ -857,13 +864,13 @@ def verify_gv(N: int = 5) -> CheckReport:
     w, wide = WindowedAlgebra("w1", N), WindowedAlgebra("w1", 2 * N)
     labels, n = w.even, len(w.even)
     # c at (bracket term, two window labels), every term lying in the 2N
-    # window; d c on ints gives 4d times delta c
-    cv = {(t2, *r2): c_gv(t, *r) for t, t2 in zip(wide.even, wide.even2)
+    # window, where it is nonzero; d c on ints gives 4d times delta c
+    cv = {(t2, *r2): c for t, t2 in zip(wide.even, wide.even2)
           for r, r2 in zip(*(itertools.product(x, repeat=2)
-                             for x in (labels, w.even2)))}
+                             for x in (labels, w.even2)))
+          if (c := c_gv(t, *r)) != 0}
     d = common_denominator(cv.values())
-    icoch = {args: {"gv": c} for args, c in as_integers(cv.items(), d).items()
-             if c}
+    icoch = {a: {"gv": c} for a, c in as_integers(cv.items(), d).items()}
     dc = lie_coboundary(_k1_bracket4, _INT_BASIS.parity,
                         lambda args: icoch.get(args, {}), w.even2, 3)
     for quad in itertools.combinations(range(n), 4):

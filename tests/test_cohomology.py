@@ -157,6 +157,25 @@ def test_cochain_bases_keep_their_key_order():
                     range(basis.dim))
 
 
+def test_a_basis_builds_its_instances_on_first_read():
+    """No matrix build reads a basis's instances, so neither the bases of
+    delta^k nor a weight slice hold them until a caller asks; then they
+    are those of the enumeration."""
+    mat = _delta_matrix(K3, ADJ, 2)
+    for basis in (mat.source, mat.target, CochainBasis(K3, TRIV, 3)):
+        assert "instances" not in vars(basis)
+    for k in (2, 3):
+        basis = CochainBasis(K3, ADJ, k)
+        assert basis.instances == _ref_basis(K3, ADJ, k)[1]
+        assert "instances" in vars(basis)
+    sliced = zoo._m1_slice(2, (0,))
+    assert "instances" not in vars(sliced)
+    assert sliced.instances == {
+        (p, q): list(dict.fromkeys((xs, ys) for pp, qq, xs, ys, _ in
+                                   sliced.keys if (pp, qq) == (p, q)))
+        for p, q in dict.fromkeys(key[:2] for key in sliced.keys)}
+
+
 # ---------------------------------------------------------------------------
 # one operator, three routes
 # ---------------------------------------------------------------------------

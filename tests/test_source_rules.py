@@ -100,6 +100,13 @@ trees:
   (`antialgebra._identity_reports`, `zoo._conf_axiom_report`) compare
   nothing with None and name no "unknown", and `zoo.WindowedAlgebra`
   defines no product (`mul`, `bracket`) of its own;
+- the window suites build no `Fraction` they do not report: the axiom
+  suites hand `_conf_mul4`'s integer table to `_identity_reports` as it
+  is (no `common_denominator`, no `as_integers` in
+  `zoo._conf_axiom_report`); `c_gf` and `c_gv` return the one shared
+  `_ZERO` and call no `Fraction` on their zero path; and `zoo._dbl` reads
+  a label's index with one `as_integer_ratio()` call, not its
+  `numerator` and `denominator`;
 - the benchmark's tracer finds what it wraps: each `_patch(owner, name,
   ..)` in `Tracer.install` of `perfbench/tracing.py`, read from its
   syntax tree (the benchmark is not imported), names an attribute that
@@ -493,3 +500,25 @@ def test_the_benchmark_tracer_wraps_names_that_exist():
     assert [key for key, ok in found.items() if not ok] == []
     assert {("antalg.zoo", "delta_instance"), ("antalg.cli._VERIFY", "eta"),
             ("antalg.cli", "dual_module")} <= set(found)
+
+
+def test_the_axiom_suites_read_the_integer_products_as_they_are():
+    conf = _top("zoo.py")["_conf_axiom_report"]
+    assert not {"common_denominator", "as_integers"} & set(_read_names(conf))
+
+
+def test_the_zero_forms_build_no_fraction():
+    top = _top("zoo.py")
+    assert "Fraction" not in set(_called_names(top["c_gf"]))
+    zero = [node for node in top["c_gv"].body if isinstance(node, ast.If)]
+    assert zero and not {"Fraction"} & {
+        name for node in zero for name in _called_names(node)}
+    for name in ("c_gf", "c_gv"):
+        assert "_ZERO" in set(_read_names(top[name])), name
+
+
+def test_a_label_index_is_read_in_one_call():
+    dbl = _top("zoo.py")["_dbl"]
+    read = set(_read_names(dbl))
+    assert not {"numerator", "denominator"} & read
+    assert list(_called_names(dbl)).count("as_integer_ratio") == 1

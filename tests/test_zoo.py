@@ -38,7 +38,8 @@ A = lambda k: ("a", F(k))
 
 def test_window_construction_and_validation():
     w = WindowedAlgebra("ak1", 2)
-    assert len(w.even) == 5 and len(w.odd) == 4
+    assert w.even == [EPS(n) for n in range(-2, 3)]
+    assert w.odd == [A(F(i, 2)) for i in range(-3, 4, 2)]
     m = WindowedAlgebra("m1", 2)
     assert m.even[0] == EPS(0) and m.odd[0] == A(F(-1, 2))
     with pytest.raises(ValueError):
@@ -73,6 +74,47 @@ def test_each_suite_raises_one_above_its_greatest_window(suite, monkeypatch):
     for n in (greatest + 1, 10 ** 20):
         with pytest.raises(ValueError, match=f"radius <= {greatest}$"):
             fn(n)
+
+
+def test_a_window_wider_than_every_suite_needs_is_refused():
+    """`WindowedAlgebra` has a greatest radius of its own,
+    `zoo._WINDOW_LIMIT`, which holds every window a suite builds: the 2N
+    window at each suite's greatest radius and eta's N + 4 witness window.
+    Above it, 10**20 included, the window raises ValueError before it
+    builds a key list."""
+    limit = zoo._WINDOW_LIMIT
+    for least, greatest in zoo._WINDOW_RADII.values():
+        assert least >= 1 and 2 * greatest <= limit
+    assert zoo._WINDOW_RADII["eta"][1] + 4 <= limit
+    for kind in ("ak1", "m1", "k1", "w1"):
+        for n in (limit + 1, 10 ** 20):
+            with pytest.raises(ValueError, match=rf"\[1, {limit}\]$"):
+                WindowedAlgebra(kind, n)
+    w = WindowedAlgebra("m1", limit)
+    assert (w.even2[-1], w.odd2[-1]) == (2 * limit, 2 * limit - 1)
+
+
+# the radii of the windows whose (family, Fraction) labels each suite reads
+# at radius 5 (eta at 5 and 9, the axiom suites at 5 and 10, and gamma's
+# 2N window read their int keys alone)
+_LABEL_READS = {"gamma": [5], "eta": [], "gf": [5, 10], "dual-gf": [5, 10],
+                "gv": [5, 10], "ak1-axioms": [], "m1-axioms": []}
+
+
+@pytest.mark.parametrize("suite", sorted(_LABEL_READS))
+def test_windows_build_their_labels_on_first_read(suite, monkeypatch):
+    built = []
+
+    class Recorded(WindowedAlgebra):
+        def __init__(self, kind, N):
+            super().__init__(kind, N)
+            built.append(self)
+
+    monkeypatch.setattr(zoo, "WindowedAlgebra", Recorded)
+    cli._VERIFY[suite][0](5)
+    assert built
+    assert [w.even2[-1] // 2 for w in built
+            if {"even", "odd"} & vars(w).keys()] == _LABEL_READS[suite]
 
 
 def test_window_products_are_decided_beyond_the_window():
@@ -898,6 +940,12 @@ _GF_PERTURBATIONS = {
     # c([xi_1/2, xi_1/2], xi_1/2) = 2 c(l_1, xi_1/2) enters the instance
     # (xi_1/2, xi_1/2, xi_1/2) once per cyclic term, three times in all
     "diagonal": _bump_c((L(1), XI(F(1, 2)))),
+    # not skew at most pairs of every parity: a symmetric form, whose
+    # residuals cancel on odd pairs only, plus a form nonzero where xi is
+    # on the left; skew residuals of denominators 1, 2, 3 and 6, and zeros
+    # (at l_0 and on the odd diagonal) between them
+    "not-skew": lambda u, v: (zoo.c_gf(u, v) + u[1] * v[1] / 3
+                              + (v[1] / 2 if u[0] == "xi" else 0)),
 }
 
 _DUAL_GF_PERTURBATIONS = {
@@ -910,12 +958,13 @@ _DUAL_GF_PERTURBATIONS = {
     "probe-outside-2": _bump_C(L(6), ("l*", F(-5))),
 }
 
-# every perturbation at the default window; the default and the
-# out-of-window ones also at N = 3, and the default and one of them at
-# N = 5 (each reference call at N = 5 takes about a second)
+# every perturbation at the default window; the default, the
+# out-of-window ones and the one that is not skew also at N = 3, and the
+# default and one of them at N = 5 (each reference call at N = 5 takes
+# about a second)
 _GF_CASES = ([(4, k) for k in _GF_PERTURBATIONS]
              + [(3, k) for k in ("default", "bracket-outside",
-                                 "odd-bracket-outside")]
+                                 "odd-bracket-outside", "not-skew")]
              + [(5, "default"), (5, "odd-bracket-outside")])
 _DUAL_GF_CASES = ([(4, k) for k in _DUAL_GF_PERTURBATIONS]
                   + [(3, k) for k in ("default", "probe-outside")]
