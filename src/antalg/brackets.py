@@ -120,14 +120,18 @@ def _parity_or_raise(phi: MultiMap) -> int:
 # ---------------------------------------------------------------------------
 
 class _Raw:
-    """A (p,q)-map's entries as integers, also indexed by output label."""
+    """A (p,q)-map's entries as integers, also indexed by output label;
+    with ``fold``, folded onto their increasing odd orders (`_fold`)."""
 
     __slots__ = ("p", "q", "parity", "entries", "by_out")
 
-    def __init__(self, mm: MultiMap, d: int):
+    def __init__(self, mm: MultiMap, d: int, fold=False):
         self.p, self.q = mm.p, mm.q
         self.parity = _parity_or_raise(mm)
-        self.entries = as_integers(mm.entries(), d).items()
+        entries = as_integers(mm.entries(), d)
+        if fold and mm.q > 1:
+            entries = _fold(entries, mm.space)
+        self.entries = entries.items()
         self.by_out: dict = {}
         for (xs, ys, out), c in self.entries:
             self.by_out.setdefault(out, []).append((xs, ys, c))
@@ -137,6 +141,14 @@ def _cleared(maps) -> tuple:
     """(D, [_Raw]) for maps sharing the common denominator D."""
     d = common_denominator(c for mm in maps for _, c in mm.entries())
     return d, [_Raw(mm, d) for mm in maps]
+
+
+def _operands(bm: BlockMap, fold: bool) -> tuple:
+    """(D, [_Raw], the [_Raw] that `_insert` inserts) of a block sum's
+    blocks: the same list, or with ``fold`` each block folded."""
+    maps = [mm for _, mm in bm.items()]
+    d, raws = _cleared(maps)
+    return d, raws, [_Raw(mm, d, fold=True) for mm in maps] if fold else raws
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +210,26 @@ def gerstenhaber_product(phi: MultiMap, psi: MultiMap):
     return None
 
 
-def _bracket(a: BlockMap, b: BlockMap) -> tuple:
+def _bracket(a: BlockMap, b: BlockMap, fold=False) -> tuple:
     """({shape: integer entries}, D): the bracket of two block sums as
-    integers over the common denominator D."""
+    integers over the common denominator D.  With ``fold`` each inserted
+    operand is folded onto its increasing odd orders (`_Raw`), which
+    changes the bracket but not its Alt: in every insertion case phi's odd
+    arguments land as one contiguous block of the result's odd slots."""
     if a.space != b.space:
         raise ValueError("operands live on different spaces")
     same = a is b
-    da, fs = _cleared([mm for _, mm in a.items()])
-    db, gs = (da, fs) if same else _cleared([mm for _, mm in b.items()])
+    da, fs, ins_fs = _operands(a, fold)
+    db, gs, ins_gs = (da, fs, ins_fs) if same else _operands(b, fold)
     accs: dict = {}
-    for f in fs:
-        for g in gs:
+    for f, ins_f in zip(fs, ins_fs):
+        for g, ins_g in zip(gs, ins_gs):
             # [phi, psi] = j_phi psi - (-1)^{|phi||psi|} j_psi phi; in a
             # self-bracket the mirror term of (f, g) is met at (g, f)
             sign = (-1) ** (f.parity * g.parity)
-            _insert(accs, f, g, 1 - sign if same else 1)
+            _insert(accs, ins_f, g, 1 - sign if same else 1)
             if not same:
-                _insert(accs, g, f, -sign)
+                _insert(accs, ins_g, f, -sign)
     return accs, da * db
 
 
@@ -289,29 +304,34 @@ def _canonical_ys(space, ys):
     return tuple([y for _, y in sorted(zip(idx, ys))]), sign
 
 
-def _alt_sum(acc: dict, space: GradedSpace, q: int) -> dict:
-    """q! Alt of integer entries: the sum of their signed y-permutations.
-
-    Each entry is folded onto its increasing odd order with the sign of the
-    sort (`_canonical_ys`), an entry with a repeated odd label dropping out;
-    the folded entries are summed once, and only the nonzero sums are spread
-    back over the q! orderings: entries + nonzero * q! steps, not
-    entries * q!.  For q <= 1 the entries are returned as they are."""
-    if q <= 1:
-        return acc
+def _fold(acc: dict, space: GradedSpace) -> dict:
+    """Integer entries folded onto their increasing odd orders: each entry
+    moved to its sorted y-arguments with the sign of the sort
+    (`_canonical_ys`), an entry with a repeated odd label dropping out, and
+    only the nonzero sums kept."""
     folded: dict = {}
     for (xs, ys, label), c in acc.items():
         cys, sign = _canonical_ys(space, ys)
         if sign:
             key = (xs, cys, label)
             folded[key] = folded.get(key, 0) + sign * c
+    return {key: c for key, c in folded.items() if c}
+
+
+def _alt_sum(acc: dict, space: GradedSpace, q: int) -> dict:
+    """q! Alt of integer entries: the sum of their signed y-permutations.
+
+    The entries are folded once (`_fold`), and only the nonzero sums are
+    spread back over the q! orderings: entries + nonzero * q! steps, not
+    entries * q!.  For q <= 1 the entries are returned as they are."""
+    if q <= 1:
+        return acc
     signed = [(perm, _perm_sign(perm))
               for perm in itertools.permutations(range(q))]
     out: dict = {}
-    for (xs, ys, label), c in folded.items():
-        if c:
-            for perm, sign in signed:
-                out[xs, tuple(ys[i] for i in perm), label] = sign * c
+    for (xs, ys, label), c in _fold(acc, space).items():
+        for perm, sign in signed:
+            out[xs, tuple(ys[i] for i in perm), label] = sign * c
     return out
 
 
@@ -332,8 +352,10 @@ def alt_blocks(bm: BlockMap) -> BlockMap:
 
 
 def al_bracket_blocks(a: BlockMap, b: BlockMap) -> BlockMap:
-    """Alt of the bracket, dividing each block once by D * q!."""
-    accs, d = _bracket(a, b)
+    """Alt of the bracket, dividing each block once by D * q!.  Each
+    operand is inserted folded (`_bracket`): m's odd-odd block, stored at
+    both orders of each odd pair, enters with one entry per pair."""
+    accs, d = _bracket(a, b, fold=True)
     return BlockMap(a.space, a.degree + b.degree - 1, {
         (p, q): MultiMap._trusted(a.space, p, q, divided(
             _alt_sum(acc, a.space, q), d * math.factorial(q)))

@@ -20,12 +20,16 @@ lcm(1, .., k+1).  One core (`_delta_between`) assembles it between any
 two `CochainBasis`es, in that context: `apply_delta_component` on the
 unit cochains of the source keys (`_UnitCochains`) scatters each key
 through the transpose of each term of that component's formula, over the
-nonzero products and actions, so a column costs what its nonzero
-products cost.  Every whole-cochain coboundary comes from it: `apply_delta`
-of a cochain reads delta^k's columns at its support keys.  A
-finite structure gives it its bases (`_delta_matrix`), `zoo` the finite
-weight slices of an infinite family (`CochainBasis.from_keys`), both in
-one key order (`_cochain_keys`).
+nonzero products and actions, straight into the rows of delta^k, so a key
+costs what its nonzero products cost.  Every whole-cochain coboundary
+comes from it: `apply_delta` of a cochain reads delta^k's columns at its
+support keys.  A finite structure gives it its bases (`_delta_matrix`),
+`zoo` the finite weight slices of an infinite family
+(`CochainBasis.from_keys`), both in one key order (`_cochain_keys`).  A
+finite complex clears its tables of D once (`_cleared_context`), and the
+contexts of all its degrees (`DeltaContext.at`) share the weighted
+products and the scatter's inverted tables, which live as long as the
+complex does.
 That one integer matrix per degree (`DifferentialMatrix`) is what the
 complex is read from: rank delta^k is fraction-free elimination on its rows
 (`cohomology_dims`), ker delta^1 is their nullspace, and delta^k delta^{k-1}
@@ -102,14 +106,31 @@ class DeltaContext:
     block norms (`norm`), are written here alone.  At a positive ``degree``
     k they are 1, 2, L_k = lcm(1, .., k+1) and L_k times the norms, so each
     term is ``scale`` = 2*L_k times its value; the default 0 keeps them exact.
+    ``tables`` holds the scatter's tables (`_UnitCochains`), which `at`
+    shares with the contexts of the other degrees.
     """
 
     def __init__(self, alg, mod, mul, act, *, degree=0):
         self.alg, self.mod, self.mul, self.act = alg, mod, mul, act
+        self._weighted: dict = {}  # m_alg by label pair
+        self.tables: dict = {}  # `_UnitCochains`' tables by target labels
+        self._scalars(degree)
+
+    def _scalars(self, degree) -> None:
         self.degree, lcm = degree, math.lcm(*range(1, degree + 2))
         self.half, self.one, self.unit, self.scale = (
             (1, 2, lcm, 2 * lcm) if degree else (HALF, ONE, 1, 1))
-        self._weighted: dict = {}  # m_alg by label pair
+
+    def at(self, degree) -> "DeltaContext":
+        """This integer context at another positive degree.  ``half`` and
+        ``one`` are 1 and 2 at every degree, so the copy shares the weighted
+        products (`m_alg`) and the scatter's tables (``tables``): a complex
+        builds them once, in its first degree."""
+        if not (self.degree and degree):
+            raise ValueError("only integer contexts change their degree")
+        ctx = copy.copy(self)
+        ctx._scalars(degree)
+        return ctx
 
     def norm(self, component, p, q):
         """The norm n/d of ``component`` from the block (p, q): 1/q for (1,0),
@@ -352,9 +373,10 @@ def apply_delta(coch: Cochain) -> Cochain:
 def apply_delta_component(coch, comp):
     """One component of the coboundary: of a `Cochain`, the cochain that
     the matrix scatter gives (`_scattered_delta`); of the `_UnitCochains`
-    of a basis, their columns."""
+    of a basis, added into their rows {column: nonzero int}, one per target
+    key, which it returns."""
     if isinstance(coch, _UnitCochains):
-        return coch.columns(comp)
+        return coch.add_rows(comp)
     return _scattered_delta(coch, (comp,))
 
 
@@ -536,23 +558,47 @@ class DifferentialMatrix:
 class _UnitCochains:
     """The unit cochains of the source keys (p, q, xs, ys, l) of delta^k,
     all at once, in the integer `DeltaContext` of `_delta_between`: what
-    `apply_delta_component` scatters into one sparse column per key.  It
-    is no `Cochain`; it holds the tables the scatter reads, over the labels
-    that the target basis supplies (``even`` and ``odd``; a term through
-    any other label meets no target key).  A product a.b = z is one of the
-    context's weighted products `m_alg`, inverted by output: even.even,
-    even.odd and odd pairs a < b.  x.l and y.l are its weighted actions
-    `m_x_val` and `m_val_y` on each source output label l.  The context
-    alone decides which scalar weighs which product."""
+    `apply_delta_component` scatters into ``rows``, one sparse row
+    {source column: nonzero int} per target key.  It is no `Cochain`; it
+    reads the tables of the scatter, over the labels that the target basis
+    supplies (``even`` and ``odd``; a term through any other label meets
+    no target key).  A product a.b = z is one of the context's weighted
+    products `m_alg`, inverted by output: even.even, even.odd and odd pairs
+    a < b.  x.l and y.l are its weighted actions `m_x_val` and `m_val_y` on
+    each source output label l.  The context alone decides which scalar
+    weighs which product, and keeps the tables (``ctx.tables``), so that
+    every degree of a complex, in the contexts `DeltaContext.at` gives,
+    reads the same ones."""
 
     def __init__(self, ctx, source, target):
         self.degree, self.keys, self._unit = ctx.degree, source.keys, ctx.unit
         self._norm = functools.cache(ctx.norm)  # one call per source block
         self._index = target._index
-        even, odd = target.even, target.odd
-        self._rank = rank = {y: ctx.alg.index(y) for y in odd}
-        # product output -> [(a, b, weighted int)]
-        self._ee, self._eo, self._oo = ee, eo, oo = {}, {}, {}
+        self.rows: list = [{} for _ in target.keys]
+        labels = even, odd = tuple(target.even), tuple(target.odd)
+        if labels not in ctx.tables:
+            ctx.tables[labels] = self._inverted(ctx, even, odd)
+        self._rank, self._ee, self._eo, self._oo, self._actions = (
+            ctx.tables[labels])
+        # module label -> ([(even actor, o, weighted int)], [(odd actor, ..)])
+        for l in dict.fromkeys(key[4] for key in self.keys):
+            if l not in self._actions:
+                self._actions[l] = (
+                    [(x, o, c) for x in even
+                     for o, c in ctx.m_x_val(x, {l: 1}).items()],
+                    [(y, o, c) for y in odd
+                     for o, c in ctx.m_val_y({l: 1}, y).items()])
+        # the ranks of each key's ys, increasing
+        self._at = [[ctx.alg.index(y) for y in key[3]] for key in self.keys]
+
+    @staticmethod
+    def _inverted(ctx, even, odd) -> tuple:
+        """(ranks of the odd labels, the three product tables output ->
+        [(a, b, weighted int)], an empty action table): the scatter's
+        tables of one context, which `__init__` fills with the actions on
+        each source output label as it meets them."""
+        rank = {y: ctx.alg.index(y) for y in odd}
+        ee, eo, oo = {}, {}, {}
         for table, lefts, rights in ((ee, even, even), (eo, even, odd),
                                      (oo, odd, odd)):
             for a in lefts:
@@ -560,32 +606,21 @@ class _UnitCochains:
                     if table is not oo or rank[a] < rank[b]:
                         for z, c in ctx.m_alg(a, b).items():
                             table.setdefault(z, []).append((a, b, c))
-        # module label -> ([(even actor, o, weighted int)], [(odd actor, ..)])
-        self._actions = {}
-        for l in dict.fromkeys(key[4] for key in self.keys):
-            self._actions[l] = (
-                [(x, o, c) for x in even
-                 for o, c in ctx.m_x_val(x, {l: 1}).items()],
-                [(y, o, c) for y in odd
-                 for o, c in ctx.m_val_y({l: 1}, y).items()])
-        # the ranks of each key's ys, increasing
-        self._at = [[ctx.alg.index(y) for y in key[3]] for key in self.keys]
+        return rank, ee, eo, oo, {}
 
-    def columns(self, comp) -> list:
-        """Component ``comp`` of delta of each unit cochain, in key order:
-        {target row: nonzero int}.  A formed key must be a target key
-        (KeyError otherwise); a column's terms are summed before its
-        nonzero entries are kept."""
-        push, index, out = self._PUSH[comp], self._index, []
-        for key, at in zip(self.keys, self._at):
-            col: dict = {}
+    def add_rows(self, comp) -> list:
+        """Add component ``comp`` of delta of each unit cochain into
+        ``rows``, which it returns.  A formed key must be a target key
+        (KeyError otherwise); an entry whose terms sum to zero is dropped."""
+        push, index, rows = self._PUSH[comp], self._index, self.rows
+        for j, (key, at) in enumerate(zip(self.keys, self._at)):
             for target, c in push(self, *key, at):
-                row = index[target]
-                col[row] = col.get(row, 0) + c
-            if 0 in col.values():
-                col = {row: c for row, c in col.items() if c}
-            out.append(col)
-        return out
+                row = rows[index[target]]
+                if (s := row.get(j, 0) + c):
+                    row[j] = s
+                else:
+                    del row[j]
+        return rows
 
     # Each push transposes the pull terms of one component: a line below
     # pairs a pull term with the target keys it reaches from (p, q, xs, ys, l).
@@ -658,31 +693,40 @@ def _delta_between(ctx, source, target, d):
     so S = D * ``ctx.scale`` makes S*delta^k an integer matrix.  Column j
     of a component is that component applied to the j-th unit cochain,
     each source key scattered through the transpose of the component's
-    pull terms (`_UnitCochains`); an entry's blocks fix its one component,
-    so no two components write the same entry.  The columns come through
-    `apply_delta_component`, one call per component, because the
-    benchmark's per-degree assembly spans wrap that name."""
+    pull terms (`_UnitCochains`) and added straight into the rows; an
+    entry's blocks fix its one component, so no two components write the
+    same entry.  The rows are filled by `apply_delta_component`, one call
+    per component, because the benchmark's per-degree assembly spans wrap
+    that name."""
     units = _UnitCochains(ctx, source, target)
-    rows = [{} for _ in target.keys]
     for component in COMPONENTS:
-        for j, col in enumerate(apply_delta_component(units, component)):
-            for row, c in col.items():
-                rows[row][j] = c
-    return DifferentialMatrix(ctx.degree, source, target, rows, d * ctx.scale)
+        apply_delta_component(units, component)
+    return DifferentialMatrix(ctx.degree, source, target, units.rows,
+                              d * ctx.scale)
 
 
-def _delta_matrix(alg, mod, k, source=None) -> DifferentialMatrix:
-    """delta^k of a finite structure between its `CochainBasis`es, by
-    `_delta_between` on the tables cleared of their common denominator D.
-    ``source`` is the basis of C^k when the caller has it already."""
+def _cleared_context(alg, mod) -> tuple:
+    """(ctx, D): the integer `DeltaContext`, of degree 1, of a finite
+    structure's products and action cleared of their common denominator D.
+    A complex builds it once; each degree's context is ``ctx.at(k)``."""
     tables = (alg.products, mod.action)
     d = common_denominator(c for t in tables for v in t.values()
                            for c in v.values())
     mul, rho = ({ab: as_integers(v.items(), d) for ab, v in t.items()}
                 for t in tables)
-    ctx = DeltaContext(alg.space, mod.space, lambda a, b: mul.get((a, b), {}),
-                       lambda a, l: rho.get((a, l), {}), degree=k)
-    return _delta_between(ctx, source or CochainBasis(alg, mod, k),
+    return DeltaContext(alg.space, mod.space,
+                        lambda a, b: mul.get((a, b), {}),
+                        lambda a, l: rho.get((a, l), {}), degree=1), d
+
+
+def _delta_matrix(alg, mod, k, source=None,
+                  cleared=None) -> DifferentialMatrix:
+    """delta^k of a finite structure between its `CochainBasis`es, by
+    `_delta_between` on the tables cleared of their common denominator D.
+    ``source`` is the basis of C^k and ``cleared`` the `_cleared_context`
+    of the structure when the caller has them already."""
+    ctx, d = cleared or _cleared_context(alg, mod)
+    return _delta_between(ctx.at(k), source or CochainBasis(alg, mod, k),
                           CochainBasis(alg, mod, k + 1), d)
 
 
@@ -691,10 +735,11 @@ def assemble_complex(alg, mod, kmax, verify=True) -> list:
     law is asserted exactly, degree by degree: as soon as delta^k is built,
     `verify_complex` checks it against delta^{k-1}, and delta^{k+1} is
     built only if that pair passes.  A failing complex raises at its first
-    failing pair, with no larger matrix assembled."""
-    mats, source = [], None
+    failing pair, with no larger matrix assembled.  Every degree is built
+    on one `_cleared_context`, so on one set of the scatter's tables."""
+    mats, source, cleared = [], None, _cleared_context(alg, mod)
     for k in range(1, kmax + 1):  # delta^k's target is delta^{k+1}'s source
-        mats.append(_delta_matrix(alg, mod, k, source))
+        mats.append(_delta_matrix(alg, mod, k, source, cleared))
         source = mats[-1].target
         if verify:
             verify_complex(mats[-2:], trivial=not mod.action)

@@ -62,9 +62,13 @@ def mat_is_zero(a: list) -> bool:
 def _primitive(row: dict) -> dict:
     """The primitive integer multiple of a nonzero row, as a new dict: times
     the lcm of its denominators, then divided by the gcd of its entries.  A
-    row of `int`s has no denominator to clear, so only the gcd is taken."""
-    if all(map(int.__instancecheck__, row.values())):
+    row of `int`s has no denominator to clear, so only the gcd is taken:
+    `math.gcd` takes it at once, and raises TypeError on any other row."""
+    try:
         g = math.gcd(*row.values())
+    except TypeError:
+        pass
+    else:
         return {j: c // g for j, c in row.items()} if g != 1 else dict(row)
     den = math.lcm(*(c.denominator for c in row.values()))
     ints = {j: c.numerator * (den // c.denominator) for j, c in row.items()}

@@ -945,6 +945,50 @@ def test_al_bracket_blocks_matches_the_fraction_loops():
     assert got.is_zero() and got == _ref_al_bracket_blocks(m, m)
 
 
+def test_al_bracket_inserts_each_operand_folded():
+    """Alt of a bracket reads each inserted operand only through its fold
+    onto increasing odd orders, so `al_bracket_blocks` inserts it folded.
+    On random operands on SP23 whose blocks with q >= 2 are not skew, and
+    which fold an operand in insertion cases (b), (c) and (d), the raw
+    bracket changes with the fold, and its Alt equals the Fraction loops,
+    which insert the operands as they are."""
+    rng = random.Random(814)
+    shapes = (((2, 2), (1, 3)), ((1, 2), (0, 3)))
+    cases = set()
+    for i in range(8):
+        a = BlockMap(SP23, 4 - i % 2, {
+            pq: _rand_mixed_map(rng, SP23, *pq, density=0.3)
+            for pq in shapes[i % 2]})
+        b = BlockMap(SP23, 2, {pq: _rand_mixed_map(rng, SP23, *pq)
+                               for pq in ((2, 0), (1, 1), (0, 2))})
+        for (p, q), mm in a.items() + b.items():
+            if q >= 2:
+                assert alt(mm) != mm, (p, q)
+                cases.add("b" if q % 2 == 0 else "c" if p else "d")
+        assert brackets._bracket(a, b, fold=True) != brackets._bracket(a, b)
+        got = al_bracket_blocks(a, b)
+        assert got == _ref_al_bracket_blocks(a, b) and _all_fractions(got)
+    assert cases == {"b", "c", "d"}
+
+
+def test_m_enters_the_alternated_bracket_with_one_entry_per_odd_pair():
+    """m's odd-odd block holds each odd product at both orders; folded for
+    insertion, it holds one entry per odd pair a < b with a product, the
+    product times 2 D on the K3 (x) k[t]/(t^4) table."""
+    alg = AntialgebraStructure.from_file_doc(
+        parse_algebra_text((GOLDEN / "k3t4.alg").read_text()))
+    block = alg.m_blocks().block(0, 2)
+    d, (raw,) = brackets._cleared([block])
+    folded = dict(brackets._Raw(block, d, fold=True).entries)
+    index, odd = alg.space.index, set(alg.space.odd)
+    want = {((), (a, b), l): 2 * c * d
+            for (a, b), v in alg.products.items()
+            if {a, b} <= odd and index(a) < index(b) for l, c in v.items()}
+    assert folded == want
+    assert len({ys for _, ys, _ in folded}) == len(folded) > 0
+    assert len(raw.entries) == 2 * len(folded)
+
+
 @pytest.mark.parametrize("name", ["k3t4p", "k3t2rp"])
 def test_al_bracket_of_a_perturbed_structure_matches_the_fraction_loops(name):
     doc = parse_algebra_text((GOLDEN / f"{name}.alg").read_text())

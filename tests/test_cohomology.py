@@ -653,9 +653,9 @@ def test_a_failing_complex_stops_at_its_first_failing_degree(monkeypatch):
     built = []
     delta_matrix = cohomology._delta_matrix
 
-    def counting(alg, mod, k, source=None):
+    def counting(alg, mod, k, source=None, cleared=None):
         built.append(k)
-        return delta_matrix(alg, mod, k, source)
+        return delta_matrix(alg, mod, k, source, cleared)
     monkeypatch.setattr(cohomology, "_delta_matrix", counting)
     alg = _delta2_table("k3t4")
     with pytest.raises(AssertionError) as err:
@@ -664,18 +664,66 @@ def test_a_failing_complex_stops_at_its_first_failing_degree(monkeypatch):
     assert built == [1, 2, 3]
 
 
-@pytest.mark.parametrize("table", ["k3", "k3n2x"])
+@pytest.mark.parametrize("table", ["k3", "k3n2x", "kt4"])
 def test_verified_complexes_equal_the_unverified_ones(table):
     """Checking degree by degree changes no matrix: with and without
-    ``verify``, every delta^k has the same integer rows and scale."""
+    ``verify``, every delta^k has the same integer rows and scale, and
+    they are those of delta^k built alone, on tables of its own.  No row
+    stores a zero.  Trivial, adjoint and dual-adjoint coefficients."""
     alg = K3 if table == "k3" else AntialgebraStructure.from_file_doc(
-        parse_algebra_file(GOLDEN / "k3n2x.alg"))
-    for mod in (trivial_module(alg), adjoint_module(alg)):
+        parse_algebra_file(GOLDEN / f"{table}.alg"))
+    adj = adjoint_module(alg)
+    for mod in (trivial_module(alg), adj, dual_module(adj)):
         checked = assemble_complex(alg, mod, 4)
         unchecked = assemble_complex(alg, mod, 4, verify=False)
         assert [m.k for m in checked] == [1, 2, 3, 4]
-        assert [(m.ints, m.scale) for m in checked] == [
-            (m.ints, m.scale) for m in unchecked]
+        ints = [(m.ints, m.scale) for m in checked]
+        assert ints == [(m.ints, m.scale) for m in unchecked]
+        assert ints == [(m.ints, m.scale) for m in (
+            _delta_matrix(alg, mod, k) for k in (1, 2, 3, 4))]
+        assert not [m.k for m in checked for row in m.ints
+                    if 0 in row.values()]
+
+
+def test_a_complex_builds_its_tables_once(monkeypatch):
+    """`cohomology_dims` clears the products and action of its complex
+    once (`_cleared_context`), and the scatter inverts the weighted
+    products once (`_UnitCochains._inverted`), not once per degree; a
+    second table builds its own."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+    monkeypatch.setattr(cohomology, "_cleared_context", counting(
+        "cleared", cohomology._cleared_context))
+    monkeypatch.setattr(cohomology._UnitCochains, "_inverted", staticmethod(
+        counting("inverted", cohomology._UnitCochains._inverted)))
+    alg = AntialgebraStructure.from_file_doc(
+        parse_algebra_file(GOLDEN / "k3n2x.alg"))
+    cohomology_dims(alg, adjoint_module(alg), 4)
+    assert calls == ["cleared", "inverted"]
+    cohomology_dims(K3, ADJ, 3)
+    assert calls == ["cleared", "inverted"] * 2
+
+
+def test_a_context_changes_degree_only_on_integers():
+    """`DeltaContext.at` moves an integer context to another degree with
+    that degree's unit and scale, sharing its weighted products and the
+    scatter's tables; an exact context, whose weights differ, does not
+    move."""
+    args = (K3.space, ADJ.space, lambda a, b: K3.products.get((a, b), {}),
+            lambda a, l: ADJ.action.get((a, l), {}))
+    low = DeltaContext(*args, degree=1)
+    high = low.at(3)
+    assert (high.degree, high.unit, high.scale) == (3, 12, 24)
+    assert (low.degree, low.unit, low.scale) == (1, 2, 4)
+    assert high.tables is low.tables and high._weighted is low._weighted
+    for ctx, degree in ((DeltaContext(*args), 1), (low, 0)):
+        with pytest.raises(ValueError, match="only integer contexts"):
+            ctx.at(degree)
 
 
 def _without_d10(mat):

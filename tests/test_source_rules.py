@@ -71,8 +71,8 @@ trees:
   unknown does not depend on the window: `zoo._gamma_nontrivial` reads no
   window radius `N`;
 - delta^k is held once on integers: its assembly (`_UnitCochains`,
-  `_delta_between`, `_delta_matrix`) and the delta^2 check
-  (`verify_complex`) name neither `Fraction` nor `divided`, and the
+  `_delta_between`, `_delta_matrix`, `_cleared_context`) and the delta^2
+  check (`verify_complex`) name neither `Fraction` nor `divided`, and the
   module's one call of `divided` is in `DifferentialMatrix`, the one
   division of delta^k into `Fraction`s;
 - delta^2 = 0 is checked degree by degree: `assemble_complex` calls
@@ -84,9 +84,9 @@ trees:
   (the benchmark's per-degree assembly spans wrap that name), and takes
   its `DeltaContext` whole (no ``basis``, ``parity``, ``mul`` or ``act``
   parameter); neither calls `delta_instance` or `apply_delta`; the
-  finite-table `_delta_matrix` builds its context and reaches delta only
-  through the core; and no generic cochain (`_GenericCochain`) is left
-  for the formulas to sweep;
+  finite-table `_delta_matrix` takes its context from `_cleared_context`,
+  which builds it, and reaches delta only through the core; and no
+  generic cochain (`_GenericCochain`) is left for the formulas to sweep;
 - one delta per job: every whole-cochain coboundary comes from the matrix
   scatter, and the pull formulas only evaluate single instances.
   `apply_delta`, `apply_delta_component` and the helper they call reach
@@ -331,7 +331,7 @@ def test_gamma_nontriviality_reads_no_window_radius():
 def test_delta_matrices_stay_on_integers_until_their_one_division():
     top = _top("cohomology.py")
     for name in ("_UnitCochains", "_delta_between", "_delta_matrix",
-                 "verify_complex"):
+                 "_cleared_context", "verify_complex"):
         assert not {"Fraction", "divided"} & set(_read_names(top[name])), name
     calls = [name for name, node in top.items()
              for called in _called_names(node) if called == "divided"]
@@ -349,8 +349,11 @@ def test_delta_matrices_reach_delta_through_apply_delta_component():
     for name in ("_delta_between", "_UnitCochains"):
         assert not pull & set(_called_names(top[name])), name
     wrapper = set(_called_names(top["_delta_matrix"]))
-    assert {"_delta_between", "DeltaContext"} <= wrapper
-    assert not (pull | {"apply_delta_component"}) & wrapper
+    assert {"_delta_between", "_cleared_context"} <= wrapper
+    assert "DeltaContext" in set(_called_names(top["_cleared_context"]))
+    for name in ("_delta_matrix", "_cleared_context"):
+        assert not (pull | {"apply_delta_component"}) & set(
+            _called_names(top[name])), name
     assert not any("_GenericCochain" in _top(name) for name in TREES)
 
 
