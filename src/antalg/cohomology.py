@@ -14,29 +14,29 @@ feeds it a product, the product's labels give one term each.
 
 `DeltaContext` is the one place for delta's scalars and integer scale,
 so the formulas run exactly or on integers.  delta^k is held on
-integers, in the context of degree k: over the scale 2*D*L_k, D the
-common denominator of the products and the action and L_k =
-lcm(1, .., k+1).  One core (`_delta_between`) assembles it between any
-two `CochainBasis`es, in that context: `apply_delta_component` on the
-unit cochains of the source keys (`_UnitCochains`) scatters each key
-through the transpose of each term of that component's formula, over the
-nonzero products and actions, straight into the rows of delta^k, so a key
-costs what its nonzero products cost.  Every whole-cochain coboundary
-comes from it: `apply_delta` of a cochain reads delta^k's columns at its
-support keys.  A finite structure gives it its bases (`_delta_matrix`),
-`zoo` the finite weight slices of an infinite family
-(`CochainBasis.from_keys`), both in one key order (`_cochain_keys`).  A
-finite complex clears its tables of D once (`_cleared_context`), and the
-contexts of all its degrees (`DeltaContext.at`) share the weighted
-products and the scatter's inverted tables, which live as long as the
-complex does.
+integers: over the scale 2*D*L_k, D the common denominator of the
+products and the action (the context's ``denominator``) and L_k =
+lcm(1, .., k+1), read off the arity k of each source block.  One core
+(`_delta_between`) assembles it between any two `CochainBasis`es:
+`apply_delta_component` on the unit cochains of the source keys
+(`_UnitCochains`) scatters each key through the transpose of each term
+of that component's formula, over the nonzero products and actions,
+straight into the rows of delta^k, so a key costs what its nonzero
+products cost.  Every whole-cochain coboundary comes from it:
+`apply_delta` of a cochain reads delta^k's columns at its support keys.
+A finite structure gives it its bases (`_delta_matrix`), `zoo` the
+finite weight slices of an infinite family (`CochainBasis.from_keys`),
+both in one key order (`_cochain_keys`).  A finite complex clears its
+tables of D once, into one context for all its degrees
+(`_cleared_context`), which keeps the weighted products and the
+scatter's inverted tables as long as the complex lives.
 That one integer matrix per degree (`DifferentialMatrix`) is what the
 complex is read from: rank delta^k is fraction-free elimination on its rows
 (`cohomology_dims`), ker delta^1 is their nullspace, and delta^k delta^{k-1}
 = 0 is one integer product per degree (`verify_complex`), checked as soon
 as delta^k is built, so a complex with delta^2 != 0 is assembled no further
-than its first failing degree (`assemble_complex`).  It is divided into
-`Fraction`s only where a value of delta^k is needed (`solve_coboundary`).
+than its first failing degree (`assemble_complex`).  Solves run on it too,
+and a value of delta is divided only once summed (`apply_delta`).
 
 A context's product and action are total: on the infinite conformal
 families (`zoo`) they are the global index formulas, so every instance
@@ -78,8 +78,6 @@ __all__ = [
 ]
 
 COMPONENTS = ((1, 0), (0, 1), (-1, 2))
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
 
 
 class DeltaContext:
@@ -102,46 +100,37 @@ class DeltaContext:
                        label: the action on the even component, minus the
                        action on the odd one.
 
-    The scalars of delta, ``half``, ``one``, the unit sign ``unit`` and the
-    block norms (`norm`), are written here alone.  At a positive ``degree``
-    k they are 1, 2, L_k = lcm(1, .., k+1) and L_k times the norms, so each
-    term is ``scale`` = 2*L_k times its value; the default 0 keeps them exact.
-    ``tables`` holds the scatter's tables (`_UnitCochains`), which `at`
-    shares with the contexts of the other degrees.
+    The scalars of delta, ``half``, ``one``, the unit sign `unit` and the
+    block norms (`norm`), are written here alone.  A nonzero
+    ``denominator`` D means ``mul`` and ``act`` are D times the structure's:
+    then they are 1, 2, L_k = lcm(1, .., k+1) and L_k times the norms on a
+    block of arity k, so each term of delta^k is `scale` = 2*D*L_k times
+    its value; the default 0 keeps them exact.  ``tables`` holds the
+    scatter's tables (`_UnitCochains`), for every degree alike.
     """
 
-    def __init__(self, alg, mod, mul, act, *, degree=0):
+    def __init__(self, alg, mod, mul, act, *, denominator=0):
         self.alg, self.mod, self.mul, self.act = alg, mod, mul, act
+        self.denominator = denominator
+        self.half, self.one = ((1, 2) if denominator
+                               else (Fraction(1, 2), Fraction(1)))
         self._weighted: dict = {}  # m_alg by label pair
         self.tables: dict = {}  # `_UnitCochains`' tables by target labels
-        self._scalars(degree)
 
-    def _scalars(self, degree) -> None:
-        self.degree, lcm = degree, math.lcm(*range(1, degree + 2))
-        self.half, self.one, self.unit, self.scale = (
-            (1, 2, lcm, 2 * lcm) if degree else (HALF, ONE, 1, 1))
+    def unit(self, k):
+        return math.lcm(*range(1, k + 2)) if self.denominator else 1
 
-    def at(self, degree) -> "DeltaContext":
-        """This integer context at another positive degree.  ``half`` and
-        ``one`` are 1 and 2 at every degree, so the copy shares the weighted
-        products (`m_alg`) and the scatter's tables (``tables``): a complex
-        builds them once, in its first degree."""
-        if not (self.degree and degree):
-            raise ValueError("only integer contexts change their degree")
-        ctx = copy.copy(self)
-        ctx._scalars(degree)
-        return ctx
+    def scale(self, k):
+        return 2 * self.denominator * self.unit(k) if self.denominator else 1
 
     def norm(self, component, p, q):
         """The norm n/d of ``component`` from the block (p, q): 1/q for (1,0),
         2/(q+1) for (0,1) at p = 0 and q odd, else 1/(q+1), 2/((q+1)(q+2))
-        for (-1,2).  On integers n*L_k/d: ValueError if d does not divide."""
+        for (-1,2).  On integers n*L_{p+q}/d, exact: d divides L_{p+q}."""
         n, d = ((1, q) if component == (1, 0) else
                 (2 if p == 0 and q % 2 else 1, q + 1) if component == (0, 1)
                 else (2, (q + 1) * (q + 2)))
-        if self.degree and n * self.unit % d:
-            raise ValueError(f"{n}/{d} is no norm of degree {self.degree}")
-        return n * self.unit // d if self.degree else Fraction(n, d)
+        return n * self.unit(p + q) // d if self.denominator else Fraction(n, d)
 
     def m_alg(self, a, b):
         if (a, b) not in self._weighted:
@@ -306,7 +295,7 @@ def delta10_terms(ctx: DeltaContext, coch, p, q, xs, ys):
       + (-1)^p m(c(x0..x_{p-1}), xp)                        if q = 0
       + (1/q) sum_j (-1)^{p+j} c(x0..x_{p-1}; m(xp,yj), ys\\yj)   if q > 0
     """
-    u, norm = ctx.unit, q and ctx.norm((1, 0), p, q)
+    u, norm = ctx.unit(p + q), q and ctx.norm((1, 0), p, q)
     yield -u, ctx.m_x_val(xs[0], coch.value(p, q, xs[1:], ys))
     for i in range(p):
         yield from _through(
@@ -382,9 +371,10 @@ def apply_delta_component(coch, comp):
 
 def _scattered_delta(coch: Cochain, components) -> Cochain:
     """The chosen components of the coboundary of a finite-structure
-    cochain: the columns of delta^k at its support keys (`_delta_matrix`),
-    each entry kept if its block shift is one of ``components``, times the
-    cochain's coefficients."""
+    cochain: the integer columns of delta^k at its support keys
+    (`_delta_matrix`), each entry kept if its block shift is one of
+    ``components``, times the coefficients, each sum divided by the scale."""
+    _require_finite(coch)
     coeffs = {(p, q, xs, ys, out): c for p, q in coch.shapes()
               for (xs, ys), vec in coch.block(p, q).items()
               for out, c in vec.items()}
@@ -392,12 +382,19 @@ def _scattered_delta(coch: Cochain, components) -> Cochain:
                         CochainBasis.from_keys(list(coeffs)))
     keys, values = mat.source.keys, list(coeffs.values())
     row: dict = {}
-    for i, ((P, Q, *_), entries) in enumerate(zip(mat.target.keys, mat.full)):
+    for i, ((P, Q, *_), entries) in enumerate(zip(mat.target.keys, mat.ints)):
         s = sum(c * values[j] for j, c in entries.items()
                 if (P - keys[j][0], Q - keys[j][1]) in components)
         if s:
-            row[i] = s
+            row[i] = Fraction(s, mat.scale)
     return mat.target.from_row(row)
+
+
+def _require_finite(coch: Cochain) -> None:
+    """A window cochain has no finite structure (``alg`` is None)."""
+    if coch.alg is None:
+        raise ValueError(f"this {type(coch).__name__} has no finite structure "
+                         "behind it, so no matrix or bracket coboundary")
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +408,7 @@ def delta_via_bracket(coch: Cochain) -> Cochain:
     This shares no formula code with `apply_delta`; agreement of the two is
     the structural consistency check for the operator.
     """
+    _require_finite(coch)
     s = semidirect(coch.mod)
     m_bm = s.m_blocks()
     # embed the cochain: extension by zero, with the odd-argument
@@ -536,10 +534,10 @@ class DifferentialMatrix:
     times it over its scale S_k = ``scale``, one dict {column: nonzero int}
     per key of ``target``, the `CochainBasis` of C^{k+1} or a weight slice
     of it (``source`` likewise for C^k).  Rank and kernel are taken on
-    ``ints``, which has the row space of delta^k.  `full`, the one division
-    of those rows into delta^k's own `Fraction` rows, is built on first
-    read, by the callers that need delta^k's values (`solve_coboundary`,
-    `zoo.eta_coboundary_solve`)."""
+    ``ints``, which has the row space of delta^k, and so are the solves,
+    against S_k times their right-hand sides.  `full`, delta^k's own
+    `Fraction` rows, is built on first read, by tests and the benchmark
+    alone."""
 
     def __init__(self, k, source: CochainBasis, target: CochainBasis,
                  ints: list, scale: int):
@@ -556,9 +554,10 @@ class DifferentialMatrix:
 
 
 class _UnitCochains:
-    """The unit cochains of the source keys (p, q, xs, ys, l) of delta^k,
-    all at once, in the integer `DeltaContext` of `_delta_between`: what
-    `apply_delta_component` scatters into ``rows``, one sparse row
+    """The unit cochains of the source keys (p, q, xs, ys, l) of delta^k
+    (``degree`` k), all at once, in the integer `DeltaContext` of
+    `_delta_between`: what `apply_delta_component` scatters into ``rows``,
+    one sparse row
     {source column: nonzero int} per target key.  It is no `Cochain`; it
     reads the tables of the scatter, over the labels that the target basis
     supplies (``even`` and ``odd``; a term through any other label meets
@@ -567,11 +566,11 @@ class _UnitCochains:
     a < b.  x.l and y.l are its weighted actions `m_x_val` and `m_val_y` on
     each source output label l.  The context alone decides which scalar
     weighs which product, and keeps the tables (``ctx.tables``), so that
-    every degree of a complex, in the contexts `DeltaContext.at` gives,
-    reads the same ones."""
+    every degree of a complex, all in its one context, reads the same
+    ones."""
 
-    def __init__(self, ctx, source, target):
-        self.degree, self.keys, self._unit = ctx.degree, source.keys, ctx.unit
+    def __init__(self, ctx, k, source, target):
+        self.degree, self.keys, self._unit = k, source.keys, ctx.unit(k)
         self._norm = functools.cache(ctx.norm)  # one call per source block
         self._index = target._index
         self.rows: list = [{} for _ in target.keys]
@@ -685,30 +684,28 @@ class _UnitCochains:
     _PUSH = {(1, 0): _push10, (0, 1): _push01, (-1, 2): _push_12}
 
 
-def _delta_between(ctx, source, target, d):
+def _delta_between(ctx, k, source, target):
     """delta^k between the `CochainBasis`es ``source`` of C^k and
     ``target`` of C^{k+1}, of a finite structure or of any key lists
-    (`CochainBasis.from_keys`), in the integer `DeltaContext` ``ctx`` of
-    degree k.  Its products and action are D = ``d`` times the structure's,
-    so S = D * ``ctx.scale`` makes S*delta^k an integer matrix.  Column j
-    of a component is that component applied to the j-th unit cochain,
-    each source key scattered through the transpose of the component's
-    pull terms (`_UnitCochains`) and added straight into the rows; an
-    entry's blocks fix its one component, so no two components write the
-    same entry.  The rows are filled by `apply_delta_component`, one call
-    per component, because the benchmark's per-degree assembly spans wrap
-    that name."""
-    units = _UnitCochains(ctx, source, target)
+    (`CochainBasis.from_keys`), in the integer `DeltaContext` ``ctx``,
+    whose scale S_k = ``ctx.scale(k)`` makes S_k*delta^k an integer
+    matrix.  Column j of a component is that component applied to the j-th
+    unit cochain, each source key scattered through the transpose of the
+    component's pull terms (`_UnitCochains`) and added straight into the
+    rows; an entry's blocks fix its one component, so no two components
+    write the same entry.  The rows are filled by `apply_delta_component`,
+    one call per component, because the benchmark's per-degree assembly
+    spans wrap that name."""
+    units = _UnitCochains(ctx, k, source, target)
     for component in COMPONENTS:
         apply_delta_component(units, component)
-    return DifferentialMatrix(ctx.degree, source, target, units.rows,
-                              d * ctx.scale)
+    return DifferentialMatrix(k, source, target, units.rows, ctx.scale(k))
 
 
-def _cleared_context(alg, mod) -> tuple:
-    """(ctx, D): the integer `DeltaContext`, of degree 1, of a finite
-    structure's products and action cleared of their common denominator D.
-    A complex builds it once; each degree's context is ``ctx.at(k)``."""
+def _cleared_context(alg, mod) -> DeltaContext:
+    """The integer `DeltaContext` of a finite structure's products and
+    action cleared of their common denominator D, the context's
+    ``denominator``.  A complex builds it once, for all its degrees."""
     tables = (alg.products, mod.action)
     d = common_denominator(c for t in tables for v in t.values()
                            for c in v.values())
@@ -716,18 +713,16 @@ def _cleared_context(alg, mod) -> tuple:
                 for t in tables)
     return DeltaContext(alg.space, mod.space,
                         lambda a, b: mul.get((a, b), {}),
-                        lambda a, l: rho.get((a, l), {}), degree=1), d
+                        lambda a, l: rho.get((a, l), {}), denominator=d)
 
 
-def _delta_matrix(alg, mod, k, source=None,
-                  cleared=None) -> DifferentialMatrix:
+def _delta_matrix(alg, mod, k, source=None, ctx=None) -> DifferentialMatrix:
     """delta^k of a finite structure between its `CochainBasis`es, by
-    `_delta_between` on the tables cleared of their common denominator D.
-    ``source`` is the basis of C^k and ``cleared`` the `_cleared_context`
-    of the structure when the caller has them already."""
-    ctx, d = cleared or _cleared_context(alg, mod)
-    return _delta_between(ctx.at(k), source or CochainBasis(alg, mod, k),
-                          CochainBasis(alg, mod, k + 1), d)
+    `_delta_between` in its `_cleared_context`.  ``source`` is the basis
+    of C^k and ``ctx`` that context when the caller has them already."""
+    return _delta_between(ctx or _cleared_context(alg, mod), k,
+                          source or CochainBasis(alg, mod, k),
+                          CochainBasis(alg, mod, k + 1))
 
 
 def assemble_complex(alg, mod, kmax, verify=True) -> list:
@@ -736,10 +731,10 @@ def assemble_complex(alg, mod, kmax, verify=True) -> list:
     `verify_complex` checks it against delta^{k-1}, and delta^{k+1} is
     built only if that pair passes.  A failing complex raises at its first
     failing pair, with no larger matrix assembled.  Every degree is built
-    on one `_cleared_context`, so on one set of the scatter's tables."""
-    mats, source, cleared = [], None, _cleared_context(alg, mod)
+    in one `_cleared_context`, so on one set of the scatter's tables."""
+    mats, source, ctx = [], None, _cleared_context(alg, mod)
     for k in range(1, kmax + 1):  # delta^k's target is delta^{k+1}'s source
-        mats.append(_delta_matrix(alg, mod, k, source, cleared))
+        mats.append(_delta_matrix(alg, mod, k, source, ctx))
         source = mats[-1].target
         if verify:
             verify_complex(mats[-2:], trivial=not mod.action)
@@ -898,12 +893,14 @@ def extension_from_cocycle(coch: Cochain, name: str = "") -> tuple:
 
 
 def solve_coboundary(coch: Cochain):
-    """A cochain L with delta L = coch, or None if there is none."""
+    """A cochain L with delta L = coch, or None if there is none, solved on
+    the integer rows S*delta against S*coch."""
+    _require_finite(coch)
     if coch.degree == 1:
         return None  # C^0 is empty: only the zero 1-cochain is a coboundary
     mat = _delta_matrix(coch.alg, coch.mod, coch.degree - 1)
-    rhs = mat.target.coeff_vector(coch)
-    sol = linalg.solve(mat.full, rhs, mat.source.dim)
+    rhs = [mat.scale * c for c in mat.target.coeff_vector(coch)]
+    sol = linalg.solve(mat.ints, rhs, mat.source.dim)
     if sol is None:
         return None
     return mat.source.from_row(sol)

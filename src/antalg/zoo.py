@@ -318,9 +318,9 @@ _CONF_BASIS = SimpleNamespace(parity=conf_parity, index=lambda label: label[1],
 # the key itself.
 _INT_BASIS = SimpleNamespace(parity=lambda k: k & 1, index=lambda k: k,
                              vector=DictVec)
-# eta's integer context by degree: m1 on its floored dual, times 4, int keys
+# eta's integer context: m1 on its floored dual, times D = 4, int keys
 _m1_ctx = functools.partial(DeltaContext, _INT_BASIS, _INT_BASIS, _conf_mul4,
-                            functools.partial(_dual_act4, True))
+                            functools.partial(_dual_act4, True), denominator=4)
 
 
 def _sort_ys(ys):
@@ -453,7 +453,7 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
     # t's arguments and of s's
     rep.checked += (len(labels) ** 2 + (2 * N + 1) ** 2 + len(w.odd2) ** 2
                     - len(rep.violations))
-    nontrivial, detail = _gamma_nontrivial(w, gam.__getitem__)
+    nontrivial, detail = _gamma_nontrivial(w, ig.__getitem__)
     rep.extras["nontrivial"] = nontrivial
     rep.extras["nontrivial_detail"] = detail
     if not nontrivial:
@@ -463,21 +463,21 @@ def verify_cocycle_gamma(N: int = 6, t_fn=None, s_fn=None) -> CheckReport:
 
 def _gamma_nontrivial(w, gfn):
     """Is there no global dual element b with delta b = gamma at the labels
-    of the ak1 window ``w``?  ``gfn`` is gamma on int keys.
+    of the ak1 window ``w``?  ``gfn`` is d gamma on int keys, on ints.
 
     gamma has weight 0 (gamma(eps_n) is a multiple of eps*_{-n}, gamma(a_i)
     of a*_{-i}), so only b's weight-0 part c eps*_0 matters: one unknown.
     The even part of delta b is zero for every b (the even-even terms
     -m(x,b) and +m(b,x) cancel), so each component of gamma(eps_n) is an
-    empty row; the odd part reads c rho_y eps*_0 = gamma(y).  Returns
-    (nontrivial?, detail)."""
+    empty row; the odd part reads c rho_y eps*_0 = gamma(y), solved as
+    (4 rho)(d c) = 4d gamma on ints.  Returns (nontrivial?, detail)."""
     rows, rhs = [], []
     for x in w.labels2():
         rho = _dual_act4(False, x, 0) if x & 1 else {}
         target = gfn(x)
-        for comp in sorted(rho.keys() | target.c.keys()):
-            rows.append({0: Fraction(rho[comp], 4)} if comp in rho else {})
-            rhs.append(target.coeff(comp))
+        for comp in sorted(rho.keys() | target.keys()):
+            rows.append({0: rho[comp]} if comp in rho else {})
+            rhs.append(4 * target.get(comp, 0))
     if linalg.solve(rows, rhs, 1) is None:
         return True, ("no dual element bounds gamma "
                       "(weight-0 slice inconsistent)")
@@ -557,8 +557,8 @@ def _m1_delta1(weights: tuple):
     ``weights`` (`_m1_slice`), by `cohomology._delta_between`.  The last
     one built is kept, so the five targets of a `verify eta` run, all of
     weight 0, share one matrix; its callers only read it."""
-    return _delta_between(_m1_ctx(degree=1), _m1_slice(1, weights),
-                          _m1_slice(2, weights), 4)
+    return _delta_between(_m1_ctx(), 1, _m1_slice(1, weights),
+                          _m1_slice(2, weights))
 
 
 def eta_coboundary_solve(N: int, target: WindowCochain):
@@ -570,18 +570,19 @@ def eta_coboundary_solve(N: int, target: WindowCochain):
     equation on the slice of weight w (`_m1_slice`).  So one exact solve
     of delta^1 over the slices of the weights that the target carries
     (`_m1_delta1`) decides, with no window: a target component at a key
-    below its floor lies in no slice and rules every preimage out.  ``N``
-    is not read; the answer does not depend on it."""
+    below its floor lies in no slice and rules every preimage out.  It runs
+    on the integer rows S*delta^1 against S*target.  ``N`` is not read; the
+    answer does not depend on it."""
     itarget = _doubled_cochain(target)
     values = {(*pq, xs, ys, w): c for pq in itarget.shapes()
               for (xs, ys), vec in itarget.block(*pq).items()
               for w, c in vec.c.items()}
     mat = _m1_delta1(tuple(sorted({sum(key[2] + key[3]) + key[4]
                                    for key in values})))
-    rhs = [values.pop(key, 0) for key in mat.target.keys]
+    rhs = [mat.scale * values.pop(key, 0) for key in mat.target.keys]
     if values:  # a key below its floor
         return None
-    sol = linalg.solve(mat.full, rhs, len(mat.source.keys))
+    sol = linalg.solve(mat.ints, rhs, len(mat.source.keys))
     if sol is None:
         return None
     label = functools.partial(_half, families=_CONF)
@@ -613,10 +614,10 @@ def _sums_at_most(keys, n, bound, distinct):
 
 def _delta_report(coch, shapes, window, kind_prefix, target=None):
     """A report of delta coch (minus ``target``) on every instance of the
-    given shapes from ``window``, on int keys and ints: in the `_m1_ctx`
-    of the cochain's degree, with the cochain and target times their common
-    denominator D_c, S = 4 * ``ctx.scale`` * D_c times each residual is an
-    integer dict.
+    given shapes from ``window``, on int keys and ints: in `_m1_ctx`, with
+    the cochain and target times their common denominator D_c, S =
+    ``ctx.scale(k)`` * D_c times each residual of a k-cochain is an integer
+    dict.
 
     delta preserves the weight, the sum of an instance's keys and its
     output key.  A component w of a value of coch or target at arguments
@@ -630,11 +631,11 @@ def _delta_report(coch, shapes, window, kind_prefix, target=None):
     instance is counted as a checked zero.  Only a nonzero residual, a
     violation, is divided by S."""
     rep = CheckReport("inner")
-    ctx = _m1_ctx(degree=coch.degree)
+    ctx = _m1_ctx()
     d = common_denominator(
         c for x in (coch, target) if x for pq in x.shapes()
         for v in x.block(*pq).values() for c in v.c.values())
-    scale = 4 * ctx.scale * d
+    scale = ctx.scale(coch.degree) * d
     icoch = _doubled_cochain(coch, d)
     itarget = target and _doubled_cochain(target, scale)
     top = max((sum(xs + ys) + w - min(w, _M1_FLOOR)
@@ -870,7 +871,8 @@ def verify_gv(N: int = 5) -> CheckReport:
                              for x in (labels, w.even2)))
           if (c := c_gv(t, *r)) != 0}
     d = common_denominator(cv.values())
-    icoch = {a: {"gv": c} for a, c in as_integers(cv.items(), d).items()}
+    ic = as_integers(cv.items(), d)
+    icoch = {a: {"gv": c} for a, c in ic.items()}
     dc = lie_coboundary(_k1_bracket4, _INT_BASIS.parity,
                         lambda args: icoch.get(args, {}), w.even2, 3)
     # the nonzero values at increasing quadruples, in combinations order,
@@ -886,9 +888,9 @@ def verify_gv(N: int = 5) -> CheckReport:
         rep.record("antisymmetry", args,
                    c_gv(*args) - _perm_sign(perm) * c_gv(*base))
     # nontriviality: the unknowns are the pairs (a, b), -2 <= a < b, at the
-    # weights a + b of c's window triples
+    # weights a + b of c's window triples; 4 delta beta = 4d c on ints
     triples = list(itertools.combinations(range(n), 3))
-    rhs = [4 * c_gv(*(labels[x] for x in t)) for t in triples]
+    rhs = [4 * ic.get(tuple(w.even2[x] for x in t), 0) for t in triples]
     weights = sorted({sum(w.even2[x] for x in t)
                       for t, c in zip(triples, rhs) if c})
     pairs = [(a, s - a) for s in weights for a in range(-2, s // 2, 2)]

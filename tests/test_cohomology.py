@@ -400,17 +400,21 @@ class _Reweighted(DeltaContext):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.half, self.one, self.unit = 5, 3, 7 * self.unit
+        self.half, self.one = 5, 3
+
+    def unit(self, k):
+        return 7 * super().unit(k)
 
     def norm(self, component, p, q):
         return 3 * super().norm(component, p, q)
 
 
-def _scattered_and_pulled(ctx, source, target, unit):
-    """The columns of `_delta_between` in ``ctx``, and those that
-    `delta_instance` gives in ``ctx`` for each unit cochain ``unit(key)``
-    at every target instance: two lists of {target row: value}."""
-    mat = cohomology._delta_between(ctx, source, target, 1)
+def _scattered_and_pulled(ctx, k, source, target, unit):
+    """The columns of delta^k by `_delta_between` in ``ctx``, and those
+    that `delta_instance` gives in ``ctx`` for each unit cochain
+    ``unit(key)`` at every target instance: two lists of {target row:
+    value}."""
+    mat = cohomology._delta_between(ctx, k, source, target)
     scattered = [{} for _ in source.keys]
     for i, row in enumerate(mat.ints):
         for j, c in row.items():
@@ -445,36 +449,54 @@ def test_the_scatter_takes_every_weight_from_its_context():
                 (m1, zoo._m1_slice(k, [0, 2]), zoo._m1_slice(k + 1, [0, 2]),
                  window_unit)):
             mat, scattered, pulled = _scattered_and_pulled(
-                _Reweighted(*args, degree=k), source, target,
+                _Reweighted(*args, denominator=1), k, source, target,
                 unit or source.unit)
             assert scattered == pulled, (k, source.keys[:1])
             plain = cohomology._delta_between(
-                DeltaContext(*args, degree=k), source, target, 1)
+                DeltaContext(*args, denominator=1), k, source, target)
             assert mat.ints != plain.ints, (k, source.keys[:1])
 
 
-def test_an_integer_norm_is_never_floored():
-    """A context of degree k holds delta^k's norms n/d as n*L_k/d.  Where
-    d does not divide n*L_k it raises, not floors: a degree-1 context
-    (L = 2) meets delta_01's 1/3 from the block (0,2) of a 2-cochain, in
-    the formulas and in the scatter alike; degree 2 (L = 6) gives 2."""
+def test_every_integer_norm_is_exact():
+    """On integers the norm n/d from a block (p, q) of arity k = p + q is
+    n*L_k/d, and d divides L_k = lcm(1, .., k+1): for every component and
+    every block with k <= 12 it is an int, L_k times the exact norm, so no
+    norm is floored."""
+    args = (K3.space, ADJ.space, lambda a, b: {}, lambda a, l: {})
+    exact, ints = DeltaContext(*args), DeltaContext(*args, denominator=1)
+    assert [ints.unit(k) for k in range(1, 13)] == [
+        2, 6, 12, 60, 60, 420, 840, 2520, 2520, 27720, 27720, 360360]
+    assert [exact.unit(k) for k in (1, 12)] == [1, 1]
+    for k in range(1, 13):
+        for p, comp in itertools.product(range(k + 1), COMPONENTS):
+            q = k - p
+            if comp == (1, 0) and q == 0 or comp == (-1, 2) and p == 0:
+                continue  # no term of that component reads a norm
+            n = ints.norm(comp, p, q)
+            assert type(n) is int, (comp, p, q)
+            assert n == exact.norm(comp, p, q) * ints.unit(k), (comp, p, q)
+
+
+def test_a_2_cochain_meets_the_norm_2_from_0_2_to_0_3():
+    """The norm 1/3 of delta_01 from the block (0,2) of a 2-cochain is
+    L_2/3 = 2 on integers, in the pull formulas and in the scatter alike:
+    the (0,3)-value of the unit cochain at (a, b; ad eps) is 2 times
+    m(ad eps, ad a) at (a, b, ad a).  On K3 |x ad(K3) with adjoint
+    coefficients, whose tables are cleared of D = 2 (scale 2*2*6)."""
     alg = semidirect(ADJ)
-    mod = trivial_module(alg)
-    args = (alg.space, mod.space,
-            lambda a, b: alg.products.get((a, b), {}),
-            lambda a, l: mod.action.get((a, l), {}))
-    low, high = DeltaContext(*args, degree=1), DeltaContext(*args, degree=2)
-    assert (high.norm((0, 1), 0, 2), high.scale) == (2, 12)
-    with pytest.raises(ValueError, match="1/3 is no norm of degree 1"):
-        low.norm((0, 1), 0, 2)
-    ys = tuple(alg.space.odd[:3])
-    c = Cochain(alg, mod, 2, {(0, 2): {((), ys[:2]): {
-        mod.space.even[0]: F(1)}}})
-    with pytest.raises(ValueError, match="1/3 is no norm of degree 1"):
-        delta_instance(low, c, 0, 3, (), ys)
-    with pytest.raises(ValueError, match="1/3 is no norm of degree 1"):
-        cohomology._delta_between(low, CochainBasis(alg, mod, 2),
-                                  CochainBasis(alg, mod, 3), 1)
+    mod = adjoint_module(alg)
+    ctx = cohomology._cleared_context(alg, mod)
+    assert (ctx.norm((0, 1), 0, 2), ctx.scale(2)) == (2, 24)
+    ys, out = ("a", "b", ("ad", "a")), ("ad", "eps")
+    want = {l: 2 * c for l, c in ctx.m_val_y({out: 1}, ys[2]).items()}
+    assert want == {("ad", ("ad", "a")): 4}
+    source = CochainBasis(alg, mod, 2)
+    key = (0, 2, (), ys[:2], out)
+    assert dict(delta_instance(ctx, source.unit(key), 0, 3, (),
+                               ys).items()) == want
+    mat = cohomology._delta_between(ctx, 2, source, CochainBasis(alg, mod, 3))
+    assert {l: mat.ints[mat.target.index((0, 3, (), ys, l))].get(
+        source.index(key), 0) for l in want} == want
 
 
 def test_the_benchmark_call_sites_are_reached(monkeypatch):
@@ -653,9 +675,9 @@ def test_a_failing_complex_stops_at_its_first_failing_degree(monkeypatch):
     built = []
     delta_matrix = cohomology._delta_matrix
 
-    def counting(alg, mod, k, source=None, cleared=None):
+    def counting(alg, mod, k, source=None, ctx=None):
         built.append(k)
-        return delta_matrix(alg, mod, k, source, cleared)
+        return delta_matrix(alg, mod, k, source, ctx)
     monkeypatch.setattr(cohomology, "_delta_matrix", counting)
     alg = _delta2_table("k3t4")
     with pytest.raises(AssertionError) as err:
@@ -707,23 +729,6 @@ def test_a_complex_builds_its_tables_once(monkeypatch):
     assert calls == ["cleared", "inverted"]
     cohomology_dims(K3, ADJ, 3)
     assert calls == ["cleared", "inverted"] * 2
-
-
-def test_a_context_changes_degree_only_on_integers():
-    """`DeltaContext.at` moves an integer context to another degree with
-    that degree's unit and scale, sharing its weighted products and the
-    scatter's tables; an exact context, whose weights differ, does not
-    move."""
-    args = (K3.space, ADJ.space, lambda a, b: K3.products.get((a, b), {}),
-            lambda a, l: ADJ.action.get((a, l), {}))
-    low = DeltaContext(*args, degree=1)
-    high = low.at(3)
-    assert (high.degree, high.unit, high.scale) == (3, 12, 24)
-    assert (low.degree, low.unit, low.scale) == (1, 2, 4)
-    assert high.tables is low.tables and high._weighted is low._weighted
-    for ctx, degree in ((DeltaContext(*args), 1), (low, 0)):
-        with pytest.raises(ValueError, match="only integer contexts"):
-            ctx.at(degree)
 
 
 def _without_d10(mat):
@@ -984,6 +989,21 @@ def test_solve_coboundary_edge_cases():
         if not apply_delta(c).is_zero():
             break
     assert solve_coboundary(c) is None
+
+
+@pytest.mark.parametrize("call", [
+    apply_delta, solve_coboundary, delta_via_bracket,
+    lambda c: apply_delta_component(c, (1, 0))],
+    ids=["apply_delta", "solve_coboundary", "delta_via_bracket",
+         "apply_delta_component"])
+def test_a_cochain_with_no_finite_structure_is_refused_by_name(call):
+    """A window cochain has no finite structure behind it (``alg`` and
+    ``mod`` are None), so no matrix or bracket coboundary: each of these
+    calls raises one ValueError that says so, not an AttributeError from
+    inside the assembly."""
+    with pytest.raises(ValueError, match="has no finite structure behind "
+                                         "it, so no matrix or bracket"):
+        call(zoo.eta_family(1, 0))
 
 
 # ---------------------------------------------------------------------------

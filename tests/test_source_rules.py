@@ -8,9 +8,12 @@ trees:
 - the coboundary formulas name no exact scalar: every scalar comes from
   their `DeltaContext`, so the one definition of delta serves both the
   exact context and the integer one of the matrix assembly; L_k is
-  computed in `DeltaContext` alone, which takes its degree (keyword
-  ``degree``, no ``lcm``), and the matrix scatter `_UnitCochains` names no
-  lcm;
+  computed in `DeltaContext` alone, whose one keyword is the tables'
+  ``denominator`` (no ``degree``: k is read off each block), and the
+  matrix scatter `_UnitCochains` names no lcm;
+- one context serves every degree: `DeltaContext` defines no ``at``, and
+  no call in `src/` or `tests/` passes ``degree=`` to it, to a subclass
+  of it or to `zoo._m1_ctx`;
 - the context alone decides which scalar weighs which product, for pull
   and push alike: `_UnitCochains` tabulates the context's weighted
   products (`m_alg`, `m_x_val`, `m_val_y`) and reads none of ``half``,
@@ -66,7 +69,7 @@ trees:
   integer core of the matrix assembly, `cohomology._delta_between` (no
   `delta_instance`), and it, that call and the slice
   enumerator `zoo._m1_slice` name no exact scalar and divide nowhere: the
-  solve's one division is `DifferentialMatrix.full`;
+  solve runs on delta^1's integer rows, ``ints``, not on ``full``;
 - gamma's nontriviality is decided on its weight-0 slice, whose one
   unknown does not depend on the window: `zoo._gamma_nontrivial` reads no
   window radius `N`;
@@ -74,7 +77,8 @@ trees:
   `_delta_between`, `_delta_matrix`, `_cleared_context`) and the delta^2
   check (`verify_complex`) name neither `Fraction` nor `divided`, and the
   module's one call of `divided` is in `DifferentialMatrix`, the one
-  division of delta^k into `Fraction`s;
+  division of delta^k into `Fraction`s, ``full``, which no code of the
+  library reads;
 - delta^2 = 0 is checked degree by degree: `assemble_complex` calls
   `verify_complex` only inside the loop that builds delta^k
   (`_delta_matrix`), so a failing complex stops at its first failing pair;
@@ -122,6 +126,7 @@ from antalg.zoo import WindowedAlgebra
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "antalg"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(SRC.rglob("*.py"))}
 
@@ -178,7 +183,26 @@ def test_the_coboundary_formulas_take_every_scalar_from_their_context():
                 and node.name == "__init__")
     assert [a.arg for a in init.args.args] == [
         "self", "alg", "mod", "mul", "act"]
-    assert [a.arg for a in init.args.kwonlyargs] == ["degree"]
+    assert [a.arg for a in init.args.kwonlyargs] == ["denominator"]
+
+
+def test_one_context_serves_every_degree():
+    methods = {sub.name for sub in _top("cohomology.py")["DeltaContext"].body
+               if isinstance(sub, ast.FunctionDef)}
+    assert "at" not in methods and {"unit", "scale", "norm"} <= methods
+    trees = {**TREES, **{path.name: ast.parse(path.read_text(encoding="utf-8"))
+                         for path in sorted(TESTS.glob("*.py"))}}
+    contexts = {"DeltaContext", "_m1_ctx"} | {
+        node.name for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and "DeltaContext" in {getattr(b, "id", getattr(b, "attr", None))
+                               for b in node.bases}}
+    found = [(name, sub.lineno) for name, tree in trees.items()
+             for sub in ast.walk(tree) if isinstance(sub, ast.Call)
+             and getattr(sub.func, "id", getattr(sub.func, "attr", None))
+             in contexts and "degree" in {k.arg for k in sub.keywords}]
+    assert found == []
+    assert len(contexts) >= 3  # the tests' reweighted context counts too
 
 
 def _called_names(node):
@@ -304,7 +328,8 @@ def test_the_eta_builds_divide_once_through_divided():
     for name in ("eta_coboundary_solve", "_m1_delta1"):
         assert not {"delta_instance", "apply_delta"} & (
             set(_called_names(functions[name]))), name
-    assert "full" in set(_read_names(solve))
+    assert "ints" in set(_read_names(solve))
+    assert "full" not in set(_read_names(solve))
     for name, divided in (("eta_coboundary_solve", 0), ("_m1_delta1", 0),
                           ("_m1_slice", 0), ("_delta_report", 1)):
         node = functions[name]
@@ -336,6 +361,10 @@ def test_delta_matrices_stay_on_integers_until_their_one_division():
     calls = [name for name, node in top.items()
              for called in _called_names(node) if called == "divided"]
     assert calls == ["DifferentialMatrix"]
+    readers = [(name, fn) for name in TREES for fn, node in _top(name).items()
+               for sub in ast.walk(node)
+               if isinstance(sub, ast.Attribute) and sub.attr == "full"]
+    assert readers == []
 
 
 def test_delta_matrices_reach_delta_through_apply_delta_component():
@@ -345,7 +374,7 @@ def test_delta_matrices_reach_delta_through_apply_delta_component():
     assert called.count("apply_delta_component") == 1
     assert "_UnitCochains" in called
     assert [a.arg for a in top["_delta_between"].args.args] == [
-        "ctx", "source", "target", "d"]
+        "ctx", "k", "source", "target"]
     for name in ("_delta_between", "_UnitCochains"):
         assert not pull & set(_called_names(top[name])), name
     wrapper = set(_called_names(top["_delta_matrix"]))

@@ -260,11 +260,15 @@ def test_gamma_single_entry_perturbations_are_caught():
     assert rs.violations[0].kind == "cocycle[mixed]"
 
 
-def _doubled_gamma(t_fn=None, s_fn=None):
-    """gamma on int keys (doubled indices), as the suite's nontriviality
-    system reads it."""
-    return functools.partial(zoo._gamma2, t_fn=t_fn or zoo._gamma_t,
-                             s_fn=s_fn or zoo._gamma_s)
+def _doubled_gamma(w, t_fn=None, s_fn=None):
+    """(d gamma on the int keys (doubled indices) of the window ``w``, on
+    ints, as the suite's nontriviality system reads it; d), d the common
+    denominator of those values."""
+    gam = {k: zoo._gamma2(k, t_fn or zoo._gamma_t, s_fn or zoo._gamma_s).c
+           for k in w.labels2()}
+    d = common_denominator(c for v in gam.values() for c in v.values())
+    ig = {k: {l: int(c * d) for l, c in v.items()} for k, v in gam.items()}
+    return ig.__getitem__, d
 
 
 @pytest.mark.parametrize("t_fn", [None, lambda n: 0], ids=["default", "t=0"])
@@ -273,7 +277,7 @@ def test_gamma_nontriviality_verdict(t_fn):
     still with t = 0, where gamma has no even part and the odd rows
     decide."""
     w = zoo.WindowedAlgebra("ak1", 6)
-    assert zoo._gamma_nontrivial(w, _doubled_gamma(t_fn)) == (
+    assert zoo._gamma_nontrivial(w, _doubled_gamma(w, t_fn)[0]) == (
         True, "no dual element bounds gamma (weight-0 slice inconsistent)")
 
 
@@ -1098,9 +1102,17 @@ def test_gamma_nontriviality_system_matches_the_reference_loops(
     def gfn(label):
         return zoo.gamma_value(label, t_fn, s_fn)
 
-    nontrivial, _ = zoo._gamma_nontrivial(zoo.WindowedAlgebra("ak1", N),
-                                          _doubled_gamma(t_fn, s_fn))
-    assert solver_calls == [_ref_gamma_slice(N, gfn)]
+    w = zoo.WindowedAlgebra("ak1", N)
+    ig, d = _doubled_gamma(w, t_fn, s_fn)
+    nontrivial, _ = zoo._gamma_nontrivial(w, ig)
+    # the reference system on ints: its rows times 4, its right-hand side
+    # times 4d
+    rows, rhs, ncols = _ref_gamma_slice(N, gfn)
+    assert solver_calls == [([{0: 4 * c for c in row.values()} for row in rows],
+                             [4 * d * b for b in rhs], ncols)]
+    assert all(type(c) is int for c in (
+        *(c for row in solver_calls[0][0] for c in row.values()),
+        *solver_calls[0][1]))
     assert nontrivial is (linalg.solve(*_ref_gamma_system(N, gfn)) is None)
     sol = linalg.solve(*_ref_gamma_slice(N, gfn))
     assert sol == (None if nontrivial else {0: 1} if which == "δε*₀" else {})
@@ -1186,11 +1198,11 @@ def _full_window_delta_report(coch, shapes, window, kind_prefix,
     `delta_instance` at every window instance of the shapes, on int keys
     and ints, each one recorded."""
     rep = CheckReport("inner")
-    ctx = zoo._m1_ctx(degree=coch.degree)
+    ctx = zoo._m1_ctx()
     d = common_denominator(
         c for x in (coch, target) if x for pq in x.shapes()
         for v in x.block(*pq).values() for c in v.c.values())
-    scale = 4 * ctx.scale * d
+    scale = ctx.scale(coch.degree) * d
     icoch = zoo._doubled_cochain(coch, d)
     itarget = target and zoo._doubled_cochain(target, scale)
     for (P, Q) in shapes:
@@ -1327,8 +1339,8 @@ def _m1_delta(k, slice_of, act):
     ``slice_of(k + 1)``, with the action ``act`` on int keys, from the one
     core that also assembles the finite tables."""
     ctx = DeltaContext(zoo._INT_BASIS, zoo._INT_BASIS, zoo._conf_mul4, act,
-                       degree=k)
-    return zoo._delta_between(ctx, slice_of(k), slice_of(k + 1), 4)
+                       denominator=4)
+    return zoo._delta_between(ctx, k, slice_of(k), slice_of(k + 1))
 
 
 _FLOORED = functools.partial(zoo._dual_act4, True)
@@ -1411,7 +1423,7 @@ def test_eta_suite_makes_one_slice_solve_per_target(solver_calls):
     calls = list(solver_calls)
     assert len(calls) == 5
     for rows, rhs, ncols in calls:
-        assert (rows, ncols) == (mat.full, 3) and len(rhs) == 5
+        assert (rows, ncols) == (mat.ints, 3) and len(rhs) == 5
     assert [linalg.solve(*call) is not None for call in calls] == [
         True, True, False, False, False]
     assert rep.extras["witness(1,2)"] == rep.extras["witness(3/2,3)"] == (
@@ -1425,7 +1437,7 @@ def test_eta_suite_builds_its_slice_matrix_once(monkeypatch):
     core = zoo._delta_between
 
     def counting(*args):
-        built.append(args[0].degree)
+        built.append(args[1])
         return core(*args)
 
     monkeypatch.setattr(zoo, "_delta_between", counting)
@@ -1510,14 +1522,14 @@ def test_m1_slice_matrices_match_the_unit_cochain_columns(kind, weights):
     """Column j of delta^k on a weight slice of m1, k <= 3, is the pull
     formulas' coboundary of the j-th unit cochain, an int-key
     `WindowCochain`, read at every target instance in the integer
-    `DeltaContext` of L_k (products and action times 4, the core's D):
+    `DeltaContext` of D = 4 (products and action times 4; unit L_k):
     exactly the scatter's integer column, and no value of the formulas
     falls outside the target keys."""
     slice_of, act = _SLICE_KINDS[kind]
     for k in (1, 2, 3):
         mat = _m1_delta(k, slice_of(weights), act)
         ctx = DeltaContext(zoo._INT_BASIS, zoo._INT_BASIS, zoo._conf_mul4,
-                           act, degree=k)
+                           act, denominator=4)
         for j, (p, q, xs, ys, l) in enumerate(mat.source.keys):
             unit = WindowCochain(k, {(p, q): {(xs, ys): {l: 1}}},
                                  zoo._INT_BASIS)
