@@ -397,14 +397,30 @@ class _TablePass:
 
     @cached_property
     def table(self) -> CheckReport:
-        """Graded commutativity and grading closure of every ordered pair,
-        evaluated where a.b or b.a is nonzero and recorded where they fail:
-        every other pair is a checked zero of both laws, counted but not
-        visited."""
+        """Graded commutativity and grading closure of every ordered pair.
+        One walk of T's nonzero products passes a pair whose a.b is
+        (-1)^{|a||b|} b.a as an int dict and lies in parity |a| + |b|;
+        only the pairs that fail it, in both orders, get their residuals
+        evaluated, by position, and recorded where nonzero.  Every other
+        pair is a checked zero of both laws, counted but not evaluated."""
         rep, sp, t = CheckReport("table"), self.space, self.t
         pos = {l: k for k, l in enumerate(sp.labels())}
-        pairs = {pair for a, row in t.items() for b, v in row.items() if v
-                 and a in pos and b in pos for pair in ((a, b), (b, a))}
+        par = {l: sp.parity(l) for l in pos}  # None for a label beyond sp
+        part = (set(sp.even), set(sp.odd))  # the labels of each parity
+        pairs = set()  # the failing pairs, in both orders
+        for a, row in t.items():
+            pa = par.get(a)
+            if pa is None:
+                continue
+            for b, v in row.items():
+                pb = par.get(b)
+                if not v or pb is None:
+                    continue
+                mirror = t.get(b, {}).get(a, {})
+                if pa & pb:
+                    mirror = {l: -z for l, z in mirror.items()}
+                if mirror != v or not v.keys() <= part[pa ^ pb]:
+                    pairs.update(((a, b), (b, a)))
         for a, b in sorted(pairs, key=lambda ab: (pos[ab[0]], pos[ab[1]])):
             ab, ba = t.get(a, {}).get(b, {}), t.get(b, {}).get(a, {})
             sign = (-1) ** (sp.parity(a) * sp.parity(b))

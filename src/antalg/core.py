@@ -364,8 +364,12 @@ _NUMERIC_RE = re.compile(r"\d")
 def _parse_expr(text: str, space: GradedSpace, lineno: int) -> dict:
     """Parse c1*l1 + c2*l2 - ... into {label: Fraction}, making one
     Fraction per term: its sign is kept as a flag and read with the
-    coefficient's text.  Each sign must lead a term of its own, so a run of
-    signs (``--x``, ``e+-f``, ``e - -f``) or a trailing sign is an error."""
+    coefficient.  A coefficient of plain decimal digits, with an optional
+    ``/`` and more digits, is read as two ints; any other text (``1.5``,
+    ``1e2``, ``1_000``, ``1 / 2``) goes through Fraction's string parser,
+    so every text is accepted or refused exactly as Fraction(text) would.
+    Each sign must lead a term of its own, so a run of signs (``--x``,
+    ``e+-f``, ``e - -f``) or a trailing sign is an error."""
     out: dict = {}
     stripped = text.strip()
     if not stripped:
@@ -398,9 +402,15 @@ def _parse_expr(text: str, space: GradedSpace, lineno: int) -> dict:
                 coeff_txt, label = "1", piece
             else:
                 raise ParseError(lineno, f"cannot parse term {raw.strip()!r}")
+        # coeff_txt holds no sign: the terms were split at every sign
+        num, slash, den = coeff_txt.partition("/")
+        if num.isdecimal() and (den.isdecimal() or not slash):
+            args = (-int(num) if negative else int(num),
+                    int(den) if slash else 1)
+        else:
+            args = ("-" + coeff_txt if negative else coeff_txt,)
         try:
-            # coeff_txt holds no sign: the terms were split at every sign
-            coeff = Fraction("-" + coeff_txt if negative else coeff_txt)
+            coeff = Fraction(*args)
         except (ValueError, ZeroDivisionError):
             raise ParseError(lineno, f"bad rational coefficient {coeff_txt!r}")
         if label not in space:
@@ -427,8 +437,12 @@ def complete_product_table(space: GradedSpace, given: Mapping) -> dict:
 def _put_product(table: dict, space: GradedSpace, a, b, coeffs: dict) -> None:
     """Enter a.b = ``coeffs``, nonzero Fractions, and its mirror b.a, a dict
     of its own, into ``table``; raise ValueError when either clashes with a
-    value already there."""
+    value already there, or when a is b, odd, and a.a is not 0 (its mirror
+    would be -a.a)."""
     if space.parity(a) == 1 and space.parity(b) == 1:
+        if a == b and coeffs:
+            raise ValueError(f"odd square {a!r} * {a!r} must be 0 "
+                             "by graded commutativity")
         mirror = {l: -c for l, c in coeffs.items()}
     else:
         mirror = dict(coeffs)

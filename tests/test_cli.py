@@ -54,6 +54,21 @@ def test_check_detects_broken_table(tmp_path, capsys):
     assert "violation.1.kind=half_unit" in out
 
 
+@pytest.mark.parametrize("command", ["check", "bracket"])
+@pytest.mark.parametrize("line,message", [
+    ("a * a = eps", "line 8: odd square 'a' * 'a' must be 0 by graded "
+                    "commutativity"),
+    ("eps * eps = 1/0*eps", "line 8: bad rational coefficient '1/0'"),
+    ("eps * eps = 1 / 2*eps", "line 8: bad rational coefficient '1 / 2'"),
+])
+def test_a_table_the_parser_refuses_exits_2_with_its_cause(
+        tmp_path, capsys, command, line, message):
+    path = tmp_path / "refused.alg"
+    path.write_text(K3_TEXT.replace("eps * eps = eps\n", "") + line + "\n")
+    code, out, err = _run(capsys, [command, "--input", str(path)])
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
 def test_check_windowed_family(capsys):
     code, out, _ = _run(capsys, ["check", "--input", "ak1",
                                  "--window", "3", "--format", "structured"])

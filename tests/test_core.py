@@ -184,6 +184,8 @@ a . t = 2*t
      "conflicting"),
     ("algebra dup\neven e\nodd a b\nodd a\n", 4,
      "basis labels must be unique"),
+    ("algebra X\neven e\nodd y\ny * y = e\n", 4,
+     "odd square 'y' * 'y' must be 0 by graded commutativity"),
 ])
 def test_parse_errors_carry_line_numbers(text, lineno, fragment):
     with pytest.raises(ParseError) as exc:
@@ -204,6 +206,13 @@ def test_parse_reads_each_term_with_its_sign():
     assert _products("e * f = - 1/2*f + 3 e - 0*e") == {
         ("e", "f"): {"f": F(-1, 2), "e": F(3)},
         ("f", "e"): {"f": F(-1, 2), "e": F(3)}}
+    assert _products("e * f = -1/2*e") == {
+        ("e", "f"): {"e": F(-1, 2)}, ("f", "e"): {"e": F(-1, 2)}}
+    assert _products("e * f = e - 3*f") == {
+        ("e", "f"): {"e": F(1), "f": F(-3)},
+        ("f", "e"): {"e": F(1), "f": F(-3)}}
+    assert _products("y * y = 0", "y * z = e") == {
+        ("y", "z"): {"e": F(1)}, ("z", "y"): {"e": F(-1)}}
     # each sign must lead a term body: a run of signs, with or without
     # spaces, and a trailing sign are dangling, not read as one sign
     for rhs in ("--1/2*f", "e+-f", "e -", "+ -f", "e - -f"):
@@ -212,6 +221,29 @@ def test_parse_reads_each_term_with_its_sign():
     # the zero entry of y.z is stored while parsing: z.y may not differ
     with pytest.raises(ParseError, match="line 5: conflicting"):
         _products("y * z = 0", "z * y = e")
+
+
+@pytest.mark.parametrize("text", [
+    "3", "007/014", "0/5", "١/٢", "1_000", "0.5", "1e2"])
+def test_a_coefficient_reads_as_fraction_reads_its_text(text):
+    """Plain digits, with or without a ``/`` and more digits, are read as
+    ints, every other text by Fraction's string parser: both read as
+    Fraction(text) does, with either sign."""
+    want = F(text)
+    plus = _products(f"e * f = {text}*f").get(("e", "f"), {})
+    minus = _products(f"e * f = e - {text} f")[("e", "f")]
+    assert plus == ({"f": want} if want else {})
+    assert minus == ({"e": 1, "f": -want} if want else {"e": 1})
+    assert all(type(c) is Fraction for c in (*plus.values(), *minus.values()))
+
+
+@pytest.mark.parametrize("text", ["1/0", "1 / 2", "1/", "/2", "²", "3/4/5"])
+def test_a_coefficient_that_fraction_rejects_is_a_parse_error(text):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        F(text)
+    with pytest.raises(ParseError,
+                       match=f"line 4: bad rational coefficient '{text}'"):
+        _products(f"e * f = {text}*f")
 
 
 def test_parse_mirrors_are_signed_dicts_of_their_own():
@@ -243,6 +275,9 @@ def test_completion_rejects_conflicting_mirrors():
         complete_product_table(
             GradedSpace(("e",), ("a", "b")),
             {("a", "b"): {"e": 1}, ("b", "a"): {"e": 1}})
+    with pytest.raises(ValueError, match="odd square 'a'"):
+        complete_product_table(GradedSpace(("e",), ("a",)),
+                               {("a", "a"): {"e": 1}})
 
 
 @pytest.mark.parametrize("module", [
